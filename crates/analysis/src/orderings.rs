@@ -139,8 +139,10 @@ pub const ORDERING_TAGS: &[OrderingTag] = &[
         model: Some("plan-shard"),
     },
     OrderingTag {
-        id: "SHALOM-O-TEL-STATE",
-        summary: "telemetry state word: Relaxed flag/pause bits; readers only gate recording",
+        id: "SHALOM-O-CAPTURE-STATE",
+        summary: "capture state word: Relaxed sink-enable/pause bits only gate capture; records \
+                  are published by the ring seqlock and sharded counters, the lane arena by \
+                  OnceLock init, span data by each lane's Release len store",
         relaxed_publish_ok: false,
         protocol: None,
         class: TagClass::Gate,
@@ -210,15 +212,6 @@ pub const ORDERING_TAGS: &[OrderingTag] = &[
         relaxed_publish_ok: false,
         protocol: None,
         class: TagClass::Publish,
-        model: None,
-    },
-    OrderingTag {
-        id: "SHALOM-O-TRACE-STATE",
-        summary: "tracer state word: Relaxed enable bit only gates capture; the lane arena is \
-                  published by OnceLock init, span data by each lane's Release len store",
-        relaxed_publish_ok: false,
-        protocol: None,
-        class: TagClass::Gate,
         model: None,
     },
     OrderingTag {

@@ -47,7 +47,6 @@ impl AnalysisConfig {
                 p("crates/kernels/src"),
                 p("crates/plans/src"),
                 p("crates/service/src"),
-                p("crates/telemetry/src"),
                 p("crates/trace/src"),
             ],
             atomic_paths: vec![
@@ -55,7 +54,6 @@ impl AnalysisConfig {
                 p("crates/core/src/plan.rs"),
                 p("crates/plans/src/cache.rs"),
                 p("crates/service/src"),
-                p("crates/telemetry/src"),
                 p("crates/trace/src"),
             ],
             crate_dirs: vec![
@@ -63,7 +61,6 @@ impl AnalysisConfig {
                 p("crates/kernels"),
                 p("crates/plans"),
                 p("crates/service"),
-                p("crates/telemetry"),
                 p("crates/trace"),
                 p("crates/contracts"),
                 p("crates/analysis"),

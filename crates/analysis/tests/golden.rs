@@ -20,12 +20,18 @@ fn golden_path() -> PathBuf {
 /// The fixture config mirrors `repo_default()` but keeps the
 /// unused-tag rule off: the fixture intentionally uses only two of the
 /// registered tags, and the golden file should not churn every time a
-/// tag is added to the registry.
+/// tag is added to the registry. The fixture is a frozen layout: it
+/// still has a `crates/telemetry`, which the real tree has since folded
+/// into `crates/trace`, so that crate is audited here explicitly.
 fn fixture_config() -> AnalysisConfig {
-    AnalysisConfig {
+    let mut cfg = AnalysisConfig {
         check_unused_tags: false,
         ..AnalysisConfig::repo_default()
-    }
+    };
+    cfg.scan_roots.push("crates/telemetry/src".into());
+    cfg.atomic_paths.push("crates/telemetry/src".into());
+    cfg.crate_dirs.push("crates/telemetry".into());
+    cfg
 }
 
 #[test]

@@ -13,7 +13,7 @@
 //! binary doubles as the schema round-trip check.
 //!
 //! ```text
-//! cargo run --release -p shalom-bench --features trace --bin shalom-report -- --reps 3
+//! cargo run --release -p shalom-bench --features capture --bin shalom-report -- --reps 3
 //! ```
 //!
 //! `--full` adds the VGG suite (paper-scale shapes, minutes of runtime);
@@ -24,7 +24,7 @@ use shalom_bench::perf_report::{
     ClassReport, PerfReport, PhaseShare, PoolReport, ShapeResult, PERF_REPORT_VERSION,
 };
 use shalom_bench::{measure_gflops, BenchArgs, CacheState};
-use shalom_core::trace::{self, Phase};
+use shalom_core::capture::{self, Phase, Sink};
 use shalom_core::{gemm_with, GemmConfig, Isa, IsaPolicy, PackingPolicy};
 use shalom_matrix::{MatMut, MatRef, Matrix, Op};
 use shalom_workloads::{cp2k_kernels, irregular_grid, small_square_sizes, GemmShape};
@@ -215,8 +215,8 @@ fn measure_shape<T: shalom_core::GemmElem>(
     let a = Matrix::<T>::random(shape.m, shape.k, 0xA);
     let b = Matrix::<T>::random(shape.k, shape.n, 0xB);
     let mut c = Matrix::<T>::zeros(shape.m, shape.n);
-    trace::reset();
-    trace::enable();
+    capture::reset();
+    capture::enable(Sink::Spans);
     for _ in 0..TRACED_CALLS {
         gemm_with(
             &cfg,
@@ -229,8 +229,8 @@ fn measure_shape<T: shalom_core::GemmElem>(
             c.as_mut(),
         );
     }
-    trace::disable();
-    let rep = trace::snapshot().report();
+    capture::disable(Sink::Spans);
+    let rep = capture::span_snapshot().report();
 
     ShapeResult {
         m: shape.m as u64,
@@ -243,7 +243,7 @@ fn measure_shape<T: shalom_core::GemmElem>(
 }
 
 /// Nonzero phase shares, descending.
-fn phase_shares(rep: &trace::TraceReport) -> Vec<PhaseShare> {
+fn phase_shares(rep: &capture::TraceReport) -> Vec<PhaseShare> {
     let mut shares: Vec<PhaseShare> = Phase::ALL
         .iter()
         .filter_map(|&p| {
@@ -286,17 +286,17 @@ fn pooled_probe(args: &BenchArgs) -> PoolReport {
         )
     };
     once(&cfg);
-    trace::reset();
-    trace::enable();
+    capture::reset();
+    capture::enable(Sink::Spans);
     for _ in 0..8 {
         once(&cfg);
     }
-    trace::disable();
-    let snap = trace::snapshot();
+    capture::disable(Sink::Spans);
+    let snap = capture::span_snapshot();
     let rep = snap.report();
     print!("{}", rep.render());
 
-    let chrome = trace::chrome_trace_json(&snap);
+    let chrome = capture::chrome_trace_json(&snap);
     let _ = std::fs::create_dir_all(&args.out);
     let path = format!("{}/pooled_trace.json", args.out);
     match std::fs::write(&path, &chrome) {

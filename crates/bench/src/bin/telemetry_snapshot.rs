@@ -5,7 +5,7 @@
 //! decisions (shape class, packing plan, thread grid) for the two.
 //!
 //! ```text
-//! cargo run --release -p shalom-bench --features telemetry --bin telemetry_snapshot
+//! cargo run --release -p shalom-bench --features capture --bin telemetry_snapshot
 //! ```
 //!
 //! Accepts `--out DIR` (also writes `telemetry_snapshot.telemetry.json`
@@ -13,14 +13,18 @@
 //! (no-op: the shapes are already paper-scale).
 
 use shalom_bench::BenchArgs;
+use shalom_core::{gemm_with, GemmConfig, Op};
+use shalom_matrix::Matrix;
 
-#[cfg(feature = "telemetry")]
 fn main() {
-    use shalom_core::telemetry;
-    use shalom_core::{gemm_with, GemmConfig, Op};
-    use shalom_matrix::Matrix;
-
     let mut args = BenchArgs::parse();
+    if !cfg!(feature = "capture") {
+        eprintln!(
+            "telemetry_snapshot needs the `capture` cargo feature:\n  \
+             cargo run --release -p shalom-bench --features capture --bin telemetry_snapshot"
+        );
+        std::process::exit(2);
+    }
     args.telemetry = true; // this binary IS the telemetry demo
     shalom_bench::telemetry::begin(&args);
 
@@ -50,7 +54,7 @@ fn main() {
 
     // Print the full snapshot JSON to stdout (the demo artifact), then
     // let the shared helper persist it and print the summary line.
-    let snap = telemetry::snapshot();
+    let snap = shalom_trace::record_snapshot();
     println!("{}", snap.to_json());
     for r in &snap.recent {
         println!(
@@ -67,14 +71,4 @@ fn main() {
         );
     }
     shalom_bench::telemetry::finish(&args, "telemetry_snapshot");
-}
-
-#[cfg(not(feature = "telemetry"))]
-fn main() {
-    let _ = BenchArgs::parse();
-    eprintln!(
-        "telemetry_snapshot needs the `telemetry` cargo feature:\n  \
-         cargo run --release -p shalom-bench --features telemetry --bin telemetry_snapshot"
-    );
-    std::process::exit(2);
 }

@@ -12,7 +12,7 @@
 //! Every binary accepts `--reps N` (timing repetitions; paper uses 10),
 //! `--full` (paper-scale problem sizes; defaults are scaled for a 1-core
 //! container) and `--out DIR` (CSV output directory, default `results/`).
-//! Built with `--features telemetry`, `--telemetry` additionally records
+//! Built with `--features capture`, `--telemetry` additionally records
 //! the dispatch decisions of every GEMM in the run and writes a
 //! `<figure>.telemetry.json` snapshot next to the CSVs.
 

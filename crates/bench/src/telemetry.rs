@@ -1,57 +1,53 @@
 //! `--telemetry` support for the figure binaries: capture dispatch
-//! decision traces during a run and write a JSON snapshot next to the
+//! decision records during a run and write a JSON snapshot next to the
 //! figure's CSV.
 //!
-//! Both entry points exist regardless of the `telemetry` cargo feature
-//! so every binary can call them unconditionally; without the feature
-//! they degrade to a one-line warning ([`begin`]) and a no-op
-//! ([`finish`]).
+//! The switches are runtime calls into `shalom-trace`, so every binary
+//! calls both entry points unconditionally; whether the core crate's
+//! capture sites are compiled in is this crate's `capture` feature, and
+//! without it [`begin`] degrades to a one-line warning and [`finish`]
+//! to a no-op.
 
 use crate::BenchArgs;
+use shalom_trace::Sink;
+
+/// Whether `--telemetry` was passed *and* there are capture sites to
+/// hear from.
+fn capturing(args: &BenchArgs) -> bool {
+    args.telemetry && cfg!(feature = "capture")
+}
 
 /// Starts capture if `--telemetry` was passed. Call once, after arg
 /// parsing and before the first measured GEMM. With the `perf-hooks`
 /// feature this also opens the hardware counters (silently skipped if
 /// the kernel refuses, e.g. under a restrictive `perf_event_paranoid`).
 pub fn begin(args: &BenchArgs) {
-    if !args.telemetry {
-        return;
+    if capturing(args) {
+        shalom_trace::reset();
+        shalom_trace::enable(Sink::Records);
+        shalom_trace::perf::start();
+    } else if args.telemetry {
+        eprintln!(
+            "warning: --telemetry ignored; rebuild with `--features capture` \
+             (optionally `capture,perf-hooks`)"
+        );
     }
-    #[cfg(feature = "telemetry")]
-    {
-        shalom_core::telemetry::reset();
-        shalom_core::telemetry::enable();
-        #[cfg(feature = "perf-hooks")]
-        shalom_core::telemetry::perf::start();
-    }
-    #[cfg(not(feature = "telemetry"))]
-    eprintln!(
-        "warning: --telemetry ignored; rebuild with `--features telemetry` \
-         (optionally `telemetry,perf-hooks`)"
-    );
 }
 
 /// Stops capture and writes `<out>/<figure>.telemetry.json` plus a
 /// console summary. Call once, after the last measured GEMM.
 pub fn finish(args: &BenchArgs, figure: &str) {
-    if !args.telemetry {
+    if !capturing(args) {
         return;
     }
-    #[cfg(feature = "telemetry")]
-    {
-        shalom_core::telemetry::disable();
-        let snap = shalom_core::telemetry::snapshot();
-        println!("{}", snap.summary());
-        let path = std::path::Path::new(&args.out).join(format!("{figure}.telemetry.json"));
-        match std::fs::create_dir_all(&args.out)
-            .and_then(|()| std::fs::write(&path, snap.to_json()))
-        {
-            Ok(()) => println!("telemetry json: {}", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-        }
+    shalom_trace::disable(Sink::Records);
+    let snap = shalom_trace::record_snapshot();
+    println!("{}", snap.summary());
+    let path = std::path::Path::new(&args.out).join(format!("{figure}.telemetry.json"));
+    match std::fs::create_dir_all(&args.out).and_then(|()| std::fs::write(&path, snap.to_json())) {
+        Ok(()) => println!("telemetry json: {}", path.display()),
+        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = figure;
 }
 
 #[cfg(test)]
@@ -66,7 +62,7 @@ mod tests {
         finish(&args, "figX");
     }
 
-    #[cfg(feature = "telemetry")]
+    #[cfg(feature = "capture")]
     #[test]
     fn snapshot_written_with_flag() {
         let dir = std::env::temp_dir().join("shalom_bench_tel_test");

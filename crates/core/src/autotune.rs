@@ -125,9 +125,8 @@ pub fn autotune<T: GemmElem>(
         "degenerate GEMM has nothing to tune"
     );
     // Probe GEMMs are measurement noise, not workload: keep them out of
-    // the telemetry trace for the duration of the search.
-    #[cfg(feature = "telemetry")]
-    let _tel_pause = crate::telemetry::pause_guard();
+    // the decision records and the span timeline for the whole search.
+    let _pause = crate::capture::pause();
     let (ar, ac) = match op_a {
         Op::NoTrans => (m, k),
         Op::Trans => (k, m),

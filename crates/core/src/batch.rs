@@ -15,6 +15,7 @@
 //! across the problems it claims. The scoped-spawn fallback keeps the
 //! previous static contiguous-chunk distribution.
 
+use crate::capture;
 use crate::config::{GemmConfig, Runtime};
 use crate::driver::{gemm_serial, with_workspace, Workspace};
 use crate::parallel::SendPtr;
@@ -72,14 +73,9 @@ pub fn gemm_batch_beta<T: GemmElem>(
         reference::check_dims(op_a, op_b, it.c.rows(), it.c.cols(), k, &it.a, &it.b);
     }
     let t = cfg.resolved_threads().max(1).min(items.len().max(1));
-    #[cfg(feature = "telemetry")]
-    if crate::telemetry::enabled() && !items.is_empty() {
-        crate::telemetry::record_batch(items.len());
-    }
-    // Trace: one span for the whole batch (aux = item count); each item
-    // records its own BatchItem span inside `run_one` below.
-    #[cfg(feature = "trace")]
-    let batch_tok = crate::trace::span_start(crate::trace::Phase::Batch, items.len() as u64);
+    // One span for the whole batch (and one tick of the batch counters);
+    // each item opens its own BatchItem span inside `run_one` below.
+    let batch_tok = capture::batch_begin(items.len());
     let serial_cfg = GemmConfig { threads: 1, ..*cfg };
     // Batched small GEMM is usually shape-uniform (the CP2K / strided
     // convention): amortize ONE plan-cache lookup across the whole batch
@@ -107,11 +103,9 @@ pub fn gemm_batch_beta<T: GemmElem>(
             Op::NoTrans => it.a.cols(),
             Op::Trans => it.a.rows(),
         };
-        #[cfg(feature = "trace")]
-        let item_tok = crate::trace::span_start(
-            crate::trace::Phase::BatchItem,
-            crate::trace::shape_key(m, n, k),
-        );
+        // Also tags the thread, so the item's serial record reads
+        // `Batch` even on the caller's thread.
+        let item_tok = capture::batch_item_begin(m, n, k);
         // SAFETY: SHALOM-D-DRIVER — each item's MatRef/MatMut views cover
         // their full footprints and check_dims validated every shape above.
         unsafe {
@@ -134,23 +128,18 @@ pub fn gemm_batch_beta<T: GemmElem>(
                 shared_plan.as_ref(),
             )
         };
-        #[cfg(feature = "trace")]
-        crate::trace::span_end(item_tok);
+        capture::batch_item_end(item_tok);
     };
     if t <= 1 || pool::in_pool_context() {
-        // Tag runs Batch even on the caller's thread; the scope restores
-        // the previous tag on exit. A nested batch (issued from inside a
-        // pool task) also lands here: republishing would deadlock on the
-        // pool's single call slot.
-        #[cfg(feature = "telemetry")]
-        let _path = crate::telemetry::PathScope::enter(crate::telemetry::PathTag::Batch);
+        // A nested batch (issued from inside a pool task) also lands
+        // here: republishing would deadlock on the pool's single call
+        // slot.
         with_workspace(|ws| {
             for it in items.iter_mut() {
                 run_one(&serial_cfg, it, ws);
             }
         });
-        #[cfg(feature = "trace")]
-        crate::trace::span_end(batch_tok);
+        capture::end(batch_tok);
         return;
     }
     match cfg.resolved_runtime() {
@@ -165,8 +154,6 @@ pub fn gemm_batch_beta<T: GemmElem>(
                 // wrapper, not its raw-pointer field (disjoint capture).
                 #[allow(clippy::redundant_locals)]
                 let base = base;
-                #[cfg(feature = "telemetry")]
-                let _path = crate::telemetry::PathScope::enter(crate::telemetry::PathTag::Batch);
                 // SAFETY: SHALOM-D-POOL — the pool's shared counter hands
                 // each index in `0..n_items` to exactly one claimant, so
                 // this exclusive reborrow of item `idx` never aliases
@@ -182,9 +169,6 @@ pub fn gemm_batch_beta<T: GemmElem>(
                 for slice in items.chunks_mut(chunk) {
                     let run_one = &run_one;
                     scope.spawn(move || {
-                        #[cfg(feature = "telemetry")]
-                        let _path =
-                            crate::telemetry::PathScope::enter(crate::telemetry::PathTag::Batch);
                         with_workspace(|ws| {
                             for it in slice.iter_mut() {
                                 run_one(&serial_cfg, it, ws);
@@ -195,8 +179,7 @@ pub fn gemm_batch_beta<T: GemmElem>(
             });
         }
     }
-    #[cfg(feature = "trace")]
-    crate::trace::span_end(batch_tok);
+    capture::end(batch_tok);
 }
 
 /// Strided batch over contiguous storage: `count` problems of identical

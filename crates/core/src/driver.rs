@@ -24,6 +24,7 @@
 //! `[]` indexing, no allocation outside [`Workspace::ensure`] — the
 //! static-analysis passes (`crates/analysis`) enforce both.
 
+use crate::capture;
 use crate::config::{classify, EdgeSchedule, GemmConfig, PackingPolicy, ShapeClass};
 use shalom_kernels::edge::{edge_kernel_batched, edge_kernel_pipelined};
 use shalom_kernels::family::{family_for, family_gemm_nn, family_workspace};
@@ -32,9 +33,7 @@ use shalom_kernels::main_kernel::{
 };
 use shalom_kernels::nt_pack::nt_pack_panel;
 use shalom_kernels::pack::{pack_copy, pack_transpose};
-#[cfg(feature = "telemetry")]
-use shalom_kernels::FamilyElem;
-use shalom_kernels::{Vector, MR, NR_VECS};
+use shalom_kernels::{FamilyElem, Vector, MR, NR_VECS};
 use shalom_matrix::{Op, Scalar};
 
 /// Calls between decay-policy evaluations on a [`Workspace`].
@@ -123,29 +122,19 @@ impl Workspace {
     }
 
     /// Current retained capacity of the scratch buffers in bytes (the
-    /// per-thread workspace high-water mark reported by telemetry).
-    #[cfg_attr(not(any(feature = "telemetry", test)), allow(dead_code))]
+    /// per-thread workspace high-water mark decision records report).
     pub(crate) fn capacity_bytes(&self) -> usize {
         (self.bc.len() + self.at.len()) * core::mem::size_of::<u64>()
     }
 }
 
-/// Times a sequential-pack region into the thread's telemetry
-/// pack-span accumulator and — with the `trace` feature — records a
-/// span of the named phase (`PackA` / `PackB`). Expands to the bare
-/// expression without either feature; with them, costs one relaxed
-/// load per layer when capture is off.
+/// Runs a sequential-pack region as one capture region of the named
+/// phase (`PackA` / `PackB`): the span, and the call's `pack_ns`.
 macro_rules! pack_timed {
     ($phase:ident, $body:expr) => {{
-        #[cfg(feature = "telemetry")]
-        let __pack_t0 = crate::telemetry::pack_span_start();
-        #[cfg(feature = "trace")]
-        let __pack_tok = crate::trace::span_start(crate::trace::Phase::$phase, 0);
+        let __pack_tok = capture::begin(capture::Phase::$phase, 0);
         let __r = $body;
-        #[cfg(feature = "trace")]
-        crate::trace::span_end(__pack_tok);
-        #[cfg(feature = "telemetry")]
-        crate::telemetry::pack_span_end(__pack_t0);
+        capture::pack_end(__pack_tok);
         __r
     }};
 }
@@ -215,46 +204,11 @@ pub(crate) fn resolve_nn_plan(
     }
 }
 
-#[cfg(feature = "telemetry")]
-impl BPlan {
-    /// Telemetry tag for the resolved plan. NT-mode `Direct` reports
-    /// `SequentialPack` because `nt_block` transpose-packs it anyway
-    /// (`Never` only disables the *fused* variant there).
-    pub(crate) fn tag(self, op_b: Op) -> crate::telemetry::PlanTag {
-        use crate::telemetry::PlanTag;
-        match self {
-            BPlan::Direct if op_b == Op::Trans => PlanTag::SequentialPack,
-            BPlan::Direct => PlanTag::NoPack,
-            BPlan::Fused => PlanTag::FusedPack,
-            BPlan::FusedLookahead => PlanTag::Lookahead,
-            BPlan::Sequential => PlanTag::SequentialPack,
-        }
-    }
-}
-
 pub(crate) fn resolve_nt_plan(cfg: &GemmConfig) -> BPlan {
     // NT always packs (§4.3); only the fused-vs-sequential axis remains.
     match cfg.packing {
         PackingPolicy::AlwaysSequential | PackingPolicy::Never => BPlan::Sequential,
         _ => BPlan::Fused,
-    }
-}
-
-/// What the §4 resolution says for the *full* problem shape — used by the
-/// parallel parent record (each worker re-resolves over its own
-/// sub-block and reports that in its own record).
-#[cfg(feature = "telemetry")]
-pub(crate) fn resolved_plan_tag(
-    cfg: &GemmConfig,
-    op_b: Op,
-    m: usize,
-    n: usize,
-    k: usize,
-    elem_bytes: usize,
-) -> crate::telemetry::PlanTag {
-    match op_b {
-        Op::NoTrans => resolve_nn_plan(cfg, m, n, k, elem_bytes).tag(op_b),
-        Op::Trans => resolve_nt_plan(cfg).tag(op_b),
     }
 }
 
@@ -291,34 +245,26 @@ pub(crate) unsafe fn gemm_serial<V: Vector>(
         scale_c::<V>(m, n, beta, c, ldc);
         return;
     }
-    // Trace: one span covering the whole serial dispatch, tagged with
-    // the shape key; closed below with the resolved plan source.
-    #[cfg(feature = "trace")]
-    let serial_tok = crate::trace::span_start(
-        crate::trace::Phase::Serial,
-        crate::trace::shape_key(m, n, k),
+    // One capture region covers the whole serial dispatch (plan
+    // resolution included); it closes below with the executed tile and
+    // the plan's source.
+    let call = capture::Call::begin(
+        capture::Phase::Serial,
+        cfg,
+        op_a,
+        op_b,
+        m,
+        n,
+        k,
+        core::mem::size_of::<V::Elem>(),
     );
     // Resolve the dispatch plan: callers that amortize one lookup over
     // many identical calls (the batched path) pass it in; everyone else
     // consults the plan cache here — warm signatures skip the §4/§5.5
     // resolution entirely.
-    #[cfg(feature = "telemetry")]
-    let tel_on = crate::telemetry::enabled();
-    #[cfg(feature = "telemetry")]
-    let plan_t0 = if tel_on {
-        crate::telemetry::now_ns()
-    } else {
-        0
-    };
     let plan = match plan {
         Some(p) => *p,
         None => crate::plan::serial_plan::<V>(cfg, op_a, op_b, m, n, k),
-    };
-    #[cfg(feature = "telemetry")]
-    let plan_ns = if tel_on {
-        crate::telemetry::now_ns().saturating_sub(plan_t0)
-    } else {
-        0
     };
 
     // Wide-family route: the plan's effective ISA (a pure function of
@@ -331,12 +277,6 @@ pub(crate) unsafe fn gemm_serial<V: Vector>(
             let kc_eff = plan.bs.kc.min(k);
             let (bc_elems, at_elems) = family_workspace::<V::Elem>(fam, kc_eff);
             let (bc_ptr, at_ptr) = ws.ensure::<V::Elem>(bc_elems, at_elems);
-            #[cfg(feature = "telemetry")]
-            let tel_start = if tel_on {
-                crate::telemetry::serial_capture_begin()
-            } else {
-                0
-            };
             // SAFETY: SHALOM-D-DRIVER — a/b/c cover m x k, k x n, m x n at
             // their strides per this function's contract; bc/at were sized
             // by `family_workspace` for (fam, kc_eff); m, n, k >= 1 after
@@ -344,29 +284,8 @@ pub(crate) unsafe fn gemm_serial<V: Vector>(
             family_gemm_nn::<V::Elem>(
                 fam, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, kc_eff, bc_ptr, at_ptr,
             );
-            #[cfg(feature = "telemetry")]
-            if tel_start != 0 {
-                let ks = <V::Elem as FamilyElem>::kernels(fam);
-                crate::telemetry::serial_capture_end(
-                    tel_start,
-                    cfg,
-                    op_a,
-                    op_b,
-                    m,
-                    n,
-                    k,
-                    core::mem::size_of::<V::Elem>(),
-                    plan.b_plan.tag(op_b),
-                    crate::telemetry::edge_tag_of(plan.edge),
-                    crate::telemetry::plan_source_tag(plan.source),
-                    plan_ns,
-                    ks.mr as u8,
-                    ks.nr as u8,
-                    ws.capacity_bytes(),
-                );
-            }
-            #[cfg(feature = "trace")]
-            crate::trace::span_end_src(serial_tok, crate::trace::src_code(plan.source));
+            let ks = <V::Elem as FamilyElem>::kernels(fam);
+            capture::serial_end(call, &plan, ks.mr, ks.nr, ws.capacity_bytes());
             return;
         }
     }
@@ -385,16 +304,6 @@ pub(crate) unsafe fn gemm_serial<V: Vector>(
     let (bc_ptr, at_ptr) = ws.ensure::<V::Elem>(2 * kc_eff * nr, at_elems);
 
     let b_plan = plan.b_plan;
-
-    // Telemetry: 0 marks capture-off, making the whole dispatch cost one
-    // relaxed load + compare; both capture halves are outlined `#[cold]`
-    // calls so they add no code to this function's hot body.
-    #[cfg(feature = "telemetry")]
-    let tel_start = if tel_on {
-        crate::telemetry::serial_capture_begin()
-    } else {
-        0
-    };
 
     // ALLOC-FREE: begin — after `ensure` above, the whole block walk runs
     // out of reused workspace; a stray allocation here is a per-call cost
@@ -423,11 +332,8 @@ pub(crate) unsafe fn gemm_serial<V: Vector>(
                     }
                 };
                 let c_blk = c.add(ii * ldc + jj);
-                #[cfg(feature = "trace")]
-                let compute_tok = crate::trace::span_start(
-                    crate::trace::Phase::Compute,
-                    crate::trace::shape_key(mcur, ncur, kcur),
-                );
+                let compute_tok =
+                    capture::begin(capture::Phase::Compute, capture::shape(mcur, ncur, kcur));
                 match op_b {
                     Op::NoTrans => nn_block::<V>(
                         plan.edge,
@@ -463,8 +369,7 @@ pub(crate) unsafe fn gemm_serial<V: Vector>(
                         bc_ptr,
                     ),
                 }
-                #[cfg(feature = "trace")]
-                crate::trace::span_end(compute_tok);
+                capture::end(compute_tok);
                 kk += kcur;
             }
             ii += mcur;
@@ -473,28 +378,7 @@ pub(crate) unsafe fn gemm_serial<V: Vector>(
     }
     // ALLOC-FREE: end
 
-    #[cfg(feature = "telemetry")]
-    if tel_start != 0 {
-        crate::telemetry::serial_capture_end(
-            tel_start,
-            cfg,
-            op_a,
-            op_b,
-            m,
-            n,
-            k,
-            core::mem::size_of::<V::Elem>(),
-            b_plan.tag(op_b),
-            crate::telemetry::edge_tag_of(plan.edge),
-            crate::telemetry::plan_source_tag(plan.source),
-            plan_ns,
-            MR as u8,
-            nr as u8,
-            ws.capacity_bytes(),
-        );
-    }
-    #[cfg(feature = "trace")]
-    crate::trace::span_end_src(serial_tok, crate::trace::src_code(plan.source));
+    capture::serial_end(call, &plan, MR, nr, ws.capacity_bytes());
 }
 
 /// `C = beta * C` over an `m x n` block.

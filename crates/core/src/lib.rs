@@ -37,19 +37,16 @@
 //!
 //! # Observability
 //!
-//! With the off-by-default `telemetry` cargo feature, the `telemetry`
-//! module exposes per-call dispatch decision traces (shape class,
-//! packing plan, tile, thread grid), sharded counters, latency
-//! histograms and JSON snapshots; the `perf-hooks` feature adds Linux
-//! hardware counters. Without the feature, every capture site compiles
-//! to nothing.
-//!
-//! The off-by-default `trace` feature adds the `trace` module:
-//! span-level timelines of the same pipeline (plan lookup, pack-A/B,
-//! per-block compute, pool dispatch/queue/barrier/park, batch items)
-//! recorded into per-thread lock-free buffers, with per-phase
-//! breakdowns and Chrome-trace/Perfetto export. The two features are
-//! independent and compose.
+//! With the off-by-default `capture` cargo feature, the `capture`
+//! module exposes the one capture layer (`shalom-trace`) with its two
+//! runtime switches: per-call dispatch decision records (shape class,
+//! packing plan, tile, thread grid) with sharded counters, latency
+//! histograms and JSON snapshots; and span-level timelines of the same
+//! pipeline (plan lookup, pack-A/B, per-block compute, pool
+//! dispatch/queue/barrier/park, batch items) in per-thread lock-free
+//! buffers, with per-phase breakdowns and Chrome-trace/Perfetto
+//! export. The `perf-hooks` feature adds Linux hardware counters.
+//! Without the feature, every capture site compiles to nothing.
 
 #![deny(missing_docs)]
 #![allow(clippy::too_many_arguments)]
@@ -61,6 +58,10 @@ pub mod batch;
 pub mod builder;
 pub mod cache;
 pub mod capi;
+#[cfg(feature = "capture")]
+pub mod capture;
+#[cfg(not(feature = "capture"))]
+mod capture;
 pub mod config;
 mod driver;
 pub mod error;
@@ -68,10 +69,6 @@ mod parallel;
 pub mod plan;
 pub mod pool;
 pub mod sync;
-#[cfg(feature = "telemetry")]
-pub mod telemetry;
-#[cfg(feature = "trace")]
-pub mod trace;
 
 pub use api::{dgemm, dgemm_raw, gemm, gemm_with, sgemm, sgemm_raw, GemmElem};
 pub use autotune::{autotune, Candidate, TuneReport};

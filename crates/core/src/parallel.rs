@@ -17,6 +17,7 @@
 //! [`crate::config::Runtime::ScopedSpawn`] keeps the old
 //! spawn-per-call path as a fallback and benchmark baseline.
 
+use crate::capture;
 use crate::config::{GemmConfig, Runtime};
 use crate::driver::{gemm_serial, with_workspace, Workspace};
 use crate::pool;
@@ -156,34 +157,27 @@ pub(crate) unsafe fn gemm_parallel<V: Vector>(
     // §6 thread grid, through the plan cache (full-signature key with
     // threads = t). Workers resolve their own sub-block plans below
     // under threads = 1 keys — identical to the pre-cache behaviour.
-    // Trace: one span covering the whole threaded call (grid lookup,
-    // dispatch, tiles, join), closed with the grid's plan source.
-    #[cfg(feature = "trace")]
-    let parallel_tok = crate::trace::span_start(
-        crate::trace::Phase::Parallel,
-        crate::trace::shape_key(m, n, k),
+    // One capture region covers the whole threaded call (grid lookup,
+    // dispatch, tiles, join); each tile is a worker region under it, so
+    // the parent record can report fork-join overhead (wall time minus
+    // the slowest tile). The pool separately captures its dispatch
+    // (publish + wake) latency.
+    let call = capture::Call::begin(
+        capture::Phase::Parallel,
+        cfg,
+        op_a,
+        op_b,
+        m,
+        n,
+        k,
+        core::mem::size_of::<V::Elem>(),
     );
+    let workers = call.workers();
     let (tm, tn, plan_src) = crate::plan::parallel_grid::<V>(cfg, op_a, op_b, m, n, k, t);
-    #[cfg(not(any(feature = "telemetry", feature = "trace")))]
-    let _ = plan_src;
     let nr = NR_VECS * V::LANES;
     let ap = SendConstPtr(a);
     let bp = SendConstPtr(b);
     let cp = SendPtr(c);
-
-    // Telemetry: time the fork-join scope and the slowest task so the
-    // parent record can report fork-join overhead; the pool separately
-    // records its dispatch (publish + wake) latency. 0 marks capture-off.
-    #[cfg(feature = "telemetry")]
-    let tel_start = if crate::telemetry::enabled() {
-        crate::telemetry::now_ns().max(1)
-    } else {
-        0
-    };
-    #[cfg(feature = "telemetry")]
-    let slowest_worker_ns = std::sync::atomic::AtomicU64::new(0);
-    #[cfg(feature = "telemetry")]
-    let slowest = &slowest_worker_ns;
 
     // One `(ri, rl) x (ci, cl)` sub-block on the given workspace; shared
     // by both runtimes. Workers get the ISA the *whole* problem resolved
@@ -194,19 +188,12 @@ pub(crate) unsafe fn gemm_parallel<V: Vector>(
     let mut cfg_copy = *cfg;
     cfg_copy.isa =
         crate::config::IsaPolicy::Force(crate::plan::effective_isa::<V>(cfg, op_a, op_b, m, n));
-    let tile = move |ri: usize, rl: usize, ci: usize, cl: usize, ws: &mut Workspace| {
+    let tile = move |idx: usize, ri: usize, rl: usize, ci: usize, cl: usize, ws: &mut Workspace| {
         // Rebind the wrapper structs whole: disjoint closure capture
         // would otherwise capture the raw-pointer *fields*, which are
         // not Sync, and the closure could not cross the runtime.
         let (ap, bp, cp) = (ap, bp, cp);
-        #[cfg(feature = "telemetry")]
-        let _path = crate::telemetry::PathScope::enter(crate::telemetry::PathTag::ParallelWorker);
-        #[cfg(feature = "telemetry")]
-        let worker_t0 = if tel_start != 0 {
-            crate::telemetry::now_ns()
-        } else {
-            0
-        };
+        let worker = workers.begin(idx);
         // Reconstruct the sub-block operand pointers. Stored-A row
         // offset depends on op: N indexes rows by i, T by k.
         let a_off = match op_a {
@@ -241,13 +228,7 @@ pub(crate) unsafe fn gemm_parallel<V: Vector>(
                 None,
             )
         };
-        #[cfg(feature = "telemetry")]
-        if tel_start != 0 {
-            slowest.fetch_max(
-                crate::telemetry::now_ns().saturating_sub(worker_t0),
-                std::sync::atomic::Ordering::Relaxed,
-            );
-        }
+        workers.end(worker);
     };
 
     match cfg.resolved_runtime() {
@@ -260,7 +241,7 @@ pub(crate) unsafe fn gemm_parallel<V: Vector>(
                 if rl == 0 || cl == 0 {
                     return;
                 }
-                tile(ri, rl, ci, cl, ws);
+                tile(idx, ri, rl, ci, cl, ws);
             };
             pool::run(t, tm * tn, &job);
         }
@@ -269,60 +250,23 @@ pub(crate) unsafe fn gemm_parallel<V: Vector>(
             let cols = quantized_chunks(n, tn, nr);
             let tile = &tile;
             std::thread::scope(|scope| {
-                for &(ri, rl) in &rows {
-                    for &(ci, cl) in &cols {
+                // The spawn loop itself is this runtime's dispatch cost.
+                let dispatch = capture::begin(capture::Phase::Dispatch, (tm * tn) as u64);
+                for (r, &(ri, rl)) in rows.iter().enumerate() {
+                    for (c, &(ci, cl)) in cols.iter().enumerate() {
                         if rl == 0 || cl == 0 {
                             continue;
                         }
-                        scope.spawn(move || with_workspace(|ws| tile(ri, rl, ci, cl, ws)));
+                        let idx = r * tn + c;
+                        scope.spawn(move || with_workspace(|ws| tile(idx, ri, rl, ci, cl, ws)));
                     }
                 }
-                // The spawn loop itself is this runtime's dispatch cost.
-                #[cfg(feature = "telemetry")]
-                if tel_start != 0 {
-                    crate::telemetry::record_dispatch(
-                        crate::telemetry::now_ns().saturating_sub(tel_start),
-                    );
-                }
+                capture::dispatch_end(dispatch);
             });
         }
     }
 
-    #[cfg(feature = "trace")]
-    crate::trace::span_end_src(parallel_tok, crate::trace::src_code(plan_src));
-
-    #[cfg(feature = "telemetry")]
-    if tel_start != 0 {
-        let total_ns = crate::telemetry::now_ns().saturating_sub(tel_start);
-        let elem_bytes = core::mem::size_of::<V::Elem>();
-        let slowest_ns = slowest_worker_ns.load(std::sync::atomic::Ordering::Relaxed);
-        crate::telemetry::record_fork_join(total_ns.saturating_sub(slowest_ns));
-        crate::telemetry::record(crate::telemetry::DecisionRecord {
-            seq: 0, // assigned at submission
-            m,
-            n,
-            k,
-            op_a: crate::telemetry::op_char(op_a),
-            op_b: crate::telemetry::op_char(op_b),
-            elem_bits: (elem_bytes * 8) as u8,
-            class: crate::telemetry::class_tag(crate::config::classify(
-                m, n, k, elem_bytes, &cfg.cache,
-            )),
-            plan: crate::driver::resolved_plan_tag(cfg, op_b, m, n, k, elem_bytes),
-            edge: crate::telemetry::edge_tag_of(cfg.edge),
-            plan_source: crate::telemetry::plan_source_tag(plan_src),
-            plan_ns: 0, // grid lookup cost is folded into total_ns
-            path: crate::telemetry::PathTag::Parallel,
-            mr: MR as u8,
-            nr: nr as u8,
-            tm: tm as u16,
-            tn: tn as u16,
-            threads: t as u16,
-            workspace_bytes: 0, // per-worker; reported by worker records
-            pack_ns: 0,
-            total_ns,
-        });
-    }
+    capture::parallel_end(call, tm, tn, t, plan_src, MR, nr);
 }
 
 #[cfg(test)]

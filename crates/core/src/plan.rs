@@ -32,6 +32,7 @@
 
 use crate::api::GemmElem;
 use crate::cache::BlockSizes;
+use crate::capture;
 use crate::config::{classify, EdgeSchedule, GemmConfig, ShapeClass};
 use crate::driver::{resolve_nn_plan, resolve_nt_plan, BPlan};
 use crate::parallel::partition_threads;
@@ -78,7 +79,8 @@ pub(crate) struct SerialPlan {
     /// driver to the runtime-registered kernel family, anything else runs
     /// the 128-bit substrate.
     pub(crate) isa: Isa,
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
+    /// Where the plan came from; read only by the capture layer.
+    #[allow(dead_code)]
     pub(crate) source: PlanSource,
 }
 
@@ -341,27 +343,12 @@ fn compute_resolved<V: Vector>(
     }
 }
 
-#[allow(unused_variables)]
-fn note_lookup(hit: bool) {
-    #[cfg(feature = "telemetry")]
-    if crate::telemetry::enabled() {
-        crate::telemetry::record_plan_lookup(hit);
-    }
-}
-
-#[allow(unused_variables)]
-fn note_evictions(n: u64) {
-    #[cfg(feature = "telemetry")]
-    if n > 0 && crate::telemetry::enabled() {
-        crate::telemetry::record_plan_evictions(n);
-    }
-}
-
 /// The cache-consulting lookup every entry point funnels through:
 /// returns the encoded plan and where it came from, memoizing computed
 /// plans. With the cache disabled this is a plain recompute. Being the
-/// single funnel, this is also where the trace layer times plan
-/// resolution — hit and miss alike — and stamps the outcome.
+/// single funnel, this is also the capture region that times plan
+/// resolution — hit and miss alike — into the span timeline and the
+/// call's `plan_ns`, stamped with the outcome.
 fn lookup<V: Vector>(
     cfg: &GemmConfig,
     op_a: Op,
@@ -371,18 +358,10 @@ fn lookup<V: Vector>(
     k: usize,
     threads: usize,
 ) -> (ResolvedPlan, PlanSource) {
-    #[cfg(feature = "trace")]
-    {
-        let tok = crate::trace::span_start(
-            crate::trace::Phase::PlanLookup,
-            crate::trace::shape_key(m, n, k),
-        );
-        let res = lookup_impl::<V>(cfg, op_a, op_b, m, n, k, threads);
-        crate::trace::span_end_src(tok, crate::trace::src_code(res.1));
-        res
-    }
-    #[cfg(not(feature = "trace"))]
-    lookup_impl::<V>(cfg, op_a, op_b, m, n, k, threads)
+    let tok = capture::begin(capture::Phase::PlanLookup, capture::shape(m, n, k));
+    let res = lookup_impl::<V>(cfg, op_a, op_b, m, n, k, threads);
+    capture::plan_end(tok, res.1);
+    res
 }
 
 fn lookup_impl<V: Vector>(
@@ -403,16 +382,16 @@ fn lookup_impl<V: Vector>(
     let key = key_for::<V>(cfg, op_a, op_b, m, n, k, threads);
     let cache = global_cache();
     if let Some((plan, stored)) = cache.get(&key) {
-        note_lookup(true);
+        capture::note_plan_lookup(true);
         let source = match stored {
             Source::Profile => PlanSource::Profile,
             Source::Computed => PlanSource::Cached,
         };
         return (plan, source);
     }
-    note_lookup(false);
+    capture::note_plan_lookup(false);
     let plan = compute_resolved::<V>(cfg, op_a, op_b, m, n, k, threads);
-    note_evictions(cache.insert_computed(key, plan));
+    capture::note_plan_evictions(cache.insert_computed(key, plan));
     (plan, PlanSource::Computed)
 }
 
@@ -515,14 +494,14 @@ pub fn install_tuned<T: crate::GemmElem>(
     };
     let plan = compute_resolved::<T::Vec>(&eff, op_a, op_b, m, n, k, threads);
     let key = key_for::<T::Vec>(base, op_a, op_b, m, n, k, threads);
-    note_evictions(global_cache().install(key, plan));
+    capture::note_plan_evictions(global_cache().install(key, plan));
     // Serial calls inside the pooled/batched paths look the signature up
     // under a threads = 1 key; install the override there too so a
     // tuned single-threaded signature applies wherever it executes.
     if threads > 1 {
         let serial_plan = compute_resolved::<T::Vec>(&eff, op_a, op_b, m, n, k, 1);
         let serial_key = key_for::<T::Vec>(base, op_a, op_b, m, n, k, 1);
-        note_evictions(global_cache().install(serial_key, serial_plan));
+        capture::note_plan_evictions(global_cache().install(serial_key, serial_plan));
     }
     PlanDescription {
         source: PlanSource::Profile,
@@ -541,7 +520,7 @@ pub fn load_profile(path: impl AsRef<Path>) -> Result<usize, ProfileError> {
     let cache = global_cache();
     let n = entries.len();
     for (key, plan) in entries {
-        note_evictions(cache.install(key, plan));
+        capture::note_plan_evictions(cache.install(key, plan));
     }
     Ok(n)
 }
@@ -570,7 +549,7 @@ pub fn plan_cache_invalidate() {
 }
 
 /// Aggregate plan-cache statistics (always on, independent of the
-/// `telemetry` feature): hits, misses, evictions, installs, residency.
+/// `capture` feature): hits, misses, evictions, installs, residency.
 pub fn plan_cache_stats() -> CacheStats {
     global_cache().stats()
 }

@@ -44,6 +44,7 @@
 //!
 //! Worker dispatch is on the per-call path; the one deliberate panic (worker-poison propagation) is PANIC-OK-tagged below.
 
+use crate::capture;
 use crate::driver::{with_workspace, Workspace};
 use crate::sync::{AtomicUsize, Ordering};
 use std::cell::Cell;
@@ -167,10 +168,9 @@ fn worker_main() {
     loop {
         let call = {
             let mut st = lock_state(p);
-            // Trace: a park span opens lazily on the first actual wait,
-            // so a worker that finds work immediately records nothing.
-            #[cfg(feature = "trace")]
-            let mut park_tok = crate::trace::SpanToken::inert();
+            // A park span opens lazily on the first actual wait, so a
+            // worker that finds work immediately records nothing.
+            let mut park_tok = capture::Span::inert();
             loop {
                 // Retirement is checked before joining a call, so a
                 // publish that shrank the pool counts exactly
@@ -178,20 +178,17 @@ fn worker_main() {
                 if st.retire > 0 {
                     st.retire -= 1;
                     st.spawned -= 1;
-                    #[cfg(feature = "trace")]
-                    crate::trace::span_end(park_tok);
+                    capture::end(park_tok);
                     return;
                 }
                 match st.call {
                     Some(c) if c.epoch != seen_epoch => {
-                        #[cfg(feature = "trace")]
-                        crate::trace::span_end(park_tok);
+                        capture::end(park_tok);
                         break c;
                     }
                     _ => {
-                        #[cfg(feature = "trace")]
                         if park_tok.is_inert() {
-                            park_tok = crate::trace::span_start(crate::trace::Phase::Park, 0);
+                            park_tok = capture::begin(capture::Phase::Park, 0);
                         }
                         st = match p.work_cv.wait(st) {
                             Ok(g) => g,
@@ -232,20 +229,14 @@ fn drain(p: &Pool, job: &(dyn Fn(usize, &mut Workspace) + Sync), tasks: usize, w
         if i >= tasks {
             return;
         }
-        #[cfg(feature = "trace")]
-        let task_tok = crate::trace::span_start(crate::trace::Phase::Task, i as u64);
         job(i, ws);
-        #[cfg(feature = "trace")]
-        crate::trace::span_end(task_tok);
     }
 }
 
 /// Runs `job(0..tasks)` across `threads` participants: this thread plus
 /// `threads - 1` persistent workers, all pulling indices from one shared
 /// counter. Blocks until every task has run *and* every worker has
-/// detached from the job. Returns the dispatch latency in nanoseconds
-/// (publish + wake, before this thread starts computing) when telemetry
-/// is capturing, else 0.
+/// detached from the job.
 ///
 /// Falls back to running everything inline when `threads <= 1`, when
 /// there is at most one task, or when already inside a pool call.
@@ -253,29 +244,19 @@ fn drain(p: &Pool, job: &(dyn Fn(usize, &mut Workspace) + Sync), tasks: usize, w
 /// # Panics
 /// Propagates a panic from the job (on this thread via `resume_unwind`;
 /// worker panics surface as a new panic after the call completes).
-pub(crate) fn run(
-    threads: usize,
-    tasks: usize,
-    job: &(dyn Fn(usize, &mut Workspace) + Sync),
-) -> u64 {
+pub(crate) fn run(threads: usize, tasks: usize, job: &(dyn Fn(usize, &mut Workspace) + Sync)) {
     if threads <= 1 || tasks <= 1 || in_pool_context() {
         with_workspace(|ws| {
             for i in 0..tasks {
                 job(i, ws);
             }
         });
-        return 0;
+        return;
     }
-    #[cfg(feature = "telemetry")]
-    let tel_start = if crate::telemetry::enabled() {
-        crate::telemetry::now_ns().max(1)
-    } else {
-        0
-    };
-    // Trace: the dispatch span covers slot claim + publish + wake (any
-    // queue wait shows up nested inside it); aux carries the task count.
-    #[cfg(feature = "trace")]
-    let dispatch_tok = crate::trace::span_start(crate::trace::Phase::Dispatch, tasks as u64);
+    // The dispatch region covers slot claim + publish + wake — the
+    // latency paid before this thread starts computing (any queue wait
+    // shows up nested inside it); aux carries the task count.
+    let dispatch_tok = capture::begin(capture::Phase::Dispatch, tasks as u64);
 
     let p = pool();
     let desired = threads - 1;
@@ -290,20 +271,17 @@ pub(crate) fn run(
     let epoch;
     {
         let mut st = lock_state(p);
-        #[cfg(feature = "trace")]
-        let mut queue_tok = crate::trace::SpanToken::inert();
+        let mut queue_tok = capture::Span::inert();
         while st.call.is_some() {
-            #[cfg(feature = "trace")]
             if queue_tok.is_inert() {
-                queue_tok = crate::trace::span_start(crate::trace::Phase::QueueWait, 0);
+                queue_tok = capture::begin(capture::Phase::QueueWait, 0);
             }
             st = match p.done_cv.wait(st) {
                 Ok(g) => g,
                 Err(poisoned) => poisoned.into_inner(),
             };
         }
-        #[cfg(feature = "trace")]
-        crate::trace::span_end(queue_tok);
+        capture::end(queue_tok);
         // Resize toward `desired` alive workers. Growth cancels pending
         // retirements before spawning; shrink adds to them. Either way
         // `spawned - retire` is the exact participant count afterwards.
@@ -343,19 +321,7 @@ pub(crate) fn run(
         });
     }
     p.work_cv.notify_all();
-    #[cfg(feature = "trace")]
-    crate::trace::span_end(dispatch_tok);
-
-    #[cfg(feature = "telemetry")]
-    let dispatch_ns = if tel_start != 0 {
-        let ns = crate::telemetry::now_ns().saturating_sub(tel_start);
-        crate::telemetry::record_dispatch(ns);
-        ns
-    } else {
-        0
-    };
-    #[cfg(not(feature = "telemetry"))]
-    let dispatch_ns = 0u64;
+    capture::dispatch_end(dispatch_tok);
 
     // Participate in the drain on this thread's workspace. Panics are
     // deferred: workers borrow the caller's stack through the job, so we
@@ -368,19 +334,17 @@ pub(crate) fn run(
     let worker_panicked;
     {
         let mut st = lock_state(p);
-        // Trace: the join barrier is recorded even when workers already
+        // The join barrier is recorded even when workers already
         // finished (a ~0 ns span), so pooled timelines always show the
         // publish/compute/join structure.
-        #[cfg(feature = "trace")]
-        let barrier_tok = crate::trace::span_start(crate::trace::Phase::Barrier, 0);
+        let barrier_tok = capture::begin(capture::Phase::Barrier, 0);
         while st.active > 0 {
             st = match p.done_cv.wait(st) {
                 Ok(g) => g,
                 Err(poisoned) => poisoned.into_inner(),
             };
         }
-        #[cfg(feature = "trace")]
-        crate::trace::span_end(barrier_tok);
+        capture::end(barrier_tok);
         worker_panicked = st.panicked;
         st.call = None;
     }
@@ -396,7 +360,6 @@ pub(crate) fn run(
         // honest outcome (mirrors std::thread::scope semantics).
         panic!("a pool worker panicked while running a GEMM task");
     }
-    dispatch_ns
 }
 
 /// Spins the pool up to `threads` participants and pre-sizes every

@@ -1,15 +1,17 @@
-//! Integration tests for the telemetry layer: every dispatch path must
-//! emit a decision record whose tags match the plan the driver actually
-//! executed, and capture must never perturb numerics.
+//! Integration tests for the capture layer's record sink: every dispatch
+//! path must emit a decision record whose tags match the plan the driver
+//! actually executed, and capture must never perturb numerics.
 //!
-//! Telemetry state is process-global, so every test here serializes on
+//! Capture state is process-global, so every test here serializes on
 //! one mutex and resets the sinks before acting.
-#![cfg(feature = "telemetry")]
+#![cfg(feature = "capture")]
 #![recursion_limit = "256"]
 
 use proptest::prelude::*;
-use shalom_core::telemetry::{self, DecisionRecord, PathTag, PlanTag, ShapeClassTag};
-use shalom_core::{gemm_batch, gemm_with, BatchItem, CacheParams, GemmConfig, Op, PackingPolicy};
+use shalom_core::capture::{self, DecisionRecord, PathTag, PlanTag, ShapeClassTag, Sink};
+use shalom_core::{
+    gemm_batch, gemm_with, BatchItem, CacheParams, GemmConfig, IsaPolicy, Op, PackingPolicy,
+};
 use shalom_matrix::Matrix;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -21,8 +23,11 @@ fn state_lock() -> MutexGuard<'static, ()> {
     }
 }
 
-/// Fixed cache geometry so plan resolution doesn't depend on the host:
-/// 32 KiB L1, 2 MiB LLC (the paper's Kunpeng 920 per-core figures).
+/// Fixed cache geometry and vector width so plan resolution doesn't
+/// depend on the host: 32 KiB L1, 2 MiB LLC (the paper's Kunpeng 920
+/// per-core figures), and the 128-bit substrate the §4 packing regimes
+/// are defined on — an AVX host would otherwise route NN calls to a wide
+/// kernel family, which always packs B sequentially.
 fn fixed_config() -> GemmConfig {
     GemmConfig {
         cache: CacheParams {
@@ -31,6 +36,7 @@ fn fixed_config() -> GemmConfig {
             l3: 0,
         },
         threads: 1,
+        isa: IsaPolicy::Force(shalom_core::base_isa()),
         ..GemmConfig::default()
     }
 }
@@ -49,8 +55,8 @@ fn trace_gemm(
     let a = Matrix::<f32>::random(ar, ac, 1);
     let b = Matrix::<f32>::random(br, bc, 2);
     let mut c = Matrix::<f32>::zeros(m, n);
-    telemetry::reset();
-    telemetry::enable();
+    capture::reset();
+    capture::enable(Sink::Records);
     gemm_with(
         cfg,
         op_a,
@@ -61,8 +67,8 @@ fn trace_gemm(
         0.0,
         c.as_mut(),
     );
-    telemetry::disable();
-    telemetry::snapshot().recent
+    capture::disable(Sink::Records);
+    capture::record_snapshot().recent
 }
 
 /// The single record a serial call must produce, with shape echoed back.
@@ -169,7 +175,7 @@ fn parallel_path_reports_grid() {
         .count();
     assert_eq!(workers, 4, "each worker emits its sub-block record");
 
-    let snap = telemetry::snapshot();
+    let snap = capture::record_snapshot();
     assert_eq!(snap.totals.fork_joins, 1);
 }
 
@@ -179,8 +185,8 @@ fn batch_path_counts_items() {
     let a = Matrix::<f32>::random(16, 16, 7);
     let b = Matrix::<f32>::random(16, 16, 8);
     let mut cs: Vec<Matrix<f32>> = (0..6).map(|_| Matrix::zeros(16, 16)).collect();
-    telemetry::reset();
-    telemetry::enable();
+    capture::reset();
+    capture::enable(Sink::Records);
     {
         let mut items: Vec<BatchItem<'_, f32>> = cs
             .iter_mut()
@@ -198,8 +204,8 @@ fn batch_path_counts_items() {
             &mut items,
         );
     }
-    telemetry::disable();
-    let snap = telemetry::snapshot();
+    capture::disable(Sink::Records);
+    let snap = capture::record_snapshot();
     assert_eq!(snap.totals.batch_calls, 1);
     assert_eq!(snap.totals.batch_items, 6);
     assert!(
@@ -219,14 +225,14 @@ fn plan_cache_hits_show_up_in_records_and_counters() {
 
     let cold = trace_gemm(&cfg, Op::NoTrans, Op::NoTrans, m, n, k);
     let r = sole_record(&cold, m, n, k);
-    assert_eq!(r.plan_source, telemetry::PlanSourceTag::Computed);
+    assert_eq!(r.plan_source, capture::PlanSourceTag::Computed);
 
     let warm = trace_gemm(&cfg, Op::NoTrans, Op::NoTrans, m, n, k);
     let r = sole_record(&warm, m, n, k);
-    assert_eq!(r.plan_source, telemetry::PlanSourceTag::Cached);
+    assert_eq!(r.plan_source, capture::PlanSourceTag::Cached);
 
     // Counters (reset per trace_gemm) saw exactly the warm lookup.
-    let snap = telemetry::snapshot();
+    let snap = capture::record_snapshot();
     assert_eq!(snap.totals.plan_hits, 1, "warm call must hit");
     assert_eq!(snap.totals.plan_misses, 0);
 
@@ -234,15 +240,15 @@ fn plan_cache_hits_show_up_in_records_and_counters() {
     shalom_core::install_tuned::<f32>(&cfg, &cfg, Op::NoTrans, Op::NoTrans, m, n, k);
     let prof = trace_gemm(&cfg, Op::NoTrans, Op::NoTrans, m, n, k);
     let r = sole_record(&prof, m, n, k);
-    assert_eq!(r.plan_source, telemetry::PlanSourceTag::Profile);
+    assert_eq!(r.plan_source, capture::PlanSourceTag::Profile);
 
     // With the cache disabled the source degrades to Computed and no
     // lookups are counted.
     shalom_core::set_plan_cache_enabled(false);
     let off = trace_gemm(&cfg, Op::NoTrans, Op::NoTrans, m, n, k);
     let r = sole_record(&off, m, n, k);
-    assert_eq!(r.plan_source, telemetry::PlanSourceTag::Computed);
-    let snap = telemetry::snapshot();
+    assert_eq!(r.plan_source, capture::PlanSourceTag::Computed);
+    let snap = capture::record_snapshot();
     assert_eq!(snap.totals.plan_hits + snap.totals.plan_misses, 0);
     shalom_core::set_plan_cache_enabled(true);
     shalom_core::plan_cache_clear();
@@ -275,14 +281,14 @@ proptest! {
         let c0 = Matrix::<f32>::random(m, n, seed + 2);
 
         let mut c_off = c0.clone();
-        telemetry::reset();
-        telemetry::disable();
+        capture::reset();
+        capture::disable(Sink::Records);
         gemm_with(&cfg, op_a, op_b, 1.5, a.as_ref(), b.as_ref(), 0.5, c_off.as_mut());
 
         let mut c_on = c0.clone();
-        telemetry::enable();
+        capture::enable(Sink::Records);
         gemm_with(&cfg, op_a, op_b, 1.5, a.as_ref(), b.as_ref(), 0.5, c_on.as_mut());
-        telemetry::disable();
+        capture::disable(Sink::Records);
 
         for i in 0..m {
             for j in 0..n {

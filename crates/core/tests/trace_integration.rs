@@ -4,10 +4,10 @@
 //!
 //! Tracer state is process-global, so every test serializes on one
 //! mutex and resets the lanes before acting.
-#![cfg(feature = "trace")]
+#![cfg(feature = "capture")]
 
-use shalom_core::trace::{self, Phase};
-use shalom_core::{gemm_batch, gemm_with, BatchItem, GemmConfig, Op, PackingPolicy};
+use shalom_core::capture::{self, Phase, Sink};
+use shalom_core::{gemm_batch, gemm_with, BatchItem, GemmConfig, IsaPolicy, Op, PackingPolicy};
 use shalom_matrix::Matrix;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -73,22 +73,22 @@ fn tracing_does_not_perturb_results() {
     // capture off and capture on: identical bits in every case.
     let serial = GemmConfig::with_threads(1);
     let pooled = GemmConfig::with_threads(4);
-    trace::disable();
-    trace::reset();
+    capture::disable(Sink::Spans);
+    capture::reset();
     let serial_off = gemm_bits(&serial, 48, 48, 48);
     let pooled_off = gemm_bits(&pooled, 96, 256, 64);
     let batch_off = batch_bits(&pooled);
-    trace::reset();
-    trace::enable();
+    capture::reset();
+    capture::enable(Sink::Spans);
     let serial_on = gemm_bits(&serial, 48, 48, 48);
     let pooled_on = gemm_bits(&pooled, 96, 256, 64);
     let batch_on = batch_bits(&pooled);
-    trace::disable();
+    capture::disable(Sink::Spans);
     assert!(
-        trace::snapshot().total_spans() > 0,
+        capture::span_snapshot().total_spans() > 0,
         "capture recorded spans"
     );
-    trace::reset();
+    capture::reset();
     assert_eq!(serial_off, serial_on, "serial bits changed under capture");
     assert_eq!(pooled_off, pooled_on, "pooled bits changed under capture");
     assert_eq!(batch_off, batch_on, "batched bits changed under capture");
@@ -97,18 +97,21 @@ fn tracing_does_not_perturb_results() {
 #[test]
 fn pooled_chrome_export_shows_worker_structure() {
     let _g = state_lock();
+    // Pinned to the 128-bit substrate: the wide kernel families run as
+    // one opaque serial span, with no pack/compute structure to export.
     let cfg = GemmConfig {
         packing: PackingPolicy::AlwaysSequential,
+        isa: IsaPolicy::Force(shalom_core::base_isa()),
         ..GemmConfig::with_threads(4)
     };
     // Untraced call first so pool spin-up stays off the timeline.
     let _ = gemm_bits(&cfg, 96, 512, 128);
-    trace::reset();
-    trace::enable();
+    capture::reset();
+    capture::enable(Sink::Spans);
     let _ = gemm_bits(&cfg, 96, 512, 128);
-    trace::disable();
-    let snap = trace::snapshot();
-    trace::reset();
+    capture::disable(Sink::Spans);
+    let snap = capture::span_snapshot();
+    capture::reset();
 
     // At least two lanes saw work, and the pack/compute/barrier phases
     // all appear somewhere in the snapshot.
@@ -130,8 +133,8 @@ fn pooled_chrome_export_shows_worker_structure() {
 
     // The Chrome export parses, declares one thread-name track per
     // lane, and carries complete events for the worker phases.
-    let text = trace::chrome_trace_json(&snap);
-    let doc = trace::json::parse(&text).expect("chrome export must be valid JSON");
+    let text = capture::chrome_trace_json(&snap);
+    let doc = capture::json::parse(&text).expect("chrome export must be valid JSON");
     let events = doc
         .get("traceEvents")
         .and_then(|v| v.as_arr())
@@ -150,4 +153,69 @@ fn pooled_chrome_export_shows_worker_structure() {
             "no complete event named {phase}"
         );
     }
+}
+
+#[test]
+fn one_region_feeds_both_sinks() {
+    let _g = state_lock();
+    // A serial call with both sinks on: the record's aggregates are the
+    // span durations — the same two clock reads, not a second pair.
+    let cfg = GemmConfig::with_threads(1);
+    let _ = gemm_bits(&cfg, 40, 40, 40); // warm the plan cache
+    capture::reset();
+    capture::enable(Sink::Both);
+    let _ = gemm_bits(&cfg, 40, 40, 40);
+    capture::disable(Sink::Both);
+    let recs = capture::record_snapshot().recent;
+    let snap = capture::span_snapshot();
+    capture::reset();
+
+    assert_eq!(recs.len(), 1, "one serial call, one record");
+    let rec = recs[0];
+    let spans: Vec<_> = snap.lanes.iter().flat_map(|l| l.spans.iter()).collect();
+    let of = |phase: Phase| -> Vec<_> { spans.iter().filter(|s| s.phase() == phase).collect() };
+    let (serial, lookup) = (of(Phase::Serial), of(Phase::PlanLookup));
+    assert_eq!((serial.len(), lookup.len()), (1, 1));
+    assert_eq!(serial[0].duration_ns(), rec.total_ns);
+    assert_eq!(lookup[0].duration_ns(), rec.plan_ns);
+    // Nesting and plan-source stamping: the lookup sits inside the
+    // serial span, and both carry the source the record reports.
+    assert_eq!((serial[0].depth, lookup[0].depth), (0, 1));
+    assert!(serial[0].t0_ns <= lookup[0].t0_ns && lookup[0].t1_ns <= serial[0].t1_ns);
+    assert_eq!(rec.plan_source, capture::PlanSourceTag::Cached);
+    assert_eq!(serial[0].src, capture::src::CACHED);
+    assert_eq!(lookup[0].src, capture::src::CACHED);
+}
+
+#[test]
+fn autotune_pause_covers_both_sinks() {
+    let _g = state_lock();
+    capture::reset();
+    capture::enable(Sink::Both);
+    let serial_spans = || {
+        capture::span_snapshot()
+            .lanes
+            .iter()
+            .flat_map(|l| l.spans.iter())
+            .filter(|s| s.phase() == Phase::Serial)
+            .count()
+    };
+    // The search runs many probe GEMMs; none may reach either sink.
+    let _ = shalom_core::autotune::<f64>(
+        &GemmConfig::with_threads(1),
+        Op::NoTrans,
+        Op::NoTrans,
+        24,
+        24,
+        24,
+        std::time::Duration::from_millis(20),
+    );
+    assert_eq!(capture::record_snapshot().totals.calls, 0);
+    assert_eq!(serial_spans(), 0, "probe GEMMs leaked into the timeline");
+    // The guard is gone with the search: a normal call reaches both.
+    let _ = gemm_bits(&GemmConfig::with_threads(1), 24, 24, 24);
+    capture::disable(Sink::Both);
+    assert_eq!(capture::record_snapshot().totals.calls, 1);
+    assert_eq!(serial_spans(), 1);
+    capture::reset();
 }

@@ -26,7 +26,6 @@
 #![forbid(unsafe_code)]
 
 mod cache;
-mod json;
 pub mod profile;
 
 pub use cache::{CacheStats, PlanCache, Source, DEFAULT_CAPACITY, SHARDS};

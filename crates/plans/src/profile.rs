@@ -8,8 +8,8 @@
 //! never a panic, so a stale or hand-edited profile can degrade a
 //! process to "no overrides" but can't take it down.
 
-use crate::json::{parse, Json};
 use crate::{PlanKey, ResolvedPlan};
+use shalom_trace::json::{parse, JsonValue as Json};
 use std::fmt;
 use std::path::Path;
 
@@ -314,6 +314,38 @@ mod tests {
             assert!(
                 matches!(from_json(bad, "sse2"), Err(ProfileError::Parse(_))),
                 "{bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_values_outside_the_profile_grammar() {
+        // Valid JSON the profile grammar has no place for (it uses
+        // objects, arrays, strings and unsigned integers only): each
+        // must come back as a parse error, and a hostile nesting depth
+        // must not reach the stack.
+        let entry = |field: &str| {
+            to_json(&[(key(0), plan(0))], "sse2")
+                .replace("\"m\":", &format!("\"m\":{field},\"x\":"))
+        };
+        let deep = "[".repeat(1 << 20);
+        for bad in [
+            "-1",
+            "1.5",
+            "true",
+            "{\"version\":2.5,\"isa\":\"sse2\",\"entries\":[]}",
+            "{\"version\":true,\"isa\":\"sse2\",\"entries\":[]}",
+            "{\"version\":2,\"isa\":\"sse2\",\"entries\":[]}extra",
+            deep.as_str(),
+            entry("-3").as_str(),
+            entry("1.5").as_str(),
+            entry("\"12\"").as_str(),
+            entry("99999999999999999999999999999999999999999").as_str(),
+        ] {
+            assert!(
+                matches!(from_json(bad, "sse2"), Err(ProfileError::Parse(_))),
+                "{:?}",
+                &bad[..bad.len().min(80)]
             );
         }
     }

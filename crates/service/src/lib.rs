@@ -327,7 +327,7 @@ impl Completion<'_> {
         }
     }
 
-    /// Completion timestamp on the [`shalom_telemetry::now_ns`] clock,
+    /// Completion timestamp on the [`shalom_trace::now_ns`] clock,
     /// once done. The latency harness subtracts scheduled arrival times
     /// from this, so queueing delay is measured without coordinated
     /// omission.

@@ -17,7 +17,7 @@ use crate::request::{GemmRequest, ServiceElem};
 use crate::stats::ServiceStats;
 use shalom_core::{request_plan_key, GemmConfig, Op};
 use shalom_plans::PlanKey;
-use shalom_trace::{now_ns, shape_key, span_end, span_start, Phase};
+use shalom_trace::{enabled, now_ns, shape_key, span_end, span_start, Phase, Sink};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
@@ -38,7 +38,7 @@ pub(crate) struct QueuedItem {
     pub(crate) b: ViewDims,
     pub(crate) c_ptr: *mut (),
     pub(crate) c: ViewDims,
-    /// Admission timestamp (`shalom_telemetry::now_ns` clock).
+    /// Admission timestamp (`shalom_trace::now_ns` clock).
     pub(crate) enqueue_ns: u64,
     /// Deadline on the same clock; `u64::MAX` = none, `0` = already
     /// expired at submission (deterministic expiry for past instants).
@@ -300,8 +300,8 @@ fn enqueue_validated<T: ServiceElem>(
         shared.work.notify_one();
     }
     shared.stats.on_submit(depth);
-    if shalom_telemetry::enabled() {
-        shalom_telemetry::record_service_submit(depth);
+    if enabled(Sink::Records) {
+        shalom_trace::record_service_submit(depth);
     }
     Ok(())
 }
@@ -309,7 +309,7 @@ fn enqueue_validated<T: ServiceElem>(
 #[cold]
 fn reject(shared: &Shared) {
     shared.stats.on_reject();
-    if shalom_telemetry::enabled() {
-        shalom_telemetry::record_service_reject();
+    if enabled(Sink::Records) {
+        shalom_trace::record_service_reject();
     }
 }

@@ -1,8 +1,9 @@
-//! Always-on service counters (independent of the telemetry runtime
-//! switch, which additionally feeds the global telemetry shards when
-//! enabled — see the call sites in `queue.rs` / `scheduler.rs`).
+//! Always-on service counters (independent of the capture layer's
+//! `Sink::Records` runtime switch, which additionally feeds the global
+//! record shards when on — see the call sites in `queue.rs` /
+//! `scheduler.rs`).
 
-use shalom_telemetry::{svc_occ_bucket, SVC_OCC_BUCKETS};
+use shalom_trace::{svc_occ_bucket, SVC_OCC_BUCKETS};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Why the scheduler flushed a bucket.
@@ -138,7 +139,7 @@ pub struct ServiceStatsSnapshot {
     /// Flushes triggered by shutdown drain.
     pub flush_drain: u64,
     /// log2 histogram of flush occupancy, bucketed like
-    /// [`shalom_telemetry::SVC_OCC_LABELS`].
+    /// [`shalom_trace::SVC_OCC_LABELS`].
     pub occupancy: [u64; SVC_OCC_BUCKETS],
 }
 

@@ -77,7 +77,7 @@ fn calibration() -> &'static Calibration {
     })
 }
 
-/// Monotonic nanoseconds since the first telemetry clock use.
+/// Monotonic nanoseconds since the first clock use.
 ///
 /// Two calls in the same thread are ordered; absolute values are only
 /// meaningful as differences.

@@ -1,11 +1,18 @@
-//! Minimal JSON reader for the observability pipeline.
+//! The workspace's one JSON reader (plus the `escape` / `format_f64`
+//! helpers the hand-rolled writers share).
 //!
 //! The build container is offline (no serde), so the exporters in this
 //! workspace hand-roll JSON *writing*; this module is the matching
-//! *reader* used by tests and the perf-report round-trip validation.
-//! It parses the full JSON grammar into an owned tree. Numbers are
-//! `f64` (every value this pipeline emits fits exactly); object keys
-//! keep insertion order.
+//! *reader* used by plan-profile ingest, the perf-report round-trip
+//! validation, the repo benchmark and tests. It parses the full JSON
+//! grammar into an owned tree; object keys keep insertion order.
+//!
+//! Two properties matter because some inputs are untrusted files
+//! (`SHALOM_PROFILE`, `compare A B`): nesting is bounded by
+//! [`MAX_DEPTH`] (an error naming the byte offset, not a stack
+//! overflow), and a plain non-negative integer that fits `u64` is kept
+//! exactly ([`JsonValue::UInt`]) — profile fingerprints are full-width
+//! `u64`s that an `f64` would round above 2^53.
 
 /// One parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -14,7 +21,10 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number, as `f64`.
+    /// A plain non-negative integer (no sign, fraction or exponent) that
+    /// fits `u64`, kept exactly.
+    UInt(u64),
+    /// Any other number, as `f64`.
     Num(f64),
     /// String with escapes decoded.
     Str(String),
@@ -33,18 +43,24 @@ impl JsonValue {
         }
     }
 
-    /// Number as `f64`, if this is a number.
+    /// Number as `f64` (nearest, for integers above 2^53), if this is a
+    /// number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            JsonValue::UInt(v) => Some(*v as f64),
             JsonValue::Num(v) => Some(*v),
             _ => None,
         }
     }
 
-    /// Number as `u64` if it is a non-negative integer.
+    /// Number as `u64` if it is a non-negative integer below 2^64:
+    /// exact for [`JsonValue::UInt`]; an integral float form (`1e3`,
+    /// `5.0`) converts when in range.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= u64::MAX as f64 => {
+            JsonValue::UInt(v) => Some(*v),
+            // `u64::MAX as f64` rounds up to 2^64, hence the strict bound.
+            JsonValue::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v < u64::MAX as f64 => {
                 Some(*v as u64)
             }
             _ => None,
@@ -76,12 +92,18 @@ impl JsonValue {
     }
 }
 
-/// Parses one JSON document; trailing non-whitespace is an error.
-/// Errors name the byte offset they were detected at.
+/// Deepest array/object nesting [`parse`] accepts. Every document this
+/// workspace writes nests under 8; the bound keeps a hostile input
+/// (`"[".repeat(1 << 20)`) from overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON document; trailing non-whitespace and nesting deeper
+/// than [`MAX_DEPTH`] are errors. Errors name the byte offset they were
+/// detected at.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -99,12 +121,18 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(bytes, pos);
+    if depth > MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{') => parse_object(bytes, pos, depth),
+        Some(b'[') => parse_array(bytes, pos, depth),
         Some(b'"') => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_keyword(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", JsonValue::Bool(false)),
@@ -151,6 +179,13 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         }
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
+    // Digits only: keep the integer exact when it fits (a longer run
+    // falls through to the nearest `f64`).
+    if !text.is_empty() && text.bytes().all(|b| b.is_ascii_digit()) {
+        if let Ok(v) = text.parse::<u64>() {
+            return Ok(JsonValue::UInt(v));
+        }
+    }
     text.parse::<f64>()
         .map(JsonValue::Num)
         .map_err(|_| format!("bad number `{text}` at byte {start}"))
@@ -212,7 +247,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -221,7 +256,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth + 1)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -234,7 +269,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *pos += 1; // consume '{'
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -253,7 +288,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
             return Err(format!("expected `:` at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth + 1)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -324,14 +359,74 @@ mod tests {
             "",
             "{",
             "[1,]",
+            "[1,",
             "{\"a\"}",
+            "{\"a\":}",
+            "{\"a\" 1}",
             "{\"a\":1,}",
+            "{\"a\":1}extra",
             "12 34",
             "\"abc",
             "nul",
+            "{\"e\":\"\\q\"}",
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn whitespace_and_escapes() {
+        let v = parse(" { \"a\" : [ 1 , 2 ] , \"s\" : \"x\\\"y\\\\z\" } ").unwrap();
+        assert_eq!(
+            v.get("a").and_then(JsonValue::as_arr).map(<[_]>::len),
+            Some(2)
+        );
+        assert_eq!(v.get("s").and_then(JsonValue::as_str), Some("x\"y\\z"));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // At the bound: accepted. One past it: rejected at that byte.
+        let ok = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        assert!(parse(&ok).is_ok());
+        let deep = "[".repeat(MAX_DEPTH + 2) + &"]".repeat(MAX_DEPTH + 2);
+        let err = parse(&deep).unwrap_err();
+        assert!(err.contains(&format!("at byte {}", MAX_DEPTH + 1)), "{err}");
+        // The hostile shapes: a megabyte of open brackets, objects too.
+        assert!(parse(&"[".repeat(1 << 20)).is_err());
+        assert!(parse(&"{\"a\":".repeat(1 << 16)).is_err());
+    }
+
+    #[test]
+    fn integers_are_exact_through_u64_max() {
+        let v = parse(r#"{"version":1,"entries":[{"op":"N","fp":18446744073709551615}]}"#).unwrap();
+        assert_eq!(v.get("version").and_then(JsonValue::as_u64), Some(1));
+        let entries = v.get("entries").and_then(JsonValue::as_arr).unwrap();
+        assert_eq!(entries[0].get("op").and_then(JsonValue::as_str), Some("N"));
+        assert_eq!(
+            entries[0].get("fp").and_then(JsonValue::as_u64),
+            Some(u64::MAX)
+        );
+        // 2^53 + 1 is the first integer an f64 cannot hold.
+        for n in [(1u64 << 53) + 1, u64::MAX - 1, u64::MAX] {
+            let back = parse(&n.to_string()).unwrap();
+            assert_eq!(back, JsonValue::UInt(n));
+            assert_eq!(back.as_u64(), Some(n));
+        }
+        assert_eq!(parse("7").unwrap().as_f64(), Some(7.0));
+        // Integral float forms still convert; non-integers and negatives do not.
+        assert_eq!(parse("1e3").unwrap().as_u64(), Some(1000));
+        assert_eq!(parse("1.5").unwrap().as_u64(), None);
+        assert_eq!(parse("-1").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn out_of_range_extraction_is_none() {
+        // 2^64 and 2^128 - 1 parse (as the nearest f64) but are not u64s.
+        assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
+        let v = parse("340282366920938463463374607431768211455").unwrap();
+        assert_eq!(v.as_u64(), None);
+        assert!(v.as_f64().is_some());
     }
 
     #[test]

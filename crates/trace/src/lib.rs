@@ -1,51 +1,93 @@
 //! # shalom-trace
 //!
-//! Span-level tracing for the LibShalom dispatch pipeline: where the
-//! telemetry crate records *per-call aggregates*, this crate records a
-//! *timeline* — one [`SpanRecord`] per phase instance (plan lookup,
-//! pack-A, pack-B, per-tile compute, queue/barrier waits, worker parks,
-//! batch items), bucketed into per-thread lanes so a pooled GEMM call
-//! can be replayed worker by worker. The paper's Fig 13 time breakdown
-//! and §6 imbalance analysis fall out of the aggregation in
-//! [`TraceSnapshot::report`]; `chrome://tracing` / Perfetto get the raw
-//! timeline via [`chrome_trace_json`].
+//! The one capture layer of the LibShalom dispatch pipeline, with two
+//! sinks behind one state word:
+//!
+//! * **decision records** ([`Sink::Records`]) — *per-call aggregates*:
+//!   one [`DecisionRecord`] per dispatch (shape class, packing plan,
+//!   tile, thread grid, plan source, pack/plan/total nanoseconds) into
+//!   sharded counters, per-class latency histograms and a wait-free
+//!   ring of recent records ([`record_snapshot`]); optional Linux
+//!   `perf_event` hardware counters behind the `perf-hooks` feature;
+//! * **spans** ([`Sink::Spans`]) — a *timeline*: one [`SpanRecord`] per
+//!   phase instance (plan lookup, pack-A, pack-B, per-block compute,
+//!   queue/barrier waits, worker parks, batch items), bucketed into
+//!   per-thread lanes so a pooled GEMM call can be replayed worker by
+//!   worker ([`span_snapshot`]). The paper's Fig 13 time breakdown and
+//!   §6 imbalance analysis fall out of [`TraceSnapshot::report`];
+//!   `chrome://tracing` / Perfetto get the raw timeline via
+//!   [`chrome_trace_json`].
+//!
+//! The crate also carries the workspace's one JSON reader/writer
+//! ([`json`]) and the one span clock ([`now_ns`]), and has no
+//! dependencies.
 //!
 //! ## Cost model
 //!
-//! Tracing is **off by default at runtime** and the core crate compiles
-//! every span site out unless its `trace` cargo feature is on. With the
-//! feature on but tracing disabled, each site is one relaxed atomic
-//! load and a branch ([`enabled`]). When enabled, a span costs two
-//! clock reads (`cntvct_el0` / `rdtsc` via `shalom_telemetry::now_ns`)
-//! plus one 32-byte write into a pre-allocated per-thread buffer: no
-//! locks, no allocation, no syscalls on the record path. Buffers are
-//! fixed capacity ([`SPANS_PER_LANE`]); overflow *drops* spans and
+//! Both sinks are **off by default at runtime**, and the core crate
+//! compiles every capture site out unless its `capture` cargo feature
+//! is on. Compiled in but off, a site is one relaxed load of the state
+//! word and a branch. Switched on, a region ([`span_start`]) serves both
+//! sinks from the same two clock reads (`cntvct_el0` / `rdtsc`): the span
+//! is one 32-byte write into a pre-allocated per-thread buffer, and the
+//! elapsed time [`span_end`] returns feeds the record-side aggregates.
+//! No locks, no allocation, no syscalls on either path. Lane buffers
+//! are fixed capacity ([`SPANS_PER_LANE`]); overflow *drops* spans and
 //! counts the drops rather than growing or blocking.
+//!
+//! ## Usage
+//!
+//! ```
+//! use shalom_trace::{DecisionRecord, Sink};
+//! shalom_trace::enable(Sink::Both);
+//! // ... run GEMMs through an instrumented crate, or record directly:
+//! shalom_trace::record(DecisionRecord {
+//!     m: 64, n: 64, k: 64,
+//!     op_a: b'N', op_b: b'N',
+//!     ..Default::default()
+//! });
+//! let snap = shalom_trace::record_snapshot();
+//! assert_eq!(snap.totals.calls, 1);
+//! println!("{}", snap.to_json());
+//! shalom_trace::disable(Sink::Both);
+//! ```
 //!
 //! ## Concurrency protocol
 //!
 //! Each OS thread claims one lane (index from a monotonic counter) and
 //! is that lane's only writer, ever. The writer publishes a record by
 //! filling `buf[len]` and then storing `len + 1` with `Release`;
-//! [`snapshot`] reads `len` with `Acquire` and then the first `len`
+//! [`span_snapshot`] reads `len` with `Acquire` and then the first `len`
 //! records — the classic single-producer publish. Threads beyond
-//! [`MAX_LANES`] record nothing and count their spans as dropped.
+//! [`MAX_LANES`] record nothing and count their spans as dropped. The
+//! record ring is a per-slot seqlock (see `records/ring.rs`).
 //!
 //! shalom-analysis: deny(panic)
 
 pub mod chrome;
+mod clock;
 pub mod json;
+pub mod perf;
+mod records;
 mod snapshot;
 
 pub use chrome::chrome_trace_json;
+pub use clock::now_ns;
+pub use perf::PerfSample;
+pub use records::{
+    add_pack_ns, add_plan_ns, current_path, record, record_batch, record_dispatch,
+    record_fork_join, record_plan_evictions, record_plan_lookup, record_service_flush,
+    record_service_reject, record_service_submit, record_snapshot, set_path, svc_occ_bucket,
+    take_pack_ns, take_plan_ns, CounterTotals, DecisionRecord, EdgeTag, Histogram, PathTag,
+    PlanSourceTag, PlanTag, ShapeClassTag, TelemetrySnapshot, HIST_BUCKETS, RING_CAPACITY,
+    SHARD_COUNT, SVC_OCC_BUCKETS, SVC_OCC_LABELS,
+};
 pub use snapshot::{LaneSnapshot, LaneStat, PhaseStat, TraceReport, TraceSnapshot};
 
 use std::cell::Cell;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
-
-pub use shalom_telemetry::now_ns;
 
 /// Maximum number of traced threads; later threads drop their spans.
 pub const MAX_LANES: usize = 32;
@@ -181,6 +223,23 @@ impl Phase {
         )
     }
 
+    /// Whether a region of this phase also feeds a record-side aggregate
+    /// (`total_ns`, `plan_ns`, `pack_ns`, slowest worker, dispatch
+    /// latency): such a region is live when *either* sink is capturing,
+    /// every other phase only with the span sink.
+    pub fn feeds_records(self) -> bool {
+        matches!(
+            self,
+            Phase::Serial
+                | Phase::PlanLookup
+                | Phase::PackA
+                | Phase::PackB
+                | Phase::Task
+                | Phase::Parallel
+                | Phase::Dispatch
+        )
+    }
+
     /// Whether `aux` on spans of this phase is a [`shape_key`].
     pub fn carries_shape(self) -> bool {
         matches!(
@@ -239,7 +298,7 @@ pub fn shape_from_key(key: u64) -> (usize, usize, usize) {
 /// One closed span: 32 bytes, plain data, safe to bulk-copy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Start, `shalom_telemetry::now_ns` units (never 0 for real spans).
+    /// Start, [`now_ns`] units (never 0 for real spans).
     pub t0_ns: u64,
     /// End, same clock; `>= t0_ns`.
     pub t1_ns: u64,
@@ -270,7 +329,7 @@ impl SpanRecord {
 }
 
 /// One per-thread span buffer. Single-writer: only the owning thread
-/// touches `buf` and stores `len`; readers go through `snapshot`.
+/// touches `buf` and stores `len`; readers go through `span_snapshot`.
 struct Lane {
     len: AtomicUsize,
     dropped: AtomicU64,
@@ -279,7 +338,7 @@ struct Lane {
 
 // SAFETY: `buf` is written only by the lane's unique owner thread
 // (lane indices come from a monotonic counter and are cached in TLS,
-// never reused), and only at index `len`; every read in `snapshot`
+// never reused), and only at index `len`; every read in `span_snapshot`
 // covers indices `< len` loaded with `Acquire`, which pairs with the
 // owner's `Release` store after the write. `len`/`dropped` are atomics.
 unsafe impl Sync for Lane {}
@@ -304,8 +363,26 @@ fn lanes() -> &'static Lanes {
     })
 }
 
-/// Bit 0: user enable. The record path checks `state == 1` only.
+/// Which capture sink(s) a runtime switch refers to. The discriminants
+/// are the sink's bits in the state word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u32)]
+pub enum Sink {
+    /// Per-call decision records, counters and histograms.
+    Records = 1,
+    /// Per-thread span timelines.
+    Spans = 2,
+    /// Both sinks.
+    Both = 3,
+}
+
+/// Bits 0-1: user enable per [`Sink`]. Bits 2..: pause count (scaled by
+/// [`PAUSE_UNIT`]). Capture happens only on values `1..=3`, so the
+/// disabled check of any site — either sink, paused or not — is one
+/// load and one compare.
 static STATE: AtomicU32 = AtomicU32::new(0);
+
+const PAUSE_UNIT: u32 = 4;
 
 /// Monotonic lane allocator; never reset, so a lane has one owner for
 /// the process lifetime.
@@ -325,37 +402,81 @@ thread_local! {
     static DEPTH: Cell<u8> = const { Cell::new(0) };
 }
 
-/// Turn capture on. The lane arena (4 MB) and the span clock are
-/// initialized here, outside any measured region, so the record path
-/// never allocates or calibrates.
-// ORDERING(SHALOM-O-TRACE-STATE): Relaxed bit set — the flag only gates
-// whether spans are captured; span data is published via lane `len`.
-pub fn enable() {
+/// Turn `sink` on. The record sink, the lane arena (4 MB, spans only)
+/// and the span clock are initialized here, outside any measured
+/// region, so the capture paths never allocate or calibrate. Gathered
+/// data is kept; call [`reset`] for a clean slate.
+// ORDERING(SHALOM-O-CAPTURE-STATE): Relaxed bit set — the word only gates
+// whether capture happens; records are published by the ring seqlock and
+// the sharded counters, span data via lane `len`.
+pub fn enable(sink: Sink) {
     let _ = now_ns();
-    let _ = lanes();
-    STATE.fetch_or(1, Ordering::Relaxed);
+    records::init();
+    if sink as u32 & Sink::Spans as u32 != 0 {
+        let _ = lanes();
+    }
+    STATE.fetch_or(sink as u32, Ordering::Relaxed);
 }
 
-/// Turn capture off. Recorded spans stay readable via [`snapshot`].
-// ORDERING(SHALOM-O-TRACE-STATE): Relaxed bit clear; see `enable`.
-pub fn disable() {
-    STATE.fetch_and(!1, Ordering::Relaxed);
+/// Turn `sink` off. Gathered data stays readable via [`record_snapshot`]
+/// / [`span_snapshot`].
+// ORDERING(SHALOM-O-CAPTURE-STATE): Relaxed bit clear; see `enable`.
+pub fn disable(sink: Sink) {
+    STATE.fetch_and(!(sink as u32), Ordering::Relaxed);
 }
 
-/// Whether capture is active: one relaxed load and a compare — the
-/// entire disabled-path cost of a span site.
+/// The sinks capturing right now, as [`Sink`] bits: 0 when nothing is
+/// enabled or capture is paused. One relaxed load and a compare — the
+/// entire disabled-path cost of a capture site.
 #[inline]
-// ORDERING(SHALOM-O-TRACE-STATE): one Relaxed load on the hot path — a
-// stale view only records or skips one extra span.
-pub fn enabled() -> bool {
-    STATE.load(Ordering::Relaxed) == 1
+// ORDERING(SHALOM-O-CAPTURE-STATE): one Relaxed load on the hot path — a
+// stale view only records or skips one extra call or span.
+fn active() -> u32 {
+    let st = STATE.load(Ordering::Relaxed);
+    if st > Sink::Both as u32 {
+        0
+    } else {
+        st
+    }
 }
 
-/// Empties every lane and zeroes the drop counters. Lane *ownership* is
-/// kept (threads keep their lanes). Callers must be quiescent — no GEMM
-/// in flight — exactly like `telemetry::reset`; a concurrent writer
-/// could republish over the wipe.
+/// Whether `sink` is capturing (enabled and not paused); for
+/// [`Sink::Both`], whether both are.
+#[inline]
+pub fn enabled(sink: Sink) -> bool {
+    active() & sink as u32 == sink as u32
+}
+
+/// Suspend both sinks while the guard lives, without toggling the user
+/// enable bits. Used by the autotuner so its probe GEMMs pollute
+/// neither the records nor the timeline; nests freely.
+// ORDERING(SHALOM-O-CAPTURE-STATE): Relaxed nesting count; same-thread RAII
+// pairs the add/sub, cross-thread skew only mistimes capture of a record.
+pub fn pause_guard() -> PauseGuard {
+    STATE.fetch_add(PAUSE_UNIT, Ordering::Relaxed);
+    PauseGuard { _priv: () }
+}
+
+/// RAII token from [`pause_guard`].
+pub struct PauseGuard {
+    _priv: (),
+}
+
+impl Drop for PauseGuard {
+    fn drop(&mut self) {
+        // ORDERING(SHALOM-O-CAPTURE-STATE): pairs with `pause_guard`'s add.
+        STATE.fetch_sub(PAUSE_UNIT, Ordering::Relaxed);
+    }
+}
+
+/// Clears both sinks: zeroes the counters, histograms and record ring,
+/// empties every lane and zeroes the drop counters. Does not change the
+/// enabled state or `perf` counters (diff samples instead). Lane
+/// *ownership* is kept (threads keep their lanes). Callers must be
+/// quiescent — no GEMM in flight; a concurrent writer could republish
+/// over the wipe.
 pub fn reset() {
+    records::reset();
     if let Some(ls) = LANES.get() {
         for lane in &ls.lanes {
             // ORDERING(SHALOM-O-TRACE-RESET): Relaxed wipe valid only under
@@ -393,6 +514,8 @@ pub struct SpanToken {
     aux: u64,
     phase: u8,
     depth: u8,
+    /// [`Sink`] bits that were capturing at the start.
+    sinks: u8,
 }
 
 impl SpanToken {
@@ -406,6 +529,7 @@ impl SpanToken {
             aux: 0,
             phase: 0,
             depth: 0,
+            sinks: 0,
         }
     }
 
@@ -414,65 +538,93 @@ impl SpanToken {
     pub fn is_inert(&self) -> bool {
         self.t0 == 0
     }
+
+    /// Whether the record sink was capturing when this region started:
+    /// the caller feeds the elapsed time [`span_end`] returns into its
+    /// per-call aggregates only then.
+    #[inline]
+    pub fn records(&self) -> bool {
+        self.sinks & Sink::Records as u8 != 0
+    }
 }
 
-/// Starts a span of `phase` with payload `aux` if capture is enabled;
-/// returns the inert token otherwise. The token is `Copy` and must be
-/// closed on the same thread it was opened on (depths are per-thread).
+/// Starts a region of `phase` with payload `aux` if a sink that wants
+/// it is capturing — the span sink, or for phases that
+/// [feed a record aggregate](Phase::feeds_records) either sink — and
+/// returns the inert token otherwise. One pair of clock reads serves
+/// both sinks: closing the token writes the span (span sink) and returns
+/// the elapsed nanoseconds, which the caller adds to its record-side
+/// aggregate when [`SpanToken::records`] says that sink was on. The
+/// token is `Copy` and must be closed on the same thread it was opened
+/// on (depths are per-thread).
 #[inline]
 pub fn span_start(phase: Phase, aux: u64) -> SpanToken {
-    if !enabled() {
+    let want = if phase.feeds_records() {
+        Sink::Both
+    } else {
+        Sink::Spans
+    };
+    let on = active() & want as u32;
+    if on == 0 {
         return SpanToken::inert();
     }
-    begin_span(phase, aux)
+    begin_span(phase, aux, on as u8)
 }
 
 // ALLOC-FREE
 #[inline(never)]
-fn begin_span(phase: Phase, aux: u64) -> SpanToken {
-    let depth = DEPTH.with(|d| {
-        let v = d.get();
-        d.set(v.saturating_add(1));
-        v
-    });
+fn begin_span(phase: Phase, aux: u64, sinks: u8) -> SpanToken {
+    let depth = if sinks & Sink::Spans as u8 != 0 {
+        DEPTH.with(|d| {
+            let v = d.get();
+            d.set(v.saturating_add(1));
+            v
+        })
+    } else {
+        0
+    };
     SpanToken {
         t0: now_ns().max(1),
         aux,
         phase: phase as u8,
         depth,
+        sinks,
     }
 }
 
-/// Closes a span. Records even if capture was disabled after the start,
-/// so enable/disable races never leave half-open nesting.
+/// Closes a span and returns its length in nanoseconds (0 for the inert
+/// token). Records even if capture was disabled after the start, so
+/// enable/disable races never leave half-open nesting.
 #[inline]
-pub fn span_end(tok: SpanToken) {
-    if tok.t0 != 0 {
-        finish_span(tok, src::NONE);
-    }
+pub fn span_end(tok: SpanToken) -> u64 {
+    span_end_src(tok, src::NONE)
 }
 
-/// Closes a span, stamping a [`src`] plan-source code on the record.
+/// [`span_end`], stamping a [`src`] plan-source code on the record.
 #[inline]
-pub fn span_end_src(tok: SpanToken, src_code: u8) {
-    if tok.t0 != 0 {
-        finish_span(tok, src_code);
+pub fn span_end_src(tok: SpanToken, src_code: u8) -> u64 {
+    if tok.t0 == 0 {
+        return 0;
     }
+    finish_span(tok, src_code)
 }
 
 // ALLOC-FREE
 #[inline(never)]
-fn finish_span(tok: SpanToken, src_code: u8) {
-    let t1 = now_ns();
-    DEPTH.with(|d| d.set(tok.depth));
-    push_record(SpanRecord {
-        t0_ns: tok.t0,
-        t1_ns: t1.max(tok.t0),
-        aux: tok.aux,
-        phase: tok.phase,
-        src: src_code,
-        depth: tok.depth,
-    });
+fn finish_span(tok: SpanToken, src_code: u8) -> u64 {
+    let t1 = now_ns().max(tok.t0);
+    if tok.sinks & Sink::Spans as u8 != 0 {
+        DEPTH.with(|d| d.set(tok.depth));
+        push_record(SpanRecord {
+            t0_ns: tok.t0,
+            t1_ns: t1,
+            aux: tok.aux,
+            phase: tok.phase,
+            src: src_code,
+            depth: tok.depth,
+        });
+    }
+    t1 - tok.t0
 }
 
 /// Records a span whose endpoints the caller already measured (both in
@@ -484,7 +636,7 @@ fn finish_span(tok: SpanToken, src_code: u8) {
 /// depth; a `t0_ns` of 0 (the inert marker) is clamped to 1.
 #[inline]
 pub fn span_record(phase: Phase, t0_ns: u64, t1_ns: u64, aux: u64) {
-    if !enabled() {
+    if !enabled(Sink::Spans) {
         return;
     }
     record_closed(phase, t0_ns, t1_ns, aux);
@@ -511,7 +663,7 @@ fn push_record(rec: SpanRecord) {
     if idx >= MAX_LANES {
         // ORDERING(SHALOM-O-TRACE-DROP): Relaxed loss counter, stats only.
         UNASSIGNED_DROPPED.fetch_add(1, Ordering::Relaxed);
-        shalom_telemetry::record_trace_spans(0, 1);
+        records::record_trace_spans(0, 1);
         return;
     }
     let Some(lane) = lanes().lanes.get(idx) else {
@@ -523,7 +675,7 @@ fn push_record(rec: SpanRecord) {
     if len >= SPANS_PER_LANE {
         // ORDERING(SHALOM-O-TRACE-DROP): Relaxed loss counter, stats only.
         lane.dropped.fetch_add(1, Ordering::Relaxed);
-        shalom_telemetry::record_trace_spans(0, 1);
+        records::record_trace_spans(0, 1);
         return;
     }
     // SAFETY: this thread is the lane's unique owner (index from the
@@ -534,16 +686,16 @@ fn push_record(rec: SpanRecord) {
         (*lane.buf.get()).as_mut_ptr().add(len).write(rec);
     }
     // ORDERING(SHALOM-O-TRACE-PUBLISH): Release publish of the filled slot;
-    // pairs with the Acquire length load in `snapshot`.
+    // pairs with the Acquire length load in `span_snapshot`.
     lane.len.store(len + 1, Ordering::Release);
-    shalom_telemetry::record_trace_spans(1, 0);
+    records::record_trace_spans(1, 0);
 }
 
 /// Copies every non-empty lane out into an owned [`TraceSnapshot`].
 /// Safe to call while writers are active: each lane is read up to its
 /// `Acquire`-loaded length, so a span recorded concurrently is either
 /// fully visible or not included.
-pub fn snapshot() -> TraceSnapshot {
+pub fn span_snapshot() -> TraceSnapshot {
     let mut out = Vec::new();
     if let Some(ls) = LANES.get() {
         for (i, lane) in ls.lanes.iter().enumerate() {
@@ -578,9 +730,9 @@ pub fn snapshot() -> TraceSnapshot {
 mod tests {
     use super::*;
 
-    // Enable/disable state and the lane arena are process-global; tests
-    // that toggle them serialize on one lock (same pattern as the
-    // telemetry crate).
+    // The state word, the record sink and the lane arena are
+    // process-global; every unit test of this crate that touches them
+    // serializes on this one lock.
     pub(crate) fn state_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         match LOCK.lock() {
@@ -590,27 +742,98 @@ mod tests {
     }
 
     #[test]
+    fn enable_disable_pause() {
+        let _l = state_lock();
+        disable(Sink::Both);
+        assert!(!enabled(Sink::Records) && !enabled(Sink::Spans));
+        enable(Sink::Records);
+        assert!(enabled(Sink::Records));
+        assert!(!enabled(Sink::Spans) && !enabled(Sink::Both));
+        enable(Sink::Spans);
+        assert!(enabled(Sink::Both));
+        {
+            // One pause silences both sinks; pauses nest.
+            let _g1 = pause_guard();
+            assert!(!enabled(Sink::Records) && !enabled(Sink::Spans));
+            let _g2 = pause_guard();
+            assert!(!enabled(Sink::Records) && !enabled(Sink::Spans));
+        }
+        assert!(enabled(Sink::Both));
+        disable(Sink::Records);
+        assert!(enabled(Sink::Spans) && !enabled(Sink::Records));
+        disable(Sink::Spans);
+        // Pausing while disabled stays disabled after the guard drops.
+        {
+            let _g = pause_guard();
+            assert!(!enabled(Sink::Records) && !enabled(Sink::Spans));
+        }
+        assert!(!enabled(Sink::Records) && !enabled(Sink::Spans));
+    }
+
+    #[test]
+    fn region_serves_each_sink_from_one_token() {
+        let _l = state_lock();
+        disable(Sink::Both);
+        reset();
+        assert!(span_start(Phase::Serial, 0).is_inert());
+        // Records only: a phase that feeds an aggregate gets a live
+        // token (elapsed time returned, no span, no nesting depth
+        // consumed); a spans-only phase stays inert.
+        enable(Sink::Records);
+        let tok = span_start(Phase::Serial, 0);
+        assert!(!tok.is_inert() && tok.records());
+        assert!(span_start(Phase::Compute, 0).is_inert());
+        let _ = span_end(tok);
+        assert_eq!(span_snapshot().total_spans(), 0);
+        // Both: the same call also writes the span.
+        enable(Sink::Spans);
+        let tok = span_start(Phase::PackB, 0);
+        assert!(tok.records());
+        let ns = span_end(tok);
+        disable(Sink::Both);
+        let snap = span_snapshot();
+        assert_eq!(snap.total_spans(), 1);
+        assert_eq!(snap.lanes[0].spans[0].duration_ns(), ns);
+        assert_eq!(snap.lanes[0].spans[0].depth, 0);
+        // Spans only: the token says not to feed record aggregates.
+        enable(Sink::Spans);
+        let tok = span_start(Phase::PackA, 0);
+        assert!(!tok.is_inert() && !tok.records());
+        span_end(tok);
+        disable(Sink::Spans);
+        // Paused: both kinds of start are inert.
+        enable(Sink::Both);
+        {
+            let _p = pause_guard();
+            assert!(span_start(Phase::Serial, 0).is_inert());
+            assert!(span_start(Phase::Compute, 0).is_inert());
+        }
+        disable(Sink::Both);
+        reset();
+    }
+
+    #[test]
     fn disabled_records_nothing() {
         let _l = state_lock();
-        disable();
+        disable(Sink::Spans);
         reset();
         let tok = span_start(Phase::Serial, shape_key(8, 8, 8));
         assert!(tok.is_inert());
         span_end(tok);
-        assert_eq!(snapshot().total_spans(), 0);
+        assert_eq!(span_snapshot().total_spans(), 0);
     }
 
     #[test]
     fn records_and_nests() {
         let _l = state_lock();
-        enable();
+        enable(Sink::Spans);
         reset();
         let outer = span_start(Phase::Serial, shape_key(4, 5, 6));
         let inner = span_start(Phase::PackA, 0);
         span_end(inner);
         span_end_src(outer, src::CACHED);
-        disable();
-        let snap = snapshot();
+        disable(Sink::Spans);
+        let snap = span_snapshot();
         assert_eq!(snap.total_spans(), 2);
         let lane = &snap.lanes[0];
         // Buffer order is close order: inner first.
@@ -628,15 +851,15 @@ mod tests {
     #[test]
     fn overflow_drops_and_counts() {
         let _l = state_lock();
-        enable();
+        enable(Sink::Spans);
         reset();
         let extra = 37;
         for _ in 0..SPANS_PER_LANE + extra {
             let tok = span_start(Phase::Compute, 0);
             span_end(tok);
         }
-        disable();
-        let snap = snapshot();
+        disable(Sink::Spans);
+        let snap = span_snapshot();
         let lane = snap
             .lanes
             .iter()
@@ -645,14 +868,14 @@ mod tests {
         assert_eq!(lane.dropped, extra as u64);
         assert_eq!(snap.total_dropped(), extra as u64);
         reset();
-        assert_eq!(snapshot().total_spans(), 0);
-        assert_eq!(snapshot().total_dropped(), 0);
+        assert_eq!(span_snapshot().total_spans(), 0);
+        assert_eq!(span_snapshot().total_dropped(), 0);
     }
 
     #[test]
     fn depth_restores_after_drop() {
         let _l = state_lock();
-        enable();
+        enable(Sink::Spans);
         reset();
         // Fill the lane, then check nesting depth still tracks through
         // dropped spans.
@@ -667,7 +890,7 @@ mod tests {
         let after = span_start(Phase::Serial, 0);
         assert_eq!(after.depth, 0);
         span_end(after);
-        disable();
+        disable(Sink::Spans);
         reset();
     }
 
@@ -695,16 +918,16 @@ mod tests {
     #[test]
     fn span_record_backdates() {
         let _l = state_lock();
-        enable();
+        enable(Sink::Spans);
         reset();
         let t0 = now_ns();
         let t1 = t0 + 1234;
         span_record(Phase::Linger, t0, t1, 9);
         // Reversed endpoints clamp to a zero-length span, never panic.
         span_record(Phase::BatchFlush, t1, t0, 3);
-        disable();
+        disable(Sink::Spans);
         span_record(Phase::Linger, t0, t1, 9); // off: dropped silently
-        let snap = snapshot();
+        let snap = span_snapshot();
         assert_eq!(snap.total_spans(), 2);
         let lane = &snap.lanes[0];
         assert_eq!(lane.spans[0].phase(), Phase::Linger);
@@ -718,12 +941,12 @@ mod tests {
     #[test]
     fn end_records_even_after_disable() {
         let _l = state_lock();
-        enable();
+        enable(Sink::Spans);
         reset();
         let tok = span_start(Phase::Batch, 7);
-        disable();
+        disable(Sink::Spans);
         span_end(tok);
-        let snap = snapshot();
+        let snap = span_snapshot();
         assert_eq!(snap.total_spans(), 1);
         assert_eq!(snap.lanes[0].spans[0].aux, 7);
         reset();

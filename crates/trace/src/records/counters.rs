@@ -4,7 +4,7 @@
 //! and updates it with relaxed atomics, so concurrent GEMM workers never
 //! contend on a shared line; totals are summed at snapshot time.
 
-use crate::record::{DecisionRecord, PathTag, PlanTag, ShapeClassTag};
+use super::record::{DecisionRecord, PathTag, PlanTag, ShapeClassTag};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Number of counter shards. Power of two, comfortably above the core
@@ -433,7 +433,7 @@ impl CounterTotals {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{PathTag, PlanTag, ShapeClassTag};
+    use crate::records::record::{PathTag, PlanTag, ShapeClassTag};
 
     #[test]
     fn observe_sums_across_threads() {

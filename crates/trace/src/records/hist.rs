@@ -1,6 +1,6 @@
 //! Log2-bucketed latency histograms, one per shape class.
 
-use crate::record::ShapeClassTag;
+use super::record::ShapeClassTag;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of log2 buckets: bucket `i` holds samples with

@@ -1,52 +1,24 @@
-//! # shalom-telemetry
+//! The decision-record sink: one [`DecisionRecord`] per dispatch
+//! (shape class, packing plan, tile, thread grid, plan source, pack and
+//! total nanoseconds) fanned out to thread-sharded counters, per-class
+//! latency histograms and a wait-free ring of recent records, plus the
+//! aggregate counters the fork-join, batch, plan-cache and service
+//! layers feed directly.
 //!
-//! Observability layer for the LibShalom GEMM dispatch pipeline: per-call
-//! decision traces (shape class, packing plan, tile, thread grid),
-//! sharded aggregate counters, per-class latency histograms, an
-//! in-memory ring of recent decisions, and optional Linux `perf_event`
-//! hardware counters behind the `perf-hooks` feature.
-//!
-//! ## Cost model
-//!
-//! Telemetry is **off by default at runtime**. Every capture site in the
-//! core crate first calls [`enabled`], which is a single relaxed atomic
-//! load and compare — when disabled, that branch is the entire cost.
-//! When enabled, the hot path touches only thread-sharded atomics and a
-//! wait-free ring-buffer claim: no locks, no allocation, no syscalls
-//! (the span clock reads `cntvct_el0` / `rdtsc` directly).
-//!
-//! The core crate additionally compiles all capture sites out entirely
-//! unless its `telemetry` cargo feature is on, so default builds carry
-//! zero overhead of any kind.
-//!
-//! ## Usage
-//!
-//! ```
-//! shalom_telemetry::enable();
-//! // ... run GEMMs through an instrumented crate, or record directly:
-//! shalom_telemetry::record(shalom_telemetry::DecisionRecord {
-//!     m: 64, n: 64, k: 64,
-//!     op_a: b'N', op_b: b'N',
-//!     ..Default::default()
-//! });
-//! let snap = shalom_telemetry::snapshot();
-//! assert_eq!(snap.totals.calls, 1);
-//! println!("{}", snap.to_json());
-//! shalom_telemetry::disable();
-//! ```
+//! Nothing here checks the capture state word: callers gate on
+//! [`crate::enabled`]`(`[`crate::Sink::Records`]`)` (or on a region
+//! token's [`crate::SpanToken::records`]) first. When the sink is on,
+//! the hot path touches only sharded atomics and a ring-slot claim: no
+//! locks, no allocation, no syscalls.
 
-mod clock;
 mod counters;
 mod hist;
-pub mod perf;
 mod record;
 mod ring;
 mod snapshot;
 
-pub use clock::now_ns;
 pub use counters::{svc_occ_bucket, CounterTotals, SHARD_COUNT, SVC_OCC_BUCKETS, SVC_OCC_LABELS};
 pub use hist::{Histogram, HIST_BUCKETS};
-pub use perf::PerfSample;
 pub use record::{DecisionRecord, EdgeTag, PathTag, PlanSourceTag, PlanTag, ShapeClassTag};
 pub use ring::RING_CAPACITY;
 pub use snapshot::TelemetrySnapshot;
@@ -55,13 +27,7 @@ use counters::ShardedCounters;
 use hist::ClassHistograms;
 use ring::Ring;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
-
-/// Bit 0: user enable. Bits 1..: pause count (scaled by 2).
-/// `state == 1` is the only value on which capture happens, so the
-/// disabled check is one load and one compare.
-static STATE: AtomicU32 = AtomicU32::new(0);
 
 struct Global {
     counters: ShardedCounters,
@@ -78,54 +44,10 @@ fn global() -> &'static Global {
     })
 }
 
-/// Turn capture on. Counters and the ring keep their contents; call
-/// [`reset`] for a clean slate.
-// ORDERING(SHALOM-O-TEL-STATE): Relaxed bit set — the flag only gates whether
-// records are captured; no captured data is published through it.
-pub fn enable() {
-    // Touch the clock and global state outside the measured region so
-    // first-use calibration doesn't land inside a GEMM span.
-    let _ = now_ns();
+/// Allocates the sink outside any measured region (called by
+/// [`crate::enable`]).
+pub(crate) fn init() {
     let _ = global();
-    STATE.fetch_or(1, Ordering::Relaxed);
-}
-
-/// Turn capture off. Gathered data stays readable via [`snapshot`].
-// ORDERING(SHALOM-O-TEL-STATE): Relaxed bit clear; see `enable`.
-pub fn disable() {
-    STATE.fetch_and(!1, Ordering::Relaxed);
-}
-
-/// Whether capture is currently active (enabled and not paused).
-///
-/// This is the hot-path guard: one relaxed load, one compare.
-#[inline]
-// ORDERING(SHALOM-O-TEL-STATE): one Relaxed load on the hot path — a stale
-// view only records or skips one extra call.
-pub fn enabled() -> bool {
-    STATE.load(Ordering::Relaxed) == 1
-}
-
-/// Suspend capture while the guard lives, without toggling the user
-/// enable bit. Used by the autotuner so its probe GEMMs don't pollute
-/// the trace; nests freely.
-// ORDERING(SHALOM-O-TEL-STATE): Relaxed nesting count; same-thread RAII pairs
-// the add/sub, cross-thread skew only mistimes capture of a record.
-pub fn pause_guard() -> PauseGuard {
-    STATE.fetch_add(2, Ordering::Relaxed);
-    PauseGuard { _priv: () }
-}
-
-/// RAII token from [`pause_guard`].
-pub struct PauseGuard {
-    _priv: (),
-}
-
-impl Drop for PauseGuard {
-    fn drop(&mut self) {
-        // ORDERING(SHALOM-O-TEL-STATE): pairs with `pause_guard`'s add.
-        STATE.fetch_sub(2, Ordering::Relaxed);
-    }
 }
 
 thread_local! {
@@ -134,6 +56,9 @@ thread_local! {
     /// Nanoseconds of sequential packing accumulated on this thread
     /// since the current call started (see `take_pack_ns`).
     static PACK_NS: Cell<u64> = const { Cell::new(0) };
+    /// Nanoseconds of plan resolution accumulated on this thread since
+    /// the current call started (see `take_plan_ns`).
+    static PLAN_NS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Set this thread's dispatch-path tag, returning the previous value.
@@ -163,9 +88,22 @@ pub fn take_pack_ns() -> u64 {
     PACK_NS.with(|c| c.replace(0))
 }
 
+/// Add `ns` to this thread's plan-resolution accumulator.
+#[inline]
+pub fn add_plan_ns(ns: u64) {
+    PLAN_NS.with(|c| c.set(c.get() + ns));
+}
+
+/// Drain this thread's plan-resolution accumulator; the serial driver
+/// pairs it with [`take_pack_ns`].
+#[inline]
+pub fn take_plan_ns() -> u64 {
+    PLAN_NS.with(|c| c.replace(0))
+}
+
 /// Submit one decision record: counters, histogram, and the recent ring.
-/// `rec.seq` is assigned here. Callers check [`enabled`] first; records
-/// submitted while disabled are still accepted (tests use this).
+/// `rec.seq` is assigned here. Callers check [`crate::enabled`] first;
+/// records submitted while disabled are still accepted (tests use this).
 pub fn record(mut rec: DecisionRecord) {
     let g = global();
     if rec.path == PathTag::Serial {
@@ -207,11 +145,11 @@ pub fn record_plan_evictions(n: u64) {
     global().counters.observe_plan_evictions(n);
 }
 
-/// Count spans accepted (`recorded`) and lost (`dropped`) by the
-/// `shalom-trace` lane buffers, so trace-buffer sizing shows up in the
-/// same snapshot as everything else.
+/// Count spans accepted (`recorded`) and lost (`dropped`) by the span
+/// lane buffers, so lane sizing shows up in the same snapshot as
+/// everything else.
 #[inline]
-pub fn record_trace_spans(recorded: u64, dropped: u64) {
+pub(crate) fn record_trace_spans(recorded: u64, dropped: u64) {
     global().counters.observe_trace_spans(recorded, dropped);
 }
 
@@ -239,21 +177,20 @@ pub fn record_service_flush(completed: usize, expired: usize) {
 }
 
 /// Capture a point-in-time [`TelemetrySnapshot`].
-pub fn snapshot() -> TelemetrySnapshot {
+pub fn record_snapshot() -> TelemetrySnapshot {
     let g = global();
     TelemetrySnapshot {
         totals: g.counters.totals(),
         histograms: g.hists.snapshot(),
         recent: g.ring.recent(),
         dropped_records: g.ring.dropped(),
-        perf: perf::sample(),
+        perf: crate::perf::sample(),
     }
 }
 
-/// Zero all counters, histograms and the ring. Does not change the
-/// enabled state and does not reset `perf` counters (diff samples
-/// instead).
-pub fn reset() {
+/// Zero all counters, histograms and the ring (the records half of
+/// [`crate::reset`]).
+pub(crate) fn reset() {
     let g = global();
     g.counters.clear();
     g.hists.clear();
@@ -263,37 +200,7 @@ pub fn reset() {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // The enable/pause state is process-global, so the tests below run
-    // under one lock to avoid cross-test interference.
-    fn state_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap()
-    }
-
-    #[test]
-    fn enable_disable_pause() {
-        let _l = state_lock();
-        disable();
-        assert!(!enabled());
-        enable();
-        assert!(enabled());
-        {
-            let _g1 = pause_guard();
-            assert!(!enabled());
-            let _g2 = pause_guard();
-            assert!(!enabled());
-        }
-        assert!(enabled());
-        disable();
-        assert!(!enabled());
-        // Pausing while disabled stays disabled after the guard drops.
-        {
-            let _g = pause_guard();
-            assert!(!enabled());
-        }
-        assert!(!enabled());
-    }
+    use crate::tests::state_lock;
 
     #[test]
     fn record_flows_to_all_views() {
@@ -309,7 +216,7 @@ mod tests {
             workspace_bytes: 1 << 16,
             ..Default::default()
         });
-        let snap = snapshot();
+        let snap = record_snapshot();
         assert_eq!(snap.totals.calls, 1);
         assert_eq!(snap.totals.by_class[ShapeClassTag::Irregular.index()], 1);
         assert_eq!(snap.totals.workspace_peak_bytes, 1 << 16);
@@ -317,8 +224,8 @@ mod tests {
         assert_eq!(snap.recent.len(), 1);
         assert_eq!(snap.recent[0].n, 50176);
         reset();
-        assert_eq!(snapshot().totals.calls, 0);
-        assert!(snapshot().recent.is_empty());
+        assert_eq!(record_snapshot().totals.calls, 0);
+        assert!(record_snapshot().recent.is_empty());
     }
 
     #[test]
@@ -336,7 +243,7 @@ mod tests {
         });
         set_path(prev);
         assert_eq!(current_path(), PathTag::Serial);
-        let snap = snapshot();
+        let snap = record_snapshot();
         assert_eq!(snap.totals.by_path[PathTag::Batch.index()], 1);
         assert_eq!(snap.totals.by_path[PathTag::Parallel.index()], 1);
         reset();
@@ -348,6 +255,9 @@ mod tests {
         add_pack_ns(2);
         assert_eq!(take_pack_ns(), 42);
         assert_eq!(take_pack_ns(), 0);
+        add_plan_ns(7);
+        assert_eq!(take_plan_ns(), 7);
+        assert_eq!(take_plan_ns(), 0);
     }
 
     #[test]
@@ -357,7 +267,7 @@ mod tests {
         record_plan_lookup(false);
         record_plan_lookup(true);
         record_plan_evictions(3);
-        let t = snapshot().totals;
+        let t = record_snapshot().totals;
         assert_eq!(t.plan_hits, 1);
         assert_eq!(t.plan_misses, 1);
         assert_eq!(t.plan_evictions, 3);
@@ -370,7 +280,7 @@ mod tests {
         reset();
         record_trace_spans(10, 0);
         record_trace_spans(0, 3);
-        let snap = snapshot();
+        let snap = record_snapshot();
         assert_eq!(snap.totals.trace_spans_recorded, 10);
         assert_eq!(snap.totals.trace_spans_dropped, 3);
         let text = snap.summary();
@@ -379,7 +289,7 @@ mod tests {
             "{text}"
         );
         reset();
-        assert!(!snapshot().summary().contains("trace spans"));
+        assert!(!record_snapshot().summary().contains("trace spans"));
     }
 
     #[test]
@@ -389,7 +299,7 @@ mod tests {
         record_fork_join(300);
         record_batch(16);
         record_dispatch(55);
-        let t = snapshot().totals;
+        let t = record_snapshot().totals;
         assert_eq!(t.fork_joins, 1);
         assert_eq!(t.fork_join_overhead_ns, 300);
         assert_eq!(t.batch_calls, 1);

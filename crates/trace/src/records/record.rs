@@ -2,7 +2,7 @@
 //! pipeline decided about one GEMM, in one flat `Copy` struct.
 
 /// Workload shape class (mirror of `shalom_core::ShapeClass`, redefined
-/// here so the telemetry crate sits below the core crate in the
+/// here so this crate sits below the core crate in the
 /// dependency graph).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShapeClassTag {

@@ -6,7 +6,7 @@
 //! filling — only possible after a full lap by a concurrent producer —
 //! the record is dropped and counted, keeping the GEMM hot path wait-free.
 
-use crate::record::DecisionRecord;
+use super::record::DecisionRecord;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 

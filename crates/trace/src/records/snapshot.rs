@@ -1,9 +1,9 @@
 //! Point-in-time view of everything the telemetry layer has gathered.
 
-use crate::counters::CounterTotals;
-use crate::hist::Histogram;
+use super::counters::CounterTotals;
+use super::hist::Histogram;
+use super::record::{DecisionRecord, ShapeClassTag};
 use crate::perf::PerfSample;
-use crate::record::{DecisionRecord, ShapeClassTag};
 
 /// Consistent-enough copy of the telemetry state: aggregate counters,
 /// per-shape-class latency histograms, the recent-decision ring, and —
@@ -149,8 +149,8 @@ impl TelemetrySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hist::HIST_BUCKETS;
-    use crate::record::PlanTag;
+    use crate::records::hist::HIST_BUCKETS;
+    use crate::records::record::PlanTag;
 
     fn snap() -> TelemetrySnapshot {
         let mut totals = CounterTotals {

@@ -60,7 +60,7 @@ fn assert_well_nested(spans: &[trace::SpanRecord], lane: usize) {
 #[test]
 fn concurrent_writers_stay_well_nested() {
     let _l = state_lock();
-    trace::enable();
+    trace::enable(trace::Sink::Spans);
     trace::reset();
     let writers = 8;
     let rounds = 120;
@@ -87,7 +87,7 @@ fn concurrent_writers_stay_well_nested() {
         // Acquire/Release pairing TSan validates).
         scope.spawn(|| {
             while !stop.load(Ordering::Relaxed) {
-                let snap = trace::snapshot();
+                let snap = trace::span_snapshot();
                 for lane in &snap.lanes {
                     for s in &lane.spans {
                         assert!(s.t1_ns >= s.t0_ns);
@@ -103,8 +103,8 @@ fn concurrent_writers_stay_well_nested() {
         stop.store(true, Ordering::Relaxed);
     });
 
-    trace::disable();
-    let snap = trace::snapshot();
+    trace::disable(trace::Sink::Spans);
+    let snap = trace::span_snapshot();
     // 4 spans per round per writer, unless a lane overflowed (drops are
     // accounted, not lost silently).
     let expected = writers * rounds * 4;
@@ -137,7 +137,7 @@ fn concurrent_writers_stay_well_nested() {
 #[test]
 fn chrome_export_of_stress_trace_parses() {
     let _l = state_lock();
-    trace::enable();
+    trace::enable(trace::Sink::Spans);
     trace::reset();
     std::thread::scope(|scope| {
         for w in 0..4 {
@@ -151,8 +151,8 @@ fn chrome_export_of_stress_trace_parses() {
             });
         }
     });
-    trace::disable();
-    let snap = trace::snapshot();
+    trace::disable(trace::Sink::Spans);
+    let snap = trace::span_snapshot();
     let text = trace::chrome_trace_json(&snap);
     let doc = trace::json::parse(&text).expect("export parses");
     let events = doc

@@ -52,7 +52,7 @@ done
 
 if [ "$JSON" = "1" ]; then
   echo "== machine-readable perf report =="
-  cargo run --release -q -p shalom-bench --features trace --bin shalom-report -- --reps "$REPS" "${EXTRA[@]}"
+  cargo run --release -q -p shalom-bench --features capture --bin shalom-report -- --reps "$REPS" "${EXTRA[@]}"
 fi
 
 echo "== criterion ablations =="

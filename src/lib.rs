@@ -54,12 +54,9 @@ pub use shalom_core::{
 };
 pub use shalom_matrix::{MatMut, MatRef, Matrix};
 
-/// Telemetry layer (decision traces, counters, histograms, snapshots);
-/// present only with the `telemetry` cargo feature.
-#[cfg(feature = "telemetry")]
-pub use shalom_core::telemetry;
-
-/// Span-level tracing layer (per-worker timelines, phase breakdowns,
-/// Chrome-trace export); present only with the `trace` cargo feature.
-#[cfg(feature = "trace")]
-pub use shalom_core::trace;
+/// Capture layer — decision records, counters, histograms and
+/// snapshots, plus span timelines (per-worker phase spans, breakdowns,
+/// Chrome-trace export), each behind its own runtime switch; present
+/// only with the `capture` cargo feature.
+#[cfg(feature = "capture")]
+pub use shalom_core::capture;

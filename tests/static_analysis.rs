@@ -41,3 +41,54 @@ fn bounds_pass_proves_a_nontrivial_site_population() {
         "every extracted site must be proved in-span when there are no findings"
     );
 }
+
+/// Every `.rs`/`.toml` file under `dir`, recursively (build output and
+/// the seeded-violation fixture tree excluded).
+fn source_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("readable source directory") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            if !path.ends_with("target") && !path.ends_with("bad-workspace") {
+                source_files(&path, out);
+            }
+        } else if matches!(
+            path.extension().and_then(|e| e.to_str()),
+            Some("rs" | "toml")
+        ) {
+            out.push(path);
+        }
+    }
+}
+
+/// Capture is one cargo feature that one file of the core crate knows
+/// about: the retired `telemetry`/`trace` features are checked nowhere,
+/// and in `crates/core/src` only `capture.rs` (the two halves) and
+/// `lib.rs` (the module's visibility) mention `capture`.
+#[test]
+fn capture_is_one_feature_known_to_one_module() {
+    let root = repo_root();
+    let mut files = vec![root.join("Cargo.toml")];
+    for dir in ["crates", "src", "tests"] {
+        source_files(&root.join(dir), &mut files);
+    }
+    let this_file = root.join("tests/static_analysis.rs");
+    let core_src = root.join("crates/core/src");
+    for path in files.iter().filter(|p| **p != this_file) {
+        let text = std::fs::read_to_string(path).expect("readable source file");
+        for retired in ["feature = \"telemetry\"", "feature = \"trace\""] {
+            assert!(
+                !text.contains(retired),
+                "{} checks the retired `{retired}`",
+                path.display()
+            );
+        }
+        let knows_capture = path.ends_with("capture.rs") || path.ends_with("lib.rs");
+        if path.starts_with(&core_src) && !knows_capture {
+            assert!(
+                !text.contains("feature = \"capture\""),
+                "{} checks the capture feature; only capture.rs may",
+                path.display()
+            );
+        }
+    }
+}

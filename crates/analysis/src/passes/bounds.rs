@@ -1364,9 +1364,31 @@ impl Walker<'_, '_> {
         self.record_site(line, &root, &off, &width, &off_text);
     }
 
+    /// The last top-level argument of the call whose `(` is code token
+    /// `open`, when it parses as a polynomial (an element count).
+    fn last_call_arg(&self, open: usize) -> Option<SymExpr> {
+        let close = self.toks.matching_close(open)?;
+        let mut depth = (0i64, 0i64, 0i64);
+        let mut last_comma = None;
+        for i in open + 1..close {
+            match self.toks.text(i) {
+                "(" => depth.0 += 1,
+                ")" => depth.0 -= 1,
+                "[" => depth.1 += 1,
+                "]" => depth.1 -= 1,
+                "{" => depth.2 += 1,
+                "}" => depth.2 -= 1,
+                "," if depth == (0, 0, 0) => last_comma = Some(i),
+                _ => {}
+            }
+        }
+        SymExpr::parse(&self.slice_text(last_comma? + 1, close)).ok()
+    }
+
     /// How many elements the site touches: a deref or `V::load`/`store`
-    /// wrapper reads through the pointer; a plain call argument or
-    /// assignment RHS only forms it.
+    /// wrapper reads through the pointer (a `*_partial` wrapper only its
+    /// trailing lane count); a plain call argument or assignment RHS only
+    /// forms it.
     fn classify_width(&self, start: usize, close: usize) -> Width {
         if start > 0 {
             let prev = self.toks.text(start - 1);
@@ -1375,6 +1397,15 @@ impl Walker<'_, '_> {
             }
             if prev == "(" && start >= 2 && self.toks.tok(start - 2).kind == TokenKind::Ident {
                 let f = self.toks.text(start - 2);
+                if f == "load_partial" || f == "store_partial" {
+                    // `V::load_partial(p.add(o), n)` touches `n <= LANES`
+                    // lanes; without a parsable count fall back to the
+                    // full vector, which can only over-approximate.
+                    return Width::Elems(
+                        self.last_call_arg(start - 1)
+                            .unwrap_or_else(|| SymExpr::symbol("V::LANES")),
+                    );
+                }
                 if f.starts_with("load") || f.starts_with("store") {
                     return Width::Elems(SymExpr::symbol("V::LANES"));
                 }
@@ -1395,33 +1426,12 @@ impl Walker<'_, '_> {
                 // `p.add(o).copy_from_nonoverlapping(q, n)`: width is the
                 // last argument when it parses; else fall back to one
                 // element (the start stays checked).
-                if let Some(mc) = self
+                let count = self
                     .toks
                     .is_punct(close + 3, '(')
-                    .then(|| self.toks.matching_close(close + 3))
-                    .flatten()
-                {
-                    let mut depth = (0i64, 0i64, 0i64);
-                    let mut last_comma = None;
-                    for i in close + 4..mc {
-                        match self.toks.text(i) {
-                            "(" => depth.0 += 1,
-                            ")" => depth.0 -= 1,
-                            "[" => depth.1 += 1,
-                            "]" => depth.1 -= 1,
-                            "{" => depth.2 += 1,
-                            "}" => depth.2 -= 1,
-                            "," if depth == (0, 0, 0) => last_comma = Some(i),
-                            _ => {}
-                        }
-                    }
-                    if let Some(lc) = last_comma {
-                        if let Ok(n) = SymExpr::parse(&self.slice_text(lc + 1, mc)) {
-                            return Width::Elems(n);
-                        }
-                    }
-                }
-                return Width::Elems(SymExpr::constant(1));
+                    .then(|| self.last_call_arg(close + 3))
+                    .flatten();
+                return Width::Elems(count.unwrap_or_else(|| SymExpr::constant(1)));
             }
             if m.starts_with("read") || m.starts_with("write") {
                 return Width::Elems(SymExpr::constant(1));
@@ -2310,6 +2320,29 @@ unsafe fn micro(ap: *const f32, c: *mut f32, lda: usize, ldc: usize) {
 ",
             2,
         );
+    }
+
+    #[test]
+    fn partial_vector_width_is_the_lane_count_argument() {
+        // `load_partial`/`store_partial` touch their trailing `n` lanes,
+        // not a whole vector: in-span exactly when `NV*LANES + ns` is.
+        let src = |tail: &str| {
+            format!(
+                "\
+// CONTRACT(T-BASIC: m = M, n = NV * V::LANES + ns)
+unsafe fn edge(ns: usize, a: *const f32, c: *mut f32, lda: usize, ldc: usize) {{
+    for i in 0..M {{
+        let v = V::load_partial(a.add(i * lda + NV * V::LANES), {tail});
+        v.store_partial(c.add(i * ldc + NV * V::LANES), {tail});
+    }}
+}}
+"
+            )
+        };
+        assert_clean(&src("ns"), 2);
+        let (f, _) = run_on(&src("ns + 1"));
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(f.iter().all(|x| x.rule == "span-overflow"), "{f:?}");
     }
 
     #[test]

@@ -184,10 +184,10 @@ name = \"demo\"
 [features]
 default = [\"fast\"]
 fast = []
-telemetry = [\"dep:shalom-telemetry\"]
+modelcheck = [\"dep:shalom-modelcheck\"]
 
 [dependencies]
-shalom-telemetry = { workspace = true, optional = true }
+shalom-modelcheck = { workspace = true, optional = true }
 plainimpl = \"1.0\"
 ";
 
@@ -196,8 +196,8 @@ plainimpl = \"1.0\"
         let f = parse_manifest("crates/demo/Cargo.toml", MANIFEST);
         assert!(f.declared.contains("default"));
         assert!(f.declared.contains("fast"));
-        assert!(f.declared.contains("telemetry"));
-        assert!(f.declared.contains("shalom-telemetry"));
+        assert!(f.declared.contains("modelcheck"));
+        assert!(f.declared.contains("shalom-modelcheck"));
         assert!(!f.declared.contains("plainimpl"));
         assert_eq!(f.pure_markers, vec!["fast"]);
     }
@@ -207,12 +207,12 @@ plainimpl = \"1.0\"
         let features = parse_manifest("crates/demo/Cargo.toml", MANIFEST);
         let src = SourceFile::parse(
             "crates/demo/src/lib.rs",
-            "#[cfg(feature = \"telemtry\")]\nfn gated() {}\n#[cfg(feature = \"fast\")]\nfn ok() {}\n",
+            "#[cfg(feature = \"modelchek\")]\nfn gated() {}\n#[cfg(feature = \"fast\")]\nfn ok() {}\n",
         );
         let f = run(&features, &[src]);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "undeclared-feature");
-        assert!(f[0].message.contains("telemtry"));
+        assert!(f[0].message.contains("modelchek"));
     }
 
     #[test]

@@ -92,7 +92,7 @@ impl GotoGemm {
         }
     }
 
-    fn blocks(&self, elem_bytes: usize, nr: usize) -> BlockSizes {
+    fn blocks(&self, elem_bytes: usize, mr: usize, nr: usize, lanes: usize) -> BlockSizes {
         match self.blocking {
             GotoBlocking::Fixed => BlockSizes {
                 // Classic large-GEMM constants (OpenBLAS Param.h flavour).
@@ -100,7 +100,9 @@ impl GotoGemm {
                 mc: 128,
                 nc: 4096,
             },
-            GotoBlocking::Analytic => BlockSizes::derive(&CacheParams::detect(), elem_bytes, nr),
+            GotoBlocking::Analytic => {
+                BlockSizes::derive(&CacheParams::detect(), elem_bytes, mr, nr, lanes)
+            }
         }
     }
 }
@@ -202,7 +204,7 @@ unsafe fn goto_serial<V: Vector>(
         return;
     }
     let (mr, nr, kernel) = kernel_for::<V>(imp.tile);
-    let bs = imp.blocks(core::mem::size_of::<V::Elem>(), nr);
+    let bs = imp.blocks(core::mem::size_of::<V::Elem>(), mr, nr, V::LANES);
     if k == 0 || alpha == V::Elem::ZERO {
         for i in 0..m {
             for j in 0..n {

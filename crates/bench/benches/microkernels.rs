@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use shalom_kernels::edge::{edge_kernel_batched, edge_kernel_pipelined};
 use shalom_kernels::main_kernel::{main_kernel, main_kernel_shape};
 use shalom_kernels::nt_pack::nt_pack_panel;
-use shalom_kernels::wide::wide_kernel_f32;
+use shalom_kernels::registered_families;
 use shalom_simd::F32x4;
 
 fn bench_tiles(c: &mut Criterion) {
@@ -156,51 +156,40 @@ fn bench_formulations(c: &mut Criterion) {
 }
 
 fn bench_vector_width(c: &mut Criterion) {
-    // §5.5 width scaling: the 128-bit analytic tile (7x12 over F32x4)
-    // against the 256-bit analytic tile (9x16 over F32x8), flops-
-    // normalized.
+    // §5.5 width scaling: the f32 main kernel of every kernel set this
+    // host can execute (7x12 at 128 bits, 7x8 AVX2, 15x16 AVX-512), each
+    // through its dispatched entry point, flops-normalized.
     let mut group = c.benchmark_group("vector_width_f32");
     group.sample_size(30);
     group.measurement_time(std::time::Duration::from_millis(500));
     let kc = 256;
-    let a = vec![0.5f32; 9 * kc];
-    let b = vec![0.25f32; kc * 16];
-    let mut c128 = vec![0f32; 7 * 12];
-    let mut c256 = vec![0f32; 9 * 16];
-    group.throughput(criterion::Throughput::Elements((2 * 7 * 12 * kc) as u64));
-    group.bench_function("128bit_7x12", |bch| {
-        bch.iter(|| unsafe {
-            main_kernel::<F32x4>(
-                kc,
-                1.0,
-                a.as_ptr(),
-                kc,
-                b.as_ptr(),
-                16,
-                1.0,
-                c128.as_mut_ptr(),
-                12,
-            );
-            std::hint::black_box(&c128);
+    for fam in registered_families() {
+        let ks = &fam.k_f32;
+        let a = vec![0.5f32; ks.mr * kc];
+        let b = vec![0.25f32; kc * ks.nr];
+        let mut cm = vec![0f32; ks.mr * ks.nr];
+        group.throughput(criterion::Throughput::Elements(
+            (2 * ks.mr * ks.nr * kc) as u64,
+        ));
+        group.bench_function(format!("{}_{}x{}", fam.isa.label(), ks.mr, ks.nr), |bch| {
+            // SAFETY: a/b/c are sized to the set's tile at tight strides;
+            // the family came from the runtime-probed registry.
+            bch.iter(|| unsafe {
+                (ks.kernel)(
+                    kc,
+                    1.0,
+                    a.as_ptr(),
+                    kc,
+                    b.as_ptr(),
+                    ks.nr,
+                    1.0,
+                    cm.as_mut_ptr(),
+                    ks.nr,
+                );
+                std::hint::black_box(&cm);
+            });
         });
-    });
-    group.throughput(criterion::Throughput::Elements((2 * 9 * 16 * kc) as u64));
-    group.bench_function("256bit_9x16", |bch| {
-        bch.iter(|| unsafe {
-            wide_kernel_f32(
-                kc,
-                1.0,
-                a.as_ptr(),
-                kc,
-                b.as_ptr(),
-                16,
-                1.0,
-                c256.as_mut_ptr(),
-                16,
-            );
-            std::hint::black_box(&c256);
-        });
-    });
+    }
     group.finish();
 }
 

@@ -19,15 +19,14 @@
 use crate::contract::KernelParams;
 use crate::registry::{find, KernelId};
 use crate::shadow::{ContractElem, ShadowOperand};
-use shalom_kernels::edge::{edge_kernel_batched, edge_kernel_pipelined};
-use shalom_kernels::main_kernel::{
-    main_kernel_fused_pack, main_kernel_shape, main_kernel_streamed, PackAhead, StreamCopy,
-};
-use shalom_kernels::nt_pack::{nt_pack_kernel, nt_pack_panel, NT_BCOLS};
+use shalom_kernels::main_kernel::{PackAhead, StreamCopy};
+use shalom_kernels::nt_pack::{nt_pack_kernel, NT_BCOLS, NT_ROWS};
 use shalom_kernels::pack::{pack_a_slivers_goto, pack_b_slivers_goto, pack_copy, pack_transpose};
-use shalom_kernels::{Vector, MR, NR_F32, NR_F64, NR_VECS};
+use shalom_kernels::{
+    registered_families, FamilyElem, FamilyKernels, Vector, NR_F32, NR_F64, NR_VECS,
+};
 use shalom_matrix::{gemm_tolerance, reference, Matrix, Op, Scalar};
-use shalom_simd::{F32x4, F32x8, F64x2, F64x4};
+use shalom_simd::{F32x4, F64x2};
 
 /// Parameter grid for one conformance run.
 #[derive(Debug, Clone)]
@@ -148,40 +147,41 @@ fn expect_bits<T: ContractElem>(ctx: &str, what: String, got: T, want: T, out: &
     }
 }
 
-/// Checks `main_kernel_shape` (and therefore `main_kernel` and the wide
-/// wrappers, which are instantiations of it) at one parameter point.
-fn check_main_shape<V: Vector, const MR_: usize, const NRV_: usize>(
+/// Checks a kernel set's full-tile main kernel (`main_kernel_shape` at
+/// the set's tile, through its dispatched entry point) at one parameter
+/// point.
+fn check_main<T: ContractElem + FamilyElem>(
     label: &str,
+    ks: &FamilyKernels<T>,
     kc: usize,
     pad: usize,
     (alpha, beta): (f64, f64),
     rep: &mut Report,
-) where
-    V::Elem: ContractElem,
-{
-    let n = NRV_ * V::LANES;
+) {
+    let (m, n) = (ks.mr, ks.nr);
     let p = KernelParams {
-        m: MR_,
+        m,
         n,
         kc,
-        lanes: V::LANES,
+        lanes: ks.lanes,
         lda: kc + pad,
         ldb: n + pad,
         ldc: n + pad,
         ..Default::default()
     };
     let contract = find(KernelId::MainKernel);
-    let ctx = format!("{label} kc={kc} pad={pad} alpha={alpha} beta={beta}");
+    let ctx = format!("{label} main {m}x{n} kc={kc} pad={pad} alpha={alpha} beta={beta}");
     let seed = rep.next_seed();
-    let a = ShadowOperand::<V::Elem>::new(&contract.operand(&p, "a"), seed);
-    let b = ShadowOperand::<V::Elem>::new(&contract.operand(&p, "b"), seed ^ 0xB);
-    let mut c = ShadowOperand::<V::Elem>::new(&contract.operand(&p, "c"), seed ^ 0xC);
-    let c_init = matrix_from(&c, MR_, n, p.ldc);
-    let (al, be) = (V::Elem::from_f64(alpha), V::Elem::from_f64(beta));
+    let a = ShadowOperand::<T>::new(&contract.operand(&p, "a"), seed);
+    let b = ShadowOperand::<T>::new(&contract.operand(&p, "b"), seed ^ 0xB);
+    let mut c = ShadowOperand::<T>::new(&contract.operand(&p, "c"), seed ^ 0xC);
+    let c_init = matrix_from(&c, m, n, p.ldc);
+    let (al, be) = (T::from_f64(alpha), T::from_f64(beta));
     // SAFETY: operands are sized from the SHALOM-K-MAIN contract footprint
-    // (that sizing being sufficient is exactly what this harness checks).
+    // (that sizing being sufficient is exactly what this harness checks);
+    // `ks` came from the registry, so its ISA probe passed.
     unsafe {
-        main_kernel_shape::<V, MR_, NRV_>(
+        (ks.kernel)(
             kc,
             al,
             a.const_ptr(),
@@ -196,7 +196,7 @@ fn check_main_shape<V: Vector, const MR_: usize, const NRV_: usize>(
     a.check(&ctx, &mut rep.violations);
     b.check(&ctx, &mut rep.violations);
     c.check(&ctx, &mut rep.violations);
-    let am = matrix_from(&a, MR_, kc, p.lda);
+    let am = matrix_from(&a, m, kc, p.lda);
     let bm = matrix_from(&b, kc, n, p.ldb);
     let mut want = c_init;
     reference::gemm(
@@ -208,33 +208,32 @@ fn check_main_shape<V: Vector, const MR_: usize, const NRV_: usize>(
         be,
         want.as_mut(),
     );
-    let got = matrix_from(&c, MR_, n, p.ldc);
+    let got = matrix_from(&c, m, n, p.ldc);
     compare_tile(
         &ctx,
         &got,
         &want,
-        gemm_tolerance::<V::Elem>(kc, 4.0),
+        gemm_tolerance::<T>(kc, 4.0),
         &mut rep.violations,
     );
     rep.cases += 1;
 }
 
-fn check_fused<V: Vector>(
+fn check_fused<T: ContractElem + FamilyElem>(
     label: &str,
+    ks: &FamilyKernels<T>,
     kc: usize,
     pad: usize,
     ahead: bool,
     (alpha, beta): (f64, f64),
     rep: &mut Report,
-) where
-    V::Elem: ContractElem,
-{
-    let nr = NR_VECS * V::LANES;
+) {
+    let (mr, nr) = (ks.mr, ks.nr);
     let p = KernelParams {
-        m: MR,
+        m: mr,
         n: nr,
         kc,
-        lanes: V::LANES,
+        lanes: ks.lanes,
         lda: kc + pad,
         ldb: nr + pad,
         ldc: nr + pad,
@@ -243,28 +242,28 @@ fn check_fused<V: Vector>(
         ..Default::default()
     };
     let contract = find(KernelId::MainKernelFusedPack);
-    let ctx = format!("{label} kc={kc} pad={pad} ahead={ahead} alpha={alpha} beta={beta}");
+    let ctx = format!("{label} fused kc={kc} pad={pad} ahead={ahead} alpha={alpha} beta={beta}");
     let seed = rep.next_seed();
-    let a = ShadowOperand::<V::Elem>::new(&contract.operand(&p, "a"), seed);
-    let b = ShadowOperand::<V::Elem>::new(&contract.operand(&p, "b"), seed ^ 0xB);
-    let mut c = ShadowOperand::<V::Elem>::new(&contract.operand(&p, "c"), seed ^ 0xC);
-    let mut bc = ShadowOperand::<V::Elem>::new(&contract.operand(&p, "bc"), seed ^ 0xD);
+    let a = ShadowOperand::<T>::new(&contract.operand(&p, "a"), seed);
+    let b = ShadowOperand::<T>::new(&contract.operand(&p, "b"), seed ^ 0xB);
+    let mut c = ShadowOperand::<T>::new(&contract.operand(&p, "c"), seed ^ 0xC);
+    let mut bc = ShadowOperand::<T>::new(&contract.operand(&p, "bc"), seed ^ 0xD);
     let mut lookahead = ahead.then(|| {
         (
-            ShadowOperand::<V::Elem>::new(&contract.operand(&p, "ahead_src"), seed ^ 0xE),
-            ShadowOperand::<V::Elem>::new(&contract.operand(&p, "ahead_dst"), seed ^ 0xF),
+            ShadowOperand::<T>::new(&contract.operand(&p, "ahead_src"), seed ^ 0xE),
+            ShadowOperand::<T>::new(&contract.operand(&p, "ahead_dst"), seed ^ 0xF),
         )
     });
-    let c_init = matrix_from(&c, MR, nr, p.ldc);
-    let (al, be) = (V::Elem::from_f64(alpha), V::Elem::from_f64(beta));
+    let c_init = matrix_from(&c, mr, nr, p.ldc);
+    let (al, be) = (T::from_f64(alpha), T::from_f64(beta));
     let req = lookahead.as_mut().map(|(src, dst)| PackAhead {
         src: src.const_ptr(),
         dst: dst.ptr(),
     });
     // SAFETY: operands are sized from the SHALOM-K-FUSED contract
-    // footprint, which this harness verifies.
+    // footprint, which this harness verifies; `ks` is registry-probed.
     unsafe {
-        main_kernel_fused_pack::<V>(
+        (ks.fused_pack)(
             kc,
             al,
             a.const_ptr(),
@@ -308,7 +307,7 @@ fn check_fused<V: Vector>(
             );
         }
     }
-    let am = matrix_from(&a, MR, kc, p.lda);
+    let am = matrix_from(&a, mr, kc, p.lda);
     let bm = matrix_from(&b, kc, nr, p.ldb);
     let mut want = c_init;
     reference::gemm(
@@ -320,33 +319,32 @@ fn check_fused<V: Vector>(
         be,
         want.as_mut(),
     );
-    let got = matrix_from(&c, MR, nr, p.ldc);
+    let got = matrix_from(&c, mr, nr, p.ldc);
     compare_tile(
         &ctx,
         &got,
         &want,
-        gemm_tolerance::<V::Elem>(kc, 4.0),
+        gemm_tolerance::<T>(kc, 4.0),
         &mut rep.violations,
     );
     rep.cases += 1;
 }
 
-fn check_streamed<V: Vector>(
+fn check_streamed<T: ContractElem + FamilyElem>(
     label: &str,
+    ks: &FamilyKernels<T>,
     kc: usize,
     pad: usize,
     stream_rows: usize,
     (alpha, beta): (f64, f64),
     rep: &mut Report,
-) where
-    V::Elem: ContractElem,
-{
-    let nr = NR_VECS * V::LANES;
+) {
+    let (mr, nr) = (ks.mr, ks.nr);
     let p = KernelParams {
-        m: MR,
+        m: mr,
         n: nr,
         kc,
-        lanes: V::LANES,
+        lanes: ks.lanes,
         lda: kc + pad,
         ldc: nr + pad,
         nr,
@@ -355,19 +353,20 @@ fn check_streamed<V: Vector>(
         ..Default::default()
     };
     let contract = find(KernelId::MainKernelStreamed);
-    let ctx = format!("{label} kc={kc} pad={pad} rows={stream_rows} alpha={alpha} beta={beta}");
+    let ctx =
+        format!("{label} streamed kc={kc} pad={pad} rows={stream_rows} alpha={alpha} beta={beta}");
     let seed = rep.next_seed();
-    let a = ShadowOperand::<V::Elem>::new(&contract.operand(&p, "a"), seed);
-    let bp = ShadowOperand::<V::Elem>::new(&contract.operand(&p, "bc_packed"), seed ^ 0xB);
-    let mut c = ShadowOperand::<V::Elem>::new(&contract.operand(&p, "c"), seed ^ 0xC);
+    let a = ShadowOperand::<T>::new(&contract.operand(&p, "a"), seed);
+    let bp = ShadowOperand::<T>::new(&contract.operand(&p, "bc_packed"), seed ^ 0xB);
+    let mut c = ShadowOperand::<T>::new(&contract.operand(&p, "c"), seed ^ 0xC);
     let mut stream_ops = (stream_rows > 0).then(|| {
         (
-            ShadowOperand::<V::Elem>::new(&contract.operand(&p, "stream_src"), seed ^ 0xE),
-            ShadowOperand::<V::Elem>::new(&contract.operand(&p, "stream_dst"), seed ^ 0xF),
+            ShadowOperand::<T>::new(&contract.operand(&p, "stream_src"), seed ^ 0xE),
+            ShadowOperand::<T>::new(&contract.operand(&p, "stream_dst"), seed ^ 0xF),
         )
     });
-    let c_init = matrix_from(&c, MR, nr, p.ldc);
-    let (al, be) = (V::Elem::from_f64(alpha), V::Elem::from_f64(beta));
+    let c_init = matrix_from(&c, mr, nr, p.ldc);
+    let (al, be) = (T::from_f64(alpha), T::from_f64(beta));
     let req = stream_ops.as_mut().map(|(src, dst)| StreamCopy {
         src: src.const_ptr(),
         src_ld: p.stream_ld,
@@ -375,9 +374,9 @@ fn check_streamed<V: Vector>(
         rows: stream_rows,
     });
     // SAFETY: operands are sized from the SHALOM-K-STREAM contract
-    // footprint, which this harness verifies.
+    // footprint, which this harness verifies; `ks` is registry-probed.
     unsafe {
-        main_kernel_streamed::<V>(
+        (ks.streamed)(
             kc,
             al,
             a.const_ptr(),
@@ -407,7 +406,7 @@ fn check_streamed<V: Vector>(
             }
         }
     }
-    let am = matrix_from(&a, MR, kc, p.lda);
+    let am = matrix_from(&a, mr, kc, p.lda);
     let bm = matrix_from(&bp, kc, nr, nr);
     let mut want = c_init;
     reference::gemm(
@@ -419,18 +418,20 @@ fn check_streamed<V: Vector>(
         be,
         want.as_mut(),
     );
-    let got = matrix_from(&c, MR, nr, p.ldc);
+    let got = matrix_from(&c, mr, nr, p.ldc);
     compare_tile(
         &ctx,
         &got,
         &want,
-        gemm_tolerance::<V::Elem>(kc, 4.0),
+        gemm_tolerance::<T>(kc, 4.0),
         &mut rep.violations,
     );
     rep.cases += 1;
 }
 
-fn check_edge<V: Vector>(
+fn check_edge<T: ContractElem + FamilyElem>(
+    label: &str,
+    ks: &FamilyKernels<T>,
     pipelined: bool,
     m: usize,
     n: usize,
@@ -438,43 +439,35 @@ fn check_edge<V: Vector>(
     pad: usize,
     (alpha, beta): (f64, f64),
     rep: &mut Report,
-) where
-    V::Elem: ContractElem,
-{
+) {
     let p = KernelParams {
         m,
         n,
         kc,
-        lanes: V::LANES,
+        lanes: ks.lanes,
         lda: kc + pad,
         ldb: n + pad,
         ldc: n + pad,
         ..Default::default()
     };
-    let id = if pipelined {
-        KernelId::EdgePipelined
+    let (id, f) = if pipelined {
+        (KernelId::EdgePipelined, ks.edge_pipelined)
     } else {
-        KernelId::EdgeBatched
+        (KernelId::EdgeBatched, ks.edge_batched)
     };
     let contract = find(id);
     let ctx = format!(
-        "edge {} lanes={} m={m} n={n} kc={kc} pad={pad}",
+        "{label} edge {} m={m} n={n} kc={kc} pad={pad}",
         if pipelined { "pipelined" } else { "batched" },
-        V::LANES
     );
     let seed = rep.next_seed();
-    let a = ShadowOperand::<V::Elem>::new(&contract.operand(&p, "a"), seed);
-    let b = ShadowOperand::<V::Elem>::new(&contract.operand(&p, "b"), seed ^ 0xB);
-    let mut c = ShadowOperand::<V::Elem>::new(&contract.operand(&p, "c"), seed ^ 0xC);
+    let a = ShadowOperand::<T>::new(&contract.operand(&p, "a"), seed);
+    let b = ShadowOperand::<T>::new(&contract.operand(&p, "b"), seed ^ 0xB);
+    let mut c = ShadowOperand::<T>::new(&contract.operand(&p, "c"), seed ^ 0xC);
     let c_init = matrix_from(&c, m, n, p.ldc);
-    let (al, be) = (V::Elem::from_f64(alpha), V::Elem::from_f64(beta));
-    let f = if pipelined {
-        edge_kernel_pipelined::<V>
-    } else {
-        edge_kernel_batched::<V>
-    };
+    let (al, be) = (T::from_f64(alpha), T::from_f64(beta));
     // SAFETY: operands are sized from the SHALOM-K-EDGE-* contract
-    // footprint, which this harness verifies.
+    // footprint, which this harness verifies; `ks` is registry-probed.
     unsafe {
         f(
             m,
@@ -510,7 +503,7 @@ fn check_edge<V: Vector>(
         &ctx,
         &got,
         &want,
-        gemm_tolerance::<V::Elem>(kc, 4.0),
+        gemm_tolerance::<T>(kc, 4.0),
         &mut rep.violations,
     );
     rep.cases += 1;
@@ -611,22 +604,22 @@ fn check_nt_kernel<V: Vector>(
     rep.cases += 1;
 }
 
-fn check_nt_panel<V: Vector>(
+fn check_nt_panel<T: ContractElem + FamilyElem>(
+    label: &str,
+    ks: &FamilyKernels<T>,
     m: usize,
     npanel: usize,
     kc: usize,
     pad: usize,
     (alpha, beta): (f64, f64),
     rep: &mut Report,
-) where
-    V::Elem: ContractElem,
-{
-    let nr = NR_VECS * V::LANES;
+) {
+    let nr = ks.nr;
     let p = KernelParams {
         m,
         n: npanel,
         kc,
-        lanes: V::LANES,
+        lanes: ks.lanes,
         lda: kc + pad,
         ldb: kc + pad,
         ldc: npanel + pad,
@@ -634,21 +627,18 @@ fn check_nt_panel<V: Vector>(
         ..Default::default()
     };
     let contract = find(KernelId::NtPackPanel);
-    let ctx = format!(
-        "nt-panel lanes={} m={m} npanel={npanel} kc={kc} pad={pad}",
-        V::LANES
-    );
+    let ctx = format!("{label} nt-panel m={m} npanel={npanel} kc={kc} pad={pad}");
     let seed = rep.next_seed();
-    let a = ShadowOperand::<V::Elem>::new(&contract.operand(&p, "a"), seed);
-    let b = ShadowOperand::<V::Elem>::new(&contract.operand(&p, "b"), seed ^ 0xB);
-    let mut c = ShadowOperand::<V::Elem>::new(&contract.operand(&p, "c"), seed ^ 0xC);
-    let mut bc = ShadowOperand::<V::Elem>::new(&contract.operand(&p, "bc"), seed ^ 0xD);
+    let a = ShadowOperand::<T>::new(&contract.operand(&p, "a"), seed);
+    let b = ShadowOperand::<T>::new(&contract.operand(&p, "b"), seed ^ 0xB);
+    let mut c = ShadowOperand::<T>::new(&contract.operand(&p, "c"), seed ^ 0xC);
+    let mut bc = ShadowOperand::<T>::new(&contract.operand(&p, "bc"), seed ^ 0xD);
     let c_init = matrix_from(&c, m, npanel, p.ldc);
-    let (al, be) = (V::Elem::from_f64(alpha), V::Elem::from_f64(beta));
+    let (al, be) = (T::from_f64(alpha), T::from_f64(beta));
     // SAFETY: operands are sized from the SHALOM-K-NT-PANEL contract
-    // footprint, which this harness verifies.
+    // footprint, which this harness verifies; `ks` is registry-probed.
     unsafe {
-        nt_pack_panel::<V>(
+        (ks.nt_pack)(
             m,
             npanel,
             kc,
@@ -673,7 +663,7 @@ fn check_nt_panel<V: Vector>(
             let want = if j < npanel {
                 b.elem(j * p.ldb + k)
             } else {
-                V::Elem::ZERO
+                T::ZERO
             };
             expect_bits(
                 &ctx,
@@ -701,7 +691,7 @@ fn check_nt_panel<V: Vector>(
         &ctx,
         &got,
         &want,
-        gemm_tolerance::<V::Elem>(kc, 4.0),
+        gemm_tolerance::<T>(kc, 4.0),
         &mut rep.violations,
     );
     rep.cases += 1;
@@ -875,59 +865,66 @@ fn check_pack_b_goto<T: ContractElem>(
     rep.cases += 1;
 }
 
+/// The per-set part of the sweep: every entry point of one kernel set at
+/// its own tile — main, fused-pack with and without look-ahead, streamed
+/// (copy shallower/equal/deeper than `kc` and absent), the full edge
+/// lattice `m ∈ 1..=mr × n ∈ 1..=nr` under both schedules, and the NT
+/// pack panel over `m ∈ 1..=7 × npanel ∈ 1..=nr`.
+fn sweep_set<T: ContractElem + FamilyElem>(
+    label: &str,
+    ks: &FamilyKernels<T>,
+    cfg: &HarnessConfig,
+    rep: &mut Report,
+) {
+    for &kc in &cfg.ks {
+        for &pad in &cfg.pads {
+            for &ab in &cfg.alpha_betas {
+                check_main(label, ks, kc, pad, ab, rep);
+                for ahead in [false, true] {
+                    check_fused(label, ks, kc, pad, ahead, ab, rep);
+                }
+                for rows in [0, kc / 2, kc, kc + 3] {
+                    check_streamed(label, ks, kc, pad, rows, ab, rep);
+                }
+            }
+            for m in 1..=ks.mr {
+                for n in 1..=ks.nr {
+                    for pipelined in [true, false] {
+                        check_edge(label, ks, pipelined, m, n, kc, pad, (1.5, -0.5), rep);
+                    }
+                }
+            }
+            for m in 1..=NT_ROWS {
+                for npanel in 1..=ks.nr {
+                    check_nt_panel(label, ks, m, npanel, kc, pad, (1.0, 1.0), rep);
+                }
+            }
+        }
+    }
+}
+
 /// Runs the whole conformance suite under `cfg` and returns the report.
 ///
-/// Covers: the main kernel at both 128-bit tiles and both 256-bit wide
-/// tiles, the fused-pack kernel with and without lookahead, the streamed
-/// kernel (copy shallower/equal/deeper than `kc` and absent), the full
-/// edge lattice `m ∈ 1..=7 × n ∈ 1..=nr` for f32 and f64 under both
-/// schedules, the NT scatter kernel over every `(m, bcols, jcol)` corner,
-/// the NT panel driver over the full `(m, npanel)` lattice, and all four
+/// Covers every registered kernel set — the 128-bit tiles always, the
+/// AVX2 and AVX-512 sets on hosts that pass their probe — through the
+/// same dispatched entry points the driver calls ([`sweep_set`]), plus
+/// the NT scatter kernel over every `(m, bcols, jcol)` corner and all four
 /// plain packers including empty blocks.
 pub fn run_conformance(cfg: &HarnessConfig) -> Report {
     let mut rep = Report {
         seed: 0x5EED_CAFE_F00D_u64,
         ..Default::default()
     };
-    for &kc in &cfg.ks {
-        for &pad in &cfg.pads {
-            for &ab in &cfg.alpha_betas {
-                check_main_shape::<F32x4, MR, NR_VECS>("main f32 7x12", kc, pad, ab, &mut rep);
-                check_main_shape::<F64x2, MR, NR_VECS>("main f64 7x6", kc, pad, ab, &mut rep);
-                check_main_shape::<F32x8, 9, 2>("wide f32 9x16", kc, pad, ab, &mut rep);
-                check_main_shape::<F64x4, 7, 3>("wide f64 7x12", kc, pad, ab, &mut rep);
-                for ahead in [false, true] {
-                    check_fused::<F32x4>("fused f32", kc, pad, ahead, ab, &mut rep);
-                    check_fused::<F64x2>("fused f64", kc, pad, ahead, ab, &mut rep);
-                }
-                for rows in [0, kc / 2, kc, kc + 3] {
-                    check_streamed::<F32x4>("streamed f32", kc, pad, rows, ab, &mut rep);
-                    check_streamed::<F64x2>("streamed f64", kc, pad, rows, ab, &mut rep);
-                }
-            }
-        }
+    for fam in registered_families() {
+        let isa = fam.isa.label();
+        sweep_set(&format!("{isa} f32"), &fam.k_f32, cfg, &mut rep);
+        sweep_set(&format!("{isa} f64"), &fam.k_f64, cfg, &mut rep);
     }
-    // The full §5.4 edge lattice, both schedules, both element types.
-    let edge_ab = (1.5, -0.5);
-    for &kc in &cfg.ks {
-        for &pad in &cfg.pads {
-            for pipelined in [true, false] {
-                for m in 1..=MR {
-                    for n in 1..=NR_F32 {
-                        check_edge::<F32x4>(pipelined, m, n, kc, pad, edge_ab, &mut rep);
-                    }
-                    for n in 1..=NR_F64 {
-                        check_edge::<F64x2>(pipelined, m, n, kc, pad, edge_ab, &mut rep);
-                    }
-                }
-            }
-        }
-    }
-    // NT scatter kernel and panel driver.
+    // NT scatter kernel (not a table entry: the panel driver above is).
     let nt_ab = (1.0, 1.0);
     for &kc in &cfg.ks {
         for &pad in &cfg.pads {
-            for m in 1..=MR {
+            for m in 1..=NT_ROWS {
                 for bcols in 1..=NT_BCOLS {
                     for jcol in [0, NR_F32 - bcols] {
                         check_nt_kernel::<F32x4>(m, bcols, jcol, kc, pad, nt_ab, &mut rep);
@@ -935,12 +932,6 @@ pub fn run_conformance(cfg: &HarnessConfig) -> Report {
                     for jcol in [0, NR_F64 - bcols] {
                         check_nt_kernel::<F64x2>(m, bcols, jcol, kc, pad, nt_ab, &mut rep);
                     }
-                }
-                for npanel in 1..=NR_F32 {
-                    check_nt_panel::<F32x4>(m, npanel, kc, pad, nt_ab, &mut rep);
-                }
-                for npanel in 1..=NR_F64 {
-                    check_nt_panel::<F64x2>(m, npanel, kc, pad, nt_ab, &mut rep);
                 }
             }
         }
@@ -982,12 +973,13 @@ mod tests {
     #[test]
     fn single_point_checks_pass() {
         let mut rep = Report::default();
-        check_main_shape::<F32x4, MR, NR_VECS>("main f32", 7, 2, (1.0, 1.0), &mut rep);
-        check_fused::<F64x2>("fused f64", 5, 1, true, (2.0, 0.5), &mut rep);
-        check_streamed::<F32x4>("streamed f32", 4, 0, 7, (1.0, 1.0), &mut rep);
-        check_edge::<F64x2>(true, 3, 5, 6, 2, (1.5, -0.5), &mut rep);
+        let base = registered_families().next().expect("the 128-bit family");
+        check_main("f32", &base.k_f32, 7, 2, (1.0, 1.0), &mut rep);
+        check_fused("f64", &base.k_f64, 5, 1, true, (2.0, 0.5), &mut rep);
+        check_streamed("f32", &base.k_f32, 4, 0, 7, (1.0, 1.0), &mut rep);
+        check_edge("f64", &base.k_f64, true, 3, 5, 6, 2, (1.5, -0.5), &mut rep);
         check_nt_kernel::<F32x4>(5, 2, 9, 4, 1, (1.0, 1.0), &mut rep);
-        check_nt_panel::<F64x2>(6, 4, 3, 0, (1.0, 1.0), &mut rep);
+        check_nt_panel("f64", &base.k_f64, 6, 4, 3, 0, (1.0, 1.0), &mut rep);
         check_pack_copy::<f32>(3, 4, 1, &mut rep);
         check_pack_transpose::<f64>(4, 3, 0, &mut rep);
         check_pack_a_goto::<f32>(9, 4, 4, 1, &mut rep);

@@ -30,9 +30,8 @@
 //!   be an `unsafe fn` carrying a `// CONTRACT(TAG)` anchor resolving to
 //!   a known tag, so the symbolic bounds pass has a footprint to prove
 //!   its offsets against. Safe functions whose arithmetic is confined to
-//!   local buffers (no raw-pointer params — e.g. the wide staging
-//!   driver) are exempt: the bounds pass checks them against the
-//!   buffers' own extents without a contract.
+//!   local buffers (no raw-pointer params) are exempt: the bounds pass
+//!   checks them against the buffers' own extents without a contract.
 //!
 //! The pass is built on the shared `shalom-analysis` lexer
 //! ([`shalom_analysis::source::SourceFile`]): `unsafe` sites are found in
@@ -532,8 +531,8 @@ unsafe fn f(p: *const f32) -> *const f32 {
 
     #[test]
     fn local_buffer_arithmetic_without_ptr_params_is_anchor_exempt() {
-        // The wide staging driver pattern: a *safe* fn whose pointer
-        // arithmetic is confined to locally owned buffers. The bounds
+        // A *safe* fn whose pointer arithmetic is confined to locally
+        // owned buffers (a staging pattern). The bounds
         // pass proves those sites against the buffers' own extents, so
         // no contract anchor is required.
         let src = "\

@@ -18,8 +18,8 @@ use shalom_kernels::{MR, NR_F32, NR_F64, NR_VECS};
 /// Identifies one audited micro-kernel entry point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelId {
-    /// `main_kernel` / `main_kernel_shape` (and the `wide.rs` wrappers,
-    /// which are `main_kernel_shape` at the solver's wide tiles).
+    /// `main_kernel` / `main_kernel_shape` (every kernel set's main
+    /// entry point is `main_kernel_shape` at that set's tile).
     MainKernel,
     /// `main_kernel_fused_pack` — NN compute with interleaved B pack.
     MainKernelFusedPack,
@@ -75,15 +75,11 @@ pub const DRIVER_TAGS: &[&str] = &[
 
 /// Contract tags declared in `bounds.spec` and anchored by kernel
 /// functions for the `bounds` static pass, but carrying no runtime
-/// [`KernelContract`]: their operands are internal helpers or local
-/// staging buffers the shadow harness never wraps.
+/// [`KernelContract`]: internal helpers the shadow harness never wraps.
 pub const SPEC_ONLY_TAGS: &[&str] = &[
     // `writeback_row`: one C row of `nvecs` vectors, exercised through
     // every enclosing kernel's `c` operand.
     "SHALOM-K-WB",
-    // `family_gemm_nn`: the runtime-dispatched x86 driver; its packed
-    // panel and staging area are caller-managed scratch.
-    "SHALOM-K-FAMILY",
 ];
 
 // Every footprint function below is a thin wrapper over the shared
@@ -297,14 +293,14 @@ fn shipped_tiles() -> Vec<(&'static str, TileConstraints, usize, usize)> {
         (
             "wide f32 (9x16, j=8)",
             TileConstraints::sve(256, 32),
-            shalom_kernels::wide::WIDE_MR_F32,
-            shalom_kernels::wide::WIDE_NR_F32,
+            shalom_kernels::tile::WIDE_MR_F32,
+            shalom_kernels::tile::WIDE_NR_F32,
         ),
         (
             "wide f64 (7x12, j=4)",
             TileConstraints::sve(256, 64),
-            shalom_kernels::wide::WIDE_MR_F64,
-            shalom_kernels::wide::WIDE_NR_F64,
+            shalom_kernels::tile::WIDE_MR_F64,
+            shalom_kernels::tile::WIDE_NR_F64,
         ),
         // Runtime-dispatched x86 kernel families (16 YMM / 32 ZMM files,
         // 1 register reserved, mirroring the registration-time asserts in

@@ -28,8 +28,8 @@ use shalom_matrix::Scalar;
 
 /// Elements of poison padding on each side of the declared extent. Large
 /// enough to catch off-by-one-vector over-runs of every shipped SIMD type
-/// (widest vector is 8 lanes).
-pub const GUARD: usize = 16;
+/// (widest vector is 16 lanes).
+pub const GUARD: usize = 32;
 
 /// Scalar types the shadow harness can poison and bit-compare. The base
 /// [`Scalar`] trait deliberately has no bit-level access, so the harness

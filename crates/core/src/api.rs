@@ -3,12 +3,14 @@
 
 use crate::config::GemmConfig;
 use crate::parallel::gemm_parallel;
-use shalom_kernels::Vector;
+use shalom_kernels::{FamilyElem, Vector};
 use shalom_matrix::{reference, MatMut, MatRef, Op, Scalar};
 use shalom_simd::{F32x4, F64x2};
 
-/// Element types LibShalom has kernels for, with their vector mapping.
-pub trait GemmElem: Scalar {
+/// Element types LibShalom has kernels for: a row in every registered
+/// kernel set ([`FamilyElem`]), plus the 128-bit vector mapping the
+/// baselines instantiate their own kernels at.
+pub trait GemmElem: Scalar + FamilyElem {
     /// The 128-bit vector type carrying this element.
     type Vec: Vector<Elem = Self>;
 }
@@ -51,7 +53,7 @@ pub fn gemm_with<T: GemmElem>(
     // operand covers its full (rows, cols, ld) footprint, and check_dims
     // has validated the shapes against (op_a, op_b, m, n, k).
     unsafe {
-        gemm_parallel::<T::Vec>(
+        gemm_parallel::<T>(
             cfg,
             op_a,
             op_b,
@@ -135,7 +137,7 @@ pub unsafe fn sgemm_raw(
     c: *mut f32,
     ldc: usize,
 ) {
-    gemm_parallel::<F32x4>(
+    gemm_parallel::<f32>(
         cfg, op_a, op_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
     )
 }
@@ -161,7 +163,7 @@ pub unsafe fn dgemm_raw(
     c: *mut f64,
     ldc: usize,
 ) {
-    gemm_parallel::<F64x2>(
+    gemm_parallel::<f64>(
         cfg, op_a, op_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
     )
 }

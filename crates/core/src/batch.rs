@@ -94,7 +94,7 @@ pub fn gemm_batch_beta<T: GemmElem>(
         items
             .iter()
             .all(|it| item_dims(it) == d0)
-            .then(|| crate::plan::serial_plan::<T::Vec>(&serial_cfg, op_a, op_b, d0.0, d0.1, d0.2))
+            .then(|| crate::plan::serial_plan::<T>(&serial_cfg, op_a, op_b, d0.0, d0.1, d0.2))
     });
     let run_one = |cfg: &GemmConfig, it: &mut BatchItem<'_, T>, ws: &mut Workspace| {
         let m = it.c.rows();
@@ -109,7 +109,7 @@ pub fn gemm_batch_beta<T: GemmElem>(
         // SAFETY: SHALOM-D-DRIVER — each item's MatRef/MatMut views cover
         // their full footprints and check_dims validated every shape above.
         unsafe {
-            gemm_serial::<T::Vec>(
+            gemm_serial::<T>(
                 cfg,
                 op_a,
                 op_b,

@@ -5,10 +5,8 @@
 //! mc, nc and kc"): the packed `kc x nr` B panel should live in L1 across
 //! its reuse, the `mc x kc` A block in L2, and the `kc x nc` B region in
 //! the LLC. We target half of each level to leave room for the other
-//! operands and the streaming C traffic, then round to kernel-friendly
-//! multiples.
-
-use shalom_kernels::MR;
+//! operands and the streaming C traffic, then round to the multiples of
+//! the dispatched kernel set's register tile.
 
 /// FNV-1a offset basis (64-bit).
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -170,18 +168,31 @@ pub struct BlockSizes {
 }
 
 impl BlockSizes {
-    /// Derives `(nc, mc, kc)` for elements of `elem_bytes` and register
-    /// tile `nr`, targeting half of each cache level.
-    pub fn derive(cache: &CacheParams, elem_bytes: usize, nr: usize) -> Self {
-        // kc: the kc x nr packed panel occupies <= L1/2.
+    /// Derives `(nc, mc, kc)` for elements of `elem_bytes` and the
+    /// dispatched kernel set's register tile `mr x nr` of `lanes`-wide
+    /// vectors, targeting half of each cache level. Every block is a
+    /// whole number of tiles — `mc % mr == 0`, `nc % nr == 0`,
+    /// `kc % lanes == 0` — so the blocking itself manufactures no edge
+    /// tiles.
+    pub fn derive(
+        cache: &CacheParams,
+        elem_bytes: usize,
+        mr: usize,
+        nr: usize,
+        lanes: usize,
+    ) -> Self {
+        let down_to = |x: usize, q: usize| x / q * q;
+        // kc: the kc x nr packed panel occupies <= L1/2. Rounded to the
+        // lane count, and never finer than 4 (what the 128-bit f64 tile
+        // has always used).
         let kc_raw = cache.l1 / (2 * nr * elem_bytes);
-        let kc = kc_raw.clamp(32, 512) & !3; // multiple of 4 covers both lane counts
-                                             // mc: the mc x kc A block occupies <= L2/2; round down to mr.
+        let kc = down_to(kc_raw.clamp(32, 512), lanes.max(4));
+        // mc: the mc x kc A block occupies <= L2/2.
         let mc_raw = cache.l2 / (2 * kc * elem_bytes);
-        let mc = ((mc_raw / MR) * MR).clamp(MR, 8192);
-        // nc: the kc x nc B region occupies <= LLC/2; round down to nr.
+        let mc = down_to(mc_raw.min(8192), mr).max(mr);
+        // nc: the kc x nc B region occupies <= LLC/2.
         let nc_raw = cache.llc() / (2 * kc * elem_bytes);
-        let nc = ((nc_raw / nr) * nr).clamp(nr, 65536);
+        let nc = down_to(nc_raw.min(65536), nr).max(nr);
         Self { nc, mc, kc }
     }
 }
@@ -261,11 +272,11 @@ mod tests {
             l2: 2 * 1024 * 1024,
             l3: 0,
         };
-        let b = BlockSizes::derive(&cache, 4, 12);
+        let b = BlockSizes::derive(&cache, 4, 7, 12, 4);
         // kc*nr*4 <= 16K
         assert!(b.kc * 12 * 4 <= cache.l1 / 2 + 12 * 4 * 4);
         assert_eq!(b.kc % 4, 0);
-        assert_eq!(b.mc % MR, 0);
+        assert_eq!(b.mc % 7, 0);
         assert_eq!(b.nc % 12, 0);
         assert_eq!(cache.llc(), cache.l2);
     }
@@ -278,9 +289,9 @@ mod tests {
             l2: 512 * 1024,
             l3: 64 * 1024 * 1024,
         };
-        let b = BlockSizes::derive(&cache, 8, 6);
+        let b = BlockSizes::derive(&cache, 8, 7, 6, 2);
         assert!(b.kc >= 32);
-        assert!(b.mc >= MR);
+        assert!(b.mc >= 7);
         assert!(b.nc >= 6);
         // Larger L1 than ThunderX2 should not shrink kc.
         let tx2 = CacheParams {
@@ -288,7 +299,7 @@ mod tests {
             l2: 256 * 1024,
             l3: 32 * 1024 * 1024,
         };
-        let b2 = BlockSizes::derive(&tx2, 8, 6);
+        let b2 = BlockSizes::derive(&tx2, 8, 7, 6, 2);
         assert!(b.kc >= b2.kc);
     }
 
@@ -299,9 +310,70 @@ mod tests {
             l2: 2048,
             l3: 0,
         };
-        let b = BlockSizes::derive(&cache, 8, 12);
+        let b = BlockSizes::derive(&cache, 8, 7, 12, 4);
         assert!(b.kc >= 32); // clamped floor
-        assert!(b.mc >= MR);
+        assert!(b.mc >= 7);
         assert!(b.nc >= 12);
+    }
+
+    #[test]
+    fn blocks_are_whole_tiles_of_every_registered_set() {
+        let caches = [
+            CacheParams::fallback(),
+            CacheParams {
+                l1: 256,
+                l2: 4 * 1024,
+                l3: 64 * 1024,
+            },
+            CacheParams {
+                l1: 48 * 1024,
+                l2: 64 * 1024 * 1024,
+                l3: 1 << 32,
+            },
+        ];
+        for fam in shalom_kernels::registered_families() {
+            for (eb, mr, nr, lanes) in [
+                (4, fam.k_f32.mr, fam.k_f32.nr, fam.k_f32.lanes),
+                (8, fam.k_f64.mr, fam.k_f64.nr, fam.k_f64.lanes),
+            ] {
+                for cache in &caches {
+                    let b = BlockSizes::derive(cache, eb, mr, nr, lanes);
+                    assert!(b.mc >= mr && b.mc.is_multiple_of(mr), "{b:?} vs mr {mr}");
+                    assert!(b.nc >= nr && b.nc.is_multiple_of(nr), "{b:?} vs nr {nr}");
+                    assert!(
+                        b.kc >= 32 && b.kc.is_multiple_of(lanes),
+                        "{b:?} vs lanes {lanes}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn base_tile_blocking_is_unchanged() {
+        // Pins the 128-bit set's blocks on a realistic hierarchy: its kc
+        // stays a multiple of 4 at both lane counts, so taking the tile
+        // from the kernel set moved none of its `kk`/`ii`/`jj` seams.
+        let cache = CacheParams {
+            l1: 32 * 1024,
+            l2: 2 * 1024 * 1024,
+            l3: 0,
+        };
+        assert_eq!(
+            BlockSizes::derive(&cache, 4, 7, 12, 4),
+            BlockSizes {
+                nc: 768,
+                mc: 770,
+                kc: 340
+            }
+        );
+        assert_eq!(
+            BlockSizes::derive(&cache, 8, 7, 6, 2),
+            BlockSizes {
+                nc: 384,
+                mc: 385,
+                kc: 340
+            }
+        );
     }
 }

@@ -1,6 +1,14 @@
 //! The serial GEMM driver — paper Algorithm 1 with the exchanged loop
 //! order (`jj -> ii -> kk`, §3.3) and the §4 packing decisions.
 //!
+//! This is the only blocked GEMM walk in the library. It is written
+//! against a *kernel set* (`shalom_kernels::FamilyKernels`: the register
+//! tile plus the main, fused-pack, streamed, edge and NT-pack entry points
+//! of one ISA level), picked once per call from the plan's effective ISA —
+//! so the 128-bit tiles and both AVX families are instantiations of the
+//! same code, and every mode, packing regime, edge schedule and capture
+//! span applies at every vector width.
+//!
 //! One function per B-handling mode:
 //!
 //! * [`gemm_serial`] dispatches on `(op_a, op_b)`. A transposed A (TN/TT)
@@ -26,14 +34,11 @@
 
 use crate::capture;
 use crate::config::{classify, EdgeSchedule, GemmConfig, PackingPolicy, ShapeClass};
-use shalom_kernels::edge::{edge_kernel_batched, edge_kernel_pipelined};
-use shalom_kernels::family::{family_for, family_gemm_nn, family_workspace};
-use shalom_kernels::main_kernel::{
-    main_kernel, main_kernel_fused_pack, main_kernel_streamed, PackAhead, StreamCopy,
-};
-use shalom_kernels::nt_pack::nt_pack_panel;
+use shalom_kernels::family::EdgeFn;
+use shalom_kernels::main_kernel::{PackAhead, StreamCopy};
+use shalom_kernels::nt_pack::NT_ROWS;
 use shalom_kernels::pack::{pack_copy, pack_transpose};
-use shalom_kernels::{FamilyElem, Vector, MR, NR_VECS};
+use shalom_kernels::{kernels_for, FamilyElem, FamilyKernels};
 use shalom_matrix::{Op, Scalar};
 
 /// Calls between decay-policy evaluations on a [`Workspace`].
@@ -220,20 +225,20 @@ pub(crate) fn resolve_nt_plan(cfg: &GemmConfig) -> BPlan {
 /// * `c` valid for reads/writes of `m x n` at stride `ldc`;
 /// * `c` does not alias `a` or `b`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn gemm_serial<V: Vector>(
+pub(crate) unsafe fn gemm_serial<T: FamilyElem>(
     cfg: &GemmConfig,
     op_a: Op,
     op_b: Op,
     m: usize,
     n: usize,
     k: usize,
-    alpha: V::Elem,
-    a: *const V::Elem,
+    alpha: T,
+    a: *const T,
     lda: usize,
-    b: *const V::Elem,
+    b: *const T,
     ldb: usize,
-    beta: V::Elem,
-    c: *mut V::Elem,
+    beta: T,
+    c: *mut T,
     ldc: usize,
     ws: &mut Workspace,
     plan: Option<&crate::plan::SerialPlan>,
@@ -241,8 +246,8 @@ pub(crate) unsafe fn gemm_serial<V: Vector>(
     if m == 0 || n == 0 {
         return;
     }
-    if k == 0 || alpha == V::Elem::ZERO {
-        scale_c::<V>(m, n, beta, c, ldc);
+    if k == 0 || alpha == T::ZERO {
+        scale_c(m, n, beta, c, ldc);
         return;
     }
     // One capture region covers the whole serial dispatch (plan
@@ -256,7 +261,7 @@ pub(crate) unsafe fn gemm_serial<V: Vector>(
         m,
         n,
         k,
-        core::mem::size_of::<V::Elem>(),
+        core::mem::size_of::<T>(),
     );
     // Resolve the dispatch plan: callers that amortize one lookup over
     // many identical calls (the batched path) pass it in; everyone else
@@ -264,44 +269,28 @@ pub(crate) unsafe fn gemm_serial<V: Vector>(
     // resolution entirely.
     let plan = match plan {
         Some(p) => *p,
-        None => crate::plan::serial_plan::<V>(cfg, op_a, op_b, m, n, k),
+        None => crate::plan::serial_plan::<T>(cfg, op_a, op_b, m, n, k),
     };
-
-    // Wide-family route: the plan's effective ISA (a pure function of
-    // config, ops and shape — the same one that keyed the plan) says this
-    // call dispatches to a runtime-registered 256/512-bit kernel family
-    // instead of the 128-bit substrate below. The registry only hands out
-    // families whose CPU probe passed on this host.
-    if plan.isa.is_wide() && op_a == Op::NoTrans && op_b == Op::NoTrans {
-        if let Some(fam) = family_for(plan.isa) {
-            let kc_eff = plan.bs.kc.min(k);
-            let (bc_elems, at_elems) = family_workspace::<V::Elem>(fam, kc_eff);
-            let (bc_ptr, at_ptr) = ws.ensure::<V::Elem>(bc_elems, at_elems);
-            // SAFETY: SHALOM-D-DRIVER — a/b/c cover m x k, k x n, m x n at
-            // their strides per this function's contract; bc/at were sized
-            // by `family_workspace` for (fam, kc_eff); m, n, k >= 1 after
-            // the early-outs above and kc_eff >= 1 (decode clamps kc).
-            family_gemm_nn::<V::Elem>(
-                fam, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, kc_eff, bc_ptr, at_ptr,
-            );
-            let ks = <V::Elem as FamilyElem>::kernels(fam);
-            capture::serial_end(call, &plan, ks.mr, ks.nr, ws.capacity_bytes());
-            return;
-        }
-    }
-
-    let nr = NR_VECS * V::LANES;
+    // The kernel set of the plan's effective ISA (a pure function of
+    // config and shape — the same one that keyed the plan). The registry
+    // only hands out sets whose CPU probe passed on this host.
+    let ks = kernels_for::<T>(plan.isa);
+    let (mr, nr) = (ks.mr, ks.nr);
+    let edge = match plan.edge {
+        EdgeSchedule::Pipelined => ks.edge_pipelined,
+        EdgeSchedule::Batched => ks.edge_batched,
+    };
     let bs = plan.bs;
     // Workspace sized by the *actual* problem, not the cache-blocking
     // ceilings: a 5x5x5 GEMM must not pay for a megabyte of zeroed Bc/Ac.
     let kc_eff = bs.kc.min(k);
-    let mc_eff = bs.mc.min(m.div_ceil(MR) * MR);
+    let mc_eff = bs.mc.min(m.div_ceil(mr) * mr);
     let at_elems = if op_a == Op::Trans {
         mc_eff * kc_eff
     } else {
         0
     };
-    let (bc_ptr, at_ptr) = ws.ensure::<V::Elem>(2 * kc_eff * nr, at_elems);
+    let (bc_ptr, at_ptr) = ws.ensure::<T>(2 * kc_eff * nr, at_elems);
 
     let b_plan = plan.b_plan;
 
@@ -319,24 +308,25 @@ pub(crate) unsafe fn gemm_serial<V: Vector>(
             let mut kk = 0usize;
             while kk < k {
                 let kcur = bs.kc.min(k - kk);
-                let beta_eff = if kk == 0 { beta } else { V::Elem::ONE };
+                let beta_eff = if kk == 0 { beta } else { T::ONE };
                 // Resolve the A block: direct for N, transpose-packed for T.
-                let (a_blk, lda_blk): (*const V::Elem, usize) = match op_a {
+                let (a_blk, lda_blk): (*const T, usize) = match op_a {
                     Op::NoTrans => (a.add(ii * lda + kk), lda),
                     Op::Trans => {
                         pack_timed!(
                             PackA,
                             pack_transpose(a.add(kk * lda + ii), lda, kcur, mcur, at_ptr, kcur)
                         );
-                        (at_ptr as *const V::Elem, kcur)
+                        (at_ptr as *const T, kcur)
                     }
                 };
                 let c_blk = c.add(ii * ldc + jj);
                 let compute_tok =
                     capture::begin(capture::Phase::Compute, capture::shape(mcur, ncur, kcur));
                 match op_b {
-                    Op::NoTrans => nn_block::<V>(
-                        plan.edge,
+                    Op::NoTrans => nn_block(
+                        ks,
+                        edge,
                         b_plan,
                         mcur,
                         ncur,
@@ -352,8 +342,9 @@ pub(crate) unsafe fn gemm_serial<V: Vector>(
                         bc_ptr,
                         kc_eff,
                     ),
-                    Op::Trans => nt_block::<V>(
-                        plan.edge,
+                    Op::Trans => nt_block(
+                        ks,
+                        edge,
                         b_plan,
                         mcur,
                         ncur,
@@ -378,7 +369,7 @@ pub(crate) unsafe fn gemm_serial<V: Vector>(
     }
     // ALLOC-FREE: end
 
-    capture::serial_end(call, &plan, MR, nr, ws.capacity_bytes());
+    capture::serial_end(call, &plan, mr, nr, ws.capacity_bytes());
 }
 
 /// `C = beta * C` over an `m x n` block.
@@ -388,15 +379,15 @@ pub(crate) unsafe fn gemm_serial<V: Vector>(
 /// `c + i * ldc`, each `n` elements wide (the C sub-block of the
 /// SHALOM-D-DRIVER operand contract).
 // ALLOC-FREE
-unsafe fn scale_c<V: Vector>(m: usize, n: usize, beta: V::Elem, c: *mut V::Elem, ldc: usize) {
-    if beta == V::Elem::ONE {
+unsafe fn scale_c<T: Scalar>(m: usize, n: usize, beta: T, c: *mut T, ldc: usize) {
+    if beta == T::ONE {
         return;
     }
     for i in 0..m {
         let row = c.add(i * ldc);
-        if beta == V::Elem::ZERO {
+        if beta == T::ZERO {
             for j in 0..n {
-                *row.add(j) = V::Elem::ZERO;
+                *row.add(j) = T::ZERO;
             }
         } else {
             for j in 0..n {
@@ -406,70 +397,40 @@ unsafe fn scale_c<V: Vector>(m: usize, n: usize, beta: V::Elem, c: *mut V::Elem,
     }
 }
 
-/// Runs the selected edge kernel.
-///
-/// # Safety
-/// As the edge kernels' contracts (SHALOM-K-EDGE-PIPE /
-/// SHALOM-K-EDGE-BATCH): `a`/`b`/`c` must cover an `m x kc` block at
-/// stride `lda`, a `kc x n` block at stride `ldb` and an `m x n` block
-/// at stride `ldc` respectively, with `m <= MR` and `n <= nr`.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-// ALLOC-FREE
-unsafe fn edge<V: Vector>(
-    sched: EdgeSchedule,
-    m: usize,
-    n: usize,
-    kc: usize,
-    alpha: V::Elem,
-    a: *const V::Elem,
-    lda: usize,
-    b: *const V::Elem,
-    ldb: usize,
-    beta: V::Elem,
-    c: *mut V::Elem,
-    ldc: usize,
-) {
-    match sched {
-        EdgeSchedule::Pipelined => {
-            edge_kernel_pipelined::<V>(m, n, kc, alpha, a, lda, b, ldb, beta, c, ldc)
-        }
-        EdgeSchedule::Batched => {
-            edge_kernel_batched::<V>(m, n, kc, alpha, a, lda, b, ldb, beta, c, ldc)
-        }
-    }
-}
-
 /// Updates rows `i0..mcur` of one `nr`-wide C panel from a packed (or
-/// direct) B panel using main + edge kernels.
+/// direct) B panel using the set's main kernel on full `mr x nr` tiles
+/// and its edge kernel on everything else.
 ///
 /// # Safety
 /// Inherits the SHALOM-D-DRIVER block contract: `a_blk` covers rows
 /// `0..mcur` x `kcur` at stride `lda`, `bsrc` covers `kcur` rows of
 /// `ncols` elements at stride `ldb`, and `c_panel` covers `mcur` rows
-/// of `ncols` elements at stride `ldc`, with `ncols <= nr`.
+/// of `ncols` elements at stride `ldc`, with `ncols <= nr`. The edge
+/// kernels' contracts (SHALOM-K-EDGE-PIPE / SHALOM-K-EDGE-BATCH) hold
+/// for every remainder it is handed: `m <= mr`, `n <= nr`.
 #[allow(clippy::too_many_arguments)]
 // ALLOC-FREE
-unsafe fn sweep_rows<V: Vector>(
-    sched: EdgeSchedule,
+unsafe fn sweep_rows<T: FamilyElem>(
+    ks: &FamilyKernels<T>,
+    edge: EdgeFn<T>,
     i0: usize,
     mcur: usize,
     ncols: usize,
     kcur: usize,
-    alpha: V::Elem,
-    a_blk: *const V::Elem,
+    alpha: T,
+    a_blk: *const T,
     lda: usize,
-    bsrc: *const V::Elem,
+    bsrc: *const T,
     ldb: usize,
-    beta_eff: V::Elem,
-    c_panel: *mut V::Elem,
+    beta_eff: T,
+    c_panel: *mut T,
     ldc: usize,
 ) {
-    let nr = NR_VECS * V::LANES;
+    let mr = ks.mr;
     let mut i = i0;
-    if ncols == nr {
-        while i + MR <= mcur {
-            main_kernel::<V>(
+    if ncols == ks.nr {
+        while i + mr <= mcur {
+            (ks.kernel)(
                 kcur,
                 alpha,
                 a_blk.add(i * lda),
@@ -480,28 +441,25 @@ unsafe fn sweep_rows<V: Vector>(
                 c_panel.add(i * ldc),
                 ldc,
             );
-            i += MR;
+            i += mr;
         }
     }
-    if i < mcur || ncols < nr {
-        while i < mcur {
-            let mrem = MR.min(mcur - i);
-            edge::<V>(
-                sched,
-                mrem,
-                ncols,
-                kcur,
-                alpha,
-                a_blk.add(i * lda),
-                lda,
-                bsrc,
-                ldb,
-                beta_eff,
-                c_panel.add(i * ldc),
-                ldc,
-            );
-            i += mrem;
-        }
+    while i < mcur {
+        let mrem = mr.min(mcur - i);
+        edge(
+            mrem,
+            ncols,
+            kcur,
+            alpha,
+            a_blk.add(i * lda),
+            lda,
+            bsrc,
+            ldb,
+            beta_eff,
+            c_panel.add(i * ldc),
+            ldc,
+        );
+        i += mrem;
     }
 }
 
@@ -516,24 +474,25 @@ unsafe fn sweep_rows<V: Vector>(
 /// (the double buffer for the t = 1 lookahead).
 #[allow(clippy::too_many_arguments)]
 // ALLOC-FREE
-unsafe fn nn_block<V: Vector>(
-    sched: EdgeSchedule,
+unsafe fn nn_block<T: FamilyElem>(
+    ks: &FamilyKernels<T>,
+    edge: EdgeFn<T>,
     plan: BPlan,
     mcur: usize,
     ncur: usize,
     kcur: usize,
-    alpha: V::Elem,
-    a_blk: *const V::Elem,
+    alpha: T,
+    a_blk: *const T,
     lda: usize,
-    b_blk: *const V::Elem,
+    b_blk: *const T,
     ldb: usize,
-    beta_eff: V::Elem,
-    c_blk: *mut V::Elem,
+    beta_eff: T,
+    c_blk: *mut T,
     ldc: usize,
-    bc: *mut V::Elem,
+    bc: *mut T,
     kc_max: usize,
 ) {
-    let nr = NR_VECS * V::LANES;
+    let (mr, nr) = (ks.mr, ks.nr);
     let full_panels = ncur / nr;
     // Double buffer as a swapped pointer pair (no `[]` indexing on the
     // hot path): `cur_buf` feeds this iteration's compute, `next_buf`
@@ -547,85 +506,63 @@ unsafe fn nn_block<V: Vector>(
         let b_panel = b_blk.add(j);
         let c_panel = c_blk.add(j);
         let next_full = p + 1 < full_panels;
-        match plan {
-            BPlan::Direct => {
-                sweep_rows::<V>(
-                    sched, 0, mcur, nr, kcur, alpha, a_blk, lda, b_panel, ldb, beta_eff, c_panel,
-                    ldc,
+        // Where rows `i0..mcur` of this panel read B from, after the
+        // plan's first pass (if any) has run.
+        let (i0, bsrc, ld_src): (usize, *const T, usize) = match plan {
+            BPlan::Direct => (0, b_panel, ldb),
+            BPlan::Fused if mcur >= mr => {
+                (ks.fused_pack)(
+                    kcur, alpha, a_blk, lda, b_panel, ldb, beta_eff, c_panel, ldc, cur_buf, None,
                 );
+                (mr, cur_buf, nr)
             }
-            BPlan::Sequential => {
-                pack_timed!(PackB, pack_copy(b_panel, ldb, kcur, nr, cur_buf, nr));
-                sweep_rows::<V>(
-                    sched, 0, mcur, nr, kcur, alpha, a_blk, lda, cur_buf, nr, beta_eff, c_panel,
-                    ldc,
-                );
-            }
-            BPlan::Fused => {
-                if mcur >= MR {
-                    main_kernel_fused_pack::<V>(
+            BPlan::FusedLookahead if mcur >= mr => {
+                if !have_packed {
+                    let ahead = next_full.then_some(PackAhead {
+                        src: b_panel.add(nr),
+                        dst: next_buf,
+                    });
+                    have_packed = ahead.is_some();
+                    (ks.fused_pack)(
                         kcur, alpha, a_blk, lda, b_panel, ldb, beta_eff, c_panel, ldc, cur_buf,
-                        None,
-                    );
-                    sweep_rows::<V>(
-                        sched, MR, mcur, nr, kcur, alpha, a_blk, lda, cur_buf, nr, beta_eff,
-                        c_panel, ldc,
+                        ahead,
                     );
                 } else {
-                    pack_timed!(PackB, pack_copy(b_panel, ldb, kcur, nr, cur_buf, nr));
-                    sweep_rows::<V>(
-                        sched, 0, mcur, nr, kcur, alpha, a_blk, lda, cur_buf, nr, beta_eff,
-                        c_panel, ldc,
+                    let stream = next_full.then_some(StreamCopy {
+                        src: b_panel.add(nr),
+                        src_ld: ldb,
+                        dst: next_buf,
+                        rows: kcur,
+                    });
+                    have_packed = stream.is_some();
+                    (ks.streamed)(
+                        kcur, alpha, a_blk, lda, cur_buf, beta_eff, c_panel, ldc, stream,
                     );
                 }
+                let packed = cur_buf;
+                core::mem::swap(&mut cur_buf, &mut next_buf);
+                (mr, packed, nr)
             }
-            BPlan::FusedLookahead => {
-                if mcur >= MR {
-                    if !have_packed {
-                        let ahead = next_full.then_some(PackAhead {
-                            src: b_panel.add(nr),
-                            dst: next_buf,
-                        });
-                        have_packed = ahead.is_some();
-                        main_kernel_fused_pack::<V>(
-                            kcur, alpha, a_blk, lda, b_panel, ldb, beta_eff, c_panel, ldc, cur_buf,
-                            ahead,
-                        );
-                    } else {
-                        let stream = next_full.then_some(StreamCopy {
-                            src: b_panel.add(nr),
-                            src_ld: ldb,
-                            dst: next_buf,
-                            rows: kcur,
-                        });
-                        have_packed = stream.is_some();
-                        main_kernel_streamed::<V>(
-                            kcur, alpha, a_blk, lda, cur_buf, beta_eff, c_panel, ldc, stream,
-                        );
-                    }
-                    sweep_rows::<V>(
-                        sched, MR, mcur, nr, kcur, alpha, a_blk, lda, cur_buf, nr, beta_eff,
-                        c_panel, ldc,
-                    );
-                    core::mem::swap(&mut cur_buf, &mut next_buf);
-                } else {
-                    pack_timed!(PackB, pack_copy(b_panel, ldb, kcur, nr, cur_buf, nr));
-                    have_packed = false;
-                    sweep_rows::<V>(
-                        sched, 0, mcur, nr, kcur, alpha, a_blk, lda, cur_buf, nr, beta_eff,
-                        c_panel, ldc,
-                    );
-                }
+            // Sequential — and the fused plans on a block shorter than
+            // the `mr`-row tile their kernels ride on.
+            _ => {
+                pack_timed!(PackB, pack_copy(b_panel, ldb, kcur, nr, cur_buf, nr));
+                have_packed = false;
+                (0, cur_buf, nr)
             }
-        }
+        };
+        sweep_rows(
+            ks, edge, i0, mcur, nr, kcur, alpha, a_blk, lda, bsrc, ld_src, beta_eff, c_panel, ldc,
+        );
     }
     // N edge: the final sub-`nr` panel, read directly from B (contiguous
     // within each row, so no packing benefit — §4.1 criterion ❶ holds).
     let ncols = ncur - full_panels * nr;
     if ncols > 0 {
         let j = full_panels * nr;
-        sweep_rows::<V>(
-            sched,
+        sweep_rows(
+            ks,
+            edge,
             0,
             mcur,
             ncols,
@@ -653,61 +590,58 @@ unsafe fn nn_block<V: Vector>(
 /// packed panel.
 #[allow(clippy::too_many_arguments)]
 // ALLOC-FREE
-unsafe fn nt_block<V: Vector>(
-    sched: EdgeSchedule,
+unsafe fn nt_block<T: FamilyElem>(
+    ks: &FamilyKernels<T>,
+    edge: EdgeFn<T>,
     plan: BPlan,
     mcur: usize,
     ncur: usize,
     kcur: usize,
-    alpha: V::Elem,
-    a_blk: *const V::Elem,
+    alpha: T,
+    a_blk: *const T,
     lda: usize,
-    b_blk: *const V::Elem, // stored rows jj.., k offset applied
+    b_blk: *const T, // stored rows jj.., k offset applied
     ldb: usize,
-    beta_eff: V::Elem,
-    c_blk: *mut V::Elem,
+    beta_eff: T,
+    c_blk: *mut T,
     ldc: usize,
-    bc: *mut V::Elem,
+    bc: *mut T,
 ) {
-    let nr = NR_VECS * V::LANES;
-    let bc0 = bc;
+    let nr = ks.nr;
     let mut j = 0usize;
     while j < ncur {
         let ncols = nr.min(ncur - j);
         let b_panel = b_blk.add(j * ldb); // `ncols` stored rows of B
         let c_panel = c_blk.add(j);
-        match plan {
+        // Rows the pack pass already computed.
+        let m0 = match plan {
             BPlan::Sequential | BPlan::Direct => {
                 // Transpose-pack the panel (kcur x ncols, zero-pad to nr),
                 // then compute every row from the packed buffer.
                 pack_timed!(PackB, {
-                    pack_transpose(b_panel, ldb, ncols, kcur, bc0, nr);
+                    pack_transpose(b_panel, ldb, ncols, kcur, bc, nr);
                     if ncols < nr {
                         for kk in 0..kcur {
                             for jpad in ncols..nr {
-                                *bc0.add(kk * nr + jpad) = V::Elem::ZERO;
+                                *bc.add(kk * nr + jpad) = T::ZERO;
                             }
                         }
                     }
                 });
-                sweep_rows::<V>(
-                    sched, 0, mcur, ncols, kcur, alpha, a_blk, lda, bc0, nr, beta_eff, c_panel, ldc,
-                );
+                0
             }
             BPlan::Fused | BPlan::FusedLookahead => {
-                let m0 = MR.min(mcur);
-                nt_pack_panel::<V>(
+                let m0 = NT_ROWS.min(mcur);
+                (ks.nt_pack)(
                     m0, ncols, kcur, nr, alpha, a_blk, lda, b_panel, ldb, beta_eff, c_panel, ldc,
-                    bc0,
+                    bc,
                 );
-                if mcur > m0 {
-                    sweep_rows::<V>(
-                        sched, m0, mcur, ncols, kcur, alpha, a_blk, lda, bc0, nr, beta_eff,
-                        c_panel, ldc,
-                    );
-                }
+                m0
             }
-        }
+        };
+        sweep_rows(
+            ks, edge, m0, mcur, ncols, kcur, alpha, a_blk, lda, bc, nr, beta_eff, c_panel, ldc,
+        );
         j += ncols;
     }
 }
@@ -715,8 +649,9 @@ unsafe fn nt_block<V: Vector>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::IsaPolicy;
+    use shalom_kernels::registered_families;
     use shalom_matrix::{assert_close, gemm_tolerance, reference, Matrix};
-    use shalom_simd::{F32x4, F64x2};
 
     #[test]
     fn workspace_decays_after_burst() {
@@ -761,38 +696,49 @@ mod tests {
         assert!(ws.capacity_bytes() >= 2 * (1 << 16));
     }
 
-    /// Serial config pinned to the 128-bit substrate: these tests target
-    /// the §4 packing plans and edge kernels, which a wide host would
-    /// otherwise route around (the wide path has its own tests below).
-    fn cfg_base() -> GemmConfig {
-        GemmConfig {
-            isa: crate::config::IsaPolicy::Force(shalom_simd::base_isa()),
-            ..GemmConfig::with_threads(1)
-        }
+    /// One test case per registered kernel set and element type: a serial
+    /// config forced to the set (so sub-tile shapes stay on it) and the
+    /// set's `(mr, nr)`, which the tests scale their shapes by.
+    struct SetCase {
+        cfg: GemmConfig,
+        mr: usize,
+        nr: usize,
     }
 
-    fn cfg_small_l1() -> GemmConfig {
-        // Tiny L1 forces the packing paths even on small test matrices.
-        GemmConfig {
-            cache: crate::cache::CacheParams {
-                l1: 256,
-                l2: 4 * 1024,
-                l3: 64 * 1024,
-            },
-            ..cfg_base()
-        }
+    /// `(f32 case, f64 case)` for every family this host can execute,
+    /// with a tiny L1 that forces the packing paths on small matrices.
+    fn set_cases() -> Vec<(SetCase, SetCase)> {
+        registered_families()
+            .map(|fam| {
+                let cfg = GemmConfig {
+                    isa: IsaPolicy::Force(fam.isa),
+                    cache: crate::cache::CacheParams {
+                        l1: 256,
+                        l2: 4 * 1024,
+                        l3: 64 * 1024,
+                    },
+                    ..GemmConfig::with_threads(1)
+                };
+                let case = |mr, nr| SetCase { cfg, mr, nr };
+                (
+                    case(fam.k_f32.mr, fam.k_f32.nr),
+                    case(fam.k_f64.mr, fam.k_f64.nr),
+                )
+            })
+            .collect()
     }
 
-    fn run<V: Vector>(
+    fn run<T: FamilyElem>(
         cfg: &GemmConfig,
         op_a: Op,
         op_b: Op,
         m: usize,
         n: usize,
         k: usize,
-        alpha: V::Elem,
-        beta: V::Elem,
+        alpha: f64,
+        beta: f64,
     ) {
+        let (alpha, beta) = (T::from_f64(alpha), T::from_f64(beta));
         let (ar, ac) = match op_a {
             Op::NoTrans => (m, k),
             Op::Trans => (k, m),
@@ -801,9 +747,9 @@ mod tests {
             Op::NoTrans => (k, n),
             Op::Trans => (n, k),
         };
-        let a = Matrix::<V::Elem>::random(ar, ac, 61);
-        let b = Matrix::<V::Elem>::random(br, bc_, 62);
-        let mut c = Matrix::<V::Elem>::random(m, n, 63);
+        let a = Matrix::<T>::random(ar, ac, 61);
+        let b = Matrix::<T>::random(br, bc_, 62);
+        let mut c = Matrix::<T>::random(m, n, 63);
         let mut want = c.clone();
         reference::gemm(
             op_a,
@@ -817,7 +763,7 @@ mod tests {
         let mut ws = Workspace::new();
         // SAFETY: operands are owned Matrix buffers shaped for (op, m, n, k).
         unsafe {
-            gemm_serial::<V>(
+            gemm_serial::<T>(
                 cfg,
                 op_a,
                 op_b,
@@ -836,177 +782,202 @@ mod tests {
                 None,
             );
         }
-        assert_close(c.as_ref(), want.as_ref(), gemm_tolerance::<V::Elem>(k, 2.0));
+        assert_close(c.as_ref(), want.as_ref(), gemm_tolerance::<T>(k, 2.0));
     }
+
+    /// Runs `f` once per registered set and element type.
+    fn on_every_set(f: impl Fn(&SetCase, fn(&GemmConfig, Op, Op, usize, usize, usize, f64, f64))) {
+        for (c32, c64) in set_cases() {
+            f(&c32, run::<f32>);
+            f(&c64, run::<f64>);
+        }
+    }
+
+    const N: Op = Op::NoTrans;
+    const T_: Op = Op::Trans;
 
     #[test]
     fn nn_direct_small() {
-        let cfg = cfg_base();
-        run::<F32x4>(&cfg, Op::NoTrans, Op::NoTrans, 23, 29, 17, 1.0, 1.0);
-        run::<F64x2>(&cfg, Op::NoTrans, Op::NoTrans, 23, 29, 17, 1.0, 1.0);
+        on_every_set(|s, run| {
+            let cfg = GemmConfig {
+                cache: crate::cache::CacheParams::fallback(),
+                ..s.cfg
+            };
+            run(&cfg, N, N, 3 * s.mr + 2, 2 * s.nr + 5, 17, 1.0, 1.0);
+        });
     }
 
     #[test]
     fn nn_all_packing_plans() {
-        for packing in [
-            PackingPolicy::Auto,
-            PackingPolicy::AlwaysFused,
-            PackingPolicy::AlwaysSequential,
-            PackingPolicy::Never,
-        ] {
-            let cfg = GemmConfig {
-                packing,
-                ..cfg_small_l1()
-            };
-            run::<F32x4>(&cfg, Op::NoTrans, Op::NoTrans, 40, 40, 40, 1.0, 1.0);
-            run::<F64x2>(&cfg, Op::NoTrans, Op::NoTrans, 40, 40, 40, 1.0, 1.0);
-        }
+        on_every_set(|s, run| {
+            for packing in [
+                PackingPolicy::Auto,
+                PackingPolicy::AlwaysFused,
+                PackingPolicy::AlwaysSequential,
+                PackingPolicy::Never,
+            ] {
+                let cfg = GemmConfig { packing, ..s.cfg };
+                run(&cfg, N, N, 5 * s.mr + 5, 3 * s.nr + 4, 40, 1.0, 1.0);
+            }
+        });
     }
 
     #[test]
     fn nn_lookahead_path_irregular() {
-        // Irregular shape (n >> m) with small L1 triggers FusedLookahead.
-        let cfg = cfg_small_l1();
-        assert_eq!(
-            resolve_nn_plan(&cfg, 16, 2048, 64, 4),
-            BPlan::FusedLookahead
-        );
-        run::<F32x4>(&cfg, Op::NoTrans, Op::NoTrans, 16, 2048, 64, 1.0, 1.0);
-        run::<F64x2>(&cfg, Op::NoTrans, Op::NoTrans, 16, 2048, 64, 1.0, 1.0);
+        // Irregular shape (n >> m) with small L1 triggers FusedLookahead:
+        // the fused-pack kernel with look-ahead on panel 0, the streamed
+        // kernel on the rest, at every set's tile.
+        on_every_set(|s, run| {
+            let m = 2 * s.mr + 2;
+            assert_eq!(
+                resolve_nn_plan(&s.cfg, m, 2048, 64, 4),
+                BPlan::FusedLookahead
+            );
+            run(&s.cfg, N, N, m, 2048, 64, 1.0, 1.0);
+        });
     }
 
     #[test]
     fn nt_fused_and_sequential() {
-        for packing in [PackingPolicy::Auto, PackingPolicy::AlwaysSequential] {
-            let cfg = GemmConfig {
-                packing,
-                ..cfg_small_l1()
-            };
-            run::<F32x4>(&cfg, Op::NoTrans, Op::Trans, 33, 45, 27, 1.0, 1.0);
-            run::<F64x2>(&cfg, Op::NoTrans, Op::Trans, 33, 45, 27, 1.0, 1.0);
-        }
+        on_every_set(|s, run| {
+            for packing in [PackingPolicy::Auto, PackingPolicy::AlwaysSequential] {
+                let cfg = GemmConfig { packing, ..s.cfg };
+                run(&cfg, N, T_, 4 * s.mr + 5, 3 * s.nr + 9, 27, 1.0, 1.0);
+            }
+        });
     }
 
     #[test]
     fn tn_and_tt_modes() {
-        let cfg = cfg_small_l1();
-        run::<F32x4>(&cfg, Op::Trans, Op::NoTrans, 31, 26, 19, 1.0, 1.0);
-        run::<F32x4>(&cfg, Op::Trans, Op::Trans, 31, 26, 19, 1.0, 1.0);
-        run::<F64x2>(&cfg, Op::Trans, Op::NoTrans, 31, 26, 19, 1.0, 1.0);
-        run::<F64x2>(&cfg, Op::Trans, Op::Trans, 31, 26, 19, 1.0, 1.0);
+        on_every_set(|s, run| {
+            run(&s.cfg, T_, N, 4 * s.mr + 3, 2 * s.nr + 2, 19, 1.0, 1.0);
+            run(&s.cfg, T_, T_, 4 * s.mr + 3, 2 * s.nr + 2, 19, 1.0, 1.0);
+        });
     }
 
     #[test]
     fn edge_heavy_shapes() {
-        let cfg = cfg_small_l1();
-        // Shapes deliberately not multiples of (7, 12): every edge path.
-        for &(m, n, k) in &[(1, 1, 1), (7, 12, 4), (8, 13, 5), (6, 11, 3), (15, 25, 9)] {
-            run::<F32x4>(&cfg, Op::NoTrans, Op::NoTrans, m, n, k, 1.0, 1.0);
-            run::<F32x4>(&cfg, Op::NoTrans, Op::Trans, m, n, k, 1.0, 1.0);
-        }
+        // Shapes deliberately around, not on, the set's tile: every edge
+        // path, remainder rows and remainder columns.
+        on_every_set(|s, run| {
+            let (mr, nr) = (s.mr, s.nr);
+            for (m, n, k) in [
+                (1, 1, 1),
+                (mr, nr, 4),
+                (mr + 1, nr + 1, 5),
+                (mr - 1, nr - 1, 3),
+                (2 * mr + 1, 2 * nr + 1, 9),
+            ] {
+                run(&s.cfg, N, N, m, n, k, 1.0, 1.0);
+                run(&s.cfg, N, T_, m, n, k, 1.0, 1.0);
+            }
+        });
     }
 
     #[test]
     fn alpha_beta_matrix_of_cases() {
-        let cfg = cfg_small_l1();
-        for &(al, be) in &[(0.0, 0.0), (0.0, 2.0), (2.0, 0.0), (-1.5, 0.5)] {
-            run::<F32x4>(&cfg, Op::NoTrans, Op::NoTrans, 20, 30, 25, al, be);
-            run::<F64x2>(
-                &cfg,
-                Op::NoTrans,
-                Op::Trans,
-                20,
-                30,
-                25,
-                al as f64,
-                be as f64,
-            );
-        }
+        on_every_set(|s, run| {
+            for (al, be) in [(0.0, 0.0), (0.0, 2.0), (2.0, 0.0), (-1.5, 0.5)] {
+                run(&s.cfg, N, N, 2 * s.mr + 6, 2 * s.nr + 6, 25, al, be);
+                run(&s.cfg, N, T_, 2 * s.mr + 6, 2 * s.nr + 6, 25, al, be);
+            }
+        });
     }
 
     #[test]
     fn batched_edge_schedule_works_end_to_end() {
-        let cfg = GemmConfig {
-            edge: EdgeSchedule::Batched,
-            ..cfg_small_l1()
-        };
-        run::<F32x4>(&cfg, Op::NoTrans, Op::NoTrans, 9, 14, 11, 1.0, 1.0);
+        on_every_set(|s, run| {
+            let cfg = GemmConfig {
+                edge: EdgeSchedule::Batched,
+                ..s.cfg
+            };
+            run(&cfg, N, N, s.mr + 2, s.nr + 2, 11, 1.0, 1.0);
+        });
     }
 
     #[test]
     fn multiple_cache_blocks() {
         // Force several (jj, ii, kk) iterations with the tiny cache.
-        let cfg = cfg_small_l1();
-        run::<F32x4>(&cfg, Op::NoTrans, Op::NoTrans, 150, 170, 130, 1.0, 1.0);
-        run::<F32x4>(&cfg, Op::NoTrans, Op::Trans, 150, 170, 130, 1.0, 1.0);
-        run::<F64x2>(&cfg, Op::Trans, Op::NoTrans, 90, 110, 70, 1.0, 1.0);
+        on_every_set(|s, run| {
+            run(&s.cfg, N, N, 150, 170, 130, 1.0, 1.0);
+            run(&s.cfg, N, T_, 150, 170, 130, 1.0, 1.0);
+            run(&s.cfg, T_, N, 90, 110, 70, 1.0, 1.0);
+        });
     }
 
     #[test]
     fn degenerate_dims() {
-        let cfg = cfg_base();
-        run::<F32x4>(&cfg, Op::NoTrans, Op::NoTrans, 0, 5, 3, 1.0, 1.0);
-        run::<F32x4>(&cfg, Op::NoTrans, Op::NoTrans, 5, 0, 3, 1.0, 1.0);
-        run::<F32x4>(&cfg, Op::NoTrans, Op::NoTrans, 5, 5, 0, 1.0, 0.5);
+        on_every_set(|s, run| {
+            run(&s.cfg, N, N, 0, 5, 3, 1.0, 1.0);
+            run(&s.cfg, N, N, 5, 0, 3, 1.0, 1.0);
+            run(&s.cfg, N, N, 5, 5, 0, 1.0, 0.5);
+        });
     }
 
     #[test]
     fn fused_plan_with_fewer_rows_than_mr() {
-        // B larger than the tiny L1 forces Fused, but mcur < 7 takes the
+        // B larger than the tiny L1 forces Fused, but mcur < mr takes the
         // pack-copy + edge-kernel fallback inside the fused branch.
-        let cfg = cfg_small_l1();
-        assert_eq!(resolve_nn_plan(&cfg, 5, 40, 40, 4), BPlan::Fused);
-        run::<F32x4>(&cfg, Op::NoTrans, Op::NoTrans, 5, 40, 40, 1.0, 1.0);
-        run::<F64x2>(&cfg, Op::NoTrans, Op::NoTrans, 3, 40, 40, 1.0, 1.0);
+        on_every_set(|s, run| {
+            let m = s.mr - 2;
+            assert_eq!(resolve_nn_plan(&s.cfg, m, 40, 40, 4), BPlan::Fused);
+            run(&s.cfg, N, N, m, 40, 40, 1.0, 1.0);
+        });
     }
 
     #[test]
     fn lookahead_plan_with_fewer_rows_than_mr() {
-        // Irregular shape and m < 7: the double-buffered t=1 path must
-        // fall back per panel without corrupting its buffer rotation.
-        let cfg = cfg_small_l1();
-        assert_eq!(resolve_nn_plan(&cfg, 5, 2048, 48, 4), BPlan::FusedLookahead);
-        run::<F32x4>(&cfg, Op::NoTrans, Op::NoTrans, 5, 2048, 48, 1.0, 1.0);
-        run::<F64x2>(&cfg, Op::NoTrans, Op::NoTrans, 5, 2048, 48, 1.0, 1.0);
+        // Irregular shape and m < mr: the double-buffered t=1 path must
+        // fall back per panel without corrupting its buffer rotation —
+        // also when only the last `ii` block is short.
+        on_every_set(|s, run| {
+            let m = s.mr - 2;
+            assert_eq!(
+                resolve_nn_plan(&s.cfg, m, 2048, 48, 4),
+                BPlan::FusedLookahead
+            );
+            run(&s.cfg, N, N, m, 2048, 48, 1.0, 1.0);
+            let bs = crate::plan::serial_plan::<f32>(&s.cfg, N, N, 4096, 2048, 48).bs;
+            run(&s.cfg, N, N, bs.mc + m, 2048, 48, 1.0, 1.0);
+        });
     }
 
     #[test]
     fn nan_in_a_propagates_not_hides() {
         // A library must not mask non-finite inputs: a NaN in A must
-        // reach every C element its row influences.
-        let cfg = cfg_base();
-        let mut a = Matrix::<f32>::random(10, 6, 1);
-        a.set(3, 2, f32::NAN);
-        let b = Matrix::<f32>::random(6, 14, 2);
-        let mut c = Matrix::<f32>::zeros(10, 14);
-        let mut ws = Workspace::new();
-        // SAFETY: a (10x6), b (6x14) and c (10x14) are owned matrices.
-        unsafe {
-            gemm_serial::<F32x4>(
-                &cfg,
-                Op::NoTrans,
-                Op::NoTrans,
-                10,
-                14,
-                6,
-                1.0,
-                a.as_slice().as_ptr(),
-                a.ld(),
-                b.as_slice().as_ptr(),
-                b.ld(),
-                0.0,
-                c.as_mut().as_mut_ptr(),
-                c.ld(),
-                &mut ws,
-                None,
-            );
-        }
-        for j in 0..14 {
-            assert!(c.at(3, j).is_nan(), "row 3 col {j} must be NaN");
-        }
-        for i in [0usize, 1, 2, 4, 9] {
-            for j in 0..14 {
-                assert!(c.at(i, j).is_finite(), "row {i} must stay finite");
+        // reach every C element its row influences, and no other.
+        for (s, _) in set_cases() {
+            let (m, n) = (s.mr + 3, s.nr + 2);
+            let mut a = Matrix::<f32>::random(m, 6, 1);
+            a.set(3, 2, f32::NAN);
+            let b = Matrix::<f32>::random(6, n, 2);
+            let mut c = Matrix::<f32>::zeros(m, n);
+            let mut ws = Workspace::new();
+            // SAFETY: a (m x 6), b (6 x n) and c (m x n) are owned matrices.
+            unsafe {
+                gemm_serial::<f32>(
+                    &s.cfg,
+                    N,
+                    N,
+                    m,
+                    n,
+                    6,
+                    1.0,
+                    a.as_slice().as_ptr(),
+                    a.ld(),
+                    b.as_slice().as_ptr(),
+                    b.ld(),
+                    0.0,
+                    c.as_mut().as_mut_ptr(),
+                    c.ld(),
+                    &mut ws,
+                    None,
+                );
+            }
+            for i in 0..m {
+                for j in 0..n {
+                    assert_eq!(c.at(i, j).is_nan(), i == 3, "({i},{j}) at mr {}", s.mr);
+                }
             }
         }
     }
@@ -1014,106 +985,36 @@ mod tests {
     #[test]
     fn huge_leading_dimensions() {
         // ld far larger than cols (views into wide parent buffers).
-        let cfg = cfg_small_l1();
-        let a = Matrix::<f32>::random_with_ld(9, 11, 300, 4);
-        let b = Matrix::<f32>::random_with_ld(11, 13, 257, 5);
-        let mut c = Matrix::<f32>::random_with_ld(9, 13, 301, 6);
-        let mut want = c.clone();
-        reference::gemm(
-            Op::NoTrans,
-            Op::NoTrans,
-            1.0,
-            a.as_ref(),
-            b.as_ref(),
-            1.0,
-            want.as_mut(),
-        );
-        let mut ws = Workspace::new();
-        // SAFETY: matrices allocated with oversized leading dimensions.
-        unsafe {
-            gemm_serial::<F32x4>(
-                &cfg,
-                Op::NoTrans,
-                Op::NoTrans,
-                9,
-                13,
-                11,
-                1.0,
-                a.as_slice().as_ptr(),
-                a.ld(),
-                b.as_slice().as_ptr(),
-                b.ld(),
-                1.0,
-                c.as_mut().as_mut_ptr(),
-                c.ld(),
-                &mut ws,
-                None,
-            );
-        }
-        assert_close(c.as_ref(), want.as_ref(), gemm_tolerance::<f32>(11, 2.0));
-    }
-
-    #[test]
-    fn wide_route_matches_reference_over_edge_lattice() {
-        let Some(fam) = shalom_kernels::selected_wide_family() else {
-            return; // 128-bit-only host: the route is untaken by construction.
-        };
-        let cfg = GemmConfig::with_threads(1);
-        let (mr, nr) = (fam.k_f32.mr, fam.k_f32.nr);
-        for &(m, n) in &[(mr, nr), (mr + 1, nr + 3), (2 * mr + 3, 2 * nr + 5)] {
-            for &k in &[1usize, 7, 70] {
-                run::<F32x4>(&cfg, Op::NoTrans, Op::NoTrans, m, n, k, 1.0, 1.0);
-                run::<F32x4>(&cfg, Op::NoTrans, Op::NoTrans, m, n, k, -1.5, 0.5);
+        for (s, _) in set_cases() {
+            let (m, n) = (s.mr + 2, s.nr + 1);
+            let a = Matrix::<f32>::random_with_ld(m, 11, 300, 4);
+            let b = Matrix::<f32>::random_with_ld(11, n, 257, 5);
+            let mut c = Matrix::<f32>::random_with_ld(m, n, 301, 6);
+            let mut want = c.clone();
+            reference::gemm(N, N, 1.0, a.as_ref(), b.as_ref(), 1.0, want.as_mut());
+            let mut ws = Workspace::new();
+            // SAFETY: matrices allocated with oversized leading dimensions.
+            unsafe {
+                gemm_serial::<f32>(
+                    &s.cfg,
+                    N,
+                    N,
+                    m,
+                    n,
+                    11,
+                    1.0,
+                    a.as_slice().as_ptr(),
+                    a.ld(),
+                    b.as_slice().as_ptr(),
+                    b.ld(),
+                    1.0,
+                    c.as_mut().as_mut_ptr(),
+                    c.ld(),
+                    &mut ws,
+                    None,
+                );
             }
-        }
-        let (mr, nr) = (fam.k_f64.mr, fam.k_f64.nr);
-        for &k in &[1usize, 33] {
-            run::<F64x2>(
-                &cfg,
-                Op::NoTrans,
-                Op::NoTrans,
-                2 * mr + 1,
-                2 * nr + 3,
-                k,
-                1.0,
-                1.0,
-            );
-        }
-    }
-
-    #[test]
-    fn wide_route_spans_multiple_kc_blocks() {
-        if shalom_kernels::selected_wide_family().is_none() {
-            return;
-        }
-        // The tiny cache geometry keeps kc well below k, so the family
-        // route must iterate several packed B panels with beta folded
-        // into the first panel only.
-        let cfg = GemmConfig {
-            cache: crate::cache::CacheParams {
-                l1: 256,
-                l2: 4 * 1024,
-                l3: 64 * 1024,
-            },
-            ..GemmConfig::with_threads(1)
-        };
-        run::<F32x4>(&cfg, Op::NoTrans, Op::NoTrans, 96, 96, 200, 1.0, 1.0);
-        run::<F32x4>(&cfg, Op::NoTrans, Op::NoTrans, 96, 96, 200, -1.5, 0.5);
-        run::<F64x2>(&cfg, Op::NoTrans, Op::NoTrans, 64, 64, 150, 1.0, 1.0);
-    }
-
-    #[test]
-    fn wide_and_base_routes_agree_on_the_same_problem() {
-        if shalom_kernels::selected_wide_family().is_none() {
-            return;
-        }
-        // Both substrates target the same exactly-rounded contract per
-        // fused multiply-add, so they agree to the shared tolerance.
-        let auto = GemmConfig::with_threads(1);
-        let base = cfg_base();
-        for cfg in [&auto, &base] {
-            run::<F32x4>(cfg, Op::NoTrans, Op::NoTrans, 80, 80, 80, 1.0, 1.0);
-            run::<F64x2>(cfg, Op::NoTrans, Op::NoTrans, 80, 80, 80, 2.0, 0.0);
+            assert_close(c.as_ref(), want.as_ref(), gemm_tolerance::<f32>(11, 2.0));
         }
     }
 }

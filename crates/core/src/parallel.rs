@@ -8,8 +8,9 @@
 //! evenly; we evaluate Eq. 3 at the divisors bracketing `Tn*` and keep
 //! the better one (the paper's up-bound alone degenerates to `1 x T`
 //! slabs for prime `T` on row-heavy shapes). Block boundaries are
-//! rounded to `mr` / `nr` multiples so the partition itself creates no
-//! new edge cases (the §3.2 third missed opportunity).
+//! rounded to multiples of the dispatched kernel set's `mr` / `nr` so the
+//! partition itself creates no new edge cases (the §3.2 third missed
+//! opportunity), and every worker is pinned to that same set.
 //!
 //! The grid is dispatched through `pool.rs` by default: the §3.1
 //! argument is that fixed per-call overheads dominate small GEMM, and
@@ -21,7 +22,7 @@ use crate::capture;
 use crate::config::{GemmConfig, Runtime};
 use crate::driver::{gemm_serial, with_workspace, Workspace};
 use crate::pool;
-use shalom_kernels::{Vector, MR, NR_VECS};
+use shalom_kernels::{kernels_for, FamilyElem};
 use shalom_matrix::Op;
 
 /// The thread grid for a `m x n` output with `t` workers: `(tm, tn)`
@@ -129,26 +130,26 @@ unsafe impl<T> Sync for SendConstPtr<T> {}
 /// # Safety
 /// As [`gemm_serial`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn gemm_parallel<V: Vector>(
+pub(crate) unsafe fn gemm_parallel<T: FamilyElem>(
     cfg: &GemmConfig,
     op_a: Op,
     op_b: Op,
     m: usize,
     n: usize,
     k: usize,
-    alpha: V::Elem,
-    a: *const V::Elem,
+    alpha: T,
+    a: *const T,
     lda: usize,
-    b: *const V::Elem,
+    b: *const T,
     ldb: usize,
-    beta: V::Elem,
-    c: *mut V::Elem,
+    beta: T,
+    c: *mut T,
     ldc: usize,
 ) {
     let t = cfg.resolved_threads().max(1);
     if t == 1 || m == 0 || n == 0 || pool::in_pool_context() {
         with_workspace(|ws| {
-            gemm_serial::<V>(
+            gemm_serial::<T>(
                 cfg, op_a, op_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, ws, None,
             )
         });
@@ -170,24 +171,26 @@ pub(crate) unsafe fn gemm_parallel<V: Vector>(
         m,
         n,
         k,
-        core::mem::size_of::<V::Elem>(),
+        core::mem::size_of::<T>(),
     );
     let workers = call.workers();
-    let (tm, tn, plan_src) = crate::plan::parallel_grid::<V>(cfg, op_a, op_b, m, n, k, t);
-    let nr = NR_VECS * V::LANES;
+    let (tm, tn, plan_src) = crate::plan::parallel_grid::<T>(cfg, op_a, op_b, m, n, k, t);
+    // The kernel set the *whole* problem resolves to: its tile is the
+    // partition quantum, and workers are pinned to it below.
+    let isa = crate::plan::effective_isa::<T>(cfg, m, n);
+    let ks = kernels_for::<T>(isa);
+    let (mr, nr) = (ks.mr, ks.nr);
     let ap = SendConstPtr(a);
     let bp = SendConstPtr(b);
     let cp = SendPtr(c);
 
     // One `(ri, rl) x (ci, cl)` sub-block on the given workspace; shared
-    // by both runtimes. Workers get the ISA the *whole* problem resolved
-    // to, pinned via `Force` (which skips the tile-size gate): a
-    // sub-block smaller than the wide family's register tile must not
-    // silently drop to the 128-bit route, or threaded results would stop
-    // being bitwise equal to serial ones.
+    // by both runtimes. Workers get the parent's set, pinned via `Force`
+    // (which skips the size rule): a sub-block smaller than a wide
+    // register tile must not silently change set, or threaded results
+    // would stop being bitwise equal to serial ones.
     let mut cfg_copy = *cfg;
-    cfg_copy.isa =
-        crate::config::IsaPolicy::Force(crate::plan::effective_isa::<V>(cfg, op_a, op_b, m, n));
+    cfg_copy.isa = crate::config::IsaPolicy::Force(isa);
     let tile = move |idx: usize, ri: usize, rl: usize, ci: usize, cl: usize, ws: &mut Workspace| {
         // Rebind the wrapper structs whole: disjoint closure capture
         // would otherwise capture the raw-pointer *fields*, which are
@@ -209,7 +212,7 @@ pub(crate) unsafe fn gemm_parallel<V: Vector>(
         // the views validated by the caller; sub-blocks are disjoint in C
         // (SHALOM-D-SEND).
         unsafe {
-            gemm_serial::<V>(
+            gemm_serial::<T>(
                 &cfg_copy,
                 op_a,
                 op_b,
@@ -236,7 +239,7 @@ pub(crate) unsafe fn gemm_parallel<V: Vector>(
             // Task index -> grid cell, chunk geometry computed on the
             // fly: the steady-state path allocates nothing.
             let job = |idx: usize, ws: &mut Workspace| {
-                let (ri, rl) = quantized_chunk(m, tm, MR, idx / tn);
+                let (ri, rl) = quantized_chunk(m, tm, mr, idx / tn);
                 let (ci, cl) = quantized_chunk(n, tn, nr, idx % tn);
                 if rl == 0 || cl == 0 {
                     return;
@@ -246,7 +249,7 @@ pub(crate) unsafe fn gemm_parallel<V: Vector>(
             pool::run(t, tm * tn, &job);
         }
         Runtime::ScopedSpawn => {
-            let rows = quantized_chunks(m, tm, MR);
+            let rows = quantized_chunks(m, tm, mr);
             let cols = quantized_chunks(n, tn, nr);
             let tile = &tile;
             std::thread::scope(|scope| {
@@ -266,7 +269,7 @@ pub(crate) unsafe fn gemm_parallel<V: Vector>(
         }
     }
 
-    capture::parallel_end(call, tm, tn, t, plan_src, MR, nr);
+    capture::parallel_end(call, tm, tn, t, plan_src, mr, nr);
 }
 
 #[cfg(test)]
@@ -412,5 +415,34 @@ mod tests {
                 assert_eq!(l0 % 12, 0);
             }
         }
+    }
+
+    #[test]
+    fn chunks_are_whole_tiles_of_every_registered_set() {
+        // The partition quantum is the dispatched set's tile: every chunk
+        // but the last nonempty one is a whole number of tiles, at every
+        // registered set, so only the global tail is ever ragged.
+        for fam in shalom_kernels::registered_families() {
+            for q in [fam.k_f32.mr, fam.k_f32.nr, fam.k_f64.mr, fam.k_f64.nr] {
+                for len in [1usize, 25, 100, 512, 4096] {
+                    for parts in 1..=5 {
+                        let chunks = quantized_chunks(len, parts, q);
+                        let last = chunks.iter().rposition(|&(_, l)| l > 0);
+                        for (p, &(start, l)) in chunks.iter().enumerate() {
+                            assert!(l == 0 || start % q == 0);
+                            if Some(p) != last {
+                                assert_eq!(l % q, 0, "len {len} parts {parts} q {q}: {chunks:?}");
+                            }
+                        }
+                        assert_eq!(chunks.iter().map(|c| c.1).sum::<usize>(), len);
+                    }
+                }
+            }
+        }
+        // `irregular_mt`'s 512x25 cell on two threads: 259 + 253 rows at the
+        // 7-row quantum is a ragged 15-row tile on each worker; the
+        // dispatched tile gives one ragged tile in all.
+        assert_eq!(quantized_chunks(512, 2, 7), vec![(0, 259), (259, 253)]);
+        assert_eq!(quantized_chunks(512, 2, 15), vec![(0, 270), (270, 242)]);
     }
 }

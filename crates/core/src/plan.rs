@@ -37,7 +37,7 @@ use crate::config::{classify, EdgeSchedule, GemmConfig, ShapeClass};
 use crate::driver::{resolve_nn_plan, resolve_nt_plan, BPlan};
 use crate::parallel::partition_threads;
 use crate::sync::{AtomicBool, Ordering};
-use shalom_kernels::{family_for, FamilyElem, Vector, MR, NR_VECS};
+use shalom_kernels::{family_for, kernels_for, FamilyElem};
 use shalom_matrix::Op;
 use shalom_plans::{profile, CacheStats, PlanCache, PlanKey, ProfileError, ResolvedPlan, Source};
 use shalom_simd::caps::{self, Isa};
@@ -75,9 +75,8 @@ pub(crate) struct SerialPlan {
     pub(crate) b_plan: BPlan,
     pub(crate) edge: EdgeSchedule,
     pub(crate) bs: BlockSizes,
-    /// Effective ISA the call dispatches to: a wide level routes the
-    /// driver to the runtime-registered kernel family, anything else runs
-    /// the 128-bit substrate.
+    /// Effective ISA the call dispatches to: names the kernel set
+    /// (`shalom_kernels::kernels_for`) the driver runs over.
     pub(crate) isa: Isa,
     /// Where the plan came from; read only by the capture layer.
     #[allow(dead_code)]
@@ -192,37 +191,32 @@ fn decode_edge(code: u8) -> EdgeSchedule {
     }
 }
 
-/// The ISA level this call actually dispatches to — a pure function of
-/// the configuration, ops and shape, computed identically wherever a
-/// plan is keyed, resolved, or decoded:
+/// The ISA level — equivalently, the kernel set — this call dispatches
+/// to: a pure function of the configuration and the shape, computed
+/// identically wherever a plan is keyed, resolved, or decoded, and the
+/// same for every `(op_a, op_b)` (the one driver runs every mode at every
+/// width):
 ///
 /// * the requested level must be wide and its kernel family registered
 ///   (the runtime probe passed on this host);
-/// * the wide families implement the NN mode — T modes stay on the
-///   128-bit substrate's transpose-packing driver;
 /// * under [`IsaPolicy::Auto`], the problem must fill at least one full
-///   register tile of the family's element type (smaller shapes are the
-///   128-bit edge machinery's home turf). A `Force`d executable level
-///   skips this size gate: the family driver stages sub-tile edges
-///   itself, and the parallel path relies on forcing to give every
-///   worker's sub-block the exact route the whole problem resolved to —
-///   that is what keeps threaded results bitwise equal to serial ones.
+///   register tile of the family's element type (smaller shapes keep the
+///   128-bit set, whose finer tile wastes less of a sub-tile problem). A
+///   `Force`d executable level skips this size rule, and the parallel
+///   path relies on forcing to give every worker's sub-block the set the
+///   whole problem resolved to.
 ///
 /// Everything else resolves to the compile-time base, so the key an
 /// AVX-512 host computes for a sub-tile problem equals the key a NEON
 /// host computes — and a wide host's big-shape keys can never collide
 /// with either.
-pub(crate) fn effective_isa<V: Vector>(
-    cfg: &GemmConfig,
-    op_a: Op,
-    op_b: Op,
-    m: usize,
-    n: usize,
-) -> Isa {
+///
+/// [`IsaPolicy::Auto`]: crate::config::IsaPolicy::Auto
+pub(crate) fn effective_isa<T: FamilyElem>(cfg: &GemmConfig, m: usize, n: usize) -> Isa {
     let req = cfg.requested_isa();
-    if req.is_wide() && op_a == Op::NoTrans && op_b == Op::NoTrans {
+    if req.is_wide() {
         if let Some(fam) = family_for(req) {
-            let ks = <V::Elem as FamilyElem>::kernels(fam);
+            let ks = T::kernels(fam);
             let forced = matches!(cfg.isa, crate::config::IsaPolicy::Force(_));
             if forced || (m >= ks.mr && n >= ks.nr) {
                 return req;
@@ -248,10 +242,10 @@ pub fn request_plan_key<T: GemmElem>(
     n: usize,
     k: usize,
 ) -> PlanKey {
-    key_for::<T::Vec>(cfg, op_a, op_b, m, n, k, 1)
+    key_for::<T>(cfg, op_a, op_b, m, n, k, 1)
 }
 
-fn key_for<V: Vector>(
+fn key_for<T: FamilyElem>(
     cfg: &GemmConfig,
     op_a: Op,
     op_b: Op,
@@ -261,8 +255,8 @@ fn key_for<V: Vector>(
     threads: usize,
 ) -> PlanKey {
     PlanKey {
-        elem_bits: (core::mem::size_of::<V::Elem>() * 8) as u8,
-        isa: effective_isa::<V>(cfg, op_a, op_b, m, n).code(),
+        elem_bits: (core::mem::size_of::<T>() * 8) as u8,
+        isa: effective_isa::<T>(cfg, m, n).code(),
         op_a: op_byte(op_a),
         op_b: op_byte(op_b),
         m: m as u64,
@@ -275,7 +269,9 @@ fn key_for<V: Vector>(
 
 /// Resolves the full dispatch plan from scratch — the §4/§5.5/§6 logic
 /// the cache memoizes. Pure: equal inputs always produce equal plans.
-fn compute_resolved<V: Vector>(
+/// One resolution for every kernel set: the set only supplies the tile
+/// the blocking and the workspace are measured in.
+fn compute_resolved<T: FamilyElem>(
     cfg: &GemmConfig,
     op_a: Op,
     op_b: Op,
@@ -284,47 +280,23 @@ fn compute_resolved<V: Vector>(
     k: usize,
     threads: usize,
 ) -> ResolvedPlan {
-    let elem_bytes = core::mem::size_of::<V::Elem>();
-    // Wide-family route (serial only: the parallel parent key carries the
-    // §6 grid, and each worker re-resolves its own sub-block serially).
-    // The family packs B per panel, so the encoded B plan is Sequential;
-    // blocking derives from the family's register tile, and the workspace
-    // is one packed panel plus the edge staging tiles.
-    let isa = effective_isa::<V>(cfg, op_a, op_b, m, n);
-    if threads == 1 && isa.is_wide() {
-        if let Some(fam) = family_for(isa) {
-            let ks = <V::Elem as FamilyElem>::kernels(fam);
-            let bs = BlockSizes::derive(&cfg.cache, elem_bytes, ks.nr);
-            let kc_eff = bs.kc.min(k.max(1));
-            return ResolvedPlan {
-                class: class_code(classify(m, n, k, elem_bytes, &cfg.cache)),
-                b_plan: bplan_code(BPlan::Sequential),
-                edge: edge_code(cfg.edge),
-                kc: bs.kc as u32,
-                mc: bs.mc as u32,
-                nc: bs.nc as u32,
-                tm: 1,
-                tn: 1,
-                workspace_bytes: ((kc_eff * ks.nr + ks.mr * kc_eff + ks.mr * ks.nr) * elem_bytes)
-                    as u64,
-            };
-        }
-    }
-    let nr = NR_VECS * V::LANES;
+    let elem_bytes = core::mem::size_of::<T>();
+    let ks = kernels_for::<T>(effective_isa::<T>(cfg, m, n));
     let b_plan = match op_b {
         Op::NoTrans => resolve_nn_plan(cfg, m, n, k, elem_bytes),
         Op::Trans => resolve_nt_plan(cfg),
     };
-    let bs = BlockSizes::derive(&cfg.cache, elem_bytes, nr);
+    let bs = BlockSizes::derive(&cfg.cache, elem_bytes, ks.mr, ks.nr, ks.lanes);
     let (tm, tn) = if threads > 1 {
         partition_threads(threads, m, n)
     } else {
         (1, 1)
     };
     // The serial driver's workspace demand for this signature (informational
-    // in the encoded plan; the driver re-derives it from the actual block).
+    // in the encoded plan; the driver re-derives it from the actual block):
+    // the double-buffered `Bc` panel plus the T-mode A block.
     let kc_eff = bs.kc.min(k.max(1));
-    let mc_eff = bs.mc.min(m.max(1).div_ceil(MR) * MR);
+    let mc_eff = bs.mc.min(m.max(1).div_ceil(ks.mr) * ks.mr);
     let at_elems = if op_a == Op::Trans {
         mc_eff * kc_eff
     } else {
@@ -339,7 +311,7 @@ fn compute_resolved<V: Vector>(
         nc: bs.nc as u32,
         tm: tm.min(u16::MAX as usize) as u16,
         tn: tn.min(u16::MAX as usize) as u16,
-        workspace_bytes: ((2 * kc_eff * nr + at_elems) * elem_bytes) as u64,
+        workspace_bytes: ((2 * kc_eff * ks.nr + at_elems) * elem_bytes) as u64,
     }
 }
 
@@ -349,7 +321,7 @@ fn compute_resolved<V: Vector>(
 /// single funnel, this is also the capture region that times plan
 /// resolution — hit and miss alike — into the span timeline and the
 /// call's `plan_ns`, stamped with the outcome.
-fn lookup<V: Vector>(
+fn lookup<T: FamilyElem>(
     cfg: &GemmConfig,
     op_a: Op,
     op_b: Op,
@@ -359,12 +331,12 @@ fn lookup<V: Vector>(
     threads: usize,
 ) -> (ResolvedPlan, PlanSource) {
     let tok = capture::begin(capture::Phase::PlanLookup, capture::shape(m, n, k));
-    let res = lookup_impl::<V>(cfg, op_a, op_b, m, n, k, threads);
+    let res = lookup_impl::<T>(cfg, op_a, op_b, m, n, k, threads);
     capture::plan_end(tok, res.1);
     res
 }
 
-fn lookup_impl<V: Vector>(
+fn lookup_impl<T: FamilyElem>(
     cfg: &GemmConfig,
     op_a: Op,
     op_b: Op,
@@ -375,11 +347,11 @@ fn lookup_impl<V: Vector>(
 ) -> (ResolvedPlan, PlanSource) {
     if !plan_cache_enabled() {
         return (
-            compute_resolved::<V>(cfg, op_a, op_b, m, n, k, threads),
+            compute_resolved::<T>(cfg, op_a, op_b, m, n, k, threads),
             PlanSource::Computed,
         );
     }
-    let key = key_for::<V>(cfg, op_a, op_b, m, n, k, threads);
+    let key = key_for::<T>(cfg, op_a, op_b, m, n, k, threads);
     let cache = global_cache();
     if let Some((plan, stored)) = cache.get(&key) {
         capture::note_plan_lookup(true);
@@ -390,7 +362,7 @@ fn lookup_impl<V: Vector>(
         return (plan, source);
     }
     capture::note_plan_lookup(false);
-    let plan = compute_resolved::<V>(cfg, op_a, op_b, m, n, k, threads);
+    let plan = compute_resolved::<T>(cfg, op_a, op_b, m, n, k, threads);
     capture::note_plan_evictions(cache.insert_computed(key, plan));
     (plan, PlanSource::Computed)
 }
@@ -416,7 +388,7 @@ fn decode(plan: &ResolvedPlan, source: PlanSource, isa: Isa) -> SerialPlan {
 /// it is a pure function of the same inputs as the key, so a cached (or
 /// profile-installed) plan can only ever be served at the width it was
 /// keyed under.
-pub(crate) fn serial_plan<V: Vector>(
+pub(crate) fn serial_plan<T: FamilyElem>(
     cfg: &GemmConfig,
     op_a: Op,
     op_b: Op,
@@ -424,14 +396,14 @@ pub(crate) fn serial_plan<V: Vector>(
     n: usize,
     k: usize,
 ) -> SerialPlan {
-    let (plan, source) = lookup::<V>(cfg, op_a, op_b, m, n, k, 1);
-    decode(&plan, source, effective_isa::<V>(cfg, op_a, op_b, m, n))
+    let (plan, source) = lookup::<T>(cfg, op_a, op_b, m, n, k, 1);
+    decode(&plan, source, effective_isa::<T>(cfg, m, n))
 }
 
 /// The parallel parent's §6 thread grid for the full problem, cached
 /// under the full-signature key (threads = t). Falls back to the
 /// analytic partition if a (profile-supplied) grid does not factor `t`.
-pub(crate) fn parallel_grid<V: Vector>(
+pub(crate) fn parallel_grid<T: FamilyElem>(
     cfg: &GemmConfig,
     op_a: Op,
     op_b: Op,
@@ -440,7 +412,7 @@ pub(crate) fn parallel_grid<V: Vector>(
     k: usize,
     t: usize,
 ) -> (usize, usize, PlanSource) {
-    let (plan, source) = lookup::<V>(cfg, op_a, op_b, m, n, k, t);
+    let (plan, source) = lookup::<T>(cfg, op_a, op_b, m, n, k, t);
     let (tm, tn) = (plan.tm as usize, plan.tn as usize);
     if tm * tn == t {
         (tm, tn, source)
@@ -462,7 +434,7 @@ pub fn describe_plan<T: crate::GemmElem>(
     k: usize,
 ) -> PlanDescription {
     let threads = cfg.resolved_threads().max(1);
-    let (plan, source) = lookup::<T::Vec>(cfg, op_a, op_b, m, n, k, threads);
+    let (plan, source) = lookup::<T>(cfg, op_a, op_b, m, n, k, threads);
     PlanDescription { source, plan }
 }
 
@@ -492,15 +464,15 @@ pub fn install_tuned<T: crate::GemmElem>(
         isa: base.isa,
         ..*tuned
     };
-    let plan = compute_resolved::<T::Vec>(&eff, op_a, op_b, m, n, k, threads);
-    let key = key_for::<T::Vec>(base, op_a, op_b, m, n, k, threads);
+    let plan = compute_resolved::<T>(&eff, op_a, op_b, m, n, k, threads);
+    let key = key_for::<T>(base, op_a, op_b, m, n, k, threads);
     capture::note_plan_evictions(global_cache().install(key, plan));
     // Serial calls inside the pooled/batched paths look the signature up
     // under a threads = 1 key; install the override there too so a
     // tuned single-threaded signature applies wherever it executes.
     if threads > 1 {
-        let serial_plan = compute_resolved::<T::Vec>(&eff, op_a, op_b, m, n, k, 1);
-        let serial_key = key_for::<T::Vec>(base, op_a, op_b, m, n, k, 1);
+        let serial_plan = compute_resolved::<T>(&eff, op_a, op_b, m, n, k, 1);
+        let serial_key = key_for::<T>(base, op_a, op_b, m, n, k, 1);
         capture::note_plan_evictions(global_cache().install(serial_key, serial_plan));
     }
     PlanDescription {
@@ -558,7 +530,7 @@ pub fn plan_cache_stats() -> CacheStats {
 mod tests {
     use super::*;
     use crate::config::IsaPolicy;
-    use shalom_simd::{F32x4, F64x2};
+    use shalom_kernels::registered_families;
 
     fn cfg() -> GemmConfig {
         GemmConfig {
@@ -571,21 +543,23 @@ mod tests {
         }
     }
 
-    /// `cfg()` pinned to the 128-bit substrate, for tests that assert the
-    /// classic §4/§5.5 resolution regardless of what this host probes.
-    fn cfg_base() -> GemmConfig {
+    /// `cfg()` forced to one kernel set.
+    fn cfg_at(isa: Isa) -> GemmConfig {
         GemmConfig {
-            isa: IsaPolicy::Force(caps::base_isa()),
+            isa: IsaPolicy::Force(isa),
             ..cfg()
         }
     }
 
+    const N: Op = Op::NoTrans;
+    const T: Op = Op::Trans;
+
     #[test]
     fn compute_resolved_is_deterministic_and_valid() {
         for (m, n, k) in [(1, 1, 1), (7, 12, 4), (64, 64, 64), (16, 2048, 64)] {
-            for op_b in [Op::NoTrans, Op::Trans] {
-                let a = compute_resolved::<F32x4>(&cfg(), Op::NoTrans, op_b, m, n, k, 4);
-                let b = compute_resolved::<F32x4>(&cfg(), Op::NoTrans, op_b, m, n, k, 4);
+            for op_b in [N, T] {
+                let a = compute_resolved::<f32>(&cfg(), N, op_b, m, n, k, 4);
+                let b = compute_resolved::<f32>(&cfg(), N, op_b, m, n, k, 4);
                 assert_eq!(a, b);
                 a.validate().unwrap();
                 assert_eq!(a.tm as usize * a.tn as usize, 4);
@@ -594,75 +568,88 @@ mod tests {
     }
 
     #[test]
-    fn encoded_plan_decodes_to_driver_resolution() {
+    fn encoded_plan_decodes_to_driver_resolution_at_every_set() {
         // The encoded b_plan/edge/blocking round-trip to exactly what
         // the driver would resolve from scratch — the bitwise-identity
-        // guarantee in miniature. Pinned to the 128-bit substrate so the
-        // expectation holds on wide hosts too (the wide branch has its
-        // own test below).
-        let c = cfg_base();
-        for (m, n, k) in [(8, 8, 8), (5, 40, 40), (16, 2048, 64), (150, 170, 130)] {
-            let rp = compute_resolved::<F64x2>(&c, Op::NoTrans, Op::NoTrans, m, n, k, 1);
-            let sp = decode(&rp, PlanSource::Computed, caps::base_isa());
-            assert_eq!(sp.b_plan, resolve_nn_plan(&c, m, n, k, 8));
-            assert_eq!(sp.edge, c.edge);
-            assert_eq!(sp.bs, BlockSizes::derive(&c.cache, 8, 6));
+        // guarantee in miniature — and the workspace is one formula.
+        for fam in registered_families() {
+            let c = cfg_at(fam.isa);
+            let ks = &fam.k_f64;
+            for (m, n, k) in [(8, 8, 8), (5, 40, 40), (16, 2048, 64), (150, 170, 130)] {
+                for (op_a, op_b) in [(N, N), (N, T), (T, N), (T, T)] {
+                    let rp = compute_resolved::<f64>(&c, op_a, op_b, m, n, k, 1);
+                    rp.validate().unwrap();
+                    let sp = decode(&rp, PlanSource::Computed, fam.isa);
+                    let want = match op_b {
+                        Op::NoTrans => resolve_nn_plan(&c, m, n, k, 8),
+                        Op::Trans => resolve_nt_plan(&c),
+                    };
+                    assert_eq!(sp.b_plan, want);
+                    assert_eq!(sp.edge, c.edge);
+                    let bs = BlockSizes::derive(&c.cache, 8, ks.mr, ks.nr, ks.lanes);
+                    assert_eq!(sp.bs, bs);
+                    assert_eq!((rp.tm, rp.tn), (1, 1));
+                    let kc_eff = bs.kc.min(k);
+                    let at_elems = if op_a == T {
+                        bs.mc.min(m.div_ceil(ks.mr) * ks.mr) * kc_eff
+                    } else {
+                        0
+                    };
+                    assert_eq!(
+                        rp.workspace_bytes,
+                        ((2 * kc_eff * ks.nr + at_elems) * 8) as u64
+                    );
+                }
+            }
         }
     }
 
     #[test]
-    fn effective_isa_is_shape_and_op_gated() {
+    fn effective_isa_is_shape_gated_only() {
         let auto = cfg();
-        // T modes never go wide: the families implement the NN driver.
-        assert!(!effective_isa::<F32x4>(&auto, Op::Trans, Op::NoTrans, 640, 640).is_wide());
-        assert!(!effective_isa::<F32x4>(&auto, Op::NoTrans, Op::Trans, 640, 640).is_wide());
-        // Sub-tile shapes stay on the 128-bit edge machinery.
-        assert!(!effective_isa::<F32x4>(&auto, Op::NoTrans, Op::NoTrans, 1, 1).is_wide());
+        // Sub-tile shapes keep the 128-bit set.
+        assert!(!effective_isa::<f32>(&auto, 1, 1).is_wide());
         // Forcing the base pins the base no matter the shape.
         assert_eq!(
-            effective_isa::<F32x4>(&cfg_base(), Op::NoTrans, Op::NoTrans, 640, 640),
+            effective_isa::<f32>(&cfg_at(caps::base_isa()), 640, 640),
             caps::base_isa()
         );
+        // Whatever it resolves to has a registered family.
+        for (m, n) in [(1, 1), (8, 8), (640, 640)] {
+            assert!(family_for(effective_isa::<f64>(&auto, m, n)).is_some());
+        }
         if let Some(fam) = shalom_kernels::selected_wide_family() {
             // At exactly one full tile the wide family takes over, per
-            // element type's own tile.
+            // element type's own tile — whatever the ops (the key carries
+            // them separately).
             assert_eq!(
-                effective_isa::<F32x4>(&auto, Op::NoTrans, Op::NoTrans, fam.k_f32.mr, fam.k_f32.nr),
+                effective_isa::<f32>(&auto, fam.k_f32.mr, fam.k_f32.nr),
                 fam.isa
             );
             assert_eq!(
-                effective_isa::<F64x2>(&auto, Op::NoTrans, Op::NoTrans, fam.k_f64.mr, fam.k_f64.nr),
+                effective_isa::<f64>(&auto, fam.k_f64.mr, fam.k_f64.nr),
                 fam.isa
             );
-            assert!(!effective_isa::<F32x4>(
-                &auto,
-                Op::NoTrans,
-                Op::NoTrans,
-                fam.k_f32.mr - 1,
-                fam.k_f32.nr
-            )
-            .is_wide());
-            // Forcing an executable wide level skips the size gate: the
-            // family stages sub-tile edges itself, and the parallel path
-            // pins workers this way to keep threaded results bitwise
-            // equal to serial ones.
-            let forced = GemmConfig {
-                isa: crate::config::IsaPolicy::Force(fam.isa),
-                ..cfg()
-            };
-            assert_eq!(
-                effective_isa::<F32x4>(&forced, Op::NoTrans, Op::NoTrans, 1, 1),
-                fam.isa
-            );
+            assert!(!effective_isa::<f32>(&auto, fam.k_f32.mr - 1, fam.k_f32.nr).is_wide());
+            for (op_a, op_b) in [(N, T), (T, N), (T, T)] {
+                assert_eq!(
+                    key_for::<f32>(&auto, op_a, op_b, 640, 640, 64, 1).isa,
+                    fam.isa.code()
+                );
+            }
+            // Forcing an executable wide level skips the size rule: the
+            // parallel path pins workers this way to keep threaded
+            // results bitwise equal to serial ones.
+            assert_eq!(effective_isa::<f32>(&cfg_at(fam.isa), 1, 1), fam.isa);
         }
     }
 
     #[test]
     fn wide_plan_encodes_family_blocking_and_keys_never_collide() {
         let auto = cfg();
-        let based = cfg_base();
-        let k_auto = key_for::<F32x4>(&auto, Op::NoTrans, Op::NoTrans, 64, 64, 64, 1);
-        let k_base = key_for::<F32x4>(&based, Op::NoTrans, Op::NoTrans, 64, 64, 64, 1);
+        let based = cfg_at(caps::base_isa());
+        let k_auto = key_for::<f32>(&auto, N, N, 64, 64, 64, 1);
+        let k_base = key_for::<f32>(&based, N, N, 64, 64, 64, 1);
         // The policies already fingerprint apart; on a wide host the keys
         // additionally differ in the effective-ISA field itself.
         assert_ne!(k_auto, k_base);
@@ -670,46 +657,38 @@ mod tests {
         assert!(k_auto.validate().is_ok() && k_base.validate().is_ok());
         if let Some(fam) = shalom_kernels::selected_wide_family() {
             assert_eq!(k_auto.isa, fam.isa.code());
-            let rp = compute_resolved::<F32x4>(&auto, Op::NoTrans, Op::NoTrans, 64, 64, 64, 1);
+            let rp = compute_resolved::<f32>(&auto, N, N, 64, 64, 64, 1);
             rp.validate().unwrap();
-            // Family route: per-panel sequential pack, serial grid, and
-            // blocking derived from the family's register tile.
-            assert_eq!(rp.b_plan, bplan_code(BPlan::Sequential));
-            assert_eq!((rp.tm, rp.tn), (1, 1));
-            let bs = BlockSizes::derive(&auto.cache, 4, fam.k_f32.nr);
+            // Same §4 decision as the 128-bit pin, blocking in the
+            // family's register tile.
+            assert_eq!(rp.b_plan, bplan_code(resolve_nn_plan(&auto, 64, 64, 64, 4)));
+            let ks = &fam.k_f32;
+            let bs = BlockSizes::derive(&auto.cache, 4, ks.mr, ks.nr, ks.lanes);
             assert_eq!(
                 (rp.kc as usize, rp.mc as usize, rp.nc as usize),
                 (bs.kc, bs.mc, bs.nc)
-            );
-            // Same signature, 128-bit pin: a different plan under a
-            // different key — the two can coexist in one cache.
-            let rp_base =
-                compute_resolved::<F32x4>(&based, Op::NoTrans, Op::NoTrans, 64, 64, 64, 1);
-            assert_eq!(
-                rp_base.b_plan,
-                bplan_code(resolve_nn_plan(&based, 64, 64, 64, 4))
             );
         }
     }
 
     #[test]
     fn key_distinguishes_every_signature_axis() {
-        let base = key_for::<F32x4>(&cfg(), Op::NoTrans, Op::NoTrans, 8, 9, 10, 2);
+        let base = key_for::<f32>(&cfg(), N, N, 8, 9, 10, 2);
         let variants = [
-            key_for::<F64x2>(&cfg(), Op::NoTrans, Op::NoTrans, 8, 9, 10, 2),
-            key_for::<F32x4>(&cfg(), Op::Trans, Op::NoTrans, 8, 9, 10, 2),
-            key_for::<F32x4>(&cfg(), Op::NoTrans, Op::Trans, 8, 9, 10, 2),
-            key_for::<F32x4>(&cfg(), Op::NoTrans, Op::NoTrans, 9, 9, 10, 2),
-            key_for::<F32x4>(&cfg(), Op::NoTrans, Op::NoTrans, 8, 10, 10, 2),
-            key_for::<F32x4>(&cfg(), Op::NoTrans, Op::NoTrans, 8, 9, 11, 2),
-            key_for::<F32x4>(&cfg(), Op::NoTrans, Op::NoTrans, 8, 9, 10, 3),
-            key_for::<F32x4>(
+            key_for::<f64>(&cfg(), N, N, 8, 9, 10, 2),
+            key_for::<f32>(&cfg(), T, N, 8, 9, 10, 2),
+            key_for::<f32>(&cfg(), N, T, 8, 9, 10, 2),
+            key_for::<f32>(&cfg(), N, N, 9, 9, 10, 2),
+            key_for::<f32>(&cfg(), N, N, 8, 10, 10, 2),
+            key_for::<f32>(&cfg(), N, N, 8, 9, 11, 2),
+            key_for::<f32>(&cfg(), N, N, 8, 9, 10, 3),
+            key_for::<f32>(
                 &GemmConfig {
                     edge: EdgeSchedule::Batched,
                     ..cfg()
                 },
-                Op::NoTrans,
-                Op::NoTrans,
+                N,
+                N,
                 8,
                 9,
                 10,

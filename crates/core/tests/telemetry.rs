@@ -9,9 +9,7 @@
 
 use proptest::prelude::*;
 use shalom_core::capture::{self, DecisionRecord, PathTag, PlanTag, ShapeClassTag, Sink};
-use shalom_core::{
-    gemm_batch, gemm_with, BatchItem, CacheParams, GemmConfig, IsaPolicy, Op, PackingPolicy,
-};
+use shalom_core::{gemm_batch, gemm_with, BatchItem, CacheParams, GemmConfig, Op, PackingPolicy};
 use shalom_matrix::Matrix;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -23,11 +21,10 @@ fn state_lock() -> MutexGuard<'static, ()> {
     }
 }
 
-/// Fixed cache geometry and vector width so plan resolution doesn't
-/// depend on the host: 32 KiB L1, 2 MiB LLC (the paper's Kunpeng 920
-/// per-core figures), and the 128-bit substrate the §4 packing regimes
-/// are defined on — an AVX host would otherwise route NN calls to a wide
-/// kernel family, which always packs B sequentially.
+/// Fixed cache geometry so plan resolution doesn't depend on the host:
+/// 32 KiB L1, 2 MiB LLC (the paper's Kunpeng 920 per-core figures). The
+/// ISA is left to `Auto` — the §4 packing regimes apply at every vector
+/// width, so these records describe the path production runs.
 fn fixed_config() -> GemmConfig {
     GemmConfig {
         cache: CacheParams {
@@ -36,7 +33,6 @@ fn fixed_config() -> GemmConfig {
             l3: 0,
         },
         threads: 1,
-        isa: IsaPolicy::Force(shalom_core::base_isa()),
         ..GemmConfig::default()
     }
 }
@@ -151,6 +147,49 @@ fn tn_path_packs_a() {
     assert!(r.pack_ns > 0, "TN must spend time transpose-packing A");
 }
 
+/// The tile an `Auto` f32 call of at least one wide tile dispatches on
+/// this host: the widest registered family's, or the 128-bit 7x12.
+fn dispatched_f32_tile() -> (u8, u8) {
+    shalom_kernels::selected_wide_family().map_or((7, 12), |f| (f.k_f32.mr as u8, f.k_f32.nr as u8))
+}
+
+#[test]
+fn auto_t_modes_run_the_dispatched_tile_with_pack_and_compute_spans() {
+    let _g = state_lock();
+    // The paper's contributions are on the path production runs: an
+    // `Auto` call of 32x1024x256 in a T mode dispatches the host's widest
+    // kernel set (not the 128-bit fallback), under a §4 regime, and the
+    // one driver emits its Pack/Compute spans at that width.
+    let cfg = GemmConfig::with_threads(1);
+    let spans_of = |op_a, op_b| {
+        capture::enable(Sink::Spans);
+        let recs = trace_gemm(&cfg, op_a, op_b, 32, 1024, 256);
+        capture::disable(Sink::Spans);
+        let snap = capture::span_snapshot();
+        let has = move |phase| {
+            snap.lanes
+                .iter()
+                .any(|l| l.spans.iter().any(|s| s.phase() == phase))
+        };
+        (sole_record(&recs, 32, 1024, 256), has)
+    };
+    // `trace_gemm` resets both sinks first, so enable spans around it.
+    let (r, has) = spans_of(Op::NoTrans, Op::Trans);
+    assert_eq!((r.mr, r.nr), dispatched_f32_tile());
+    assert_eq!(
+        r.plan,
+        PlanTag::FusedPack,
+        "NT keeps the fused Algorithm 3 pack"
+    );
+    assert!(has(capture::Phase::Compute));
+    // TN adds the separable transpose-pack of A.
+    let (r, has) = spans_of(Op::Trans, Op::NoTrans);
+    assert_eq!((r.mr, r.nr), dispatched_f32_tile());
+    assert_ne!(r.plan, PlanTag::SequentialPack);
+    assert!(r.pack_ns > 0);
+    assert!(has(capture::Phase::PackA) && has(capture::Phase::Compute));
+}
+
 #[test]
 fn parallel_path_reports_grid() {
     let _g = state_lock();
@@ -174,6 +213,9 @@ fn parallel_path_reports_grid() {
         .filter(|r| r.path == PathTag::ParallelWorker)
         .count();
     assert_eq!(workers, 4, "each worker emits its sub-block record");
+    // The hand-off never changes set: parent and every worker report the
+    // tile the whole problem dispatched.
+    assert!(recs.iter().all(|r| (r.mr, r.nr) == dispatched_f32_tile()));
 
     let snap = capture::record_snapshot();
     assert_eq!(snap.totals.fork_joins, 1);

@@ -7,7 +7,7 @@
 #![cfg(feature = "capture")]
 
 use shalom_core::capture::{self, Phase, Sink};
-use shalom_core::{gemm_batch, gemm_with, BatchItem, GemmConfig, IsaPolicy, Op, PackingPolicy};
+use shalom_core::{gemm_batch, gemm_with, BatchItem, GemmConfig, Op, PackingPolicy};
 use shalom_matrix::Matrix;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -97,11 +97,8 @@ fn tracing_does_not_perturb_results() {
 #[test]
 fn pooled_chrome_export_shows_worker_structure() {
     let _g = state_lock();
-    // Pinned to the 128-bit substrate: the wide kernel families run as
-    // one opaque serial span, with no pack/compute structure to export.
     let cfg = GemmConfig {
         packing: PackingPolicy::AlwaysSequential,
-        isa: IsaPolicy::Force(shalom_core::base_isa()),
         ..GemmConfig::with_threads(4)
     };
     // Untraced call first so pool spin-up stays off the timeline.

@@ -1,48 +1,45 @@
-//! Prints the dispatched wide family and a quick GFLOPS sanity figure.
+//! Prints the kernel-set table this host registers and a quick GFLOPS
+//! sanity figure for each set's f32 main kernel.
 
-use shalom_kernels::family::{self, FamilyElem};
+use shalom_kernels::registered_families;
 use std::time::Instant;
 
 fn main() {
-    let Some(fam) = family::selected_wide_family() else {
-        println!("no wide family (128-bit substrate)");
-        return;
-    };
-    println!("selected family: {}", fam.isa.label());
-    let (m, n, k) = (96, 96, 96);
-    let a = vec![1.0f32; m * k];
-    let b = vec![1.0f32; k * n];
-    let mut c = vec![0.0f32; m * n];
-    let kc = 96;
-    let (bce, ate) = family::family_workspace::<f32>(fam, kc);
-    let mut bc = vec![0.0f32; bce];
-    let mut at = vec![0.0f32; ate];
-    let reps = 20000;
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        unsafe {
-            family::family_gemm_nn::<f32>(
-                fam,
-                m,
-                n,
-                k,
-                1.0,
-                a.as_ptr(),
-                k,
-                b.as_ptr(),
-                n,
-                0.0,
-                c.as_mut_ptr(),
-                n,
-                kc,
-                bc.as_mut_ptr(),
-                at.as_mut_ptr(),
-            );
+    let kc = 256;
+    let reps = 200_000;
+    for fam in registered_families() {
+        let ks = &fam.k_f32;
+        let a = vec![1.0f32; ks.mr * kc];
+        let b = vec![1.0f32; kc * ks.nr];
+        let mut c = vec![0.0f32; ks.mr * ks.nr];
+        let t0 = Instant::now();
+        for _ in 0..reps {
+            // SAFETY: a/b/c are sized to the set's tile at tight strides,
+            // and the registry only hands out sets this host can execute.
+            unsafe {
+                (ks.kernel)(
+                    kc,
+                    1.0,
+                    a.as_ptr(),
+                    kc,
+                    b.as_ptr(),
+                    ks.nr,
+                    0.0,
+                    c.as_mut_ptr(),
+                    ks.nr,
+                );
+            }
+            std::hint::black_box(&c);
         }
+        let dt = t0.elapsed().as_secs_f64();
+        let gflops = (2 * ks.mr * ks.nr * kc * reps) as f64 / dt / 1e9;
+        println!(
+            "{:<7} f32 {:>2}x{:<2} (f64 {}x{}): main kernel {gflops:.1} GFLOPS",
+            fam.isa.label(),
+            ks.mr,
+            ks.nr,
+            fam.k_f64.mr,
+            fam.k_f64.nr,
+        );
     }
-    let dt = t0.elapsed().as_secs_f64();
-    let gflops = (2.0 * m as f64 * n as f64 * k as f64 * reps as f64) / dt / 1e9;
-    let _ = <f32 as FamilyElem>::kernels(fam);
-    println!("{}x{}x{} f32: {:.1} GFLOPS", m, n, k, gflops);
-    std::hint::black_box(&c);
 }

@@ -20,8 +20,16 @@
 //!   latency.
 //!
 //! Both compute `C[0..m, 0..n] = alpha * A*B + beta * C` for any
-//! `1 <= m <= 7`, `1 <= n <= nr`, bit-identically (same operation order
+//! `1 <= m <= mr`, `1 <= n <= nr`, bit-identically (same operation order
 //! per accumulator), differing only in schedule.
+//!
+//! Remainder columns (`n % LANES`) depend on the vector type. The 128-bit
+//! types keep the scalar tail they always had (plain `x * b + acc`). The
+//! runtime-dispatched wide types ([`Vector::WIDE`]) carry them in one
+//! partially loaded/stored vector per row, so a remainder column is
+//! rounded by the same fused lane arithmetic as every other column of the
+//! kernel set — the rounding contract the driver's bitwise guarantees
+//! rest on.
 //!
 //! shalom-analysis: deny(panic)
 
@@ -29,11 +37,26 @@ use crate::{Vector, MR, NR_VECS};
 use shalom_matrix::Scalar;
 use shalom_simd::prefetch_read;
 
-const MAX_SCALAR_COLS: usize = 3; // up to LANES-1 remainder columns (f32)
+const MAX_SCALAR_COLS: usize = 3; // up to LANES-1 remainder columns (f32x4)
+
+/// Splits an edge width into `(nv, ns)`: `nv` full vectors of columns
+/// plus `ns` remainder columns. The 128-bit types take `ns < LANES`
+/// scalar columns; the wide types always end in one partial vector of
+/// `1 <= ns <= LANES` lanes (a full-width tile is `nv = nrv - 1` plus a
+/// full-mask tail), so no kernel ever carries an idle tail accumulator.
+#[inline(always)]
+pub(crate) fn split_cols<V: Vector>(n: usize) -> (usize, usize) {
+    if V::WIDE {
+        let nv = n.saturating_sub(1) / V::LANES;
+        (nv, n - nv * V::LANES)
+    } else {
+        (n / V::LANES, n % V::LANES)
+    }
+}
 
 /// The monomorphized edge kernel body: `M` rows, `NV` full vectors of
-/// columns plus `ns < LANES` scalar remainder columns, schedule selected
-/// by `PIPE`.
+/// columns plus `ns` remainder columns (see [`split_cols`]), schedule
+/// selected by `PIPE`.
 ///
 /// # Safety
 /// * `a` valid for `M x kc` reads at stride `lda`;
@@ -44,7 +67,7 @@ const MAX_SCALAR_COLS: usize = 3; // up to LANES-1 remainder columns (f32)
 // counters bounded by those const generics.
 // ALLOC-FREE
 // CONTRACT(SHALOM-K-EDGE-PIPE, SHALOM-K-EDGE-BATCH: m = M, n = NV * V::LANES + ns)
-unsafe fn edge_body<V: Vector, const M: usize, const NV: usize, const PIPE: bool>(
+pub(crate) unsafe fn edge_body<V: Vector, const M: usize, const NV: usize, const PIPE: bool>(
     ns: usize,
     kc: usize,
     alpha: V::Elem,
@@ -56,25 +79,37 @@ unsafe fn edge_body<V: Vector, const M: usize, const NV: usize, const PIPE: bool
     c: *mut V::Elem,
     ldc: usize,
 ) {
-    debug_assert!(ns < V::LANES && ns <= MAX_SCALAR_COLS);
+    debug_assert!(if V::WIDE {
+        (1..=V::LANES).contains(&ns)
+    } else {
+        ns < V::LANES && ns <= MAX_SCALAR_COLS
+    });
     let mut acc = [[V::zero(); NV]; M];
+    // Remainder columns: a partial vector per row (wide) or scalars.
+    let mut tacc = [V::zero(); M];
     let mut sacc = [[V::Elem::ZERO; MAX_SCALAR_COLS]; M];
     if kc > 0 {
         // Prologue (pipelined): step 0's B operands.
         let mut bv = [V::zero(); NV];
+        let mut bt = V::zero();
         let mut bs = [V::Elem::ZERO; MAX_SCALAR_COLS];
         if PIPE {
             for (t, slot) in bv.iter_mut().enumerate() {
                 *slot = V::load(b.add(t * V::LANES));
             }
-            for (s, slot) in bs.iter_mut().enumerate().take(ns) {
-                *slot = *b.add(NV * V::LANES + s);
+            if V::WIDE {
+                bt = V::load_partial(b.add(NV * V::LANES), ns);
+            } else {
+                for (s, slot) in bs.iter_mut().enumerate().take(ns) {
+                    *slot = *b.add(NV * V::LANES + s);
+                }
             }
         }
         for k in 0..kc {
-            let (cur_bv, cur_bs);
+            let (cur_bv, cur_bt, cur_bs);
             if PIPE {
                 cur_bv = bv;
+                cur_bt = bt;
                 cur_bs = bs;
                 // Steady state: issue the *next* row's loads so they
                 // overlap this step's dependent FMA chain (Fig. 6b).
@@ -84,8 +119,12 @@ unsafe fn edge_body<V: Vector, const M: usize, const NV: usize, const PIPE: bool
                     for (t, slot) in bv.iter_mut().enumerate() {
                         *slot = V::load(nrow.add(t * V::LANES));
                     }
-                    for (s, slot) in bs.iter_mut().enumerate().take(ns) {
-                        *slot = *nrow.add(NV * V::LANES + s);
+                    if V::WIDE {
+                        bt = V::load_partial(nrow.add(NV * V::LANES), ns);
+                    } else {
+                        for (s, slot) in bs.iter_mut().enumerate().take(ns) {
+                            *slot = *nrow.add(NV * V::LANES + s);
+                        }
                     }
                 }
             } else {
@@ -95,11 +134,17 @@ unsafe fn edge_body<V: Vector, const M: usize, const NV: usize, const PIPE: bool
                 for (t, slot) in v.iter_mut().enumerate() {
                     *slot = V::load(brow.add(t * V::LANES));
                 }
+                let mut tv = V::zero();
                 let mut sv = [V::Elem::ZERO; MAX_SCALAR_COLS];
-                for (s, slot) in sv.iter_mut().enumerate().take(ns) {
-                    *slot = *brow.add(NV * V::LANES + s);
+                if V::WIDE {
+                    tv = V::load_partial(brow.add(NV * V::LANES), ns);
+                } else {
+                    for (s, slot) in sv.iter_mut().enumerate().take(ns) {
+                        *slot = *brow.add(NV * V::LANES + s);
+                    }
                 }
                 cur_bv = v;
+                cur_bt = tv;
                 cur_bs = sv;
             }
             if PIPE {
@@ -110,8 +155,12 @@ unsafe fn edge_body<V: Vector, const M: usize, const NV: usize, const PIPE: bool
                     for t in 0..NV {
                         acc[i][t] = acc[i][t].fma(cur_bv[t], ax);
                     }
-                    for s in 0..ns {
-                        sacc[i][s] = sacc[i][s] + x * cur_bs[s];
+                    if V::WIDE {
+                        tacc[i] = tacc[i].fma(cur_bt, ax);
+                    } else {
+                        for s in 0..ns {
+                            sacc[i][s] = sacc[i][s] + x * cur_bs[s];
+                        }
                     }
                 }
             } else {
@@ -127,22 +176,33 @@ unsafe fn edge_body<V: Vector, const M: usize, const NV: usize, const PIPE: bool
                     for t in 0..NV {
                         acc[i][t] = acc[i][t].fma(cur_bv[t], ax[i]);
                     }
-                    for s in 0..ns {
-                        sacc[i][s] = sacc[i][s] + asc[i] * cur_bs[s];
+                    if V::WIDE {
+                        tacc[i] = tacc[i].fma(cur_bt, ax[i]);
+                    } else {
+                        for s in 0..ns {
+                            sacc[i][s] = sacc[i][s] + asc[i] * cur_bs[s];
+                        }
                     }
                 }
             }
         }
     }
-    // Writeback.
+    // Writeback: the `writeback_row` epilogue per vector, the partial
+    // vector included.
     for i in 0..M {
         let crow = c.add(i * ldc);
         if beta == V::Elem::ZERO {
             for t in 0..NV {
                 acc[i][t].scale(alpha).store(crow.add(t * V::LANES));
             }
-            for s in 0..ns {
-                *crow.add(NV * V::LANES + s) = alpha * sacc[i][s];
+            if V::WIDE {
+                tacc[i]
+                    .scale(alpha)
+                    .store_partial(crow.add(NV * V::LANES), ns);
+            } else {
+                for s in 0..ns {
+                    *crow.add(NV * V::LANES + s) = alpha * sacc[i][s];
+                }
             }
         } else {
             for t in 0..NV {
@@ -152,47 +212,52 @@ unsafe fn edge_body<V: Vector, const M: usize, const NV: usize, const PIPE: bool
                     .add(cv.scale(beta))
                     .store(crow.add(t * V::LANES));
             }
-            for s in 0..ns {
-                let p = crow.add(NV * V::LANES + s);
-                *p = alpha * sacc[i][s] + beta * *p;
+            if V::WIDE {
+                let cv = V::load_partial(crow.add(NV * V::LANES), ns);
+                tacc[i]
+                    .scale(alpha)
+                    .add(cv.scale(beta))
+                    .store_partial(crow.add(NV * V::LANES), ns);
+            } else {
+                for s in 0..ns {
+                    let p = crow.add(NV * V::LANES + s);
+                    *p = alpha * sacc[i][s] + beta * *p;
+                }
             }
         }
     }
 }
 
-macro_rules! dispatch_nv {
-    ($V:ty, $PIPE:literal, $M:literal, $nv:expr, ($($a:expr),*)) => {
+/// The jump table over the monomorphized [`edge_body`] instances of one
+/// register tile: `rows` lists every row count `1..=mr`, `vecs` every
+/// full-vector count [`split_cols`] can return for `n <= nr`. Expanded
+/// once per kernel set inside that set's `#[target_feature]` entry point
+/// (`family::kernel_set!`), so every body inlines at the set's ISA.
+macro_rules! edge_dispatch {
+    ($V:ty, $PIPE:expr, [$($m:literal)+], $vecs:tt, $rows:expr, $nv:expr, $args:tt) => {
+        match $rows {
+            $($m => $crate::edge::edge_dispatch!(@nv $V, $PIPE, $m, $vecs, $nv, $args),)+
+            _ => {}
+        }
+    };
+    (@nv $V:ty, $PIPE:expr, $m:literal, [$($v:literal)+], $nv:expr, $args:tt) => {
         match $nv {
-            0 => edge_body::<$V, $M, 0, $PIPE>($($a),*),
-            1 => edge_body::<$V, $M, 1, $PIPE>($($a),*),
-            2 => edge_body::<$V, $M, 2, $PIPE>($($a),*),
-            _ => edge_body::<$V, $M, 3, $PIPE>($($a),*),
+            $($v => $crate::edge::edge_body::<$V, $m, $v, { $PIPE }> $args,)+
+            _ => {}
         }
     };
 }
-
-macro_rules! dispatch_m {
-    ($V:ty, $PIPE:literal, $m:expr, $nv:expr, $args:tt) => {
-        match $m {
-            1 => dispatch_nv!($V, $PIPE, 1, $nv, $args),
-            2 => dispatch_nv!($V, $PIPE, 2, $nv, $args),
-            3 => dispatch_nv!($V, $PIPE, 3, $nv, $args),
-            4 => dispatch_nv!($V, $PIPE, 4, $nv, $args),
-            5 => dispatch_nv!($V, $PIPE, 5, $nv, $args),
-            6 => dispatch_nv!($V, $PIPE, 6, $nv, $args),
-            _ => dispatch_nv!($V, $PIPE, 7, $nv, $args),
-        }
-    };
-}
+pub(crate) use edge_dispatch;
 
 /// Edge kernel with the software-pipelined schedule of Figure 6b (the
-/// LibShalom strategy). Dispatches to the exact-size monomorphized body.
+/// LibShalom strategy) at the 128-bit `7 x 3`-vector tile. Dispatches to
+/// the exact-size monomorphized body.
 ///
 /// # Safety
 /// * `a` valid for `m` rows x `kc` cols at stride `lda`;
 /// * `b` valid for `kc` rows x `n` cols at stride `ldb`;
 /// * `c` valid for `m` rows x `n` cols read/write at stride `ldc`;
-/// * `m <= 7`, `n <= NR_VECS * LANES`, no aliasing with `c`.
+/// * `1 <= m <= 7`, `1 <= n <= NR_VECS * LANES`, no aliasing with `c`.
 #[inline]
 pub unsafe fn edge_kernel_pipelined<V: Vector>(
     m: usize,
@@ -215,11 +280,12 @@ pub unsafe fn edge_kernel_pipelined<V: Vector>(
         debug_assert!(m <= 1 || lda >= kc);
         debug_assert!(kc <= 1 || ldb >= n);
     }
-    let nv = n / V::LANES;
-    let ns = n % V::LANES;
-    dispatch_m!(
+    let (nv, ns) = split_cols::<V>(n);
+    edge_dispatch!(
         V,
         true,
+        [1 2 3 4 5 6 7],
+        [0 1 2 3],
         m,
         nv,
         (ns, kc, alpha, a, lda, b, ldb, beta, c, ldc)
@@ -227,8 +293,8 @@ pub unsafe fn edge_kernel_pipelined<V: Vector>(
 }
 
 /// Edge kernel with the batched schedule of Figure 6a (the OpenBLAS
-/// strategy the paper criticizes). Dispatches to the exact-size
-/// monomorphized body.
+/// strategy the paper criticizes) at the 128-bit tile. Dispatches to the
+/// exact-size monomorphized body.
 ///
 /// # Safety
 /// As [`edge_kernel_pipelined`].
@@ -254,11 +320,12 @@ pub unsafe fn edge_kernel_batched<V: Vector>(
         debug_assert!(m <= 1 || lda >= kc);
         debug_assert!(kc <= 1 || ldb >= n);
     }
-    let nv = n / V::LANES;
-    let ns = n % V::LANES;
-    dispatch_m!(
+    let (nv, ns) = split_cols::<V>(n);
+    edge_dispatch!(
         V,
         false,
+        [1 2 3 4 5 6 7],
+        [0 1 2 3],
         m,
         nv,
         (ns, kc, alpha, a, lda, b, ldb, beta, c, ldc)

@@ -1,40 +1,47 @@
-//! Runtime-dispatched wide kernel families (§5.5, tract's `plug()` idiom).
+//! The kernel-set table (§5.5, tract's `plug()` idiom): what the one
+//! blocked driver in `core::driver` runs over.
 //!
-//! The 128-bit kernels are compiled unconditionally — SSE2/NEON are
-//! baseline. Anything wider is a **runtime** property of the host, so the
-//! wide instantiations of [`crate::main_kernel::main_kernel_shape`] live
-//! here as *kernel families*: per-ISA bundles of monomorphic
-//! `#[target_feature]`-attributed entry points plus their solver-derived
-//! register tiles, registered in a process-global table that
-//! `core::driver`/`core::plan` consult after probing the CPU
-//! ([`shalom_simd::caps`]).
+//! A *kernel set* ([`FamilyKernels`]) is everything the `jj → ii → kk`
+//! block walk needs from one register tile at one element type: the tile
+//! `(mr, nr, lanes)`, the full-tile main kernel, the fused-pack kernel
+//! (with its optional `t = 1` look-ahead), the streamed kernel, the edge
+//! kernel in both Figure 6 schedules, and the NT pack panel. A *family*
+//! ([`KernelFamily`]) is the f32 and f64 sets of one ISA level. Every entry
+//! point is a monomorphic `unsafe fn` emitted by one macro
+//! ([`kernel_set!`]) that wraps the const-generic bodies of
+//! [`crate::main_kernel`], [`crate::edge`] and [`crate::nt_pack`] — all
+//! `#[inline(always)]` — in that level's `#[target_feature]`, so a default
+//! build emits real 256/512-bit FMA with no global `RUSTFLAGS`.
 //!
-//! Two families ship today, both solved fresh from the paper's Eq. 1–2
-//! against the x86 register files (the constants below are *checked
-//! against the solver at registration*, so they cannot drift from the
-//! analytic model):
+//! Three families ship. The 128-bit tiles are compiled unconditionally
+//! (SSE2/NEON are baseline); anything wider is a **runtime** property of
+//! the host, registered only after the [`shalom_simd::caps`] probe passes.
+//! The wide constants are *checked against the Eq. 1–2 solver at
+//! registration*, so they cannot drift from the analytic model:
 //!
 //! | family | registers | f32 tile | f64 tile |
 //! |---|---|---|---|
+//! | base (SSE2 / NEON / scalar, 128-bit) | 32, 1 reserved | 7 × 12 | 7 × 6 |
 //! | AVX2+FMA (256-bit) | 16 YMM, 1 reserved | 7 × 8 | 4 × 8 |
 //! | AVX-512F (512-bit) | 32 ZMM, 1 reserved | 15 × 16 | 9 × 16 |
 //!
-//! (The `kernels::wide` module's 9×16 / 7×12 tiles model a 32-register
-//! 256-bit *SVE* file and stay as the paper's §5.5 ARM study; these
-//! families are the x86 register files actually dispatched at runtime.)
-//!
-//! [`family_gemm_nn`] is the blocked NN driver over a family: it packs B
-//! panels with the Goto sliver packer, runs full tiles directly on C, and
-//! stages edge tiles through a zero-padded scratch tile so the shaped
-//! kernel never reads or writes out of bounds.
+//! **Rounding contract.** Within a wide set every NN kernel — main,
+//! fused-pack, streamed, edge with its remainder rows *and* columns —
+//! rounds a C element identically: one fused multiply-add chain over the
+//! `kc` block in increasing `k`, then the `writeback_row` epilogue
+//! (`acc * alpha`, or `acc * alpha + c * beta`). Which kernel, which
+//! packing regime or which thread covers an element therefore never shows
+//! in the bits. The base set computes exactly what the 128-bit kernels
+//! always did (its edge kernel keeps the scalar column tail), and the NT
+//! pack panel keeps its inner-product rounding on the first
+//! [`crate::nt_pack::NT_ROWS`] rows of a panel at every width.
 
-#[cfg(any(test, all(target_arch = "x86_64", not(feature = "force-scalar"))))]
-use crate::main_kernel::main_kernel_shape;
-use crate::pack::pack_b_slivers_goto;
+use crate::main_kernel::{PackAhead, StreamCopy};
 #[cfg(any(test, all(target_arch = "x86_64", not(feature = "force-scalar"))))]
 use crate::tile::{solve_tile, TileConstraints};
 use shalom_matrix::Scalar;
 use shalom_simd::caps::{self, Isa};
+#[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
 use std::sync::OnceLock;
 
 /// AVX2 f32 tile rows (Eq. 1 over 15 usable YMM, `j = 8`).
@@ -54,26 +61,84 @@ pub const AVX512_MR_F64: usize = 9;
 /// AVX-512 f64 tile columns (`nrv = 2` vectors of 8 lanes).
 pub const AVX512_NR_F64: usize = 16;
 
-/// A family micro-kernel entry point — the exact
-/// [`main_kernel_shape`] signature, monomorphic so it can live in a
-/// dispatch table: `(kc, alpha, a, lda, b, ldb, beta, c, ldc)`.
+/// The full-tile main kernel — the exact
+/// [`crate::main_kernel::main_kernel_shape`] signature, monomorphic so it
+/// can live in a dispatch table: `(kc, alpha, a, lda, b, ldb, beta, c, ldc)`.
 ///
 /// # Safety
-/// Callers must uphold the [`main_kernel_shape`] contract for the
-/// family's `(mr, nr)` tile, **and** the family's ISA must have been
-/// runtime-probed on this host (the registry only hands out families
-/// whose probe passed).
+/// Callers must uphold the `main_kernel_shape` contract for the set's
+/// `(mr, nr)` tile, **and** the set's ISA must have been runtime-probed on
+/// this host (the registry only hands out families whose probe passed).
+/// The same two conditions govern every entry-point type below.
 pub type FamilyKernelFn<T> =
     unsafe fn(usize, T, *const T, usize, *const T, usize, T, *mut T, usize);
 
-/// One element type's kernels within a family.
+/// [`crate::main_kernel::main_kernel_fused_pack`] at the set's tile:
+/// `(kc, alpha, a, lda, b, ldb, beta, c, ldc, bc, ahead)`.
+pub type FusedPackFn<T> = unsafe fn(
+    usize,
+    T,
+    *const T,
+    usize,
+    *const T,
+    usize,
+    T,
+    *mut T,
+    usize,
+    *mut T,
+    Option<PackAhead<T>>,
+);
+
+/// [`crate::main_kernel::main_kernel_streamed`] at the set's tile:
+/// `(kc, alpha, a, lda, bc_packed, beta, c, ldc, stream)`.
+pub type StreamedFn<T> =
+    unsafe fn(usize, T, *const T, usize, *const T, T, *mut T, usize, Option<StreamCopy<T>>);
+
+/// An edge kernel for any `1 <= m <= mr`, `1 <= n <= nr`:
+/// `(m, n, kc, alpha, a, lda, b, ldb, beta, c, ldc)`.
+pub type EdgeFn<T> =
+    unsafe fn(usize, usize, usize, T, *const T, usize, *const T, usize, T, *mut T, usize);
+
+/// [`crate::nt_pack::nt_pack_panel`]:
+/// `(m, npanel, kc, nr, alpha, a, lda, b, ldb, beta, c, ldc, bc)`.
+pub type NtPackFn<T> = unsafe fn(
+    usize,
+    usize,
+    usize,
+    usize,
+    T,
+    *const T,
+    usize,
+    *const T,
+    usize,
+    T,
+    *mut T,
+    usize,
+    *mut T,
+);
+
+/// One element type's kernel set within a family: the register tile and
+/// every entry point the blocked driver calls.
 pub struct FamilyKernels<T> {
     /// Register-tile rows.
     pub mr: usize,
     /// Register-tile columns.
     pub nr: usize,
-    /// The `mr x nr` micro-kernel.
+    /// Lanes per vector (`kc` is blocked to a multiple of this).
+    pub lanes: usize,
+    /// The `mr x nr` main micro-kernel.
     pub kernel: FamilyKernelFn<T>,
+    /// Main kernel that packs the B panel it reads (§5.3), optionally
+    /// streaming the next panel ahead (`t = 1`).
+    pub fused_pack: FusedPackFn<T>,
+    /// Main kernel on a packed panel with an interleaved panel copy.
+    pub streamed: StreamedFn<T>,
+    /// Edge kernel, Figure 6b schedule.
+    pub edge_pipelined: EdgeFn<T>,
+    /// Edge kernel, Figure 6a schedule.
+    pub edge_batched: EdgeFn<T>,
+    /// NT pack panel (Algorithm 3) filling a `kc x nr` panel.
+    pub nt_pack: NtPackFn<T>,
 }
 
 /// A registered kernel family: one ISA level, both precisions.
@@ -110,105 +175,253 @@ impl FamilyElem for f64 {
     }
 }
 
-/// The dispatched entry points. Each shim enables exactly the features
-/// its vector type's ops require; `main_kernel_shape` is
-/// `#[inline(always)]`, so its body — and the `SHALOM-V-SIMD` inner
-/// functions it calls, whose feature sets are subsets of the shim's —
-/// inlines here and compiles to real 256/512-bit FMA with no global
-/// `RUSTFLAGS`.
-#[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-mod x86 {
-    use super::*;
-    use shalom_simd::{F32x16, F32x8, F64x4, F64x8};
+/// Emits one kernel set: a module of monomorphic entry points wrapping the
+/// const-generic kernel bodies at `$MR x $NRV` vectors of `$V`, each
+/// carrying the given attributes (the set's `#[target_feature]`), plus the
+/// `KERNELS` table row. The bodies are `#[inline(always)]`, so they — and
+/// the `SHALOM-V-SIMD` inner functions they call, whose feature sets are
+/// subsets of the entry point's — compile at the entry point's ISA. `rows`
+/// must list `1..=$MR` and `vecs` every full-vector count
+/// [`crate::edge::split_cols`] yields for `n <= nr`; the edge-lattice tests
+/// fail on a missing arm.
+macro_rules! kernel_set {
+    ($(#[$isa:meta])* $name:ident: $T:ty, $V:ty, $MR:literal x $NRV:literal,
+     rows $rows:tt, vecs $vecs:tt) => {
+        pub(crate) mod $name {
+            use super::{FamilyKernels, PackAhead, StreamCopy};
+            use crate::edge::{edge_dispatch, split_cols};
+            use crate::main_kernel::{
+                main_kernel_fused_pack, main_kernel_shape, main_kernel_streamed,
+            };
+            use crate::nt_pack::nt_pack_panel;
+            use crate::Vector;
+            #[allow(unused_imports)]
+            use shalom_simd::{F32x16, F32x4, F32x8, F64x2, F64x4, F64x8};
 
-    /// AVX2+FMA f32 micro-kernel at the family's (7, 8) tile.
-    ///
-    /// # Safety
-    /// [`FamilyKernelFn`] contract: the [`main_kernel_shape`] operand
-    /// contract at this tile, on a host whose AVX2+FMA probe passed.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn avx2_kernel_f32(
-        kc: usize,
-        alpha: f32,
-        a: *const f32,
-        lda: usize,
-        b: *const f32,
-        ldb: usize,
-        beta: f32,
-        c: *mut f32,
-        ldc: usize,
-    ) {
-        // SAFETY: SHALOM-K-MAIN — caller upholds the shaped-kernel
-        // contract for the (AVX2_MR_F32 x AVX2_NR_F32) tile.
-        main_kernel_shape::<F32x8, AVX2_MR_F32, 1>(kc, alpha, a, lda, b, ldb, beta, c, ldc)
-    }
+            const NR: usize = $NRV * <$V as Vector>::LANES;
 
-    /// AVX2+FMA f64 micro-kernel at the family's (4, 8) tile.
-    ///
-    /// # Safety
-    /// [`FamilyKernelFn`] contract: the [`main_kernel_shape`] operand
-    /// contract at this tile, on a host whose AVX2+FMA probe passed.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn avx2_kernel_f64(
-        kc: usize,
-        alpha: f64,
-        a: *const f64,
-        lda: usize,
-        b: *const f64,
-        ldb: usize,
-        beta: f64,
-        c: *mut f64,
-        ldc: usize,
-    ) {
-        // SAFETY: SHALOM-K-MAIN — caller upholds the shaped-kernel
-        // contract for the (AVX2_MR_F64 x AVX2_NR_F64) tile.
-        main_kernel_shape::<F64x4, AVX2_MR_F64, 2>(kc, alpha, a, lda, b, ldb, beta, c, ldc)
-    }
+            // Every entry point forwards its caller's contract unchanged
+            // to the body it wraps at this set's tile.
 
-    /// AVX-512F f32 micro-kernel at the family's (15, 16) tile.
-    ///
-    /// # Safety
-    /// [`FamilyKernelFn`] contract: the [`main_kernel_shape`] operand
-    /// contract at this tile, on a host whose AVX-512F probe passed.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn avx512_kernel_f32(
-        kc: usize,
-        alpha: f32,
-        a: *const f32,
-        lda: usize,
-        b: *const f32,
-        ldb: usize,
-        beta: f32,
-        c: *mut f32,
-        ldc: usize,
-    ) {
-        // SAFETY: SHALOM-K-MAIN — caller upholds the shaped-kernel
-        // contract for the (AVX512_MR_F32 x AVX512_NR_F32) tile.
-        main_kernel_shape::<F32x16, AVX512_MR_F32, 1>(kc, alpha, a, lda, b, ldb, beta, c, ldc)
-    }
+            $(#[$isa])*
+            /// # Safety
+            /// SHALOM-K-MAIN at this tile; the set's ISA probe passed.
+            pub unsafe fn main(
+                kc: usize,
+                alpha: $T,
+                a: *const $T,
+                lda: usize,
+                b: *const $T,
+                ldb: usize,
+                beta: $T,
+                c: *mut $T,
+                ldc: usize,
+            ) {
+                main_kernel_shape::<$V, $MR, $NRV>(kc, alpha, a, lda, b, ldb, beta, c, ldc)
+            }
 
-    /// AVX-512F f64 micro-kernel at the family's (9, 16) tile.
-    ///
-    /// # Safety
-    /// [`FamilyKernelFn`] contract: the [`main_kernel_shape`] operand
-    /// contract at this tile, on a host whose AVX-512F probe passed.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn avx512_kernel_f64(
-        kc: usize,
-        alpha: f64,
-        a: *const f64,
-        lda: usize,
-        b: *const f64,
-        ldb: usize,
-        beta: f64,
-        c: *mut f64,
-        ldc: usize,
-    ) {
-        // SAFETY: SHALOM-K-MAIN — caller upholds the shaped-kernel
-        // contract for the (AVX512_MR_F64 x AVX512_NR_F64) tile.
-        main_kernel_shape::<F64x8, AVX512_MR_F64, 2>(kc, alpha, a, lda, b, ldb, beta, c, ldc)
+            $(#[$isa])*
+            /// # Safety
+            /// SHALOM-K-FUSED at this tile; the set's ISA probe passed.
+            pub unsafe fn fused_pack(
+                kc: usize,
+                alpha: $T,
+                a: *const $T,
+                lda: usize,
+                b: *const $T,
+                ldb: usize,
+                beta: $T,
+                c: *mut $T,
+                ldc: usize,
+                bc: *mut $T,
+                ahead: Option<PackAhead<$T>>,
+            ) {
+                main_kernel_fused_pack::<$V, $MR, $NRV>(
+                    kc, alpha, a, lda, b, ldb, beta, c, ldc, bc, ahead,
+                )
+            }
+
+            $(#[$isa])*
+            /// # Safety
+            /// SHALOM-K-STREAM at this tile; the set's ISA probe passed.
+            pub unsafe fn streamed(
+                kc: usize,
+                alpha: $T,
+                a: *const $T,
+                lda: usize,
+                bc_packed: *const $T,
+                beta: $T,
+                c: *mut $T,
+                ldc: usize,
+                stream: Option<StreamCopy<$T>>,
+            ) {
+                main_kernel_streamed::<$V, $MR, $NRV>(
+                    kc, alpha, a, lda, bc_packed, beta, c, ldc, stream,
+                )
+            }
+
+            /// # Safety
+            /// SHALOM-K-EDGE-PIPE / SHALOM-K-EDGE-BATCH at this tile.
+            #[inline(always)]
+            unsafe fn edge<const PIPE: bool>(
+                m: usize,
+                n: usize,
+                kc: usize,
+                alpha: $T,
+                a: *const $T,
+                lda: usize,
+                b: *const $T,
+                ldb: usize,
+                beta: $T,
+                c: *mut $T,
+                ldc: usize,
+            ) {
+                debug_assert!((1..=$MR).contains(&m) && (1..=NR).contains(&n));
+                let (nv, ns) = split_cols::<$V>(n);
+                edge_dispatch!(
+                    $V,
+                    PIPE,
+                    $rows,
+                    $vecs,
+                    m,
+                    nv,
+                    (ns, kc, alpha, a, lda, b, ldb, beta, c, ldc)
+                )
+            }
+
+            $(#[$isa])*
+            /// # Safety
+            /// SHALOM-K-EDGE-PIPE at this tile; the set's ISA probe passed.
+            pub unsafe fn edge_pipelined(
+                m: usize,
+                n: usize,
+                kc: usize,
+                alpha: $T,
+                a: *const $T,
+                lda: usize,
+                b: *const $T,
+                ldb: usize,
+                beta: $T,
+                c: *mut $T,
+                ldc: usize,
+            ) {
+                edge::<true>(m, n, kc, alpha, a, lda, b, ldb, beta, c, ldc)
+            }
+
+            $(#[$isa])*
+            /// # Safety
+            /// SHALOM-K-EDGE-BATCH at this tile; the set's ISA probe passed.
+            pub unsafe fn edge_batched(
+                m: usize,
+                n: usize,
+                kc: usize,
+                alpha: $T,
+                a: *const $T,
+                lda: usize,
+                b: *const $T,
+                ldb: usize,
+                beta: $T,
+                c: *mut $T,
+                ldc: usize,
+            ) {
+                edge::<false>(m, n, kc, alpha, a, lda, b, ldb, beta, c, ldc)
+            }
+
+            $(#[$isa])*
+            /// # Safety
+            /// SHALOM-K-NT-PANEL at this tile; the set's ISA probe passed.
+            pub unsafe fn nt_pack(
+                m: usize,
+                npanel: usize,
+                kc: usize,
+                nr: usize,
+                alpha: $T,
+                a: *const $T,
+                lda: usize,
+                b: *const $T,
+                ldb: usize,
+                beta: $T,
+                c: *mut $T,
+                ldc: usize,
+                bc: *mut $T,
+            ) {
+                nt_pack_panel::<$V>(m, npanel, kc, nr, alpha, a, lda, b, ldb, beta, c, ldc, bc)
+            }
+
+            pub const KERNELS: FamilyKernels<$T> = FamilyKernels {
+                mr: $MR,
+                nr: NR,
+                lanes: <$V as Vector>::LANES,
+                kernel: main,
+                fused_pack,
+                streamed,
+                edge_pipelined,
+                edge_batched,
+                nt_pack,
+            };
+        }
+    };
+}
+
+// The 128-bit tiles (paper §5.2.3: 7 x 12 / 7 x 6), compiled at the build's
+// baseline features — one more family, not a separate code path.
+kernel_set!(base_f32: f32, F32x4, 7 x 3, rows [1 2 3 4 5 6 7], vecs [0 1 2 3]);
+kernel_set!(base_f64: f64, F64x2, 7 x 3, rows [1 2 3 4 5 6 7], vecs [0 1 2 3]);
+
+/// The x86 wide sets. Compiled for dispatch on x86_64, and in every test
+/// build so the rounding-contract tests can run them as scalar `mul_add`
+/// emulation under `force-scalar` and off x86.
+#[cfg(any(test, all(target_arch = "x86_64", not(feature = "force-scalar"))))]
+pub(crate) mod wide_sets {
+    use super::{FamilyKernels, PackAhead, StreamCopy};
+
+    kernel_set!(
+        #[cfg_attr(
+            all(target_arch = "x86_64", not(feature = "force-scalar")),
+            target_feature(enable = "avx2", enable = "fma")
+        )]
+        avx2_f32: f32, F32x8, 7 x 1, rows [1 2 3 4 5 6 7], vecs [0]
+    );
+    kernel_set!(
+        #[cfg_attr(
+            all(target_arch = "x86_64", not(feature = "force-scalar")),
+            target_feature(enable = "avx2", enable = "fma")
+        )]
+        avx2_f64: f64, F64x4, 4 x 2, rows [1 2 3 4], vecs [0 1]
+    );
+    kernel_set!(
+        #[cfg_attr(
+            all(target_arch = "x86_64", not(feature = "force-scalar")),
+            target_feature(enable = "avx512f")
+        )]
+        avx512_f32: f32, F32x16, 15 x 1,
+        rows [1 2 3 4 5 6 7 8 9 10 11 12 13 14 15], vecs [0]
+    );
+    kernel_set!(
+        #[cfg_attr(
+            all(target_arch = "x86_64", not(feature = "force-scalar")),
+            target_feature(enable = "avx512f")
+        )]
+        avx512_f64: f64, F64x8, 9 x 2, rows [1 2 3 4 5 6 7 8 9], vecs [0 1]
+    );
+
+    /// The two wide table rows of `isa`, unprobed (the registry and the
+    /// tests decide whether they may run).
+    pub(crate) fn sets(isa: super::Isa) -> Option<(FamilyKernels<f32>, FamilyKernels<f64>)> {
+        match isa {
+            super::Isa::Avx2W256 => Some((avx2_f32::KERNELS, avx2_f64::KERNELS)),
+            super::Isa::Avx512W512 => Some((avx512_f32::KERNELS, avx512_f64::KERNELS)),
+            _ => None,
+        }
     }
 }
+
+/// The 128-bit family: always executable, so a plain `static`.
+static BASE: KernelFamily = KernelFamily {
+    isa: caps::base_isa(),
+    k_f32: base_f32::KERNELS,
+    k_f64: base_f64::KERNELS,
+};
 
 /// Registration-time guard: the wired `(mr, nr)` constants must equal the
 /// Eq. 1–2 solver's answer for that ISA's register file, so the table can
@@ -236,55 +449,38 @@ fn build_family(isa: Isa) -> Option<KernelFamily> {
     if !caps::supported(isa) {
         return None;
     }
-    let fam = match isa {
-        Isa::Avx2W256 => KernelFamily {
-            isa,
-            k_f32: FamilyKernels {
-                mr: AVX2_MR_F32,
-                nr: AVX2_NR_F32,
-                kernel: x86::avx2_kernel_f32,
-            },
-            k_f64: FamilyKernels {
-                mr: AVX2_MR_F64,
-                nr: AVX2_NR_F64,
-                kernel: x86::avx2_kernel_f64,
-            },
-        },
-        Isa::Avx512W512 => KernelFamily {
-            isa,
-            k_f32: FamilyKernels {
-                mr: AVX512_MR_F32,
-                nr: AVX512_NR_F32,
-                kernel: x86::avx512_kernel_f32,
-            },
-            k_f64: FamilyKernels {
-                mr: AVX512_MR_F64,
-                nr: AVX512_NR_F64,
-                kernel: x86::avx512_kernel_f64,
-            },
-        },
-        _ => return None,
-    };
-    assert_tile_matches_solver(isa, isa.vector_bits() / 32, fam.k_f32.mr, fam.k_f32.nr);
-    assert_tile_matches_solver(isa, isa.vector_bits() / 64, fam.k_f64.mr, fam.k_f64.nr);
-    Some(fam)
+    let (k_f32, k_f64) = wide_sets::sets(isa)?;
+    assert_tile_matches_solver(isa, k_f32.lanes, k_f32.mr, k_f32.nr);
+    assert_tile_matches_solver(isa, k_f64.lanes, k_f64.mr, k_f64.nr);
+    Some(KernelFamily { isa, k_f32, k_f64 })
 }
 
-#[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
-fn build_family(_isa: Isa) -> Option<KernelFamily> {
+/// The family registered for `isa`, if this host can execute it — total
+/// over the levels `core::plan::effective_isa` can resolve to: the
+/// compile-time base always, a wide level when its probe passed. Wide
+/// families are built (and solver-checked) once, on first request.
+pub fn family_for(isa: Isa) -> Option<&'static KernelFamily> {
+    if isa == BASE.isa {
+        return Some(&BASE);
+    }
+    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+    {
+        static AVX2: OnceLock<Option<KernelFamily>> = OnceLock::new();
+        static AVX512: OnceLock<Option<KernelFamily>> = OnceLock::new();
+        match isa {
+            Isa::Avx2W256 => return AVX2.get_or_init(|| build_family(isa)).as_ref(),
+            Isa::Avx512W512 => return AVX512.get_or_init(|| build_family(isa)).as_ref(),
+            _ => {}
+        }
+    }
     None
 }
 
-/// The family registered for `isa`, if this host can execute it.
-/// Families are built (and solver-checked) once, on first request.
-pub fn family_for(isa: Isa) -> Option<&'static KernelFamily> {
-    static AVX2: OnceLock<Option<KernelFamily>> = OnceLock::new();
-    static AVX512: OnceLock<Option<KernelFamily>> = OnceLock::new();
-    match isa {
-        Isa::Avx2W256 => AVX2.get_or_init(|| build_family(isa)).as_ref(),
-        Isa::Avx512W512 => AVX512.get_or_init(|| build_family(isa)).as_ref(),
-        _ => None,
-    }
+/// `T`'s kernel set at `isa`; the 128-bit set when `isa` has no registered
+/// family on this host (which `effective_isa` never hands the driver).
+#[inline]
+pub fn kernels_for<T: FamilyElem>(isa: Isa) -> &'static FamilyKernels<T> {
+    T::kernels(family_for(isa).unwrap_or(&BASE))
 }
 
 /// The widest family this host can execute, or `None` when the 128-bit
@@ -299,132 +495,17 @@ pub fn selected_wide_family() -> Option<&'static KernelFamily> {
     }
 }
 
-/// Workspace elements `family_gemm_nn` needs for a `kc`-deep block:
-/// `(bc_elems, at_elems)` — one packed B panel of `kc x nr`, plus an edge
-/// staging area of `mr x kc` (A rows) and `mr x nr` (C tile).
-pub fn family_workspace<T: FamilyElem>(fam: &KernelFamily, kc: usize) -> (usize, usize) {
-    let ks = T::kernels(fam);
-    (kc * ks.nr, ks.mr * kc + ks.mr * ks.nr)
-}
-
-/// Blocked NN driver over one kernel family:
-/// `C = alpha * A * B + beta * C` with row-major operands.
-///
-/// Loop order is `kk` (depth blocks of `kc`) → `j` (B panels of `nr`,
-/// packed once into `bc`) → `i` (row tiles of `mr`). Full tiles run the
-/// family kernel directly on `C`; edge tiles stage zero-padded A rows and
-/// a scratch C tile in `at` so the shaped kernel never touches
-/// out-of-bounds memory, then merge the `nrows x ncols` result.
-///
-/// # Safety
-/// * `a` valid for `m x k` reads at row stride `lda` (`lda >= k`);
-/// * `b` valid for `k x n` reads at row stride `ldb` (`ldb >= n`);
-/// * `c` valid for `m x n` reads/writes at row stride `ldc` (`ldc >= n`),
-///   not aliasing `a`/`b`;
-/// * `bc`/`at` sized per [`family_workspace`] for this `fam`/`kc`, not
-///   aliasing anything above;
-/// * `m, n, k, kc >= 1`;
-/// * `fam` was obtained from [`family_for`]/[`selected_wide_family`] on
-///   this host (its ISA probe passed).
-// CONTRACT(SHALOM-K-FAMILY)
-pub unsafe fn family_gemm_nn<T: Scalar + FamilyElem>(
-    fam: &KernelFamily,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: T,
-    a: *const T,
-    lda: usize,
-    b: *const T,
-    ldb: usize,
-    beta: T,
-    c: *mut T,
-    ldc: usize,
-    kc: usize,
-    bc: *mut T,
-    at: *mut T,
-) {
-    // PANIC-OK(api): driver precondition, caught before any unsafe work.
-    assert!(
-        m >= 1 && n >= 1 && k >= 1 && kc >= 1,
-        "family_gemm_nn: empty problem"
-    );
-    let ks = T::kernels(fam);
-    let (mr, nr, kernel) = (ks.mr, ks.nr, ks.kernel);
-    let a_pad = at; // mr x kc, row stride kc_block
-    let c_pad = at.add(mr * kc); // mr x nr, row stride nr
-
-    let mut kk = 0;
-    while kk < k {
-        let kcb = kc.min(k - kk);
-        // First depth block applies the caller's beta; later blocks
-        // accumulate on top of it.
-        let beta_eff = if kk == 0 { beta } else { T::ONE };
-        let mut j = 0;
-        while j < n {
-            let ncols = nr.min(n - j);
-            // SAFETY: SHALOM-K-PACK-B — `b + kk*ldb + j` covers the
-            // `kcb x ncols` panel (`ldb >= n`); `bc` holds `kc * nr`
-            // elements and `ncols <= nr` means exactly one sliver.
-            pack_b_slivers_goto(b.add(kk * ldb + j), ldb, kcb, ncols, nr, bc);
-            let mut i = 0;
-            while i < m {
-                let nrows = mr.min(m - i);
-                if nrows == mr && ncols == nr {
-                    // SAFETY: SHALOM-K-MAIN — full tile: A rows
-                    // `i..i+mr` x `kk..kk+kcb` at stride `lda >= k`; the
-                    // packed panel is `kcb x nr` at stride `nr`; C rows
-                    // `i..i+mr` x `j..j+nr` at stride `ldc >= n`.
-                    kernel(
-                        kcb,
-                        alpha,
-                        a.add(i * lda + kk),
-                        lda,
-                        bc,
-                        nr,
-                        beta_eff,
-                        c.add(i * ldc + j),
-                        ldc,
-                    );
-                } else {
-                    // Stage the partial A tile zero-padded to mr rows so
-                    // the shaped kernel reads only initialized memory.
-                    for r in 0..mr {
-                        let dst = a_pad.add(r * kcb);
-                        if r < nrows {
-                            core::ptr::copy_nonoverlapping(a.add((i + r) * lda + kk), dst, kcb);
-                        } else {
-                            core::ptr::write_bytes(dst, 0, kcb);
-                        }
-                    }
-                    // SAFETY: SHALOM-K-MAIN — staged tile: `a_pad` is
-                    // `mr x kcb` at stride `kcb`, panel as above, and
-                    // `c_pad` is `mr x nr` at stride `nr`; beta = 0 makes
-                    // the kernel overwrite `c_pad` without reading it.
-                    kernel(kcb, alpha, a_pad, kcb, bc, nr, T::ZERO, c_pad, nr);
-                    for r in 0..nrows {
-                        let crow = c.add((i + r) * ldc + j);
-                        let prow = c_pad.add(r * nr);
-                        if beta_eff == T::ZERO {
-                            core::ptr::copy_nonoverlapping(prow, crow, ncols);
-                        } else {
-                            for s in 0..ncols {
-                                *crow.add(s) = *prow.add(s) + beta_eff * *crow.add(s);
-                            }
-                        }
-                    }
-                }
-                i += mr;
-            }
-            j += nr;
-        }
-        kk += kc;
-    }
+/// Every family this host can execute, the 128-bit one first.
+pub fn registered_families() -> impl Iterator<Item = &'static KernelFamily> {
+    [caps::base_isa(), Isa::Avx2W256, Isa::Avx512W512]
+        .into_iter()
+        .filter_map(family_for)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shalom_matrix::gemm_tolerance;
 
     /// Satellite guard in test form: the wired constants equal the solver
     /// output on every build (the registry re-asserts this at runtime
@@ -438,11 +519,20 @@ mod tests {
             (Isa::Avx512W512, 8, AVX512_MR_F64, AVX512_NR_F64),
         ] {
             assert_tile_matches_solver(isa, lanes, mr, nr);
+            let (k32, k64) = wide_sets::sets(isa).expect("a wide level");
+            let ks = if lanes == k32.lanes {
+                (k32.mr, k32.nr)
+            } else {
+                (k64.mr, k64.nr)
+            };
+            assert_eq!(ks, (mr, nr), "table row of {} at j = {lanes}", isa.label());
         }
+        assert_eq!((BASE.k_f32.mr, BASE.k_f32.nr, BASE.k_f32.lanes), (7, 12, 4));
+        assert_eq!((BASE.k_f64.mr, BASE.k_f64.nr, BASE.k_f64.lanes), (7, 6, 2));
     }
 
     #[test]
-    fn registry_matches_probe() {
+    fn registry_is_total_over_executable_levels() {
         let caps = caps::detect();
         let on_wide_x86 = cfg!(all(target_arch = "x86_64", not(feature = "force-scalar")));
         assert_eq!(
@@ -453,8 +543,22 @@ mod tests {
             family_for(Isa::Avx512W512).is_some(),
             on_wide_x86 && caps.avx512f
         );
-        assert!(family_for(Isa::Sse128).is_none());
-        assert!(family_for(Isa::Scalar).is_none());
+        // The compile-time base is always registered — and is the only
+        // 128-bit level that is.
+        assert_eq!(
+            family_for(caps::base_isa()).map(|f| f.isa),
+            Some(caps::base_isa())
+        );
+        for isa in [Isa::Scalar, Isa::Sse128, Isa::Neon128] {
+            assert_eq!(family_for(isa).is_some(), isa == caps::base_isa());
+        }
+        // Everything `requested_isa()` can hand the plan layer resolves.
+        assert!(family_for(caps::best_isa()).is_some());
+        assert_eq!(
+            registered_families().count(),
+            1 + usize::from(on_wide_x86 && caps.avx2_fma)
+                + usize::from(on_wide_x86 && caps.avx512f)
+        );
         if let Some(fam) = selected_wide_family() {
             assert_eq!(fam.isa, caps::best_isa());
             assert!(fam.isa.is_wide());
@@ -463,139 +567,189 @@ mod tests {
         }
     }
 
-    fn reference_gemm<T: Scalar>(
-        m: usize,
-        n: usize,
-        k: usize,
-        alpha: T,
-        a: &[T],
-        b: &[T],
-        beta: T,
-        c: &mut [T],
-    ) {
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f64;
-                for p in 0..k {
-                    acc += a[i * k + p].to_f64() * b[p * n + j].to_f64();
-                }
-                c[i * n + j] =
-                    T::from_f64(alpha.to_f64() * acc + beta.to_f64() * c[i * n + j].to_f64());
-            }
+    /// Whether this build may execute the (unregistered) table rows of
+    /// `isa`: native x86 needs the probe, every other build runs them as
+    /// scalar `mul_add` emulation.
+    fn can_run(isa: Isa) -> bool {
+        !cfg!(all(target_arch = "x86_64", not(feature = "force-scalar"))) || caps::supported(isa)
+    }
+
+    fn gen<T: Scalar>(seed: usize, len: usize) -> Vec<T> {
+        (0..len)
+            .map(|i| T::from_f64((((i * 31 + seed * 17) % 23) as f64 - 11.0) / 7.0))
+            .collect()
+    }
+
+    /// Element-type glue for the bitwise model: the exactly-rounded fused
+    /// multiply-add and the raw bits.
+    trait Fused: FamilyElem {
+        fn fma(a: Self, b: Self, acc: Self) -> Self;
+        fn bits(self) -> u64;
+    }
+    impl Fused for f32 {
+        fn fma(a: f32, b: f32, acc: f32) -> f32 {
+            a.mul_add(b, acc)
+        }
+        fn bits(self) -> u64 {
+            u64::from(self.to_bits())
+        }
+    }
+    impl Fused for f64 {
+        fn fma(a: f64, b: f64, acc: f64) -> f64 {
+            a.mul_add(b, acc)
+        }
+        fn bits(self) -> u64 {
+            self.to_bits()
         }
     }
 
-    fn check_family_gemm<T: Scalar + FamilyElem>(fam: &KernelFamily, m: usize, n: usize, k: usize) {
-        let gen = |seed: usize, len: usize| -> Vec<T> {
-            (0..len)
-                .map(|i| T::from_f64((((i * 31 + seed * 17) % 23) as f64 - 11.0) / 7.0))
-                .collect()
-        };
-        let a = gen(1, m * k);
-        let b = gen(2, k * n);
-        let c0 = gen(3, m * n);
-        for (alpha, beta) in [(1.0, 0.0), (0.5, 1.0), (-1.25, 2.0)] {
-            let (alpha, beta) = (T::from_f64(alpha), T::from_f64(beta));
-            let mut c = c0.clone();
-            let mut want = c0.clone();
-            let kc = 32.min(k.max(1));
-            let (bc_elems, at_elems) = family_workspace::<T>(fam, kc);
-            let mut bc = vec![T::ZERO; bc_elems];
-            let mut at = vec![T::ZERO; at_elems];
-            // SAFETY: SHALOM-K-MAIN — a/b/c are owned m x k / k x n /
-            // m x n buffers at tight strides, bc/at sized per
-            // family_workspace, and `fam` came from the runtime registry.
-            unsafe {
-                family_gemm_nn::<T>(
-                    fam,
-                    m,
-                    n,
-                    k,
-                    alpha,
-                    a.as_ptr(),
-                    k,
-                    b.as_ptr(),
-                    n,
-                    beta,
-                    c.as_mut_ptr(),
-                    n,
-                    kc,
-                    bc.as_mut_ptr(),
-                    at.as_mut_ptr(),
-                );
-            }
-            reference_gemm(m, n, k, alpha, &a, &b, beta, &mut want);
-            let tol = T::from_f64(1e-4 * k as f64);
-            for (i, (&got, &want)) in c.iter().zip(want.iter()).enumerate() {
-                assert!(
-                    (got - want).abs() <= tol.abs(),
-                    "({m}x{n}x{k}) idx {i}: got {got}, want {want}"
-                );
-            }
-        }
-    }
+    const LD_PAD: usize = 3;
 
-    /// The wide kernels' rounding contract, checked **bitwise**: each C
-    /// element is one fused multiply-add chain over `k` in increasing
-    /// order (`acc = fma(b, a, acc)`), then `alpha * acc` for `beta == 0`
-    /// or `(alpha * acc) + (beta * c)` in exactly-rounded plain ops.
+    /// Checks one `m x n` tile update `run` wrote into `c` (row stride
+    /// `n + LD_PAD`, padding pre-filled with a sentinel) against the wide
+    /// sets' rounding contract, **bitwise**: each C element is one fused
+    /// multiply-add chain over `k` in increasing order
+    /// (`acc = fma(b, a, acc)`), then `alpha * acc` for `beta == 0` or
+    /// `(alpha * acc) + (beta * c)` in exactly-rounded plain ops — and
+    /// nothing outside the tile is written. Also within the benchmark's
+    /// tolerance of the f64 reference.
     ///
     /// Running the same check against the native kernels here and against
     /// the scalar-emulated kernels in a `force-scalar` build proves the
     /// two builds bitwise-identical transitively: both must equal this
     /// model, so they equal each other.
-    fn check_bitwise_model<T: Scalar>(
-        kernel: FamilyKernelFn<T>,
-        mr: usize,
-        nr: usize,
-        fma: fn(T, T, T) -> T,
-        bits: fn(T) -> u64,
+    fn check_tile<T: Fused>(
+        what: &str,
+        (m, n, kc): (usize, usize, usize),
+        (alpha, beta): (f64, f64),
+        a: &[T],
+        b: &[T],
+        ldb: usize,
+        run: impl FnOnce(T, T, *mut T, usize),
     ) {
-        let gen = |seed: usize, len: usize| -> Vec<T> {
-            (0..len)
-                .map(|i| T::from_f64((((i * 31 + seed * 17) % 23) as f64 - 11.0) / 7.0))
-                .collect()
-        };
-        for kc in [1usize, 2, 7, 33] {
-            let a = gen(1, mr * kc); // mr x kc, lda = kc
-            let b = gen(2, kc * nr); // packed kc x nr panel
-            let c0 = gen(3, mr * nr);
-            for (alpha, beta) in [(1.0, 0.0), (1.0, 1.0), (-1.5, 0.5), (2.0, 0.0)] {
-                let (alpha, beta) = (T::from_f64(alpha), T::from_f64(beta));
-                let mut c = c0.clone();
-                // SAFETY: SHALOM-K-MAIN — a is mr x kc at stride kc, b is
-                // the packed kc x nr panel at stride nr, c is mr x nr at
-                // stride nr; the caller picked a kernel this build/host
-                // can execute.
-                unsafe {
-                    kernel(
-                        kc,
-                        alpha,
-                        a.as_ptr(),
-                        kc,
-                        b.as_ptr(),
-                        nr,
-                        beta,
-                        c.as_mut_ptr(),
-                        nr,
-                    );
+        let (alpha, beta) = (T::from_f64(alpha), T::from_f64(beta));
+        let ldc = n + LD_PAD;
+        let sentinel = T::from_f64(-77.0);
+        let c0 = gen::<T>(3, m * n);
+        let mut c = vec![sentinel; m * ldc];
+        for i in 0..m {
+            c[i * ldc..i * ldc + n].copy_from_slice(&c0[i * n..(i + 1) * n]);
+        }
+        run(alpha, beta, c.as_mut_ptr(), ldc);
+        let tol = gemm_tolerance::<T>(kc, 1.0);
+        for i in 0..m {
+            for j in 0..n {
+                let (mut acc, mut exact) = (T::ZERO, 0.0f64);
+                for p in 0..kc {
+                    acc = T::fma(b[p * ldb + j], a[i * kc + p], acc);
+                    exact += a[i * kc + p].to_f64() * b[p * ldb + j].to_f64();
                 }
-                for i in 0..mr {
-                    for j in 0..nr {
-                        let mut acc = T::ZERO;
-                        for p in 0..kc {
-                            acc = fma(b[p * nr + j], a[i * kc + p], acc);
+                let want = if beta == T::ZERO {
+                    acc * alpha
+                } else {
+                    acc * alpha + c0[i * n + j] * beta
+                };
+                let got = c[i * ldc + j];
+                assert!(
+                    got.bits() == want.bits(),
+                    "{what} {m}x{n}x{kc} ({i},{j}): got {got}, model {want}"
+                );
+                let exact = alpha.to_f64() * exact + beta.to_f64() * c0[i * n + j].to_f64();
+                assert!(
+                    (got.to_f64() - exact).abs() <= tol,
+                    "{what} {m}x{n}x{kc} ({i},{j}): got {got}, reference {exact}"
+                );
+            }
+            for pad in n..ldc {
+                assert!(
+                    c[i * ldc + pad].bits() == sentinel.bits(),
+                    "{what} {m}x{n}x{kc}: wrote C[{i}, {pad}] beyond the tile"
+                );
+            }
+        }
+    }
+
+    /// Every NN entry point of one kernel set against the bitwise model:
+    /// main, fused-pack (with and without look-ahead) and streamed at the
+    /// full tile, both edge schedules over every `m <= mr`, `n <= nr`.
+    fn check_set<T: Fused>(label: &str, ks: &FamilyKernels<T>) {
+        let (mr, nr, lanes) = (ks.mr, ks.nr, ks.lanes);
+        let abs = [(1.0, 0.0), (1.0, 1.0), (-1.5, 0.5)];
+        for kc in [0usize, 1, 2, lanes - 1, lanes + 1, 33] {
+            let a = gen::<T>(1, mr * kc);
+            // Two panels side by side: the tile's own and the look-ahead's.
+            let ldb = 2 * nr;
+            let b = gen::<T>(2, kc * ldb);
+            let packed: Vec<T> = (0..kc * nr).map(|x| b[x / nr * ldb + x % nr]).collect();
+            for ab in abs {
+                // Operands of every call below: a is mr x kc at stride kc,
+                // b is kc x 2nr at stride 2nr (`packed` its first panel at
+                // stride nr), c is the m x n tile at stride n + LD_PAD,
+                // bc/ahead are kc x nr; the caller checked `can_run`.
+                // SAFETY: full tile of the operands described above.
+                let main = |al, be, c, ldc| unsafe {
+                    (ks.kernel)(kc, al, a.as_ptr(), kc, b.as_ptr(), ldb, be, c, ldc)
+                };
+                check_tile(label, (mr, nr, kc), ab, &a, &b, ldb, main);
+                for with_ahead in [false, true] {
+                    let mut bc = vec![T::ZERO; kc * nr];
+                    let mut next = vec![T::ZERO; kc * nr];
+                    let ahead = with_ahead.then(|| PackAhead {
+                        src: b[nr.min(b.len())..].as_ptr(),
+                        dst: next.as_mut_ptr(),
+                    });
+                    let bc_ptr = bc.as_mut_ptr();
+                    // SAFETY: as above, plus the kc x nr bc/look-ahead panels.
+                    let fused = |al, be, c, ldc| unsafe {
+                        (ks.fused_pack)(
+                            kc,
+                            al,
+                            a.as_ptr(),
+                            kc,
+                            b.as_ptr(),
+                            ldb,
+                            be,
+                            c,
+                            ldc,
+                            bc_ptr,
+                            ahead,
+                        )
+                    };
+                    check_tile(label, (mr, nr, kc), ab, &a, &b, ldb, fused);
+                    assert!(bc.iter().zip(&packed).all(|(x, y)| x.bits() == y.bits()));
+                    if with_ahead {
+                        for (x, got) in next.iter().enumerate() {
+                            assert!(got.bits() == b[x / nr * ldb + nr + x % nr].bits());
                         }
-                        let want = if beta == T::ZERO {
-                            acc * alpha
-                        } else {
-                            acc * alpha + c0[i * nr + j] * beta
+                    }
+                }
+                let mut next = vec![T::ZERO; kc * nr];
+                let stream = Some(StreamCopy {
+                    src: b[nr.min(b.len())..].as_ptr(),
+                    src_ld: ldb,
+                    dst: next.as_mut_ptr(),
+                    rows: kc,
+                });
+                // SAFETY: as above, B read from the packed panel at stride nr.
+                let streamed = |al, be, c, ldc| unsafe {
+                    (ks.streamed)(kc, al, a.as_ptr(), kc, packed.as_ptr(), be, c, ldc, stream)
+                };
+                check_tile(label, (mr, nr, kc), ab, &a, &packed, nr, streamed);
+                for (x, got) in next.iter().enumerate() {
+                    assert!(got.bits() == b[x / nr * ldb + nr + x % nr].bits());
+                }
+            }
+            // The edge lattice: remainder rows and remainder columns.
+            for m in 1..=mr {
+                for n in 1..=nr {
+                    for (edge, sched) in [(ks.edge_pipelined, "pipe"), (ks.edge_batched, "batch")] {
+                        let what = format!("{label} edge-{sched}");
+                        let ab = abs[(m + n) % abs.len()];
+                        // SAFETY: the leading m x n sub-tile of the same operands.
+                        let run = |al, be, c, ldc| unsafe {
+                            edge(m, n, kc, al, a.as_ptr(), kc, b.as_ptr(), ldb, be, c, ldc)
                         };
-                        let got = c[i * nr + j];
-                        assert!(
-                            bits(got) == bits(want),
-                            "kc {kc} ({i},{j}): got {got}, model {want}"
-                        );
+                        check_tile(&what, (m, n, kc), ab, &a, &b, ldb, run);
                     }
                 }
             }
@@ -604,106 +758,73 @@ mod tests {
 
     #[test]
     fn family_kernels_are_bitwise_the_fused_model() {
-        // Native builds: through the registered, runtime-probed family
-        // entry points (skipped per-family on hosts lacking the ISA).
         for isa in [Isa::Avx2W256, Isa::Avx512W512] {
-            let Some(fam) = family_for(isa) else { continue };
-            check_bitwise_model::<f32>(
-                fam.k_f32.kernel,
-                fam.k_f32.mr,
-                fam.k_f32.nr,
-                f32::mul_add,
-                |x| u64::from(x.to_bits()),
-            );
-            check_bitwise_model::<f64>(
-                fam.k_f64.kernel,
-                fam.k_f64.mr,
-                fam.k_f64.nr,
-                f64::mul_add,
-                f64::to_bits,
-            );
-        }
-        // force-scalar (and non-x86) builds: the identical shaped kernels
-        // compile to the scalar `mul_add` emulation, callable without any
-        // CPU probe — the same model must hold bit for bit.
-        #[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
-        {
-            use shalom_simd::{F32x16, F32x8, F64x4, F64x8};
-            check_bitwise_model::<f32>(
-                |kc, al, a, lda, b, ldb, be, c, ldc| {
-                    // SAFETY: SHALOM-K-MAIN — forwarded caller contract.
-                    unsafe {
-                        main_kernel_shape::<F32x8, AVX2_MR_F32, 1>(
-                            kc, al, a, lda, b, ldb, be, c, ldc,
-                        )
-                    }
-                },
-                AVX2_MR_F32,
-                AVX2_NR_F32,
-                f32::mul_add,
-                |x| u64::from(x.to_bits()),
-            );
-            check_bitwise_model::<f64>(
-                |kc, al, a, lda, b, ldb, be, c, ldc| {
-                    // SAFETY: SHALOM-K-MAIN — forwarded caller contract.
-                    unsafe {
-                        main_kernel_shape::<F64x4, AVX2_MR_F64, 2>(
-                            kc, al, a, lda, b, ldb, be, c, ldc,
-                        )
-                    }
-                },
-                AVX2_MR_F64,
-                AVX2_NR_F64,
-                f64::mul_add,
-                f64::to_bits,
-            );
-            check_bitwise_model::<f32>(
-                |kc, al, a, lda, b, ldb, be, c, ldc| {
-                    // SAFETY: SHALOM-K-MAIN — forwarded caller contract.
-                    unsafe {
-                        main_kernel_shape::<F32x16, AVX512_MR_F32, 1>(
-                            kc, al, a, lda, b, ldb, be, c, ldc,
-                        )
-                    }
-                },
-                AVX512_MR_F32,
-                AVX512_NR_F32,
-                f32::mul_add,
-                |x| u64::from(x.to_bits()),
-            );
-            check_bitwise_model::<f64>(
-                |kc, al, a, lda, b, ldb, be, c, ldc| {
-                    // SAFETY: SHALOM-K-MAIN — forwarded caller contract.
-                    unsafe {
-                        main_kernel_shape::<F64x8, AVX512_MR_F64, 2>(
-                            kc, al, a, lda, b, ldb, be, c, ldc,
-                        )
-                    }
-                },
-                AVX512_MR_F64,
-                AVX512_NR_F64,
-                f64::mul_add,
-                f64::to_bits,
-            );
+            if !can_run(isa) {
+                continue;
+            }
+            let (k32, k64) = wide_sets::sets(isa).expect("a wide level");
+            check_set(&format!("{} f32", isa.label()), &k32);
+            check_set(&format!("{} f64", isa.label()), &k64);
         }
     }
 
+    /// The 128-bit set's entry points are the generic 7x12 / 7x6 kernels,
+    /// bit for bit: registering the base tiles as a family changed how
+    /// they are reached, not what they compute.
     #[test]
-    fn family_gemm_matches_reference_over_edge_lattice() {
-        for isa in [Isa::Avx2W256, Isa::Avx512W512] {
-            let Some(fam) = family_for(isa) else { continue };
-            let (mr32, nr32) = (fam.k_f32.mr, fam.k_f32.nr);
-            let shapes = [
-                (1, 1, 1),
-                (mr32, nr32, 8),
-                (mr32 - 1, nr32 + 1, 5),
-                (2 * mr32 + 3, 2 * nr32 + 5, 70),
-                (3, 2 * nr32, 33),
-                (2 * mr32, 3, 40),
-            ];
-            for (m, n, k) in shapes {
-                check_family_gemm::<f32>(fam, m, n, k);
-                check_family_gemm::<f64>(fam, m, n, k);
+    fn base_set_is_the_generic_128_bit_kernels() {
+        use crate::edge::{edge_kernel_batched, edge_kernel_pipelined};
+        use shalom_simd::F32x4;
+        let ks = &BASE.k_f32;
+        let kc = 9;
+        let a = gen::<f32>(1, ks.mr * kc);
+        let b = gen::<f32>(2, kc * ks.nr);
+        for m in 1..=ks.mr {
+            for n in 1..=ks.nr {
+                for (table, generic) in [
+                    (
+                        ks.edge_pipelined,
+                        edge_kernel_pipelined::<F32x4> as EdgeFn<f32>,
+                    ),
+                    (ks.edge_batched, edge_kernel_batched::<F32x4> as EdgeFn<f32>),
+                ] {
+                    let mut got = gen::<f32>(3, m * n);
+                    let mut want = got.clone();
+                    // SAFETY: a is mr x kc, b is kc x nr at stride nr, both C
+                    // buffers are m x n at stride n.
+                    unsafe {
+                        table(
+                            m,
+                            n,
+                            kc,
+                            1.5,
+                            a.as_ptr(),
+                            kc,
+                            b.as_ptr(),
+                            ks.nr,
+                            0.5,
+                            got.as_mut_ptr(),
+                            n,
+                        );
+                        generic(
+                            m,
+                            n,
+                            kc,
+                            1.5,
+                            a.as_ptr(),
+                            kc,
+                            b.as_ptr(),
+                            ks.nr,
+                            0.5,
+                            want.as_mut_ptr(),
+                            n,
+                        );
+                    }
+                    assert!(got
+                        .iter()
+                        .zip(&want)
+                        .all(|(x, y)| x.to_bits() == y.to_bits()));
+                }
             }
         }
     }

@@ -42,9 +42,11 @@ pub mod nt_pack;
 pub mod pack;
 pub mod tile;
 mod vector;
-pub mod wide;
 
-pub use family::{family_for, selected_wide_family, FamilyElem, KernelFamily};
+pub use family::{
+    family_for, kernels_for, registered_families, selected_wide_family, FamilyElem, FamilyKernels,
+    KernelFamily,
+};
 pub use tile::{cmr, solve_tile, TileConstraints, TileShape};
 pub use vector::Vector;
 

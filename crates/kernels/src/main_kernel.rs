@@ -183,20 +183,26 @@ pub struct PackAhead<T> {
 /// FMA stream.
 ///
 /// After this kernel runs, rows `mr..mc` of the C block can be updated by
-/// [`main_kernel`] reading `bc` with `ldb = nr`, which is the cache- and
+/// the main kernel reading `bc` with `ldb = nr`, which is the cache- and
 /// TLB-friendly access the packing exists to provide.
 ///
+/// Rounds every C element exactly as [`main_kernel_shape`] does (the same
+/// FMA chain over `kc`, then [`writeback_row`]), so within a kernel set
+/// the first `mr` rows of a panel are indistinguishable from the rest.
+///
 /// # Safety
-/// As [`main_kernel`], plus: `bc` valid for writes of `kc * NR` elements;
-/// `ahead.src` (if set) valid for reads of `kc` rows of `NR` elements at
-/// stride `ldb`, and `ahead.dst` for `kc * NR` element writes. `bc`
-/// must not alias the inputs.
-#[inline]
-// PANIC-OK(index): register arrays sized by MR/NR_VECS, indexed by loops bounded
+/// As [`main_kernel_shape`], plus: `bc` valid for writes of `kc * NR`
+/// elements; `ahead.src` (if set) valid for reads of `kc` rows of `NR`
+/// elements at stride `ldb`, and `ahead.dst` for `kc * NR` element
+/// writes. `bc` must not alias the inputs.
+// `inline(always)`: inlines into the per-ISA `#[target_feature]` entry
+// points of `family`, like `main_kernel_shape`.
+#[inline(always)]
+// PANIC-OK(index): register arrays sized by MR_/NRV_, indexed by loops bounded
 // by those constants.
 // ALLOC-FREE
-// CONTRACT(SHALOM-K-FUSED: m = MR, n = nr, ahead_src = src, ahead_dst = dst)
-pub unsafe fn main_kernel_fused_pack<V: Vector>(
+// CONTRACT(SHALOM-K-FUSED: m = MR_, n = NRV_ * V::LANES, ahead_src = src, ahead_dst = dst)
+pub unsafe fn main_kernel_fused_pack<V: Vector, const MR_: usize, const NRV_: usize>(
     kc: usize,
     alpha: V::Elem,
     a: *const V::Elem,
@@ -209,21 +215,21 @@ pub unsafe fn main_kernel_fused_pack<V: Vector>(
     bc: *mut V::Elem,
     ahead: Option<PackAhead<V::Elem>>,
 ) {
-    let nr = NR_VECS * V::LANES;
+    let nr = NRV_ * V::LANES;
     // Contract SHALOM-K-FUSED preconditions.
     debug_assert!(!c.is_null() && ldc >= nr);
     if kc > 0 {
         debug_assert!(!a.is_null() && !b.is_null() && !bc.is_null());
-        debug_assert!(lda >= kc);
+        debug_assert!(MR_ <= 1 || lda >= kc);
         debug_assert!(kc <= 1 || ldb >= nr);
     }
     if let Some(p) = ahead {
         debug_assert!(kc == 0 || (!p.src.is_null() && !p.dst.is_null()));
     }
-    let mut acc = [[V::zero(); NR_VECS]; MR];
+    let mut acc = [[V::zero(); NRV_]; MR_];
     let mut k = 0usize;
     while k + V::LANES <= kc {
-        let mut av = [V::zero(); MR];
+        let mut av = [V::zero(); MR_];
         for (i, slot) in av.iter_mut().enumerate() {
             *slot = V::load(a.add(i * lda + k));
         }
@@ -231,18 +237,18 @@ pub unsafe fn main_kernel_fused_pack<V: Vector>(
             let kk = k + lane;
             let brow = b.add(kk * ldb);
             let bcrow = bc.add(kk * nr);
-            let mut bv = [V::zero(); NR_VECS];
+            let mut bv = [V::zero(); NRV_];
             for (t, slot) in bv.iter_mut().enumerate() {
                 *slot = V::load(brow.add(t * V::LANES));
             }
             // Figure 4 step ①: the row we are consuming goes to Bc, the
             // store issued between the FMAs of this lane so the OoO core
             // overlaps it with computation.
-            for i in 0..MR {
-                for t in 0..NR_VECS {
+            for i in 0..MR_ {
+                for t in 0..NRV_ {
                     acc[i][t] = acc[i][t].fma_lane_dyn(bv[t], av[i], lane);
                 }
-                if i == MR / 2 {
+                if i == MR_ / 2 {
                     for (t, v) in bv.iter().enumerate() {
                         v.store(bcrow.add(t * V::LANES));
                     }
@@ -253,7 +259,7 @@ pub unsafe fn main_kernel_fused_pack<V: Vector>(
             if let Some(PackAhead { src, dst }) = ahead {
                 let srow = src.add(kk * ldb);
                 let drow = dst.add(kk * nr);
-                for t in 0..NR_VECS {
+                for t in 0..NRV_ {
                     V::load(srow.add(t * V::LANES)).store(drow.add(t * V::LANES));
                 }
             }
@@ -263,28 +269,28 @@ pub unsafe fn main_kernel_fused_pack<V: Vector>(
     while k < kc {
         let brow = b.add(k * ldb);
         let bcrow = bc.add(k * nr);
-        let mut bv = [V::zero(); NR_VECS];
+        let mut bv = [V::zero(); NRV_];
         for (t, slot) in bv.iter_mut().enumerate() {
             *slot = V::load(brow.add(t * V::LANES));
             (*slot).store(bcrow.add(t * V::LANES));
         }
-        for i in 0..MR {
+        for i in 0..MR_ {
             let s = V::splat(*a.add(i * lda + k));
-            for t in 0..NR_VECS {
+            for t in 0..NRV_ {
                 acc[i][t] = acc[i][t].fma(bv[t], s);
             }
         }
         if let Some(PackAhead { src, dst }) = ahead {
             let srow = src.add(k * ldb);
             let drow = dst.add(k * nr);
-            for t in 0..NR_VECS {
+            for t in 0..NRV_ {
                 V::load(srow.add(t * V::LANES)).store(drow.add(t * V::LANES));
             }
         }
         k += 1;
     }
     for (i, row) in acc.iter().enumerate() {
-        writeback_row::<V>(row, NR_VECS, alpha, beta, c.add(i * ldc));
+        writeback_row::<V>(row, NRV_, alpha, beta, c.add(i * ldc));
     }
 }
 
@@ -309,16 +315,18 @@ pub struct StreamCopy<T> {
 /// `t` computes from the panel packed during iteration `t-1` while packing
 /// the panel iteration `t+1` will use.
 ///
+/// Rounds every C element exactly as [`main_kernel_shape`] does.
+///
 /// # Safety
-/// As [`main_kernel`] with `ldb = NR`; additionally `stream.src` (if set)
-/// valid for `rows` rows of `NR` elements at stride `src_ld` and
+/// As [`main_kernel_shape`] with `ldb = NR`; additionally `stream.src` (if
+/// set) valid for `rows` rows of `NR` elements at stride `src_ld` and
 /// `stream.dst` for `rows * NR` writes, not aliasing anything else.
-#[inline]
-// PANIC-OK(index): register arrays sized by MR/NR_VECS, indexed by loops bounded
+#[inline(always)]
+// PANIC-OK(index): register arrays sized by MR_/NRV_, indexed by loops bounded
 // by those constants.
 // ALLOC-FREE
-// CONTRACT(SHALOM-K-STREAM: m = MR, n = nr, stream_src = s.src, stream_dst = s.dst, stream_rows = s.rows, stream_ld = s.src_ld)
-pub unsafe fn main_kernel_streamed<V: Vector>(
+// CONTRACT(SHALOM-K-STREAM: m = MR_, n = NRV_ * V::LANES, stream_src = s.src, stream_dst = s.dst, stream_rows = s.rows, stream_ld = s.src_ld)
+pub unsafe fn main_kernel_streamed<V: Vector, const MR_: usize, const NRV_: usize>(
     kc: usize,
     alpha: V::Elem,
     a: *const V::Elem,
@@ -329,42 +337,42 @@ pub unsafe fn main_kernel_streamed<V: Vector>(
     ldc: usize,
     stream: Option<StreamCopy<V::Elem>>,
 ) {
-    let nr = NR_VECS * V::LANES;
+    let nr = NRV_ * V::LANES;
     // Contract SHALOM-K-STREAM preconditions.
     debug_assert!(!c.is_null() && ldc >= nr);
     if kc > 0 {
-        debug_assert!(!a.is_null() && !bc_packed.is_null() && lda >= kc);
+        debug_assert!(!a.is_null() && !bc_packed.is_null() && (MR_ <= 1 || lda >= kc));
     }
     if let Some(s) = stream {
         debug_assert!(s.rows == 0 || (!s.src.is_null() && !s.dst.is_null()));
         debug_assert!(s.rows <= 1 || s.src_ld >= nr);
     }
-    let mut acc = [[V::zero(); NR_VECS]; MR];
+    let mut acc = [[V::zero(); NRV_]; MR_];
     let mut k = 0usize;
     while k + V::LANES <= kc {
-        let mut av = [V::zero(); MR];
+        let mut av = [V::zero(); MR_];
         for (i, slot) in av.iter_mut().enumerate() {
             *slot = V::load(a.add(i * lda + k));
         }
         for lane in 0..V::LANES {
             let kk = k + lane;
             let brow = bc_packed.add(kk * nr);
-            let mut bv = [V::zero(); NR_VECS];
+            let mut bv = [V::zero(); NRV_];
             for (t, slot) in bv.iter_mut().enumerate() {
                 *slot = V::load(brow.add(t * V::LANES));
             }
-            for i in 0..MR {
-                for t in 0..NR_VECS {
+            for i in 0..MR_ {
+                for t in 0..NRV_ {
                     acc[i][t] = acc[i][t].fma_lane_dyn(bv[t], av[i], lane);
                 }
                 // The copy traffic rides between FMA groups, exactly like
                 // the fused pack's Bc stores.
-                if i == MR / 2 {
+                if i == MR_ / 2 {
                     if let Some(s) = stream {
                         if kk < s.rows {
                             let srow = s.src.add(kk * s.src_ld);
                             let drow = s.dst.add(kk * nr);
-                            for t in 0..NR_VECS {
+                            for t in 0..NRV_ {
                                 V::load(srow.add(t * V::LANES)).store(drow.add(t * V::LANES));
                             }
                         }
@@ -376,13 +384,13 @@ pub unsafe fn main_kernel_streamed<V: Vector>(
     }
     while k < kc {
         let brow = bc_packed.add(k * nr);
-        let mut bv = [V::zero(); NR_VECS];
+        let mut bv = [V::zero(); NRV_];
         for (t, slot) in bv.iter_mut().enumerate() {
             *slot = V::load(brow.add(t * V::LANES));
         }
-        for i in 0..MR {
+        for i in 0..MR_ {
             let s = V::splat(*a.add(i * lda + k));
-            for t in 0..NR_VECS {
+            for t in 0..NRV_ {
                 acc[i][t] = acc[i][t].fma(bv[t], s);
             }
         }
@@ -390,7 +398,7 @@ pub unsafe fn main_kernel_streamed<V: Vector>(
             if k < s.rows {
                 let srow = s.src.add(k * s.src_ld);
                 let drow = s.dst.add(k * nr);
-                for t in 0..NR_VECS {
+                for t in 0..NRV_ {
                     V::load(srow.add(t * V::LANES)).store(drow.add(t * V::LANES));
                 }
             }
@@ -405,14 +413,14 @@ pub unsafe fn main_kernel_streamed<V: Vector>(
         while r < s.rows {
             let srow = s.src.add(r * s.src_ld);
             let drow = s.dst.add(r * nr);
-            for t in 0..NR_VECS {
+            for t in 0..NRV_ {
                 V::load(srow.add(t * V::LANES)).store(drow.add(t * V::LANES));
             }
             r += 1;
         }
     }
     for (i, row) in acc.iter().enumerate() {
-        writeback_row::<V>(row, NR_VECS, alpha, beta, c.add(i * ldc));
+        writeback_row::<V>(row, NRV_, alpha, beta, c.add(i * ldc));
     }
 }
 
@@ -623,7 +631,7 @@ mod tests {
         });
         // SAFETY: operands owned and sized to the fused-pack footprint.
         unsafe {
-            main_kernel_fused_pack::<V>(
+            main_kernel_fused_pack::<V, MR, NR_VECS>(
                 kc,
                 V::Elem::ONE,
                 a.as_slice().as_ptr(),
@@ -710,7 +718,7 @@ mod tests {
         // SAFETY: packed panel, stream source, and dst are owned buffers
         // sized to the streamed kernel's footprint.
         unsafe {
-            main_kernel_streamed::<V>(
+            main_kernel_streamed::<V, MR, NR_VECS>(
                 kc,
                 V::Elem::ONE,
                 a.as_slice().as_ptr(),

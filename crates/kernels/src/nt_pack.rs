@@ -30,6 +30,11 @@ use shalom_matrix::Scalar;
 /// micro-kernel).
 pub const NT_BCOLS: usize = 3;
 
+/// A-rows the packing kernel covers (the paper's **7** x 3). The same at
+/// every vector width: the first `min(NT_ROWS, m)` rows of an NT panel
+/// carry the inner-product rounding, whatever kernel set runs the rest.
+pub const NT_ROWS: usize = MR;
+
 /// Monomorphized Algorithm-3 body: `M` A-rows x `BC` stored B-rows, with
 /// compile-time bounds so the accumulator tile register-allocates (a
 /// runtime-bounded loop would spill every FMA to the stack).
@@ -162,7 +167,9 @@ macro_rules! nt_dispatch {
 ///   `ldc`;
 /// * `bc` valid for `kc * nr` element writes, `jcol + bcols <= nr`;
 /// * no aliasing between `c`/`bc` and the inputs.
-#[inline]
+// `inline(always)` down to the body: the kernel sets call this through
+// their `#[target_feature]` entry points (`family::kernel_set!`).
+#[inline(always)]
 pub unsafe fn nt_pack_kernel<V: Vector>(
     m: usize,
     bcols: usize,
@@ -180,7 +187,9 @@ pub unsafe fn nt_pack_kernel<V: Vector>(
     bc: *mut V::Elem,
 ) {
     // Contract SHALOM-K-NT preconditions.
-    debug_assert!((1..=MR).contains(&m) && (1..=NT_BCOLS).contains(&bcols) && jcol + bcols <= nr);
+    debug_assert!(
+        (1..=NT_ROWS).contains(&m) && (1..=NT_BCOLS).contains(&bcols) && jcol + bcols <= nr
+    );
     debug_assert!(!c.is_null() && (m <= 1 || ldc >= jcol + bcols));
     if kc > 0 {
         debug_assert!(!a.is_null() && !b.is_null() && !bc.is_null());
@@ -203,6 +212,7 @@ pub unsafe fn nt_pack_kernel<V: Vector>(
 /// # Safety
 /// As [`nt_pack_kernel`], with `b` valid for `npanel` rows and `c` for
 /// `m x npanel`.
+#[inline(always)]
 // CONTRACT(SHALOM-K-NT-PANEL: n = npanel)
 pub unsafe fn nt_pack_panel<V: Vector>(
     m: usize,

@@ -168,6 +168,16 @@ pub fn solve_tile(c: &TileConstraints) -> TileShape {
     best.expect("register budget too small for any tile")
 }
 
+/// §5.5 solver table, 256-bit SVE over a 32-register file: FP32 tile rows
+/// (`j = 8`).
+pub const WIDE_MR_F32: usize = 9;
+/// §5.5 solver table: FP32 tile columns at `j = 8`.
+pub const WIDE_NR_F32: usize = 16;
+/// §5.5 solver table: FP64 tile rows (`j = 4`).
+pub const WIDE_MR_F64: usize = 7;
+/// §5.5 solver table: FP64 tile columns at `j = 4`.
+pub const WIDE_NR_F64: usize = 12;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,5 +301,17 @@ mod tests {
             lanes: 4,
         };
         let _ = solve_tile(&c);
+    }
+
+    #[test]
+    fn section_5_5_table_rows_match_solver() {
+        // "A revised mr and nr computed according to the available number
+        // and length of vector registers": 256-bit SVE, 32 registers.
+        let t32 = solve_tile(&TileConstraints::sve(256, 32));
+        let t64 = solve_tile(&TileConstraints::sve(256, 64));
+        assert_eq!((t32.mr, t32.nr), (WIDE_MR_F32, WIDE_NR_F32));
+        assert_eq!((t64.mr, t64.nr), (WIDE_MR_F64, WIDE_NR_F64));
+        // Register accounting at j = 8: 9 + 2 + 18 = 29 <= 31.
+        const { assert!(WIDE_MR_F32 + 2 + WIDE_MR_F32 * 2 <= 31) };
     }
 }

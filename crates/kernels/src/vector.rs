@@ -6,6 +6,9 @@ use crate::family::FamilyElem;
 use shalom_matrix::Scalar;
 use shalom_simd::{F32x16, F32x4, F32x8, F64x2, F64x4, F64x8};
 
+/// The widest lane count any [`Vector`] has (`F32x16`).
+const MAX_LANES: usize = 16;
+
 /// A SIMD vector type usable by the generic micro-kernels.
 ///
 /// Implemented by the 128-bit [`F32x4`] (`j = 4`) and [`F64x2`] (`j = 2`)
@@ -24,6 +27,13 @@ pub trait Vector: Copy + Send + Sync + 'static {
     /// Lane count (the paper's `j`).
     const LANES: usize;
 
+    /// True for the runtime-dispatched wide types. Their arithmetic is
+    /// always fused, so an edge kernel keeps a wide set's rounding
+    /// contract by sending remainder columns through
+    /// [`Vector::load_partial`]/[`Vector::store_partial`] lanes; the
+    /// 128-bit types keep the scalar column tail (plain `x * b + acc`).
+    const WIDE: bool = false;
+
     /// All-zero vector.
     fn zero() -> Self;
 
@@ -41,6 +51,35 @@ pub trait Vector: Copy + Send + Sync + 'static {
     /// # Safety
     /// `ptr` valid for writing `LANES` elements.
     unsafe fn store(self, ptr: *mut Self::Elem);
+
+    /// Loads the first `n <= LANES` lanes and zeroes the rest, reading
+    /// nothing past `ptr + n`. The default stages through the stack; the
+    /// wide types use masked loads.
+    ///
+    /// # Safety
+    /// `ptr` valid for reading `n` elements.
+    #[inline(always)]
+    unsafe fn load_partial(ptr: *const Self::Elem, n: usize) -> Self {
+        let mut buf = [Self::Elem::ZERO; MAX_LANES];
+        for (d, s) in buf.iter_mut().zip(core::slice::from_raw_parts(ptr, n)) {
+            *d = *s;
+        }
+        Self::load(buf.as_ptr())
+    }
+
+    /// Stores the first `n <= LANES` lanes, writing nothing past
+    /// `ptr + n`.
+    ///
+    /// # Safety
+    /// `ptr` valid for writing `n` elements.
+    #[inline(always)]
+    unsafe fn store_partial(self, ptr: *mut Self::Elem, n: usize) {
+        let mut buf = [Self::Elem::ZERO; MAX_LANES];
+        self.store(buf.as_mut_ptr());
+        for (d, s) in core::slice::from_raw_parts_mut(ptr, n).iter_mut().zip(buf) {
+            *d = s;
+        }
+    }
 
     /// Lane-wise `self + a * b`.
     fn fma(self, a: Self, b: Self) -> Self;
@@ -176,6 +215,7 @@ impl Vector for F64x2 {
 impl Vector for F32x8 {
     type Elem = f32;
     const LANES: usize = 8;
+    const WIDE: bool = true;
 
     #[inline(always)]
     fn zero() -> Self {
@@ -196,6 +236,18 @@ impl Vector for F32x8 {
     #[inline(always)]
     unsafe fn store(self, ptr: *mut f32) {
         F32x8::store(self, ptr)
+    }
+    // SAFETY: SHALOM-V-SIMD — forwarded; the calling kernel's contract
+    // guarantees `ptr` covers `n` elements.
+    #[inline(always)]
+    unsafe fn load_partial(ptr: *const f32, n: usize) -> Self {
+        F32x8::load_partial(ptr, n)
+    }
+    // SAFETY: SHALOM-V-SIMD — forwarded; the calling kernel's contract
+    // guarantees `ptr` covers `n` elements.
+    #[inline(always)]
+    unsafe fn store_partial(self, ptr: *mut f32, n: usize) {
+        F32x8::store_partial(self, ptr, n)
     }
     #[inline(always)]
     fn fma(self, a: Self, b: Self) -> Self {
@@ -228,6 +280,7 @@ impl Vector for F32x8 {
 impl Vector for F64x4 {
     type Elem = f64;
     const LANES: usize = 4;
+    const WIDE: bool = true;
 
     #[inline(always)]
     fn zero() -> Self {
@@ -248,6 +301,18 @@ impl Vector for F64x4 {
     #[inline(always)]
     unsafe fn store(self, ptr: *mut f64) {
         F64x4::store(self, ptr)
+    }
+    // SAFETY: SHALOM-V-SIMD — forwarded; the calling kernel's contract
+    // guarantees `ptr` covers `n` elements.
+    #[inline(always)]
+    unsafe fn load_partial(ptr: *const f64, n: usize) -> Self {
+        F64x4::load_partial(ptr, n)
+    }
+    // SAFETY: SHALOM-V-SIMD — forwarded; the calling kernel's contract
+    // guarantees `ptr` covers `n` elements.
+    #[inline(always)]
+    unsafe fn store_partial(self, ptr: *mut f64, n: usize) {
+        F64x4::store_partial(self, ptr, n)
     }
     #[inline(always)]
     fn fma(self, a: Self, b: Self) -> Self {
@@ -280,6 +345,7 @@ impl Vector for F64x4 {
 impl Vector for F32x16 {
     type Elem = f32;
     const LANES: usize = 16;
+    const WIDE: bool = true;
 
     #[inline(always)]
     fn zero() -> Self {
@@ -300,6 +366,18 @@ impl Vector for F32x16 {
     #[inline(always)]
     unsafe fn store(self, ptr: *mut f32) {
         F32x16::store(self, ptr)
+    }
+    // SAFETY: SHALOM-V-SIMD — forwarded; the calling kernel's contract
+    // guarantees `ptr` covers `n` elements.
+    #[inline(always)]
+    unsafe fn load_partial(ptr: *const f32, n: usize) -> Self {
+        F32x16::load_partial(ptr, n)
+    }
+    // SAFETY: SHALOM-V-SIMD — forwarded; the calling kernel's contract
+    // guarantees `ptr` covers `n` elements.
+    #[inline(always)]
+    unsafe fn store_partial(self, ptr: *mut f32, n: usize) {
+        F32x16::store_partial(self, ptr, n)
     }
     #[inline(always)]
     fn fma(self, a: Self, b: Self) -> Self {
@@ -332,6 +410,7 @@ impl Vector for F32x16 {
 impl Vector for F64x8 {
     type Elem = f64;
     const LANES: usize = 8;
+    const WIDE: bool = true;
 
     #[inline(always)]
     fn zero() -> Self {
@@ -352,6 +431,18 @@ impl Vector for F64x8 {
     #[inline(always)]
     unsafe fn store(self, ptr: *mut f64) {
         F64x8::store(self, ptr)
+    }
+    // SAFETY: SHALOM-V-SIMD — forwarded; the calling kernel's contract
+    // guarantees `ptr` covers `n` elements.
+    #[inline(always)]
+    unsafe fn load_partial(ptr: *const f64, n: usize) -> Self {
+        F64x8::load_partial(ptr, n)
+    }
+    // SAFETY: SHALOM-V-SIMD — forwarded; the calling kernel's contract
+    // guarantees `ptr` covers `n` elements.
+    #[inline(always)]
+    unsafe fn store_partial(self, ptr: *mut f64, n: usize) {
+        F64x8::store_partial(self, ptr, n)
     }
     #[inline(always)]
     fn fma(self, a: Self, b: Self) -> Self {
@@ -414,5 +505,23 @@ mod tests {
         }
         assert_eq!(sum_via::<F32x4>(&[1.0, 2.0, 3.0, 4.0]), 10.0);
         assert_eq!(sum_via::<F64x2>(&[1.5, 2.5]), 4.0);
+    }
+
+    #[test]
+    fn default_partial_ops_touch_exactly_n_lanes() {
+        // The 128-bit types take the trait's stack-staged defaults.
+        for n in 0..=4 {
+            let src: Vec<f32> = (0..n).map(|i| i as f32 + 1.0).collect();
+            // SAFETY: `src` holds exactly `n` elements.
+            let v = unsafe { <F32x4 as Vector>::load_partial(src.as_ptr(), n) };
+            for lane in 0..4 {
+                let want = if lane < n { lane as f32 + 1.0 } else { 0.0 };
+                assert_eq!(v.extract_dyn(lane), want);
+            }
+            let mut out = vec![-1.0f32; n + 1];
+            // SAFETY: `out` holds `n + 1` elements; only `n` are written.
+            unsafe { Vector::store_partial(F32x4::splat(7.0), out.as_mut_ptr(), n) };
+            assert!(out[..n].iter().all(|&x| x == 7.0) && out[n] == -1.0);
+        }
     }
 }

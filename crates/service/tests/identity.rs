@@ -96,13 +96,18 @@ fn check_case<T: ServiceElem>(
     assert_bitwise_eq(&c_scope, &c_direct, &what);
 }
 
-const SHAPES: [(usize, usize, usize); 6] = [
+const SHAPES: [(usize, usize, usize); 8] = [
     (1, 1, 1),
     (5, 3, 7),
     (17, 1, 9),
     (8, 8, 8),
     (33, 17, 5),
     (2, 64, 3),
+    // At least one tile of every registered kernel set, so service ==
+    // direct is also checked on the wide sets an AVX host dispatches:
+    // `service_mix`'s 16x49x18 and the CP2K 23x23x23.
+    (16, 49, 18),
+    (23, 23, 23),
 ];
 
 const OPS: [(Op, Op); 3] = [

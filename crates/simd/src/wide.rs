@@ -132,6 +132,52 @@ mod x86 {
         };
         transmute(_mm256_fmadd_pd(transmute(a), s, transmute(acc)))
     }
+
+    /// Lane mask selecting the first `n` of eight 32-bit lanes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn mask_ps(n: usize) -> __m256i {
+        _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(n as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        )
+    }
+
+    /// Masked load of the first `n` lanes (`vmaskmovps`); masked-out
+    /// lanes read as zero and are never touched in memory.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn maskload_ps(ptr: *const f32, n: usize) -> [f32; 8] {
+        transmute(_mm256_maskload_ps(ptr, mask_ps(n)))
+    }
+
+    /// Masked store of the first `n` lanes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn maskstore_ps(ptr: *mut f32, n: usize, v: [f32; 8]) {
+        _mm256_maskstore_ps(ptr, mask_ps(n), transmute(v))
+    }
+
+    /// Lane mask selecting the first `n` of four 64-bit lanes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn mask_pd(n: usize) -> __m256i {
+        _mm256_cmpgt_epi64(_mm256_set1_epi64x(n as i64), _mm256_setr_epi64x(0, 1, 2, 3))
+    }
+
+    /// Masked load of the first `n` lanes (`vmaskmovpd`).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn maskload_pd(ptr: *const f64, n: usize) -> [f64; 4] {
+        transmute(_mm256_maskload_pd(ptr, mask_pd(n)))
+    }
+
+    /// Masked store of the first `n` lanes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn maskstore_pd(ptr: *mut f64, n: usize, v: [f64; 4]) {
+        _mm256_maskstore_pd(ptr, mask_pd(n), transmute(v))
+    }
 }
 
 impl F32x8 {
@@ -172,6 +218,47 @@ impl F32x8 {
     #[inline(always)]
     pub unsafe fn store(self, ptr: *mut f32) {
         core::ptr::write_unaligned(ptr as *mut [f32; 8], self.0)
+    }
+
+    /// Loads the first `n <= 8` lanes from `ptr` and zeroes the rest;
+    /// memory past `ptr + n` is never read.
+    ///
+    /// # Safety
+    /// `ptr` valid for reading `n` elements.
+    #[inline(always)]
+    pub unsafe fn load_partial(ptr: *const f32, n: usize) -> Self {
+        debug_assert!(n <= 8);
+        avx_block! {
+            debug_assert!(crate::caps::detect().avx2_fma);
+            // SAFETY: SHALOM-V-SIMD — see module contract; the mask keeps
+            // the access inside the caller's `n` elements.
+            return Self(x86::maskload_ps(ptr, n));
+        }
+        scalar_block! {
+            let mut r = [0.0; 8];
+            r[..n].copy_from_slice(core::slice::from_raw_parts(ptr, n));
+            Self(r)
+        }
+    }
+
+    /// Stores the first `n <= 8` lanes to `ptr`; memory past
+    /// `ptr + n` is never written.
+    ///
+    /// # Safety
+    /// `ptr` valid for writing `n` elements.
+    #[inline(always)]
+    pub unsafe fn store_partial(self, ptr: *mut f32, n: usize) {
+        debug_assert!(n <= 8);
+        avx_block! {
+            debug_assert!(crate::caps::detect().avx2_fma);
+            // SAFETY: SHALOM-V-SIMD — see module contract; the mask keeps
+            // the access inside the caller's `n` elements.
+            x86::maskstore_ps(ptr, n, self.0);
+            return;
+        }
+        scalar_block! {
+            core::slice::from_raw_parts_mut(ptr, n).copy_from_slice(&self.0[..n]);
+        }
     }
 
     /// Extracts all lanes.
@@ -294,6 +381,47 @@ impl F64x4 {
     #[inline(always)]
     pub unsafe fn store(self, ptr: *mut f64) {
         core::ptr::write_unaligned(ptr as *mut [f64; 4], self.0)
+    }
+
+    /// Loads the first `n <= 4` lanes from `ptr` and zeroes the rest;
+    /// memory past `ptr + n` is never read.
+    ///
+    /// # Safety
+    /// `ptr` valid for reading `n` elements.
+    #[inline(always)]
+    pub unsafe fn load_partial(ptr: *const f64, n: usize) -> Self {
+        debug_assert!(n <= 4);
+        avx_block! {
+            debug_assert!(crate::caps::detect().avx2_fma);
+            // SAFETY: SHALOM-V-SIMD — see module contract; the mask keeps
+            // the access inside the caller's `n` elements.
+            return Self(x86::maskload_pd(ptr, n));
+        }
+        scalar_block! {
+            let mut r = [0.0; 4];
+            r[..n].copy_from_slice(core::slice::from_raw_parts(ptr, n));
+            Self(r)
+        }
+    }
+
+    /// Stores the first `n <= 4` lanes to `ptr`; memory past
+    /// `ptr + n` is never written.
+    ///
+    /// # Safety
+    /// `ptr` valid for writing `n` elements.
+    #[inline(always)]
+    pub unsafe fn store_partial(self, ptr: *mut f64, n: usize) {
+        debug_assert!(n <= 4);
+        avx_block! {
+            debug_assert!(crate::caps::detect().avx2_fma);
+            // SAFETY: SHALOM-V-SIMD — see module contract; the mask keeps
+            // the access inside the caller's `n` elements.
+            x86::maskstore_pd(ptr, n, self.0);
+            return;
+        }
+        scalar_block! {
+            core::slice::from_raw_parts_mut(ptr, n).copy_from_slice(&self.0[..n]);
+        }
     }
 
     /// Extracts all lanes.
@@ -523,6 +651,38 @@ mod tests {
                     assert_eq!(got[i].to_bits(), want.to_bits());
                 }
             }
+        }
+    }
+
+    /// Partial loads zero the masked lanes and read nothing past `n`;
+    /// partial stores write exactly `n` elements (the buffers are sized
+    /// to `n`, so Miri/ASan-style overreach would be out of bounds).
+    #[test]
+    fn partial_load_store_touch_exactly_n_lanes() {
+        if !runtime_ok() {
+            return;
+        }
+        for n in 0..=8 {
+            let src: Vec<f32> = (0..n).map(|i| i as f32 + 1.0).collect();
+            let v = unsafe { F32x8::load_partial(src.as_ptr(), n) }.to_array();
+            for (i, x) in v.iter().enumerate() {
+                assert_eq!(*x, if i < n { i as f32 + 1.0 } else { 0.0 });
+            }
+            let mut out = vec![-1.0f32; n + 2];
+            unsafe { F32x8::splat(7.0).store_partial(out.as_mut_ptr().add(1), n) };
+            assert_eq!((out[0], out[n + 1]), (-1.0, -1.0));
+            assert!(out[1..=n].iter().all(|&x| x == 7.0));
+        }
+        for n in 0..=4 {
+            let src: Vec<f64> = (0..n).map(|i| i as f64 + 1.0).collect();
+            let v = unsafe { F64x4::load_partial(src.as_ptr(), n) }.to_array();
+            for (i, x) in v.iter().enumerate() {
+                assert_eq!(*x, if i < n { i as f64 + 1.0 } else { 0.0 });
+            }
+            let mut out = vec![-1.0f64; n + 2];
+            unsafe { F64x4::splat(7.0).store_partial(out.as_mut_ptr().add(1), n) };
+            assert_eq!((out[0], out[n + 1]), (-1.0, -1.0));
+            assert!(out[1..=n].iter().all(|&x| x == 7.0));
         }
     }
 }

@@ -1,0 +1,537 @@
+//! One differential test over everything the one driver can be asked to
+//! do: every executable ISA level x {NN, NT, TN, TT} x {f32, f64} x the
+//! four packing policies x both edge schedules x a tiny-cache config that
+//! forces several `jj/ii/kk` blocks, on shapes at the tile boundaries of
+//! *every* registered kernel set plus the repo benchmark's own cells, with
+//! the three `(alpha, beta)` classes, oversized leading dimensions and a
+//! NaN planted in A.
+//!
+//! Two kinds of assertion: within `gemm_tolerance(k, 1.0)` of `reference`
+//! (the benchmark's factor) everywhere, and **bitwise** where the library
+//! promises it — NN pooled == serial, `gemm_batch_beta` == direct
+//! `gemm_with`, cached == recomputed plan, capture on == off. This is the
+//! fast slice that rides in tier-1; the per-crate suites and the shadow
+//! harness go deeper on each axis.
+
+use libshalom::core::{gemm_batch_beta, set_plan_cache_enabled, IsaPolicy};
+use libshalom::kernels::registered_families;
+use libshalom::matrix::{gemm_tolerance, Matrix};
+use libshalom::{
+    gemm_with, BatchItem, CacheParams, EdgeSchedule, GemmConfig, GemmElem, Op, PackingPolicy,
+};
+
+const OPS: [(Op, Op); 4] = [
+    (Op::NoTrans, Op::NoTrans),
+    (Op::NoTrans, Op::Trans),
+    (Op::Trans, Op::NoTrans),
+    (Op::Trans, Op::Trans),
+];
+const PACKINGS: [PackingPolicy; 4] = [
+    PackingPolicy::Auto,
+    PackingPolicy::AlwaysFused,
+    PackingPolicy::AlwaysSequential,
+    PackingPolicy::Never,
+];
+const EDGES: [EdgeSchedule; 2] = [EdgeSchedule::Pipelined, EdgeSchedule::Batched];
+const ALPHA_BETAS: [(f64, f64); 3] = [(1.0, 0.0), (1.0, 1.0), (-1.5, 0.5)];
+
+/// Several `jj/ii/kk` blocks on anything bigger than a few tiles.
+const TINY_CACHE: CacheParams = CacheParams {
+    l1: 256,
+    l2: 4 * 1024,
+    l3: 64 * 1024,
+};
+
+/// `Force` of every registered family, then `Auto`.
+fn levels() -> Vec<IsaPolicy> {
+    registered_families()
+        .map(|f| IsaPolicy::Force(f.isa))
+        .chain([IsaPolicy::Auto])
+        .collect()
+}
+
+/// Every registered `(mr, nr)`, both element types.
+fn tiles() -> Vec<(usize, usize)> {
+    let mut t: Vec<_> = registered_families()
+        .flat_map(|f| [(f.k_f32.mr, f.k_f32.nr), (f.k_f64.mr, f.k_f64.nr)])
+        .collect();
+    t.sort_unstable();
+    t.dedup();
+    t
+}
+
+/// Shapes at 0 and +-1 around `mr`, `nr`, `2mr+3`, `2nr+5` of every
+/// registered tile (paired, not crossed), with depths around the lane
+/// counts.
+fn tile_lattice() -> Vec<(usize, usize, usize)> {
+    let mut shapes = vec![(0, 5, 3), (5, 0, 3), (5, 5, 0)];
+    for (mr, nr) in tiles() {
+        shapes.extend([
+            (mr - 1, nr + 1, 7),
+            (mr, nr, 17),
+            (mr + 1, nr - 1, 15),
+            (2 * mr + 3, 2 * nr + 5, 33),
+            (2 * mr + 2, 2 * nr + 4, 9),
+            (2 * mr + 4, 2 * nr + 6, 1),
+            (mr, 2 * nr + 5, 3),
+            (2 * mr + 3, nr, 5),
+        ]);
+    }
+    shapes.sort_unstable();
+    shapes.dedup();
+    shapes
+}
+
+/// The benchmark's small cells: the CP2K five, the squares up to 64, the
+/// `service_mix` shape and `conv_vgg`'s N = 25 / N = 100 at a shallow K.
+const BENCH_SMALL: [(usize, usize, usize); 12] = [
+    (5, 5, 5),
+    (13, 5, 13),
+    (13, 13, 13),
+    (23, 23, 23),
+    (26, 26, 13),
+    (8, 8, 8),
+    (16, 16, 16),
+    (24, 24, 24),
+    (32, 32, 32),
+    (16, 49, 18),
+    (64, 25, 72),
+    (64, 100, 72),
+];
+
+/// The benchmark's large f32 cells, checked on sampled entries.
+const BENCH_LARGE: [(usize, usize, usize); 5] = [
+    (64, 64, 64),
+    (96, 96, 96),
+    (128, 128, 128),
+    (32, 1024, 256),
+    (1024, 32, 256),
+];
+
+/// Deterministic axis rotation: every call picks the next pseudo-random
+/// entry, so the axes that are not crossed explicitly still meet every
+/// value of every other axis many times over a sweep.
+struct Rot(u64);
+
+impl Rot {
+    fn next(&mut self) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        self.0 >> 33
+    }
+    fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+        xs[self.next() as usize % xs.len()]
+    }
+}
+
+/// Uniform in [-1, 1) like the benchmark's operands, oversized `ld`.
+fn operand<T: GemmElem>(rows: usize, cols: usize, pad: usize, seed: u64) -> Matrix<T> {
+    let mut r = Rot(seed);
+    let mut m = Matrix::<T>::zeros_with_ld(rows, cols, cols + pad);
+    for i in 0..rows {
+        for j in 0..cols {
+            m.set(
+                i,
+                j,
+                T::from_f64(r.next() as f64 / (1u64 << 30) as f64 - 1.0),
+            );
+        }
+    }
+    m
+}
+
+struct Case {
+    cfg: GemmConfig,
+    ops: (Op, Op),
+    shape: (usize, usize, usize),
+    alpha_beta: (f64, f64),
+    /// Leading-dimension padding of A, B and C.
+    pads: (usize, usize, usize),
+    /// Plant a NaN in op(A)'s row `m / 2`.
+    nan: bool,
+    /// Check this many sampled entries instead of all of C.
+    sample: Option<usize>,
+}
+
+/// Runs the case through `gemm_with` and checks C against the f64 oracle
+/// (same accumulation as `reference::gemm`, evaluated per checked entry).
+fn check<T: GemmElem>(case: &Case) {
+    let (m, n, k) = case.shape;
+    let (op_a, op_b) = case.ops;
+    let (alpha, beta) = (
+        T::from_f64(case.alpha_beta.0),
+        T::from_f64(case.alpha_beta.1),
+    );
+    let (ar, ac) = if op_a == Op::NoTrans { (m, k) } else { (k, m) };
+    let (br, bc) = if op_b == Op::NoTrans { (k, n) } else { (n, k) };
+    let mut a = operand::<T>(ar, ac, case.pads.0, 11);
+    let b = operand::<T>(br, bc, case.pads.1, 12);
+    let c0 = operand::<T>(m, n, case.pads.2, 13);
+    let nan_row = (case.nan && m > 0 && k > 0).then_some(m / 2);
+    if let Some(r) = nan_row {
+        let p = k / 3;
+        match op_a {
+            Op::NoTrans => a.set(r, p, T::from_f64(f64::NAN)),
+            Op::Trans => a.set(p, r, T::from_f64(f64::NAN)),
+        }
+    }
+    let mut c = c0.clone();
+    gemm_with(
+        &case.cfg,
+        op_a,
+        op_b,
+        alpha,
+        a.as_ref(),
+        b.as_ref(),
+        beta,
+        c.as_mut(),
+    );
+    let ctx = || {
+        format!(
+            "{:?} {:?}/{:?} {:?}{:?} {m}x{n}x{k} alpha/beta {:?} pads {:?} cache l1 {}",
+            case.cfg.isa,
+            case.cfg.packing,
+            case.cfg.edge,
+            op_a,
+            op_b,
+            case.alpha_beta,
+            case.pads,
+            case.cfg.cache.l1,
+        )
+    };
+    let tol = gemm_tolerance::<T>(k, 1.0);
+    let check_entry = |i: usize, j: usize| {
+        let got = c.at(i, j).to_f64();
+        if nan_row == Some(i) {
+            assert!(got.is_nan(), "{}: C[{i},{j}] = {got} hides the NaN", ctx());
+            return;
+        }
+        let mut acc = 0.0f64;
+        for p in 0..k {
+            let av = if op_a == Op::NoTrans {
+                a.at(i, p)
+            } else {
+                a.at(p, i)
+            };
+            let bv = if op_b == Op::NoTrans {
+                b.at(p, j)
+            } else {
+                b.at(j, p)
+            };
+            acc += av.to_f64() * bv.to_f64();
+        }
+        let old = if case.alpha_beta.1 == 0.0 {
+            0.0
+        } else {
+            c0.at(i, j).to_f64()
+        };
+        let want = case.alpha_beta.0 * acc + case.alpha_beta.1 * old;
+        assert!(
+            (got - want).abs() <= tol,
+            "{}: C[{i},{j}] = {got}, reference {want}, tol {tol}",
+            ctx()
+        );
+    };
+    match case.sample {
+        None => (0..m).for_each(|i| (0..n).for_each(|j| check_entry(i, j))),
+        Some(count) => {
+            // The four corners, then seeded interior entries.
+            for (i, j) in [(0, 0), (0, n - 1), (m - 1, 0), (m - 1, n - 1)] {
+                check_entry(i, j);
+            }
+            let mut r = Rot((m * 31 + n) as u64);
+            for _ in 0..count {
+                check_entry(r.next() as usize % m, r.next() as usize % n);
+            }
+        }
+    }
+    // The leading-dimension padding of C is never written.
+    for i in 0..m {
+        for pad in n..c.ld() {
+            assert!(
+                c.as_slice()[i * c.ld() + pad].to_f64() == 0.0,
+                "{}: wrote C's ld padding at [{i},{pad}]",
+                ctx()
+            );
+        }
+    }
+}
+
+fn at(isa: IsaPolicy, cache: CacheParams) -> GemmConfig {
+    GemmConfig {
+        isa,
+        cache,
+        ..GemmConfig::with_threads(1)
+    }
+}
+
+#[test]
+fn every_level_mode_and_regime_matches_reference() {
+    let detected = CacheParams::detect();
+    let mut rot = Rot(18);
+    // The regime cross, explicit: level x ops x dtype x packing x edge on
+    // one shape of two-and-a-bit tiles of the widest set, tiny cache.
+    for isa in levels() {
+        for ops in OPS {
+            for packing in PACKINGS {
+                for edge in EDGES {
+                    let case = Case {
+                        cfg: GemmConfig {
+                            packing,
+                            edge,
+                            ..at(isa, TINY_CACHE)
+                        },
+                        ops,
+                        shape: (33, 37, 40),
+                        alpha_beta: rot.pick(&ALPHA_BETAS),
+                        pads: (rot.pick(&[0, 3]), rot.pick(&[0, 5]), rot.pick(&[0, 2])),
+                        nan: rot.pick(&[false, false, true]),
+                        sample: None,
+                    };
+                    check::<f32>(&case);
+                    check::<f64>(&case);
+                }
+            }
+        }
+    }
+    // The shape sweep: level x ops x dtype on every tile-boundary shape and
+    // every small benchmark cell, the other axes rotating.
+    let shapes: Vec<_> = tile_lattice().into_iter().chain(BENCH_SMALL).collect();
+    for &shape in &shapes {
+        for isa in levels() {
+            for ops in OPS {
+                let case = Case {
+                    cfg: GemmConfig {
+                        packing: rot.pick(&PACKINGS),
+                        edge: rot.pick(&EDGES),
+                        ..at(isa, rot.pick(&[detected, TINY_CACHE]))
+                    },
+                    ops,
+                    shape,
+                    alpha_beta: rot.pick(&ALPHA_BETAS),
+                    pads: (rot.pick(&[0, 3]), rot.pick(&[0, 5]), rot.pick(&[0, 2])),
+                    nan: rot.pick(&[false, false, true]),
+                    sample: None,
+                };
+                check::<f32>(&case);
+                check::<f64>(&case);
+            }
+        }
+    }
+    // The benchmark's large f32 cells in the modes it times them, at its
+    // own configuration (detected caches, defaults). The squares run at
+    // every level; the two 16-MFLOP irregular cells at the 128-bit level
+    // and at `Auto` (which, above one tile, *is* the widest level) to keep
+    // this slice to a few seconds unoptimized.
+    for shape in BENCH_LARGE {
+        let all = levels();
+        let ends = [all[0], IsaPolicy::Auto];
+        let at_levels = if shape.0 * shape.1 * shape.2 > 1 << 22 {
+            &ends[..]
+        } else {
+            &all[..]
+        };
+        for &isa in at_levels {
+            for ops in &OPS[..3] {
+                check::<f32>(&Case {
+                    cfg: at(isa, detected),
+                    ops: *ops,
+                    shape,
+                    alpha_beta: (1.0, 0.0),
+                    pads: (0, 0, 0),
+                    nan: false,
+                    sample: Some(400),
+                });
+            }
+        }
+    }
+}
+
+/// `gemm_with` into a fresh copy of `c0`, returning the result's bits.
+fn run_bits<T: GemmElem>(
+    cfg: &GemmConfig,
+    (op_a, op_b): (Op, Op),
+    a: &Matrix<T>,
+    b: &Matrix<T>,
+    c0: &Matrix<T>,
+) -> Vec<u64> {
+    let mut c = c0.clone();
+    gemm_with(
+        cfg,
+        op_a,
+        op_b,
+        T::from_f64(-1.5),
+        a.as_ref(),
+        b.as_ref(),
+        T::from_f64(0.5),
+        c.as_mut(),
+    );
+    c.as_slice().iter().map(|x| x.to_f64().to_bits()).collect()
+}
+
+fn operands<T: GemmElem>(
+    (op_a, op_b): (Op, Op),
+    (m, n, k): (usize, usize, usize),
+) -> (Matrix<T>, Matrix<T>, Matrix<T>) {
+    let (ar, ac) = if op_a == Op::NoTrans { (m, k) } else { (k, m) };
+    let (br, bc) = if op_b == Op::NoTrans { (k, n) } else { (n, k) };
+    (
+        operand(ar, ac, 1, 21),
+        operand(br, bc, 2, 22),
+        operand(m, n, 3, 23),
+    )
+}
+
+#[test]
+fn pooled_nn_is_bitwise_serial_at_every_level() {
+    // The §6 partition never shows in the bits: on the wide sets by the
+    // rounding contract, on the 128-bit set by seam alignment.
+    fn one<T: GemmElem>(isa: IsaPolicy, cache: CacheParams, shape: (usize, usize, usize)) {
+        let nn = (Op::NoTrans, Op::NoTrans);
+        let (a, b, c0) = operands::<T>(nn, shape);
+        let serial = run_bits(&at(isa, cache), nn, &a, &b, &c0);
+        for threads in [2, 3, 5] {
+            let cfg = GemmConfig {
+                threads,
+                ..at(isa, cache)
+            };
+            assert!(
+                run_bits(&cfg, nn, &a, &b, &c0) == serial,
+                "{isa:?} {shape:?} at {threads} threads diverged from serial (l1 {})",
+                cache.l1
+            );
+        }
+    }
+    let shapes: Vec<_> = tile_lattice()
+        .into_iter()
+        .filter(|&(m, n, k)| m * n * k > 0)
+        .step_by(3)
+        .chain([
+            (512, 25, 40),
+            (33, 65, 7),
+            (64, 64, 64),
+            (17, 200, 70),
+            (23, 23, 23),
+        ])
+        .collect();
+    for isa in levels() {
+        for &shape in &shapes {
+            for cache in [CacheParams::detect(), TINY_CACHE] {
+                one::<f32>(isa, cache, shape);
+                one::<f64>(isa, cache, shape);
+            }
+        }
+    }
+}
+
+#[test]
+fn batch_is_bitwise_direct_at_every_level() {
+    // Exactly what `batch_cp2k` verifies: `gemm_batch_beta` at T threads
+    // against a direct one-thread `gemm_with` per item.
+    fn one<T: GemmElem>(isa: IsaPolicy, ops: (Op, Op), shape: (usize, usize, usize)) {
+        let (a, b, c0) = operands::<T>(ops, shape);
+        let direct = run_bits(&at(isa, CacheParams::detect()), ops, &a, &b, &c0);
+        for threads in [1, 2, 4] {
+            let cfg = GemmConfig {
+                threads,
+                ..at(isa, CacheParams::detect())
+            };
+            let mut outs = vec![c0.clone(); 6];
+            let mut items: Vec<_> = outs
+                .iter_mut()
+                .map(|c| BatchItem {
+                    a: a.as_ref(),
+                    b: b.as_ref(),
+                    c: c.as_mut(),
+                })
+                .collect();
+            gemm_batch_beta(
+                &cfg,
+                ops.0,
+                ops.1,
+                T::from_f64(-1.5),
+                T::from_f64(0.5),
+                &mut items,
+            );
+            for out in &outs {
+                let bits: Vec<u64> = out
+                    .as_slice()
+                    .iter()
+                    .map(|x| x.to_f64().to_bits())
+                    .collect();
+                assert!(
+                    bits == direct,
+                    "{isa:?} {ops:?} {shape:?} batch at {threads} threads"
+                );
+            }
+        }
+    }
+    for isa in levels() {
+        for shape in BENCH_SMALL {
+            for ops in &OPS[..2] {
+                one::<f32>(isa, *ops, shape);
+                one::<f64>(isa, *ops, shape);
+            }
+        }
+    }
+}
+
+#[test]
+fn cached_plan_is_bitwise_recomputed() {
+    // A memoized plan and a recomputed one execute the same arithmetic, at
+    // every level and in every mode. (Flipping the process-wide switch
+    // under concurrently running tests is harmless for the same reason.)
+    fn one<T: GemmElem>(cfg: &GemmConfig, ops: (Op, Op), shape: (usize, usize, usize)) {
+        let (a, b, c0) = operands::<T>(ops, shape);
+        set_plan_cache_enabled(true);
+        let first = run_bits(cfg, ops, &a, &b, &c0);
+        let cached = run_bits(cfg, ops, &a, &b, &c0);
+        set_plan_cache_enabled(false);
+        let recomputed = run_bits(cfg, ops, &a, &b, &c0);
+        set_plan_cache_enabled(true);
+        assert!(
+            first == cached && cached == recomputed,
+            "{:?} {ops:?} {shape:?}",
+            cfg.isa
+        );
+    }
+    for isa in levels() {
+        for shape in [(23, 23, 23), (16, 49, 18), (33, 37, 40), (17, 200, 70)] {
+            for ops in OPS {
+                for threads in [1, 3] {
+                    let cfg = GemmConfig {
+                        threads,
+                        ..at(isa, TINY_CACHE)
+                    };
+                    one::<f32>(&cfg, ops, shape);
+                    one::<f64>(&cfg, ops, shape);
+                }
+            }
+        }
+    }
+}
+
+#[cfg(feature = "capture")]
+#[test]
+fn capture_on_is_bitwise_off() {
+    use libshalom::capture::{self, Sink};
+    for isa in levels() {
+        for ops in OPS {
+            for threads in [1, 3] {
+                let cfg = GemmConfig {
+                    threads,
+                    ..at(isa, TINY_CACHE)
+                };
+                let (a, b, c0) = operands::<f32>(ops, (33, 70, 40));
+                capture::disable(Sink::Both);
+                let off = run_bits(&cfg, ops, &a, &b, &c0);
+                capture::enable(Sink::Both);
+                let on = run_bits(&cfg, ops, &a, &b, &c0);
+                capture::disable(Sink::Both);
+                assert!(on == off, "{isa:?} {ops:?} at {threads} threads");
+            }
+        }
+    }
+}

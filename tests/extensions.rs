@@ -2,9 +2,11 @@
 //! the batch API, the wide (256-bit) kernels, the fallible API and the
 //! C ABI — all through the facade crate, as a downstream user would.
 
-use libshalom::core::{gemm_batch_beta, try_gemm_with, BatchItem, GemmConfig, GemmError};
-use libshalom::kernels::wide::{dgemm_nn_wide, sgemm_nn_wide};
+use libshalom::core::{
+    gemm_batch_beta, gemm_with, try_gemm_with, BatchItem, GemmConfig, GemmError, IsaPolicy,
+};
 use libshalom::matrix::{assert_close, gemm_tolerance, max_abs_diff, reference, ConvShape};
+use libshalom::simd::{base_isa, Isa};
 use libshalom::{Matrix, Op};
 use shalom_nn::{conv2d_direct, Conv2d};
 
@@ -55,32 +57,59 @@ fn conv_batch_deterministic_across_thread_counts() {
 
 #[test]
 fn wide_gemm_agrees_with_narrow_driver() {
+    // One driver, several kernel sets: the same call forced to the AVX2
+    // set (degrades to the base where the host lacks it), left to `Auto`,
+    // and forced to the 128-bit set must agree — in every mode, since the
+    // wide sets run T modes too.
     let (m, n, k) = (33, 47, 29);
-    let a = Matrix::<f32>::random(m, k, 3);
-    let b = Matrix::<f32>::random(k, n, 4);
-    let mut narrow = Matrix::<f32>::zeros(m, n);
-    let mut wide = Matrix::<f32>::zeros(m, n);
-    libshalom::sgemm(
-        Op::NoTrans,
-        Op::NoTrans,
-        1.0,
-        a.as_ref(),
-        b.as_ref(),
-        0.0,
-        narrow.as_mut(),
-    );
-    sgemm_nn_wide(1.0, a.as_ref(), b.as_ref(), 0.0, wide.as_mut());
-    assert_close(
-        wide.as_ref(),
-        narrow.as_ref(),
-        gemm_tolerance::<f32>(k, 4.0),
-    );
+    let at = |isa| GemmConfig {
+        isa,
+        ..GemmConfig::with_threads(1)
+    };
+    let narrow_cfg = at(IsaPolicy::Force(base_isa()));
+    for (op_a, op_b) in [
+        (Op::NoTrans, Op::NoTrans),
+        (Op::NoTrans, Op::Trans),
+        (Op::Trans, Op::NoTrans),
+    ] {
+        let (ar, ac) = if op_a == Op::NoTrans { (m, k) } else { (k, m) };
+        let (br, bc) = if op_b == Op::NoTrans { (k, n) } else { (n, k) };
+        let a = Matrix::<f32>::random(ar, ac, 3);
+        let b = Matrix::<f32>::random(br, bc, 4);
+        let mut narrow = Matrix::<f32>::zeros(m, n);
+        gemm_with(
+            &narrow_cfg,
+            op_a,
+            op_b,
+            1.0,
+            a.as_ref(),
+            b.as_ref(),
+            0.0,
+            narrow.as_mut(),
+        );
+        for isa in [IsaPolicy::Force(Isa::Avx2W256), IsaPolicy::Auto] {
+            let mut wide = Matrix::<f32>::zeros(m, n);
+            gemm_with(
+                &at(isa),
+                op_a,
+                op_b,
+                1.0,
+                a.as_ref(),
+                b.as_ref(),
+                0.0,
+                wide.as_mut(),
+            );
+            assert_close(
+                wide.as_ref(),
+                narrow.as_ref(),
+                gemm_tolerance::<f32>(k, 4.0),
+            );
+        }
+    }
     // f64 variant against the oracle.
     let ad = Matrix::<f64>::random(m, k, 5);
     let bd = Matrix::<f64>::random(k, n, 6);
-    let mut got = Matrix::<f64>::zeros(m, n);
     let mut want = Matrix::<f64>::zeros(m, n);
-    dgemm_nn_wide(1.0, ad.as_ref(), bd.as_ref(), 0.0, got.as_mut());
     reference::gemm(
         Op::NoTrans,
         Op::NoTrans,
@@ -90,7 +119,20 @@ fn wide_gemm_agrees_with_narrow_driver() {
         0.0,
         want.as_mut(),
     );
-    assert_close(got.as_ref(), want.as_ref(), gemm_tolerance::<f64>(k, 2.0));
+    for isa in [IsaPolicy::Force(Isa::Avx2W256), IsaPolicy::Auto] {
+        let mut got = Matrix::<f64>::zeros(m, n);
+        gemm_with(
+            &at(isa),
+            Op::NoTrans,
+            Op::NoTrans,
+            1.0,
+            ad.as_ref(),
+            bd.as_ref(),
+            0.0,
+            got.as_mut(),
+        );
+        assert_close(got.as_ref(), want.as_ref(), gemm_tolerance::<f64>(k, 2.0));
+    }
 }
 
 #[test]

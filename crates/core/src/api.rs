@@ -3,6 +3,7 @@
 
 use crate::config::GemmConfig;
 use crate::parallel::gemm_parallel;
+use crate::plan::GemmPlan;
 use shalom_kernels::{FamilyElem, Vector};
 use shalom_matrix::{reference, MatMut, MatRef, Op, Scalar};
 use shalom_simd::{F32x4, F64x2};
@@ -23,7 +24,48 @@ impl GemmElem for f64 {
     type Vec = F64x2;
 }
 
-/// `C = alpha * op(A) * op(B) + beta * C` with an explicit configuration.
+impl<T: FamilyElem> GemmPlan<T> {
+    /// Runs `C = alpha * op(A) * op(B) + beta * C` as this handle planned
+    /// it: no lookup, no decision — a shape check, then the driver (or
+    /// the §6 grid on the pool when the handle was built for several
+    /// threads).
+    ///
+    /// # Panics
+    /// If the views' stored shapes are not the ones the handle was built
+    /// for — the same "incompatible" panic [`gemm_with`] raises.
+    pub fn run(&self, alpha: T, a: MatRef<'_, T>, b: MatRef<'_, T>, beta: T, mut c: MatMut<'_, T>) {
+        reference::check_dims(self.op_a, self.op_b, self.m, self.n, self.k, &a, &b);
+        assert!(
+            c.rows() == self.m && c.cols() == self.n,
+            "C stored {}x{} incompatible with the planned {}x{}",
+            c.rows(),
+            c.cols(),
+            self.m,
+            self.n
+        );
+        // SAFETY: SHALOM-D-DRIVER — the MatRef/MatMut views guarantee every
+        // operand covers its full (rows, cols, ld) footprint, and the checks
+        // above have validated the shapes against the plan's
+        // (op_a, op_b, m, n, k).
+        unsafe {
+            gemm_parallel(
+                self,
+                alpha,
+                a.as_ptr(),
+                a.ld(),
+                b.as_ptr(),
+                b.ld(),
+                beta,
+                c.as_mut_ptr(),
+                c.ld(),
+            );
+        }
+    }
+}
+
+/// `C = alpha * op(A) * op(B) + beta * C` with an explicit configuration:
+/// one [`GemmPlan::new`] (a plan-cache lookup) and one [`GemmPlan::run`].
+/// A caller repeating one signature can hold the handle instead.
 ///
 /// Dimension conventions follow BLAS (and the paper's footnote 1): with
 /// `C` of shape `M x N`, the *stored* `A` must be `M x K` under
@@ -40,36 +82,13 @@ pub fn gemm_with<T: GemmElem>(
     a: MatRef<'_, T>,
     b: MatRef<'_, T>,
     beta: T,
-    mut c: MatMut<'_, T>,
+    c: MatMut<'_, T>,
 ) {
-    let m = c.rows();
-    let n = c.cols();
     let k = match op_a {
         Op::NoTrans => a.cols(),
         Op::Trans => a.rows(),
     };
-    reference::check_dims(op_a, op_b, m, n, k, &a, &b);
-    // SAFETY: SHALOM-D-DRIVER — the MatRef/MatMut views guarantee every
-    // operand covers its full (rows, cols, ld) footprint, and check_dims
-    // has validated the shapes against (op_a, op_b, m, n, k).
-    unsafe {
-        gemm_parallel::<T>(
-            cfg,
-            op_a,
-            op_b,
-            m,
-            n,
-            k,
-            alpha,
-            a.as_ptr(),
-            a.ld(),
-            b.as_ptr(),
-            b.ld(),
-            beta,
-            c.as_mut_ptr(),
-            c.ld(),
-        );
-    }
+    GemmPlan::new(cfg, op_a, op_b, c.rows(), c.cols(), k).run(alpha, a, b, beta, c)
 }
 
 /// `C = alpha * op(A) * op(B) + beta * C` under the default configuration
@@ -137,9 +156,8 @@ pub unsafe fn sgemm_raw(
     c: *mut f32,
     ldc: usize,
 ) {
-    gemm_parallel::<f32>(
-        cfg, op_a, op_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
-    )
+    let plan = GemmPlan::<f32>::new(cfg, op_a, op_b, m, n, k);
+    gemm_parallel(&plan, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
 /// Raw-pointer double-precision GEMM; see [`sgemm_raw`].
@@ -163,9 +181,8 @@ pub unsafe fn dgemm_raw(
     c: *mut f64,
     ldc: usize,
 ) {
-    gemm_parallel::<f64>(
-        cfg, op_a, op_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
-    )
+    let plan = GemmPlan::<f64>::new(cfg, op_a, op_b, m, n, k);
+    gemm_parallel(&plan, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
 #[cfg(test)]

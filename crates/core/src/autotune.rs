@@ -166,7 +166,6 @@ pub fn autotune<T: GemmElem>(
                     edge,
                     cache: scaled_cache(&base.cache, num, den),
                     threads: base.threads,
-                    runtime: base.runtime,
                     isa: base.isa,
                 };
                 let gflops = measure(&config, op_a, op_b, &a, &b, &mut c, flops, 3);

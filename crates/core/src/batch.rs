@@ -8,17 +8,17 @@
 //! block-sparse pattern and the `libxsmm_gemm_batch` use case.
 //!
 //! [`gemm_batch`] runs `C_i = alpha * op(A_i) * op(B_i) + beta * C_i`
-//! over a set of independent problems. On the default pool runtime the
-//! items form a *dynamic* work queue — every worker claims the next
-//! index with one `fetch_add` — so ragged batches (mixed shapes) are
-//! balanced by construction; each worker reuses its pool-owned workspace
-//! across the problems it claims. The scoped-spawn fallback keeps the
-//! previous static contiguous-chunk distribution.
+//! over a set of independent problems. On the pool the items form a
+//! *dynamic* work queue — every worker claims the next index with one
+//! `fetch_add` — so ragged batches (mixed shapes) are balanced by
+//! construction; each worker reuses its pool-owned workspace across the
+//! problems it claims.
 
 use crate::capture;
-use crate::config::{GemmConfig, Runtime};
+use crate::config::GemmConfig;
 use crate::driver::{gemm_serial, with_workspace, Workspace};
 use crate::parallel::SendPtr;
+use crate::plan::GemmPlan;
 use crate::{pool, GemmElem};
 use shalom_matrix::{reference, MatMut, MatRef, Op};
 
@@ -36,8 +36,8 @@ pub struct BatchItem<'a, T> {
 /// beta)` (the BLAS "group" convention). Problems may differ in shape.
 ///
 /// With `cfg.threads == 1` the batch runs serially; otherwise the items
-/// are divided into contiguous chunks across fork-join workers (each
-/// *item* stays single-threaded — the §7.4 discipline for small GEMM).
+/// are a dynamic queue drained by the pool's workers (each *item* stays
+/// single-threaded — the §7.4 discipline for small GEMM).
 ///
 /// # Panics
 /// If any item's stored dimensions are inconsistent with its `C` and the
@@ -64,24 +64,6 @@ pub fn gemm_batch_beta<T: GemmElem>(
     beta: T,
     items: &mut [BatchItem<'_, T>],
 ) {
-    // Validate everything up front so a worker never panics mid-batch.
-    for it in items.iter() {
-        let k = match op_a {
-            Op::NoTrans => it.a.cols(),
-            Op::Trans => it.a.rows(),
-        };
-        reference::check_dims(op_a, op_b, it.c.rows(), it.c.cols(), k, &it.a, &it.b);
-    }
-    let t = cfg.resolved_threads().max(1).min(items.len().max(1));
-    // One span for the whole batch (and one tick of the batch counters);
-    // each item opens its own BatchItem span inside `run_one` below.
-    let batch_tok = capture::batch_begin(items.len());
-    let serial_cfg = GemmConfig { threads: 1, ..*cfg };
-    // Batched small GEMM is usually shape-uniform (the CP2K / strided
-    // convention): amortize ONE plan-cache lookup across the whole batch
-    // instead of paying it per item. Ragged batches fall back to per-item
-    // lookups inside `gemm_serial` (still cached — mixed signatures each
-    // hit their own entry).
     let item_dims = |it: &BatchItem<'_, T>| {
         let k = match op_a {
             Op::NoTrans => it.a.cols(),
@@ -89,33 +71,46 @@ pub fn gemm_batch_beta<T: GemmElem>(
         };
         (it.c.rows(), it.c.cols(), k)
     };
-    let shared_plan: Option<crate::plan::SerialPlan> = items.first().and_then(|first| {
-        let d0 = item_dims(first);
+    // Validate everything up front so a worker never panics mid-batch.
+    for it in items.iter() {
+        let (m, n, k) = item_dims(it);
+        reference::check_dims(op_a, op_b, m, n, k, &it.a, &it.b);
+    }
+    let t = cfg.resolved_threads().max(1).min(items.len().max(1));
+    // One span for the whole batch (and one tick of the batch counters);
+    // each item opens its own BatchItem span inside `run_one` below.
+    let batch_tok = capture::batch_begin(items.len());
+    let serial_cfg = GemmConfig { threads: 1, ..*cfg };
+    // Batched small GEMM is usually shape-uniform (the CP2K / strided
+    // convention): build ONE plan handle — one plan-cache lookup — for the
+    // whole batch instead of one per item. A ragged batch builds a handle
+    // per item (still cached — mixed signatures each hit their own entry).
+    let shared: Option<GemmPlan<T>> = items.first().and_then(|first| {
+        let (m, n, k) = item_dims(first);
         items
             .iter()
-            .all(|it| item_dims(it) == d0)
-            .then(|| crate::plan::serial_plan::<T>(&serial_cfg, op_a, op_b, d0.0, d0.1, d0.2))
+            .all(|it| item_dims(it) == (m, n, k))
+            .then(|| GemmPlan::new(&serial_cfg, op_a, op_b, m, n, k))
     });
-    let run_one = |cfg: &GemmConfig, it: &mut BatchItem<'_, T>, ws: &mut Workspace| {
-        let m = it.c.rows();
-        let n = it.c.cols();
-        let k = match op_a {
-            Op::NoTrans => it.a.cols(),
-            Op::Trans => it.a.rows(),
-        };
+    let run_one = |it: &mut BatchItem<'_, T>, ws: &mut Workspace| {
+        let (m, n, k) = item_dims(it);
         // Also tags the thread, so the item's serial record reads
         // `Batch` even on the caller's thread.
         let item_tok = capture::batch_item_begin(m, n, k);
+        let own;
+        let plan = match &shared {
+            Some(plan) => plan,
+            None => {
+                own = GemmPlan::new(&serial_cfg, op_a, op_b, m, n, k);
+                &own
+            }
+        };
         // SAFETY: SHALOM-D-DRIVER — each item's MatRef/MatMut views cover
-        // their full footprints and check_dims validated every shape above.
+        // their full footprints and check_dims validated every shape above
+        // against the dimensions the plan was built for.
         unsafe {
-            gemm_serial::<T>(
-                cfg,
-                op_a,
-                op_b,
-                m,
-                n,
-                k,
+            gemm_serial(
+                plan,
                 alpha,
                 it.a.as_ptr(),
                 it.a.ld(),
@@ -125,7 +120,6 @@ pub fn gemm_batch_beta<T: GemmElem>(
                 it.c.as_mut_ptr(),
                 it.c.ld(),
                 ws,
-                shared_plan.as_ref(),
             )
         };
         capture::batch_item_end(item_tok);
@@ -136,49 +130,30 @@ pub fn gemm_batch_beta<T: GemmElem>(
         // slot.
         with_workspace(|ws| {
             for it in items.iter_mut() {
-                run_one(&serial_cfg, it, ws);
+                run_one(it, ws);
             }
         });
         capture::end(batch_tok);
         return;
     }
-    match cfg.resolved_runtime() {
-        Runtime::Pool => {
-            // Dynamic queue: the pool hands out item indices one
-            // `fetch_add` at a time, so a ragged batch never strands a
-            // worker behind a statically assigned heavy chunk.
-            let n_items = items.len();
-            let base = SendPtr(items.as_mut_ptr());
-            let job = |idx: usize, ws: &mut Workspace| {
-                // Whole-struct rebind so the closure captures the Sync
-                // wrapper, not its raw-pointer field (disjoint capture).
-                #[allow(clippy::redundant_locals)]
-                let base = base;
-                // SAFETY: SHALOM-D-POOL — the pool's shared counter hands
-                // each index in `0..n_items` to exactly one claimant, so
-                // this exclusive reborrow of item `idx` never aliases
-                // (SHALOM-D-SEND for the base pointer crossing threads).
-                let it = unsafe { &mut *base.0.add(idx) };
-                run_one(&serial_cfg, it, ws);
-            };
-            pool::run(t, n_items, &job);
-        }
-        Runtime::ScopedSpawn => {
-            let chunk = items.len().div_ceil(t);
-            std::thread::scope(|scope| {
-                for slice in items.chunks_mut(chunk) {
-                    let run_one = &run_one;
-                    scope.spawn(move || {
-                        with_workspace(|ws| {
-                            for it in slice.iter_mut() {
-                                run_one(&serial_cfg, it, ws);
-                            }
-                        });
-                    });
-                }
-            });
-        }
-    }
+    // Dynamic queue: the pool hands out item indices one `fetch_add` at a
+    // time, so a ragged batch never strands a worker behind a statically
+    // assigned heavy chunk.
+    let n_items = items.len();
+    let base = SendPtr(items.as_mut_ptr());
+    let job = |idx: usize, ws: &mut Workspace| {
+        // Whole-struct rebind so the closure captures the Sync
+        // wrapper, not its raw-pointer field (disjoint capture).
+        #[allow(clippy::redundant_locals)]
+        let base = base;
+        // SAFETY: SHALOM-D-POOL — the pool's shared counter hands
+        // each index in `0..n_items` to exactly one claimant, so
+        // this exclusive reborrow of item `idx` never aliases
+        // (SHALOM-D-SEND for the base pointer crossing threads).
+        let it = unsafe { &mut *base.0.add(idx) };
+        run_one(it, ws);
+    };
+    pool::run(t, n_items, &job);
     capture::end(batch_tok);
 }
 

@@ -16,6 +16,14 @@
 //!
 //! `trans_*` follows CBLAS: `111` = NoTrans, `112` = Trans (other values
 //! are rejected). `threads == 0` means all available cores.
+//!
+//! Every argument is untrusted: before anything is dereferenced the GEMM
+//! entry points reject — with `-1`, writing nothing — a bad transpose
+//! code, a leading dimension shorter than its row (BLAS `xerbla` parity),
+//! an operand whose footprint overflows the address space, and a null
+//! pointer to a non-empty operand. The checks use checked arithmetic and
+//! run outside `catch_unwind`, so they can neither wrap in a release build
+//! nor abort a debug one.
 
 use crate::api::{dgemm_raw, sgemm_raw};
 use crate::batch::gemm_batch_strided;
@@ -165,12 +173,74 @@ fn cfg_for(threads: usize) -> GemmConfig {
     }
 }
 
+/// Elements from the first to one past the last of `rows` runs of `cols`
+/// elements placed `ld` apart — `(rows - 1) * ld + cols`, 0 when there is
+/// nothing — or `None` when that is more than a `T` allocation can hold.
+fn span<T>(rows: usize, cols: usize, ld: usize) -> Option<usize> {
+    if rows == 0 || cols == 0 {
+        return Some(0);
+    }
+    let elems = (rows - 1).checked_mul(ld)?.checked_add(cols)?;
+    (elems <= isize::MAX as usize / core::mem::size_of::<T>()).then_some(elems)
+}
+
+/// [`span`] of a `rows x cols` matrix operand at leading dimension `ld`;
+/// `None` also when its rows would overlap (`ld < cols` on a multi-row
+/// operand — the rule [`crate::error::validate`] applies to views).
+fn footprint<T>(rows: usize, cols: usize, ld: usize) -> Option<usize> {
+    if rows > 1 && ld < cols {
+        return None;
+    }
+    span::<T>(rows, cols, ld)
+}
+
+/// The stored `(rows, cols)` of A and of B for `(op_a, op_b, m, n, k)`.
+fn stored_dims(op_a: Op, op_b: Op, m: usize, n: usize, k: usize) -> [(usize, usize); 2] {
+    [
+        match op_a {
+            Op::NoTrans => (m, k),
+            Op::Trans => (k, m),
+        },
+        match op_b {
+            Op::NoTrans => (k, n),
+            Op::Trans => (n, k),
+        },
+    ]
+}
+
+/// Whether every operand, given as `(pointer is null, footprint)`, has a
+/// representable footprint and, unless it is empty, a pointer.
+fn operands_present(operands: [(bool, Option<usize>); 3]) -> bool {
+    operands
+        .into_iter()
+        .all(|(null, elems)| elems.is_some_and(|e| e == 0 || !null))
+}
+
+/// Whether the raw operands of one GEMM are safe to hand to the driver.
+fn gemm_args_ok<T>(
+    op_a: Op,
+    op_b: Op,
+    (m, n, k): (usize, usize, usize),
+    (a, lda): (*const T, usize),
+    (b, ldb): (*const T, usize),
+    (c, ldc): (*mut T, usize),
+) -> bool {
+    let [(ar, ac), (br, bc)] = stored_dims(op_a, op_b, m, n, k);
+    operands_present([
+        (a.is_null(), footprint::<T>(ar, ac, lda)),
+        (b.is_null(), footprint::<T>(br, bc, ldb)),
+        (c.is_null(), footprint::<T>(m, n, ldc)),
+    ])
+}
+
 /// Row-major single-precision GEMM,
 /// `C = alpha * op(A) * op(B) + beta * C`.
 ///
-/// Returns 0 on success, -1 on invalid arguments (bad transpose code or
-/// null pointer with nonzero dimensions). Never unwinds across the FFI
-/// boundary.
+/// Returns 0 on success, -1 on invalid arguments (bad transpose code, a
+/// leading dimension shorter than its row on a multi-row operand, a
+/// footprint beyond the address space, or a null pointer to a non-empty
+/// operand) — in which case `C` is not written. Never unwinds across the
+/// FFI boundary.
 ///
 /// # Safety
 /// Pointers must satisfy the usual BLAS contracts: `a` readable as the
@@ -197,7 +267,7 @@ pub unsafe extern "C" fn shalom_sgemm(
     let (Some(op_a), Some(op_b)) = (op_from(trans_a), op_from(trans_b)) else {
         return -1;
     };
-    if (m * k > 0 && a.is_null()) || (n * k > 0 && b.is_null()) || (m * n > 0 && c.is_null()) {
+    if !gemm_args_ok(op_a, op_b, (m, n, k), (a, lda), (b, ldb), (c, ldc)) {
         return -1;
     }
     let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -249,7 +319,7 @@ pub unsafe extern "C" fn shalom_dgemm(
     let (Some(op_a), Some(op_b)) = (op_from(trans_a), op_from(trans_b)) else {
         return -1;
     };
-    if (m * k > 0 && a.is_null()) || (n * k > 0 && b.is_null()) || (m * n > 0 && c.is_null()) {
+    if !gemm_args_ok(op_a, op_b, (m, n, k), (a, lda), (b, ldb), (c, ldc)) {
         return -1;
     }
     let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -279,7 +349,9 @@ pub unsafe extern "C" fn shalom_dgemm(
 
 /// Strided batched single-precision GEMM (tight leading dimensions):
 /// problem `i` uses `a + i*stride_a`, `b + i*stride_b`,
-/// `c + i*stride_c`. Returns 0 on success, -1 on invalid arguments.
+/// `c + i*stride_c`. Returns 0 on success, -1 on invalid arguments (as
+/// [`shalom_sgemm`], plus `stride_c` smaller than one `m x n` output when
+/// `count > 1`, or strides that carry the batch beyond the address space).
 ///
 /// # Safety
 /// As [`shalom_sgemm`], per problem; the `c` regions must be disjoint.
@@ -304,10 +376,29 @@ pub unsafe extern "C" fn shalom_sgemm_batch_strided(
     let (Some(op_a), Some(op_b)) = (op_from(trans_a), op_from(trans_b)) else {
         return -1;
     };
-    if count > 0
-        && ((m * k > 0 && a.is_null()) || (n * k > 0 && b.is_null()) || (m * n > 0 && c.is_null()))
-    {
+    // Tight leading dimensions: each problem's footprint is rows * cols.
+    let [(ar, ac), (br, bc)] = stored_dims(op_a, op_b, m, n, k);
+    let (Some(fa), Some(fb), Some(fc)) = (
+        footprint::<f32>(ar, ac, ac),
+        footprint::<f32>(br, bc, bc),
+        footprint::<f32>(m, n, n),
+    ) else {
         return -1;
+    };
+    // The C regions must be disjoint, which also bounds `count` by memory
+    // the caller really has before the batch allocates its item list.
+    if count > 1 && stride_c < fc {
+        return -1;
+    }
+    if !operands_present([
+        (a.is_null(), span::<f32>(count, fa, stride_a)),
+        (b.is_null(), span::<f32>(count, fb, stride_b)),
+        (c.is_null(), span::<f32>(count, fc, stride_c)),
+    ]) {
+        return -1;
+    }
+    if fc == 0 {
+        return 0; // no output element anywhere in the batch
     }
     let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         gemm_batch_strided::<f32>(
@@ -338,6 +429,7 @@ pub unsafe extern "C" fn shalom_sgemm_batch_strided(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use shalom_matrix::{assert_close, gemm_tolerance, reference, MatRef, Matrix};
 
     #[test]
@@ -612,5 +704,248 @@ mod tests {
             let got = MatRef::from_slice(&c[i * m * n..(i + 1) * m * n], m, n, n);
             assert_close(got, want.as_ref(), gemm_tolerance::<f32>(k, 2.0));
         }
+    }
+
+    /// One hostile argument planted in an otherwise valid small call.
+    #[derive(Debug, Clone, Copy)]
+    enum Hostile {
+        TransA(i32),
+        TransB(i32),
+        NullA,
+        NullB,
+        NullC,
+        /// `m = k = 2^32` (the product wraps to 0) behind a null A.
+        WrappedNullA,
+        ShortLda,
+        ShortLdb,
+        ShortLdc,
+        /// `(rows - 1) * lda` overflows `usize`.
+        LdaOverflow,
+        /// The footprint fits `usize` but not an allocation.
+        LdcBeyondIsize,
+    }
+
+    fn hostile() -> impl Strategy<Value = Hostile> {
+        let bad_code = (-1000i32..1000).prop_filter("a valid CBLAS code", |c| {
+            *c != SHALOM_NO_TRANS && *c != SHALOM_TRANS
+        });
+        (0usize..11, bad_code).prop_map(|(kind, code)| match kind {
+            0 => Hostile::TransA(code),
+            1 => Hostile::TransB(code),
+            2 => Hostile::NullA,
+            3 => Hostile::NullB,
+            4 => Hostile::NullC,
+            5 => Hostile::WrappedNullA,
+            6 => Hostile::ShortLda,
+            7 => Hostile::ShortLdb,
+            8 => Hostile::ShortLdc,
+            9 => Hostile::LdaOverflow,
+            _ => Hostile::LdcBeyondIsize,
+        })
+    }
+
+    /// Runs `shalom_sgemm`/`shalom_dgemm` (by `T`) on valid `m x n x k`
+    /// operands with `h` planted; returns the code and whether C changed.
+    fn call_hostile<T: crate::GemmElem>(
+        h: Option<Hostile>,
+        (op_a, op_b): (Op, Op),
+        (m, n, k): (usize, usize, usize),
+        gemm: unsafe extern "C" fn(
+            i32,
+            i32,
+            usize,
+            usize,
+            usize,
+            T,
+            *const T,
+            usize,
+            *const T,
+            usize,
+            T,
+            *mut T,
+            usize,
+            usize,
+        ) -> i32,
+    ) -> (i32, bool) {
+        let [(ar, ac), (br, bc)] = stored_dims(op_a, op_b, m, n, k);
+        let a = Matrix::<T>::random(ar, ac, 1);
+        let b = Matrix::<T>::random(br, bc, 2);
+        let mut c = Matrix::<T>::random(m, n, 3);
+        let before = c.clone();
+        let code = |op| match op {
+            Op::NoTrans => SHALOM_NO_TRANS,
+            Op::Trans => SHALOM_TRANS,
+        };
+        let (mut ta, mut tb) = (code(op_a), code(op_b));
+        let (mut m_, mut k_) = (m, k);
+        let (mut ap, mut bp, mut cp) = (
+            a.as_slice().as_ptr(),
+            b.as_slice().as_ptr(),
+            c.as_mut().as_mut_ptr(),
+        );
+        let (mut lda, mut ldb, mut ldc) = (a.ld(), b.ld(), c.ld());
+        match h {
+            None => {}
+            Some(Hostile::TransA(x)) => ta = x,
+            Some(Hostile::TransB(x)) => tb = x,
+            Some(Hostile::NullA) => ap = std::ptr::null(),
+            Some(Hostile::NullB) => bp = std::ptr::null(),
+            Some(Hostile::NullC) => cp = std::ptr::null_mut(),
+            Some(Hostile::WrappedNullA) => {
+                (m_, k_) = (1 << 32, 1 << 32);
+                (lda, ldb, ldc) = (1 << 32, 1 << 32, n);
+                ap = std::ptr::null();
+            }
+            Some(Hostile::ShortLda) => lda = ac - 1,
+            Some(Hostile::ShortLdb) => ldb = bc - 1,
+            Some(Hostile::ShortLdc) => ldc = n - 1,
+            Some(Hostile::LdaOverflow) => lda = usize::MAX / 2 + 1,
+            Some(Hostile::LdcBeyondIsize) => ldc = isize::MAX as usize / core::mem::size_of::<T>(),
+        }
+        // SAFETY: with `h == None` the operands are owned matrices of the
+        // stated shapes; every planted argument must be rejected before any
+        // pointer is dereferenced — which is what this test checks.
+        let rc = unsafe {
+            gemm(
+                ta,
+                tb,
+                m_,
+                n,
+                k_,
+                T::ONE,
+                ap,
+                lda,
+                bp,
+                ldb,
+                T::ZERO,
+                cp,
+                ldc,
+                1,
+            )
+        };
+        (rc, c.as_slice() != before.as_slice())
+    }
+
+    proptest! {
+        // Every hostile argument is refused with -1 before C is touched,
+        // in both precisions and every mode; the same call without it
+        // succeeds (so the refusals are not vacuous). Dimensions start at
+        // 3 so every operand is multi-row and the ld rules apply.
+        #[test]
+        fn c_gemm_refuses_hostile_arguments(
+            h in hostile(),
+            m in 3usize..7,
+            n in 3usize..7,
+            k in 3usize..7,
+            mode in 0usize..4,
+        ) {
+            let ops = [
+                (Op::NoTrans, Op::NoTrans),
+                (Op::NoTrans, Op::Trans),
+                (Op::Trans, Op::NoTrans),
+                (Op::Trans, Op::Trans),
+            ][mode];
+            prop_assert_eq!(call_hostile::<f32>(None, ops, (m, n, k), shalom_sgemm), (0, true));
+            prop_assert_eq!(call_hostile::<f64>(None, ops, (m, n, k), shalom_dgemm), (0, true));
+            prop_assert_eq!(
+                call_hostile::<f32>(Some(h), ops, (m, n, k), shalom_sgemm),
+                (-1, false),
+                "{:?}", h
+            );
+            prop_assert_eq!(
+                call_hostile::<f64>(Some(h), ops, (m, n, k), shalom_dgemm),
+                (-1, false),
+                "{:?}", h
+            );
+        }
+    }
+
+    #[test]
+    fn footprints_are_checked_not_wrapped() {
+        assert_eq!(footprint::<f32>(0, 1 << 40, 0), Some(0));
+        assert_eq!(footprint::<f32>(1, 9, 0), Some(9), "one row never uses ld");
+        assert_eq!(footprint::<f32>(3, 4, 10), Some(24));
+        assert_eq!(footprint::<f32>(3, 4, 3), None, "rows overlap");
+        assert_eq!(footprint::<f64>(1 << 32, 1 << 32, 1 << 32), None);
+        let cap = isize::MAX as usize / 8;
+        assert_eq!(footprint::<f64>(1, cap, 0), Some(cap));
+        assert_eq!(footprint::<f64>(1, cap + 1, 0), None);
+        // A strided batch is `count` runs of one footprint; a stride of 0
+        // (every problem reading the same operand) is legitimate.
+        assert_eq!(span::<f32>(4, 25, 25), Some(100));
+        assert_eq!(span::<f32>(4, 25, 0), Some(25));
+        assert_eq!(span::<f32>(4, 25, usize::MAX / 2), None);
+        assert_eq!(span::<f32>(usize::MAX, 0, usize::MAX), Some(0));
+    }
+
+    #[test]
+    fn c_batch_strided_refuses_hostile_arguments() {
+        let (m, n, k, count) = (4usize, 3usize, 5usize, 3usize);
+        let a = vec![1f32; count * m * k];
+        let b = vec![1f32; count * k * n];
+        let run = |a: *const f32, sa, b: *const f32, sb, c: &mut Vec<f32>, sc, count, m| {
+            // SAFETY: as `call_hostile`: valid buffers, and every hostile
+            // argument must be refused before a dereference.
+            unsafe {
+                shalom_sgemm_batch_strided(
+                    SHALOM_NO_TRANS,
+                    SHALOM_NO_TRANS,
+                    m,
+                    n,
+                    k,
+                    1.0,
+                    a,
+                    sa,
+                    b,
+                    sb,
+                    0.0,
+                    c.as_mut_ptr(),
+                    sc,
+                    count,
+                    1,
+                )
+            }
+        };
+        let fresh = || vec![7f32; count * m * n];
+        let (ap, bp) = (a.as_ptr(), b.as_ptr());
+        let mut c = fresh();
+        assert_eq!(run(ap, m * k, bp, k * n, &mut c, m * n, count, m), 0);
+        assert_ne!(c, fresh());
+        for (what, rc, c) in [
+            ("null A", {
+                let mut c = fresh();
+                (
+                    run(std::ptr::null(), m * k, bp, k * n, &mut c, m * n, count, m),
+                    c,
+                )
+            }),
+            ("A stride overflows", {
+                let mut c = fresh();
+                (
+                    run(ap, usize::MAX / 2, bp, k * n, &mut c, m * n, count, m),
+                    c,
+                )
+            }),
+            ("overlapping C regions", {
+                let mut c = fresh();
+                (run(ap, m * k, bp, k * n, &mut c, m * n - 1, count, m), c)
+            }),
+            ("count beyond the address space", {
+                let mut c = fresh();
+                (
+                    run(ap, m * k, bp, k * n, &mut c, m * n, usize::MAX / 2, m),
+                    c,
+                )
+            }),
+        ]
+        .map(|(what, (rc, c))| (what, rc, c))
+        {
+            assert_eq!(rc, -1, "{what}");
+            assert_eq!(c, fresh(), "{what} wrote C");
+        }
+        // An empty output is a no-op whatever the count (one shared B).
+        let mut c = fresh();
+        assert_eq!(run(ap, 0, bp, 0, &mut c, 0, usize::MAX, 0), 0);
+        assert_eq!(c, fresh());
     }
 }

@@ -27,9 +27,10 @@ pub(crate) use imp::*;
 
 #[cfg(feature = "capture")]
 mod imp {
-    use crate::config::{classify, EdgeSchedule, GemmConfig, ShapeClass};
-    use crate::driver::{resolve_nn_plan, resolve_nt_plan, BPlan};
-    use crate::plan::{PlanSource, SerialPlan};
+    use crate::config::{classify, EdgeSchedule, ShapeClass};
+    use crate::driver::BPlan;
+    use crate::plan::{GemmPlan, PlanSource};
+    use shalom_kernels::FamilyElem;
     use shalom_matrix::Op;
     use shalom_trace::{
         add_pack_ns, add_plan_ns, enabled, record, record_batch, record_dispatch, record_fork_join,
@@ -75,8 +76,8 @@ mod imp {
         }
     }
 
-    /// Closes a `Dispatch` region (pool publish + wake, or the
-    /// scoped-spawn loop) into the dispatch-latency counter.
+    /// Closes a `Dispatch` region (pool publish + wake) into the
+    /// dispatch-latency counter.
     #[inline]
     pub(crate) fn dispatch_end(tok: Span) {
         if let Some(ns) = close(tok, src::NONE) {
@@ -100,52 +101,34 @@ mod imp {
         }
     }
 
-    /// An open `Serial` or `Parallel` region plus the call signature its
-    /// [`DecisionRecord`] echoes back, taken at the start so each end
-    /// site passes only what it decided.
-    pub(crate) struct Call<'a> {
+    /// An open `Serial` or `Parallel` region. The [`DecisionRecord`] it
+    /// closes into echoes the plan handle the call ran, so the end sites
+    /// pass the handle again and nothing is copied here.
+    pub(crate) struct Call {
         tok: Span,
-        cfg: &'a GemmConfig,
-        op_a: Op,
-        op_b: Op,
-        m: usize,
-        n: usize,
-        k: usize,
-        elem_bytes: usize,
+        /// Plan-resolution time this thread spent since its last call:
+        /// the `GemmPlan::new` that built the handle this call runs (zero
+        /// for every later run of a held handle).
+        plan_ns: u64,
         /// Slowest worker tile so far (threaded calls only).
         slowest_ns: AtomicU64,
     }
 
-    impl<'a> Call<'a> {
+    impl Call {
         /// Opens the `Serial` region of a `gemm_serial` call or the
         /// `Parallel` region of a `gemm_parallel` call.
         #[inline]
-        pub(crate) fn begin(
-            phase: Phase,
-            cfg: &'a GemmConfig,
-            op_a: Op,
-            op_b: Op,
-            m: usize,
-            n: usize,
-            k: usize,
-            elem_bytes: usize,
-        ) -> Self {
-            let tok = begin(phase, shape(m, n, k));
+        pub(crate) fn begin<T: FamilyElem>(phase: Phase, plan: &GemmPlan<T>) -> Self {
+            let tok = begin(phase, shape(plan.m, plan.n, plan.k));
+            let mut plan_ns = 0;
             if tok.records() {
-                // Drain carry-over from aborted calls and from lookups
-                // made on this thread outside any serial dispatch.
+                // Drain pack time carried over from aborted calls.
                 let _ = take_pack_ns();
-                let _ = take_plan_ns();
+                plan_ns = take_plan_ns();
             }
             Call {
                 tok,
-                cfg,
-                op_a,
-                op_b,
-                m,
-                n,
-                k,
-                elem_bytes,
+                plan_ns,
                 slowest_ns: AtomicU64::new(0),
             }
         }
@@ -155,25 +138,32 @@ mod imp {
             Workers(&self.slowest_ns)
         }
 
-        /// Closes the region stamped with `source`; when the record sink
-        /// wants it, the record with the call-constant fields filled in.
-        fn finish(&self, source: PlanSource) -> Option<DecisionRecord> {
-            let total_ns = close(self.tok, src_code(source))?;
+        /// Closes the region stamped with the plan's source; when the
+        /// record sink wants it, the record with the fields every path
+        /// reports the same way filled in from the handle.
+        fn finish<T: FamilyElem>(&self, plan: &GemmPlan<T>) -> Option<DecisionRecord> {
+            let total_ns = close(self.tok, src_code(plan.source))?;
+            let elem_bytes = core::mem::size_of::<T>();
             Some(DecisionRecord {
-                m: self.m,
-                n: self.n,
-                k: self.k,
-                op_a: op_char(self.op_a),
-                op_b: op_char(self.op_b),
-                elem_bits: (self.elem_bytes * 8) as u8,
+                m: plan.m,
+                n: plan.n,
+                k: plan.k,
+                op_a: op_char(plan.op_a),
+                op_b: op_char(plan.op_b),
+                elem_bits: (elem_bytes * 8) as u8,
                 class: class_tag(classify(
-                    self.m,
-                    self.n,
-                    self.k,
-                    self.elem_bytes,
-                    &self.cfg.cache,
+                    plan.m,
+                    plan.n,
+                    plan.k,
+                    elem_bytes,
+                    &plan.cfg.cache,
                 )),
-                plan_source: plan_source_tag(source),
+                plan: plan_tag(plan.b_plan, plan.op_b),
+                edge: edge_tag_of(plan.edge),
+                plan_source: plan_source_tag(plan.source),
+                plan_ns: self.plan_ns,
+                mr: plan.ks.mr as u8,
+                nr: plan.ks.nr as u8,
                 total_ns,
                 ..DecisionRecord::default() // seq is assigned at submission
             })
@@ -183,15 +173,13 @@ mod imp {
     /// Closes a `Serial` region with the executed plan's source and
     /// submits the call's [`DecisionRecord`].
     #[inline]
-    pub(crate) fn serial_end(
-        call: Call<'_>,
-        plan: &SerialPlan,
-        mr: usize,
-        nr: usize,
+    pub(crate) fn serial_end<T: FamilyElem>(
+        call: Call,
+        plan: &GemmPlan<T>,
         workspace_bytes: usize,
     ) {
         if !call.tok.is_inert() {
-            serial_finish(call, plan, mr, nr, workspace_bytes);
+            serial_finish(call, plan, workspace_bytes);
         }
     }
 
@@ -199,23 +187,12 @@ mod imp {
     /// stays one load + branch with no record-building code inlined.
     #[cold]
     #[inline(never)]
-    fn serial_finish(
-        call: Call<'_>,
-        plan: &SerialPlan,
-        mr: usize,
-        nr: usize,
-        workspace_bytes: usize,
-    ) {
-        let Some(base) = call.finish(plan.source) else {
+    fn serial_finish<T: FamilyElem>(call: Call, plan: &GemmPlan<T>, workspace_bytes: usize) {
+        let Some(base) = call.finish(plan) else {
             return;
         };
         record(DecisionRecord {
-            plan: plan_tag(plan.b_plan, call.op_b),
-            edge: edge_tag_of(plan.edge),
-            plan_ns: take_plan_ns(),
             path: PathTag::Serial, // thread tag applied on submit
-            mr: mr as u8,
-            nr: nr as u8,
             tm: 1,
             tn: 1,
             threads: 1,
@@ -255,41 +232,24 @@ mod imp {
         }
     }
 
-    /// Closes a `Parallel` region with the grid's plan source, counts the
+    /// Closes a `Parallel` region with the plan's source, counts the
     /// fork-join with its overhead (parent wall time minus slowest
-    /// worker) and submits the parent [`DecisionRecord`].
-    pub(crate) fn parallel_end(
-        call: Call<'_>,
-        tm: usize,
-        tn: usize,
-        threads: usize,
-        source: PlanSource,
-        mr: usize,
-        nr: usize,
-    ) {
-        let Some(base) = call.finish(source) else {
+    /// worker) and submits the parent [`DecisionRecord`]: the §4 regime
+    /// of the *full* problem shape (each worker reports its sub-block's
+    /// own) and the §6 grid.
+    pub(crate) fn parallel_end<T: FamilyElem>(call: Call, plan: &GemmPlan<T>) {
+        let Some(base) = call.finish(plan) else {
             return;
         };
         let slowest_ns = call.slowest_ns.load(Ordering::Relaxed);
         record_fork_join(base.total_ns.saturating_sub(slowest_ns));
-        // What the §4 resolution says for the *full* problem shape; each
-        // worker re-resolves over its sub-block and reports that itself.
-        let b_plan = match call.op_b {
-            Op::NoTrans => resolve_nn_plan(call.cfg, call.m, call.n, call.k, call.elem_bytes),
-            Op::Trans => resolve_nt_plan(call.cfg),
-        };
         record(DecisionRecord {
-            plan: plan_tag(b_plan, call.op_b),
-            edge: edge_tag_of(call.cfg.edge),
             path: PathTag::Parallel,
-            mr: mr as u8,
-            nr: nr as u8,
-            tm: tm as u16,
-            tn: tn as u16,
-            threads: threads as u16,
-            // plan_ns stays 0 (the grid lookup is inside total_ns), as do
-            // workspace_bytes and pack_ns (per-worker; reported by the
-            // worker records).
+            tm: plan.tm as u16,
+            tn: plan.tn as u16,
+            threads: plan.threads as u16,
+            // workspace_bytes and pack_ns stay 0 (per-worker; reported by
+            // the worker records).
             ..base
         });
     }
@@ -462,9 +422,8 @@ mod imp {
 
 #[cfg(not(feature = "capture"))]
 mod imp {
-    use crate::config::GemmConfig;
-    use crate::plan::{PlanSource, SerialPlan};
-    use shalom_matrix::Op;
+    use crate::plan::{GemmPlan, PlanSource};
+    use shalom_kernels::FamilyElem;
     pub(crate) use shalom_trace::Phase;
 
     #[derive(Clone, Copy)]
@@ -521,16 +480,7 @@ mod imp {
 
     impl Call {
         #[inline(always)]
-        pub(crate) fn begin(
-            _phase: Phase,
-            _cfg: &GemmConfig,
-            _op_a: Op,
-            _op_b: Op,
-            _m: usize,
-            _n: usize,
-            _k: usize,
-            _elem_bytes: usize,
-        ) -> Call {
+        pub(crate) fn begin<T: FamilyElem>(_phase: Phase, _plan: &GemmPlan<T>) -> Call {
             Call
         }
 
@@ -541,11 +491,9 @@ mod imp {
     }
 
     #[inline(always)]
-    pub(crate) fn serial_end(
+    pub(crate) fn serial_end<T: FamilyElem>(
         _call: Call,
-        _plan: &SerialPlan,
-        _mr: usize,
-        _nr: usize,
+        _plan: &GemmPlan<T>,
         _workspace_bytes: usize,
     ) {
     }
@@ -566,16 +514,7 @@ mod imp {
     }
 
     #[inline(always)]
-    pub(crate) fn parallel_end(
-        _call: Call,
-        _tm: usize,
-        _tn: usize,
-        _threads: usize,
-        _source: PlanSource,
-        _mr: usize,
-        _nr: usize,
-    ) {
-    }
+    pub(crate) fn parallel_end<T: FamilyElem>(_call: Call, _plan: &GemmPlan<T>) {}
 
     #[inline(always)]
     pub(crate) fn batch_begin(_items: usize) -> Span {

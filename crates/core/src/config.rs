@@ -87,30 +87,6 @@ impl PackingPolicy {
     }
 }
 
-/// Which fork-join engine carries parallel and batched calls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Runtime {
-    /// The persistent worker pool (`pool.rs`): process-lifetime workers
-    /// parked on a condvar, each owning a workspace that survives across
-    /// calls — the §3.1 fixed-overhead amortization.
-    #[default]
-    Pool,
-    /// Spawn fresh scoped threads per call (the pre-pool behaviour).
-    /// Kept as a fallback and as the baseline the `pool_overhead` bench
-    /// compares against; also forced by the `SHALOM_NO_POOL` env var.
-    ScopedSpawn,
-}
-
-impl Runtime {
-    /// Stable lowercase label (CLI values, reports, telemetry).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Runtime::Pool => "pool",
-            Runtime::ScopedSpawn => "scoped-spawn",
-        }
-    }
-}
-
 /// Workload shape classes from §2.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShapeClass {
@@ -172,10 +148,6 @@ pub struct GemmConfig {
     pub edge: EdgeSchedule,
     /// Packing policy.
     pub packing: PackingPolicy,
-    /// Fork-join engine for parallel and batched calls. See
-    /// [`GemmConfig::resolved_runtime`] for the `SHALOM_NO_POOL`
-    /// override.
-    pub runtime: Runtime,
     /// Vector-ISA selection policy for the runtime-dispatched kernel
     /// families. See [`GemmConfig::requested_isa`].
     pub isa: IsaPolicy,
@@ -188,7 +160,6 @@ impl Default for GemmConfig {
             threads: 1,
             edge: EdgeSchedule::default(),
             packing: PackingPolicy::default(),
-            runtime: Runtime::default(),
             isa: IsaPolicy::default(),
         }
     }
@@ -235,8 +206,7 @@ impl GemmConfig {
     }
 
     /// Stable 64-bit fingerprint of every dispatch-relevant knob: cache
-    /// geometry, edge schedule, packing policy, fork-join runtime, and
-    /// ISA policy. Built on FNV-1a (not `DefaultHasher`) so equal
+    /// geometry, edge schedule, packing policy, and ISA policy. Built on FNV-1a (not `DefaultHasher`) so equal
     /// configurations fingerprint identically across processes and
     /// toolchain versions — this value keys the plan cache and is
     /// persisted in plan profiles.
@@ -253,30 +223,14 @@ impl GemmConfig {
         // Format version for the fingerprint itself: bump if the set or
         // order of hashed knobs ever changes, so stale profile entries
         // miss instead of matching a differently-derived key.
-        // (2: the ISA policy joined the hashed knob set.)
-        crate::cache::fnv1a_u64(&mut h, 2);
+        // (2: the ISA policy joined the hashed knob set. 3: the fork-join
+        // runtime knob left it.)
+        crate::cache::fnv1a_u64(&mut h, 3);
         crate::cache::fnv1a_u64(&mut h, self.cache.fingerprint());
         crate::cache::fnv1a_u64(&mut h, self.edge as u64);
         crate::cache::fnv1a_u64(&mut h, self.packing as u64);
-        crate::cache::fnv1a_u64(&mut h, self.runtime as u64);
         crate::cache::fnv1a_u64(&mut h, self.isa.fp_code());
         h
-    }
-
-    /// The fork-join engine this call will actually use: the configured
-    /// [`Runtime`], unless the `SHALOM_NO_POOL` environment variable is
-    /// set to anything but `"0"`, which forces [`Runtime::ScopedSpawn`]
-    /// process-wide (an escape hatch for environments where persistent
-    /// threads are unwelcome). The env var is read once and memoized.
-    pub fn resolved_runtime(&self) -> Runtime {
-        static NO_POOL: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        let no_pool =
-            *NO_POOL.get_or_init(|| std::env::var("SHALOM_NO_POOL").is_ok_and(|v| v != "0"));
-        if no_pool {
-            Runtime::ScopedSpawn
-        } else {
-            self.runtime
-        }
     }
 }
 
@@ -339,7 +293,6 @@ mod tests {
             threads: 1,
             edge: EdgeSchedule::Pipelined,
             packing: PackingPolicy::Auto,
-            runtime: Runtime::Pool,
             isa: IsaPolicy::Auto,
         };
         // Equal configs fingerprint equal (and the value is a stable
@@ -362,10 +315,6 @@ mod tests {
             },
             GemmConfig {
                 packing: PackingPolicy::Never,
-                ..base
-            },
-            GemmConfig {
-                runtime: Runtime::ScopedSpawn,
                 ..base
             },
             GemmConfig {
@@ -433,19 +382,5 @@ mod tests {
             ..GemmConfig::default()
         };
         assert_eq!(forced.requested_isa(), caps::base_isa());
-    }
-
-    #[test]
-    fn runtime_default_and_labels() {
-        assert_eq!(Runtime::default(), Runtime::Pool);
-        assert_eq!(Runtime::Pool.as_str(), "pool");
-        assert_eq!(Runtime::ScopedSpawn.as_str(), "scoped-spawn");
-        assert_eq!(GemmConfig::default().runtime, Runtime::Pool);
-        // `resolved_runtime` only ever overrides *toward* the fallback.
-        let cfg = GemmConfig {
-            runtime: Runtime::ScopedSpawn,
-            ..GemmConfig::with_threads(2)
-        };
-        assert_eq!(cfg.resolved_runtime(), Runtime::ScopedSpawn);
     }
 }

@@ -4,14 +4,15 @@
 //! This is the only blocked GEMM walk in the library. It is written
 //! against a *kernel set* (`shalom_kernels::FamilyKernels`: the register
 //! tile plus the main, fused-pack, streamed, edge and NT-pack entry points
-//! of one ISA level), picked once per call from the plan's effective ISA —
-//! so the 128-bit tiles and both AVX families are instantiations of the
-//! same code, and every mode, packing regime, edge schedule and capture
-//! span applies at every vector width.
+//! of one ISA level), which the call's [`GemmPlan`] carries along with
+//! every other decision — so the 128-bit tiles and both AVX families are
+//! instantiations of the same code, every mode, packing regime, edge
+//! schedule and capture span applies at every vector width, and nothing
+//! here looks anything up.
 //!
 //! One function per B-handling mode:
 //!
-//! * [`gemm_serial`] dispatches on `(op_a, op_b)`. A transposed A (TN/TT)
+//! * [`gemm_serial`] dispatches on the plan's `(op_a, op_b)`. A transposed A (TN/TT)
 //!   is transpose-packed per `(ii, kk)` block into the workspace — after
 //!   which the problem looks like NN/NT with a contiguous A block — the
 //!   paper's "apply the NT/NN strategy to matrix A" (§4.3).
@@ -33,12 +34,13 @@
 //! static-analysis passes (`crates/analysis`) enforce both.
 
 use crate::capture;
-use crate::config::{classify, EdgeSchedule, GemmConfig, PackingPolicy, ShapeClass};
+use crate::config::{classify, GemmConfig, PackingPolicy, ShapeClass};
+use crate::plan::GemmPlan;
 use shalom_kernels::family::EdgeFn;
 use shalom_kernels::main_kernel::{PackAhead, StreamCopy};
 use shalom_kernels::nt_pack::NT_ROWS;
 use shalom_kernels::pack::{pack_copy, pack_transpose};
-use shalom_kernels::{kernels_for, FamilyElem, FamilyKernels};
+use shalom_kernels::{FamilyElem, FamilyKernels};
 use shalom_matrix::{Op, Scalar};
 
 /// Calls between decay-policy evaluations on a [`Workspace`].
@@ -217,21 +219,18 @@ pub(crate) fn resolve_nt_plan(cfg: &GemmConfig) -> BPlan {
     }
 }
 
-/// Single-threaded `C = alpha * op(A)*op(B) + beta * C` over raw pointers.
+/// Single-threaded `C = alpha * op(A)*op(B) + beta * C` over raw pointers,
+/// exactly as `plan` says: its ops and shape, kernel set, edge entry, §4
+/// B-plan, §5.5 blocking and workspace demand.
 ///
 /// # Safety
+/// For the plan's `(op_a, op_b, m, n, k)`:
 /// * `a` valid for reads of the stored A (`m x k` for N, `k x m` for T) at
 ///   stride `lda`; likewise `b` (`k x n` / `n x k`) at `ldb`;
 /// * `c` valid for reads/writes of `m x n` at stride `ldc`;
 /// * `c` does not alias `a` or `b`.
-#[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn gemm_serial<T: FamilyElem>(
-    cfg: &GemmConfig,
-    op_a: Op,
-    op_b: Op,
-    m: usize,
-    n: usize,
-    k: usize,
+    plan: &GemmPlan<T>,
     alpha: T,
     a: *const T,
     lda: usize,
@@ -241,8 +240,8 @@ pub(crate) unsafe fn gemm_serial<T: FamilyElem>(
     c: *mut T,
     ldc: usize,
     ws: &mut Workspace,
-    plan: Option<&crate::plan::SerialPlan>,
 ) {
+    let (op_a, op_b, m, n, k) = (plan.op_a, plan.op_b, plan.m, plan.n, plan.k);
     if m == 0 || n == 0 {
         return;
     }
@@ -250,49 +249,13 @@ pub(crate) unsafe fn gemm_serial<T: FamilyElem>(
         scale_c(m, n, beta, c, ldc);
         return;
     }
-    // One capture region covers the whole serial dispatch (plan
-    // resolution included); it closes below with the executed tile and
-    // the plan's source.
-    let call = capture::Call::begin(
-        capture::Phase::Serial,
-        cfg,
-        op_a,
-        op_b,
-        m,
-        n,
-        k,
-        core::mem::size_of::<T>(),
-    );
-    // Resolve the dispatch plan: callers that amortize one lookup over
-    // many identical calls (the batched path) pass it in; everyone else
-    // consults the plan cache here — warm signatures skip the §4/§5.5
-    // resolution entirely.
-    let plan = match plan {
-        Some(p) => *p,
-        None => crate::plan::serial_plan::<T>(cfg, op_a, op_b, m, n, k),
-    };
-    // The kernel set of the plan's effective ISA (a pure function of
-    // config and shape — the same one that keyed the plan). The registry
-    // only hands out sets whose CPU probe passed on this host.
-    let ks = kernels_for::<T>(plan.isa);
-    let (mr, nr) = (ks.mr, ks.nr);
-    let edge = match plan.edge {
-        EdgeSchedule::Pipelined => ks.edge_pipelined,
-        EdgeSchedule::Batched => ks.edge_batched,
-    };
-    let bs = plan.bs;
-    // Workspace sized by the *actual* problem, not the cache-blocking
-    // ceilings: a 5x5x5 GEMM must not pay for a megabyte of zeroed Bc/Ac.
-    let kc_eff = bs.kc.min(k);
-    let mc_eff = bs.mc.min(m.div_ceil(mr) * mr);
-    let at_elems = if op_a == Op::Trans {
-        mc_eff * kc_eff
-    } else {
-        0
-    };
-    let (bc_ptr, at_ptr) = ws.ensure::<T>(2 * kc_eff * nr, at_elems);
-
-    let b_plan = plan.b_plan;
+    // One capture region covers the whole serial dispatch; it closes below
+    // with the executed tile and the plan's source.
+    let call = capture::Call::begin(capture::Phase::Serial, plan);
+    let (ks, edge, bs, b_plan) = (plan.ks, plan.edge_fn, plan.bs, plan.b_plan);
+    let (bc_ptr, at_ptr) = ws.ensure::<T>(plan.bc_elems, plan.at_elems);
+    // `Bc` is two panels (the t = 1 lookahead's double buffer).
+    let bc_panel = plan.bc_elems / 2;
 
     // ALLOC-FREE: begin — after `ensure` above, the whole block walk runs
     // out of reused workspace; a stray allocation here is a per-call cost
@@ -340,7 +303,7 @@ pub(crate) unsafe fn gemm_serial<T: FamilyElem>(
                         c_blk,
                         ldc,
                         bc_ptr,
-                        kc_eff,
+                        bc_panel,
                     ),
                     Op::Trans => nt_block(
                         ks,
@@ -369,7 +332,7 @@ pub(crate) unsafe fn gemm_serial<T: FamilyElem>(
     }
     // ALLOC-FREE: end
 
-    capture::serial_end(call, &plan, mr, nr, ws.capacity_bytes());
+    capture::serial_end(call, plan, ws.capacity_bytes());
 }
 
 /// `C = beta * C` over an `m x n` block.
@@ -470,8 +433,8 @@ unsafe fn sweep_rows<T: FamilyElem>(
 /// Inherits the SHALOM-D-DRIVER block contract: `a_blk` covers
 /// `mcur x kcur` at stride `lda`, `b_blk` covers `kcur x ncur` at
 /// stride `ldb`, `c_blk` covers `mcur x ncur` at stride `ldc`, and
-/// `bc` points to workspace for two `kc_max x nr` packed panels
-/// (the double buffer for the t = 1 lookahead).
+/// `bc` points to workspace for two packed panels of `bc_panel >=
+/// kcur * nr` elements each (the double buffer for the t = 1 lookahead).
 #[allow(clippy::too_many_arguments)]
 // ALLOC-FREE
 unsafe fn nn_block<T: FamilyElem>(
@@ -490,7 +453,7 @@ unsafe fn nn_block<T: FamilyElem>(
     c_blk: *mut T,
     ldc: usize,
     bc: *mut T,
-    kc_max: usize,
+    bc_panel: usize,
 ) {
     let (mr, nr) = (ks.mr, ks.nr);
     let full_panels = ncur / nr;
@@ -498,7 +461,7 @@ unsafe fn nn_block<T: FamilyElem>(
     // hot path): `cur_buf` feeds this iteration's compute, `next_buf`
     // receives the panel streamed ahead for the next one.
     let mut cur_buf = bc;
-    let mut next_buf = bc.add(kc_max * nr);
+    let mut next_buf = bc.add(bc_panel);
     let mut have_packed = false;
 
     for p in 0..full_panels {
@@ -649,7 +612,7 @@ unsafe fn nt_block<T: FamilyElem>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::IsaPolicy;
+    use crate::config::{EdgeSchedule, IsaPolicy};
     use shalom_kernels::registered_families;
     use shalom_matrix::{assert_close, gemm_tolerance, reference, Matrix};
 
@@ -761,15 +724,11 @@ mod tests {
             want.as_mut(),
         );
         let mut ws = Workspace::new();
+        let plan = GemmPlan::<T>::new(cfg, op_a, op_b, m, n, k);
         // SAFETY: operands are owned Matrix buffers shaped for (op, m, n, k).
         unsafe {
-            gemm_serial::<T>(
-                cfg,
-                op_a,
-                op_b,
-                m,
-                n,
-                k,
+            gemm_serial(
+                &plan,
                 alpha,
                 a.as_slice().as_ptr(),
                 a.ld(),
@@ -779,7 +738,6 @@ mod tests {
                 c.as_mut().as_mut_ptr(),
                 c.ld(),
                 &mut ws,
-                None,
             );
         }
         assert_close(c.as_ref(), want.as_ref(), gemm_tolerance::<T>(k, 2.0));
@@ -937,7 +895,7 @@ mod tests {
                 BPlan::FusedLookahead
             );
             run(&s.cfg, N, N, m, 2048, 48, 1.0, 1.0);
-            let bs = crate::plan::serial_plan::<f32>(&s.cfg, N, N, 4096, 2048, 48).bs;
+            let bs = GemmPlan::<f32>::new(&s.cfg, N, N, 4096, 2048, 48).bs;
             run(&s.cfg, N, N, bs.mc + m, 2048, 48, 1.0, 1.0);
         });
     }
@@ -953,15 +911,11 @@ mod tests {
             let b = Matrix::<f32>::random(6, n, 2);
             let mut c = Matrix::<f32>::zeros(m, n);
             let mut ws = Workspace::new();
+            let plan = GemmPlan::<f32>::new(&s.cfg, N, N, m, n, 6);
             // SAFETY: a (m x 6), b (6 x n) and c (m x n) are owned matrices.
             unsafe {
-                gemm_serial::<f32>(
-                    &s.cfg,
-                    N,
-                    N,
-                    m,
-                    n,
-                    6,
+                gemm_serial(
+                    &plan,
                     1.0,
                     a.as_slice().as_ptr(),
                     a.ld(),
@@ -971,7 +925,6 @@ mod tests {
                     c.as_mut().as_mut_ptr(),
                     c.ld(),
                     &mut ws,
-                    None,
                 );
             }
             for i in 0..m {
@@ -993,15 +946,11 @@ mod tests {
             let mut want = c.clone();
             reference::gemm(N, N, 1.0, a.as_ref(), b.as_ref(), 1.0, want.as_mut());
             let mut ws = Workspace::new();
+            let plan = GemmPlan::<f32>::new(&s.cfg, N, N, m, n, 11);
             // SAFETY: matrices allocated with oversized leading dimensions.
             unsafe {
-                gemm_serial::<f32>(
-                    &s.cfg,
-                    N,
-                    N,
-                    m,
-                    n,
-                    11,
+                gemm_serial(
+                    &plan,
                     1.0,
                     a.as_slice().as_ptr(),
                     a.ld(),
@@ -1011,7 +960,6 @@ mod tests {
                     c.as_mut().as_mut_ptr(),
                     c.ld(),
                     &mut ws,
-                    None,
                 );
             }
             assert_close(c.as_ref(), want.as_ref(), gemm_tolerance::<f32>(11, 2.0));

@@ -25,13 +25,13 @@
 //! | [`cache`] | §2.2, §5.5 | cache detection, `mc`/`kc`/`nc` derivation |
 //! | [`config`] | §3.3, §4 | packing policy, edge schedule, shape classes |
 //! | `driver` | §4, Alg. 1 | exchanged-loop serial driver, packing plans |
-//! | `parallel` | §6 | analytic `Tm x Tn` partition, fork-join executor |
+//! | `parallel` | §6 | analytic `Tm x Tn` partition, executed on the pool |
 //! | [`pool`] | §3.1, §6 | persistent worker pool amortizing spawn + workspace cost |
 //! | [`api`] | §3.3 | `sgemm`/`dgemm`, raw BLAS-style entry points |
 //! | [`batch`] | §7.4 | batched independent small GEMMs across cores |
 //! | [`capi`] | §3.3 | `extern "C"` CBLAS-style entry points |
 //! | [`autotune`] | §10 | empirical parameter search (the paper's future work) |
-//! | [`plan`] | §10 | memoized dispatch plans, persistent autotune profiles |
+//! | [`plan`] | §3.1, §10 | the per-call plan handle ([`GemmPlan`]), memoized dispatch plans, persistent autotune profiles |
 //!
 //! The micro-kernels themselves live in `shalom-kernels`.
 //!
@@ -55,7 +55,6 @@
 pub mod api;
 pub mod autotune;
 pub mod batch;
-pub mod builder;
 pub mod cache;
 pub mod capi;
 #[cfg(feature = "capture")]
@@ -73,17 +72,14 @@ pub mod sync;
 pub use api::{dgemm, dgemm_raw, gemm, gemm_with, sgemm, sgemm_raw, GemmElem};
 pub use autotune::{autotune, Candidate, TuneReport};
 pub use batch::{gemm_batch, gemm_batch_beta, gemm_batch_strided, BatchItem};
-pub use builder::Gemm;
 pub use cache::{BlockSizes, CacheParams};
-pub use config::{
-    classify, EdgeSchedule, GemmConfig, IsaPolicy, PackingPolicy, Runtime, ShapeClass,
-};
+pub use config::{classify, EdgeSchedule, GemmConfig, IsaPolicy, PackingPolicy, ShapeClass};
 pub use error::{try_gemm_with, GemmError};
-pub use parallel::{partition_threads, quantized_chunk, quantized_chunks};
+pub use parallel::{partition_threads, quantized_chunk};
 pub use plan::{
     describe_plan, install_tuned, load_profile, plan_cache_clear, plan_cache_enabled,
     plan_cache_invalidate, plan_cache_stats, request_plan_key, save_profile,
-    set_plan_cache_enabled, PlanDescription, PlanSource,
+    set_plan_cache_enabled, GemmPlan, PlanDescription, PlanSource,
 };
 pub use pool::prewarm;
 pub use shalom_matrix::Op;

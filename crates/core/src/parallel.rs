@@ -10,19 +10,18 @@
 //! slabs for prime `T` on row-heavy shapes). Block boundaries are
 //! rounded to multiples of the dispatched kernel set's `mr` / `nr` so the
 //! partition itself creates no new edge cases (the §3.2 third missed
-//! opportunity), and every worker is pinned to that same set.
+//! opportunity), and every worker inherits that same set from the
+//! parent's plan handle.
 //!
-//! The grid is dispatched through `pool.rs` by default: the §3.1
-//! argument is that fixed per-call overheads dominate small GEMM, and
-//! spawning `Tm*Tn` fresh OS threads per call is such an overhead.
-//! [`crate::config::Runtime::ScopedSpawn`] keeps the old
-//! spawn-per-call path as a fallback and benchmark baseline.
+//! The grid is dispatched through `pool.rs`: the §3.1 argument is that
+//! fixed per-call overheads dominate small GEMM, and spawning `Tm*Tn`
+//! fresh OS threads per call is such an overhead.
 
 use crate::capture;
-use crate::config::{GemmConfig, Runtime};
 use crate::driver::{gemm_serial, with_workspace, Workspace};
+use crate::plan::GemmPlan;
 use crate::pool;
-use shalom_kernels::{kernels_for, FamilyElem};
+use shalom_kernels::FamilyElem;
 use shalom_matrix::Op;
 
 /// The thread grid for a `m x n` output with `t` workers: `(tm, tn)`
@@ -68,7 +67,9 @@ pub fn partition_threads(t: usize, m: usize, n: usize) -> (usize, usize) {
     (t / tn, tn)
 }
 
-/// Chunk `p` of [`quantized_chunks`]`(len, parts, quantum)`, computed
+/// Chunk `p` of `len` split into `parts` contiguous chunks whose starts
+/// are multiples of `quantum` (except possibly the final remainder), as
+/// `(start, len)`; chunks may be empty when `len` is small. Computed
 /// directly so the steady-state pool path never allocates a chunk list.
 pub fn quantized_chunk(len: usize, parts: usize, quantum: usize, p: usize) -> (usize, usize) {
     assert!(parts >= 1 && quantum >= 1);
@@ -76,15 +77,6 @@ pub fn quantized_chunk(len: usize, parts: usize, quantum: usize, p: usize) -> (u
     let start = (p * per * quantum).min(len);
     let end = ((p + 1) * per * quantum).min(len);
     (start, end - start)
-}
-
-/// Splits `len` into `parts` contiguous chunks whose starts are multiples
-/// of `quantum` (except possibly the final remainder), returning
-/// `(start, len)` per part. Parts may be empty when `len` is small.
-pub fn quantized_chunks(len: usize, parts: usize, quantum: usize) -> Vec<(usize, usize)> {
-    (0..parts)
-        .map(|p| quantized_chunk(len, parts, quantum, p))
-        .collect()
 }
 
 /// Raw-pointer wrapper that promises the wrapped pointer is safe to move
@@ -120,23 +112,18 @@ unsafe impl<T> Send for SendConstPtr<T> {}
 // SAFETY: SHALOM-D-SEND — read-only; concurrent reads never conflict.
 unsafe impl<T> Sync for SendConstPtr<T> {}
 
-/// Multi-threaded `C = alpha * op(A)*op(B) + beta * C`: partitions C per
-/// [`partition_threads`] and runs the serial driver per sub-block on the
-/// persistent pool (or per-call scoped threads under
-/// [`Runtime::ScopedSpawn`]). Nested calls — issued from inside a pool
-/// task — run serially on the caller: the pool has one call slot, and a
-/// small GEMM inside a batch must not try to split itself anyway (§7.4).
+/// Multi-threaded `C = alpha * op(A)*op(B) + beta * C`: partitions C by
+/// the plan's §6 grid and runs the serial driver per sub-block on the
+/// persistent pool, each under the plan the parent derives for it
+/// ([`GemmPlan::for_block`] — no worker looks anything up). Nested calls —
+/// issued from inside a pool task — run serially on the caller: the pool
+/// has one call slot, and a small GEMM inside a batch must not try to
+/// split itself anyway (§7.4).
 ///
 /// # Safety
 /// As [`gemm_serial`].
-#[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn gemm_parallel<T: FamilyElem>(
-    cfg: &GemmConfig,
-    op_a: Op,
-    op_b: Op,
-    m: usize,
-    n: usize,
-    k: usize,
+    plan: &GemmPlan<T>,
     alpha: T,
     a: *const T,
     lda: usize,
@@ -146,64 +133,44 @@ pub(crate) unsafe fn gemm_parallel<T: FamilyElem>(
     c: *mut T,
     ldc: usize,
 ) {
-    let t = cfg.resolved_threads().max(1);
-    if t == 1 || m == 0 || n == 0 || pool::in_pool_context() {
-        with_workspace(|ws| {
-            gemm_serial::<T>(
-                cfg, op_a, op_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, ws, None,
-            )
-        });
+    let (m, n) = (plan.m, plan.n);
+    if plan.threads == 1 || m == 0 || n == 0 || pool::in_pool_context() {
+        with_workspace(|ws| gemm_serial(plan, alpha, a, lda, b, ldb, beta, c, ldc, ws));
         return;
     }
-    // §6 thread grid, through the plan cache (full-signature key with
-    // threads = t). Workers resolve their own sub-block plans below
-    // under threads = 1 keys — identical to the pre-cache behaviour.
-    // One capture region covers the whole threaded call (grid lookup,
-    // dispatch, tiles, join); each tile is a worker region under it, so
-    // the parent record can report fork-join overhead (wall time minus
-    // the slowest tile). The pool separately captures its dispatch
-    // (publish + wake) latency.
-    let call = capture::Call::begin(
-        capture::Phase::Parallel,
-        cfg,
-        op_a,
-        op_b,
-        m,
-        n,
-        k,
-        core::mem::size_of::<T>(),
-    );
+    // One capture region covers the whole threaded call (dispatch, tiles,
+    // join); each tile is a worker region under it, so the parent record
+    // can report fork-join overhead (wall time minus the slowest tile).
+    // The pool separately captures its dispatch (publish + wake) latency.
+    let call = capture::Call::begin(capture::Phase::Parallel, plan);
     let workers = call.workers();
-    let (tm, tn, plan_src) = crate::plan::parallel_grid::<T>(cfg, op_a, op_b, m, n, k, t);
-    // The kernel set the *whole* problem resolves to: its tile is the
-    // partition quantum, and workers are pinned to it below.
-    let isa = crate::plan::effective_isa::<T>(cfg, m, n);
-    let ks = kernels_for::<T>(isa);
-    let (mr, nr) = (ks.mr, ks.nr);
+    // The tile of the set the *whole* problem resolved to is the
+    // partition quantum.
+    let (tm, tn, mr, nr) = (plan.tm, plan.tn, plan.ks.mr, plan.ks.nr);
     let ap = SendConstPtr(a);
     let bp = SendConstPtr(b);
     let cp = SendPtr(c);
 
-    // One `(ri, rl) x (ci, cl)` sub-block on the given workspace; shared
-    // by both runtimes. Workers get the parent's set, pinned via `Force`
-    // (which skips the size rule): a sub-block smaller than a wide
-    // register tile must not silently change set, or threaded results
-    // would stop being bitwise equal to serial ones.
-    let mut cfg_copy = *cfg;
-    cfg_copy.isa = crate::config::IsaPolicy::Force(isa);
-    let tile = move |idx: usize, ri: usize, rl: usize, ci: usize, cl: usize, ws: &mut Workspace| {
+    // Task index -> grid cell, chunk geometry computed on the fly: the
+    // steady-state path allocates nothing.
+    let job = |idx: usize, ws: &mut Workspace| {
+        let (ri, rl) = quantized_chunk(m, tm, mr, idx / tn);
+        let (ci, cl) = quantized_chunk(n, tn, nr, idx % tn);
+        if rl == 0 || cl == 0 {
+            return;
+        }
         // Rebind the wrapper structs whole: disjoint closure capture
         // would otherwise capture the raw-pointer *fields*, which are
-        // not Sync, and the closure could not cross the runtime.
+        // not Sync, and the closure could not cross the pool.
         let (ap, bp, cp) = (ap, bp, cp);
         let worker = workers.begin(idx);
         // Reconstruct the sub-block operand pointers. Stored-A row
         // offset depends on op: N indexes rows by i, T by k.
-        let a_off = match op_a {
+        let a_off = match plan.op_a {
             Op::NoTrans => ri * lda,
             Op::Trans => ri,
         };
-        let b_off = match op_b {
+        let b_off = match plan.op_b {
             Op::NoTrans => ci,
             Op::Trans => ci * ldb,
         };
@@ -212,13 +179,8 @@ pub(crate) unsafe fn gemm_parallel<T: FamilyElem>(
         // the views validated by the caller; sub-blocks are disjoint in C
         // (SHALOM-D-SEND).
         unsafe {
-            gemm_serial::<T>(
-                &cfg_copy,
-                op_a,
-                op_b,
-                rl,
-                cl,
-                k,
+            gemm_serial(
+                &plan.for_block(rl, cl),
                 alpha,
                 ap.0.add(a_off),
                 lda,
@@ -228,53 +190,25 @@ pub(crate) unsafe fn gemm_parallel<T: FamilyElem>(
                 cp.0.add(ri * ldc + ci),
                 ldc,
                 ws,
-                None,
             )
         };
         workers.end(worker);
     };
+    pool::run(plan.threads, tm * tn, &job);
 
-    match cfg.resolved_runtime() {
-        Runtime::Pool => {
-            // Task index -> grid cell, chunk geometry computed on the
-            // fly: the steady-state path allocates nothing.
-            let job = |idx: usize, ws: &mut Workspace| {
-                let (ri, rl) = quantized_chunk(m, tm, mr, idx / tn);
-                let (ci, cl) = quantized_chunk(n, tn, nr, idx % tn);
-                if rl == 0 || cl == 0 {
-                    return;
-                }
-                tile(idx, ri, rl, ci, cl, ws);
-            };
-            pool::run(t, tm * tn, &job);
-        }
-        Runtime::ScopedSpawn => {
-            let rows = quantized_chunks(m, tm, mr);
-            let cols = quantized_chunks(n, tn, nr);
-            let tile = &tile;
-            std::thread::scope(|scope| {
-                // The spawn loop itself is this runtime's dispatch cost.
-                let dispatch = capture::begin(capture::Phase::Dispatch, (tm * tn) as u64);
-                for (r, &(ri, rl)) in rows.iter().enumerate() {
-                    for (c, &(ci, cl)) in cols.iter().enumerate() {
-                        if rl == 0 || cl == 0 {
-                            continue;
-                        }
-                        let idx = r * tn + c;
-                        scope.spawn(move || with_workspace(|ws| tile(idx, ri, rl, ci, cl, ws)));
-                    }
-                }
-                capture::dispatch_end(dispatch);
-            });
-        }
-    }
-
-    capture::parallel_end(call, tm, tn, t, plan_src, mr, nr);
+    capture::parallel_end(call, plan);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every chunk of the split, in order.
+    fn quantized_chunks(len: usize, parts: usize, quantum: usize) -> Vec<(usize, usize)> {
+        (0..parts)
+            .map(|p| quantized_chunk(len, parts, quantum, p))
+            .collect()
+    }
 
     #[test]
     fn paper_worked_example() {
@@ -389,16 +323,6 @@ mod tests {
                 total += l;
             }
             assert_eq!(total, len);
-        }
-    }
-
-    #[test]
-    fn quantized_chunk_matches_materialized_list() {
-        for &(len, parts, q) in &[(100usize, 4usize, 7usize), (3, 4, 12), (50176, 8, 12)] {
-            let chunks = quantized_chunks(len, parts, q);
-            for (p, &want) in chunks.iter().enumerate() {
-                assert_eq!(quantized_chunk(len, parts, q, p), want);
-            }
         }
     }
 

@@ -1,13 +1,17 @@
-//! Plan-cache integration: memoized dispatch plans and persistent
-//! autotune profiles (IAAT-style, §10 of the paper's future work).
+//! The plan layer: one executable handle per call ([`GemmPlan`]), resolved
+//! through memoized dispatch plans and persistent autotune profiles
+//! (IAAT-style, §10 of the paper's future work).
 //!
-//! Every GEMM entry point — serial, pooled, and batched — resolves its
-//! dispatch plan (§4 packing regime, §5.5 blocking, §6 thread grid,
-//! edge schedule) through this module. The first call for a signature
-//! computes the plan and memoizes it in a process-global
-//! [`shalom_plans::PlanCache`]; warm calls are a sharded read-lock table
-//! hit. Autotune results and on-disk profiles install *override*
-//! entries that outrank computed plans and survive invalidation.
+//! Every GEMM entry point — serial, pooled, batched, `nn::Conv2d` —
+//! builds a [`GemmPlan`] and hands it to the execution layers; nothing
+//! below this module decides anything. [`GemmPlan::new`] is the one place
+//! a dispatch plan (effective ISA and kernel set, §4 packing regime, §5.5
+//! blocking, §6 thread grid, edge schedule, workspace demand) is
+//! resolved: the first handle for a signature computes the plan and
+//! memoizes it in a process-global [`shalom_plans::PlanCache`]; warm ones
+//! are a sharded read-lock table hit. Autotune results and on-disk
+//! profiles install *override* entries that outrank computed plans and
+//! survive invalidation.
 //!
 //! Environment knobs (also see the README "Plan cache & profiles"
 //! section):
@@ -15,7 +19,7 @@
 //! * `SHALOM_PROFILE=<path>` — load a profile into the cache on first
 //!   use; a bad file is reported to stderr and ignored, never fatal.
 //! * `SHALOM_NO_PLAN_CACHE=<anything but 0>` — bypass the cache (every
-//!   call recomputes its plan; profile overrides do not apply). Tests
+//!   handle recomputes its plan; profile overrides do not apply). Tests
 //!   and benches can flip the same switch in-process with
 //!   [`set_plan_cache_enabled`].
 //!
@@ -28,16 +32,17 @@
 //!
 //! shalom-analysis: deny(panic)
 //!
-//! Plan lookup runs on every GEMM call; all fallible paths return through `GemmError` or fall back to recomputing the plan.
+//! Plan resolution runs on every GEMM call; all fallible paths return through `GemmError` or fall back to recomputing the plan.
 
 use crate::api::GemmElem;
 use crate::cache::BlockSizes;
 use crate::capture;
-use crate::config::{classify, EdgeSchedule, GemmConfig, ShapeClass};
+use crate::config::{classify, EdgeSchedule, GemmConfig, IsaPolicy, ShapeClass};
 use crate::driver::{resolve_nn_plan, resolve_nt_plan, BPlan};
 use crate::parallel::partition_threads;
 use crate::sync::{AtomicBool, Ordering};
-use shalom_kernels::{family_for, kernels_for, FamilyElem};
+use shalom_kernels::family::EdgeFn;
+use shalom_kernels::{family_for, kernels_for, FamilyElem, FamilyKernels};
 use shalom_matrix::Op;
 use shalom_plans::{profile, CacheStats, PlanCache, PlanKey, ProfileError, ResolvedPlan, Source};
 use shalom_simd::caps::{self, Isa};
@@ -67,25 +72,68 @@ impl PlanSource {
     }
 }
 
-/// The decoded plan the serial driver executes: §4 B-plan, edge
-/// schedule, and §5.5 blocking. Plain `Copy` data — a batch resolves it
-/// once and shares it across worker threads.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SerialPlan {
-    pub(crate) b_plan: BPlan,
+/// Everything one GEMM call needs decided, resolved once for a
+/// `(config, ops, m, n, k)` signature: the effective ISA and its kernel
+/// set, the edge entry, the §4 B-plan, the §5.5 blocking, the §6 thread
+/// grid and the workspace demand. The execution layers (`gemm_serial`,
+/// `gemm_parallel`, the batch loop) take a handle and decide nothing.
+///
+/// Build one with [`GemmPlan::new`] (the only constructor that consults
+/// the plan cache — exactly one lookup) and execute it with
+/// [`GemmPlan::run`] any number of times, from any number of threads:
+/// the handle is plain `Copy` data, `Send + Sync`.
+///
+/// A handle is a **snapshot**. [`install_tuned`], [`load_profile`],
+/// [`plan_cache_invalidate`], [`plan_cache_clear`] and
+/// [`set_plan_cache_enabled`] after the build do not alter it: any
+/// range-validated plan computes the right product, so only the *choice*
+/// a held handle embodies can go stale, never its result. Rebuild the
+/// handle to pick up a new override.
+///
+/// ```
+/// use shalom_core::{GemmConfig, GemmPlan, Op};
+/// use shalom_matrix::Matrix;
+///
+/// let plan = GemmPlan::<f32>::new(&GemmConfig::default(), Op::NoTrans, Op::NoTrans, 8, 6, 4);
+/// let a = Matrix::<f32>::random(8, 4, 1);
+/// let b = Matrix::<f32>::random(4, 6, 2);
+/// let mut c = Matrix::<f32>::zeros(8, 6);
+/// plan.run(1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
+/// ```
+#[derive(Clone, Copy)]
+pub struct GemmPlan<T: FamilyElem> {
+    /// The configuration the handle was built for; a threaded call
+    /// re-resolves each sub-block's §4 regime under it.
+    pub(crate) cfg: GemmConfig,
+    pub(crate) op_a: Op,
+    pub(crate) op_b: Op,
+    pub(crate) m: usize,
+    pub(crate) n: usize,
+    pub(crate) k: usize,
+    /// Resolved worker count (`>= 1`) the grid divides the call over.
+    pub(crate) threads: usize,
+    /// §6 grid, `tm * tn == threads`.
+    pub(crate) tm: usize,
+    pub(crate) tn: usize,
+    isa: Isa,
+    /// The kernel set of `isa`; the registry only hands out sets whose
+    /// CPU probe passed on this host.
+    pub(crate) ks: &'static FamilyKernels<T>,
     pub(crate) edge: EdgeSchedule,
+    /// `ks`'s entry for `edge`.
+    pub(crate) edge_fn: EdgeFn<T>,
+    pub(crate) b_plan: BPlan,
     pub(crate) bs: BlockSizes,
-    /// Effective ISA the call dispatches to: names the kernel set
-    /// (`shalom_kernels::kernels_for`) the driver runs over.
-    pub(crate) isa: Isa,
-    /// Where the plan came from; read only by the capture layer.
-    #[allow(dead_code)]
+    /// Serial-driver workspace demand in elements: the double-buffered
+    /// `Bc` panel, and the transpose-packed A block of the T modes.
+    pub(crate) bc_elems: usize,
+    pub(crate) at_elems: usize,
     pub(crate) source: PlanSource,
 }
 
-/// A resolved plan plus its provenance — the public, introspectable
-/// face of one cache lookup (powers the round-trip tests and the
-/// `plan_overhead` bench).
+/// A resolved plan plus its provenance — the printable face of a
+/// [`GemmPlan`] (powers the round-trip tests and the `plan_overhead`
+/// bench).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanDescription {
     /// Where the plan came from on this lookup.
@@ -191,39 +239,39 @@ fn decode_edge(code: u8) -> EdgeSchedule {
     }
 }
 
-/// The ISA level — equivalently, the kernel set — this call dispatches
-/// to: a pure function of the configuration and the shape, computed
-/// identically wherever a plan is keyed, resolved, or decoded, and the
-/// same for every `(op_a, op_b)` (the one driver runs every mode at every
-/// width):
+/// The ISA level this call dispatches to and its kernel set: a pure
+/// function of the configuration and the shape, the same for every
+/// `(op_a, op_b)` (the one driver runs every mode at every width).
+/// Computed once per handle, in [`Signature::of`]:
 ///
 /// * the requested level must be wide and its kernel family registered
 ///   (the runtime probe passed on this host);
 /// * under [`IsaPolicy::Auto`], the problem must fill at least one full
 ///   register tile of the family's element type (smaller shapes keep the
 ///   128-bit set, whose finer tile wastes less of a sub-tile problem). A
-///   `Force`d executable level skips this size rule, and the parallel
-///   path relies on forcing to give every worker's sub-block the set the
-///   whole problem resolved to.
+///   `Force`d executable level skips this size rule.
 ///
 /// Everything else resolves to the compile-time base, so the key an
 /// AVX-512 host computes for a sub-tile problem equals the key a NEON
 /// host computes — and a wide host's big-shape keys can never collide
 /// with either.
-///
-/// [`IsaPolicy::Auto`]: crate::config::IsaPolicy::Auto
-pub(crate) fn effective_isa<T: FamilyElem>(cfg: &GemmConfig, m: usize, n: usize) -> Isa {
+pub(crate) fn effective_isa<T: FamilyElem>(
+    cfg: &GemmConfig,
+    m: usize,
+    n: usize,
+) -> (Isa, &'static FamilyKernels<T>) {
     let req = cfg.requested_isa();
     if req.is_wide() {
         if let Some(fam) = family_for(req) {
             let ks = T::kernels(fam);
-            let forced = matches!(cfg.isa, crate::config::IsaPolicy::Force(_));
+            let forced = matches!(cfg.isa, IsaPolicy::Force(_));
             if forced || (m >= ks.mr && n >= ks.nr) {
-                return req;
+                return (req, ks);
             }
         }
     }
-    caps::base_isa()
+    let base = caps::base_isa();
+    (base, kernels_for::<T>(base))
 }
 
 /// The ISA-aware plan-cache key a *serial* dispatch of this signature
@@ -231,9 +279,10 @@ pub(crate) fn effective_isa<T: FamilyElem>(cfg: &GemmConfig, m: usize, n: usize)
 /// requests into one `gemm_batch` call (`shalom-service`). The §7.4
 /// batch discipline runs every member problem single-threaded, so the
 /// key is computed for `threads == 1`; requests with equal keys resolve
-/// to the same dispatch plan and can legally share a batch. This reuses
-/// the private keying logic verbatim: there is deliberately no second
-/// shape key anywhere in the system.
+/// to the same dispatch plan and can legally share a batch. This is the
+/// key a `threads == 1` [`GemmPlan::new`] looks up under, built without
+/// touching the cache: there is deliberately no second shape key
+/// anywhere in the system.
 pub fn request_plan_key<T: GemmElem>(
     cfg: &GemmConfig,
     op_a: Op,
@@ -242,59 +291,191 @@ pub fn request_plan_key<T: GemmElem>(
     n: usize,
     k: usize,
 ) -> PlanKey {
-    key_for::<T>(cfg, op_a, op_b, m, n, k, 1)
+    Signature::<T>::of(cfg, op_a, op_b, m, n, k, 1).key()
 }
 
-fn key_for<T: FamilyElem>(
-    cfg: &GemmConfig,
+/// One call signature with its effective ISA resolved: what a plan is
+/// keyed by and computed from. Building one consults no cache.
+struct Signature<'a, T: FamilyElem> {
+    cfg: &'a GemmConfig,
     op_a: Op,
     op_b: Op,
     m: usize,
     n: usize,
     k: usize,
     threads: usize,
-) -> PlanKey {
-    PlanKey {
-        elem_bits: (core::mem::size_of::<T>() * 8) as u8,
-        isa: effective_isa::<T>(cfg, m, n).code(),
-        op_a: op_byte(op_a),
-        op_b: op_byte(op_b),
-        m: m as u64,
-        n: n as u64,
-        k: k as u64,
-        threads: threads.max(1).min(u32::MAX as usize) as u32,
-        config_fp: cfg.fingerprint(),
+    isa: Isa,
+    ks: &'static FamilyKernels<T>,
+}
+
+impl<'a, T: FamilyElem> Signature<'a, T> {
+    fn of(
+        cfg: &'a GemmConfig,
+        op_a: Op,
+        op_b: Op,
+        m: usize,
+        n: usize,
+        k: usize,
+        threads: usize,
+    ) -> Self {
+        let (isa, ks) = effective_isa::<T>(cfg, m, n);
+        Signature {
+            cfg,
+            op_a,
+            op_b,
+            m,
+            n,
+            k,
+            threads: threads.max(1),
+            isa,
+            ks,
+        }
+    }
+
+    fn key(&self) -> PlanKey {
+        PlanKey {
+            elem_bits: (core::mem::size_of::<T>() * 8) as u8,
+            isa: self.isa.code(),
+            op_a: op_byte(self.op_a),
+            op_b: op_byte(self.op_b),
+            m: self.m as u64,
+            n: self.n as u64,
+            k: self.k as u64,
+            threads: self.threads.min(u32::MAX as usize) as u32,
+            config_fp: self.cfg.fingerprint(),
+        }
+    }
+
+    /// Assembles the handle from the decisions, deriving what follows
+    /// from them: the set's edge entry and the workspace demand.
+    fn plan(
+        &self,
+        b_plan: BPlan,
+        edge: EdgeSchedule,
+        bs: BlockSizes,
+        (tm, tn): (usize, usize),
+        source: PlanSource,
+    ) -> GemmPlan<T> {
+        let (bc_elems, at_elems) = workspace_elems(&bs, self.ks, self.op_a, self.m, self.k);
+        GemmPlan {
+            cfg: *self.cfg,
+            op_a: self.op_a,
+            op_b: self.op_b,
+            m: self.m,
+            n: self.n,
+            k: self.k,
+            threads: self.threads,
+            tm,
+            tn,
+            isa: self.isa,
+            ks: self.ks,
+            edge,
+            edge_fn: match edge {
+                EdgeSchedule::Pipelined => self.ks.edge_pipelined,
+                EdgeSchedule::Batched => self.ks.edge_batched,
+            },
+            b_plan,
+            bs,
+            bc_elems,
+            at_elems,
+            source,
+        }
+    }
+
+    /// Resolves the full dispatch plan from scratch — the §4/§5.5/§6
+    /// logic the cache memoizes. Pure: equal signatures always produce
+    /// equal plans. One resolution for every kernel set: the set only
+    /// supplies the tile the blocking and the workspace are measured in.
+    fn compute(&self) -> GemmPlan<T> {
+        let b_plan = resolve_b_plan::<T>(self.cfg, self.op_b, self.m, self.n, self.k);
+        let ks = self.ks;
+        let elem_bytes = core::mem::size_of::<T>();
+        let bs = BlockSizes::derive(&self.cfg.cache, elem_bytes, ks.mr, ks.nr, ks.lanes);
+        let grid = partition_threads(self.threads, self.m, self.n);
+        self.plan(b_plan, self.cfg.edge, bs, grid, PlanSource::Computed)
+    }
+
+    /// Rebuilds the handle from a cached (or profile-installed) encoded
+    /// plan. The effective ISA is never stored: it is a pure function of
+    /// the same inputs as the key, so an entry can only ever be served at
+    /// the width it was keyed under.
+    fn decode(&self, plan: &ResolvedPlan, source: PlanSource) -> GemmPlan<T> {
+        // `.max(1)` is defense in depth on top of profile validation: a
+        // zero blocking factor would hang the driver's kk/ii/jj loops.
+        let bs = BlockSizes {
+            nc: (plan.nc as usize).max(1),
+            mc: (plan.mc as usize).max(1),
+            kc: (plan.kc as usize).max(1),
+        };
+        // A (profile-supplied) grid that does not factor the thread count
+        // falls back to the analytic partition.
+        let grid = match (plan.tm as usize, plan.tn as usize) {
+            (tm, tn) if tm * tn == self.threads => (tm, tn),
+            _ => partition_threads(self.threads, self.m, self.n),
+        };
+        let (b_plan, edge) = (decode_bplan(plan.b_plan), decode_edge(plan.edge));
+        self.plan(b_plan, edge, bs, grid, source)
+    }
+
+    /// The cache-consulting resolution every handle is built by,
+    /// memoizing computed plans; with the cache disabled, a plain
+    /// recompute. Being the single funnel, this is also the capture
+    /// region that times plan resolution — hit and miss alike — into the
+    /// span timeline and the next call's `plan_ns`, stamped with the
+    /// outcome.
+    fn resolve(&self) -> GemmPlan<T> {
+        let tok = capture::begin(
+            capture::Phase::PlanLookup,
+            capture::shape(self.m, self.n, self.k),
+        );
+        let plan = self.lookup();
+        capture::plan_end(tok, plan.source);
+        plan
+    }
+
+    fn lookup(&self) -> GemmPlan<T> {
+        if !plan_cache_enabled() {
+            return self.compute();
+        }
+        let key = self.key();
+        let cache = global_cache();
+        if let Some((plan, stored)) = cache.get(&key) {
+            capture::note_plan_lookup(true);
+            let source = match stored {
+                Source::Profile => PlanSource::Profile,
+                Source::Computed => PlanSource::Cached,
+            };
+            return self.decode(&plan, source);
+        }
+        capture::note_plan_lookup(false);
+        let plan = self.compute();
+        capture::note_plan_evictions(cache.insert_computed(key, plan.describe().plan));
+        plan
     }
 }
 
-/// Resolves the full dispatch plan from scratch — the §4/§5.5/§6 logic
-/// the cache memoizes. Pure: equal inputs always produce equal plans.
-/// One resolution for every kernel set: the set only supplies the tile
-/// the blocking and the workspace are measured in.
-fn compute_resolved<T: FamilyElem>(
-    cfg: &GemmConfig,
-    op_a: Op,
-    op_b: Op,
-    m: usize,
-    n: usize,
-    k: usize,
-    threads: usize,
-) -> ResolvedPlan {
-    let elem_bytes = core::mem::size_of::<T>();
-    let ks = kernels_for::<T>(effective_isa::<T>(cfg, m, n));
-    let b_plan = match op_b {
-        Op::NoTrans => resolve_nn_plan(cfg, m, n, k, elem_bytes),
+/// The §4 B-handling regime of an `m x n x k` problem (or sub-block)
+/// under `cfg`: the pure resolution the cache memoizes for whole problems
+/// and a threaded parent repeats per tile.
+fn resolve_b_plan<T>(cfg: &GemmConfig, op_b: Op, m: usize, n: usize, k: usize) -> BPlan {
+    match op_b {
+        Op::NoTrans => resolve_nn_plan(cfg, m, n, k, core::mem::size_of::<T>()),
         Op::Trans => resolve_nt_plan(cfg),
-    };
-    let bs = BlockSizes::derive(&cfg.cache, elem_bytes, ks.mr, ks.nr, ks.lanes);
-    let (tm, tn) = if threads > 1 {
-        partition_threads(threads, m, n)
-    } else {
-        (1, 1)
-    };
-    // The serial driver's workspace demand for this signature (informational
-    // in the encoded plan; the driver re-derives it from the actual block):
-    // the double-buffered `Bc` panel plus the T-mode A block.
+    }
+}
+
+/// `(Bc, At)` element counts the serial driver needs for an `m`-row,
+/// `k`-deep block: the double-buffered `kc x nr` B panel plus, in the T
+/// modes, the transpose-packed `mc x kc` A block. Sized by the *actual*
+/// problem, not the cache-blocking ceilings: a 5x5x5 GEMM must not pay
+/// for a megabyte of zeroed Bc/Ac.
+fn workspace_elems<T>(
+    bs: &BlockSizes,
+    ks: &FamilyKernels<T>,
+    op_a: Op,
+    m: usize,
+    k: usize,
+) -> (usize, usize) {
     let kc_eff = bs.kc.min(k.max(1));
     let mc_eff = bs.mc.min(m.max(1).div_ceil(ks.mr) * ks.mr);
     let at_elems = if op_a == Op::Trans {
@@ -302,130 +483,78 @@ fn compute_resolved<T: FamilyElem>(
     } else {
         0
     };
-    ResolvedPlan {
-        class: class_code(classify(m, n, k, elem_bytes, &cfg.cache)),
-        b_plan: bplan_code(b_plan),
-        edge: edge_code(cfg.edge),
-        kc: bs.kc as u32,
-        mc: bs.mc as u32,
-        nc: bs.nc as u32,
-        tm: tm.min(u16::MAX as usize) as u16,
-        tn: tn.min(u16::MAX as usize) as u16,
-        workspace_bytes: ((2 * kc_eff * ks.nr + at_elems) * elem_bytes) as u64,
+    (2 * kc_eff * ks.nr, at_elems)
+}
+
+impl<T: FamilyElem> GemmPlan<T> {
+    /// Resolves the plan for `C (m x n) = op_a(A) * op_b(B)` of depth `k`
+    /// under `cfg` — one plan-cache lookup (a hit when the signature is
+    /// warm), or a recompute while the cache is disabled. See the type's
+    /// docs for the snapshot semantics.
+    pub fn new(cfg: &GemmConfig, op_a: Op, op_b: Op, m: usize, n: usize, k: usize) -> Self {
+        let threads = cfg.resolved_threads();
+        Signature::of(cfg, op_a, op_b, m, n, k, threads).resolve()
     }
-}
 
-/// The cache-consulting lookup every entry point funnels through:
-/// returns the encoded plan and where it came from, memoizing computed
-/// plans. With the cache disabled this is a plain recompute. Being the
-/// single funnel, this is also the capture region that times plan
-/// resolution — hit and miss alike — into the span timeline and the
-/// call's `plan_ns`, stamped with the outcome.
-fn lookup<T: FamilyElem>(
-    cfg: &GemmConfig,
-    op_a: Op,
-    op_b: Op,
-    m: usize,
-    n: usize,
-    k: usize,
-    threads: usize,
-) -> (ResolvedPlan, PlanSource) {
-    let tok = capture::begin(capture::Phase::PlanLookup, capture::shape(m, n, k));
-    let res = lookup_impl::<T>(cfg, op_a, op_b, m, n, k, threads);
-    capture::plan_end(tok, res.1);
-    res
-}
-
-fn lookup_impl<T: FamilyElem>(
-    cfg: &GemmConfig,
-    op_a: Op,
-    op_b: Op,
-    m: usize,
-    n: usize,
-    k: usize,
-    threads: usize,
-) -> (ResolvedPlan, PlanSource) {
-    if !plan_cache_enabled() {
-        return (
-            compute_resolved::<T>(cfg, op_a, op_b, m, n, k, threads),
-            PlanSource::Computed,
-        );
+    /// The handle for one `rl x cl` tile of this plan's §6 grid, derived
+    /// without a lookup: same kernel set, blocking and edge entry by
+    /// construction — a sub-block smaller than a wide register tile must
+    /// not silently change set, or threaded results would stop being
+    /// bitwise equal to serial ones — and the §4 regime re-resolved for
+    /// the sub-block by the same pure functions the cache memoizes.
+    pub(crate) fn for_block(&self, rl: usize, cl: usize) -> Self {
+        let b_plan = resolve_b_plan::<T>(&self.cfg, self.op_b, rl, cl, self.k);
+        let (bc_elems, at_elems) = workspace_elems(&self.bs, self.ks, self.op_a, rl, self.k);
+        GemmPlan {
+            m: rl,
+            n: cl,
+            threads: 1,
+            tm: 1,
+            tn: 1,
+            b_plan,
+            bc_elems,
+            at_elems,
+            ..*self
+        }
     }
-    let key = key_for::<T>(cfg, op_a, op_b, m, n, k, threads);
-    let cache = global_cache();
-    if let Some((plan, stored)) = cache.get(&key) {
-        capture::note_plan_lookup(true);
-        let source = match stored {
-            Source::Profile => PlanSource::Profile,
-            Source::Computed => PlanSource::Cached,
-        };
-        return (plan, source);
+
+    /// The ISA level — equivalently, the kernel set — the handle
+    /// dispatches to.
+    pub fn isa(&self) -> Isa {
+        self.isa
     }
-    capture::note_plan_lookup(false);
-    let plan = compute_resolved::<T>(cfg, op_a, op_b, m, n, k, threads);
-    capture::note_plan_evictions(cache.insert_computed(key, plan));
-    (plan, PlanSource::Computed)
-}
 
-fn decode(plan: &ResolvedPlan, source: PlanSource, isa: Isa) -> SerialPlan {
-    SerialPlan {
-        b_plan: decode_bplan(plan.b_plan),
-        edge: decode_edge(plan.edge),
-        // `.max(1)` is defense in depth on top of profile validation: a
-        // zero blocking factor would hang the driver's kk/ii/jj loops.
-        bs: BlockSizes {
-            nc: (plan.nc as usize).max(1),
-            mc: (plan.mc as usize).max(1),
-            kc: (plan.kc as usize).max(1),
-        },
-        isa,
-        source,
-    }
-}
-
-/// The serial driver's plan for one call (threads = 1 key). Warm path:
-/// one shard read-lock hit. The effective ISA is recomputed, not stored:
-/// it is a pure function of the same inputs as the key, so a cached (or
-/// profile-installed) plan can only ever be served at the width it was
-/// keyed under.
-pub(crate) fn serial_plan<T: FamilyElem>(
-    cfg: &GemmConfig,
-    op_a: Op,
-    op_b: Op,
-    m: usize,
-    n: usize,
-    k: usize,
-) -> SerialPlan {
-    let (plan, source) = lookup::<T>(cfg, op_a, op_b, m, n, k, 1);
-    decode(&plan, source, effective_isa::<T>(cfg, m, n))
-}
-
-/// The parallel parent's §6 thread grid for the full problem, cached
-/// under the full-signature key (threads = t). Falls back to the
-/// analytic partition if a (profile-supplied) grid does not factor `t`.
-pub(crate) fn parallel_grid<T: FamilyElem>(
-    cfg: &GemmConfig,
-    op_a: Op,
-    op_b: Op,
-    m: usize,
-    n: usize,
-    k: usize,
-    t: usize,
-) -> (usize, usize, PlanSource) {
-    let (plan, source) = lookup::<T>(cfg, op_a, op_b, m, n, k, t);
-    let (tm, tn) = (plan.tm as usize, plan.tn as usize);
-    if tm * tn == t {
-        (tm, tn, source)
-    } else {
-        let (tm, tn) = partition_threads(t, m, n);
-        (tm, tn, source)
+    /// The plan in its encoded (cached, profile-file) form, with where
+    /// it came from when the handle was built.
+    pub fn describe(&self) -> PlanDescription {
+        let elem_bytes = core::mem::size_of::<T>();
+        PlanDescription {
+            source: self.source,
+            plan: ResolvedPlan {
+                class: class_code(classify(
+                    self.m,
+                    self.n,
+                    self.k,
+                    elem_bytes,
+                    &self.cfg.cache,
+                )),
+                b_plan: bplan_code(self.b_plan),
+                edge: edge_code(self.edge),
+                kc: self.bs.kc as u32,
+                mc: self.bs.mc as u32,
+                nc: self.bs.nc as u32,
+                tm: self.tm.min(u16::MAX as usize) as u16,
+                tn: self.tn.min(u16::MAX as usize) as u16,
+                workspace_bytes: ((self.bc_elems + self.at_elems) * elem_bytes) as u64,
+            },
+        }
     }
 }
 
 /// Resolves (through the cache) and describes the plan the library
 /// would use for this call: the §4 packing regime, §5.5 blocking, §6
 /// thread grid, and whether it was computed, cached, or profile-served.
-pub fn describe_plan<T: crate::GemmElem>(
+pub fn describe_plan<T: GemmElem>(
     cfg: &GemmConfig,
     op_a: Op,
     op_b: Op,
@@ -433,20 +562,18 @@ pub fn describe_plan<T: crate::GemmElem>(
     n: usize,
     k: usize,
 ) -> PlanDescription {
-    let threads = cfg.resolved_threads().max(1);
-    let (plan, source) = lookup::<T>(cfg, op_a, op_b, m, n, k, threads);
-    PlanDescription { source, plan }
+    GemmPlan::<T>::new(cfg, op_a, op_b, m, n, k).describe()
 }
 
 /// Installs the plan a *tuned* configuration resolves to as a profile
 /// override for the signature keyed by the *base* configuration — the
 /// bridge from [`crate::autotune`] to the cache: tune once, then every
-/// call the application makes with its ordinary `base` config executes
+/// handle the application builds with its ordinary `base` config carries
 /// the tuned packing/blocking decision.
 ///
 /// The thread grid is computed for `base.resolved_threads()` (the count
 /// the application will actually call with).
-pub fn install_tuned<T: crate::GemmElem>(
+pub fn install_tuned<T: GemmElem>(
     base: &GemmConfig,
     tuned: &GemmConfig,
     op_a: Op,
@@ -464,20 +591,22 @@ pub fn install_tuned<T: crate::GemmElem>(
         isa: base.isa,
         ..*tuned
     };
-    let plan = compute_resolved::<T>(&eff, op_a, op_b, m, n, k, threads);
-    let key = key_for::<T>(base, op_a, op_b, m, n, k, threads);
-    capture::note_plan_evictions(global_cache().install(key, plan));
-    // Serial calls inside the pooled/batched paths look the signature up
-    // under a threads = 1 key; install the override there too so a
-    // tuned single-threaded signature applies wherever it executes.
+    let install = |t: usize| {
+        let plan = Signature::<T>::of(&eff, op_a, op_b, m, n, k, t).compute();
+        let key = Signature::<T>::of(base, op_a, op_b, m, n, k, t).key();
+        let plan = plan.describe().plan;
+        capture::note_plan_evictions(global_cache().install(key, plan));
+        plan
+    };
+    // The batched path resolves every member under a threads = 1 key;
+    // install the override there too so a tuned signature applies
+    // wherever it executes single-threaded.
     if threads > 1 {
-        let serial_plan = compute_resolved::<T>(&eff, op_a, op_b, m, n, k, 1);
-        let serial_key = key_for::<T>(base, op_a, op_b, m, n, k, 1);
-        capture::note_plan_evictions(global_cache().install(serial_key, serial_plan));
+        install(1);
     }
     PlanDescription {
         source: PlanSource::Profile,
-        plan,
+        plan: install(threads),
     }
 }
 
@@ -529,7 +658,6 @@ pub fn plan_cache_stats() -> CacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::IsaPolicy;
     use shalom_kernels::registered_families;
 
     fn cfg() -> GemmConfig {
@@ -554,12 +682,55 @@ mod tests {
     const N: Op = Op::NoTrans;
     const T: Op = Op::Trans;
 
+    /// The from-scratch plan of a signature, encoded.
+    fn compute_resolved<E: FamilyElem>(
+        cfg: &GemmConfig,
+        op_a: Op,
+        op_b: Op,
+        (m, n, k): (usize, usize, usize),
+        threads: usize,
+    ) -> ResolvedPlan {
+        Signature::<E>::of(cfg, op_a, op_b, m, n, k, threads)
+            .compute()
+            .describe()
+            .plan
+    }
+
+    fn key_for<E: FamilyElem>(
+        cfg: &GemmConfig,
+        op_a: Op,
+        op_b: Op,
+        (m, n, k): (usize, usize, usize),
+        threads: usize,
+    ) -> PlanKey {
+        Signature::<E>::of(cfg, op_a, op_b, m, n, k, threads).key()
+    }
+
+    /// Every field a run reads, in comparable form (the kernel set and
+    /// the edge entry by address). Leaves out what is provenance, not
+    /// execution: the config copy and the source.
+    fn executed<E: FamilyElem>(p: &GemmPlan<E>) -> impl PartialEq + core::fmt::Debug {
+        (
+            (p.op_a, p.op_b, p.m, p.n, p.k),
+            (p.threads, p.tm, p.tn),
+            (p.isa, p.ks as *const FamilyKernels<E>, p.edge_fn as usize),
+            (p.edge, p.b_plan, p.bs, p.bc_elems, p.at_elems),
+        )
+    }
+
+    #[test]
+    fn handle_is_copy_send_and_sync() {
+        fn check<X: Copy + Send + Sync>() {}
+        check::<GemmPlan<f32>>();
+        check::<GemmPlan<f64>>();
+    }
+
     #[test]
     fn compute_resolved_is_deterministic_and_valid() {
-        for (m, n, k) in [(1, 1, 1), (7, 12, 4), (64, 64, 64), (16, 2048, 64)] {
+        for shape in [(1, 1, 1), (7, 12, 4), (64, 64, 64), (16, 2048, 64)] {
             for op_b in [N, T] {
-                let a = compute_resolved::<f32>(&cfg(), N, op_b, m, n, k, 4);
-                let b = compute_resolved::<f32>(&cfg(), N, op_b, m, n, k, 4);
+                let a = compute_resolved::<f32>(&cfg(), N, op_b, shape, 4);
+                let b = compute_resolved::<f32>(&cfg(), N, op_b, shape, 4);
                 assert_eq!(a, b);
                 a.validate().unwrap();
                 assert_eq!(a.tm as usize * a.tn as usize, 4);
@@ -568,37 +739,128 @@ mod tests {
     }
 
     #[test]
-    fn encoded_plan_decodes_to_driver_resolution_at_every_set() {
-        // The encoded b_plan/edge/blocking round-trip to exactly what
-        // the driver would resolve from scratch — the bitwise-identity
-        // guarantee in miniature — and the workspace is one formula.
+    fn encoded_plan_decodes_to_the_computed_handle_at_every_set() {
+        // Encode then decode is the identity on everything a run reads —
+        // the cached == recomputed guarantee in miniature — the decisions
+        // are the driver-level resolutions, and the workspace is one
+        // formula.
         for fam in registered_families() {
             let c = cfg_at(fam.isa);
             let ks = &fam.k_f64;
             for (m, n, k) in [(8, 8, 8), (5, 40, 40), (16, 2048, 64), (150, 170, 130)] {
                 for (op_a, op_b) in [(N, N), (N, T), (T, N), (T, T)] {
-                    let rp = compute_resolved::<f64>(&c, op_a, op_b, m, n, k, 1);
-                    rp.validate().unwrap();
-                    let sp = decode(&rp, PlanSource::Computed, fam.isa);
-                    let want = match op_b {
-                        Op::NoTrans => resolve_nn_plan(&c, m, n, k, 8),
-                        Op::Trans => resolve_nt_plan(&c),
+                    for threads in [1, 4] {
+                        let sig = Signature::<f64>::of(&c, op_a, op_b, m, n, k, threads);
+                        let computed = sig.compute();
+                        let rp = computed.describe().plan;
+                        rp.validate().unwrap();
+                        let decoded = sig.decode(&rp, PlanSource::Cached);
+                        assert_eq!(executed(&decoded), executed(&computed));
+                        assert_eq!(decoded.describe().plan, rp);
+                        assert_eq!(decoded.source, PlanSource::Cached);
+
+                        assert!(core::ptr::eq(computed.ks, ks));
+                        assert_eq!(computed.isa(), fam.isa);
+                        let want = match op_b {
+                            Op::NoTrans => resolve_nn_plan(&c, m, n, k, 8),
+                            Op::Trans => resolve_nt_plan(&c),
+                        };
+                        assert_eq!(computed.b_plan, want);
+                        assert_eq!(computed.edge, c.edge);
+                        assert_eq!(computed.edge_fn as usize, ks.edge_pipelined as usize);
+                        let bs = BlockSizes::derive(&c.cache, 8, ks.mr, ks.nr, ks.lanes);
+                        assert_eq!(computed.bs, bs);
+                        assert_eq!((computed.tm, computed.tn), partition_threads(threads, m, n));
+                        let kc_eff = bs.kc.min(k);
+                        let at_elems = if op_a == T {
+                            bs.mc.min(m.div_ceil(ks.mr) * ks.mr) * kc_eff
+                        } else {
+                            0
+                        };
+                        assert_eq!(
+                            (computed.bc_elems, computed.at_elems),
+                            (2 * kc_eff * ks.nr, at_elems)
+                        );
+                        assert_eq!(
+                            rp.workspace_bytes,
+                            ((2 * kc_eff * ks.nr + at_elems) * 8) as u64
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decode_guards_a_hostile_profile_plan() {
+        // Zero blocking factors and a grid that does not factor the thread
+        // count (both rejected on ingest; this is the second line) decode
+        // to something the driver can run.
+        let c = cfg();
+        let sig = Signature::<f32>::of(&c, N, N, 64, 64, 64, 4);
+        let mut rp = sig.compute().describe().plan;
+        (rp.kc, rp.mc, rp.nc, rp.tm, rp.tn) = (0, 0, 0, 3, 5);
+        let p = sig.decode(&rp, PlanSource::Profile);
+        assert_eq!((p.bs.kc, p.bs.mc, p.bs.nc), (1, 1, 1));
+        assert_eq!((p.tm, p.tn), partition_threads(4, 64, 64));
+        // The workspace follows the blocking that will run, never the
+        // profile's own (informational) byte count.
+        assert_eq!(p.bc_elems, 2 * p.ks.nr);
+    }
+
+    #[test]
+    fn for_block_equals_a_forced_lookup_of_the_sub_block() {
+        // What a worker used to resolve for itself — a fresh plan for its
+        // sub-block under the parent's config pinned to the parent's set —
+        // is what the parent now derives for it, field for field: at every
+        // registered set, in every mode and regime, on sub-block shapes
+        // below, at and above every registered tile.
+        fn one<E: FamilyElem>(parent_cfg: &GemmConfig, ops: (Op, Op), sub: (usize, usize)) {
+            let (m, n, k) = (300, 2100, 70);
+            let parent = GemmPlan::<E>::new(parent_cfg, ops.0, ops.1, m, n, k);
+            let forced = GemmConfig {
+                isa: IsaPolicy::Force(parent.isa()),
+                threads: 1,
+                ..*parent_cfg
+            };
+            let want = GemmPlan::<E>::new(&forced, ops.0, ops.1, sub.0, sub.1, k);
+            assert_eq!(
+                executed(&parent.for_block(sub.0, sub.1)),
+                executed(&want),
+                "{:?} {ops:?} sub-block {sub:?}",
+                parent_cfg.isa
+            );
+        }
+        let mut subs = vec![(1, 1), (3, 1100), (150, 1050), (300, 2100)];
+        for fam in registered_families() {
+            for ks in [(fam.k_f32.mr, fam.k_f32.nr), (fam.k_f64.mr, fam.k_f64.nr)] {
+                subs.extend([(ks.0 - 1, ks.1 + 1), ks, (2 * ks.0 + 3, 2 * ks.1 + 5)]);
+            }
+        }
+        let levels = registered_families()
+            .map(|f| IsaPolicy::Force(f.isa))
+            .chain([IsaPolicy::Auto]);
+        for isa in levels {
+            for packing in [
+                crate::config::PackingPolicy::Auto,
+                crate::config::PackingPolicy::AlwaysFused,
+                crate::config::PackingPolicy::AlwaysSequential,
+                crate::config::PackingPolicy::Never,
+            ] {
+                for edge in [EdgeSchedule::Pipelined, EdgeSchedule::Batched] {
+                    let c = GemmConfig {
+                        isa,
+                        packing,
+                        edge,
+                        threads: 4,
+                        ..cfg()
                     };
-                    assert_eq!(sp.b_plan, want);
-                    assert_eq!(sp.edge, c.edge);
-                    let bs = BlockSizes::derive(&c.cache, 8, ks.mr, ks.nr, ks.lanes);
-                    assert_eq!(sp.bs, bs);
-                    assert_eq!((rp.tm, rp.tn), (1, 1));
-                    let kc_eff = bs.kc.min(k);
-                    let at_elems = if op_a == T {
-                        bs.mc.min(m.div_ceil(ks.mr) * ks.mr) * kc_eff
-                    } else {
-                        0
-                    };
-                    assert_eq!(
-                        rp.workspace_bytes,
-                        ((2 * kc_eff * ks.nr + at_elems) * 8) as u64
-                    );
+                    for ops in [(N, N), (N, T), (T, N), (T, T)] {
+                        for &sub in &subs {
+                            one::<f32>(&c, ops, sub);
+                            one::<f64>(&c, ops, sub);
+                        }
+                    }
                 }
             }
         }
@@ -607,40 +869,38 @@ mod tests {
     #[test]
     fn effective_isa_is_shape_gated_only() {
         let auto = cfg();
+        let isa_of = |c: &GemmConfig, m, n| effective_isa::<f32>(c, m, n).0;
         // Sub-tile shapes keep the 128-bit set.
-        assert!(!effective_isa::<f32>(&auto, 1, 1).is_wide());
+        assert!(!isa_of(&auto, 1, 1).is_wide());
         // Forcing the base pins the base no matter the shape.
         assert_eq!(
-            effective_isa::<f32>(&cfg_at(caps::base_isa()), 640, 640),
+            isa_of(&cfg_at(caps::base_isa()), 640, 640),
             caps::base_isa()
         );
-        // Whatever it resolves to has a registered family.
+        // Whatever it resolves to is the registered family's own set.
         for (m, n) in [(1, 1), (8, 8), (640, 640)] {
-            assert!(family_for(effective_isa::<f64>(&auto, m, n)).is_some());
+            let (isa, ks) = effective_isa::<f64>(&auto, m, n);
+            let fam = family_for(isa).expect("registered");
+            assert!(core::ptr::eq(ks, &fam.k_f64));
         }
         if let Some(fam) = shalom_kernels::selected_wide_family() {
             // At exactly one full tile the wide family takes over, per
             // element type's own tile — whatever the ops (the key carries
             // them separately).
+            assert_eq!(isa_of(&auto, fam.k_f32.mr, fam.k_f32.nr), fam.isa);
             assert_eq!(
-                effective_isa::<f32>(&auto, fam.k_f32.mr, fam.k_f32.nr),
+                effective_isa::<f64>(&auto, fam.k_f64.mr, fam.k_f64.nr).0,
                 fam.isa
             );
-            assert_eq!(
-                effective_isa::<f64>(&auto, fam.k_f64.mr, fam.k_f64.nr),
-                fam.isa
-            );
-            assert!(!effective_isa::<f32>(&auto, fam.k_f32.mr - 1, fam.k_f32.nr).is_wide());
+            assert!(!isa_of(&auto, fam.k_f32.mr - 1, fam.k_f32.nr).is_wide());
             for (op_a, op_b) in [(N, T), (T, N), (T, T)] {
                 assert_eq!(
-                    key_for::<f32>(&auto, op_a, op_b, 640, 640, 64, 1).isa,
+                    key_for::<f32>(&auto, op_a, op_b, (640, 640, 64), 1).isa,
                     fam.isa.code()
                 );
             }
-            // Forcing an executable wide level skips the size rule: the
-            // parallel path pins workers this way to keep threaded
-            // results bitwise equal to serial ones.
-            assert_eq!(effective_isa::<f32>(&cfg_at(fam.isa), 1, 1), fam.isa);
+            // Forcing an executable wide level skips the size rule.
+            assert_eq!(isa_of(&cfg_at(fam.isa), 1, 1), fam.isa);
         }
     }
 
@@ -648,16 +908,18 @@ mod tests {
     fn wide_plan_encodes_family_blocking_and_keys_never_collide() {
         let auto = cfg();
         let based = cfg_at(caps::base_isa());
-        let k_auto = key_for::<f32>(&auto, N, N, 64, 64, 64, 1);
-        let k_base = key_for::<f32>(&based, N, N, 64, 64, 64, 1);
+        let k_auto = key_for::<f32>(&auto, N, N, (64, 64, 64), 1);
+        let k_base = key_for::<f32>(&based, N, N, (64, 64, 64), 1);
         // The policies already fingerprint apart; on a wide host the keys
         // additionally differ in the effective-ISA field itself.
         assert_ne!(k_auto, k_base);
         assert_eq!(k_base.isa, caps::base_isa().code());
         assert!(k_auto.validate().is_ok() && k_base.validate().is_ok());
+        // The public key is the serial one, cache untouched.
+        assert_eq!(request_plan_key::<f32>(&auto, N, N, 64, 64, 64), k_auto);
         if let Some(fam) = shalom_kernels::selected_wide_family() {
             assert_eq!(k_auto.isa, fam.isa.code());
-            let rp = compute_resolved::<f32>(&auto, N, N, 64, 64, 64, 1);
+            let rp = compute_resolved::<f32>(&auto, N, N, (64, 64, 64), 1);
             rp.validate().unwrap();
             // Same §4 decision as the 128-bit pin, blocking in the
             // family's register tile.
@@ -673,27 +935,20 @@ mod tests {
 
     #[test]
     fn key_distinguishes_every_signature_axis() {
-        let base = key_for::<f32>(&cfg(), N, N, 8, 9, 10, 2);
+        let base = key_for::<f32>(&cfg(), N, N, (8, 9, 10), 2);
+        let batched = GemmConfig {
+            edge: EdgeSchedule::Batched,
+            ..cfg()
+        };
         let variants = [
-            key_for::<f64>(&cfg(), N, N, 8, 9, 10, 2),
-            key_for::<f32>(&cfg(), T, N, 8, 9, 10, 2),
-            key_for::<f32>(&cfg(), N, T, 8, 9, 10, 2),
-            key_for::<f32>(&cfg(), N, N, 9, 9, 10, 2),
-            key_for::<f32>(&cfg(), N, N, 8, 10, 10, 2),
-            key_for::<f32>(&cfg(), N, N, 8, 9, 11, 2),
-            key_for::<f32>(&cfg(), N, N, 8, 9, 10, 3),
-            key_for::<f32>(
-                &GemmConfig {
-                    edge: EdgeSchedule::Batched,
-                    ..cfg()
-                },
-                N,
-                N,
-                8,
-                9,
-                10,
-                2,
-            ),
+            key_for::<f64>(&cfg(), N, N, (8, 9, 10), 2),
+            key_for::<f32>(&cfg(), T, N, (8, 9, 10), 2),
+            key_for::<f32>(&cfg(), N, T, (8, 9, 10), 2),
+            key_for::<f32>(&cfg(), N, N, (9, 9, 10), 2),
+            key_for::<f32>(&cfg(), N, N, (8, 10, 10), 2),
+            key_for::<f32>(&cfg(), N, N, (8, 9, 11), 2),
+            key_for::<f32>(&cfg(), N, N, (8, 9, 10), 3),
+            key_for::<f32>(&batched, N, N, (8, 9, 10), 2),
         ];
         for v in variants {
             assert_ne!(base, v);

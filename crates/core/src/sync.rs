@@ -6,8 +6,7 @@
 //! `plan`'s enable flag) is imported through this module rather than
 //! from `std` directly. In the default configuration that is a pure
 //! re-export — same types, same codegen, zero overhead (the
-//! `sync_facade` integration test and the `pool_overhead` bench spot
-//! check pin this). With `--features modelcheck` the same names
+//! `sync_facade` integration test pins this by type identity). With `--features modelcheck` the same names
 //! resolve to `shalom_modelcheck::shim`, whose types delegate to the
 //! real std atomics but count every operation, letting a harness
 //! assert the exact atomic traffic of a code path.

@@ -11,7 +11,7 @@
 //! This lives in its own integration-test binary so the allocator swap
 //! cannot perturb, or be perturbed by, unrelated tests.
 
-use shalom_core::{gemm_with, prewarm, CacheParams, GemmConfig, Op, Runtime};
+use shalom_core::{gemm_with, prewarm, CacheParams, GemmConfig, Op};
 use shalom_matrix::Matrix;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -57,7 +57,6 @@ fn warm_parallel_path_allocates_nothing() {
             l3: 0,
         },
         threads: 4,
-        runtime: Runtime::Pool,
         ..GemmConfig::default()
     };
 

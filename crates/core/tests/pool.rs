@@ -1,13 +1,14 @@
 //! Integration tests for the persistent fork-join runtime at the public
 //! GEMM API level: the pool must be invisible except for speed — bitwise
-//! identical results to both the scoped-spawn fallback and the serial
-//! driver, across thread counts, oversubscription, and ragged batches.
+//! identical results to the serial driver, across thread counts,
+//! oversubscription, ragged batches, and one plan handle shared by
+//! concurrent callers.
 
-use shalom_core::{gemm_batch, gemm_with, BatchItem, CacheParams, GemmConfig, Op, Runtime};
+use shalom_core::{gemm_batch, gemm_with, BatchItem, CacheParams, GemmConfig, GemmPlan, Op};
 use shalom_matrix::{max_abs_diff, Matrix};
 
 /// Fixed cache geometry so plan resolution doesn't depend on the host.
-fn base_config(threads: usize, runtime: Runtime) -> GemmConfig {
+fn base_config(threads: usize) -> GemmConfig {
     GemmConfig {
         cache: CacheParams {
             l1: 32 * 1024,
@@ -15,7 +16,6 @@ fn base_config(threads: usize, runtime: Runtime) -> GemmConfig {
             l3: 0,
         },
         threads,
-        runtime,
         ..GemmConfig::default()
     }
 }
@@ -37,20 +37,18 @@ fn run_f32(cfg: &GemmConfig, m: usize, n: usize, k: usize, seed: u64) -> Matrix<
     c
 }
 
-/// The §6 partition fixes each sub-block's k-loop, so the same grid must
-/// produce bitwise-identical C regardless of which runtime executed it —
-/// and the serial driver with the identity grid must match a 1-thread
-/// "parallel" call exactly.
+/// The §6 partition fixes each sub-block's k-loop, so any grid the pool
+/// executes must produce C bitwise identical to the serial driver's.
 #[test]
-fn pool_matches_scoped_spawn_bitwise() {
-    for &threads in &[2usize, 3, 4, 8] {
-        for &(m, n, k) in &[(64usize, 64usize, 64usize), (129, 67, 33), (64, 2048, 64)] {
-            let pooled = run_f32(&base_config(threads, Runtime::Pool), m, n, k, 7);
-            let scoped = run_f32(&base_config(threads, Runtime::ScopedSpawn), m, n, k, 7);
+fn pool_matches_serial_bitwise() {
+    for &(m, n, k) in &[(64usize, 64usize, 64usize), (129, 67, 33), (64, 2048, 64)] {
+        let serial = run_f32(&base_config(1), m, n, k, 7);
+        for &threads in &[2usize, 3, 4, 8] {
+            let pooled = run_f32(&base_config(threads), m, n, k, 7);
             assert_eq!(
-                max_abs_diff(pooled.as_ref(), scoped.as_ref()),
+                max_abs_diff(pooled.as_ref(), serial.as_ref()),
                 0.0,
-                "threads={threads} {m}x{n}x{k}: pool and scoped-spawn diverged"
+                "threads={threads} {m}x{n}x{k}: pool diverged from serial"
             );
         }
     }
@@ -61,7 +59,7 @@ fn pool_matches_scoped_spawn_bitwise() {
 /// (the §6 grid is static; only the task->worker assignment varies).
 #[test]
 fn warm_pool_is_deterministic_across_calls() {
-    let cfg = base_config(4, Runtime::Pool);
+    let cfg = base_config(4);
     let first = run_f32(&cfg, 96, 96, 96, 11);
     for _ in 0..20 {
         let again = run_f32(&cfg, 96, 96, 96, 11);
@@ -72,7 +70,7 @@ fn warm_pool_is_deterministic_across_calls() {
 /// Threaded results must stay bitwise equal to serial ones even when the
 /// §6 grid slices a wide-dispatched problem into sub-blocks smaller than
 /// the wide family's register tile: workers inherit the whole problem's
-/// resolved ISA (pinned via `Force`), so a sub-block must never silently
+/// kernel set from the parent's plan handle, so a sub-block must never silently
 /// drop to the 128-bit route and round differently. On hosts without a
 /// wide family both routes are the 128-bit substrate and the identity is
 /// the pre-dispatch guarantee.
@@ -81,9 +79,9 @@ fn parallel_matches_serial_bitwise_across_wide_tile_boundary() {
     // 16x16 splits below the AVX-512 f32 tile (15x16) at 2+ threads;
     // 31x33 and 20x90 straddle both wide families' tiles unevenly.
     for &(m, n, k) in &[(16usize, 16usize, 40usize), (31, 33, 70), (20, 90, 17)] {
-        let serial = run_f32(&base_config(1, Runtime::Pool), m, n, k, 23);
+        let serial = run_f32(&base_config(1), m, n, k, 23);
         for &threads in &[2usize, 3, 5] {
-            let pooled = run_f32(&base_config(threads, Runtime::Pool), m, n, k, 23);
+            let pooled = run_f32(&base_config(threads), m, n, k, 23);
             assert_eq!(
                 max_abs_diff(serial.as_ref(), pooled.as_ref()),
                 0.0,
@@ -98,9 +96,9 @@ fn parallel_matches_serial_bitwise_across_wide_tile_boundary() {
 /// go back to sleep.
 #[test]
 fn oversubscribed_thread_count_is_safe() {
-    let serial = run_f32(&base_config(1, Runtime::Pool), 40, 40, 40, 3);
+    let serial = run_f32(&base_config(1), 40, 40, 40, 3);
     for &threads in &[16usize, 32, 64] {
-        let pooled = run_f32(&base_config(threads, Runtime::Pool), 40, 40, 40, 3);
+        let pooled = run_f32(&base_config(threads), 40, 40, 40, 3);
         // A 40x40 grid at 32+ threads degenerates to few tasks; numerics
         // must still match a serial run of the same partition when the
         // grid collapses, and always terminate.
@@ -135,7 +133,7 @@ fn ragged_batch_stress_matches_serial() {
         .map(|(i, &(_, n, k))| Matrix::random(k, n, 200 + i as u64))
         .collect();
 
-    let serial_cfg = base_config(1, Runtime::Pool);
+    let serial_cfg = base_config(1);
     let mut expected: Vec<Matrix<f32>> = shapes
         .iter()
         .map(|&(m, n, _)| Matrix::zeros(m, n))
@@ -154,7 +152,7 @@ fn ragged_batch_stress_matches_serial() {
         gemm_batch(&serial_cfg, Op::NoTrans, Op::NoTrans, 1.0f32, &mut items);
     }
 
-    let pool_cfg = base_config(4, Runtime::Pool);
+    let pool_cfg = base_config(4);
     for round in 0..10 {
         let mut got: Vec<Matrix<f32>> = shapes
             .iter()
@@ -183,28 +181,67 @@ fn ragged_batch_stress_matches_serial() {
     }
 }
 
-/// Alternating runtimes and thread counts on one process must not wedge
-/// the pool (resize up, down, then up again) and must keep numerics.
+/// Churning thread counts on one process must not wedge the pool (resize
+/// up, down, then up again) and must keep numerics.
 #[test]
-fn runtime_and_thread_count_churn() {
-    let reference = run_f32(&base_config(1, Runtime::Pool), 128, 96, 64, 5);
-    for &(threads, runtime) in &[
-        (2usize, Runtime::Pool),
-        (8, Runtime::Pool),
-        (4, Runtime::ScopedSpawn),
-        (3, Runtime::Pool),
-        (8, Runtime::ScopedSpawn),
-        (2, Runtime::Pool),
-    ] {
-        let got = run_f32(&base_config(threads, runtime), 128, 96, 64, 5);
-        // Different grids may schedule differently but every sub-block's
-        // k-loop is fixed, so results are reproducible per grid; against
-        // serial we allow only the usual fused-vs-split rounding of zero
-        // (the partition preserves exact per-element dot order).
+fn thread_count_churn() {
+    let reference = run_f32(&base_config(1), 128, 96, 64, 5);
+    for &threads in &[2usize, 8, 4, 3, 8, 2] {
+        let got = run_f32(&base_config(threads), 128, 96, 64, 5);
+        // Different grids schedule differently but every sub-block's
+        // k-loop is fixed (the partition preserves exact per-element dot
+        // order), so every grid reproduces the serial bits.
         assert_eq!(
             max_abs_diff(reference.as_ref(), got.as_ref()),
             0.0,
-            "threads={threads} runtime={runtime:?} diverged from serial"
+            "threads={threads} diverged from serial"
         );
+    }
+}
+
+/// One plan handle run concurrently from four threads, each on its own C:
+/// the handle is plain shared data, so every result equals the serial
+/// `gemm_with` bits — for a serial handle (each caller runs the driver on
+/// its own thread-local workspace) and for a threaded one (callers
+/// contend for the pool's single call slot).
+#[test]
+fn one_handle_run_concurrently_matches_serial() {
+    let (m, n, k) = (96usize, 200usize, 48usize);
+    let a = Matrix::<f32>::random(m, k, 31);
+    let b = Matrix::<f32>::random(k, n, 32);
+    let c0 = Matrix::<f32>::random(m, n, 33);
+    let mut want = c0.clone();
+    gemm_with(
+        &base_config(1),
+        Op::NoTrans,
+        Op::NoTrans,
+        1.5f32,
+        a.as_ref(),
+        b.as_ref(),
+        0.5f32,
+        want.as_mut(),
+    );
+    for threads in [1usize, 3] {
+        let plan = GemmPlan::<f32>::new(&base_config(threads), Op::NoTrans, Op::NoTrans, m, n, k);
+        let mut outs = vec![c0.clone(); 4];
+        std::thread::scope(|scope| {
+            for c in outs.iter_mut() {
+                let (plan, a, b, c0) = (&plan, &a, &b, &c0);
+                scope.spawn(move || {
+                    for _ in 0..8 {
+                        let mut fresh = c0.clone();
+                        plan.run(1.5, a.as_ref(), b.as_ref(), 0.5, fresh.as_mut());
+                        *c = fresh;
+                    }
+                });
+            }
+        });
+        for (i, c) in outs.iter().enumerate() {
+            assert_eq!(
+                max_abs_diff(c.as_ref(), want.as_ref()),
+                0.0,
+                "caller {i} of a {threads}-thread handle diverged from serial"
+            );
+        }
     }
 }

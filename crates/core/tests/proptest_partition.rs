@@ -1,10 +1,16 @@
 //! Property and edge-case tests for the §6 thread-partitioning rule
 //! (`partition_threads`) and the `mr`/`nr`-quantized block splitter it
-//! feeds (`quantized_chunks`).
+//! feeds (`quantized_chunk`).
 #![recursion_limit = "256"]
 
 use proptest::prelude::*;
-use shalom_core::{partition_threads, quantized_chunks};
+use shalom_core::{partition_threads, quantized_chunk};
+
+/// Every chunk of the split, in order.
+fn quantized_chunks(len: usize, parts: usize, quantum: usize) -> Vec<(usize, usize)> {
+    let chunk = |p| quantized_chunk(len, parts, quantum, p);
+    (0..parts).map(chunk).collect()
+}
 
 /// The paper's §6.1 worked example: `M = 2048`, `N = 256`, `T = 64`
 /// gives `Tn = ceil(sqrt(64*256/2048)) = ceil(sqrt(8)) = 3`, rounded up

@@ -219,6 +219,13 @@ fn parallel_path_reports_grid() {
 
     let snap = capture::record_snapshot();
     assert_eq!(snap.totals.fork_joins, 1);
+    // One plan lookup for the whole call — the parent's handle; every tile
+    // runs the plan the parent derived for it and looks nothing up.
+    assert_eq!(snap.totals.plan_hits + snap.totals.plan_misses, 1);
+    assert!(recs
+        .iter()
+        .filter(|r| r.path == PathTag::ParallelWorker)
+        .all(|r| r.plan_ns == 0 && r.plan_source == p.plan_source));
 }
 
 #[test]

@@ -156,7 +156,8 @@ fn pooled_chrome_export_shows_worker_structure() {
 fn one_region_feeds_both_sinks() {
     let _g = state_lock();
     // A serial call with both sinks on: the record's aggregates are the
-    // span durations — the same two clock reads, not a second pair.
+    // span durations — the same two clock reads, not a second pair. The
+    // record's `plan_ns` is the lookup that built the handle the call ran.
     let cfg = GemmConfig::with_threads(1);
     let _ = gemm_bits(&cfg, 40, 40, 40); // warm the plan cache
     capture::reset();
@@ -175,10 +176,11 @@ fn one_region_feeds_both_sinks() {
     assert_eq!((serial.len(), lookup.len()), (1, 1));
     assert_eq!(serial[0].duration_ns(), rec.total_ns);
     assert_eq!(lookup[0].duration_ns(), rec.plan_ns);
-    // Nesting and plan-source stamping: the lookup sits inside the
-    // serial span, and both carry the source the record reports.
-    assert_eq!((serial[0].depth, lookup[0].depth), (0, 1));
-    assert!(serial[0].t0_ns <= lookup[0].t0_ns && lookup[0].t1_ns <= serial[0].t1_ns);
+    // Ordering and plan-source stamping: the handle is resolved first,
+    // then run — the lookup closes before the serial span opens, both at
+    // the top level — and both carry the source the record reports.
+    assert_eq!((serial[0].depth, lookup[0].depth), (0, 0));
+    assert!(lookup[0].t1_ns <= serial[0].t0_ns);
     assert_eq!(rec.plan_source, capture::PlanSourceTag::Cached);
     assert_eq!(serial[0].src, capture::src::CACHED);
     assert_eq!(lookup[0].src, capture::src::CACHED);

@@ -20,16 +20,26 @@
 
 #![deny(missing_docs)]
 
-use shalom_core::{gemm_batch_beta, gemm_with, BatchItem, GemmConfig, GemmElem, Op};
+use shalom_core::{gemm_batch_beta, BatchItem, GemmConfig, GemmElem, GemmPlan, Op};
 use shalom_matrix::{im2col, ConvShape, MatMut, Matrix, Scalar};
 use shalom_service::{GemmRequest, Service, ServiceElem, ServiceError};
 
 /// A stride-1 2-D convolution layer with im2col + GEMM execution.
-pub struct Conv2d<T> {
+///
+/// The layer's single-image GEMM signature is fixed at construction, so
+/// [`Conv2d::new`] resolves its [`GemmPlan`] once and [`Conv2d::forward`]
+/// only runs it (no plan-cache lookup per image). The handle is a
+/// snapshot: a profile override installed or a plan cache cleared after
+/// the layer is built does not change what `forward` executes — any
+/// plan computes the same convolution; rebuild the layer to pick up a new
+/// override.
+pub struct Conv2d<T: GemmElem> {
     shape: ConvShape,
     /// Filter matrix, `c_out x (c_in*kh*kw)` row-major.
     weights: Matrix<T>,
     cfg: GemmConfig,
+    /// The `forward` GEMM, planned once.
+    plan: GemmPlan<T>,
 }
 
 impl<T: GemmElem> Conv2d<T> {
@@ -39,13 +49,14 @@ impl<T: GemmElem> Conv2d<T> {
     /// # Panics
     /// If the filter matrix shape does not match `shape`.
     pub fn new(shape: ConvShape, weights: Matrix<T>, cfg: GemmConfig) -> Self {
-        let (m, _, k) = shape.gemm_dims();
+        let (m, n, k) = shape.gemm_dims();
         assert_eq!(weights.rows(), m, "filter rows must equal c_out");
         assert_eq!(weights.cols(), k, "filter cols must equal c_in*kh*kw");
         Self {
             shape,
             weights,
             cfg,
+            plan: GemmPlan::new(&cfg, Op::NoTrans, Op::NoTrans, m, n, k),
         }
     }
 
@@ -70,10 +81,7 @@ impl<T: GemmElem> Conv2d<T> {
         let (m, n, _) = self.shape.gemm_dims();
         let lowered = im2col(&self.shape, input);
         let mut out = Matrix::zeros(m, n);
-        gemm_with(
-            &self.cfg,
-            Op::NoTrans,
-            Op::NoTrans,
+        self.plan.run(
             T::ONE,
             self.weights.as_ref(),
             lowered.as_ref(),

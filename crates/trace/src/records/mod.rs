@@ -126,10 +126,8 @@ pub fn record_batch(items: usize) {
 }
 
 /// Count one fork-join runtime dispatch: the publish + worker-wake
-/// latency (`ns`) paid before the calling thread starts computing. The
-/// persistent pool records its condvar publish; the scoped-spawn
-/// fallback records its spawn loop — the comparison the `pool_overhead`
-/// bench quantifies.
+/// latency (`ns`) paid before the calling thread starts computing (the
+/// persistent pool's condvar publish).
 pub fn record_dispatch(ns: u64) {
     global().counters.observe_dispatch(ns);
 }

@@ -50,7 +50,7 @@ pub use shalom_workloads as workloads;
 
 pub use shalom_core::{
     autotune, dgemm, gemm, gemm_batch, gemm_with, sgemm, BatchItem, CacheParams, EdgeSchedule,
-    Gemm, GemmConfig, GemmElem, GemmError, Op, PackingPolicy, TuneReport,
+    GemmConfig, GemmElem, GemmError, GemmPlan, Op, PackingPolicy, TuneReport,
 };
 pub use shalom_matrix::{MatMut, MatRef, Matrix};
 

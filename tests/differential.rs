@@ -9,16 +9,39 @@
 //! Two kinds of assertion: within `gemm_tolerance(k, 1.0)` of `reference`
 //! (the benchmark's factor) everywhere, and **bitwise** where the library
 //! promises it — NN pooled == serial, `gemm_batch_beta` == direct
-//! `gemm_with`, cached == recomputed plan, capture on == off. This is the
-//! fast slice that rides in tier-1; the per-crate suites and the shadow
-//! harness go deeper on each axis.
+//! `gemm_with`, cached == recomputed plan, a held `GemmPlan` handle's
+//! `run` == `gemm_with` (before and after the cache changes under it, and
+//! from four threads at once), capture on == off. Plus the handle's
+//! bookkeeping contract: how many plan-cache lookups each entry point
+//! makes. This is the fast slice that rides in tier-1; the per-crate
+//! suites and the shadow harness go deeper on each axis.
 
-use libshalom::core::{gemm_batch_beta, set_plan_cache_enabled, IsaPolicy};
-use libshalom::kernels::registered_families;
-use libshalom::matrix::{gemm_tolerance, Matrix};
-use libshalom::{
-    gemm_with, BatchItem, CacheParams, EdgeSchedule, GemmConfig, GemmElem, Op, PackingPolicy,
+use libshalom::core::{
+    gemm_batch_beta, install_tuned, plan_cache_clear, plan_cache_stats, set_plan_cache_enabled,
+    IsaPolicy,
 };
+use libshalom::kernels::registered_families;
+use libshalom::matrix::{gemm_tolerance, ConvShape, Matrix};
+use libshalom::nn::Conv2d;
+use libshalom::{
+    gemm_with, BatchItem, CacheParams, EdgeSchedule, GemmConfig, GemmElem, GemmPlan, Op,
+    PackingPolicy,
+};
+use std::sync::RwLock;
+
+/// The plan cache, its on/off switch and its counters are process-wide.
+/// Tests that only need results to be right share them (results never
+/// depend on cache state); the two that assert on the cache's own state —
+/// which source served a handle, how many lookups were made — own them.
+static PLAN_CACHE: RwLock<()> = RwLock::new(());
+
+fn share_plan_cache() -> std::sync::RwLockReadGuard<'static, ()> {
+    PLAN_CACHE.read().unwrap_or_else(|e| e.into_inner())
+}
+
+fn own_plan_cache() -> std::sync::RwLockWriteGuard<'static, ()> {
+    PLAN_CACHE.write().unwrap_or_else(|e| e.into_inner())
+}
 
 const OPS: [(Op, Op); 4] = [
     (Op::NoTrans, Op::NoTrans),
@@ -269,6 +292,7 @@ fn at(isa: IsaPolicy, cache: CacheParams) -> GemmConfig {
 
 #[test]
 fn every_level_mode_and_regime_matches_reference() {
+    let _shared = share_plan_cache();
     let detected = CacheParams::detect();
     let mut rot = Rot(18);
     // The regime cross, explicit: level x ops x dtype x packing x edge on
@@ -386,6 +410,7 @@ fn operands<T: GemmElem>(
 
 #[test]
 fn pooled_nn_is_bitwise_serial_at_every_level() {
+    let _shared = share_plan_cache();
     // The §6 partition never shows in the bits: on the wide sets by the
     // rounding contract, on the 128-bit set by seam alignment.
     fn one<T: GemmElem>(isa: IsaPolicy, cache: CacheParams, shape: (usize, usize, usize)) {
@@ -428,6 +453,7 @@ fn pooled_nn_is_bitwise_serial_at_every_level() {
 
 #[test]
 fn batch_is_bitwise_direct_at_every_level() {
+    let _shared = share_plan_cache();
     // Exactly what `batch_cp2k` verifies: `gemm_batch_beta` at T threads
     // against a direct one-thread `gemm_with` per item.
     fn one<T: GemmElem>(isa: IsaPolicy, ops: (Op, Op), shape: (usize, usize, usize)) {
@@ -480,6 +506,7 @@ fn batch_is_bitwise_direct_at_every_level() {
 
 #[test]
 fn cached_plan_is_bitwise_recomputed() {
+    let _shared = share_plan_cache();
     // A memoized plan and a recomputed one execute the same arithmetic, at
     // every level and in every mode. (Flipping the process-wide switch
     // under concurrently running tests is harmless for the same reason.)
@@ -513,9 +540,218 @@ fn cached_plan_is_bitwise_recomputed() {
     }
 }
 
+/// The handle's `run` into a fresh copy of `c0`, as bits.
+fn handle_bits<T: GemmElem>(
+    plan: &GemmPlan<T>,
+    a: &Matrix<T>,
+    b: &Matrix<T>,
+    c0: &Matrix<T>,
+) -> Vec<u64> {
+    let mut c = c0.clone();
+    plan.run(
+        T::from_f64(-1.5),
+        a.as_ref(),
+        b.as_ref(),
+        T::from_f64(0.5),
+        c.as_mut(),
+    );
+    c.as_slice().iter().map(|x| x.to_f64().to_bits()).collect()
+}
+
+#[test]
+fn handle_run_is_bitwise_gemm_with_and_a_snapshot() {
+    let _own = own_plan_cache();
+    // `GemmPlan::new(..).run(..)` is `gemm_with`, at every level, in every
+    // mode, serial and threaded — and a held handle is a snapshot: clearing
+    // or disabling the plan cache, or installing a *different* plan for its
+    // signature, changes neither that it runs nor what it computes.
+    fn one<T: GemmElem>(cfg: &GemmConfig, ops: (Op, Op), shape: (usize, usize, usize)) {
+        let (a, b, c0) = operands::<T>(ops, shape);
+        let (m, n, k) = shape;
+        let plan = GemmPlan::<T>::new(cfg, ops.0, ops.1, m, n, k);
+        let ctx = format!("{:?} {ops:?} {shape:?} x{}", cfg.isa, cfg.threads);
+        let first = handle_bits(&plan, &a, &b, &c0);
+        assert!(
+            first == run_bits(cfg, ops, &a, &b, &c0),
+            "{ctx}: run != gemm_with"
+        );
+        plan_cache_clear();
+        set_plan_cache_enabled(false);
+        assert!(
+            handle_bits(&plan, &a, &b, &c0) == first,
+            "{ctx}: cache gone"
+        );
+        set_plan_cache_enabled(true);
+        // A tuned plan with another blocking, edge schedule and packing
+        // regime: new handles get it, the held one does not.
+        let tuned = GemmConfig {
+            cache: TINY_CACHE,
+            edge: EdgeSchedule::Batched,
+            packing: PackingPolicy::AlwaysSequential,
+            ..*cfg
+        };
+        let before = plan.describe();
+        let installed = install_tuned::<T>(cfg, &tuned, ops.0, ops.1, m, n, k);
+        let rebuilt = GemmPlan::<T>::new(cfg, ops.0, ops.1, m, n, k).describe();
+        assert!(
+            rebuilt.source == installed.source,
+            "{ctx}: override not served"
+        );
+        assert!(
+            rebuilt.plan.edge == installed.plan.edge,
+            "{ctx}: override not served"
+        );
+        assert!(
+            plan.describe() == before,
+            "{ctx}: override reached a held handle"
+        );
+        assert!(
+            handle_bits(&plan, &a, &b, &c0) == first,
+            "{ctx}: after install"
+        );
+    }
+    let mut shapes = tile_lattice();
+    shapes.retain(|&(m, n, k)| m * n * k > 0);
+    let shapes: Vec<_> = shapes
+        .into_iter()
+        .step_by(3)
+        .chain(BENCH_SMALL)
+        .chain([(17, 200, 70), (64, 2048, 8)])
+        .collect();
+    let mut rot = Rot(21);
+    for isa in levels() {
+        for &shape in &shapes {
+            for ops in OPS {
+                let cfg = GemmConfig {
+                    threads: rot.pick(&[1, 1, 3]),
+                    ..at(isa, CacheParams::detect())
+                };
+                if rot.pick(&[true, false]) {
+                    one::<f32>(&cfg, ops, shape);
+                } else {
+                    one::<f64>(&cfg, ops, shape);
+                }
+            }
+        }
+    }
+    plan_cache_clear();
+}
+
+#[test]
+fn one_handle_from_four_threads_is_bitwise_serial() {
+    let _shared = share_plan_cache();
+    // A handle is shared data: four callers running it at once, each into
+    // its own C, all get the serial bits — with a serial handle and with a
+    // threaded one (whose callers queue for the pool).
+    let nn = (Op::NoTrans, Op::NoTrans);
+    let shape = (33, 130, 40);
+    let (a, b, c0) = operands::<f32>(nn, shape);
+    let serial = run_bits(&at(IsaPolicy::Auto, TINY_CACHE), nn, &a, &b, &c0);
+    for threads in [1, 3] {
+        let cfg = GemmConfig {
+            threads,
+            ..at(IsaPolicy::Auto, TINY_CACHE)
+        };
+        let plan = GemmPlan::<f32>::new(&cfg, nn.0, nn.1, shape.0, shape.1, shape.2);
+        let outs: Vec<Vec<u64>> = std::thread::scope(|scope| {
+            let callers: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| handle_bits(&plan, &a, &b, &c0)))
+                .collect();
+            callers
+                .into_iter()
+                .map(|c| c.join().expect("caller panicked"))
+                .collect()
+        });
+        for (i, out) in outs.iter().enumerate() {
+            assert!(
+                *out == serial,
+                "caller {i} of a {threads}-thread handle diverged"
+            );
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "incompatible")]
+fn handle_run_with_mismatched_views_panics() {
+    let plan = GemmPlan::<f32>::new(&GemmConfig::default(), Op::NoTrans, Op::NoTrans, 3, 6, 4);
+    let a = Matrix::<f32>::zeros(3, 4);
+    let b = Matrix::<f32>::zeros(5, 6); // the plan says 4 x 6
+    let mut c = Matrix::<f32>::zeros(3, 6);
+    plan.run(1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
+}
+
+#[test]
+fn each_entry_point_makes_the_planned_number_of_lookups() {
+    let _own = own_plan_cache();
+    set_plan_cache_enabled(true);
+    let lookups = || {
+        let st = plan_cache_stats();
+        st.hits + st.misses
+    };
+    /// Lookups `f` makes once warm (its first run warms the cache).
+    fn warm(lookups: &dyn Fn() -> u64, mut f: impl FnMut()) -> u64 {
+        f();
+        let before = lookups();
+        f();
+        lookups() - before
+    }
+    let nn = (Op::NoTrans, Op::NoTrans);
+
+    // A serial `gemm_with`: exactly one.
+    let (a, b, c0) = operands::<f64>(nn, (23, 23, 23));
+    let serial = GemmConfig::with_threads(1);
+    assert_eq!(
+        warm(&lookups, || drop(run_bits(&serial, nn, &a, &b, &c0))),
+        1
+    );
+
+    // A threaded call: one at the parent, none per tile (it was 1 + tiles).
+    let (a, b, c0) = operands::<f32>(nn, (64, 2048, 64));
+    let two = GemmConfig::with_threads(2);
+    assert_eq!(warm(&lookups, || drop(run_bits(&two, nn, &a, &b, &c0))), 1);
+
+    // A uniform batch: one for all 64 items, serial or pooled.
+    let (a, b, c0) = operands::<f64>(nn, (13, 13, 13));
+    for cfg in [serial, two] {
+        let mut outs = vec![c0.clone(); 64];
+        let batch = || {
+            let mut items: Vec<_> = outs
+                .iter_mut()
+                .map(|c| BatchItem {
+                    a: a.as_ref(),
+                    b: b.as_ref(),
+                    c: c.as_mut(),
+                })
+                .collect();
+            gemm_batch_beta(&cfg, nn.0, nn.1, 1.0, 0.0, &mut items);
+        };
+        assert_eq!(warm(&lookups, batch), 1, "{} threads", cfg.threads);
+    }
+
+    // A held handle, and a layer that holds one: none.
+    let plan = GemmPlan::<f64>::new(&serial, nn.0, nn.1, 13, 13, 13);
+    assert_eq!(warm(&lookups, || drop(handle_bits(&plan, &a, &b, &c0))), 0);
+    let shape = ConvShape {
+        c_in: 3,
+        c_out: 8,
+        h: 9,
+        w: 9,
+        kh: 3,
+        kw: 3,
+        pad: 1,
+    };
+    let before = lookups();
+    let layer = Conv2d::<f32>::random(shape, two, 5);
+    assert_eq!(lookups() - before, 1, "Conv2d::new plans its forward GEMM");
+    let image = Matrix::<f32>::random(shape.c_in, shape.h * shape.w, 6);
+    assert_eq!(warm(&lookups, || drop(layer.forward(&image))), 0);
+}
+
 #[cfg(feature = "capture")]
 #[test]
 fn capture_on_is_bitwise_off() {
+    let _shared = share_plan_cache();
     use libshalom::capture::{self, Sink};
     for isa in levels() {
         for ops in OPS {

@@ -243,4 +243,40 @@ fn c_abi_from_facade() {
     };
     assert_eq!(rc, 0);
     assert_close(c.as_ref(), want.as_ref(), gemm_tolerance::<f32>(7, 2.0));
+
+    // Hostile arguments come back as -1 with C untouched: a null A behind
+    // dimensions whose product wraps to 0, a leading dimension shorter
+    // than the row, a footprint beyond the address space.
+    let done = c.clone();
+    let (ap, bp) = (a.as_slice().as_ptr(), b.as_slice().as_ptr());
+    let big = 1usize << (usize::BITS / 2);
+    for (m, k, ap, lda, ldc) in [
+        (big, big, std::ptr::null(), big, 5),
+        (6, 7, ap, 6, 5),
+        (6, 7, ap, 7, 4),
+        (6, 7, ap, usize::MAX / 2, 5),
+    ] {
+        let cp = c.as_mut().as_mut_ptr();
+        // SAFETY: every argument set is rejected before a dereference.
+        let rc = unsafe {
+            shalom_sgemm(
+                SHALOM_NO_TRANS,
+                SHALOM_NO_TRANS,
+                m,
+                5,
+                k,
+                1.0,
+                ap,
+                lda,
+                bp,
+                b.ld(),
+                0.0,
+                cp,
+                ldc,
+                1,
+            )
+        };
+        assert_eq!(rc, -1, "m {m} k {k} lda {lda} ldc {ldc}");
+        assert_eq!(c.as_slice(), done.as_slice());
+    }
 }

@@ -5,6 +5,7 @@
 //! default test gate — not just the dedicated CI `audit` job (which
 //! also runs the `analyze` binary).
 
+use shalom_analysis::source::SourceFile;
 use shalom_analysis::workspace::{
     analyze_repo_default, analyze_repo_with_stats, repo_root, AnalysisConfig,
 };
@@ -91,4 +92,74 @@ fn capture_is_one_feature_known_to_one_module() {
             );
         }
     }
+}
+
+/// One plan per call and one fork-join engine, as properties of the
+/// source text: the effective ISA is computed in one place (where a plan
+/// handle is built) and everything downstream inherits it from the
+/// handle — no non-test code re-pins a config with `IsaPolicy::Force` —
+/// threads are spawned only by the pool, and the retired per-layer plan
+/// views and the second fork-join engine are named nowhere.
+#[test]
+fn one_plan_handle_and_one_fork_join_engine() {
+    let root = repo_root();
+    let mut files = Vec::new();
+    for dir in ["crates", "src"] {
+        source_files(&root.join(dir), &mut files);
+    }
+    let core_src = root.join("crates/core/src");
+    let mut isa_call_sites = Vec::new();
+    for path in &files {
+        let text = std::fs::read_to_string(path).expect("readable source file");
+        let label = path
+            .strip_prefix(&root)
+            .expect("under the root")
+            .display()
+            .to_string();
+        for retired in [
+            "SHALOM_NO_POOL",
+            "ScopedSpawn",
+            "SerialPlan",
+            "serial_plan",
+            "parallel_grid",
+            "resolved_runtime",
+            "Runtime::",
+            "pool_overhead",
+        ] {
+            assert!(!text.contains(retired), "{label} still names `{retired}`");
+        }
+        if !path.starts_with(&core_src) || path.extension().is_none_or(|e| e != "rs") {
+            continue;
+        }
+        // Comment-stripped code outside `#[cfg(test)]` modules.
+        let file = SourceFile::parse(&label, &text);
+        let non_test = file
+            .code
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !file.is_test_line(i + 1));
+        for (i, code) in non_test {
+            let at = format!("{label}:{}", i + 1);
+            if code.contains("effective_isa::<") || code.contains("effective_isa(") {
+                isa_call_sites.push(at.clone());
+            }
+            if !path.ends_with("pool.rs") {
+                assert!(
+                    !code.contains("thread::scope") && !code.contains("thread::spawn"),
+                    "{at} starts threads outside the pool"
+                );
+            }
+            if !path.ends_with("config.rs") && code.contains("IsaPolicy::Force(") {
+                assert!(
+                    path.ends_with("plan.rs") && code.contains("matches!("),
+                    "{at} constructs an `IsaPolicy::Force`; only `effective_isa` may test for one"
+                );
+            }
+        }
+    }
+    assert_eq!(
+        isa_call_sites.len(),
+        1,
+        "`effective_isa` must have exactly one call site: {isa_call_sites:?}"
+    );
 }

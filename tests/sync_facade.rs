@@ -8,7 +8,7 @@
 //! pooled GEMM path that routes its task claims through the facade
 //! produces bitwise-identical results to the serial path.
 
-use shalom_core::{gemm_with, prewarm, sync, GemmConfig, Op, Runtime};
+use shalom_core::{gemm_with, prewarm, sync, GemmConfig, Op};
 use shalom_matrix::Matrix;
 
 #[test]
@@ -45,7 +45,6 @@ fn pooled_gemm_is_bitwise_identical_to_serial_through_the_facade() {
         let mut pooled = seed_c.clone();
         let cfg = |threads| GemmConfig {
             threads,
-            runtime: Runtime::Pool,
             ..GemmConfig::default()
         };
         for (c, threads) in [(&mut serial, 1), (&mut pooled, 4)] {

@@ -13,16 +13,17 @@ pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime (64-bit).
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Folds one little-endian `u64` into an FNV-1a accumulator. Used for
-/// the configuration fingerprints that key the plan cache: unlike
-/// `DefaultHasher`, FNV-1a is specified byte-for-byte, so fingerprints
-/// are stable across processes and toolchain versions — a requirement
-/// for persisted plan profiles.
+/// Folds one `u64` word into an FNV-1a-style accumulator — xor, then one
+/// multiply by the FNV prime, a word at a time rather than a byte at a
+/// time (the fingerprint sits on every plan lookup). Used for the
+/// configuration fingerprints that key the plan cache: unlike
+/// `DefaultHasher` it is specified on values, not bytes, so fingerprints
+/// are stable across processes, toolchain versions and endianness — a
+/// requirement for persisted plan profiles. Each step is a bijection of
+/// the accumulator and of the word, so two configurations that differ in
+/// one knob never collide.
 pub(crate) fn fnv1a_u64(h: &mut u64, x: u64) {
-    for b in x.to_le_bytes() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(FNV_PRIME);
-    }
+    *h = (*h ^ x).wrapping_mul(FNV_PRIME);
 }
 
 /// Sizes of the data-cache hierarchy in bytes. `l3 = 0` means no LLC
@@ -119,7 +120,7 @@ impl CacheParams {
         self
     }
 
-    /// Stable 64-bit fingerprint of the hierarchy (FNV-1a over the
+    /// Stable 64-bit fingerprint of the hierarchy ([`fnv1a_u64`] over the
     /// level capacities). Any size change changes the fingerprint; the
     /// value is identical across processes for equal hierarchies, so it
     /// can participate in persisted plan-profile keys.

@@ -28,6 +28,7 @@
 use crate::api::{dgemm_raw, sgemm_raw};
 use crate::batch::gemm_batch_strided;
 use crate::config::GemmConfig;
+use crate::error::{footprint, span};
 use shalom_matrix::Op;
 use shalom_plans::ProfileError;
 use std::ffi::CStr;
@@ -171,27 +172,6 @@ fn cfg_for(threads: usize) -> GemmConfig {
         threads,
         ..GemmConfig::default()
     }
-}
-
-/// Elements from the first to one past the last of `rows` runs of `cols`
-/// elements placed `ld` apart — `(rows - 1) * ld + cols`, 0 when there is
-/// nothing — or `None` when that is more than a `T` allocation can hold.
-fn span<T>(rows: usize, cols: usize, ld: usize) -> Option<usize> {
-    if rows == 0 || cols == 0 {
-        return Some(0);
-    }
-    let elems = (rows - 1).checked_mul(ld)?.checked_add(cols)?;
-    (elems <= isize::MAX as usize / core::mem::size_of::<T>()).then_some(elems)
-}
-
-/// [`span`] of a `rows x cols` matrix operand at leading dimension `ld`;
-/// `None` also when its rows would overlap (`ld < cols` on a multi-row
-/// operand — the rule [`crate::error::validate`] applies to views).
-fn footprint<T>(rows: usize, cols: usize, ld: usize) -> Option<usize> {
-    if rows > 1 && ld < cols {
-        return None;
-    }
-    span::<T>(rows, cols, ld)
 }
 
 /// The stored `(rows, cols)` of A and of B for `(op_a, op_b, m, n, k)`.

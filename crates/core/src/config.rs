@@ -206,8 +206,9 @@ impl GemmConfig {
     }
 
     /// Stable 64-bit fingerprint of every dispatch-relevant knob: cache
-    /// geometry, edge schedule, packing policy, and ISA policy. Built on FNV-1a (not `DefaultHasher`) so equal
-    /// configurations fingerprint identically across processes and
+    /// geometry, edge schedule, packing policy, and ISA policy. Built on a
+    /// word-wise FNV-1a fold (`cache::fnv1a_u64`, not `DefaultHasher`) so
+    /// equal configurations fingerprint identically across processes and
     /// toolchain versions — this value keys the plan cache and is
     /// persisted in plan profiles.
     ///
@@ -224,8 +225,8 @@ impl GemmConfig {
         // order of hashed knobs ever changes, so stale profile entries
         // miss instead of matching a differently-derived key.
         // (2: the ISA policy joined the hashed knob set. 3: the fork-join
-        // runtime knob left it.)
-        crate::cache::fnv1a_u64(&mut h, 3);
+        // runtime knob left it. 4: words are folded whole, not by byte.)
+        crate::cache::fnv1a_u64(&mut h, 4);
         crate::cache::fnv1a_u64(&mut h, self.cache.fingerprint());
         crate::cache::fnv1a_u64(&mut h, self.edge as u64);
         crate::cache::fnv1a_u64(&mut h, self.packing as u64);

@@ -39,6 +39,15 @@ pub enum GemmError {
         /// The input operand C overlaps: `"A"` or `"B"`.
         operand: &'static str,
     },
+    /// An operand view's footprint — `(rows - 1) * ld + cols` elements from
+    /// its pointer — is more than an allocation can hold or runs past the
+    /// end of the address space: no such view can be backed by memory, and
+    /// the wrapped arithmetic would let an aliased `C` pass the overlap
+    /// check. Views without elements are exempt.
+    FootprintOverflow {
+        /// `"A"`, `"B"` or `"C"`.
+        operand: &'static str,
+    },
     /// `cfg.threads == 0`. The panicking API treats 0 as "use all
     /// available cores"; the fallible API rejects it so configuration
     /// arithmetic that underflows to 0 cannot silently fan out to every
@@ -61,6 +70,9 @@ impl core::fmt::Display for GemmError {
             GemmError::OverlappingViews { operand } => {
                 write!(f, "output C overlaps operand {operand}")
             }
+            GemmError::FootprintOverflow { operand } => {
+                write!(f, "operand {operand} footprint overflows the address space")
+            }
             GemmError::ZeroThreads => {
                 write!(f, "cfg.threads is 0; pass an explicit worker count")
             }
@@ -70,15 +82,46 @@ impl core::fmt::Display for GemmError {
 
 impl std::error::Error for GemmError {}
 
-/// Byte range `[start, end)` covered by a view, `None` when it holds no
-/// elements.
-fn view_range<T>(ptr: *const T, rows: usize, cols: usize, ld: usize) -> Option<(usize, usize)> {
+/// Elements from the first to one past the last of `rows` runs of `cols`
+/// elements placed `ld` apart — `(rows - 1) * ld + cols`, 0 when there is
+/// nothing — or `None` when that is more than a `T` allocation can hold.
+/// The one footprint computation: the view API ([`validate`]) and the C
+/// ABI both check through it.
+pub(crate) fn span<T>(rows: usize, cols: usize, ld: usize) -> Option<usize> {
     if rows == 0 || cols == 0 {
+        return Some(0);
+    }
+    let elems = (rows - 1).checked_mul(ld)?.checked_add(cols)?;
+    (elems <= isize::MAX as usize / core::mem::size_of::<T>()).then_some(elems)
+}
+
+/// [`span`] of a `rows x cols` matrix operand at leading dimension `ld`;
+/// `None` also when its rows would overlap (`ld < cols` on a multi-row
+/// operand — the rule [`validate`] reports as
+/// [`GemmError::StrideTooSmall`]).
+pub(crate) fn footprint<T>(rows: usize, cols: usize, ld: usize) -> Option<usize> {
+    if rows > 1 && ld < cols {
         return None;
     }
+    span::<T>(rows, cols, ld)
+}
+
+/// Byte range `[start, end)` covered by a view: `Ok(None)` when it holds
+/// no elements, `Err` when its footprint does not fit the address space.
+fn view_range<T>(
+    operand: &'static str,
+    ptr: *const T,
+    rows: usize,
+    cols: usize,
+    ld: usize,
+) -> Result<Option<(usize, usize)>, GemmError> {
     let start = ptr as usize;
-    let elems = (rows - 1) * ld + cols;
-    Some((start, start + elems * core::mem::size_of::<T>()))
+    // `span` bounds the element count by `isize::MAX / size_of::<T>()`,
+    // so the byte count cannot wrap; the end address still can.
+    let end = span::<T>(rows, cols, ld)
+        .and_then(|elems| start.checked_add(elems * core::mem::size_of::<T>()))
+        .ok_or(GemmError::FootprintOverflow { operand })?;
+    Ok((end > start).then_some((start, end)))
 }
 
 /// Validates the operand shapes for `C = alpha*op(A)*op(B) + beta*C`,
@@ -121,22 +164,22 @@ pub fn validate<T: GemmElem>(
         });
     }
     // Stride sanity: `ld < cols` makes rows overlap (ld == 0 collapses
-    // the whole view onto one row). Single-row views never use ld.
-    for (operand, rows, cols, ld) in [
-        ("A", a.rows(), a.cols(), a.ld()),
-        ("B", b.rows(), b.cols(), b.ld()),
-        ("C", c.rows(), c.cols(), c.ld()),
-    ] {
+    // the whole view onto one row). Single-row views never use ld. Then
+    // each view's byte range, in checked arithmetic.
+    let mut ranges = [None; 3];
+    for (range, (operand, ptr, rows, cols, ld)) in ranges.iter_mut().zip([
+        ("A", a.as_ptr(), a.rows(), a.cols(), a.ld()),
+        ("B", b.as_ptr(), b.rows(), b.cols(), b.ld()),
+        ("C", c.as_ptr(), c.rows(), c.cols(), c.ld()),
+    ]) {
         if rows > 1 && ld < cols {
             return Err(GemmError::StrideTooSmall { operand, ld, cols });
         }
+        *range = view_range(operand, ptr, rows, cols, ld)?;
     }
     // Aliasing: the kernels write C while streaming A and B.
-    if let Some((c0, c1)) = view_range(c.as_ptr(), m, n, c.ld()) {
-        for (operand, range) in [
-            ("A", view_range(a.as_ptr(), a.rows(), a.cols(), a.ld())),
-            ("B", view_range(b.as_ptr(), b.rows(), b.cols(), b.ld())),
-        ] {
+    if let [ra, rb, Some((c0, c1))] = ranges {
+        for (operand, range) in [("A", ra), ("B", rb)] {
             if let Some((x0, x1)) = range {
                 if c0 < x1 && x0 < c1 {
                     return Err(GemmError::OverlappingViews { operand });
@@ -359,6 +402,80 @@ mod tests {
             c.as_mut(),
         )
         .unwrap();
+    }
+
+    #[test]
+    fn overflowing_footprints_are_reported_not_wrapped() {
+        // `(rows - 1) * ld + cols` and `start + bytes` in checked
+        // arithmetic: a view no allocation can back is a typed error, in
+        // debug and release alike (it was an overflow panic in one and a
+        // wrapped, too-small range in the other).
+        let buf = vec![1.0f32; 64];
+        let b = Matrix::<f32>::random(4, 2, 2);
+        for (rows, ld) in [
+            (3, usize::MAX / 2 + 3), // the product wraps
+            (2, usize::MAX - 1),     // the sum wraps
+            (2, usize::MAX / 2),     // fits a usize, not an allocation
+            (3, usize::MAX / 8),     // fits in elements, not in bytes
+        ] {
+            // SAFETY: never dereferenced — validation rejects the view.
+            let a = unsafe { MatRef::from_raw_parts(buf.as_ptr(), rows, 4, ld) };
+            let mut c = Matrix::<f32>::zeros(rows, 2);
+            assert_eq!(
+                validate(Op::NoTrans, Op::NoTrans, &a, &b.as_ref(), &c.as_mut()),
+                Err(GemmError::FootprintOverflow { operand: "A" }),
+                "rows {rows} ld {ld}"
+            );
+        }
+        // An in-range footprint from a pointer too close to the top of the
+        // address space.
+        let high = core::ptr::null::<f32>().wrapping_sub(2);
+        // SAFETY: never dereferenced — validation rejects the view.
+        let a = unsafe { MatRef::from_raw_parts(high, 1, 4, 4) };
+        let mut c1 = Matrix::<f32>::zeros(1, 2);
+        assert_eq!(
+            validate(Op::NoTrans, Op::NoTrans, &a, &b.as_ref(), &c1.as_mut()),
+            Err(GemmError::FootprintOverflow { operand: "A" })
+        );
+        // The case the check exists for: C starts 8 elements below A in one
+        // buffer with an `ld` whose wrapped footprint (6 elements) ends
+        // before A begins, so wrapped arithmetic saw no overlap.
+        let mut shared = vec![1.0f32; 64];
+        // 3 * third wraps to 2.
+        let third = usize::MAX / 3 + 1;
+        // SAFETY: never dereferenced — validation rejects C's view.
+        let (a, c_alias) = unsafe {
+            (
+                MatRef::from_raw_parts(shared.as_ptr().add(8), 4, 4, 4),
+                MatMut::from_raw_parts(shared.as_mut_ptr(), 4, 4, third),
+            )
+        };
+        let b4 = Matrix::<f32>::random(4, 4, 3);
+        let err = try_gemm_with(
+            &GemmConfig::with_threads(1),
+            Op::NoTrans,
+            Op::NoTrans,
+            1.0,
+            a,
+            b4.as_ref(),
+            0.0,
+            c_alias,
+        )
+        .unwrap_err();
+        assert_eq!(err, GemmError::FootprintOverflow { operand: "C" });
+        assert!(err.to_string().contains("operand C"));
+        // Views without elements never use `ld`: exempt, as for the stride.
+        // SAFETY: zero-row views touch no memory.
+        let (a0, c0) = unsafe {
+            (
+                MatRef::from_raw_parts(buf.as_ptr(), 0, 4, usize::MAX),
+                MatMut::from_raw_parts(shared.as_mut_ptr(), 0, 2, usize::MAX),
+            )
+        };
+        assert_eq!(
+            validate(Op::NoTrans, Op::NoTrans, &a0, &b.as_ref(), &c0),
+            Ok(())
+        );
     }
 
     #[test]

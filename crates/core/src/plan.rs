@@ -240,23 +240,22 @@ fn decode_edge(code: u8) -> EdgeSchedule {
 }
 
 /// The ISA level this call dispatches to and its kernel set: a pure
-/// function of the configuration and the shape, the same for every
-/// `(op_a, op_b)` (the one driver runs every mode at every width).
-/// Computed once per handle, in [`Signature::of`]:
+/// function of the configuration, `op(B)` and the shape. Computed once per
+/// handle, in [`Signature::of`]:
 ///
 /// * the requested level must be wide and its kernel family registered
 ///   (the runtime probe passed on this host);
-/// * under [`IsaPolicy::Auto`], the problem must fill at least one full
-///   register tile of the family's element type (smaller shapes keep the
-///   128-bit set, whose finer tile wastes less of a sub-tile problem). A
-///   `Force`d executable level skips this size rule.
+/// * under [`IsaPolicy::Auto`], `op(B) = B` (NN, TN) takes it at every
+///   shape — partial tiles are masked vectors, so width never adds a
+///   vector op — while `op(B) = Bᵀ` (NT, TT) must fill one register tile
+///   of the family's element type. A `Force`d executable level skips the
+///   size rule.
 ///
-/// Everything else resolves to the compile-time base, so the key an
-/// AVX-512 host computes for a sub-tile problem equals the key a NEON
-/// host computes — and a wide host's big-shape keys can never collide
-/// with either.
+/// Everything else resolves to the compile-time base, and a wide host's
+/// keys can never collide with a 128-bit host's.
 pub(crate) fn effective_isa<T: FamilyElem>(
     cfg: &GemmConfig,
+    op_b: Op,
     m: usize,
     n: usize,
 ) -> (Isa, &'static FamilyKernels<T>) {
@@ -265,7 +264,15 @@ pub(crate) fn effective_isa<T: FamilyElem>(
         if let Some(fam) = family_for(req) {
             let ks = T::kernels(fam);
             let forced = matches!(cfg.isa, IsaPolicy::Force(_));
-            if forced || (m >= ks.mr && n >= ks.nr) {
+            // The first min(7, m) rows of an NT panel run the 7x3
+            // inner-product pack kernel, slow at 512 bits: wide loses when
+            // they are most of the call (ns, base -> wide, DESIGN §14.3:
+            // 8x8x8_f32_nt 215 -> 414, 5x5x5_f64_nt 123 -> 210,
+            // 8x196x9_f32_nt 3550 -> 8128) and wins when they are not
+            // (1024x12x64_f32_nt 111.6 -> 22.1 us). That crossover belongs
+            // to ROADMAP item 3(a)'s re-derived NT tile; until then Bᵀ
+            // keeps the size rule.
+            if forced || op_b == Op::NoTrans || (m >= ks.mr && n >= ks.nr) {
                 return (req, ks);
             }
         }
@@ -318,7 +325,7 @@ impl<'a, T: FamilyElem> Signature<'a, T> {
         k: usize,
         threads: usize,
     ) -> Self {
-        let (isa, ks) = effective_isa::<T>(cfg, m, n);
+        let (isa, ks) = effective_isa::<T>(cfg, op_b, m, n);
         Signature {
             cfg,
             op_a,
@@ -866,41 +873,76 @@ mod tests {
         }
     }
 
+    /// What `effective_isa` answers.
+    type Dispatch<E> = (Isa, &'static FamilyKernels<E>);
+
+    /// The rule as it stood before `op(B) = B` lost its size gate — the
+    /// oracle for everything that must not have moved.
+    fn parent_rule<E: FamilyElem>(cfg: &GemmConfig, m: usize, n: usize) -> Dispatch<E> {
+        let req = cfg.requested_isa();
+        if let Some(fam) = family_for(req).filter(|_| req.is_wide()) {
+            let ks = E::kernels(fam);
+            if matches!(cfg.isa, IsaPolicy::Force(_)) || (m >= ks.mr && n >= ks.nr) {
+                return (req, ks);
+            }
+        }
+        (caps::base_isa(), kernels_for::<E>(caps::base_isa()))
+    }
+
     #[test]
     fn effective_isa_is_shape_gated_only() {
-        let auto = cfg();
-        let isa_of = |c: &GemmConfig, m, n| effective_isa::<f32>(c, m, n).0;
-        // Sub-tile shapes keep the 128-bit set.
-        assert!(!isa_of(&auto, 1, 1).is_wide());
-        // Forcing the base pins the base no matter the shape.
-        assert_eq!(
-            isa_of(&cfg_at(caps::base_isa()), 640, 640),
-            caps::base_isa()
-        );
-        // Whatever it resolves to is the registered family's own set.
-        for (m, n) in [(1, 1), (8, 8), (640, 640)] {
-            let (isa, ks) = effective_isa::<f64>(&auto, m, n);
-            let fam = family_for(isa).expect("registered");
-            assert!(core::ptr::eq(ks, &fam.k_f64));
-        }
-        if let Some(fam) = shalom_kernels::selected_wide_family() {
-            // At exactly one full tile the wide family takes over, per
-            // element type's own tile — whatever the ops (the key carries
-            // them separately).
-            assert_eq!(isa_of(&auto, fam.k_f32.mr, fam.k_f32.nr), fam.isa);
-            assert_eq!(
-                effective_isa::<f64>(&auto, fam.k_f64.mr, fam.k_f64.nr).0,
-                fam.isa
-            );
-            assert!(!isa_of(&auto, fam.k_f32.mr - 1, fam.k_f32.nr).is_wide());
-            for (op_a, op_b) in [(N, T), (T, N), (T, T)] {
-                assert_eq!(
-                    key_for::<f32>(&auto, op_a, op_b, (640, 640, 64), 1).isa,
-                    fam.isa.code()
-                );
+        fn one<E: FamilyElem>(c: &GemmConfig, wide: Option<&'static FamilyKernels<E>>) {
+            let same = |x: Dispatch<E>, y: Dispatch<E>| x.0 == y.0 && core::ptr::eq(x.1, y.1);
+            let auto = matches!(c.isa, IsaPolicy::Auto);
+            let mut dims = vec![1, 2, 5, 8, 13, 64, 640, 1024];
+            for fam in registered_families() {
+                let ks = E::kernels(fam);
+                dims.extend([ks.mr - 1, ks.mr, ks.mr + 1, ks.nr - 1, ks.nr, ks.nr + 1]);
             }
-            // Forcing an executable wide level skips the size rule.
-            assert_eq!(isa_of(&cfg_at(fam.isa), 1, 1), fam.isa);
+            for &m in &dims {
+                for &n in &dims {
+                    let old = parent_rule::<E>(c, m, n);
+                    // `op(B) = Bᵀ` is the parent's rule at every shape.
+                    assert!(same(effective_isa::<E>(c, T, m, n), old), "T {m}x{n}");
+                    let got = effective_isa::<E>(c, N, m, n);
+                    match wide {
+                        // `op(B) = B` under `Auto` on a wide host: the
+                        // requested set's own table at every shape — which
+                        // is the parent's answer from one tile up.
+                        Some(ks) if auto => {
+                            assert!(same(got, (c.requested_isa(), ks)), "N {m}x{n}");
+                            if m >= ks.mr && n >= ks.nr {
+                                assert!(same(got, old), "N {m}x{n} moved above a tile");
+                            }
+                        }
+                        // `Force`, and hosts without a wide set: unmoved.
+                        _ => assert!(same(got, old), "N {m}x{n} {:?}", c.isa),
+                    }
+                }
+            }
+        }
+        let fam = shalom_kernels::selected_wide_family();
+        let forced = registered_families().map(|f| cfg_at(f.isa));
+        for c in forced.chain([cfg()]) {
+            one::<f32>(&c, fam.map(|f| &f.k_f32));
+            one::<f64>(&c, fam.map(|f| &f.k_f64));
+        }
+        // Forcing the base pins the base no matter the shape or the ops.
+        for op_b in [N, T] {
+            let pinned = effective_isa::<f32>(&cfg_at(caps::base_isa()), op_b, 640, 640);
+            assert_eq!(pinned.0, caps::base_isa());
+        }
+        if let Some(fam) = fam {
+            // The key carries the decision: a sub-tile NN/TN key is wide,
+            // a sub-tile NT/TT key is the base, a full tile is wide in
+            // every mode; forcing an executable wide level skips the rule.
+            let isa_of = |op_a, op_b, shape| key_for::<f32>(&cfg(), op_a, op_b, shape, 1).isa;
+            for op_a in [N, T] {
+                assert_eq!(isa_of(op_a, N, (1, 1, 1)), fam.isa.code());
+                assert_eq!(isa_of(op_a, T, (1, 1, 1)), caps::base_isa().code());
+                assert_eq!(isa_of(op_a, T, (640, 640, 64)), fam.isa.code());
+            }
+            assert_eq!(effective_isa::<f32>(&cfg_at(fam.isa), T, 1, 1).0, fam.isa);
         }
     }
 

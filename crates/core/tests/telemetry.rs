@@ -9,7 +9,9 @@
 
 use proptest::prelude::*;
 use shalom_core::capture::{self, DecisionRecord, PathTag, PlanTag, ShapeClassTag, Sink};
-use shalom_core::{gemm_batch, gemm_with, BatchItem, CacheParams, GemmConfig, Op, PackingPolicy};
+use shalom_core::{
+    gemm_batch, gemm_with, BatchItem, CacheParams, GemmConfig, GemmElem, Op, PackingPolicy,
+};
 use shalom_matrix::Matrix;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -46,21 +48,33 @@ fn trace_gemm(
     n: usize,
     k: usize,
 ) -> Vec<DecisionRecord> {
+    trace_gemm_of::<f32>(cfg, op_a, op_b, m, n, k)
+}
+
+/// [`trace_gemm`] at either precision.
+fn trace_gemm_of<T: GemmElem>(
+    cfg: &GemmConfig,
+    op_a: Op,
+    op_b: Op,
+    m: usize,
+    n: usize,
+    k: usize,
+) -> Vec<DecisionRecord> {
     let (ar, ac) = if op_a == Op::Trans { (k, m) } else { (m, k) };
     let (br, bc) = if op_b == Op::Trans { (n, k) } else { (k, n) };
-    let a = Matrix::<f32>::random(ar, ac, 1);
-    let b = Matrix::<f32>::random(br, bc, 2);
-    let mut c = Matrix::<f32>::zeros(m, n);
+    let a = Matrix::<T>::random(ar, ac, 1);
+    let b = Matrix::<T>::random(br, bc, 2);
+    let mut c = Matrix::<T>::zeros(m, n);
     capture::reset();
     capture::enable(Sink::Records);
     gemm_with(
         cfg,
         op_a,
         op_b,
-        1.0,
+        T::ONE,
         a.as_ref(),
         b.as_ref(),
-        0.0,
+        T::ZERO,
         c.as_mut(),
     );
     capture::disable(Sink::Records);
@@ -147,10 +161,32 @@ fn tn_path_packs_a() {
     assert!(r.pack_ns > 0, "TN must spend time transpose-packing A");
 }
 
-/// The tile an `Auto` f32 call of at least one wide tile dispatches on
-/// this host: the widest registered family's, or the 128-bit 7x12.
+/// The tile an `Auto` f32 call dispatches on this host wherever the size
+/// rule does not apply (`op(B) = B`, or at least one wide tile): the
+/// widest registered family's, or the 128-bit 7x12.
 fn dispatched_f32_tile() -> (u8, u8) {
     shalom_kernels::selected_wide_family().map_or((7, 12), |f| (f.k_f32.mr as u8, f.k_f32.nr as u8))
+}
+
+#[test]
+fn auto_sub_tile_calls_record_the_set_the_size_rule_names() {
+    let _g = state_lock();
+    // Below one wide register tile, `op(B) = B` still dispatches the
+    // host's widest set (masked partial vectors); `op(B) = Bᵀ` keeps the
+    // 128-bit one.
+    let cfg = GemmConfig::with_threads(1);
+    let (nn, nt) = ((Op::NoTrans, Op::NoTrans), (Op::NoTrans, Op::Trans));
+    let recs = trace_gemm_of::<f64>(&cfg, nn.0, nn.1, 5, 5, 5);
+    let r = sole_record(&recs, 5, 5, 5);
+    let f64_tile = shalom_kernels::selected_wide_family()
+        .map_or((7, 6), |f| (f.k_f64.mr as u8, f.k_f64.nr as u8));
+    assert_eq!((r.mr, r.nr), f64_tile, "5x5x5 f64 NN");
+    let recs = trace_gemm(&cfg, nn.0, nn.1, 8, 196, 9);
+    let r = sole_record(&recs, 8, 196, 9);
+    assert_eq!((r.mr, r.nr), dispatched_f32_tile(), "8x196x9 f32 NN");
+    let recs = trace_gemm(&cfg, nt.0, nt.1, 8, 8, 8);
+    let r = sole_record(&recs, 8, 8, 8);
+    assert_eq!((r.mr, r.nr), (7, 12), "8x8x8 f32 NT");
 }
 
 #[test]

@@ -12,7 +12,11 @@
 //!    closes the decide-then-sleep window: a waiter that saw PENDING
 //!    cannot miss the notify because the store+notify happen under the
 //!    same mutex the waiter re-checks under),
-//! 4. `notify_all`.
+//! 4. `notify_all` — after step 3 has run for *every* member of the
+//!    batch ([`CompletionCell::publish`] then [`CompletionCell::wake`]):
+//!    a waiter woken by the first member finds the whole batch done and
+//!    reaps it in one pass, instead of chasing the publication loop
+//!    through one sleep/wake round trip per few members.
 //!
 //! Waiters Acquire-load `state`; observing DONE therefore orders every
 //! output write before the waiter's reads. The same edge discharges the
@@ -63,20 +67,26 @@ impl CompletionCell {
     }
 
     /// Publish the terminal state. Called exactly once, by the
-    /// scheduler, after all output writes for this request.
-    pub(crate) fn complete(&self, state: u32, now_ns: u64) {
+    /// scheduler, after all output writes for this request; [`wake`]
+    /// must follow.
+    ///
+    /// [`wake`]: CompletionCell::wake
+    pub(crate) fn publish(&self, state: u32, now_ns: u64) {
         // ORDERING(SHALOM-O-SVC-STAMP): Relaxed stamp; sequenced before
         // the Release store below on this thread, so waiters that
         // Acquire the state also see the timestamp.
         self.done_at_ns.store(now_ns, Ordering::Relaxed);
-        {
-            let _g = lock_ignore_poison(&self.lock);
-            // ORDERING(SHALOM-O-SVC-DONE): Release publish of the output
-            // matrix and timestamp; paired with the Acquire loads in
-            // `poll`/`wait`. Performed under `lock` so a waiter between
-            // its PENDING check and `cond.wait` cannot lose the notify.
-            self.state.store(state, Ordering::Release);
-        }
+        let _g = lock_ignore_poison(&self.lock);
+        // ORDERING(SHALOM-O-SVC-DONE): Release publish of the output
+        // matrix and timestamp; paired with the Acquire loads in
+        // `poll`/`wait`. Performed under `lock` so a waiter between
+        // its PENDING check and `cond.wait` cannot lose the notify
+        // `wake` sends afterwards.
+        self.state.store(state, Ordering::Release);
+    }
+
+    /// Wake every waiter of a published cell.
+    pub(crate) fn wake(&self) {
         self.cond.notify_all();
     }
 
@@ -84,7 +94,7 @@ impl CompletionCell {
     #[inline]
     pub(crate) fn poll(&self) -> u32 {
         // ORDERING(SHALOM-O-SVC-DONE): Acquire pairs with the Release in
-        // `complete`; a DONE observation orders the output writes.
+        // `publish`; a DONE observation orders the output writes.
         self.state.load(Ordering::Acquire)
     }
 
@@ -96,7 +106,7 @@ impl CompletionCell {
         }
         let mut g = lock_ignore_poison(&self.lock);
         loop {
-            // Re-check under the mutex: `complete` stores under the same
+            // Re-check under the mutex: `publish` stores under the same
             // mutex, so PENDING here implies the notify is still ahead.
             let s = self.poll();
             if s != PENDING {
@@ -194,7 +204,8 @@ mod tests {
             let cell = Arc::clone(&cell);
             std::thread::spawn(move || cell.wait())
         };
-        cell.complete(DONE_OK, 42);
+        cell.publish(DONE_OK, 42);
+        cell.wake();
         assert_eq!(waiter.join().expect("waiter"), DONE_OK);
         assert_eq!(cell.done_at(), Some(42));
     }

@@ -96,7 +96,7 @@ fn check_case<T: ServiceElem>(
     assert_bitwise_eq(&c_scope, &c_direct, &what);
 }
 
-const SHAPES: [(usize, usize, usize); 8] = [
+const SHAPES: [(usize, usize, usize); 10] = [
     (1, 1, 1),
     (5, 3, 7),
     (17, 1, 9),
@@ -108,6 +108,10 @@ const SHAPES: [(usize, usize, usize); 8] = [
     // `service_mix`'s 16x49x18 and the CP2K 23x23x23.
     (16, 49, 18),
     (23, 23, 23),
+    // `service_mix`'s two buckets thinner than a wide tile: NN/TN run the
+    // wide set's masked bodies, NT the 128-bit set — on both sides.
+    (8, 196, 9),
+    (32, 13, 36),
 ];
 
 const OPS: [(Op, Op); 3] = [

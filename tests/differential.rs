@@ -11,18 +11,20 @@
 //! promises it — NN pooled == serial, `gemm_batch_beta` == direct
 //! `gemm_with`, cached == recomputed plan, a held `GemmPlan` handle's
 //! `run` == `gemm_with` (before and after the cache changes under it, and
-//! from four threads at once), capture on == off. Plus the handle's
-//! bookkeeping contract: how many plan-cache lookups each entry point
-//! makes. This is the fast slice that rides in tier-1; the per-crate
-//! suites and the shadow harness go deeper on each axis.
+//! from four threads at once), capture on == off, and `Auto` == `Force` of
+//! the set the size rule names (the requested one wherever `op(B) = B`).
+//! Plus the handle's bookkeeping contract: how many plan-cache lookups
+//! each entry point makes. This is the fast slice that rides in tier-1;
+//! the per-crate suites and the shadow harness go deeper on each axis.
 
 use libshalom::core::{
     gemm_batch_beta, install_tuned, plan_cache_clear, plan_cache_stats, set_plan_cache_enabled,
     IsaPolicy,
 };
-use libshalom::kernels::registered_families;
+use libshalom::kernels::{registered_families, selected_wide_family, FamilyElem};
 use libshalom::matrix::{gemm_tolerance, ConvShape, Matrix};
 use libshalom::nn::Conv2d;
+use libshalom::simd::base_isa;
 use libshalom::{
     gemm_with, BatchItem, CacheParams, EdgeSchedule, GemmConfig, GemmElem, GemmPlan, Op,
     PackingPolicy,
@@ -120,6 +122,18 @@ const BENCH_SMALL: [(usize, usize, usize); 12] = [
     (16, 49, 18),
     (64, 25, 72),
     (64, 100, 72),
+];
+
+/// The paper's irregular shapes with one side thinner than a wide register
+/// tile (two of them `service_mix` buckets), a column and a row: what
+/// `Auto` moved to the wide set when `op(B) = B` lost its size rule.
+const THIN: [(usize, usize, usize); 6] = [
+    (14, 1024, 64),
+    (1024, 12, 64),
+    (32, 13, 36),
+    (8, 196, 9),
+    (64, 1, 72),
+    (1, 64, 64),
 ];
 
 /// The benchmark's large f32 cells, checked on sampled entries.
@@ -449,6 +463,12 @@ fn pooled_nn_is_bitwise_serial_at_every_level() {
             }
         }
     }
+    // Thin shapes under `Auto`: a worker's sub-block is thinner still and
+    // must stay on the parent's set.
+    for shape in THIN {
+        one::<f32>(IsaPolicy::Auto, CacheParams::detect(), shape);
+        one::<f64>(IsaPolicy::Auto, CacheParams::detect(), shape);
+    }
 }
 
 #[test]
@@ -500,6 +520,61 @@ fn batch_is_bitwise_direct_at_every_level() {
                 one::<f32>(isa, *ops, shape);
                 one::<f64>(isa, *ops, shape);
             }
+        }
+    }
+    for shape in THIN {
+        for ops in &OPS[..2] {
+            one::<f32>(IsaPolicy::Auto, *ops, shape);
+            one::<f64>(IsaPolicy::Auto, *ops, shape);
+        }
+    }
+}
+
+#[test]
+fn auto_is_bitwise_force_of_the_set_the_size_rule_names() {
+    let _shared = share_plan_cache();
+    // Under `Auto`, `op(B) = B` (NN, TN) dispatches the requested set at
+    // every shape; `op(B) = Bᵀ` (NT, TT) below one of its register tiles
+    // keeps the base set. `Force` skips the rule, so it is the oracle on
+    // both sides — and on a host without a wide set all three coincide.
+    fn one<T: GemmElem>(ops: (Op, Op), shape: (usize, usize, usize)) {
+        let (m, n, k) = shape;
+        let auto = at(IsaPolicy::Auto, CacheParams::detect());
+        let want = match selected_wide_family() {
+            Some(fam) => {
+                let ks = <T as FamilyElem>::kernels(fam);
+                if ops.1 == Op::NoTrans || (m >= ks.mr && n >= ks.nr) {
+                    fam.isa
+                } else {
+                    base_isa()
+                }
+            }
+            None => base_isa(),
+        };
+        if ops.1 == Op::NoTrans {
+            assert_eq!(want, auto.requested_isa(), "{ops:?} {shape:?}");
+        }
+        let forced = at(IsaPolicy::Force(want), CacheParams::detect());
+        assert_eq!(
+            GemmPlan::<T>::new(&auto, ops.0, ops.1, m, n, k).isa(),
+            want,
+            "{ops:?} {shape:?}"
+        );
+        let (a, b, c0) = operands::<T>(ops, shape);
+        assert!(
+            run_bits(&auto, ops, &a, &b, &c0) == run_bits(&forced, ops, &a, &b, &c0),
+            "Auto != Force({want:?}) on {ops:?} {shape:?}"
+        );
+    }
+    let shapes = tile_lattice()
+        .into_iter()
+        .filter(|&(m, n, k)| m * n * k > 0)
+        .chain(BENCH_SMALL)
+        .chain(THIN);
+    for shape in shapes {
+        for ops in OPS {
+            one::<f32>(ops, shape);
+            one::<f64>(ops, shape);
         }
     }
 }

@@ -198,6 +198,9 @@ pub struct KernelParams {
     pub stream_ld: usize,
     /// Sliver height `mr` of the Goto A-pack.
     pub mr_sliver: usize,
+    /// Zero-padded columns the transposing pack writes after each
+    /// destination row's data.
+    pub zpad: usize,
 }
 
 /// The declared contract of one micro-kernel entry point.

@@ -19,6 +19,7 @@
 use crate::contract::KernelParams;
 use crate::registry::{find, KernelId};
 use crate::shadow::{ContractElem, ShadowOperand};
+use shalom_kernels::family::{NtPackFn, PackTransposeFn};
 use shalom_kernels::main_kernel::{PackAhead, StreamCopy};
 use shalom_kernels::nt_pack::{nt_pack_kernel, NT_BCOLS, NT_ROWS};
 use shalom_kernels::pack::{pack_a_slivers_goto, pack_b_slivers_goto, pack_copy, pack_transpose};
@@ -607,6 +608,7 @@ fn check_nt_kernel<V: Vector>(
 fn check_nt_panel<T: ContractElem + FamilyElem>(
     label: &str,
     ks: &FamilyKernels<T>,
+    nt_pack: NtPackFn<T>,
     m: usize,
     npanel: usize,
     kc: usize,
@@ -638,7 +640,7 @@ fn check_nt_panel<T: ContractElem + FamilyElem>(
     // SAFETY: operands are sized from the SHALOM-K-NT-PANEL contract
     // footprint, which this harness verifies; `ks` is registry-probed.
     unsafe {
-        (ks.nt_pack)(
+        nt_pack(
             m,
             npanel,
             kc,
@@ -729,36 +731,71 @@ fn check_pack_copy<T: ContractElem>(rows: usize, cols: usize, pad: usize, rep: &
     rep.cases += 1;
 }
 
-fn check_pack_transpose<T: ContractElem>(rows: usize, cols: usize, pad: usize, rep: &mut Report) {
+/// One transposing-pack entry (`pack`, a kernel set's slot or the public
+/// 128-bit one) on a `rows x cols` block with `zpad` zero-padded columns.
+fn check_pack_transpose<T: ContractElem>(
+    label: &str,
+    pack: PackTransposeFn<T>,
+    rows: usize,
+    cols: usize,
+    pad: usize,
+    zpad: usize,
+    rep: &mut Report,
+) {
     let p = KernelParams {
         m: rows,
         n: cols,
         lda: cols + pad,
-        ldb: rows + pad + 1,
+        ldb: rows + zpad + pad + 1,
+        zpad,
         ..Default::default()
     };
     let contract = find(KernelId::PackTranspose);
-    let ctx = format!("pack-transpose rows={rows} cols={cols} pad={pad}");
+    let ctx = format!("{label} pack-transpose rows={rows} cols={cols} pad={pad} zpad={zpad}");
     let seed = rep.next_seed();
     let src = ShadowOperand::<T>::new(&contract.operand(&p, "src"), seed);
     let mut dst = ShadowOperand::<T>::new(&contract.operand(&p, "dst"), seed ^ 0xD);
     // SAFETY: operands are sized from the SHALOM-K-PACK-TRANS contract
-    // footprint, which this harness verifies.
-    unsafe { pack_transpose(src.const_ptr(), p.lda, rows, cols, dst.ptr(), p.ldb) };
+    // footprint, which this harness verifies; a set's entry comes from the
+    // probed registry.
+    unsafe { pack(src.const_ptr(), p.lda, rows, cols, dst.ptr(), p.ldb, zpad) };
     src.check(&ctx, &mut rep.violations);
     dst.check(&ctx, &mut rep.violations);
-    for r in 0..rows {
-        for c in 0..cols {
+    for c in 0..cols {
+        for r in 0..rows + zpad {
+            let want = if r < rows {
+                src.elem(r * p.lda + c)
+            } else {
+                T::ZERO
+            };
             expect_bits(
                 &ctx,
                 format!("dst[{c},{r}]"),
                 dst.elem(c * p.ldb + r),
-                src.elem(r * p.lda + c),
+                want,
                 &mut rep.violations,
             );
         }
     }
     rep.cases += 1;
+}
+
+/// [`pack_transpose`] in the slot's shape: it pads nothing.
+///
+/// # Safety
+/// As [`pack_transpose`]; `zpad == 0`.
+unsafe fn public_pack_transpose<T: FamilyElem>(
+    src: *const T,
+    ld_src: usize,
+    rows: usize,
+    cols: usize,
+    dst: *mut T,
+    ld_dst: usize,
+    zpad: usize,
+) {
+    debug_assert_eq!(zpad, 0);
+    // SAFETY: SHALOM-K-PACK-TRANS, forwarded from the caller.
+    unsafe { pack_transpose(src, ld_src, rows, cols, dst, ld_dst) }
 }
 
 fn check_pack_a_goto<T: ContractElem>(
@@ -868,8 +905,10 @@ fn check_pack_b_goto<T: ContractElem>(
 /// The per-set part of the sweep: every entry point of one kernel set at
 /// its own tile — main, fused-pack with and without look-ahead, streamed
 /// (copy shallower/equal/deeper than `kc` and absent), the full edge
-/// lattice `m ∈ 1..=mr × n ∈ 1..=nr` under both schedules, and the NT
-/// pack panel over `m ∈ 1..=7 × npanel ∈ 1..=nr`.
+/// lattice `m ∈ 1..=mr × n ∈ 1..=nr` under both schedules, the NT pack
+/// panel over `m ∈ 1..=7 × npanel ∈ 1..=nr` where the set has one, and
+/// the transposing pack around the set's `lanes x lanes` tile, plain and
+/// zero-padded to `nr` as the NT arm calls it.
 fn sweep_set<T: ContractElem + FamilyElem>(
     label: &str,
     ks: &FamilyKernels<T>,
@@ -894,10 +933,28 @@ fn sweep_set<T: ContractElem + FamilyElem>(
                     }
                 }
             }
-            for m in 1..=NT_ROWS {
-                for npanel in 1..=ks.nr {
-                    check_nt_panel(label, ks, m, npanel, kc, pad, (1.0, 1.0), rep);
+            if let Some(nt_pack) = ks.nt_pack {
+                for m in 1..=NT_ROWS {
+                    for npanel in 1..=ks.nr {
+                        check_nt_panel(label, ks, nt_pack, m, npanel, kc, pad, (1.0, 1.0), rep);
+                    }
                 }
+            }
+        }
+    }
+    let l = ks.lanes;
+    let dims = [0, 1, l - 1, l, l + 1, 2 * l + 3];
+    for &pad in &cfg.pads {
+        for rows in dims {
+            for cols in dims {
+                check_pack_transpose(label, ks.pack_transpose, rows, cols, pad, 0, rep);
+            }
+        }
+        // The NT panel: `npanel <= nr` stored rows of `kc`, padded to nr.
+        for npanel in 0..=ks.nr {
+            for &kc in &cfg.ks {
+                let zpad = ks.nr - npanel;
+                check_pack_transpose(label, ks.pack_transpose, npanel, kc, pad, zpad, rep);
             }
         }
     }
@@ -941,8 +998,24 @@ pub fn run_conformance(cfg: &HarnessConfig) -> Report {
         for &pad in &cfg.pads {
             check_pack_copy::<f32>(rows, cols, pad, &mut rep);
             check_pack_copy::<f64>(rows, cols, pad, &mut rep);
-            check_pack_transpose::<f32>(rows, cols, pad, &mut rep);
-            check_pack_transpose::<f64>(rows, cols, pad, &mut rep);
+            check_pack_transpose::<f32>(
+                "public",
+                public_pack_transpose,
+                rows,
+                cols,
+                pad,
+                0,
+                &mut rep,
+            );
+            check_pack_transpose::<f64>(
+                "public",
+                public_pack_transpose,
+                rows,
+                cols,
+                pad,
+                0,
+                &mut rep,
+            );
         }
     }
     for &kc in &cfg.ks {
@@ -979,9 +1052,20 @@ mod tests {
         check_streamed("f32", &base.k_f32, 4, 0, 7, (1.0, 1.0), &mut rep);
         check_edge("f64", &base.k_f64, true, 3, 5, 6, 2, (1.5, -0.5), &mut rep);
         check_nt_kernel::<F32x4>(5, 2, 9, 4, 1, (1.0, 1.0), &mut rep);
-        check_nt_panel("f64", &base.k_f64, 6, 4, 3, 0, (1.0, 1.0), &mut rep);
+        let nt_pack = base.k_f64.nt_pack.expect("the 128-bit set has the panel");
+        check_nt_panel(
+            "f64",
+            &base.k_f64,
+            nt_pack,
+            6,
+            4,
+            3,
+            0,
+            (1.0, 1.0),
+            &mut rep,
+        );
         check_pack_copy::<f32>(3, 4, 1, &mut rep);
-        check_pack_transpose::<f64>(4, 3, 0, &mut rep);
+        check_pack_transpose("f64", base.k_f64.pack_transpose, 4, 3, 0, 2, &mut rep);
         check_pack_a_goto::<f32>(9, 4, 4, 1, &mut rep);
         check_pack_b_goto::<f64>(4, 9, 4, 0, &mut rep);
         assert_eq!(rep.cases, 10);

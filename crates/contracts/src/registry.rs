@@ -35,7 +35,9 @@ pub enum KernelId {
     NtPackPanel,
     /// `pack_copy` — strided block copy.
     PackCopy,
-    /// `pack_transpose` — strided block transpose.
+    /// `pack_transpose_tiled` — strided block transpose (every kernel
+    /// set's `pack_transpose` entry; `pack::pack_transpose` is the
+    /// 128-bit set's).
     PackTranspose,
     /// `pack_a_slivers_goto` — Goto sliver-major A pack.
     PackASliversGoto,
@@ -228,8 +230,8 @@ pub fn registry() -> Vec<KernelContract> {
         KernelContract {
             id: KernelId::PackTranspose,
             tag: "SHALOM-K-PACK-TRANS",
-            entry: "shalom_kernels::pack::pack_transpose",
-            summary: "strided rows x cols block transpose",
+            entry: "shalom_kernels::pack::pack_transpose_tiled",
+            summary: "tiled rows x cols block transpose, optional zero padding",
             align_elem_bytes: core::mem::align_of::<f32>(),
             no_alias: &[("dst", "src")],
             footprint: pack_transpose_footprint,
@@ -497,6 +499,7 @@ pub fn representative_params(id: KernelId) -> KernelParams {
         stream_rows: 6,
         stream_ld: 17,
         mr_sliver: 4,
+        zpad: 5,
     };
     // jcol + bcols <= nr must hold for the NT scatter kernel contract.
     if id == KernelId::NtPackKernel {

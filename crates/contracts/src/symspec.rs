@@ -134,6 +134,7 @@ fn resolve(name: &str, p: &KernelParams, lets: &[(String, usize)]) -> Option<usi
         "stream_rows" => p.stream_rows,
         "stream_ld" => p.stream_ld,
         "mr_sliver" => p.mr_sliver,
+        "zpad" => p.zpad,
         _ => return None,
     })
 }

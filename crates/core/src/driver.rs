@@ -3,19 +3,20 @@
 //!
 //! This is the only blocked GEMM walk in the library. It is written
 //! against a *kernel set* (`shalom_kernels::FamilyKernels`: the register
-//! tile plus the main, fused-pack, streamed, edge and NT-pack entry points
-//! of one ISA level), which the call's [`GemmPlan`] carries along with
-//! every other decision — so the 128-bit tiles and both AVX families are
-//! instantiations of the same code, every mode, packing regime, edge
-//! schedule and capture span applies at every vector width, and nothing
-//! here looks anything up.
+//! tile plus the main, fused-pack, streamed, edge, transposing-pack and —
+//! on the 128-bit set — NT-pack entry points of one ISA level), which the
+//! call's [`GemmPlan`] carries along with every other decision — so the
+//! 128-bit tiles and both AVX families are instantiations of the same
+//! code, every mode, packing regime, edge schedule and capture span
+//! applies at every vector width, and nothing here looks anything up.
 //!
 //! One function per B-handling mode:
 //!
 //! * [`gemm_serial`] dispatches on the plan's `(op_a, op_b)`. A transposed A (TN/TT)
-//!   is transpose-packed per `(ii, kk)` block into the workspace — after
-//!   which the problem looks like NN/NT with a contiguous A block — the
-//!   paper's "apply the NT/NN strategy to matrix A" (§4.3).
+//!   is transpose-packed per `(ii, kk)` block into the workspace by the
+//!   set's tiled, lane-transposing pack — after which the problem looks
+//!   like NN/NT with a contiguous A block — the paper's "apply the NT/NN
+//!   strategy to matrix A" (§4.3).
 //! * NN-mode B handling implements the three §4.2 regimes: **no packing**
 //!   when `size(B) <= L1`; **fused pack** (`t = 0`) where the first `mr`
 //!   rows of each C panel are computed by the fused kernel that packs `Bc`
@@ -23,9 +24,12 @@
 //!   double-buffering `Bc` so iteration `t` computes from the panel packed
 //!   during iteration `t-1` while streaming panel `t+1` in.
 //! * NT-mode B handling always packs (the transposed operand cannot be
-//!   vector-loaded along N), via the fused inner-product kernel of
-//!   Algorithm 3 — or a sequential transpose-pack under the ablation
-//!   policies.
+//!   vector-loaded along N). A set with the inner-product panel (the
+//!   128-bit one: Algorithm 3 at the width it was derived for) fuses the
+//!   pack into it; every other set, and the ablation policies, run the
+//!   same transposing pack on the `nr` stored rows of the panel — which
+//!   also writes the panel's zero padding — and then compute every row
+//!   from the packed buffer with the NN kernels.
 //!
 //! shalom-analysis: deny(panic)
 //!
@@ -39,7 +43,7 @@ use crate::plan::GemmPlan;
 use shalom_kernels::family::EdgeFn;
 use shalom_kernels::main_kernel::{PackAhead, StreamCopy};
 use shalom_kernels::nt_pack::NT_ROWS;
-use shalom_kernels::pack::{pack_copy, pack_transpose};
+use shalom_kernels::pack::pack_copy;
 use shalom_kernels::{FamilyElem, FamilyKernels};
 use shalom_matrix::{Op, Scalar};
 
@@ -211,11 +215,12 @@ pub(crate) fn resolve_nn_plan(
     }
 }
 
-pub(crate) fn resolve_nt_plan(cfg: &GemmConfig) -> BPlan {
-    // NT always packs (§4.3); only the fused-vs-sequential axis remains.
+pub(crate) fn resolve_nt_plan<T>(cfg: &GemmConfig, ks: &FamilyKernels<T>) -> BPlan {
+    // NT always packs (§4.3); only the fused-vs-sequential axis remains,
+    // and only on a set that has the inner-product panel to fuse into.
     match cfg.packing {
-        PackingPolicy::AlwaysSequential | PackingPolicy::Never => BPlan::Sequential,
-        _ => BPlan::Fused,
+        PackingPolicy::Auto | PackingPolicy::AlwaysFused if ks.nt_pack.is_some() => BPlan::Fused,
+        _ => BPlan::Sequential,
     }
 }
 
@@ -278,7 +283,15 @@ pub(crate) unsafe fn gemm_serial<T: FamilyElem>(
                     Op::Trans => {
                         pack_timed!(
                             PackA,
-                            pack_transpose(a.add(kk * lda + ii), lda, kcur, mcur, at_ptr, kcur)
+                            (ks.pack_transpose)(
+                                a.add(kk * lda + ii),
+                                lda,
+                                kcur,
+                                mcur,
+                                at_ptr,
+                                kcur,
+                                0
+                            )
                         );
                         (at_ptr as *const T, kcur)
                     }
@@ -543,7 +556,8 @@ unsafe fn nn_block<T: FamilyElem>(
 }
 
 /// One `(ii, kk)` block of the NT driver: B stored `N x K`; every panel is
-/// packed, fused (Algorithm 3) or sequentially (ablation).
+/// packed — fused into Algorithm 3 where the plan says so and the set has
+/// the panel, by the set's transposing pack otherwise.
 ///
 /// # Safety
 /// Inherits the SHALOM-D-DRIVER block contract with B transposed:
@@ -577,29 +591,23 @@ unsafe fn nt_block<T: FamilyElem>(
         let b_panel = b_blk.add(j * ldb); // `ncols` stored rows of B
         let c_panel = c_blk.add(j);
         // Rows the pack pass already computed.
-        let m0 = match plan {
-            BPlan::Sequential | BPlan::Direct => {
-                // Transpose-pack the panel (kcur x ncols, zero-pad to nr),
-                // then compute every row from the packed buffer.
-                pack_timed!(PackB, {
-                    pack_transpose(b_panel, ldb, ncols, kcur, bc, nr);
-                    if ncols < nr {
-                        for kk in 0..kcur {
-                            for jpad in ncols..nr {
-                                *bc.add(kk * nr + jpad) = T::ZERO;
-                            }
-                        }
-                    }
-                });
-                0
-            }
-            BPlan::Fused | BPlan::FusedLookahead => {
+        let m0 = match (plan, ks.nt_pack) {
+            (BPlan::Fused | BPlan::FusedLookahead, Some(nt_pack)) => {
                 let m0 = NT_ROWS.min(mcur);
-                (ks.nt_pack)(
+                nt_pack(
                     m0, ncols, kcur, nr, alpha, a_blk, lda, b_panel, ldb, beta_eff, c_panel, ldc,
                     bc,
                 );
                 m0
+            }
+            // Transpose-pack the panel (kcur x ncols, zero-padded to nr),
+            // then compute every row from the packed buffer.
+            _ => {
+                pack_timed!(
+                    PackB,
+                    (ks.pack_transpose)(b_panel, ldb, ncols, kcur, bc, nr, nr - ncols)
+                );
+                0
             }
         };
         sweep_rows(

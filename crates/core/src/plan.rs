@@ -37,7 +37,7 @@
 use crate::api::GemmElem;
 use crate::cache::BlockSizes;
 use crate::capture;
-use crate::config::{classify, EdgeSchedule, GemmConfig, IsaPolicy, ShapeClass};
+use crate::config::{classify, EdgeSchedule, GemmConfig, ShapeClass};
 use crate::driver::{resolve_nn_plan, resolve_nt_plan, BPlan};
 use crate::parallel::partition_threads;
 use crate::sync::{AtomicBool, Ordering};
@@ -240,42 +240,16 @@ fn decode_edge(code: u8) -> EdgeSchedule {
 }
 
 /// The ISA level this call dispatches to and its kernel set: a pure
-/// function of the configuration, `op(B)` and the shape. Computed once per
-/// handle, in [`Signature::of`]:
-///
-/// * the requested level must be wide and its kernel family registered
-///   (the runtime probe passed on this host);
-/// * under [`IsaPolicy::Auto`], `op(B) = B` (NN, TN) takes it at every
-///   shape — partial tiles are masked vectors, so width never adds a
-///   vector op — while `op(B) = Bᵀ` (NT, TT) must fill one register tile
-///   of the family's element type. A `Force`d executable level skips the
-///   size rule.
-///
-/// Everything else resolves to the compile-time base, and a wide host's
-/// keys can never collide with a 128-bit host's.
-pub(crate) fn effective_isa<T: FamilyElem>(
-    cfg: &GemmConfig,
-    op_b: Op,
-    m: usize,
-    n: usize,
-) -> (Isa, &'static FamilyKernels<T>) {
+/// function of the configuration alone — no shape, no mode. Computed once
+/// per handle, in [`Signature::of`]: the requested level when it is wide
+/// and its kernel family is registered (the runtime probe passed on this
+/// host), otherwise the compile-time base. So `Auto` is `Force` of
+/// [`GemmConfig::requested_isa`] at every call, and a wide host's keys can
+/// never collide with a 128-bit host's.
+pub(crate) fn effective_isa<T: FamilyElem>(cfg: &GemmConfig) -> (Isa, &'static FamilyKernels<T>) {
     let req = cfg.requested_isa();
-    if req.is_wide() {
-        if let Some(fam) = family_for(req) {
-            let ks = T::kernels(fam);
-            let forced = matches!(cfg.isa, IsaPolicy::Force(_));
-            // The first min(7, m) rows of an NT panel run the 7x3
-            // inner-product pack kernel, slow at 512 bits: wide loses when
-            // they are most of the call (ns, base -> wide, DESIGN §14.3:
-            // 8x8x8_f32_nt 215 -> 414, 5x5x5_f64_nt 123 -> 210,
-            // 8x196x9_f32_nt 3550 -> 8128) and wins when they are not
-            // (1024x12x64_f32_nt 111.6 -> 22.1 us). That crossover belongs
-            // to ROADMAP item 3(a)'s re-derived NT tile; until then Bᵀ
-            // keeps the size rule.
-            if forced || op_b == Op::NoTrans || (m >= ks.mr && n >= ks.nr) {
-                return (req, ks);
-            }
-        }
+    if let Some(fam) = family_for(req).filter(|_| req.is_wide()) {
+        return (req, T::kernels(fam));
     }
     let base = caps::base_isa();
     (base, kernels_for::<T>(base))
@@ -325,7 +299,7 @@ impl<'a, T: FamilyElem> Signature<'a, T> {
         k: usize,
         threads: usize,
     ) -> Self {
-        let (isa, ks) = effective_isa::<T>(cfg, op_b, m, n);
+        let (isa, ks) = effective_isa::<T>(cfg);
         Signature {
             cfg,
             op_a,
@@ -394,8 +368,8 @@ impl<'a, T: FamilyElem> Signature<'a, T> {
     /// equal plans. One resolution for every kernel set: the set only
     /// supplies the tile the blocking and the workspace are measured in.
     fn compute(&self) -> GemmPlan<T> {
-        let b_plan = resolve_b_plan::<T>(self.cfg, self.op_b, self.m, self.n, self.k);
         let ks = self.ks;
+        let b_plan = resolve_b_plan(self.cfg, ks, self.op_b, self.m, self.n, self.k);
         let elem_bytes = core::mem::size_of::<T>();
         let bs = BlockSizes::derive(&self.cfg.cache, elem_bytes, ks.mr, ks.nr, ks.lanes);
         let grid = partition_threads(self.threads, self.m, self.n);
@@ -420,8 +394,18 @@ impl<'a, T: FamilyElem> Signature<'a, T> {
             (tm, tn) if tm * tn == self.threads => (tm, tn),
             _ => partition_threads(self.threads, self.m, self.n),
         };
-        let (b_plan, edge) = (decode_bplan(plan.b_plan), decode_edge(plan.edge));
-        self.plan(b_plan, edge, bs, grid, source)
+        // A stored fused NT regime on a set without the inner-product
+        // panel (a stale or hostile profile entry) decodes to the
+        // transpose-pack regime the set runs.
+        let b_plan = match decode_bplan(plan.b_plan) {
+            BPlan::Fused | BPlan::FusedLookahead
+                if self.op_b == Op::Trans && self.ks.nt_pack.is_none() =>
+            {
+                BPlan::Sequential
+            }
+            stored => stored,
+        };
+        self.plan(b_plan, decode_edge(plan.edge), bs, grid, source)
     }
 
     /// The cache-consulting resolution every handle is built by,
@@ -464,10 +448,17 @@ impl<'a, T: FamilyElem> Signature<'a, T> {
 /// The §4 B-handling regime of an `m x n x k` problem (or sub-block)
 /// under `cfg`: the pure resolution the cache memoizes for whole problems
 /// and a threaded parent repeats per tile.
-fn resolve_b_plan<T>(cfg: &GemmConfig, op_b: Op, m: usize, n: usize, k: usize) -> BPlan {
+fn resolve_b_plan<T>(
+    cfg: &GemmConfig,
+    ks: &FamilyKernels<T>,
+    op_b: Op,
+    m: usize,
+    n: usize,
+    k: usize,
+) -> BPlan {
     match op_b {
         Op::NoTrans => resolve_nn_plan(cfg, m, n, k, core::mem::size_of::<T>()),
-        Op::Trans => resolve_nt_plan(cfg),
+        Op::Trans => resolve_nt_plan(cfg, ks),
     }
 }
 
@@ -510,7 +501,7 @@ impl<T: FamilyElem> GemmPlan<T> {
     /// bitwise equal to serial ones — and the §4 regime re-resolved for
     /// the sub-block by the same pure functions the cache memoizes.
     pub(crate) fn for_block(&self, rl: usize, cl: usize) -> Self {
-        let b_plan = resolve_b_plan::<T>(&self.cfg, self.op_b, rl, cl, self.k);
+        let b_plan = resolve_b_plan(&self.cfg, self.ks, self.op_b, rl, cl, self.k);
         let (bc_elems, at_elems) = workspace_elems(&self.bs, self.ks, self.op_a, rl, self.k);
         GemmPlan {
             m: rl,
@@ -665,6 +656,7 @@ pub fn plan_cache_stats() -> CacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{IsaPolicy, PackingPolicy};
     use shalom_kernels::registered_families;
 
     fn cfg() -> GemmConfig {
@@ -770,9 +762,15 @@ mod tests {
                         assert_eq!(computed.isa(), fam.isa);
                         let want = match op_b {
                             Op::NoTrans => resolve_nn_plan(&c, m, n, k, 8),
-                            Op::Trans => resolve_nt_plan(&c),
+                            Op::Trans => resolve_nt_plan(&c, ks),
                         };
                         assert_eq!(computed.b_plan, want);
+                        // NT/TT: fused only where the set has the panel.
+                        if op_b == T {
+                            let fused = ks.nt_pack.is_some();
+                            assert_eq!(want == BPlan::Fused, fused, "{:?}", fam.isa);
+                            assert_eq!(want == BPlan::Sequential, !fused, "{:?}", fam.isa);
+                        }
                         assert_eq!(computed.edge, c.edge);
                         assert_eq!(computed.edge_fn as usize, ks.edge_pipelined as usize);
                         let bs = BlockSizes::derive(&c.cache, 8, ks.mr, ks.nr, ks.lanes);
@@ -813,6 +811,33 @@ mod tests {
         // The workspace follows the blocking that will run, never the
         // profile's own (informational) byte count.
         assert_eq!(p.bc_elems, 2 * p.ks.nr);
+        // A fused NT regime (a profile saved before the wide sets lost
+        // their inner-product panel, or a hostile one) never reaches a
+        // missing panel: it decodes to the regime the set computes, at
+        // every registered set, NT and TT, both element types.
+        fn nt<E: FamilyElem>(c: &GemmConfig, op_a: Op) {
+            let sig = Signature::<E>::of(c, op_a, T, 8, 8, 8, 1);
+            let computed = sig.compute();
+            for stored in [BPlan::Fused, BPlan::FusedLookahead] {
+                let mut rp = computed.describe().plan;
+                rp.b_plan = bplan_code(stored);
+                let p = sig.decode(&rp, PlanSource::Profile);
+                match sig.ks.nt_pack {
+                    Some(_) => assert_eq!(p.b_plan, stored),
+                    None => {
+                        assert_eq!(p.b_plan, BPlan::Sequential, "{:?}", c.isa);
+                        assert_eq!(p.b_plan, computed.b_plan);
+                        assert_eq!(p.describe().plan, computed.describe().plan);
+                    }
+                }
+            }
+        }
+        for fam in registered_families() {
+            for op_a in [N, T] {
+                nt::<f32>(&cfg_at(fam.isa), op_a);
+                nt::<f64>(&cfg_at(fam.isa), op_a);
+            }
+        }
     }
 
     #[test]
@@ -873,76 +898,52 @@ mod tests {
         }
     }
 
-    /// What `effective_isa` answers.
-    type Dispatch<E> = (Isa, &'static FamilyKernels<E>);
-
-    /// The rule as it stood before `op(B) = B` lost its size gate — the
-    /// oracle for everything that must not have moved.
-    fn parent_rule<E: FamilyElem>(cfg: &GemmConfig, m: usize, n: usize) -> Dispatch<E> {
-        let req = cfg.requested_isa();
-        if let Some(fam) = family_for(req).filter(|_| req.is_wide()) {
-            let ks = E::kernels(fam);
-            if matches!(cfg.isa, IsaPolicy::Force(_)) || (m >= ks.mr && n >= ks.nr) {
-                return (req, ks);
-            }
-        }
-        (caps::base_isa(), kernels_for::<E>(caps::base_isa()))
-    }
-
     #[test]
-    fn effective_isa_is_shape_gated_only() {
-        fn one<E: FamilyElem>(c: &GemmConfig, wide: Option<&'static FamilyKernels<E>>) {
-            let same = |x: Dispatch<E>, y: Dispatch<E>| x.0 == y.0 && core::ptr::eq(x.1, y.1);
-            let auto = matches!(c.isa, IsaPolicy::Auto);
-            let mut dims = vec![1, 2, 5, 8, 13, 64, 640, 1024];
-            for fam in registered_families() {
-                let ks = E::kernels(fam);
-                dims.extend([ks.mr - 1, ks.mr, ks.mr + 1, ks.nr - 1, ks.nr, ks.nr + 1]);
-            }
-            for &m in &dims {
-                for &n in &dims {
-                    let old = parent_rule::<E>(c, m, n);
-                    // `op(B) = Bᵀ` is the parent's rule at every shape.
-                    assert!(same(effective_isa::<E>(c, T, m, n), old), "T {m}x{n}");
-                    let got = effective_isa::<E>(c, N, m, n);
-                    match wide {
-                        // `op(B) = B` under `Auto` on a wide host: the
-                        // requested set's own table at every shape — which
-                        // is the parent's answer from one tile up.
-                        Some(ks) if auto => {
-                            assert!(same(got, (c.requested_isa(), ks)), "N {m}x{n}");
-                            if m >= ks.mr && n >= ks.nr {
-                                assert!(same(got, old), "N {m}x{n} moved above a tile");
-                            }
-                        }
-                        // `Force`, and hosts without a wide set: unmoved.
-                        _ => assert!(same(got, old), "N {m}x{n} {:?}", c.isa),
-                    }
+    fn effective_isa_is_a_function_of_the_configuration() {
+        // No shape, mode or packing policy moves the answer: `Auto` is the
+        // requested set's own table row wherever that set is wide and
+        // registered, `Force` pins what it names, everything else is the
+        // base — and a handle says so.
+        fn one<E: FamilyElem>(c: &GemmConfig) {
+            let req = c.requested_isa();
+            let want = match family_for(req).filter(|_| req.is_wide()) {
+                Some(fam) => (req, E::kernels(fam)),
+                None => (caps::base_isa(), kernels_for::<E>(caps::base_isa())),
+            };
+            let got = effective_isa::<E>(c);
+            assert!(
+                got.0 == want.0 && core::ptr::eq(got.1, want.1),
+                "{:?}",
+                c.isa
+            );
+            for (m, n) in [(1, 1), (8, 8), (5, 640), (640, 5), (640, 640)] {
+                for (op_a, op_b) in [(N, N), (N, T), (T, N), (T, T)] {
+                    let p = GemmPlan::<E>::new(c, op_a, op_b, m, n, 9);
+                    assert!(p.isa() == want.0 && core::ptr::eq(p.ks, want.1));
+                    let key = key_for::<E>(c, op_a, op_b, (m, n, 9), 1);
+                    assert_eq!(key.isa, want.0.code());
                 }
             }
         }
-        let fam = shalom_kernels::selected_wide_family();
         let forced = registered_families().map(|f| cfg_at(f.isa));
         for c in forced.chain([cfg()]) {
-            one::<f32>(&c, fam.map(|f| &f.k_f32));
-            one::<f64>(&c, fam.map(|f| &f.k_f64));
-        }
-        // Forcing the base pins the base no matter the shape or the ops.
-        for op_b in [N, T] {
-            let pinned = effective_isa::<f32>(&cfg_at(caps::base_isa()), op_b, 640, 640);
-            assert_eq!(pinned.0, caps::base_isa());
-        }
-        if let Some(fam) = fam {
-            // The key carries the decision: a sub-tile NN/TN key is wide,
-            // a sub-tile NT/TT key is the base, a full tile is wide in
-            // every mode; forcing an executable wide level skips the rule.
-            let isa_of = |op_a, op_b, shape| key_for::<f32>(&cfg(), op_a, op_b, shape, 1).isa;
-            for op_a in [N, T] {
-                assert_eq!(isa_of(op_a, N, (1, 1, 1)), fam.isa.code());
-                assert_eq!(isa_of(op_a, T, (1, 1, 1)), caps::base_isa().code());
-                assert_eq!(isa_of(op_a, T, (640, 640, 64)), fam.isa.code());
+            for packing in [PackingPolicy::Auto, PackingPolicy::Never] {
+                let c = GemmConfig { packing, ..c };
+                one::<f32>(&c);
+                one::<f64>(&c);
             }
-            assert_eq!(effective_isa::<f32>(&cfg_at(fam.isa), T, 1, 1).0, fam.isa);
+        }
+        // `Auto` on a wide host is the widest set; forcing the base pins
+        // the base; a forced wide level the host lacks falls to the base.
+        if let Some(fam) = shalom_kernels::selected_wide_family() {
+            assert_eq!(effective_isa::<f32>(&cfg()).0, fam.isa);
+        }
+        let base = caps::base_isa();
+        assert_eq!(effective_isa::<f32>(&cfg_at(base)).0, base);
+        for wide in [Isa::Avx2W256, Isa::Avx512W512] {
+            if family_for(wide).is_none() {
+                assert_eq!(effective_isa::<f64>(&cfg_at(wide)).0, base);
+            }
         }
     }
 

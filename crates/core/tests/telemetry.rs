@@ -10,7 +10,8 @@
 use proptest::prelude::*;
 use shalom_core::capture::{self, DecisionRecord, PathTag, PlanTag, ShapeClassTag, Sink};
 use shalom_core::{
-    gemm_batch, gemm_with, BatchItem, CacheParams, GemmConfig, GemmElem, Op, PackingPolicy,
+    gemm_batch, gemm_with, BatchItem, CacheParams, GemmConfig, GemmElem, IsaPolicy, Op,
+    PackingPolicy,
 };
 use shalom_matrix::Matrix;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -128,20 +129,33 @@ fn nn_lookahead_path() {
 #[test]
 fn nt_path_packs_b() {
     let _g = state_lock();
-    // NT always restructures B (§4.3): Auto resolves to the fused pack.
-    let recs = trace_gemm(&fixed_config(), Op::NoTrans, Op::Trans, 64, 64, 64);
+    // NT always restructures B (§4.3). On the 128-bit set `Auto` fuses the
+    // pack into Algorithm 3's inner-product panel: the transpose hides
+    // inside the first row-block's kernel sweep and there is no separable
+    // pack span to time. A wide set has no such panel: it transpose-packs,
+    // which is a timed `PackB` span, and the record says so.
+    let base = GemmConfig {
+        isa: IsaPolicy::Force(shalom_simd::base_isa()),
+        ..fixed_config()
+    };
+    let recs = trace_gemm(&base, Op::NoTrans, Op::Trans, 64, 64, 64);
     let r = sole_record(&recs, 64, 64, 64);
     assert_eq!(r.plan, PlanTag::FusedPack);
     assert_eq!((r.op_a, r.op_b), (b'N', b'T'));
-    // Fused NT hides the transpose inside the first row-block's kernel
-    // sweep, so there is no separable pack span to time.
     assert_eq!(r.pack_ns, 0, "fused NT pack is not a separable span");
+    if shalom_kernels::selected_wide_family().is_some() {
+        let recs = trace_gemm(&fixed_config(), Op::NoTrans, Op::Trans, 64, 64, 64);
+        let r = sole_record(&recs, 64, 64, 64);
+        assert_eq!(r.plan, PlanTag::SequentialPack);
+        assert_eq!((r.mr, r.nr), dispatched_f32_tile());
+        assert!(r.pack_ns > 0, "a wide NT call must time its transpose-pack");
+    }
 
-    // The ablation policy downgrades it to a sequential phase, which IS
-    // a separable (and therefore timed) span.
+    // The ablation policy downgrades the 128-bit set to the same
+    // sequential phase.
     let cfg = GemmConfig {
         packing: PackingPolicy::AlwaysSequential,
-        ..fixed_config()
+        ..base
     };
     let recs = trace_gemm(&cfg, Op::NoTrans, Op::Trans, 64, 64, 64);
     let r = sole_record(&recs, 64, 64, 64);
@@ -161,19 +175,18 @@ fn tn_path_packs_a() {
     assert!(r.pack_ns > 0, "TN must spend time transpose-packing A");
 }
 
-/// The tile an `Auto` f32 call dispatches on this host wherever the size
-/// rule does not apply (`op(B) = B`, or at least one wide tile): the
-/// widest registered family's, or the 128-bit 7x12.
+/// The tile an `Auto` f32 call dispatches on this host, at every shape in
+/// every mode.
 fn dispatched_f32_tile() -> (u8, u8) {
     shalom_kernels::selected_wide_family().map_or((7, 12), |f| (f.k_f32.mr as u8, f.k_f32.nr as u8))
 }
 
 #[test]
-fn auto_sub_tile_calls_record_the_set_the_size_rule_names() {
+fn auto_sub_tile_calls_record_the_requested_set() {
     let _g = state_lock();
-    // Below one wide register tile, `op(B) = B` still dispatches the
-    // host's widest set (masked partial vectors); `op(B) = Bᵀ` keeps the
-    // 128-bit one.
+    // Below one wide register tile every mode still dispatches the host's
+    // widest set (masked partial vectors, a transpose-packed `Bᵀ`), and a
+    // `describe_plan` of the signature reports the regime the driver ran.
     let cfg = GemmConfig::with_threads(1);
     let (nn, nt) = ((Op::NoTrans, Op::NoTrans), (Op::NoTrans, Op::Trans));
     let recs = trace_gemm_of::<f64>(&cfg, nn.0, nn.1, 5, 5, 5);
@@ -186,7 +199,17 @@ fn auto_sub_tile_calls_record_the_set_the_size_rule_names() {
     assert_eq!((r.mr, r.nr), dispatched_f32_tile(), "8x196x9 f32 NN");
     let recs = trace_gemm(&cfg, nt.0, nt.1, 8, 8, 8);
     let r = sole_record(&recs, 8, 8, 8);
-    assert_eq!((r.mr, r.nr), (7, 12), "8x8x8 f32 NT");
+    assert_eq!((r.mr, r.nr), dispatched_f32_tile(), "8x8x8 f32 NT");
+    let wide = shalom_kernels::selected_wide_family().is_some();
+    let (tag, code) = if wide {
+        (PlanTag::SequentialPack, 3)
+    } else {
+        (PlanTag::FusedPack, 1)
+    };
+    assert_eq!(r.plan, tag, "8x8x8 f32 NT regime");
+    assert_eq!(r.pack_ns > 0, wide, "8x8x8 f32 NT pack span");
+    let described = shalom_core::describe_plan::<f32>(&cfg, nt.0, nt.1, 8, 8, 8);
+    assert_eq!(described.plan.b_plan, code, "describe_plan == executed");
 }
 
 #[test]
@@ -212,11 +235,14 @@ fn auto_t_modes_run_the_dispatched_tile_with_pack_and_compute_spans() {
     // `trace_gemm` resets both sinks first, so enable spans around it.
     let (r, has) = spans_of(Op::NoTrans, Op::Trans);
     assert_eq!((r.mr, r.nr), dispatched_f32_tile());
-    assert_eq!(
-        r.plan,
-        PlanTag::FusedPack,
-        "NT keeps the fused Algorithm 3 pack"
-    );
+    if shalom_kernels::selected_wide_family().is_some() {
+        // A wide set transpose-packs each B panel inside a `PackB` span.
+        assert_eq!(r.plan, PlanTag::SequentialPack);
+        assert!(r.pack_ns > 0);
+        assert!(has(capture::Phase::PackB));
+    } else {
+        assert_eq!(r.plan, PlanTag::FusedPack, "Algorithm 3 at its own width");
+    }
     assert!(has(capture::Phase::Compute));
     // TN adds the separable transpose-pack of A.
     let (r, has) = spans_of(Op::Trans, Op::NoTrans);

@@ -5,13 +5,15 @@
 //! block walk needs from one register tile at one element type: the tile
 //! `(mr, nr, lanes)`, the full-tile main kernel, the fused-pack kernel
 //! (with its optional `t = 1` look-ahead), the streamed kernel, the edge
-//! kernel in both Figure 6 schedules, and the NT pack panel. A *family*
-//! ([`KernelFamily`]) is the f32 and f64 sets of one ISA level. Every entry
-//! point is a monomorphic `unsafe fn` emitted by one macro
-//! ([`kernel_set!`]) that wraps the const-generic bodies of
-//! [`crate::main_kernel`], [`crate::edge`] and [`crate::nt_pack`] — all
+//! kernel in both Figure 6 schedules, the transposing pack, and — on the
+//! 128-bit set only — the NT pack panel. A *family* ([`KernelFamily`]) is
+//! the f32 and f64 sets of one ISA level. Every entry point is a
+//! monomorphic `unsafe fn` emitted by one macro ([`kernel_set!`]) that
+//! wraps the const-generic bodies of [`crate::main_kernel`],
+//! [`crate::edge`], [`crate::pack`] and [`crate::nt_pack`] — all
 //! `#[inline(always)]` — in that level's `#[target_feature]`, so a default
-//! build emits real 256/512-bit FMA with no global `RUSTFLAGS`.
+//! build emits real 256/512-bit FMA and shuffles with no global
+//! `RUSTFLAGS`.
 //!
 //! Three families ship. The 128-bit tiles are compiled unconditionally
 //! (SSE2/NEON are baseline); anything wider is a **runtime** property of
@@ -25,16 +27,17 @@
 //! | AVX2+FMA (256-bit) | 16 YMM, 1 reserved | 7 × 8 | 4 × 8 |
 //! | AVX-512F (512-bit) | 32 ZMM, 1 reserved | 15 × 16 | 9 × 16 |
 //!
-//! **Rounding contract.** Within a wide set every NN kernel — main,
+//! **Rounding contract.** Within a wide set every kernel — main,
 //! fused-pack, streamed, edge with its remainder rows *and* columns —
 //! rounds a C element identically: one fused multiply-add chain over the
 //! `kc` block in increasing `k`, then the `writeback_row` epilogue
-//! (`acc * alpha`, or `acc * alpha + c * beta`). Which kernel, which
-//! packing regime or which thread covers an element therefore never shows
-//! in the bits. The base set computes exactly what the 128-bit kernels
-//! always did (its edge kernel keeps the scalar column tail), and the NT
-//! pack panel keeps its inner-product rounding on the first
-//! [`crate::nt_pack::NT_ROWS`] rows of a panel at every width.
+//! (`acc * alpha`, or `acc * alpha + c * beta`). A transposed operand is
+//! packed (a copy) and then read by those same kernels, so which kernel,
+//! which mode, which packing regime or which thread covers an element
+//! never shows in the bits. The base set computes exactly what the 128-bit
+//! kernels always did (its edge kernel keeps the scalar column tail), and
+//! its NT pack panel keeps its inner-product rounding on the first
+//! [`crate::nt_pack::NT_ROWS`] rows of a fused panel.
 
 use crate::main_kernel::{PackAhead, StreamCopy};
 #[cfg(any(test, all(target_arch = "x86_64", not(feature = "force-scalar"))))]
@@ -117,6 +120,10 @@ pub type NtPackFn<T> = unsafe fn(
     *mut T,
 );
 
+/// [`crate::pack::pack_transpose_tiled`] at the set's vector type:
+/// `(src, ld_src, rows, cols, dst, ld_dst, zpad)`.
+pub type PackTransposeFn<T> = unsafe fn(*const T, usize, usize, usize, *mut T, usize, usize);
+
 /// One element type's kernel set within a family: the register tile and
 /// every entry point the blocked driver calls.
 pub struct FamilyKernels<T> {
@@ -137,8 +144,12 @@ pub struct FamilyKernels<T> {
     pub edge_pipelined: EdgeFn<T>,
     /// Edge kernel, Figure 6a schedule.
     pub edge_batched: EdgeFn<T>,
-    /// NT pack panel (Algorithm 3) filling a `kc x nr` panel.
-    pub nt_pack: NtPackFn<T>,
+    /// NT pack panel (Algorithm 3) filling a `kc x nr` panel: the 7x3
+    /// inner-product kernel derived for 128-bit registers, so only the
+    /// 128-bit set has one. A set without it transpose-packs the panel.
+    pub nt_pack: Option<NtPackFn<T>>,
+    /// The transposing pack (TN/TT `At` block; NT/TT `Bc` panel).
+    pub pack_transpose: PackTransposeFn<T>,
 }
 
 /// A registered kernel family: one ISA level, both precisions.
@@ -178,22 +189,31 @@ impl FamilyElem for f64 {
 /// Emits one kernel set: a module of monomorphic entry points wrapping the
 /// const-generic kernel bodies at `$MR x $NRV` vectors of `$V`, each
 /// carrying the given attributes (the set's `#[target_feature]`), plus the
-/// `KERNELS` table row. The bodies are `#[inline(always)]`, so they — and
+/// `KERNELS` table row. A trailing `nt_pack` also emits the Algorithm 3
+/// panel and fills its slot; without it the slot is `None`. The bodies are `#[inline(always)]`, so they — and
 /// the `SHALOM-V-SIMD` inner functions they call, whose feature sets are
 /// subsets of the entry point's — compile at the entry point's ISA. `rows`
 /// must list `1..=$MR` and `vecs` every full-vector count
 /// [`crate::edge::split_cols`] yields for `n <= nr`; the edge-lattice tests
 /// fail on a missing arm.
 macro_rules! kernel_set {
+    (@nt_slot) => {
+        None
+    };
+    (@nt_slot $f:ident) => {
+        Some($f)
+    };
     ($(#[$isa:meta])* $name:ident: $T:ty, $V:ty, $MR:literal x $NRV:literal,
-     rows $rows:tt, vecs $vecs:tt) => {
+     rows $rows:tt, vecs $vecs:tt $(, $nt_pack:ident)?) => {
         pub(crate) mod $name {
             use super::{FamilyKernels, PackAhead, StreamCopy};
             use crate::edge::{edge_dispatch, split_cols};
             use crate::main_kernel::{
                 main_kernel_fused_pack, main_kernel_shape, main_kernel_streamed,
             };
+            #[allow(unused_imports)]
             use crate::nt_pack::nt_pack_panel;
+            use crate::pack::pack_transpose_tiled;
             use crate::Vector;
             #[allow(unused_imports)]
             use shalom_simd::{F32x16, F32x4, F32x8, F64x2, F64x4, F64x8};
@@ -327,25 +347,45 @@ macro_rules! kernel_set {
                 edge::<false>(m, n, kc, alpha, a, lda, b, ldb, beta, c, ldc)
             }
 
+            // Only the 128-bit set names one, and it needs no
+            // `#[target_feature]`.
+            $(
+                /// # Safety
+                /// SHALOM-K-NT-PANEL at this tile.
+                pub unsafe fn $nt_pack(
+                    m: usize,
+                    npanel: usize,
+                    kc: usize,
+                    nr: usize,
+                    alpha: $T,
+                    a: *const $T,
+                    lda: usize,
+                    b: *const $T,
+                    ldb: usize,
+                    beta: $T,
+                    c: *mut $T,
+                    ldc: usize,
+                    bc: *mut $T,
+                ) {
+                    nt_pack_panel::<$V>(
+                        m, npanel, kc, nr, alpha, a, lda, b, ldb, beta, c, ldc, bc,
+                    )
+                }
+            )?
+
             $(#[$isa])*
             /// # Safety
-            /// SHALOM-K-NT-PANEL at this tile; the set's ISA probe passed.
-            pub unsafe fn nt_pack(
-                m: usize,
-                npanel: usize,
-                kc: usize,
-                nr: usize,
-                alpha: $T,
-                a: *const $T,
-                lda: usize,
-                b: *const $T,
-                ldb: usize,
-                beta: $T,
-                c: *mut $T,
-                ldc: usize,
-                bc: *mut $T,
+            /// SHALOM-K-PACK-TRANS; the set's ISA probe passed.
+            pub unsafe fn pack_transpose(
+                src: *const $T,
+                ld_src: usize,
+                rows: usize,
+                cols: usize,
+                dst: *mut $T,
+                ld_dst: usize,
+                zpad: usize,
             ) {
-                nt_pack_panel::<$V>(m, npanel, kc, nr, alpha, a, lda, b, ldb, beta, c, ldc, bc)
+                pack_transpose_tiled::<$V>(src, ld_src, rows, cols, dst, ld_dst, zpad)
             }
 
             pub const KERNELS: FamilyKernels<$T> = FamilyKernels {
@@ -357,7 +397,8 @@ macro_rules! kernel_set {
                 streamed,
                 edge_pipelined,
                 edge_batched,
-                nt_pack,
+                nt_pack: kernel_set!(@nt_slot $($nt_pack)?),
+                pack_transpose,
             };
         }
     };
@@ -365,8 +406,9 @@ macro_rules! kernel_set {
 
 // The 128-bit tiles (paper §5.2.3: 7 x 12 / 7 x 6), compiled at the build's
 // baseline features — one more family, not a separate code path.
-kernel_set!(base_f32: f32, F32x4, 7 x 3, rows [1 2 3 4 5 6 7], vecs [0 1 2 3]);
-kernel_set!(base_f64: f64, F64x2, 7 x 3, rows [1 2 3 4 5 6 7], vecs [0 1 2 3]);
+// They alone carry the NT pack panel (§5.3's 7x3 is a 128-bit answer).
+kernel_set!(base_f32: f32, F32x4, 7 x 3, rows [1 2 3 4 5 6 7], vecs [0 1 2 3], nt_pack);
+kernel_set!(base_f64: f64, F64x2, 7 x 3, rows [1 2 3 4 5 6 7], vecs [0 1 2 3], nt_pack);
 
 /// The x86 wide sets. Compiled for dispatch on x86_64, and in every test
 /// build so the rounding-contract tests can run them as scalar `mul_add`

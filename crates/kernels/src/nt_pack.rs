@@ -21,6 +21,13 @@
 //! `Bc` panel — which rows `mr..mc` of the C block then consume through
 //! the ordinary [`crate::main_kernel`].
 //!
+//! The 7x3 shape is Eq. 1 solved for 32 registers of 128 bits, and only
+//! the 128-bit kernel set instantiates it (`family::kernel_set!`): at 512
+//! bits `k < 16` is all scalar tail and on AVX2's 16 registers the 21
+//! accumulators spill, and measured there a transposing pack followed by
+//! the NN kernels beats it at every shape (DESIGN §14.2). It is what a
+//! NEON host runs and what the §8.4 packing ablation compares against.
+//!
 //! shalom-analysis: deny(panic)
 
 use crate::{Vector, MR};
@@ -30,9 +37,9 @@ use shalom_matrix::Scalar;
 /// micro-kernel).
 pub const NT_BCOLS: usize = 3;
 
-/// A-rows the packing kernel covers (the paper's **7** x 3). The same at
-/// every vector width: the first `min(NT_ROWS, m)` rows of an NT panel
-/// carry the inner-product rounding, whatever kernel set runs the rest.
+/// A-rows the packing kernel covers (the paper's **7** x 3): on the
+/// 128-bit set the first `min(NT_ROWS, m)` rows of a fused NT panel carry
+/// the inner-product rounding.
 pub const NT_ROWS: usize = MR;
 
 /// Monomorphized Algorithm-3 body: `M` A-rows x `BC` stored B-rows, with

@@ -7,7 +7,7 @@ use shalom_matrix::Scalar;
 use shalom_simd::{F32x16, F32x4, F32x8, F64x2, F64x4, F64x8};
 
 /// The widest lane count any [`Vector`] has (`F32x16`).
-const MAX_LANES: usize = 16;
+pub const MAX_LANES: usize = 16;
 
 /// A SIMD vector type usable by the generic micro-kernels.
 ///
@@ -23,6 +23,11 @@ pub trait Vector: Copy + Send + Sync + 'static {
     /// generic drivers consult the kernel-family dispatch table without
     /// cascading `where` clauses.
     type Elem: Scalar + FamilyElem;
+
+    /// The vector type of half the width (`Self` at 128 bits): what a
+    /// block that fits its tile is better served by, executable wherever
+    /// `Self` is.
+    type Half: Vector<Elem = Self::Elem>;
 
     /// Lane count (the paper's `j`).
     const LANES: usize;
@@ -98,10 +103,17 @@ pub trait Vector: Copy + Send + Sync + 'static {
 
     /// Horizontal sum of all lanes.
     fn reduce_sum(self) -> Self::Elem;
+
+    /// Transposes, in registers, the `LANES x LANES` tile held as the row
+    /// vectors `tile[..LANES]`: afterwards lane `r` of `tile[c]` is what
+    /// lane `c` of `tile[r]` was. A lane permutation; no element's bits
+    /// change. Entries past `LANES` are ignored.
+    fn transpose(tile: &mut [Self; MAX_LANES]);
 }
 
 impl Vector for F32x4 {
     type Elem = f32;
+    type Half = F32x4;
     const LANES: usize = 4;
 
     #[inline(always)]
@@ -155,10 +167,17 @@ impl Vector for F32x4 {
     fn reduce_sum(self) -> f32 {
         F32x4::reduce_sum(self)
     }
+    #[inline(always)]
+    fn transpose(tile: &mut [Self; MAX_LANES]) {
+        if let Some((rows, _)) = tile.split_first_chunk_mut::<4>() {
+            *rows = F32x4::transpose(*rows);
+        }
+    }
 }
 
 impl Vector for F64x2 {
     type Elem = f64;
+    type Half = F64x2;
     const LANES: usize = 2;
 
     #[inline(always)]
@@ -210,10 +229,17 @@ impl Vector for F64x2 {
     fn reduce_sum(self) -> f64 {
         F64x2::reduce_sum(self)
     }
+    #[inline(always)]
+    fn transpose(tile: &mut [Self; MAX_LANES]) {
+        if let Some((rows, _)) = tile.split_first_chunk_mut::<2>() {
+            *rows = F64x2::transpose(*rows);
+        }
+    }
 }
 
 impl Vector for F32x8 {
     type Elem = f32;
+    type Half = F32x4;
     const LANES: usize = 8;
     const WIDE: bool = true;
 
@@ -275,10 +301,17 @@ impl Vector for F32x8 {
     fn reduce_sum(self) -> f32 {
         F32x8::reduce_sum(self)
     }
+    #[inline(always)]
+    fn transpose(tile: &mut [Self; MAX_LANES]) {
+        if let Some((rows, _)) = tile.split_first_chunk_mut::<8>() {
+            *rows = F32x8::transpose(*rows);
+        }
+    }
 }
 
 impl Vector for F64x4 {
     type Elem = f64;
+    type Half = F64x2;
     const LANES: usize = 4;
     const WIDE: bool = true;
 
@@ -340,10 +373,17 @@ impl Vector for F64x4 {
     fn reduce_sum(self) -> f64 {
         F64x4::reduce_sum(self)
     }
+    #[inline(always)]
+    fn transpose(tile: &mut [Self; MAX_LANES]) {
+        if let Some((rows, _)) = tile.split_first_chunk_mut::<4>() {
+            *rows = F64x4::transpose(*rows);
+        }
+    }
 }
 
 impl Vector for F32x16 {
     type Elem = f32;
+    type Half = F32x8;
     const LANES: usize = 16;
     const WIDE: bool = true;
 
@@ -405,10 +445,17 @@ impl Vector for F32x16 {
     fn reduce_sum(self) -> f32 {
         F32x16::reduce_sum(self)
     }
+    #[inline(always)]
+    fn transpose(tile: &mut [Self; MAX_LANES]) {
+        if let Some((rows, _)) = tile.split_first_chunk_mut::<16>() {
+            *rows = F32x16::transpose(*rows);
+        }
+    }
 }
 
 impl Vector for F64x8 {
     type Elem = f64;
+    type Half = F64x4;
     const LANES: usize = 8;
     const WIDE: bool = true;
 
@@ -469,6 +516,12 @@ impl Vector for F64x8 {
     #[inline(always)]
     fn reduce_sum(self) -> f64 {
         F64x8::reduce_sum(self)
+    }
+    #[inline(always)]
+    fn transpose(tile: &mut [Self; MAX_LANES]) {
+        if let Some((rows, _)) = tile.split_first_chunk_mut::<8>() {
+            *rows = F64x8::transpose(*rows);
+        }
     }
 }
 

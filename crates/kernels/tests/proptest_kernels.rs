@@ -7,7 +7,7 @@ use shalom_kernels::edge::{edge_kernel_batched, edge_kernel_pipelined};
 use shalom_kernels::main_kernel::{main_kernel, main_kernel_shape};
 use shalom_kernels::nt_pack::nt_pack_panel;
 use shalom_kernels::pack::{pack_a_slivers_goto, pack_b_slivers_goto, pack_transpose};
-use shalom_kernels::{Vector, MR, NR_F32, NR_F64};
+use shalom_kernels::{registered_families, FamilyElem, FamilyKernels, Vector, MR, NR_F32, NR_F64};
 use shalom_matrix::{assert_close, gemm_tolerance, reference, MatRef, Matrix, Op, Scalar};
 use shalom_simd::{F32x4, F32x8, F64x2};
 
@@ -244,5 +244,150 @@ proptest! {
                 prop_assert_eq!(c2.at(i, j), 2.0 * c1.at(i, j));
             }
         }
+    }
+}
+
+/// The scalar double loop every set's transposing pack replaced — the
+/// oracle: `dst[c][r] = src[r][c]`, then `zpad` zeros per destination row.
+fn transpose_oracle<T: Scalar>(
+    src: &[T],
+    ld_src: usize,
+    (rows, cols): (usize, usize),
+    dst: &mut [T],
+    ld_dst: usize,
+    zpad: usize,
+) {
+    for c in 0..cols {
+        for r in 0..rows + zpad {
+            dst[c * ld_dst + r] = if r < rows {
+                src[r * ld_src + c]
+            } else {
+                T::ZERO
+            };
+        }
+    }
+}
+
+/// One kernel set's transposing pack on shapes around its `lanes x lanes`
+/// tile with padded strides: bit for bit the oracle (in the plain form and
+/// in the zero-padded panel form the NT arm uses), nothing written outside
+/// `cols x (rows + zpad)`, and a double transpose is the identity.
+fn check_set_pack<T: FamilyElem>(
+    label: &str,
+    ks: &FamilyKernels<T>,
+    value: impl Fn(usize) -> T,
+    bits: impl Fn(T) -> u64,
+) {
+    let l = ks.lanes;
+    let dims = [0, 1, l / 2, l - 1, l, l + 1, 2 * l + 3, 67];
+    let same = |x: &[T], y: &[T]| x.iter().zip(y).all(|(a, b)| bits(*a) == bits(*b));
+    for rows in dims {
+        for cols in dims {
+            for (pad_src, zpad, pad_dst) in [(0, 0, 0), (3, 0, 2), (1, ks.nr, 0), (2, 5, 3)] {
+                let ctx = format!("{label} {rows}x{cols} pads {pad_src}/{pad_dst} zpad {zpad}");
+                let (ld_src, ld_dst) = (cols + pad_src, rows + zpad + pad_dst);
+                let src: Vec<T> = (0..rows * ld_src).map(&value).collect();
+                let sentinel = value(usize::MAX);
+                let mut got = vec![sentinel; cols * ld_dst];
+                let mut want = got.clone();
+                transpose_oracle(&src, ld_src, (rows, cols), &mut want, ld_dst, zpad);
+                // SAFETY: src is rows x cols at ld_src; got holds cols rows
+                // of rows + zpad at ld_dst; the set came from the registry.
+                unsafe {
+                    (ks.pack_transpose)(
+                        src.as_ptr(),
+                        ld_src,
+                        rows,
+                        cols,
+                        got.as_mut_ptr(),
+                        ld_dst,
+                        zpad,
+                    );
+                }
+                assert!(same(&got, &want), "{ctx}: differs from the oracle");
+                // Back again (the padding is not part of the block).
+                let mut back = vec![sentinel; rows * ld_src];
+                let mut src_block = back.clone();
+                for r in 0..rows {
+                    src_block[r * ld_src..r * ld_src + cols]
+                        .copy_from_slice(&src[r * ld_src..r * ld_src + cols]);
+                }
+                // SAFETY: got is cols x rows at ld_dst; back is rows x cols
+                // at ld_src.
+                unsafe {
+                    (ks.pack_transpose)(
+                        got.as_ptr(),
+                        ld_dst,
+                        cols,
+                        rows,
+                        back.as_mut_ptr(),
+                        ld_src,
+                        0,
+                    );
+                }
+                assert!(same(&back, &src_block), "{ctx}: double transpose");
+            }
+        }
+    }
+}
+
+#[test]
+fn every_sets_transposing_pack_is_the_scalar_oracle() {
+    for fam in registered_families() {
+        let isa = fam.isa.label();
+        check_set_pack(
+            &format!("{isa} f32"),
+            &fam.k_f32,
+            |i| (i % 8191) as f32 * 0.25 - 300.0,
+            |x| u64::from(x.to_bits()),
+        );
+        check_set_pack(
+            &format!("{isa} f64"),
+            &fam.k_f64,
+            |i| (i % 8191) as f64 * 0.25 - 300.0,
+            f64::to_bits,
+        );
+    }
+}
+
+#[test]
+fn transposing_pack_is_a_copy_and_never_canonicalises() {
+    // NaNs with distinct payloads (quiet and signalling), both infinities,
+    // negative zero and denormals all arrive with their exact bits.
+    fn hostile32(i: usize) -> f32 {
+        let i = i as u32;
+        f32::from_bits(match i % 7 {
+            0 => 0x7FC0_0000 | (i & 0x003F_FFFF),
+            1 => 0x7F80_0001 + (i & 0x000F_FFFF),
+            2 => 0xFFC0_0000 | (i & 0x003F_FFFF),
+            3 => [0x7F80_0000, 0xFF80_0000][(i / 7 % 2) as usize],
+            4 => 0x8000_0000,
+            5 => 1 + (i & 0x007F_FFFE),
+            _ => 0x8000_0001 + (i & 0x007F_FFF0),
+        })
+    }
+    fn hostile64(i: usize) -> f64 {
+        let i = i as u64 & 0x0000_FFFF_FFFF_FFFF;
+        f64::from_bits(match i % 7 {
+            0 => 0x7FF8_0000_0000_0000 | i,
+            1 => 0x7FF0_0000_0000_0001 + i,
+            2 => 0xFFF8_0000_0000_0000 | i,
+            3 => [0x7FF0_0000_0000_0000, 0xFFF0_0000_0000_0000][(i / 7 % 2) as usize],
+            4 => 0x8000_0000_0000_0000,
+            5 => 1 + i,
+            _ => 0x8000_0000_0000_0001 + i,
+        })
+    }
+    for fam in registered_families() {
+        let isa = fam.isa.label();
+        check_set_pack(&format!("{isa} f32 hostile"), &fam.k_f32, hostile32, |x| {
+            u64::from(x.to_bits())
+        });
+        check_set_pack(
+            &format!("{isa} f64 hostile"),
+            &fam.k_f64,
+            hostile64,
+            f64::to_bits,
+        );
     }
 }

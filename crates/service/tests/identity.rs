@@ -108,8 +108,9 @@ const SHAPES: [(usize, usize, usize); 10] = [
     // `service_mix`'s 16x49x18 and the CP2K 23x23x23.
     (16, 49, 18),
     (23, 23, 23),
-    // `service_mix`'s two buckets thinner than a wide tile: NN/TN run the
-    // wide set's masked bodies, NT the 128-bit set — on both sides.
+    // `service_mix`'s two buckets thinner than a wide tile, like the 8x8x8
+    // above: every mode runs the wide set's masked bodies (NT behind its
+    // transposing pack) — on both sides.
     (8, 196, 9),
     (32, 13, 36),
 ];

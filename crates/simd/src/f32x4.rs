@@ -284,6 +284,29 @@ impl F32x4 {
             self.0.reduce_sum()
         }
     }
+
+    /// Transposes a 4x4 tile held as four row vectors: lane `r` of
+    /// `out[c]` is lane `c` of `rows[r]`. A pure lane permutation — no
+    /// bit of any element changes.
+    #[inline(always)]
+    pub fn transpose(rows: [Self; 4]) -> [Self; 4] {
+        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+        unsafe {
+            let [a, b, c, d] = rows.map(|v| v.0);
+            let (ab_lo, ab_hi) = (_mm_unpacklo_ps(a, b), _mm_unpackhi_ps(a, b));
+            let (cd_lo, cd_hi) = (_mm_unpacklo_ps(c, d), _mm_unpackhi_ps(c, d));
+            [
+                Self(_mm_movelh_ps(ab_lo, cd_lo)),
+                Self(_mm_movehl_ps(cd_lo, ab_lo)),
+                Self(_mm_movelh_ps(ab_hi, cd_hi)),
+                Self(_mm_movehl_ps(cd_hi, ab_hi)),
+            ]
+        }
+        #[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
+        {
+            crate::transpose_arrays(rows.map(Self::to_array)).map(Self::from_array)
+        }
+    }
 }
 
 impl core::fmt::Debug for F32x4 {

@@ -268,6 +268,22 @@ impl F64x2 {
             self.0.reduce_sum()
         }
     }
+
+    /// Transposes a 2x2 tile held as two row vectors: lane `r` of
+    /// `out[c]` is lane `c` of `rows[r]`. A pure lane permutation — no
+    /// bit of any element changes.
+    #[inline(always)]
+    pub fn transpose(rows: [Self; 2]) -> [Self; 2] {
+        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+        unsafe {
+            let [a, b] = rows.map(|v| v.0);
+            [Self(_mm_unpacklo_pd(a, b)), Self(_mm_unpackhi_pd(a, b))]
+        }
+        #[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
+        {
+            crate::transpose_arrays(rows.map(Self::to_array)).map(Self::from_array)
+        }
+    }
 }
 
 impl core::fmt::Debug for F64x2 {

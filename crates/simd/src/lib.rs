@@ -42,6 +42,15 @@ pub use f64x2::F64x2;
 pub use wide::{F32x8, F64x4};
 pub use wide512::{F32x16, F64x8};
 
+/// `out[c][r] = rows[r][c]` on plain lane arrays: the transpose every
+/// vector type falls back to where it has no shuffle sequence (NEON, the
+/// scalar backend, `force-scalar`).
+#[allow(dead_code)] // unused when every type takes its x86 path
+#[inline(always)]
+pub(crate) fn transpose_arrays<T: Copy, const N: usize>(rows: [[T; N]; N]) -> [[T; N]; N] {
+    core::array::from_fn(|c| core::array::from_fn(|r| rows[r][c]))
+}
+
 /// Number of architectural 128-bit vector registers in the ARMv8 model
 /// (`V0`–`V31`). The micro-kernel tile solver budgets against this count.
 pub const VECTOR_REGISTERS: usize = 32;
@@ -164,6 +173,37 @@ mod tests {
         assert_eq!(VECTOR_BITS, 128);
         assert_eq!(F32x4::LANES * 32, VECTOR_BITS);
         assert_eq!(F64x2::LANES * 64, VECTOR_BITS);
+    }
+
+    /// Every type's transpose moves lane `c` of row `r` to lane `r` of row
+    /// `c` and alters no bit: each element is a distinct NaN payload.
+    #[test]
+    fn transposes_permute_lanes_bit_for_bit() {
+        macro_rules! check {
+            ($V:ty, $E:ty, $B:ty, $N:literal, $nan:expr) => {{
+                let rows: [[$E; $N]; $N] = core::array::from_fn(|r| {
+                    core::array::from_fn(|c| <$E>::from_bits($nan | (1 + r * $N + c) as $B))
+                });
+                let out = <$V>::transpose(rows.map(<$V>::from_array)).map(<$V>::to_array);
+                for r in 0..$N {
+                    for c in 0..$N {
+                        assert_eq!(out[c][r].to_bits(), rows[r][c].to_bits(), "({r}, {c})");
+                    }
+                }
+            }};
+        }
+        check!(F32x4, f32, u32, 4, 0x7FC0_0000);
+        check!(F64x2, f64, u64, 2, 0x7FF8_0000_0000_0000);
+        let caps = caps::detect();
+        let native = cfg!(all(target_arch = "x86_64", not(feature = "force-scalar")));
+        if !native || caps.avx2_fma {
+            check!(F32x8, f32, u32, 8, 0x7FC0_0000);
+            check!(F64x4, f64, u64, 4, 0x7FF8_0000_0000_0000);
+        }
+        if !native || caps.avx512f {
+            check!(F32x16, f32, u32, 16, 0x7FC0_0000);
+            check!(F64x8, f64, u64, 8, 0x7FF8_0000_0000_0000);
+        }
     }
 
     #[test]

@@ -178,6 +178,57 @@ mod x86 {
     pub unsafe fn maskstore_pd(ptr: *mut f64, n: usize, v: [f64; 4]) {
         _mm256_maskstore_pd(ptr, mask_pd(n), transmute(v))
     }
+
+    /// 8x8 `f32` transpose: `out[c][r] = rows[r][c]` — unpack pairs,
+    /// shuffle quads, then swap the 128-bit halves (24 shuffles, AVX only).
+    #[inline]
+    #[target_feature(enable = "avx")]
+    pub unsafe fn transpose_ps(rows: [[f32; 8]; 8]) -> [[f32; 8]; 8] {
+        let r: [__m256; 8] = transmute(rows);
+        let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+        let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+        let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+        let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+        let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+        let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+        let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+        let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+        let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+        let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+        let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+        transmute([
+            _mm256_permute2f128_ps::<0x20>(u0, u4),
+            _mm256_permute2f128_ps::<0x20>(u1, u5),
+            _mm256_permute2f128_ps::<0x20>(u2, u6),
+            _mm256_permute2f128_ps::<0x20>(u3, u7),
+            _mm256_permute2f128_ps::<0x31>(u0, u4),
+            _mm256_permute2f128_ps::<0x31>(u1, u5),
+            _mm256_permute2f128_ps::<0x31>(u2, u6),
+            _mm256_permute2f128_ps::<0x31>(u3, u7),
+        ])
+    }
+
+    /// 4x4 `f64` transpose: unpack pairs, then swap the 128-bit halves.
+    #[inline]
+    #[target_feature(enable = "avx")]
+    pub unsafe fn transpose_pd(rows: [[f64; 4]; 4]) -> [[f64; 4]; 4] {
+        let r: [__m256d; 4] = transmute(rows);
+        let t0 = _mm256_unpacklo_pd(r[0], r[1]);
+        let t1 = _mm256_unpackhi_pd(r[0], r[1]);
+        let t2 = _mm256_unpacklo_pd(r[2], r[3]);
+        let t3 = _mm256_unpackhi_pd(r[2], r[3]);
+        transmute([
+            _mm256_permute2f128_pd::<0x20>(t0, t2),
+            _mm256_permute2f128_pd::<0x20>(t1, t3),
+            _mm256_permute2f128_pd::<0x31>(t0, t2),
+            _mm256_permute2f128_pd::<0x31>(t1, t3),
+        ])
+    }
 }
 
 impl F32x8 {
@@ -341,6 +392,22 @@ impl F32x8 {
     pub fn scale(self, s: f32) -> Self {
         self.mul(Self::splat(s))
     }
+
+    /// Transposes a 8x8 tile held as 8 row vectors: lane `r` of
+    /// `out[c]` is lane `c` of `rows[r]`. A pure lane permutation — no
+    /// bit of any element changes.
+    #[inline(always)]
+    pub fn transpose(rows: [Self; 8]) -> [Self; 8] {
+        let rows = rows.map(|v| v.0);
+        avx_block! {
+            debug_assert!(crate::caps::detect().avx2_fma);
+            // SAFETY: SHALOM-V-SIMD — see module contract.
+            return unsafe { x86::transpose_ps(rows) }.map(Self);
+        }
+        scalar_block! {
+            crate::transpose_arrays(rows).map(Self)
+        }
+    }
 }
 
 impl F64x4 {
@@ -502,6 +569,22 @@ impl F64x4 {
     #[inline(always)]
     pub fn scale(self, s: f64) -> Self {
         self.mul(Self::splat(s))
+    }
+
+    /// Transposes a 4x4 tile held as 4 row vectors: lane `r` of
+    /// `out[c]` is lane `c` of `rows[r]`. A pure lane permutation — no
+    /// bit of any element changes.
+    #[inline(always)]
+    pub fn transpose(rows: [Self; 4]) -> [Self; 4] {
+        let rows = rows.map(|v| v.0);
+        avx_block! {
+            debug_assert!(crate::caps::detect().avx2_fma);
+            // SAFETY: SHALOM-V-SIMD — see module contract.
+            return unsafe { x86::transpose_pd(rows) }.map(Self);
+        }
+        scalar_block! {
+            crate::transpose_arrays(rows).map(Self)
+        }
     }
 }
 

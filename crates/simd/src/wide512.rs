@@ -130,6 +130,68 @@ mod x86 {
     pub unsafe fn maskstore_pd(ptr: *mut f64, n: usize, v: [f64; 8]) {
         _mm512_mask_storeu_pd(ptr, ((1u32 << n) - 1) as __mmask8, transmute(v))
     }
+
+    /// 16x16 `f32` transpose: `out[c][r] = rows[r][c]` in 64 shuffles.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn transpose_ps(rows: [[f32; 16]; 16]) -> [[f32; 16]; 16] {
+        let r: [__m512; 16] = transmute(rows);
+        // Row pairs: per 128-bit lane, `lo` = a0 b0 a1 b1, `hi` = a2 b2 a3 b3.
+        let mut t = [_mm512_castps_pd(r[0]); 16];
+        for i in 0..8 {
+            t[2 * i] = _mm512_castps_pd(_mm512_unpacklo_ps(r[2 * i], r[2 * i + 1]));
+            t[2 * i + 1] = _mm512_castps_pd(_mm512_unpackhi_ps(r[2 * i], r[2 * i + 1]));
+        }
+        // Row quads: lane `L` of `v[4g + c]` is column `4L + c` of rows
+        // `4g..4g + 4`.
+        let mut v = r;
+        for g in 0..4 {
+            v[4 * g] = _mm512_castpd_ps(_mm512_unpacklo_pd(t[4 * g], t[4 * g + 2]));
+            v[4 * g + 1] = _mm512_castpd_ps(_mm512_unpackhi_pd(t[4 * g], t[4 * g + 2]));
+            v[4 * g + 2] = _mm512_castpd_ps(_mm512_unpacklo_pd(t[4 * g + 1], t[4 * g + 3]));
+            v[4 * g + 3] = _mm512_castpd_ps(_mm512_unpackhi_pd(t[4 * g + 1], t[4 * g + 3]));
+        }
+        // For each `c`, a 4x4 transpose of 128-bit lanes across the quads:
+        // output row `4L + c` gathers lane `L` of every quad.
+        let mut out = r;
+        for c in 0..4 {
+            let x0 = _mm512_shuffle_f32x4::<0x88>(v[c], v[4 + c]);
+            let x1 = _mm512_shuffle_f32x4::<0xDD>(v[c], v[4 + c]);
+            let x2 = _mm512_shuffle_f32x4::<0x88>(v[8 + c], v[12 + c]);
+            let x3 = _mm512_shuffle_f32x4::<0xDD>(v[8 + c], v[12 + c]);
+            out[c] = _mm512_shuffle_f32x4::<0x88>(x0, x2);
+            out[4 + c] = _mm512_shuffle_f32x4::<0x88>(x1, x3);
+            out[8 + c] = _mm512_shuffle_f32x4::<0xDD>(x0, x2);
+            out[12 + c] = _mm512_shuffle_f32x4::<0xDD>(x1, x3);
+        }
+        transmute(out)
+    }
+
+    /// 8x8 `f64` transpose in 24 shuffles: row pairs, then for each `c` a
+    /// 4x4 transpose of 128-bit lanes (output row `2L + c` gathers lane `L`
+    /// of every pair).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn transpose_pd(rows: [[f64; 8]; 8]) -> [[f64; 8]; 8] {
+        let r: [__m512d; 8] = transmute(rows);
+        let mut t = r;
+        for i in 0..4 {
+            t[2 * i] = _mm512_unpacklo_pd(r[2 * i], r[2 * i + 1]);
+            t[2 * i + 1] = _mm512_unpackhi_pd(r[2 * i], r[2 * i + 1]);
+        }
+        let mut out = r;
+        for c in 0..2 {
+            let x0 = _mm512_shuffle_f64x2::<0x88>(t[c], t[2 + c]);
+            let x1 = _mm512_shuffle_f64x2::<0xDD>(t[c], t[2 + c]);
+            let x2 = _mm512_shuffle_f64x2::<0x88>(t[4 + c], t[6 + c]);
+            let x3 = _mm512_shuffle_f64x2::<0xDD>(t[4 + c], t[6 + c]);
+            out[c] = _mm512_shuffle_f64x2::<0x88>(x0, x2);
+            out[2 + c] = _mm512_shuffle_f64x2::<0x88>(x1, x3);
+            out[4 + c] = _mm512_shuffle_f64x2::<0xDD>(x0, x2);
+            out[6 + c] = _mm512_shuffle_f64x2::<0xDD>(x1, x3);
+        }
+        transmute(out)
+    }
 }
 
 impl F32x16 {
@@ -294,6 +356,22 @@ impl F32x16 {
     pub fn scale(self, s: f32) -> Self {
         self.mul(Self::splat(s))
     }
+
+    /// Transposes a 16x16 tile held as 16 row vectors: lane `r` of
+    /// `out[c]` is lane `c` of `rows[r]`. A pure lane permutation — no
+    /// bit of any element changes.
+    #[inline(always)]
+    pub fn transpose(rows: [Self; 16]) -> [Self; 16] {
+        let rows = rows.map(|v| v.0);
+        avx512_block! {
+            debug_assert!(crate::caps::detect().avx512f);
+            // SAFETY: SHALOM-V-SIMD — see module contract.
+            return unsafe { x86::transpose_ps(rows) }.map(Self);
+        }
+        scalar_block! {
+            crate::transpose_arrays(rows).map(Self)
+        }
+    }
 }
 
 impl F64x8 {
@@ -456,6 +534,22 @@ impl F64x8 {
     #[inline(always)]
     pub fn scale(self, s: f64) -> Self {
         self.mul(Self::splat(s))
+    }
+
+    /// Transposes a 8x8 tile held as 8 row vectors: lane `r` of
+    /// `out[c]` is lane `c` of `rows[r]`. A pure lane permutation — no
+    /// bit of any element changes.
+    #[inline(always)]
+    pub fn transpose(rows: [Self; 8]) -> [Self; 8] {
+        let rows = rows.map(|v| v.0);
+        avx512_block! {
+            debug_assert!(crate::caps::detect().avx512f);
+            // SAFETY: SHALOM-V-SIMD — see module contract.
+            return unsafe { x86::transpose_pd(rows) }.map(Self);
+        }
+        scalar_block! {
+            crate::transpose_arrays(rows).map(Self)
+        }
     }
 }
 

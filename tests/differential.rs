@@ -8,11 +8,13 @@
 //!
 //! Two kinds of assertion: within `gemm_tolerance(k, 1.0)` of `reference`
 //! (the benchmark's factor) everywhere, and **bitwise** where the library
-//! promises it — NN pooled == serial, `gemm_batch_beta` == direct
-//! `gemm_with`, cached == recomputed plan, a held `GemmPlan` handle's
-//! `run` == `gemm_with` (before and after the cache changes under it, and
-//! from four threads at once), capture on == off, and `Auto` == `Force` of
-//! the set the size rule names (the requested one wherever `op(B) = B`).
+//! promises it — pooled == serial (every mode on the wide sets, NN on the
+//! 128-bit one), `gemm_batch_beta` == direct `gemm_with`, cached ==
+//! recomputed plan, a held `GemmPlan` handle's `run` == `gemm_with`
+//! (before and after the cache changes under it, and from four threads at
+//! once), capture on == off, `Auto` == `Force` of the requested set at
+//! every shape and mode, and on the wide sets every mode == the NN call on
+//! explicitly transposed operands.
 //! Plus the handle's bookkeeping contract: how many plan-cache lookups
 //! each entry point makes. This is the fast slice that rides in tier-1;
 //! the per-crate suites and the shadow harness go deeper on each axis.
@@ -21,7 +23,7 @@ use libshalom::core::{
     gemm_batch_beta, install_tuned, plan_cache_clear, plan_cache_stats, set_plan_cache_enabled,
     IsaPolicy,
 };
-use libshalom::kernels::{registered_families, selected_wide_family, FamilyElem};
+use libshalom::kernels::registered_families;
 use libshalom::matrix::{gemm_tolerance, ConvShape, Matrix};
 use libshalom::nn::Conv2d;
 use libshalom::simd::base_isa;
@@ -126,7 +128,7 @@ const BENCH_SMALL: [(usize, usize, usize); 12] = [
 
 /// The paper's irregular shapes with one side thinner than a wide register
 /// tile (two of them `service_mix` buckets), a column and a row: what
-/// `Auto` moved to the wide set when `op(B) = B` lost its size rule.
+/// `Auto` moved to the wide set when the size rule went.
 const THIN: [(usize, usize, usize); 6] = [
     (14, 1024, 64),
     (1024, 12, 64),
@@ -423,22 +425,30 @@ fn operands<T: GemmElem>(
 }
 
 #[test]
-fn pooled_nn_is_bitwise_serial_at_every_level() {
+fn pooled_is_bitwise_serial_at_every_level() {
     let _shared = share_plan_cache();
-    // The §6 partition never shows in the bits: on the wide sets by the
-    // rounding contract, on the 128-bit set by seam alignment.
-    fn one<T: GemmElem>(isa: IsaPolicy, cache: CacheParams, shape: (usize, usize, usize)) {
-        let nn = (Op::NoTrans, Op::NoTrans);
-        let (a, b, c0) = operands::<T>(nn, shape);
-        let serial = run_bits(&at(isa, cache), nn, &a, &b, &c0);
+    // The §6 partition never shows in the bits. On the wide sets that is
+    // the rounding contract, and it covers every mode: a transposed
+    // operand is packed, then every element is the same fused chain. On
+    // the 128-bit set it holds for NN by seam alignment; its NT/TT panels
+    // round their first `min(7, m)` rows as inner products, and which rows
+    // those are moves with the row partition, so only NN is promised.
+    fn one<T: GemmElem>(
+        isa: IsaPolicy,
+        ops: (Op, Op),
+        cache: CacheParams,
+        shape: (usize, usize, usize),
+    ) {
+        let (a, b, c0) = operands::<T>(ops, shape);
+        let serial = run_bits(&at(isa, cache), ops, &a, &b, &c0);
         for threads in [2, 3, 5] {
             let cfg = GemmConfig {
                 threads,
                 ..at(isa, cache)
             };
             assert!(
-                run_bits(&cfg, nn, &a, &b, &c0) == serial,
-                "{isa:?} {shape:?} at {threads} threads diverged from serial (l1 {})",
+                run_bits(&cfg, ops, &a, &b, &c0) == serial,
+                "{isa:?} {ops:?} {shape:?} at {threads} threads diverged from serial (l1 {})",
                 cache.l1
             );
         }
@@ -456,18 +466,85 @@ fn pooled_nn_is_bitwise_serial_at_every_level() {
         ])
         .collect();
     for isa in levels() {
+        let wide = at(isa, TINY_CACHE).requested_isa() != base_isa();
+        let modes = if wide { &OPS[..] } else { &OPS[..1] };
         for &shape in &shapes {
             for cache in [CacheParams::detect(), TINY_CACHE] {
-                one::<f32>(isa, cache, shape);
-                one::<f64>(isa, cache, shape);
+                for &ops in modes {
+                    one::<f32>(isa, ops, cache, shape);
+                    one::<f64>(isa, ops, cache, shape);
+                }
             }
         }
     }
     // Thin shapes under `Auto`: a worker's sub-block is thinner still and
     // must stay on the parent's set.
+    let wide = GemmConfig::default().requested_isa() != base_isa();
     for shape in THIN {
-        one::<f32>(IsaPolicy::Auto, CacheParams::detect(), shape);
-        one::<f64>(IsaPolicy::Auto, CacheParams::detect(), shape);
+        for &ops in if wide { &OPS[..] } else { &OPS[..1] } {
+            one::<f32>(IsaPolicy::Auto, ops, CacheParams::detect(), shape);
+            one::<f64>(IsaPolicy::Auto, ops, CacheParams::detect(), shape);
+        }
+    }
+}
+
+/// `op(x)` as a matrix of its own: `x` itself, or its explicit transpose.
+fn applied<T: GemmElem>(op: Op, x: &Matrix<T>) -> Matrix<T> {
+    match op {
+        Op::NoTrans => x.clone(),
+        Op::Trans => x.transposed(),
+    }
+}
+
+#[test]
+fn every_mode_is_bitwise_nn_on_transposed_operands_at_the_wide_sets() {
+    let _shared = share_plan_cache();
+    // A wide set packs a transposed operand and then runs the NN kernels
+    // on it, so transposing is invisible in the bits: every element is one
+    // fused chain over `k` plus the write-back epilogue, whatever the mode,
+    // the packing regime or the edge schedule.
+    fn one<T: GemmElem>(cfg: &GemmConfig, ops: (Op, Op), shape: (usize, usize, usize)) {
+        let nn = (Op::NoTrans, Op::NoTrans);
+        let (a, b, c0) = operands::<T>(ops, shape);
+        assert!(
+            run_bits(cfg, ops, &a, &b, &c0)
+                == run_bits(cfg, nn, &applied(ops.0, &a), &applied(ops.1, &b), &c0),
+            "{:?} {:?}/{:?} {ops:?} {shape:?}",
+            cfg.isa,
+            cfg.packing,
+            cfg.edge
+        );
+    }
+    let wide_levels: Vec<_> = levels()
+        .into_iter()
+        .filter(|&isa| at(isa, TINY_CACHE).requested_isa() != base_isa())
+        .collect();
+    let shapes: Vec<_> = tile_lattice()
+        .into_iter()
+        .filter(|&(m, n, k)| m * n * k > 0)
+        .chain(BENCH_SMALL)
+        .chain(THIN)
+        .collect();
+    let mut rot = Rot(23);
+    for &isa in &wide_levels {
+        for packing in PACKINGS {
+            for edge in EDGES {
+                for &shape in &shapes {
+                    let cfg = GemmConfig {
+                        packing,
+                        edge,
+                        ..at(isa, rot.pick(&[CacheParams::detect(), TINY_CACHE]))
+                    };
+                    for &ops in &OPS[1..] {
+                        if rot.pick(&[true, false]) {
+                            one::<f32>(&cfg, ops, shape);
+                        } else {
+                            one::<f64>(&cfg, ops, shape);
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -531,35 +608,24 @@ fn batch_is_bitwise_direct_at_every_level() {
 }
 
 #[test]
-fn auto_is_bitwise_force_of_the_set_the_size_rule_names() {
+fn auto_is_bitwise_force_of_the_requested_set() {
     let _shared = share_plan_cache();
-    // Under `Auto`, `op(B) = B` (NN, TN) dispatches the requested set at
-    // every shape; `op(B) = Bᵀ` (NT, TT) below one of its register tiles
-    // keeps the base set. `Force` skips the rule, so it is the oracle on
-    // both sides — and on a host without a wide set all three coincide.
+    // `Auto` dispatches the requested set at every shape in every mode:
+    // no size rule is left, so `Force(requested_isa())` is the oracle, a
+    // handle says so, and on a host without a wide set both are the base.
     fn one<T: GemmElem>(ops: (Op, Op), shape: (usize, usize, usize)) {
         let (m, n, k) = shape;
         let auto = at(IsaPolicy::Auto, CacheParams::detect());
-        let want = match selected_wide_family() {
-            Some(fam) => {
-                let ks = <T as FamilyElem>::kernels(fam);
-                if ops.1 == Op::NoTrans || (m >= ks.mr && n >= ks.nr) {
-                    fam.isa
-                } else {
-                    base_isa()
-                }
-            }
-            None => base_isa(),
-        };
-        if ops.1 == Op::NoTrans {
-            assert_eq!(want, auto.requested_isa(), "{ops:?} {shape:?}");
-        }
+        let want = auto.requested_isa();
         let forced = at(IsaPolicy::Force(want), CacheParams::detect());
-        assert_eq!(
-            GemmPlan::<T>::new(&auto, ops.0, ops.1, m, n, k).isa(),
-            want,
-            "{ops:?} {shape:?}"
-        );
+        for cfg in [&auto, &forced] {
+            assert_eq!(
+                GemmPlan::<T>::new(cfg, ops.0, ops.1, m, n, k).isa(),
+                want,
+                "{:?} {ops:?} {shape:?}",
+                cfg.isa
+            );
+        }
         let (a, b, c0) = operands::<T>(ops, shape);
         assert!(
             run_bits(&auto, ops, &a, &b, &c0) == run_bits(&forced, ops, &a, &b, &c0),

@@ -124,15 +124,17 @@ pub const ORDERING_TAGS: &[OrderingTag] = &[
     },
     OrderingTag {
         id: "SHALOM-O-PLAN-FLAG",
-        summary: "plan-cache enable flag: Relaxed on/off hint; stale reads only skip the cache",
+        summary: "override-table occupancy hint: Relaxed, stored under the table's write lock; \
+                  stale reads only skip the table (the call computes its plan)",
         relaxed_publish_ok: true,
         protocol: None,
         class: TagClass::Gate,
-        model: None,
+        model: Some("plan-shard"),
     },
     OrderingTag {
         id: "SHALOM-O-CACHE-STATS",
-        summary: "cache hit/miss counters: Relaxed monotonic stats, read for reporting only",
+        summary:
+            "override-table hit/miss counters: Relaxed monotonic stats, read for reporting only",
         relaxed_publish_ok: true,
         protocol: None,
         class: TagClass::Counter,

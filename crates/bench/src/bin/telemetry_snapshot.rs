@@ -58,12 +58,13 @@ fn main() {
     println!("{}", snap.to_json());
     for r in &snap.recent {
         println!(
-            "decision: {}x{}x{} class={} plan={} path={} grid={}x{} ws={}B",
+            "decision: {}x{}x{} class={} plan={} ({}) path={} grid={}x{} ws={}B",
             r.m,
             r.n,
             r.k,
             r.class.as_str(),
             r.plan.as_str(),
+            r.plan_source.as_str(),
             r.path.as_str(),
             r.tm,
             r.tn,

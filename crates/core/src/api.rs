@@ -64,7 +64,7 @@ impl<T: FamilyElem> GemmPlan<T> {
 }
 
 /// `C = alpha * op(A) * op(B) + beta * C` with an explicit configuration:
-/// one [`GemmPlan::new`] (a plan-cache lookup) and one [`GemmPlan::run`].
+/// one [`GemmPlan::new`] (the plan, computed) and one [`GemmPlan::run`].
 /// A caller repeating one signature can hold the handle instead.
 ///
 /// Dimension conventions follow BLAS (and the paper's footnote 1): with

@@ -39,8 +39,8 @@ pub struct TuneReport {
 }
 
 impl TuneReport {
-    /// Installs the winner's resolved plan as a profile override in the
-    /// global plan cache, so subsequent calls with this signature under
+    /// Installs the winner's resolved plan as an override in the global
+    /// override table, so subsequent calls with this signature under
     /// `base` dispatch through it without re-tuning. The signature must
     /// be the one that was tuned; persist with [`crate::plan::save_profile`].
     pub fn install<T: GemmElem>(

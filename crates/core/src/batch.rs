@@ -82,9 +82,8 @@ pub fn gemm_batch_beta<T: GemmElem>(
     let batch_tok = capture::batch_begin(items.len());
     let serial_cfg = GemmConfig { threads: 1, ..*cfg };
     // Batched small GEMM is usually shape-uniform (the CP2K / strided
-    // convention): build ONE plan handle — one plan-cache lookup — for the
-    // whole batch instead of one per item. A ragged batch builds a handle
-    // per item (still cached — mixed signatures each hit their own entry).
+    // convention): build ONE plan handle for the whole batch instead of
+    // one per item. A ragged batch builds a handle per item.
     let shared: Option<GemmPlan<T>> = items.first().and_then(|first| {
         let (m, n, k) = item_dims(first);
         items

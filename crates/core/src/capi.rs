@@ -48,7 +48,8 @@ pub const SHALOM_ERR_IO: i32 = -2;
 /// Profile format-version mismatch (file written by an incompatible
 /// library release; re-tune and re-save).
 pub const SHALOM_ERR_VERSION: i32 = -3;
-/// Profile file is corrupt or contains out-of-range plan parameters.
+/// Profile file is corrupt, contains out-of-range plan parameters, or
+/// holds more entries than the override table admits.
 pub const SHALOM_ERR_PARSE: i32 = -4;
 /// Profile was tuned under a different instruction-set level than this
 /// host dispatches to; its plans would be applied at the wrong vector
@@ -89,14 +90,15 @@ unsafe fn path_from(path: *const c_char) -> Option<&'static str> {
 
 /// Loads a plan profile (JSON written by [`shalom_profile_save`] or
 /// [`crate::plan::save_profile`]) and installs every entry as an
-/// override in the global plan cache.
+/// override in the global override table.
 ///
 /// Returns the number of entries installed (`>= 0`), or a negative
 /// error code: [`SHALOM_ERR_INVALID`] for a null / non-UTF-8 path,
 /// [`SHALOM_ERR_IO`] when the file cannot be read,
 /// [`SHALOM_ERR_VERSION`] for a format-version mismatch, and
-/// [`SHALOM_ERR_PARSE`] for corrupt or out-of-range contents. Never
-/// unwinds across the FFI boundary.
+/// [`SHALOM_ERR_PARSE`] for corrupt or out-of-range contents — including
+/// more new entries than the table has room for; a refused file installs
+/// nothing. Never unwinds across the FFI boundary.
 ///
 /// # Safety
 /// `path` must be null or point to a NUL-terminated C string.
@@ -114,7 +116,7 @@ pub unsafe extern "C" fn shalom_profile_load(path: *const c_char) -> i64 {
     }
 }
 
-/// Saves every profile-sourced entry of the global plan cache to `path`
+/// Saves every entry of the global override table to `path`
 /// as versioned JSON.
 ///
 /// Returns the number of entries written (`>= 0`), or
@@ -138,8 +140,8 @@ pub unsafe extern "C" fn shalom_profile_save(path: *const c_char) -> i64 {
     }
 }
 
-/// Drops every entry (computed and profile) from the global plan cache.
-/// Subsequent calls re-plan from scratch. Returns [`SHALOM_OK`].
+/// Drops every installed override; subsequent calls compute their
+/// plans. Returns [`SHALOM_OK`].
 #[no_mangle]
 pub extern "C" fn shalom_plan_cache_clear() -> i32 {
     let r = std::panic::catch_unwind(crate::plan::plan_cache_clear);
@@ -636,6 +638,22 @@ mod tests {
             unsafe { shalom_profile_load(c_path.as_ptr()) },
             i64::from(SHALOM_ERR_ISA)
         );
+
+        // One entry more than the override table admits: refused whole,
+        // as out-of-range contents, and the reloaded override stays.
+        let resident = crate::plan::plan_cache_stats().entries;
+        let key = crate::plan::request_plan_key::<f32>(&base, Op::NoTrans, Op::NoTrans, 24, 24, 24);
+        let plan = crate::plan::describe_plan::<f32>(&base, Op::NoTrans, Op::NoTrans, 24, 24, 24);
+        let too_many: Vec<_> = (0..=shalom_plans::MAX_OVERRIDES as u64)
+            .map(|i| (shalom_plans::PlanKey { m: 1 + i, ..key }, plan.plan))
+            .collect();
+        std::fs::write(&path, shalom_plans::profile::to_json(&too_many, host)).unwrap();
+        // SAFETY: `c_path` is a valid NUL-terminated string.
+        assert_eq!(
+            unsafe { shalom_profile_load(c_path.as_ptr()) },
+            i64::from(SHALOM_ERR_PARSE)
+        );
+        assert_eq!(crate::plan::plan_cache_stats().entries, resident);
 
         let _ = std::fs::remove_file(&path);
         assert_eq!(shalom_plan_cache_clear(), SHALOM_OK);

@@ -34,9 +34,8 @@ mod imp {
     use shalom_matrix::Op;
     use shalom_trace::{
         add_pack_ns, add_plan_ns, enabled, record, record_batch, record_dispatch, record_fork_join,
-        record_plan_evictions, record_plan_lookup, set_path, span_end_src, src, take_pack_ns,
-        take_plan_ns, DecisionRecord, EdgeTag, PathTag, Phase, PlanSourceTag, PlanTag,
-        ShapeClassTag, Sink,
+        set_path, span_end_src, src, take_pack_ns, take_plan_ns, DecisionRecord, EdgeTag, PathTag,
+        Phase, PlanSourceTag, PlanTag, ShapeClassTag, Sink,
     };
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -82,22 +81,6 @@ mod imp {
     pub(crate) fn dispatch_end(tok: Span) {
         if let Some(ns) = close(tok, src::NONE) {
             record_dispatch(ns);
-        }
-    }
-
-    /// Counts one plan-cache lookup outcome.
-    #[inline]
-    pub(crate) fn note_plan_lookup(hit: bool) {
-        if enabled(Sink::Records) {
-            record_plan_lookup(hit);
-        }
-    }
-
-    /// Counts plan-cache entries dropped by one eviction pass.
-    #[inline]
-    pub(crate) fn note_plan_evictions(n: u64) {
-        if n > 0 && enabled(Sink::Records) {
-            record_plan_evictions(n);
         }
     }
 
@@ -320,7 +303,6 @@ mod imp {
     fn plan_source_tag(source: PlanSource) -> PlanSourceTag {
         match source {
             PlanSource::Computed => PlanSourceTag::Computed,
-            PlanSource::Cached => PlanSourceTag::Cached,
             PlanSource::Profile => PlanSourceTag::Profile,
         }
     }
@@ -328,7 +310,6 @@ mod imp {
     fn src_code(source: PlanSource) -> u8 {
         match source {
             PlanSource::Computed => src::COMPUTED,
-            PlanSource::Cached => src::CACHED,
             PlanSource::Profile => src::PROFILE,
         }
     }
@@ -388,7 +369,6 @@ mod imp {
         #[test]
         fn src_codes_line_up() {
             assert_eq!(src::as_str(src_code(PlanSource::Computed)), "computed");
-            assert_eq!(src::as_str(src_code(PlanSource::Cached)), "cached");
             assert_eq!(src::as_str(src_code(PlanSource::Profile)), "profile");
         }
 
@@ -462,12 +442,6 @@ mod imp {
 
     #[inline(always)]
     pub(crate) fn dispatch_end(_tok: Span) {}
-
-    #[inline(always)]
-    pub(crate) fn note_plan_lookup(_hit: bool) {}
-
-    #[inline(always)]
-    pub(crate) fn note_plan_evictions(_n: u64) {}
 
     pub(crate) struct Pause;
 

@@ -31,7 +31,7 @@
 //! | [`batch`] | §7.4 | batched independent small GEMMs across cores |
 //! | [`capi`] | §3.3 | `extern "C"` CBLAS-style entry points |
 //! | [`autotune`] | §10 | empirical parameter search (the paper's future work) |
-//! | [`plan`] | §3.1, §10 | the per-call plan handle ([`GemmPlan`]), memoized dispatch plans, persistent autotune profiles |
+//! | [`plan`] | §3.1, §10 | the per-call plan handle ([`GemmPlan`]), computed dispatch plans, persistent autotune profiles that override them |
 //!
 //! The micro-kernels themselves live in `shalom-kernels`.
 //!
@@ -42,7 +42,7 @@
 //! runtime switches: per-call dispatch decision records (shape class,
 //! packing plan, tile, thread grid) with sharded counters, latency
 //! histograms and JSON snapshots; and span-level timelines of the same
-//! pipeline (plan lookup, pack-A/B, per-block compute, pool
+//! pipeline (plan resolution, pack-A/B, per-block compute, pool
 //! dispatch/queue/barrier/park, batch items) in per-thread lock-free
 //! buffers, with per-phase breakdowns and Chrome-trace/Perfetto
 //! export. The `perf-hooks` feature adds Linux hardware counters.
@@ -77,9 +77,8 @@ pub use config::{classify, EdgeSchedule, GemmConfig, IsaPolicy, PackingPolicy, S
 pub use error::{try_gemm_with, GemmError};
 pub use parallel::{partition_threads, quantized_chunk};
 pub use plan::{
-    describe_plan, install_tuned, load_profile, plan_cache_clear, plan_cache_enabled,
-    plan_cache_invalidate, plan_cache_stats, request_plan_key, save_profile,
-    set_plan_cache_enabled, GemmPlan, PlanDescription, PlanSource,
+    describe_plan, install_tuned, load_profile, plan_cache_clear, plan_cache_stats,
+    request_plan_key, save_profile, GemmPlan, PlanDescription, PlanSource,
 };
 pub use pool::prewarm;
 pub use shalom_matrix::Op;

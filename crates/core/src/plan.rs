@@ -1,34 +1,31 @@
-//! The plan layer: one executable handle per call ([`GemmPlan`]), resolved
-//! through memoized dispatch plans and persistent autotune profiles
-//! (IAAT-style, §10 of the paper's future work).
+//! The plan layer: one executable handle per call ([`GemmPlan`]),
+//! computed from the call's signature unless an autotune result or a
+//! persistent profile (IAAT-style, §10 of the paper's future work)
+//! overrides it.
 //!
 //! Every GEMM entry point — serial, pooled, batched, `nn::Conv2d` —
 //! builds a [`GemmPlan`] and hands it to the execution layers; nothing
 //! below this module decides anything. [`GemmPlan::new`] is the one place
 //! a dispatch plan (effective ISA and kernel set, §4 packing regime, §5.5
 //! blocking, §6 thread grid, edge schedule, workspace demand) is
-//! resolved: the first handle for a signature computes the plan and
-//! memoizes it in a process-global [`shalom_plans::PlanCache`]; warm ones
-//! are a sharded read-lock table hit. Autotune results and on-disk
-//! profiles install *override* entries that outrank computed plans and
-//! survive invalidation.
+//! resolved, and it resolves it by computing it, every call: that is a
+//! few comparisons and divisions, cheaper than any table hit (DESIGN
+//! §10.4). The one table is the process-global
+//! [`shalom_plans::PlanCache`] of *overrides* — [`install_tuned`],
+//! [`load_profile`], `SHALOM_PROFILE` — consulted only while it is
+//! non-empty: a process that installs nothing builds no key and takes no
+//! lock.
 //!
-//! Environment knobs (also see the README "Plan cache & profiles"
-//! section):
-//!
-//! * `SHALOM_PROFILE=<path>` — load a profile into the cache on first
-//!   use; a bad file is reported to stderr and ignored, never fatal.
-//! * `SHALOM_NO_PLAN_CACHE=<anything but 0>` — bypass the cache (every
-//!   handle recomputes its plan; profile overrides do not apply). Tests
-//!   and benches can flip the same switch in-process with
-//!   [`set_plan_cache_enabled`].
+//! Environment knob (also see the README "Plans & profiles" section):
+//! `SHALOM_PROFILE=<path>` loads a profile into the override table on
+//! first use; a bad file is reported to stderr and ignored, never fatal.
 //!
 //! Determinism: plan resolution is a pure function of the signature and
-//! configuration fingerprint, so a cached plan is bit-identical to the
-//! recomputed one and numerical results do not depend on cache state.
-//! A *profile* plan may legitimately differ (that is its purpose); it
-//! is range-validated on ingest so it can change blocking and packing
-//! strategy but never correctness.
+//! the configuration, so numerical results do not depend on when a plan
+//! was built. An *override* may legitimately differ from the computed
+//! plan (that is its purpose); it is range-validated on ingest so it can
+//! change blocking and packing strategy but never correctness, and one
+//! that encodes the computed plan runs bitwise the computed plan.
 //!
 //! shalom-analysis: deny(panic)
 //!
@@ -40,11 +37,10 @@ use crate::capture;
 use crate::config::{classify, EdgeSchedule, GemmConfig, ShapeClass};
 use crate::driver::{resolve_nn_plan, resolve_nt_plan, BPlan};
 use crate::parallel::partition_threads;
-use crate::sync::{AtomicBool, Ordering};
 use shalom_kernels::family::EdgeFn;
 use shalom_kernels::{family_for, kernels_for, FamilyElem, FamilyKernels};
 use shalom_matrix::Op;
-use shalom_plans::{profile, CacheStats, PlanCache, PlanKey, ProfileError, ResolvedPlan, Source};
+use shalom_plans::{profile, CacheStats, PlanCache, PlanKey, ProfileError, ResolvedPlan};
 use shalom_simd::caps::{self, Isa};
 use std::path::Path;
 use std::sync::OnceLock;
@@ -52,11 +48,10 @@ use std::sync::OnceLock;
 /// Where the plan used by a call came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlanSource {
-    /// Resolved from scratch this call (cache miss or cache disabled).
+    /// Computed from the signature — what every call does unless an
+    /// override is installed under its key.
     #[default]
     Computed,
-    /// Served from the plan cache (a prior call computed it).
-    Cached,
     /// Served from an installed override (autotune / loaded profile).
     Profile,
 }
@@ -66,7 +61,6 @@ impl PlanSource {
     pub fn as_str(self) -> &'static str {
         match self {
             PlanSource::Computed => "computed",
-            PlanSource::Cached => "cached",
             PlanSource::Profile => "profile",
         }
     }
@@ -79,13 +73,12 @@ impl PlanSource {
 /// `gemm_parallel`, the batch loop) take a handle and decide nothing.
 ///
 /// Build one with [`GemmPlan::new`] (the only constructor that consults
-/// the plan cache — exactly one lookup) and execute it with
+/// the override table — at most one lookup) and execute it with
 /// [`GemmPlan::run`] any number of times, from any number of threads:
 /// the handle is plain `Copy` data, `Send + Sync`.
 ///
-/// A handle is a **snapshot**. [`install_tuned`], [`load_profile`],
-/// [`plan_cache_invalidate`], [`plan_cache_clear`] and
-/// [`set_plan_cache_enabled`] after the build do not alter it: any
+/// A handle is a **snapshot**. [`install_tuned`], [`load_profile`] and
+/// [`plan_cache_clear`] after the build do not alter it: any
 /// range-validated plan computes the right product, so only the *choice*
 /// a held handle embodies can go stale, never its result. Rebuild the
 /// handle to pick up a new override.
@@ -132,8 +125,7 @@ pub struct GemmPlan<T: FamilyElem> {
 }
 
 /// A resolved plan plus its provenance — the printable face of a
-/// [`GemmPlan`] (powers the round-trip tests and the `plan_overhead`
-/// bench).
+/// [`GemmPlan`] (powers the profile round-trip tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanDescription {
     /// Where the plan came from on this lookup.
@@ -142,52 +134,32 @@ pub struct PlanDescription {
     pub plan: ResolvedPlan,
 }
 
-fn enabled_flag() -> &'static AtomicBool {
-    static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-    FLAG.get_or_init(|| {
-        AtomicBool::new(!std::env::var("SHALOM_NO_PLAN_CACHE").is_ok_and(|v| v != "0"))
-    })
+/// Loads the profile at `path` into `table`, all of it or none.
+fn load_into(table: &PlanCache, path: &Path) -> Result<usize, ProfileError> {
+    let entries = profile::load(path, caps::best_isa().label())?;
+    if !table.install_all(&entries) {
+        return Err(ProfileError::Invalid(format!(
+            "{} entries do not fit the override table ({} resident, at most {})",
+            entries.len(),
+            table.stats().entries,
+            shalom_plans::MAX_OVERRIDES
+        )));
+    }
+    Ok(entries.len())
 }
 
-/// Whether plan-cache lookups are active (the `SHALOM_NO_PLAN_CACHE`
-/// env knob, possibly overridden by [`set_plan_cache_enabled`]).
-// ORDERING(SHALOM-O-PLAN-FLAG): Relaxed on/off hint — a stale read only makes
-// one call recompute its plan instead of hitting the cache.
-pub fn plan_cache_enabled() -> bool {
-    enabled_flag().load(Ordering::Relaxed)
-}
-
-/// Enables or disables the plan cache process-wide, overriding the
-/// `SHALOM_NO_PLAN_CACHE` environment default. While disabled, every
-/// call recomputes its plan and profile overrides do not apply — the
-/// switch the bitwise-identity tests and the `plan_overhead` bench flip.
-// ORDERING(SHALOM-O-PLAN-FLAG): Relaxed toggle; no cached data is published
-// through the flag itself (the cache's own locks order entry contents).
-pub fn set_plan_cache_enabled(enabled: bool) {
-    enabled_flag().store(enabled, Ordering::Relaxed);
-}
-
-fn global_cache() -> &'static PlanCache {
-    static CACHE: OnceLock<PlanCache> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        let cache = PlanCache::with_default_capacity();
-        if let Ok(path) = std::env::var("SHALOM_PROFILE") {
-            if !path.is_empty() {
-                match profile::load(Path::new(&path), caps::best_isa().label()) {
-                    Ok(entries) => {
-                        for (key, plan) in entries {
-                            cache.install(key, plan);
-                        }
-                    }
-                    Err(e) => {
-                        // Degrade to "no overrides", never take the
-                        // process down over a stale profile file.
-                        eprintln!("shalom: ignoring SHALOM_PROFILE {path:?}: {e}");
-                    }
-                }
+fn overrides() -> &'static PlanCache {
+    static TABLE: OnceLock<PlanCache> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let table = PlanCache::default();
+        if let Some(path) = std::env::var_os("SHALOM_PROFILE").filter(|p| !p.is_empty()) {
+            // Degrade to "no overrides", never take the process down
+            // over a stale profile file.
+            if let Err(e) = load_into(&table, Path::new(&path)) {
+                eprintln!("shalom: ignoring SHALOM_PROFILE {path:?}: {e}");
             }
         }
-        cache
+        table
     })
 }
 
@@ -255,15 +227,15 @@ pub(crate) fn effective_isa<T: FamilyElem>(cfg: &GemmConfig) -> (Isa, &'static F
     (base, kernels_for::<T>(base))
 }
 
-/// The ISA-aware plan-cache key a *serial* dispatch of this signature
+/// The ISA-aware override key a *serial* dispatch of this signature
 /// resolves under — the bucketing key for coalescing independent
 /// requests into one `gemm_batch` call (`shalom-service`). The §7.4
 /// batch discipline runs every member problem single-threaded, so the
 /// key is computed for `threads == 1`; requests with equal keys resolve
 /// to the same dispatch plan and can legally share a batch. This is the
-/// key a `threads == 1` [`GemmPlan::new`] looks up under, built without
-/// touching the cache: there is deliberately no second shape key
-/// anywhere in the system.
+/// key a `threads == 1` [`GemmPlan::new`] looks an override up under,
+/// built without touching the table: there is deliberately no second
+/// shape key anywhere in the system.
 pub fn request_plan_key<T: GemmElem>(
     cfg: &GemmConfig,
     op_a: Op,
@@ -276,7 +248,7 @@ pub fn request_plan_key<T: GemmElem>(
 }
 
 /// One call signature with its effective ISA resolved: what a plan is
-/// keyed by and computed from. Building one consults no cache.
+/// keyed by and computed from. Building one consults no table.
 struct Signature<'a, T: FamilyElem> {
     cfg: &'a GemmConfig,
     op_a: Op,
@@ -363,9 +335,9 @@ impl<'a, T: FamilyElem> Signature<'a, T> {
         }
     }
 
-    /// Resolves the full dispatch plan from scratch — the §4/§5.5/§6
-    /// logic the cache memoizes. Pure: equal signatures always produce
-    /// equal plans. One resolution for every kernel set: the set only
+    /// Resolves the full dispatch plan from the signature — the
+    /// §4/§5.5/§6 logic. Pure: equal signatures always produce equal
+    /// plans. One resolution for every kernel set: the set only
     /// supplies the tile the blocking and the workspace are measured in.
     fn compute(&self) -> GemmPlan<T> {
         let ks = self.ks;
@@ -376,11 +348,11 @@ impl<'a, T: FamilyElem> Signature<'a, T> {
         self.plan(b_plan, self.cfg.edge, bs, grid, PlanSource::Computed)
     }
 
-    /// Rebuilds the handle from a cached (or profile-installed) encoded
-    /// plan. The effective ISA is never stored: it is a pure function of
-    /// the same inputs as the key, so an entry can only ever be served at
-    /// the width it was keyed under.
-    fn decode(&self, plan: &ResolvedPlan, source: PlanSource) -> GemmPlan<T> {
+    /// Rebuilds the handle from an installed override's encoded plan.
+    /// The effective ISA is never stored: it is a pure function of the
+    /// same inputs as the key, so an entry can only ever be served at the
+    /// width it was keyed under.
+    fn decode(&self, plan: &ResolvedPlan) -> GemmPlan<T> {
         // `.max(1)` is defense in depth on top of profile validation: a
         // zero blocking factor would hang the driver's kk/ii/jj loops.
         let bs = BlockSizes {
@@ -405,48 +377,44 @@ impl<'a, T: FamilyElem> Signature<'a, T> {
             }
             stored => stored,
         };
-        self.plan(b_plan, decode_edge(plan.edge), bs, grid, source)
+        self.plan(
+            b_plan,
+            decode_edge(plan.edge),
+            bs,
+            grid,
+            PlanSource::Profile,
+        )
     }
 
-    /// The cache-consulting resolution every handle is built by,
-    /// memoizing computed plans; with the cache disabled, a plain
-    /// recompute. Being the single funnel, this is also the capture
-    /// region that times plan resolution — hit and miss alike — into the
-    /// span timeline and the next call's `plan_ns`, stamped with the
-    /// outcome.
+    /// The resolution every handle is built by: the override under this
+    /// signature's key if one is installed, otherwise the computed plan.
+    /// While the table is empty — no override anywhere in the process —
+    /// it is not consulted: no key, no fingerprint, no lock. Being the
+    /// single funnel, this is also the capture region that times plan
+    /// resolution into the span timeline and the next call's `plan_ns`,
+    /// stamped with the outcome.
     fn resolve(&self) -> GemmPlan<T> {
         let tok = capture::begin(
             capture::Phase::PlanLookup,
             capture::shape(self.m, self.n, self.k),
         );
-        let plan = self.lookup();
+        let table = overrides();
+        let installed = if table.is_empty() {
+            None
+        } else {
+            table.get(&self.key())
+        };
+        let plan = match installed {
+            Some(stored) => self.decode(&stored),
+            None => self.compute(),
+        };
         capture::plan_end(tok, plan.source);
-        plan
-    }
-
-    fn lookup(&self) -> GemmPlan<T> {
-        if !plan_cache_enabled() {
-            return self.compute();
-        }
-        let key = self.key();
-        let cache = global_cache();
-        if let Some((plan, stored)) = cache.get(&key) {
-            capture::note_plan_lookup(true);
-            let source = match stored {
-                Source::Profile => PlanSource::Profile,
-                Source::Computed => PlanSource::Cached,
-            };
-            return self.decode(&plan, source);
-        }
-        capture::note_plan_lookup(false);
-        let plan = self.compute();
-        capture::note_plan_evictions(cache.insert_computed(key, plan.describe().plan));
         plan
     }
 }
 
 /// The §4 B-handling regime of an `m x n x k` problem (or sub-block)
-/// under `cfg`: the pure resolution the cache memoizes for whole problems
+/// under `cfg`: the pure resolution a handle makes for the whole problem
 /// and a threaded parent repeats per tile.
 fn resolve_b_plan<T>(
     cfg: &GemmConfig,
@@ -486,9 +454,8 @@ fn workspace_elems<T>(
 
 impl<T: FamilyElem> GemmPlan<T> {
     /// Resolves the plan for `C (m x n) = op_a(A) * op_b(B)` of depth `k`
-    /// under `cfg` — one plan-cache lookup (a hit when the signature is
-    /// warm), or a recompute while the cache is disabled. See the type's
-    /// docs for the snapshot semantics.
+    /// under `cfg`: the installed override for the signature, or else the
+    /// computed plan. See the type's docs for the snapshot semantics.
     pub fn new(cfg: &GemmConfig, op_a: Op, op_b: Op, m: usize, n: usize, k: usize) -> Self {
         let threads = cfg.resolved_threads();
         Signature::of(cfg, op_a, op_b, m, n, k, threads).resolve()
@@ -499,7 +466,7 @@ impl<T: FamilyElem> GemmPlan<T> {
     /// construction — a sub-block smaller than a wide register tile must
     /// not silently change set, or threaded results would stop being
     /// bitwise equal to serial ones — and the §4 regime re-resolved for
-    /// the sub-block by the same pure functions the cache memoizes.
+    /// the sub-block by the same pure function the parent's was.
     pub(crate) fn for_block(&self, rl: usize, cl: usize) -> Self {
         let b_plan = resolve_b_plan(&self.cfg, self.ks, self.op_b, rl, cl, self.k);
         let (bc_elems, at_elems) = workspace_elems(&self.bs, self.ks, self.op_a, rl, self.k);
@@ -522,7 +489,7 @@ impl<T: FamilyElem> GemmPlan<T> {
         self.isa
     }
 
-    /// The plan in its encoded (cached, profile-file) form, with where
+    /// The plan in its encoded (override-table, profile-file) form, with where
     /// it came from when the handle was built.
     pub fn describe(&self) -> PlanDescription {
         let elem_bytes = core::mem::size_of::<T>();
@@ -549,9 +516,9 @@ impl<T: FamilyElem> GemmPlan<T> {
     }
 }
 
-/// Resolves (through the cache) and describes the plan the library
-/// would use for this call: the §4 packing regime, §5.5 blocking, §6
-/// thread grid, and whether it was computed, cached, or profile-served.
+/// Resolves and describes the plan the library would use for this call:
+/// the §4 packing regime, §5.5 blocking, §6 thread grid, and whether it
+/// was computed or served from an installed override.
 pub fn describe_plan<T: GemmElem>(
     cfg: &GemmConfig,
     op_a: Op,
@@ -563,14 +530,17 @@ pub fn describe_plan<T: GemmElem>(
     GemmPlan::<T>::new(cfg, op_a, op_b, m, n, k).describe()
 }
 
-/// Installs the plan a *tuned* configuration resolves to as a profile
-/// override for the signature keyed by the *base* configuration — the
-/// bridge from [`crate::autotune`] to the cache: tune once, then every
-/// handle the application builds with its ordinary `base` config carries
-/// the tuned packing/blocking decision.
+/// Installs the plan a *tuned* configuration resolves to as an override
+/// for the signature keyed by the *base* configuration — the bridge from
+/// [`crate::autotune`] to the table: tune once, then every handle the
+/// application builds with its ordinary `base` config carries the tuned
+/// packing/blocking decision.
 ///
 /// The thread grid is computed for `base.resolved_threads()` (the count
-/// the application will actually call with).
+/// the application will actually call with). The returned `source` is
+/// [`PlanSource::Profile`] — or [`PlanSource::Computed`] when the table
+/// is full: then nothing was installed, no resident override was
+/// displaced, and calls keep computing their plans.
 pub fn install_tuned<T: GemmElem>(
     base: &GemmConfig,
     tuned: &GemmConfig,
@@ -589,39 +559,37 @@ pub fn install_tuned<T: GemmElem>(
         isa: base.isa,
         ..*tuned
     };
-    let install = |t: usize| {
+    let entry = |t: usize| {
         let plan = Signature::<T>::of(&eff, op_a, op_b, m, n, k, t).compute();
         let key = Signature::<T>::of(base, op_a, op_b, m, n, k, t).key();
-        let plan = plan.describe().plan;
-        capture::note_plan_evictions(global_cache().install(key, plan));
-        plan
+        (key, plan.describe().plan)
     };
+    let (key, plan) = entry(threads);
     // The batched path resolves every member under a threads = 1 key;
     // install the override there too so a tuned signature applies
     // wherever it executes single-threaded.
-    if threads > 1 {
-        install(1);
-    }
-    PlanDescription {
-        source: PlanSource::Profile,
-        plan: install(threads),
-    }
+    let installed = if threads > 1 {
+        overrides().install_all(&[entry(1), (key, plan)])
+    } else {
+        overrides().install_all(&[(key, plan)])
+    };
+    let source = if installed {
+        PlanSource::Profile
+    } else {
+        PlanSource::Computed
+    };
+    PlanDescription { source, plan }
 }
 
 /// Loads a profile file and installs every entry as an override.
-/// Returns how many entries were installed. Total: malformed files,
-/// version mismatches, profiles saved under a different ISA than this
-/// host dispatches ([`ProfileError::IsaMismatch`]), and out-of-range
-/// plans are rejected as [`ProfileError`]s (never a panic) without
-/// touching the cache.
+/// Returns how many entries were installed. Total and all-or-nothing:
+/// malformed files, version mismatches, profiles saved under a different
+/// ISA than this host dispatches ([`ProfileError::IsaMismatch`]),
+/// out-of-range plans, and files with more new entries than the table has
+/// room for are rejected as [`ProfileError`]s (never a panic) without
+/// touching the table.
 pub fn load_profile(path: impl AsRef<Path>) -> Result<usize, ProfileError> {
-    let entries = profile::load(path.as_ref(), caps::best_isa().label())?;
-    let cache = global_cache();
-    let n = entries.len();
-    for (key, plan) in entries {
-        capture::note_plan_evictions(cache.install(key, plan));
-    }
-    Ok(n)
+    load_into(overrides(), path.as_ref())
 }
 
 /// Persists every installed override (autotune installs and previously
@@ -630,27 +598,22 @@ pub fn load_profile(path: impl AsRef<Path>) -> Result<usize, ProfileError> {
 /// ISA; any other host rejects the file instead of applying plans tuned
 /// for the wrong vector width. Returns how many entries were written.
 pub fn save_profile(path: impl AsRef<Path>) -> Result<usize, ProfileError> {
-    let entries = global_cache().profile_entries();
+    let entries = overrides().entries();
     profile::save(path.as_ref(), &entries, caps::best_isa().label())?;
     Ok(entries.len())
 }
 
-/// Drops every cache entry, computed and profile alike.
+/// Drops every installed override; every call computes its plan again.
 pub fn plan_cache_clear() {
-    global_cache().clear();
+    overrides().clear();
 }
 
-/// Invalidation hook for configuration or cache-hierarchy changes:
-/// drops memoized computed plans (they encode decisions that may no
-/// longer hold) while keeping explicitly installed profile overrides.
-pub fn plan_cache_invalidate() {
-    global_cache().invalidate_computed();
-}
-
-/// Aggregate plan-cache statistics (always on, independent of the
-/// `capture` feature): hits, misses, evictions, installs, residency.
+/// Override-table statistics (always on, independent of the `capture`
+/// feature): lookups that found an override, lookups that did not, and
+/// residency. Calls made while the table is empty look nothing up and
+/// count as neither.
 pub fn plan_cache_stats() -> CacheStats {
-    global_cache().stats()
+    overrides().stats()
 }
 
 #[cfg(test)]
@@ -740,9 +703,9 @@ mod tests {
     #[test]
     fn encoded_plan_decodes_to_the_computed_handle_at_every_set() {
         // Encode then decode is the identity on everything a run reads —
-        // the cached == recomputed guarantee in miniature — the decisions
-        // are the driver-level resolutions, and the workspace is one
-        // formula.
+        // an override of the computed plan is the computed plan, in
+        // miniature — the decisions are the driver-level resolutions, and
+        // the workspace is one formula.
         for fam in registered_families() {
             let c = cfg_at(fam.isa);
             let ks = &fam.k_f64;
@@ -753,10 +716,10 @@ mod tests {
                         let computed = sig.compute();
                         let rp = computed.describe().plan;
                         rp.validate().unwrap();
-                        let decoded = sig.decode(&rp, PlanSource::Cached);
+                        let decoded = sig.decode(&rp);
                         assert_eq!(executed(&decoded), executed(&computed));
                         assert_eq!(decoded.describe().plan, rp);
-                        assert_eq!(decoded.source, PlanSource::Cached);
+                        assert_eq!(decoded.source, PlanSource::Profile);
 
                         assert!(core::ptr::eq(computed.ks, ks));
                         assert_eq!(computed.isa(), fam.isa);
@@ -805,7 +768,7 @@ mod tests {
         let sig = Signature::<f32>::of(&c, N, N, 64, 64, 64, 4);
         let mut rp = sig.compute().describe().plan;
         (rp.kc, rp.mc, rp.nc, rp.tm, rp.tn) = (0, 0, 0, 3, 5);
-        let p = sig.decode(&rp, PlanSource::Profile);
+        let p = sig.decode(&rp);
         assert_eq!((p.bs.kc, p.bs.mc, p.bs.nc), (1, 1, 1));
         assert_eq!((p.tm, p.tn), partition_threads(4, 64, 64));
         // The workspace follows the blocking that will run, never the
@@ -821,7 +784,7 @@ mod tests {
             for stored in [BPlan::Fused, BPlan::FusedLookahead] {
                 let mut rp = computed.describe().plan;
                 rp.b_plan = bplan_code(stored);
-                let p = sig.decode(&rp, PlanSource::Profile);
+                let p = sig.decode(&rp);
                 match sig.ks.nt_pack {
                     Some(_) => assert_eq!(p.b_plan, stored),
                     None => {
@@ -958,7 +921,7 @@ mod tests {
         assert_ne!(k_auto, k_base);
         assert_eq!(k_base.isa, caps::base_isa().code());
         assert!(k_auto.validate().is_ok() && k_base.validate().is_ok());
-        // The public key is the serial one, cache untouched.
+        // The public key is the serial one, table untouched.
         assert_eq!(request_plan_key::<f32>(&auto, N, N, 64, 64, 64), k_auto);
         if let Some(fam) = shalom_kernels::selected_wide_family() {
             assert_eq!(k_auto.isa, fam.isa.code());

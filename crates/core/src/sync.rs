@@ -2,9 +2,8 @@
 //! instrumented `shalom-modelcheck` shims under the `modelcheck`
 //! cargo feature.
 //!
-//! Every atomic the runtime's protocols touch (`pool`'s task counter,
-//! `plan`'s enable flag) is imported through this module rather than
-//! from `std` directly. In the default configuration that is a pure
+//! Every atomic the runtime's protocols touch (`pool`'s task counter)
+//! is imported through this module rather than from `std` directly. In the default configuration that is a pure
 //! re-export — same types, same codegen, zero overhead (the
 //! `sync_facade` integration test pins this by type identity). With `--features modelcheck` the same names
 //! resolve to `shalom_modelcheck::shim`, whose types delegate to the

@@ -1,14 +1,15 @@
-//! Integration tests for the plan-cache subsystem: memoized dispatch
-//! plans and persistent autotune profiles must never change what a GEMM
-//! computes — only how fast its plan is found.
+//! Integration tests for plan overrides: autotune installs and
+//! persistent profiles may change how a GEMM is blocked and packed, never
+//! what it computes — and one that encodes the computed plan changes
+//! nothing at all.
 //!
-//! The plan cache is process-global, so every test here serializes on
-//! one mutex and clears the cache before acting.
+//! The override table is process-global, so every test here serializes
+//! on one mutex and clears the table before acting.
 
 use shalom_core::{
     autotune, describe_plan, gemm_with, install_tuned, load_profile, plan_cache_clear,
-    plan_cache_invalidate, plan_cache_stats, save_profile, set_plan_cache_enabled, CacheParams,
-    GemmConfig, GemmElem, Op, PlanSource, ProfileError,
+    plan_cache_stats, save_profile, CacheParams, GemmConfig, GemmElem, Op, PlanSource,
+    ProfileError,
 };
 use shalom_matrix::{assert_close, gemm_tolerance, reference, Matrix};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -78,41 +79,32 @@ const SHAPES: [(usize, usize, usize); 6] = [
 ];
 
 #[test]
-fn results_bitwise_identical_across_cache_modes() {
+fn an_override_of_the_computed_plan_never_changes_results() {
     let _g = state_lock();
     let cfg = fixed_config();
-    for (op_a, op_b) in [
+    fn one<T: GemmElem + PartialEq + std::fmt::Debug>(
+        cfg: &GemmConfig,
+        (op_a, op_b): (Op, Op),
+        (m, n, k): (usize, usize, usize),
+    ) {
+        // Computed twice, then served from an override of the same plan:
+        // all three agree to the last bit.
+        plan_cache_clear();
+        let first = run_gemm::<T>(cfg, op_a, op_b, m, n, k);
+        let again = run_gemm::<T>(cfg, op_a, op_b, m, n, k);
+        install_tuned::<T>(cfg, cfg, op_a, op_b, m, n, k);
+        let served = run_gemm::<T>(cfg, op_a, op_b, m, n, k);
+        assert_eq!(first, again, "{op_a:?}{op_b:?} {m}x{n}x{k} recomputed");
+        assert_eq!(first, served, "{op_a:?}{op_b:?} {m}x{n}x{k} override");
+    }
+    for ops in [
         (Op::NoTrans, Op::NoTrans),
         (Op::NoTrans, Op::Trans),
         (Op::Trans, Op::NoTrans),
     ] {
-        for (m, n, k) in SHAPES {
-            // f32 and f64: cold miss, warm hit, cache-disabled, and
-            // profile-override runs must agree to the last bit.
-            plan_cache_clear();
-            set_plan_cache_enabled(true);
-            let cold32 = run_gemm::<f32>(&cfg, op_a, op_b, m, n, k);
-            let warm32 = run_gemm::<f32>(&cfg, op_a, op_b, m, n, k);
-            set_plan_cache_enabled(false);
-            let off32 = run_gemm::<f32>(&cfg, op_a, op_b, m, n, k);
-            set_plan_cache_enabled(true);
-            install_tuned::<f32>(&cfg, &cfg, op_a, op_b, m, n, k);
-            let prof32 = run_gemm::<f32>(&cfg, op_a, op_b, m, n, k);
-            assert_eq!(cold32, warm32, "{op_a:?}{op_b:?} {m}x{n}x{k} warm");
-            assert_eq!(cold32, off32, "{op_a:?}{op_b:?} {m}x{n}x{k} disabled");
-            assert_eq!(cold32, prof32, "{op_a:?}{op_b:?} {m}x{n}x{k} profile");
-
-            plan_cache_clear();
-            let cold64 = run_gemm::<f64>(&cfg, op_a, op_b, m, n, k);
-            let warm64 = run_gemm::<f64>(&cfg, op_a, op_b, m, n, k);
-            set_plan_cache_enabled(false);
-            let off64 = run_gemm::<f64>(&cfg, op_a, op_b, m, n, k);
-            set_plan_cache_enabled(true);
-            install_tuned::<f64>(&cfg, &cfg, op_a, op_b, m, n, k);
-            let prof64 = run_gemm::<f64>(&cfg, op_a, op_b, m, n, k);
-            assert_eq!(cold64, warm64, "{op_a:?}{op_b:?} {m}x{n}x{k} warm");
-            assert_eq!(cold64, off64, "{op_a:?}{op_b:?} {m}x{n}x{k} disabled");
-            assert_eq!(cold64, prof64, "{op_a:?}{op_b:?} {m}x{n}x{k} profile");
+        for shape in SHAPES {
+            one::<f32>(&cfg, ops, shape);
+            one::<f64>(&cfg, ops, shape);
         }
     }
     plan_cache_clear();
@@ -123,34 +115,34 @@ fn plan_source_transitions() {
     let _g = state_lock();
     let cfg = fixed_config();
     plan_cache_clear();
-    set_plan_cache_enabled(true);
+    let before = plan_cache_stats();
+    let describe = |m| describe_plan::<f32>(&cfg, Op::NoTrans, Op::NoTrans, m, 37, 41);
 
-    // Cold lookup computes; the same signature then hits.
-    let d1 = describe_plan::<f32>(&cfg, Op::NoTrans, Op::NoTrans, 31, 37, 41);
+    // Nothing installed: every handle is computed — nothing is remembered
+    // from the first to the second — and the table is not even read.
+    let d1 = describe(31);
+    let d2 = describe(31);
     assert_eq!(d1.source, PlanSource::Computed);
-    let d2 = describe_plan::<f32>(&cfg, Op::NoTrans, Op::NoTrans, 31, 37, 41);
-    assert_eq!(d2.source, PlanSource::Cached);
-    assert_eq!(d1.plan, d2.plan, "hit must return the computed plan");
+    assert_eq!(d1, d2);
+    assert_eq!(plan_cache_stats(), before);
 
-    // Disabled: always computed, even for a cached signature.
-    set_plan_cache_enabled(false);
-    let d3 = describe_plan::<f32>(&cfg, Op::NoTrans, Op::NoTrans, 31, 37, 41);
-    assert_eq!(d3.source, PlanSource::Computed);
-    assert_eq!(d3.plan, d1.plan);
-    set_plan_cache_enabled(true);
-
-    // An installed override takes priority over the cached entry.
-    install_tuned::<f32>(&cfg, &cfg, Op::NoTrans, Op::NoTrans, 31, 37, 41);
-    let d4 = describe_plan::<f32>(&cfg, Op::NoTrans, Op::NoTrans, 31, 37, 41);
-    assert_eq!(d4.source, PlanSource::Profile);
-    assert_eq!(d4.plan, d1.plan, "same config -> same resolved plan");
-
-    // Counters saw all of the above.
+    // An installed override serves its own key and no other.
+    let installed = install_tuned::<f32>(&cfg, &cfg, Op::NoTrans, Op::NoTrans, 31, 37, 41);
+    assert_eq!(installed.source, PlanSource::Profile);
+    let d3 = describe(31);
+    assert_eq!(d3.source, PlanSource::Profile);
+    assert_eq!(d3.plan, d1.plan, "same config -> same resolved plan");
+    assert_eq!(describe(32).source, PlanSource::Computed);
     let st = plan_cache_stats();
-    assert!(st.hits >= 2, "stats: {st:?}");
-    assert!(st.misses >= 1, "stats: {st:?}");
-    assert!(st.installs >= 1, "stats: {st:?}");
+    assert_eq!(
+        (st.hits - before.hits, st.misses - before.misses, st.entries),
+        (1, 1, 1)
+    );
+
+    // Cleared: computed again.
     plan_cache_clear();
+    assert_eq!(describe(31), d1);
+    assert_eq!(plan_cache_stats().entries, 0);
 }
 
 #[test]
@@ -159,7 +151,6 @@ fn profile_round_trip_through_disk() {
     let cfg = fixed_config();
     let path = tmp_path("roundtrip");
     plan_cache_clear();
-    set_plan_cache_enabled(true);
 
     // Autotune (tiny budget) and install the winner for two signatures.
     let report = autotune::<f32>(
@@ -182,10 +173,10 @@ fn profile_round_trip_through_disk() {
     let saved = save_profile(&path).expect("save");
     assert!(saved >= 2, "saved {saved}");
 
-    // A fresh cache (standing in for a fresh process) reloads the same
+    // A cleared table (standing in for a fresh process) reloads the same
     // resolved plans.
     plan_cache_clear();
-    assert_eq!(plan_cache_stats().profile_entries, 0);
+    assert_eq!(plan_cache_stats().entries, 0);
     let loaded = load_profile(&path).expect("load");
     assert_eq!(loaded, saved);
     let after32 = describe_plan::<f32>(&cfg, Op::NoTrans, Op::NoTrans, 8, 8, 8);
@@ -203,6 +194,12 @@ fn profile_round_trip_through_disk() {
 fn bad_profiles_rejected_without_panic() {
     let _g = state_lock();
     let path = tmp_path("bad");
+    // Two overrides are resident throughout; every rejection below must
+    // leave both exactly as they are.
+    let cfg = fixed_config();
+    plan_cache_clear();
+    install_tuned::<f32>(&cfg, &cfg, Op::NoTrans, Op::NoTrans, 9, 10, 11);
+    install_tuned::<f64>(&cfg, &cfg, Op::Trans, Op::NoTrans, 12, 13, 14);
 
     // Missing file -> Io.
     let missing = tmp_path("never_written");
@@ -277,31 +274,61 @@ fn bad_profiles_rejected_without_panic() {
     .unwrap();
     assert!(matches!(load_profile(&path), Err(ProfileError::Invalid(_))));
 
+    assert_eq!(
+        plan_cache_stats().entries,
+        2,
+        "a rejected file touched the table"
+    );
+    let d = describe_plan::<f32>(&cfg, Op::NoTrans, Op::NoTrans, 9, 10, 11);
+    assert_eq!(d.source, PlanSource::Profile);
+    let d = describe_plan::<f64>(&cfg, Op::Trans, Op::NoTrans, 12, 13, 14);
+    assert_eq!(d.source, PlanSource::Profile);
+
     let _ = std::fs::remove_file(&path);
+    plan_cache_clear();
 }
 
 #[test]
-fn invalidate_drops_computed_keeps_profiles() {
+fn a_full_table_refuses_instead_of_dropping_overrides() {
     let _g = state_lock();
     let cfg = fixed_config();
+    let path = tmp_path("full");
+    let bound = shalom_plans::MAX_OVERRIDES;
+    let install = |m| install_tuned::<f32>(&cfg, &cfg, Op::NoTrans, Op::NoTrans, m, 8, 8);
+    let source = |m| describe_plan::<f32>(&cfg, Op::NoTrans, Op::NoTrans, m, 8, 8).source;
     plan_cache_clear();
-    set_plan_cache_enabled(true);
+    for m in 1..=bound {
+        assert_eq!(install(m).source, PlanSource::Profile, "override {m}");
+    }
+    assert_eq!(plan_cache_stats().entries, bound);
 
-    describe_plan::<f32>(&cfg, Op::NoTrans, Op::NoTrans, 19, 23, 29);
-    install_tuned::<f32>(&cfg, &cfg, Op::Trans, Op::NoTrans, 17, 13, 11);
-    let st = plan_cache_stats();
-    assert!(st.entries > st.profile_entries, "computed entry resident");
+    // One more: refused, said so, nothing displaced. Re-installing a
+    // resident key is not growth and still lands.
+    assert_eq!(install(bound + 1).source, PlanSource::Computed);
+    assert_eq!(source(bound + 1), PlanSource::Computed);
+    assert_eq!(install(bound).source, PlanSource::Profile);
+    assert_eq!(plan_cache_stats().entries, bound);
+    assert!((1..=bound).all(|m| source(m) == PlanSource::Profile));
 
-    plan_cache_invalidate();
-    let st = plan_cache_stats();
-    assert_eq!(st.entries, st.profile_entries, "only overrides survive");
-    assert!(st.profile_entries >= 1);
+    // The same bound on ingest: a file that does not fit beside what is
+    // resident is refused whole and the resident override stays.
+    assert_eq!(save_profile(&path).expect("save"), bound);
+    plan_cache_clear();
+    assert_eq!(install(bound + 1).source, PlanSource::Profile);
+    match load_profile(&path) {
+        Err(ProfileError::Invalid(why)) => assert!(why.contains("do not fit"), "{why}"),
+        got => panic!("want Invalid, got {got:?}"),
+    }
+    assert_eq!(plan_cache_stats().entries, 1);
+    assert_eq!(source(bound + 1), PlanSource::Profile);
+    assert_eq!(source(1), PlanSource::Computed);
 
-    // The dropped signature re-computes; the override still serves.
-    let d = describe_plan::<f32>(&cfg, Op::NoTrans, Op::NoTrans, 19, 23, 29);
-    assert_eq!(d.source, PlanSource::Computed);
-    let d = describe_plan::<f32>(&cfg, Op::Trans, Op::NoTrans, 17, 13, 11);
-    assert_eq!(d.source, PlanSource::Profile);
+    // It fits an empty table exactly.
+    plan_cache_clear();
+    assert_eq!(load_profile(&path).expect("load"), bound);
+    assert_eq!(plan_cache_stats().entries, bound);
+
+    let _ = std::fs::remove_file(&path);
     plan_cache_clear();
 }
 
@@ -322,7 +349,6 @@ fn perturbed_profile_changes_plan_not_results() {
         ..base
     };
     plan_cache_clear();
-    set_plan_cache_enabled(true);
     let (m, n, k) = (40, 52, 36);
     install_tuned::<f64>(&base, &tuned, Op::NoTrans, Op::NoTrans, m, n, k);
     let d = describe_plan::<f64>(&base, Op::NoTrans, Op::NoTrans, m, n, k);
@@ -356,26 +382,21 @@ fn perturbed_profile_changes_plan_not_results() {
 }
 
 #[test]
-fn parallel_and_batch_paths_survive_cache_toggles() {
+fn parallel_and_batch_paths_serve_overrides_bitwise() {
     let _g = state_lock();
-    // Threaded and batched dispatch consult the cache through their own
-    // key paths (grid under `threads = t`, shared serial plan under
-    // `threads = 1`); flipping the cache must not change either result.
+    // A batch under a threaded config looks its override up under the
+    // `threads = 1` key, the threaded call under `threads = t`;
+    // `install_tuned` installs under both, and serving the computed plan
+    // from either must not change the result.
     let cfg = GemmConfig {
         threads: 2,
         ..fixed_config()
     };
+    let (nn, t) = ((Op::NoTrans, Op::NoTrans), Op::NoTrans);
     plan_cache_clear();
-    set_plan_cache_enabled(true);
-    let warm = run_gemm::<f32>(&cfg, Op::NoTrans, Op::NoTrans, 96, 96, 96);
-    let warm2 = run_gemm::<f32>(&cfg, Op::NoTrans, Op::NoTrans, 96, 96, 96);
-    set_plan_cache_enabled(false);
-    let off = run_gemm::<f32>(&cfg, Op::NoTrans, Op::NoTrans, 96, 96, 96);
-    set_plan_cache_enabled(true);
-    assert_eq!(warm, warm2);
-    assert_eq!(warm, off);
+    let bare = run_gemm::<f32>(&cfg, nn.0, nn.1, 96, 96, 96);
 
-    // Uniform batch: one shared plan lookup, same numbers either way.
+    // Uniform batch: one shared plan, same numbers either way.
     let a: Vec<Matrix<f32>> = (0..6).map(|i| Matrix::random(8, 8, 100 + i)).collect();
     let b: Vec<Matrix<f32>> = (0..6).map(|i| Matrix::random(8, 8, 200 + i)).collect();
     let run_batch = || {
@@ -390,15 +411,18 @@ fn parallel_and_batch_paths_survive_cache_toggles() {
                 c: c.as_mut(),
             })
             .collect();
-        shalom_core::gemm_batch_beta(&cfg, Op::NoTrans, Op::NoTrans, 1.0f32, 0.0, &mut items);
+        shalom_core::gemm_batch_beta(&cfg, t, t, 1.0f32, 0.0, &mut items);
         c.iter()
             .flat_map(|m| m.as_slice().to_vec())
             .collect::<Vec<f32>>()
     };
-    let batch_on = run_batch();
-    set_plan_cache_enabled(false);
-    let batch_off = run_batch();
-    set_plan_cache_enabled(true);
-    assert_eq!(batch_on, batch_off);
+    let batch_bare = run_batch();
+
+    install_tuned::<f32>(&cfg, &cfg, nn.0, nn.1, 96, 96, 96);
+    install_tuned::<f32>(&cfg, &cfg, nn.0, nn.1, 8, 8, 8);
+    let hits = plan_cache_stats().hits;
+    assert_eq!(run_gemm::<f32>(&cfg, nn.0, nn.1, 96, 96, 96), bare);
+    assert_eq!(run_batch(), batch_bare);
+    assert_eq!(plan_cache_stats().hits - hits, 2, "both were served");
     plan_cache_clear();
 }

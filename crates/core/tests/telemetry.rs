@@ -281,9 +281,8 @@ fn parallel_path_reports_grid() {
 
     let snap = capture::record_snapshot();
     assert_eq!(snap.totals.fork_joins, 1);
-    // One plan lookup for the whole call — the parent's handle; every tile
-    // runs the plan the parent derived for it and looks nothing up.
-    assert_eq!(snap.totals.plan_hits + snap.totals.plan_misses, 1);
+    // One plan resolution for the whole call — the parent's handle; every
+    // tile runs the plan the parent derived for it and resolves nothing.
     assert!(recs
         .iter()
         .filter(|r| r.path == PathTag::ParallelWorker)
@@ -326,43 +325,25 @@ fn batch_path_counts_items() {
 }
 
 #[test]
-fn plan_cache_hits_show_up_in_records_and_counters() {
+fn plan_source_shows_up_in_records() {
     let _g = state_lock();
-    // A signature no other test uses, so the cold call really misses.
     shalom_core::plan_cache_clear();
-    shalom_core::set_plan_cache_enabled(true);
     let cfg = fixed_config();
     let (m, n, k) = (51, 49, 47);
+    let source = || {
+        let recs = trace_gemm(&cfg, Op::NoTrans, Op::NoTrans, m, n, k);
+        sole_record(&recs, m, n, k).plan_source
+    };
 
-    let cold = trace_gemm(&cfg, Op::NoTrans, Op::NoTrans, m, n, k);
-    let r = sole_record(&cold, m, n, k);
-    assert_eq!(r.plan_source, capture::PlanSourceTag::Computed);
+    // Every call computes its plan — the second as much as the first.
+    assert_eq!(source(), capture::PlanSourceTag::Computed);
+    assert_eq!(source(), capture::PlanSourceTag::Computed);
 
-    let warm = trace_gemm(&cfg, Op::NoTrans, Op::NoTrans, m, n, k);
-    let r = sole_record(&warm, m, n, k);
-    assert_eq!(r.plan_source, capture::PlanSourceTag::Cached);
-
-    // Counters (reset per trace_gemm) saw exactly the warm lookup.
-    let snap = capture::record_snapshot();
-    assert_eq!(snap.totals.plan_hits, 1, "warm call must hit");
-    assert_eq!(snap.totals.plan_misses, 0);
-
-    // An installed autotune override reports as Profile.
+    // An installed autotune override reports as Profile, until cleared.
     shalom_core::install_tuned::<f32>(&cfg, &cfg, Op::NoTrans, Op::NoTrans, m, n, k);
-    let prof = trace_gemm(&cfg, Op::NoTrans, Op::NoTrans, m, n, k);
-    let r = sole_record(&prof, m, n, k);
-    assert_eq!(r.plan_source, capture::PlanSourceTag::Profile);
-
-    // With the cache disabled the source degrades to Computed and no
-    // lookups are counted.
-    shalom_core::set_plan_cache_enabled(false);
-    let off = trace_gemm(&cfg, Op::NoTrans, Op::NoTrans, m, n, k);
-    let r = sole_record(&off, m, n, k);
-    assert_eq!(r.plan_source, capture::PlanSourceTag::Computed);
-    let snap = capture::record_snapshot();
-    assert_eq!(snap.totals.plan_hits + snap.totals.plan_misses, 0);
-    shalom_core::set_plan_cache_enabled(true);
+    assert_eq!(source(), capture::PlanSourceTag::Profile);
     shalom_core::plan_cache_clear();
+    assert_eq!(source(), capture::PlanSourceTag::Computed);
 }
 
 proptest! {

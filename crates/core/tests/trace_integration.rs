@@ -159,7 +159,6 @@ fn one_region_feeds_both_sinks() {
     // span durations — the same two clock reads, not a second pair. The
     // record's `plan_ns` is the lookup that built the handle the call ran.
     let cfg = GemmConfig::with_threads(1);
-    let _ = gemm_bits(&cfg, 40, 40, 40); // warm the plan cache
     capture::reset();
     capture::enable(Sink::Both);
     let _ = gemm_bits(&cfg, 40, 40, 40);
@@ -181,9 +180,9 @@ fn one_region_feeds_both_sinks() {
     // the top level — and both carry the source the record reports.
     assert_eq!((serial[0].depth, lookup[0].depth), (0, 0));
     assert!(lookup[0].t1_ns <= serial[0].t0_ns);
-    assert_eq!(rec.plan_source, capture::PlanSourceTag::Cached);
-    assert_eq!(serial[0].src, capture::src::CACHED);
-    assert_eq!(lookup[0].src, capture::src::CACHED);
+    assert_eq!(rec.plan_source, capture::PlanSourceTag::Computed);
+    assert_eq!(serial[0].src, capture::src::COMPUTED);
+    assert_eq!(lookup[0].src, capture::src::COMPUTED);
 }
 
 #[test]

@@ -16,8 +16,8 @@
 //! * [`explorer`] — the DFS scheduler: [`explorer::System`] trait,
 //!   state dedup, deadlock detection, counterexample schedules.
 //! * [`models`] — executable models of the four shipped protocols
-//!   (seqlock ring, pool epoch publish, trace-lane publish, plan-cache
-//!   shard), each with seeded mutations reintroducing the bug class
+//!   (seqlock ring, pool epoch publish, trace-lane publish, plan-override
+//!   table), each with seeded mutations reintroducing the bug class
 //!   its annotations guard against.
 //! * [`shim`] — instrumented `std::sync::atomic` stand-ins behind the
 //!   `shalom_core::sync` facade (core's `modelcheck` feature).

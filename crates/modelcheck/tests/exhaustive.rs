@@ -167,7 +167,7 @@ fn trace_lane_relaxed_len_store_is_detected() {
     );
 }
 
-// --- plan-cache shard: SHALOM-O-CACHE-STATS -------------------------
+// --- plan-override table: SHALOM-O-CACHE-STATS, SHALOM-O-PLAN-FLAG ---
 
 #[test]
 fn plan_shard_correct_exhaustive() {
@@ -177,8 +177,8 @@ fn plan_shard_correct_exhaustive() {
     );
 }
 
-/// Insert without the write lock: a read-locked lookup lands between
-/// the key and value writes.
+/// Install without the write lock: a lookup admitted by the first
+/// override's hint lands between the second's key and value writes.
 #[test]
 fn plan_shard_unlocked_insert_is_detected() {
     must_fail(

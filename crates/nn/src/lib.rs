@@ -28,9 +28,9 @@ use shalom_service::{GemmRequest, Service, ServiceElem, ServiceError};
 ///
 /// The layer's single-image GEMM signature is fixed at construction, so
 /// [`Conv2d::new`] resolves its [`GemmPlan`] once and [`Conv2d::forward`]
-/// only runs it (no plan-cache lookup per image). The handle is a
-/// snapshot: a profile override installed or a plan cache cleared after
-/// the layer is built does not change what `forward` executes — any
+/// only runs it (no plan resolution per image). The handle is a
+/// snapshot: a profile override installed or cleared after the layer is
+/// built does not change what `forward` executes — any
 /// plan computes the same convolution; rebuild the layer to pick up a new
 /// override.
 pub struct Conv2d<T: GemmElem> {

@@ -1,20 +1,20 @@
-//! The sharded, read-mostly plan cache.
+//! The override table: plans installed by autotune or a loaded profile.
 //!
 //! shalom-analysis: deny(panic)
 //!
-//! Warm lookups are a read-lock + hash probe on the dispatch path; lock poisoning is absorbed (entries are Copy), never unwrapped.
+//! A lookup is a read-lock + hash probe on the dispatch path, reached only while the table is non-empty; lock poisoning is absorbed (entries are Copy), never unwrapped.
 
 use crate::{PlanKey, ResolvedPlan};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{LockResult, RwLock};
 
-/// Multiply-rotate hasher (FxHash-style) for the plan maps. Keys are
+/// Multiply-rotate hasher (FxHash-style) for the override map. Keys are
 /// fixed-size integers under the caller's control — not attacker-chosen
 /// strings — so SipHash's collision-DoS resistance buys nothing here,
-/// while its ~100 ns per 40-byte key would dominate a warm lookup on
-/// the small-GEMM dispatch path this cache exists to accelerate.
+/// while its ~100 ns per 40-byte key would dominate a profile-served
+/// lookup on the small-GEMM dispatch path.
 #[derive(Default)]
 struct FxHasher(u64);
 
@@ -27,30 +27,17 @@ impl FxHasher {
     }
 }
 
+/// [`PlanKey`]'s derived `Hash` writes integers only; a `u8` goes through the byte-slice form.
 impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
         self.0
     }
 
-    #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            // PANIC-OK: chunks(8) yields slices of len <= 8 == buf.len().
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.fold_word(u64::from_le_bytes(buf));
+        for &byte in bytes {
+            self.fold_word(u64::from(byte));
         }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, i: u8) {
-        self.fold_word(u64::from(i));
-    }
-
-    #[inline]
-    fn write_u16(&mut self, i: u16) {
-        self.fold_word(u64::from(i));
     }
 
     #[inline]
@@ -62,276 +49,112 @@ impl Hasher for FxHasher {
     fn write_u64(&mut self, i: u64) {
         self.fold_word(i);
     }
-
-    #[inline]
-    fn write_usize(&mut self, i: usize) {
-        self.fold_word(i as u64);
-    }
 }
 
-type Map = HashMap<PlanKey, (ResolvedPlan, Source), BuildHasherDefault<FxHasher>>;
+type Map = HashMap<PlanKey, ResolvedPlan, BuildHasherDefault<FxHasher>>;
 
-/// Number of independent lock shards. A power of two so shard selection
-/// is a mask; 16 is far beyond the core counts this library targets, so
-/// concurrent workers rarely contend even on writes.
-pub const SHARDS: usize = 16;
+/// Most overrides the table admits (under 1 MiB of entries). An install that
+/// would pass it is refused whole: resident overrides are never dropped for room.
+pub const MAX_OVERRIDES: usize = 4096;
 
-/// Default total entry capacity (spread across shards). Each entry is a
-/// few dozen bytes, so the default bounds the cache well under 1 MiB
-/// while comfortably holding every signature a realistic workload cycles
-/// through.
-pub const DEFAULT_CAPACITY: usize = 4096;
-
-/// Where a cached entry came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Source {
-    /// Resolved by the dispatch layer on a miss and memoized.
-    Computed,
-    /// Installed explicitly (autotune result or loaded profile); treated
-    /// as an override: never displaced by computed entries, survives
-    /// coarse eviction and [`PlanCache::invalidate_computed`].
-    Profile,
-}
-
-/// One lock shard plus its (always-on, relaxed) statistics counters,
-/// cacheline-padded so counter traffic from different shards never
-/// false-shares.
-#[repr(align(128))]
-struct Shard {
-    map: RwLock<Map>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    installs: AtomicU64,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Self {
-            map: RwLock::new(Map::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            installs: AtomicU64::new(0),
-        }
-    }
-
-    /// Read the map even if a writer panicked mid-update: entries are
-    /// `Copy` and inserted whole, so a poisoned map is still coherent.
-    fn read(&self) -> RwLockReadGuard<'_, Map> {
-        self.map.read().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn write(&self) -> RwLockWriteGuard<'_, Map> {
-        self.map.write().unwrap_or_else(|p| p.into_inner())
-    }
-}
-
-/// Aggregate statistics over every shard since process start (or the
-/// last [`PlanCache::reset_stats`]).
+/// Lookup counters since process start, plus residency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Lookups that found an entry.
+    /// Lookups that found an override.
     pub hits: u64,
     /// Lookups that found nothing.
     pub misses: u64,
-    /// Entries dropped by coarse capacity eviction.
-    pub evictions: u64,
-    /// Profile/autotune entries installed.
-    pub installs: u64,
-    /// Entries currently resident.
+    /// Overrides currently resident.
     pub entries: usize,
-    /// Resident entries with [`Source::Profile`].
-    pub profile_entries: usize,
 }
 
-/// Concurrent plan cache: [`SHARDS`] `RwLock<HashMap>` shards selected by
-/// key hash, bounded capacity with coarse eviction, and a profile-entry
-/// override tier. See the crate docs for the concurrency model.
+/// The concurrent override table: one `RwLock<HashMap>` bounded to
+/// [`MAX_OVERRIDES`] entries, and a lock-free occupancy hint so callers
+/// can skip the lookup — key and all — while nothing is installed.
+#[derive(Default)]
 pub struct PlanCache {
-    shards: Vec<Shard>,
-    shard_cap: usize,
+    map: RwLock<Map>,
+    /// `map.len()`, stored under the write lock after every mutation.
+    resident: AtomicUsize,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+/// Takes the guard even if a writer panicked mid-update: entries are
+/// `Copy` and inserted whole, so a poisoned map is still coherent.
+fn absorb<G>(locked: LockResult<G>) -> G {
+    locked.unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 impl PlanCache {
-    /// A cache bounded to roughly `capacity` total entries (rounded up
-    /// to a whole number per shard, minimum one per shard).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            shards: (0..SHARDS).map(|_| Shard::new()).collect(),
-            shard_cap: capacity.div_ceil(SHARDS).max(1),
-        }
-    }
-
-    /// A cache with [`DEFAULT_CAPACITY`].
-    pub fn with_default_capacity() -> Self {
-        Self::new(DEFAULT_CAPACITY)
-    }
-
-    fn shard(&self, key: &PlanKey) -> &Shard {
-        let mut h = FxHasher::default();
-        key.hash(&mut h);
-        // Top bits: a multiply-based hash mixes upward, so the low bits
-        // (which the in-shard map uses for buckets) are its weakest.
-        // PANIC-OK: masked by SHARDS - 1; shards has exactly SHARDS slots.
-        &self.shards[(h.finish() >> 60) as usize & (SHARDS - 1)]
-    }
-
-    /// Looks up a plan. Counts a hit or a miss either way.
-    // ORDERING(SHALOM-O-CACHE-STATS): Relaxed monotonic counters; entry data is
-    // ordered by the shard RwLock, never by these stats.
-    // ALLOC-FREE
-    pub fn get(&self, key: &PlanKey) -> Option<(ResolvedPlan, Source)> {
-        let shard = self.shard(key);
-        let found = shard.read().get(key).copied();
-        match found {
-            Some(v) => {
-                shard.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                shard.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Memoizes a computed plan. Never displaces a [`Source::Profile`]
-    /// entry under the same key (the override wins). Returns how many
-    /// entries coarse eviction dropped to make room (0 on the common
-    /// path).
-    pub fn insert_computed(&self, key: PlanKey, plan: ResolvedPlan) -> u64 {
-        self.insert(key, plan, Source::Computed)
-    }
-
-    /// Installs a profile/autotune override for `key`. Overwrites any
-    /// existing entry. Returns how many entries coarse eviction dropped.
-    pub fn install(&self, key: PlanKey, plan: ResolvedPlan) -> u64 {
-        let shard = self.shard(&key);
-        // ORDERING(SHALOM-O-CACHE-STATS): Relaxed stats tick, reporting only.
-        shard.installs.fetch_add(1, Ordering::Relaxed);
-        self.insert(key, plan, Source::Profile)
-    }
-
-    fn insert(&self, key: PlanKey, plan: ResolvedPlan, source: Source) -> u64 {
-        let shard = self.shard(&key);
-        let mut map = shard.write();
-        let mut evicted = 0u64;
-        if !map.contains_key(&key) && map.len() >= self.shard_cap {
-            // Coarse eviction: the shard is full, so drop its computed
-            // entries wholesale (they are cheap to re-derive) and keep
-            // profile overrides. Computed traffic never displaces
-            // overrides — if the shard is full of them, the computed
-            // entry overflows by one transient slot that the next
-            // eviction pass reclaims. Only installing *more overrides*
-            // than the shard can hold drops old overrides.
-            let before = map.len();
-            map.retain(|_, (_, src)| *src == Source::Profile);
-            if source == Source::Profile && map.len() >= self.shard_cap {
-                map.clear();
-            }
-            evicted = (before - map.len()) as u64;
-            // ORDERING(SHALOM-O-CACHE-STATS): Relaxed stats tick under the write
-            // lock; readers only consume it as a racy snapshot.
-            shard.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
-        match map.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                // A computed plan never downgrades an installed override.
-                if !(source == Source::Computed && e.get().1 == Source::Profile) {
-                    e.insert((plan, source));
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert((plan, source));
-            }
-        }
-        evicted
-    }
-
-    /// Drops every entry, computed and profile alike. Statistics are
-    /// preserved.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.write().clear();
-        }
-    }
-
-    /// Invalidation hook for configuration / cache-hierarchy changes:
-    /// drops every computed entry (they memoize decisions that may no
-    /// longer hold) but keeps explicitly installed profile overrides.
-    pub fn invalidate_computed(&self) {
-        for shard in &self.shards {
-            shard.write().retain(|_, (_, src)| *src == Source::Profile);
-        }
-    }
-
-    /// Number of resident entries.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
-    }
-
-    /// Whether the cache holds no entries.
+    /// Whether no override is resident, without taking the lock — the
+    /// gate the dispatch path checks before it builds a key.
+    // ORDERING(SHALOM-O-PLAN-FLAG): Relaxed occupancy hint. An install that
+    // happens-before this load is seen by coherence; a racing one may read
+    // stale, which only makes this call compute its plan or probe an empty
+    // table. Entry data is ordered by the RwLock, never by the hint.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.resident.load(Ordering::Relaxed) == 0
     }
 
-    /// Snapshot of every resident entry (profile and computed). Shards
-    /// are read one at a time, so this is a per-shard-consistent (not
-    /// globally atomic) view — fine for persistence and diagnostics.
-    pub fn entries(&self) -> Vec<(PlanKey, ResolvedPlan, Source)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            out.extend(shard.read().iter().map(|(k, (p, s))| (*k, *p, *s)));
+    /// Looks up the override for `key`. Counts a hit or a miss.
+    // ORDERING(SHALOM-O-CACHE-STATS): Relaxed monotonic counters; entry data is
+    // ordered by the RwLock, never by these stats.
+    // ALLOC-FREE
+    pub fn get(&self, key: &PlanKey) -> Option<ResolvedPlan> {
+        let found = absorb(self.map.read()).get(key).copied();
+        let counter = match found {
+            Some(_) => &self.hits,
+            None => &self.misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// Installs every entry as an override, overwriting resident entries
+    /// under the same keys — or, if the new keys would take the table past
+    /// [`MAX_OVERRIDES`], installs none and returns `false`. Entries
+    /// repeating a key within `entries` each count as new.
+    pub fn install_all(&self, entries: &[(PlanKey, ResolvedPlan)]) -> bool {
+        let mut map = absorb(self.map.write());
+        let new = entries
+            .iter()
+            .filter(|(key, _)| !map.contains_key(key))
+            .count();
+        if map.len() + new > MAX_OVERRIDES {
+            return false;
         }
-        out
+        map.extend(entries.iter().copied());
+        // ORDERING(SHALOM-O-PLAN-FLAG): Relaxed mirror of `map.len()`, stored
+        // under the write lock, so in the order of the mutations it counts.
+        self.resident.store(map.len(), Ordering::Relaxed);
+        true
     }
 
-    /// Snapshot of just the profile-installed overrides — what
-    /// `save_profile` persists.
-    pub fn profile_entries(&self) -> Vec<(PlanKey, ResolvedPlan)> {
-        self.entries()
-            .into_iter()
-            .filter(|(_, _, s)| *s == Source::Profile)
-            .map(|(k, p, _)| (k, p))
-            .collect()
+    /// Drops every override. The lookup counters are preserved.
+    pub fn clear(&self) {
+        let mut map = absorb(self.map.write());
+        map.clear();
+        // ORDERING(SHALOM-O-PLAN-FLAG): Relaxed under the write lock, as above.
+        self.resident.store(0, Ordering::Relaxed);
     }
 
-    /// Aggregated counters plus current residency.
-    // ORDERING(SHALOM-O-CACHE-STATS): Relaxed sums — cross-shard skew is fine in
-    // a reporting snapshot.
+    /// Snapshot of every resident override (what `save_profile` persists).
+    pub fn entries(&self) -> Vec<(PlanKey, ResolvedPlan)> {
+        let map = absorb(self.map.read());
+        map.iter().map(|(key, plan)| (*key, *plan)).collect()
+    }
+
+    /// Counters plus current residency.
+    // ORDERING(SHALOM-O-CACHE-STATS): Relaxed loads — skew between the
+    // counters is fine in a reporting snapshot.
+    // ORDERING(SHALOM-O-PLAN-FLAG): the residency is the same racy hint.
     pub fn stats(&self) -> CacheStats {
-        let mut st = CacheStats::default();
-        for shard in &self.shards {
-            st.hits += shard.hits.load(Ordering::Relaxed);
-            st.misses += shard.misses.load(Ordering::Relaxed);
-            st.evictions += shard.evictions.load(Ordering::Relaxed);
-            st.installs += shard.installs.load(Ordering::Relaxed);
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            entries: self.resident.load(Ordering::Relaxed),
         }
-        for (_, _, src) in self.entries() {
-            st.entries += 1;
-            if src == Source::Profile {
-                st.profile_entries += 1;
-            }
-        }
-        st
-    }
-
-    /// Zeroes the hit/miss/eviction/install counters (entries stay).
-    // ORDERING(SHALOM-O-CACHE-STATS): Relaxed zeroing between measurement phases.
-    pub fn reset_stats(&self) {
-        for shard in &self.shards {
-            shard.hits.store(0, Ordering::Relaxed);
-            shard.misses.store(0, Ordering::Relaxed);
-            shard.evictions.store(0, Ordering::Relaxed);
-            shard.installs.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-impl Default for PlanCache {
-    fn default() -> Self {
-        Self::with_default_capacity()
     }
 }
 
@@ -341,69 +164,44 @@ mod tests {
     use crate::tests::{key, plan};
 
     #[test]
-    fn miss_then_hit() {
-        let c = PlanCache::with_default_capacity();
-        assert!(c.get(&key(1)).is_none());
-        c.insert_computed(key(1), plan(1));
-        assert_eq!(c.get(&key(1)), Some((plan(1), Source::Computed)));
-        let st = c.stats();
-        assert_eq!((st.hits, st.misses, st.entries), (1, 1, 1));
-    }
-
-    #[test]
-    fn profile_override_wins_and_survives() {
-        let c = PlanCache::with_default_capacity();
-        c.insert_computed(key(1), plan(1));
-        c.install(key(1), plan(2));
-        // A later computed insert must not displace the override.
-        c.insert_computed(key(1), plan(3));
-        assert_eq!(c.get(&key(1)), Some((plan(2), Source::Profile)));
-        // ... and invalidation keeps it while dropping computed entries.
-        c.insert_computed(key(2), plan(4));
-        c.invalidate_computed();
-        assert_eq!(c.get(&key(1)), Some((plan(2), Source::Profile)));
-        assert!(c.get(&key(2)).is_none());
-        assert_eq!(c.stats().profile_entries, 1);
-    }
-
-    #[test]
-    fn coarse_eviction_prefers_keeping_profiles() {
-        // Tiny capacity: one entry per shard.
-        let c = PlanCache::new(1);
-        c.install(key(7), plan(7));
-        let mut evicted = 0;
-        for i in 0..256 {
-            evicted += c.insert_computed(key(i + 100), plan(i));
-        }
-        assert!(evicted > 0, "tiny cache must evict under pressure");
-        assert_eq!(c.stats().evictions, evicted);
-        // The profile entry rode out the churn.
-        assert_eq!(c.get(&key(7)), Some((plan(7), Source::Profile)));
-        // Residency stays bounded by shard capacity (+1 for the entry
-        // inserted after eviction ran).
-        assert!(c.len() <= SHARDS * 2);
-    }
-
-    #[test]
-    fn all_profile_shard_still_bounded() {
-        let c = PlanCache::new(1);
-        for i in 0..256 {
-            c.install(key(i), plan(i));
-        }
-        assert!(c.len() <= SHARDS * 2);
-    }
-
-    #[test]
-    fn clear_drops_everything_but_keeps_stats() {
-        let c = PlanCache::with_default_capacity();
-        c.insert_computed(key(1), plan(1));
-        c.install(key(2), plan(2));
-        c.get(&key(1));
-        c.clear();
+    fn empty_then_installed_then_cleared() {
+        let c = PlanCache::default();
         assert!(c.is_empty());
+        assert!(c.get(&key(1)).is_none());
+        assert!(c.install_all(&[(key(1), plan(1))]));
+        assert!(!c.is_empty());
+        assert_eq!(c.get(&key(1)), Some(plan(1)));
+        assert!(c.get(&key(2)).is_none());
+        // A second install under the key overwrites and does not grow.
+        assert!(c.install_all(&[(key(1), plan(2))]));
+        assert_eq!(c.get(&key(1)), Some(plan(2)));
         let st = c.stats();
-        assert_eq!(st.hits, 1);
-        c.reset_stats();
-        assert_eq!(c.stats().hits, 0);
+        assert_eq!((st.hits, st.misses, st.entries), (2, 2, 1));
+        c.clear();
+        assert!(c.is_empty() && c.entries().is_empty());
+        assert_eq!(c.stats().hits, 2, "clear keeps the counters");
+    }
+
+    #[test]
+    fn a_full_table_refuses_and_keeps_every_override() {
+        let c = PlanCache::default();
+        let fill: Vec<_> = (0..MAX_OVERRIDES as u64 - 1)
+            .map(|i| (key(i), plan(i)))
+            .collect();
+        assert!(c.install_all(&fill));
+        // Two new keys do not fit in the one free slot: neither lands.
+        assert!(!c.install_all(&[(key(10_000), plan(1)), (key(10_001), plan(2))]));
+        assert_eq!(c.stats().entries, MAX_OVERRIDES - 1);
+        assert!(c.get(&key(10_000)).is_none());
+        // One does; then the table is full and only overwrites pass.
+        assert!(c.install_all(&[(key(10_000), plan(1))]));
+        assert!(!c.install_all(&[(key(10_001), plan(2))]));
+        assert!(c.install_all(&[(key(0), plan(3))]));
+        assert!(c.install_all(&[(key(1), plan(3)), (key(10_000), plan(3))]));
+        assert_eq!(c.stats().entries, MAX_OVERRIDES);
+        for (i, _) in &fill[2..] {
+            assert!(c.get(i).is_some(), "a refusal dropped {i:?}");
+        }
+        assert_eq!(c.get(&key(0)), Some(plan(3)));
     }
 }

@@ -1,26 +1,27 @@
-//! Plan cache + persistent profile store for the GEMM dispatch layer.
+//! Override table + persistent profile store for the GEMM dispatch layer.
 //!
-//! Small-GEMM workloads (CP2K blocks, im2col'd convolutions, batched
-//! inference) call the same handful of `(dtype, ops, m, n, k)` signatures
-//! millions of times, and the paper's whole motivation is that fixed
-//! per-call overheads dominate at those sizes. This crate gives the
-//! dispatch layer the IAAT-style answer: resolve the plan *once* per
-//! signature, install it in a concurrent lookup table, and make every
-//! warm call a read-mostly table hit.
+//! The dispatch layer *computes* its plan on every call — that costs less
+//! than any table hit (DESIGN §10.4 has the measurement that retired the
+//! computed-plan memo this crate used to be). What cannot be recomputed
+//! is a decision somebody measured: an autotune result, or a profile
+//! tuned in an earlier process. This crate holds those **overrides** in a
+//! concurrent lookup table and persists them, IAAT-style, as a versioned
+//! file a later process reloads.
 //!
 //! The crate is deliberately dumb about GEMM itself — it stores opaque,
 //! range-validated integers ([`ResolvedPlan`]) keyed by a stable signature
 //! ([`PlanKey`]) and knows how to persist them as versioned JSON
 //! ([`profile`]). The core crate owns the encoding of its enums into
-//! those integers and the decision of when to consult the cache.
+//! those integers and the decision of when to consult the table.
 //!
-//! Concurrency model: [`PlanCache`] is sharded ([`SHARDS`] independent
-//! `RwLock<HashMap>` shards selected by key hash). Hits take a shard read
-//! lock, so concurrent readers of the same shard proceed in parallel and
-//! readers of different shards never touch the same lock at all; writes
-//! (misses, installs, clears) take one shard's write lock each. Capacity
-//! is bounded per shard with coarse eviction that prefers to keep
-//! profile-installed entries (see [`PlanCache::insert_computed`]).
+//! Concurrency model: [`PlanCache`] is one `RwLock<HashMap>`. Lookups
+//! take the read lock and proceed in parallel; installs and clears take
+//! the write lock. A `Relaxed` occupancy hint, stored under the write
+//! lock, lets a caller skip the lookup altogether while nothing is
+//! installed (the hint publishes no data — a stale read only costs one
+//! call its override, or one probe of an empty table). The table is
+//! bounded at [`MAX_OVERRIDES`]; an install past the bound is refused
+//! whole rather than evicting what is resident.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -28,7 +29,7 @@
 mod cache;
 pub mod profile;
 
-pub use cache::{CacheStats, PlanCache, Source, DEFAULT_CAPACITY, SHARDS};
+pub use cache::{CacheStats, PlanCache, MAX_OVERRIDES};
 pub use profile::{ProfileError, PROFILE_VERSION};
 
 /// Stable signature of one GEMM dispatch: everything that influences the

@@ -43,7 +43,8 @@ pub enum ProfileError {
         /// ISA label this host dispatches to.
         host: String,
     },
-    /// Structurally valid JSON whose key/plan fields fail validation.
+    /// Structurally valid JSON whose key/plan fields fail validation, or
+    /// that holds more new entries than the override table has room for.
     Invalid(String),
 }
 

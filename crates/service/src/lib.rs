@@ -4,10 +4,10 @@
 //! Server workloads rarely see one large GEMM; they see streams of
 //! *small, repeated* ones (the paper's §2 motivation — transformer and
 //! CNN inference layers). Dispatching each arrival individually pays
-//! fixed costs per call: a scheduler wake, a plan-cache probe, batch
+//! fixed costs per call: a scheduler wake, a plan resolution, batch
 //! validation, lock traffic. This crate amortizes those by coalescing
 //! concurrent requests that resolve to the *same serial plan*
-//! ([`shalom_core::request_plan_key`] — the plan cache's own key, not a
+//! ([`shalom_core::request_plan_key`] — the override table's own key, not a
 //! second shape key) into single [`shalom_core::gemm_batch`] calls,
 //! which is the paper's §7.4 batching discipline applied at a service
 //! boundary.

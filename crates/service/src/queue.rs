@@ -4,9 +4,9 @@
 //! [`Bucket`]s keyed by [`BucketKey`] — the serial [`PlanKey`] the
 //! dispatch would resolve under plus the `alpha`/`beta` bit patterns.
 //! Everything in one bucket is legal to hand to a single
-//! `gemm_batch` call and resolves to the *same cached plan*, which is
+//! `gemm_batch` call and resolves to the *same plan*, which is
 //! where batching recovers its overhead: one scheduler wake, one plan
-//! lookup and one batch-entry validation per flush instead of per
+//! resolution and one batch-entry validation per flush instead of per
 //! request.
 //!
 //! shalom-analysis: deny(panic)

@@ -102,7 +102,7 @@ mod tests {
                             1000,
                             2500,
                             crate::shape_key(64, 64, 64),
-                            crate::src::CACHED,
+                            crate::src::PROFILE,
                         ),
                     ],
                     dropped: 0,
@@ -152,7 +152,7 @@ mod tests {
         let text = chrome_trace_json(&sample());
         assert!(text.contains("\"name\":\"lane-0\""), "{text}");
         assert!(text.contains("\"name\":\"lane-3\""), "{text}");
-        assert!(text.contains("\"plan_source\":\"cached\""), "{text}");
+        assert!(text.contains("\"plan_source\":\"profile\""), "{text}");
         assert!(text.contains("\"m\":64,\"n\":64,\"k\":64"), "{text}");
         // Task aux is an index, not a shape.
         assert!(text.contains("\"aux\":5"), "{text}");

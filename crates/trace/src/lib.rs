@@ -76,11 +76,10 @@ pub use clock::now_ns;
 pub use perf::PerfSample;
 pub use records::{
     add_pack_ns, add_plan_ns, current_path, record, record_batch, record_dispatch,
-    record_fork_join, record_plan_evictions, record_plan_lookup, record_service_flush,
-    record_service_reject, record_service_submit, record_snapshot, set_path, svc_occ_bucket,
-    take_pack_ns, take_plan_ns, CounterTotals, DecisionRecord, EdgeTag, Histogram, PathTag,
-    PlanSourceTag, PlanTag, ShapeClassTag, TelemetrySnapshot, HIST_BUCKETS, RING_CAPACITY,
-    SHARD_COUNT, SVC_OCC_BUCKETS, SVC_OCC_LABELS,
+    record_fork_join, record_service_flush, record_service_reject, record_service_submit,
+    record_snapshot, set_path, svc_occ_bucket, take_pack_ns, take_plan_ns, CounterTotals,
+    DecisionRecord, EdgeTag, Histogram, PathTag, PlanSourceTag, PlanTag, ShapeClassTag,
+    TelemetrySnapshot, HIST_BUCKETS, RING_CAPACITY, SHARD_COUNT, SVC_OCC_BUCKETS, SVC_OCC_LABELS,
 };
 pub use snapshot::{LaneSnapshot, LaneStat, PhaseStat, TraceReport, TraceSnapshot};
 
@@ -258,18 +257,15 @@ impl Phase {
 pub mod src {
     /// No plan source recorded (most phases).
     pub const NONE: u8 = 0;
-    /// Plan computed fresh on this call.
+    /// Plan computed from the call's signature.
     pub const COMPUTED: u8 = 1;
-    /// Plan served from the warm cache.
-    pub const CACHED: u8 = 2;
-    /// Plan pinned by an installed autotune profile.
-    pub const PROFILE: u8 = 3;
+    /// Plan served from an installed override (autotune / profile).
+    pub const PROFILE: u8 = 2;
 
     /// Stable name for a source code.
     pub fn as_str(code: u8) -> &'static str {
         match code {
             COMPUTED => "computed",
-            CACHED => "cached",
             PROFILE => "profile",
             _ => "none",
         }
@@ -831,7 +827,7 @@ mod tests {
         let outer = span_start(Phase::Serial, shape_key(4, 5, 6));
         let inner = span_start(Phase::PackA, 0);
         span_end(inner);
-        span_end_src(outer, src::CACHED);
+        span_end_src(outer, src::PROFILE);
         disable(Sink::Spans);
         let snap = span_snapshot();
         assert_eq!(snap.total_spans(), 2);
@@ -841,7 +837,7 @@ mod tests {
         assert_eq!(lane.spans[0].depth, 1);
         assert_eq!(lane.spans[1].phase(), Phase::Serial);
         assert_eq!(lane.spans[1].depth, 0);
-        assert_eq!(lane.spans[1].src, src::CACHED);
+        assert_eq!(lane.spans[1].src, src::PROFILE);
         assert_eq!(shape_from_key(lane.spans[1].aux), (4, 5, 6));
         assert!(lane.spans[1].t0_ns <= lane.spans[0].t0_ns);
         assert!(lane.spans[1].t1_ns >= lane.spans[0].t1_ns);

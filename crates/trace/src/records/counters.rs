@@ -65,12 +65,6 @@ pub struct Shard {
     /// before the calling thread starts computing. Distinguished from
     /// `fork_join_overhead_ns`, which also contains the join tail.
     pub dispatch_ns: AtomicU64,
-    /// Plan-cache lookups served from the cache (warm hits).
-    pub plan_hits: AtomicU64,
-    /// Plan-cache lookups that had to compute a fresh plan.
-    pub plan_misses: AtomicU64,
-    /// Plan-cache entries dropped by the coarse eviction pass.
-    pub plan_evictions: AtomicU64,
     /// Spans the `shalom-trace` lane buffers accepted.
     pub trace_spans_recorded: AtomicU64,
     /// Spans dropped on lane overflow (or by laneless threads) — the
@@ -130,9 +124,6 @@ impl Shard {
         self.workspace_peak.store(0, Ordering::Relaxed);
         self.dispatches.store(0, Ordering::Relaxed);
         self.dispatch_ns.store(0, Ordering::Relaxed);
-        self.plan_hits.store(0, Ordering::Relaxed);
-        self.plan_misses.store(0, Ordering::Relaxed);
-        self.plan_evictions.store(0, Ordering::Relaxed);
         self.trace_spans_recorded.store(0, Ordering::Relaxed);
         self.trace_spans_dropped.store(0, Ordering::Relaxed);
         self.svc_submitted.store(0, Ordering::Relaxed);
@@ -204,27 +195,6 @@ impl ShardedCounters {
         let shard = self.local();
         shard.dispatches.fetch_add(1, Ordering::Relaxed);
         shard.dispatch_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Count one plan-cache lookup outcome.
-    #[inline]
-    // ORDERING(SHALOM-O-TEL-COUNTER): Relaxed stats adds, reporting only.
-    pub fn observe_plan_lookup(&self, hit: bool) {
-        let shard = self.local();
-        if hit {
-            shard.plan_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            shard.plan_misses.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Count `n` plan-cache entries dropped by an eviction pass.
-    #[inline]
-    // ORDERING(SHALOM-O-TEL-COUNTER): Relaxed stats adds, reporting only.
-    pub fn observe_plan_evictions(&self, n: u64) {
-        if n != 0 {
-            self.local().plan_evictions.fetch_add(n, Ordering::Relaxed);
-        }
     }
 
     /// Count one service submission admitted at queue depth `depth`.
@@ -309,9 +279,6 @@ impl ShardedCounters {
                 .max(s.workspace_peak.load(Ordering::Relaxed));
             t.dispatches += s.dispatches.load(Ordering::Relaxed);
             t.dispatch_ns += s.dispatch_ns.load(Ordering::Relaxed);
-            t.plan_hits += s.plan_hits.load(Ordering::Relaxed);
-            t.plan_misses += s.plan_misses.load(Ordering::Relaxed);
-            t.plan_evictions += s.plan_evictions.load(Ordering::Relaxed);
             t.trace_spans_recorded += s.trace_spans_recorded.load(Ordering::Relaxed);
             t.trace_spans_dropped += s.trace_spans_dropped.load(Ordering::Relaxed);
             t.svc_submitted += s.svc_submitted.load(Ordering::Relaxed);
@@ -359,9 +326,6 @@ pub struct CounterTotals {
     pub workspace_peak_bytes: u64,
     pub dispatches: u64,
     pub dispatch_ns: u64,
-    pub plan_hits: u64,
-    pub plan_misses: u64,
-    pub plan_evictions: u64,
     pub trace_spans_recorded: u64,
     pub trace_spans_dropped: u64,
     pub svc_submitted: u64,
@@ -395,7 +359,6 @@ impl CounterTotals {
                 "\"batch_calls\":{},\"batch_items\":{},",
                 "\"workspace_peak_bytes\":{},",
                 "\"dispatches\":{},\"dispatch_ns\":{},",
-                "\"plan_hits\":{},\"plan_misses\":{},\"plan_evictions\":{},",
                 "\"trace_spans_recorded\":{},\"trace_spans_dropped\":{},",
                 "\"svc_submitted\":{},\"svc_completed\":{},",
                 "\"svc_rejected\":{},\"svc_expired\":{},\"svc_batches\":{},",
@@ -414,9 +377,6 @@ impl CounterTotals {
             self.workspace_peak_bytes,
             self.dispatches,
             self.dispatch_ns,
-            self.plan_hits,
-            self.plan_misses,
-            self.plan_evictions,
             self.trace_spans_recorded,
             self.trace_spans_dropped,
             self.svc_submitted,
@@ -487,30 +447,6 @@ mod tests {
         assert_eq!(t.dispatch_ns, 42);
         counters.clear();
         assert_eq!(counters.totals(), CounterTotals::default());
-    }
-
-    #[test]
-    fn plan_cache_counters() {
-        let counters = ShardedCounters::new();
-        counters.observe_plan_lookup(false);
-        counters.observe_plan_lookup(true);
-        counters.observe_plan_lookup(true);
-        counters.observe_plan_evictions(5);
-        counters.observe_plan_evictions(0); // no-op, keeps shards quiet
-        let t = counters.totals();
-        assert_eq!(t.plan_hits, 2);
-        assert_eq!(t.plan_misses, 1);
-        assert_eq!(t.plan_evictions, 5);
-        let j = t.to_json();
-        for needle in [
-            "\"plan_hits\":2",
-            "\"plan_misses\":1",
-            "\"plan_evictions\":5",
-        ] {
-            assert!(j.contains(needle), "{j} missing {needle}");
-        }
-        counters.clear();
-        assert_eq!(counters.totals().plan_hits, 0);
     }
 
     #[test]

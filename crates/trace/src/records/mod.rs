@@ -132,17 +132,6 @@ pub fn record_dispatch(ns: u64) {
     global().counters.observe_dispatch(ns);
 }
 
-/// Count one plan-cache lookup outcome (`hit = true` for a warm hit,
-/// `false` for a miss that recomputed the plan).
-pub fn record_plan_lookup(hit: bool) {
-    global().counters.observe_plan_lookup(hit);
-}
-
-/// Count `n` plan-cache entries dropped by one eviction pass.
-pub fn record_plan_evictions(n: u64) {
-    global().counters.observe_plan_evictions(n);
-}
-
 /// Count spans accepted (`recorded`) and lost (`dropped`) by the span
 /// lane buffers, so lane sizing shows up in the same snapshot as
 /// everything else.
@@ -256,20 +245,6 @@ mod tests {
         add_plan_ns(7);
         assert_eq!(take_plan_ns(), 7);
         assert_eq!(take_plan_ns(), 0);
-    }
-
-    #[test]
-    fn plan_lookup_records() {
-        let _l = state_lock();
-        reset();
-        record_plan_lookup(false);
-        record_plan_lookup(true);
-        record_plan_evictions(3);
-        let t = record_snapshot().totals;
-        assert_eq!(t.plan_hits, 1);
-        assert_eq!(t.plan_misses, 1);
-        assert_eq!(t.plan_evictions, 3);
-        reset();
     }
 
     #[test]

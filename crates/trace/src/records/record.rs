@@ -97,14 +97,12 @@ impl EdgeTag {
     }
 }
 
-/// Where the dispatch plan for a call came from (plan-cache outcome).
+/// Where the dispatch plan for a call came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlanSourceTag {
-    /// Resolved from scratch (cache miss or cache disabled).
+    /// Computed from the call's signature.
     #[default]
     Computed,
-    /// Served from the in-process plan cache (warm hit).
-    Cached,
     /// Served from an installed autotune profile override.
     Profile,
 }
@@ -114,22 +112,9 @@ impl PlanSourceTag {
     pub fn as_str(self) -> &'static str {
         match self {
             PlanSourceTag::Computed => "computed",
-            PlanSourceTag::Cached => "cached",
             PlanSourceTag::Profile => "profile",
         }
     }
-
-    /// Dense index for counter arrays.
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// All variants, in `index` order.
-    pub const ALL: [PlanSourceTag; 3] = [
-        PlanSourceTag::Computed,
-        PlanSourceTag::Cached,
-        PlanSourceTag::Profile,
-    ];
 }
 
 /// Which dispatch layer emitted the record.
@@ -285,9 +270,6 @@ mod tests {
         for (i, p) in PathTag::ALL.iter().enumerate() {
             assert_eq!(p.index(), i);
         }
-        for (i, s) in PlanSourceTag::ALL.iter().enumerate() {
-            assert_eq!(s.index(), i);
-        }
     }
 
     #[test]
@@ -303,7 +285,7 @@ mod tests {
             class: ShapeClassTag::Irregular,
             plan: PlanTag::Lookahead,
             edge: EdgeTag::Pipelined,
-            plan_source: PlanSourceTag::Cached,
+            plan_source: PlanSourceTag::Profile,
             plan_ns: 120,
             path: PathTag::Parallel,
             mr: 7,
@@ -323,7 +305,7 @@ mod tests {
             "\"path\":\"parallel\"",
             "\"tn\":4",
             "\"elem\":\"f32\"",
-            "\"plan_source\":\"cached\"",
+            "\"plan_source\":\"profile\"",
             "\"plan_ns\":120",
         ] {
             assert!(j.contains(needle), "{j} missing {needle}");

@@ -99,12 +99,6 @@ impl TelemetrySnapshot {
             t.workspace_peak_bytes,
             self.dropped_records,
         ));
-        if t.plan_hits + t.plan_misses + t.plan_evictions > 0 {
-            lines.push(format!(
-                "  plan cache: {} hits / {} misses / {} evictions",
-                t.plan_hits, t.plan_misses, t.plan_evictions,
-            ));
-        }
         if t.trace_spans_recorded + t.trace_spans_dropped > 0 {
             lines.push(format!(
                 "  trace spans: {} recorded / {} dropped",

@@ -73,7 +73,7 @@ fn concurrent_writers_stay_well_nested() {
                     let outer =
                         trace::span_start(trace::Phase::Serial, trace::shape_key(w + 1, r + 1, 8));
                     let lookup = trace::span_start(trace::Phase::PlanLookup, 0);
-                    trace::span_end_src(lookup, trace::src::CACHED);
+                    trace::span_end_src(lookup, trace::src::PROFILE);
                     let pack = trace::span_start(trace::Phase::PackB, 0);
                     let compute = trace::span_start(trace::Phase::Compute, 0);
                     trace::span_end(compute);

@@ -9,23 +9,25 @@
 //! Two kinds of assertion: within `gemm_tolerance(k, 1.0)` of `reference`
 //! (the benchmark's factor) everywhere, and **bitwise** where the library
 //! promises it — pooled == serial (every mode on the wide sets, NN on the
-//! 128-bit one), `gemm_batch_beta` == direct `gemm_with`, cached ==
-//! recomputed plan, a held `GemmPlan` handle's `run` == `gemm_with`
-//! (before and after the cache changes under it, and from four threads at
-//! once), capture on == off, `Auto` == `Force` of the requested set at
-//! every shape and mode, and on the wide sets every mode == the NN call on
-//! explicitly transposed operands.
-//! Plus the handle's bookkeeping contract: how many plan-cache lookups
-//! each entry point makes. This is the fast slice that rides in tier-1;
-//! the per-crate suites and the shadow harness go deeper on each axis.
+//! 128-bit one), `gemm_batch_beta` == direct `gemm_with`, an installed
+//! override that encodes the computed plan == the computed plan, a held
+//! `GemmPlan` handle's `run` == `gemm_with` (before and after the override
+//! table changes under it, and from four threads at once), capture on ==
+//! off, `Auto` == `Force` of the requested set at every shape and mode,
+//! and on the wide sets every mode == the NN call on explicitly transposed
+//! operands.
+//! Plus the handle's bookkeeping contract: how many override-table reads
+//! each entry point makes — none at all while nothing is installed. This
+//! is the fast slice that rides in tier-1; the per-crate suites and the
+//! shadow harness go deeper on each axis.
 
 use libshalom::core::{
-    gemm_batch_beta, install_tuned, plan_cache_clear, plan_cache_stats, set_plan_cache_enabled,
-    IsaPolicy,
+    gemm_batch_beta, install_tuned, plan_cache_clear, plan_cache_stats, IsaPolicy, PlanSource,
 };
 use libshalom::kernels::registered_families;
 use libshalom::matrix::{gemm_tolerance, ConvShape, Matrix};
 use libshalom::nn::Conv2d;
+use libshalom::service::{GemmRequest, Service, ServiceConfig};
 use libshalom::simd::base_isa;
 use libshalom::{
     gemm_with, BatchItem, CacheParams, EdgeSchedule, GemmConfig, GemmElem, GemmPlan, Op,
@@ -33,10 +35,11 @@ use libshalom::{
 };
 use std::sync::RwLock;
 
-/// The plan cache, its on/off switch and its counters are process-wide.
-/// Tests that only need results to be right share them (results never
-/// depend on cache state); the two that assert on the cache's own state —
-/// which source served a handle, how many lookups were made — own them.
+/// The override table and its counters are process-wide, and an override
+/// — unlike the memo this lock was written for — may change the bits of
+/// the call it serves (another blocking is another summation order). So
+/// the tests that install, clear or count own the table, and every test
+/// that compares two runs, or would add reads to a count, shares it.
 static PLAN_CACHE: RwLock<()> = RwLock::new(());
 
 fn share_plan_cache() -> std::sync::RwLockReadGuard<'static, ()> {
@@ -646,25 +649,41 @@ fn auto_is_bitwise_force_of_the_requested_set() {
 }
 
 #[test]
-fn cached_plan_is_bitwise_recomputed() {
-    let _shared = share_plan_cache();
-    // A memoized plan and a recomputed one execute the same arithmetic, at
-    // every level and in every mode. (Flipping the process-wide switch
-    // under concurrently running tests is harmless for the same reason.)
+fn an_override_encoding_the_computed_plan_is_bitwise_the_computed_plan() {
+    let _own = own_plan_cache();
+    // An override may change strategy, never results; one that encodes
+    // the very plan its signature computes changes nothing at all: at
+    // every level, in every mode, serial and threaded, the served plan
+    // decodes to the computed one and executes the same arithmetic.
+    // (Nothing is remembered between calls, so there is no other "same
+    // plan as last time" left to test.)
     fn one<T: GemmElem>(cfg: &GemmConfig, ops: (Op, Op), shape: (usize, usize, usize)) {
+        let (m, n, k) = shape;
         let (a, b, c0) = operands::<T>(ops, shape);
-        set_plan_cache_enabled(true);
-        let first = run_bits(cfg, ops, &a, &b, &c0);
-        let cached = run_bits(cfg, ops, &a, &b, &c0);
-        set_plan_cache_enabled(false);
-        let recomputed = run_bits(cfg, ops, &a, &b, &c0);
-        set_plan_cache_enabled(true);
+        let ctx = format!("{:?} {ops:?} {shape:?} x{}", cfg.isa, cfg.threads);
+        let describe = || GemmPlan::<T>::new(cfg, ops.0, ops.1, m, n, k).describe();
+        let computed = describe();
         assert!(
-            first == cached && cached == recomputed,
-            "{:?} {ops:?} {shape:?}",
-            cfg.isa
+            computed.source == PlanSource::Computed,
+            "{ctx}: {computed:?}"
         );
+        let bare = run_bits(cfg, ops, &a, &b, &c0);
+        let installed = install_tuned::<T>(cfg, cfg, ops.0, ops.1, m, n, k);
+        assert!(
+            installed.source == PlanSource::Profile,
+            "{ctx}: not installed"
+        );
+        let served = describe();
+        assert!(
+            served.source == PlanSource::Profile && served.plan == computed.plan,
+            "{ctx}: served {served:?}, computed {computed:?}"
+        );
+        let overridden = run_bits(cfg, ops, &a, &b, &c0);
+        plan_cache_clear();
+        assert!(describe() == computed, "{ctx}: override outlived the clear");
+        assert!(bare == overridden, "{ctx}: bits moved under the override");
     }
+    plan_cache_clear();
     for isa in levels() {
         for shape in [(23, 23, 23), (16, 49, 18), (33, 37, 40), (17, 200, 70)] {
             for ops in OPS {
@@ -703,9 +722,9 @@ fn handle_bits<T: GemmElem>(
 fn handle_run_is_bitwise_gemm_with_and_a_snapshot() {
     let _own = own_plan_cache();
     // `GemmPlan::new(..).run(..)` is `gemm_with`, at every level, in every
-    // mode, serial and threaded — and a held handle is a snapshot: clearing
-    // or disabling the plan cache, or installing a *different* plan for its
-    // signature, changes neither that it runs nor what it computes.
+    // mode, serial and threaded — and a held handle is a snapshot:
+    // installing a *different* plan for its signature, or clearing the
+    // table again, changes neither that it runs nor what it computes.
     fn one<T: GemmElem>(cfg: &GemmConfig, ops: (Op, Op), shape: (usize, usize, usize)) {
         let (a, b, c0) = operands::<T>(ops, shape);
         let (m, n, k) = shape;
@@ -716,13 +735,6 @@ fn handle_run_is_bitwise_gemm_with_and_a_snapshot() {
             first == run_bits(cfg, ops, &a, &b, &c0),
             "{ctx}: run != gemm_with"
         );
-        plan_cache_clear();
-        set_plan_cache_enabled(false);
-        assert!(
-            handle_bits(&plan, &a, &b, &c0) == first,
-            "{ctx}: cache gone"
-        );
-        set_plan_cache_enabled(true);
         // A tuned plan with another blocking, edge schedule and packing
         // regime: new handles get it, the held one does not.
         let tuned = GemmConfig {
@@ -750,7 +762,13 @@ fn handle_run_is_bitwise_gemm_with_and_a_snapshot() {
             handle_bits(&plan, &a, &b, &c0) == first,
             "{ctx}: after install"
         );
+        plan_cache_clear();
+        assert!(
+            handle_bits(&plan, &a, &b, &c0) == first,
+            "{ctx}: after clear"
+        );
     }
+    plan_cache_clear();
     let mut shapes = tile_lattice();
     shapes.retain(|&(m, n, k)| m * n * k > 0);
     let shapes: Vec<_> = shapes
@@ -775,7 +793,6 @@ fn handle_run_is_bitwise_gemm_with_and_a_snapshot() {
             }
         }
     }
-    plan_cache_clear();
 }
 
 #[test]
@@ -825,55 +842,29 @@ fn handle_run_with_mismatched_views_panics() {
 #[test]
 fn each_entry_point_makes_the_planned_number_of_lookups() {
     let _own = own_plan_cache();
-    set_plan_cache_enabled(true);
-    let lookups = || {
+    plan_cache_clear();
+    let reads = || {
         let st = plan_cache_stats();
         st.hits + st.misses
     };
-    /// Lookups `f` makes once warm (its first run warms the cache).
-    fn warm(lookups: &dyn Fn() -> u64, mut f: impl FnMut()) -> u64 {
-        f();
-        let before = lookups();
-        f();
-        lookups() - before
-    }
     let nn = (Op::NoTrans, Op::NoTrans);
-
-    // A serial `gemm_with`: exactly one.
-    let (a, b, c0) = operands::<f64>(nn, (23, 23, 23));
     let serial = GemmConfig::with_threads(1);
-    assert_eq!(
-        warm(&lookups, || drop(run_bits(&serial, nn, &a, &b, &c0))),
-        1
-    );
-
-    // A threaded call: one at the parent, none per tile (it was 1 + tiles).
-    let (a, b, c0) = operands::<f32>(nn, (64, 2048, 64));
     let two = GemmConfig::with_threads(2);
-    assert_eq!(warm(&lookups, || drop(run_bits(&two, nn, &a, &b, &c0))), 1);
-
-    // A uniform batch: one for all 64 items, serial or pooled.
-    let (a, b, c0) = operands::<f64>(nn, (13, 13, 13));
-    for cfg in [serial, two] {
-        let mut outs = vec![c0.clone(); 64];
-        let batch = || {
-            let mut items: Vec<_> = outs
-                .iter_mut()
-                .map(|c| BatchItem {
-                    a: a.as_ref(),
-                    b: b.as_ref(),
-                    c: c.as_mut(),
-                })
-                .collect();
-            gemm_batch_beta(&cfg, nn.0, nn.1, 1.0, 0.0, &mut items);
-        };
-        assert_eq!(warm(&lookups, batch), 1, "{} threads", cfg.threads);
-    }
-
-    // A held handle, and a layer that holds one: none.
-    let plan = GemmPlan::<f64>::new(&serial, nn.0, nn.1, 13, 13, 13);
-    assert_eq!(warm(&lookups, || drop(handle_bits(&plan, &a, &b, &c0))), 0);
-    let shape = ConvShape {
+    let (a64, b64, c64) = operands::<f64>(nn, (13, 13, 13));
+    let (a32, b32, c32) = operands::<f32>(nn, (64, 2048, 64));
+    let batch = |cfg: &GemmConfig, shapes: &[(usize, usize, usize)]| {
+        let mut mats: Vec<_> = shapes.iter().map(|&s| operands::<f64>(nn, s)).collect();
+        let mut items: Vec<_> = mats
+            .iter_mut()
+            .map(|(a, b, c)| BatchItem {
+                a: a.as_ref(),
+                b: b.as_ref(),
+                c: c.as_mut(),
+            })
+            .collect();
+        gemm_batch_beta(cfg, nn.0, nn.1, 1.0, 0.0, &mut items);
+    };
+    let conv = ConvShape {
         c_in: 3,
         c_out: 8,
         h: 9,
@@ -882,11 +873,75 @@ fn each_entry_point_makes_the_planned_number_of_lookups() {
         kw: 3,
         pad: 1,
     };
-    let before = lookups();
-    let layer = Conv2d::<f32>::random(shape, two, 5);
-    assert_eq!(lookups() - before, 1, "Conv2d::new plans its forward GEMM");
-    let image = Matrix::<f32>::random(shape.c_in, shape.h * shape.w, 6);
-    assert_eq!(warm(&lookups, || drop(layer.forward(&image))), 0);
+    let image = Matrix::<f32>::random(conv.c_in, conv.h * conv.w, 6);
+    let held = GemmPlan::<f64>::new(&serial, nn.0, nn.1, 13, 13, 13);
+    let layer = Conv2d::<f32>::random(conv, two, 5);
+    let service = Service::start(ServiceConfig::default());
+    // Each entry point, with the table reads it makes when the table has
+    // something in it: one per handle built, none per tile, per item of a
+    // uniform batch, per run of a held handle or per image of a layer.
+    let ragged = [(13, 13, 13), (5, 5, 5), (23, 23, 23), (13, 5, 13)];
+    let entry_points: [(&str, u64, &dyn Fn()); 9] = [
+        ("serial gemm_with", 1, &|| {
+            drop(run_bits(&serial, nn, &a64, &b64, &c64))
+        }),
+        ("threaded gemm_with", 1, &|| {
+            drop(run_bits(&two, nn, &a32, &b32, &c32))
+        }),
+        ("uniform batch, serial", 1, &|| {
+            batch(&serial, &[(13, 13, 13); 64])
+        }),
+        ("uniform batch, pooled", 1, &|| {
+            batch(&two, &[(13, 13, 13); 64])
+        }),
+        ("ragged batch", ragged.len() as u64, &|| {
+            batch(&two, &ragged)
+        }),
+        ("held handle", 0, &|| {
+            drop(handle_bits(&held, &a64, &b64, &c64))
+        }),
+        ("Conv2d::new", 1, &|| {
+            drop(Conv2d::<f32>::random(conv, two, 5))
+        }),
+        ("Conv2d::forward", 0, &|| drop(layer.forward(&image))),
+        ("service request", 1, &|| {
+            let mut c = c64.clone();
+            let req = GemmRequest::new(
+                serial,
+                nn.0,
+                nn.1,
+                1.0,
+                a64.as_ref(),
+                b64.as_ref(),
+                0.0,
+                c.as_mut(),
+            );
+            service.submit_wait(req, None).expect("request failed");
+        }),
+    ];
+    // Nothing installed: no entry point reads the table (or builds a key,
+    // or takes its lock — the read is where all three happen).
+    for (name, _, call) in entry_points {
+        let before = reads();
+        call();
+        assert_eq!(reads() - before, 0, "{name} read an empty table");
+    }
+    // One override no call here matches: every handle built is one read.
+    let elsewhere = install_tuned::<f32>(&serial, &serial, nn.0, nn.1, 3, 1000, 3);
+    assert_eq!(elsewhere.source, PlanSource::Profile);
+    let hits = plan_cache_stats().hits;
+    for (name, want, call) in entry_points {
+        let before = reads();
+        call();
+        assert_eq!(reads() - before, want, "{name}");
+    }
+    assert_eq!(
+        plan_cache_stats().hits,
+        hits,
+        "no call matched the override"
+    );
+    service.shutdown();
+    plan_cache_clear();
 }
 
 #[cfg(feature = "capture")]

@@ -21,8 +21,8 @@
 //! | [`LibxsmmGemm`] | LIBXSMM | per-(M,N,K) specialized kernel plan behind a code cache, designed for (MNK)^(1/3) <= 64, degrades outside that envelope |
 //!
 //! Every implementation is validated against the naive reference in its
-//! tests; the figure harnesses in `shalom-bench` time them side by side
-//! with LibShalom.
+//! tests; the `fig*` bins and the repo benchmark time them side by side
+//! with LibShalom, at 128 bits whatever width the host dispatches.
 
 #![deny(missing_docs)]
 #![allow(clippy::too_many_arguments)]

@@ -59,8 +59,8 @@ fn main() {
     }
 
     // Measured host section: the real fork-join path under a thread sweep
-    // (a 1-core container shows overhead, not speedup — recorded for
-    // honesty, see EXPERIMENTS.md).
+    // (a host with a few cores shows overhead past its core count, not
+    // the paper's speedup — recorded for honesty, see EXPERIMENTS.md).
     let scaled = if args.full {
         shape
     } else {
@@ -98,6 +98,6 @@ fn main() {
         .gflops(scaled.flops());
         r.row_values(&t.to_string(), &[sh, ob]);
     }
-    r.note("host has 1 physical core: expect flat-to-declining GFLOPS with threads (fork-join overhead only)");
+    r.note("speedup is bounded by the host's core count; past it, expect flat-to-declining GFLOPS (fork-join overhead only)");
     r.emit(&args.out);
 }

@@ -87,7 +87,7 @@ fn main() {
             .collect();
         r.row_values(scaled.label, &vals);
     }
-    r.note("N scaled by 1/8 unless --full; serial run (1-core container)");
+    r.note("N scaled by 1/8 unless --full; serial run");
     r.emit(&args.out);
     shalom_bench::telemetry::finish(&args, "fig15_vgg");
 }

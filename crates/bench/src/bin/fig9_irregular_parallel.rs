@@ -2,7 +2,7 @@
 //! (NT mode, K = 5000, all 64 cores; eight panels sweeping N for fixed
 //! small M and vice versa).
 //!
-//! This container has one core, so the 64-core figure is regenerated
+//! The host has a few cores, so the 64-core figure is regenerated
 //! from the analytic execution model (the documented hardware
 //! substitution), followed by a *measured* single-core section on scaled
 //! sizes that exercises the real parallel code path and checks the
@@ -52,7 +52,7 @@ fn projection(args: &BenchArgs) {
                     .collect();
                 r.row_values(&wide.to_string(), &vals);
             }
-            r.note("analytic projection (1-core container; see DESIGN.md substitutions); paper: LibShalom avg 1.8x over BLIS, up to 2.6x at M=32");
+            r.note("analytic projection (see DESIGN.md substitutions); paper: LibShalom avg 1.8x over BLIS, up to 2.6x at M=32");
             r.emit(&args.out);
         }
     }

@@ -62,6 +62,6 @@ fn main() {
         fmt_cache(host.l3),
         "?".to_string(),
     ]);
-    r.note("* host peak is the measured 7x12 micro-kernel ceiling (no frequency metadata in this container)");
+    r.note("* host peak is the best measured 128-bit micro-kernel tile (no frequency metadata on this host)");
     r.emit(&args.out);
 }

@@ -1,6 +1,6 @@
 //! The benchmark harness: shared timing, reporting and calibration code
-//! used by the `fig*`/`tab*` binaries (one per table/figure of the paper)
-//! and the Criterion benches.
+//! used by the `fig*`/`tab*` binaries (one per table/figure of the paper,
+//! plus the `tab_ablations` design-ablation table).
 //!
 //! Run any figure with, e.g.:
 //!
@@ -10,8 +10,8 @@
 //! ```
 //!
 //! Every binary accepts `--reps N` (timing repetitions; paper uses 10),
-//! `--full` (paper-scale problem sizes; defaults are scaled for a 1-core
-//! container) and `--out DIR` (CSV output directory, default `results/`).
+//! `--full` (paper-scale problem sizes; defaults are scaled for a small
+//! host) and `--out DIR` (CSV output directory, default `results/`).
 //! Built with `--features capture`, `--telemetry` additionally records
 //! the dispatch decisions of every GEMM in the run and writes a
 //! `<figure>.telemetry.json` snapshot next to the CSVs.
@@ -19,7 +19,6 @@
 #![deny(missing_docs)]
 
 pub mod args;
-pub mod perf_report;
 pub mod report;
 pub mod runner;
 pub mod telemetry;

@@ -147,7 +147,7 @@ mod tests {
 
     #[test]
     fn csv_roundtrip() {
-        let dir = std::env::temp_dir().join("shalom_report_test");
+        let dir = std::env::temp_dir().join("shalom_bench_csv_test");
         let dir = dir.to_str().unwrap();
         let mut r = Report::new("fig_test", "t");
         r.columns(&["x", "y"]);

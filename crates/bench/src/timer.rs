@@ -56,17 +56,31 @@ pub fn time_gemm(
 }
 
 /// Calibrates the host's achievable FMA peak in GFLOPS for element type
-/// `T` by timing the LibShalom main micro-kernel on an L1-resident tile.
-/// Used as the normalization denominator of the %-of-peak figures
-/// (Figure 2): the container exposes no reliable frequency/peak metadata,
-/// so the *measured* micro-kernel ceiling stands in for the theoretical
-/// peak (documented in EXPERIMENTS.md).
+/// `T` at the 128-bit width the baselines run: the best of the main
+/// micro-kernel's register tiles that `tab_ablations` compares, on an
+/// L1-resident panel. The analytic 7x12 is the paper's answer for 32
+/// vector registers; x86-64 has 16 XMM registers, which its 21
+/// accumulators overflow, so the other tiles are timed too. Used as the
+/// normalization denominator of the %-of-peak figures (Figure 2): the
+/// host exposes no reliable frequency/peak metadata, so the *measured*
+/// micro-kernel ceiling stands in for the theoretical peak (documented in
+/// EXPERIMENTS.md).
 pub fn host_peak_gflops<T: shalom_core::GemmElem>() -> f64 {
-    use shalom_kernels::main_kernel::main_kernel;
-    use shalom_kernels::{MR, NR_VECS};
+    [
+        tile_peak::<T, 7, 3>(),
+        tile_peak::<T, 8, 2>(),
+        tile_peak::<T, 4, 1>(),
+        tile_peak::<T, 16, 1>(),
+    ]
+    .into_iter()
+    .fold(0.0, f64::max)
+}
 
-    let lanes = T::LANES;
-    let nr = NR_VECS * lanes;
+/// Best-of-5 GFLOPS of the `mr x (nrv * lanes)` 128-bit main kernel.
+fn tile_peak<T: shalom_core::GemmElem, const MR: usize, const NRV: usize>() -> f64 {
+    use shalom_kernels::main_kernel::main_kernel_shape;
+
+    let nr = NRV * T::LANES;
     let kc = 128;
     let a = vec![T::from_f64(0.5); MR * kc];
     let b = vec![T::from_f64(0.25); kc * nr];
@@ -77,8 +91,10 @@ pub fn host_peak_gflops<T: shalom_core::GemmElem>() -> f64 {
     for _ in 0..5 {
         let t0 = Instant::now();
         for _ in 0..inner {
+            // SAFETY: a is MR x kc, b is kc x nr and c is MR x nr, all at
+            // tight strides, which is the kernel's whole footprint.
             unsafe {
-                main_kernel::<T::Vec>(
+                main_kernel_shape::<T::Vec, MR, NRV>(
                     kc,
                     T::ONE,
                     a.as_ptr(),

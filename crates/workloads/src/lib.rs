@@ -17,9 +17,7 @@ pub mod flush;
 pub mod sweeps;
 
 pub use flush::CacheFlusher;
-pub use sweeps::{
-    cp2k_kernels, irregular_grid, motivation_sizes, small_square_sizes, vgg_layers, GemmShape,
-};
+pub use sweeps::{cp2k_kernels, motivation_sizes, small_square_sizes, vgg_layers, GemmShape};
 
 #[cfg(test)]
 mod tests {

@@ -52,23 +52,6 @@ pub fn motivation_sizes(max: usize) -> Vec<GemmShape> {
     v
 }
 
-/// Figures 9/10: the irregular grid. For each small value in `smalls`
-/// (32/64/128/256 in the paper) and each wide value in `wides`
-/// (2048..=10240 step 2048), produces both orientations when `both` is
-/// set: `(M=small, N=wide)` and `(M=wide, N=small)`, with fixed `k`.
-pub fn irregular_grid(smalls: &[usize], wides: &[usize], k: usize, both: bool) -> Vec<GemmShape> {
-    let mut v = Vec::new();
-    for &s in smalls {
-        for &w in wides {
-            v.push(GemmShape::new(s, w, k));
-            if both {
-                v.push(GemmShape::new(w, s, k));
-            }
-        }
-    }
-    v
-}
-
 /// Figures 11/15 (§8.6): the five VGG16 convolution GEMMs —
 /// `M = {64, 128, 256, 512, 512}`, `N = {50176, 12544, 3136, 784, 196}`,
 /// `K = {576, 1152, 2304, 4608, 4608}`.
@@ -163,16 +146,6 @@ mod tests {
         assert_eq!(v.last().unwrap().m, 4096);
         let v = motivation_sizes(512);
         assert_eq!(v.last().unwrap().m, 512);
-    }
-
-    #[test]
-    fn irregular_grid_shapes() {
-        let g = irregular_grid(&[32, 64], &[2048, 4096], 5000, true);
-        assert_eq!(g.len(), 8);
-        assert!(g.contains(&GemmShape::new(32, 2048, 5000)));
-        assert!(g.contains(&GemmShape::new(4096, 64, 5000)));
-        let g1 = irregular_grid(&[32], &[2048], 5000, false);
-        assert_eq!(g1.len(), 1);
     }
 
     #[test]

@@ -3,25 +3,21 @@
 #
 # Usage:
 #   scripts/reproduce.sh            # container-scaled sizes (~15 min)
-#   scripts/reproduce.sh --json     # also emit BENCH_report.json (traced perf report)
 #   FULL=1 scripts/reproduce.sh     # paper-scale sizes (hours, >=16 GB RAM)
 #   REPS=10 scripts/reproduce.sh    # timing repetitions (paper uses 10)
 #
-# Outputs: console tables + results/*.csv, test_output.txt, bench_output.txt;
-# with --json additionally BENCH_report.json and results/pooled_trace.json.
+# Outputs: console tables + results/*.csv, results/final_figs.log (the
+# console tables), test_output.txt.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 REPS="${REPS:-5}"
 EXTRA=()
 [ "${FULL:-0}" = "1" ] && EXTRA+=(--full)
-JSON=0
-for arg in "$@"; do
-  case "$arg" in
-    --json) JSON=1 ;;
-    *) echo "unknown argument: $arg (supported: --json)" >&2; exit 2 ;;
-  esac
-done
+if [ "$#" -gt 0 ]; then
+  echo "unknown argument: $1 (this script takes none; see its header)" >&2
+  exit 2
+fi
 
 echo "== build =="
 cargo build --workspace --release
@@ -34,6 +30,8 @@ BINS=(
   tab1_platforms
   tab_tile_solver
   tab_partition_ablation
+  tab_fp64_ratio
+  tab_ablations
   fig2_motivation
   fig7_small_warm
   fig8_small_cold
@@ -45,17 +43,10 @@ BINS=(
   fig14_cp2k
   fig15_vgg
 )
+mkdir -p results
 for b in "${BINS[@]}"; do
-  echo "---- $b ----"
+  echo "=== RUNNING $b ==="
   cargo run --release -q -p shalom-bench --bin "$b" -- --reps "$REPS" "${EXTRA[@]}"
-done
-
-if [ "$JSON" = "1" ]; then
-  echo "== machine-readable perf report =="
-  cargo run --release -q -p shalom-bench --features capture --bin shalom-report -- --reps "$REPS" "${EXTRA[@]}"
-fi
-
-echo "== criterion ablations =="
-cargo bench --workspace 2>&1 | tee bench_output.txt | grep -E "time:|thrpt:" | tail -40
+done 2>&1 | tee results/final_figs.log
 
 echo "done; see results/ and EXPERIMENTS.md"

@@ -4,7 +4,7 @@
 //! forces several `jj/ii/kk` blocks, on shapes at the tile boundaries of
 //! *every* registered kernel set plus the repo benchmark's own cells, with
 //! the three `(alpha, beta)` classes, oversized leading dimensions and a
-//! NaN planted in A.
+//! NaN, a +Inf or a +Inf/−Inf pair planted in A.
 //!
 //! Two kinds of assertion: within `gemm_tolerance(k, 1.0)` of `reference`
 //! (the benchmark's factor) everywhere, and **bitwise** where the library
@@ -184,6 +184,18 @@ fn operand<T: GemmElem>(rows: usize, cols: usize, pad: usize, seed: u64) -> Matr
     m
 }
 
+/// A non-finite value planted in op(A)'s row `m / 2`.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Plant {
+    None,
+    Nan,
+    PosInf,
+    /// +Inf and −Inf in the same row, meeting equal op(B) rows: NaN.
+    InfPair,
+}
+
+const PLANTS: [Plant; 4] = [Plant::None, Plant::Nan, Plant::PosInf, Plant::InfPair];
+
 struct Case {
     cfg: GemmConfig,
     ops: (Op, Op),
@@ -191,8 +203,7 @@ struct Case {
     alpha_beta: (f64, f64),
     /// Leading-dimension padding of A, B and C.
     pads: (usize, usize, usize),
-    /// Plant a NaN in op(A)'s row `m / 2`.
-    nan: bool,
+    plant: Plant,
     /// Check this many sampled entries instead of all of C.
     sample: Option<usize>,
 }
@@ -209,14 +220,31 @@ fn check<T: GemmElem>(case: &Case) {
     let (ar, ac) = if op_a == Op::NoTrans { (m, k) } else { (k, m) };
     let (br, bc) = if op_b == Op::NoTrans { (k, n) } else { (n, k) };
     let mut a = operand::<T>(ar, ac, case.pads.0, 11);
-    let b = operand::<T>(br, bc, case.pads.1, 12);
+    let mut b = operand::<T>(br, bc, case.pads.1, 12);
     let c0 = operand::<T>(m, n, case.pads.2, 13);
-    let nan_row = (case.nan && m > 0 && k > 0).then_some(m / 2);
-    if let Some(r) = nan_row {
-        let p = k / 3;
-        match op_a {
-            Op::NoTrans => a.set(r, p, T::from_f64(f64::NAN)),
-            Op::Trans => a.set(p, r, T::from_f64(f64::NAN)),
+    let plant_row = (case.plant != Plant::None && m > 0 && k > 0).then_some(m / 2);
+    if let Some(r) = plant_row {
+        let mut plant_a = |p: usize, v: f64| match op_a {
+            Op::NoTrans => a.set(r, p, T::from_f64(v)),
+            Op::Trans => a.set(p, r, T::from_f64(v)),
+        };
+        let (p, q) = (k / 3, (k / 3 + 1) % k);
+        match case.plant {
+            Plant::None => {}
+            Plant::Nan => plant_a(p, f64::NAN),
+            Plant::PosInf => plant_a(p, f64::INFINITY),
+            Plant::InfPair => {
+                plant_a(p, f64::INFINITY);
+                plant_a(q, f64::NEG_INFINITY);
+                // op(B)'s row q := row p, so the two infinities meet with
+                // the same sign of B in every column: +Inf + −Inf.
+                for j in 0..n {
+                    match op_b {
+                        Op::NoTrans => b.set(q, j, b.at(p, j)),
+                        Op::Trans => b.set(j, q, b.at(j, p)),
+                    }
+                }
+            }
         }
     }
     let mut c = c0.clone();
@@ -246,10 +274,6 @@ fn check<T: GemmElem>(case: &Case) {
     let tol = gemm_tolerance::<T>(k, 1.0);
     let check_entry = |i: usize, j: usize| {
         let got = c.at(i, j).to_f64();
-        if nan_row == Some(i) {
-            assert!(got.is_nan(), "{}: C[{i},{j}] = {got} hides the NaN", ctx());
-            return;
-        }
         let mut acc = 0.0f64;
         for p in 0..k {
             let av = if op_a == Op::NoTrans {
@@ -270,6 +294,28 @@ fn check<T: GemmElem>(case: &Case) {
             c0.at(i, j).to_f64()
         };
         let want = case.alpha_beta.0 * acc + case.alpha_beta.1 * old;
+        if plant_row == Some(i) {
+            // The planted row is non-finite, and NaN wherever the oracle
+            // says so: always for a NaN, and for the pair when k >= 2.
+            assert!(
+                !want.is_finite() && (want.is_nan() || case.plant == Plant::PosInf || k < 2),
+                "{}: oracle C[{i},{j}] = {want} for {:?}",
+                ctx(),
+                case.plant
+            );
+            let same = if want.is_nan() {
+                got.is_nan()
+            } else {
+                got == want
+            };
+            assert!(
+                same,
+                "{}: C[{i},{j}] = {got} launders the planted {:?} (oracle {want})",
+                ctx(),
+                case.plant
+            );
+            return;
+        }
         assert!(
             (got - want).abs() <= tol,
             "{}: C[{i},{j}] = {got}, reference {want}, tol {tol}",
@@ -315,11 +361,13 @@ fn every_level_mode_and_regime_matches_reference() {
     let detected = CacheParams::detect();
     let mut rot = Rot(18);
     // The regime cross, explicit: level x ops x dtype x packing x edge on
-    // one shape of two-and-a-bit tiles of the widest set, tiny cache.
+    // one shape of two-and-a-bit tiles of the widest set, tiny cache. The
+    // plant walks a Latin square over (ops, packing, edge), so every level
+    // meets every plant in all four modes and both edge schedules.
     for isa in levels() {
-        for ops in OPS {
-            for packing in PACKINGS {
-                for edge in EDGES {
+        for (oi, ops) in OPS.into_iter().enumerate() {
+            for (pi, packing) in PACKINGS.into_iter().enumerate() {
+                for (ei, edge) in EDGES.into_iter().enumerate() {
                     let case = Case {
                         cfg: GemmConfig {
                             packing,
@@ -330,7 +378,7 @@ fn every_level_mode_and_regime_matches_reference() {
                         shape: (33, 37, 40),
                         alpha_beta: rot.pick(&ALPHA_BETAS),
                         pads: (rot.pick(&[0, 3]), rot.pick(&[0, 5]), rot.pick(&[0, 2])),
-                        nan: rot.pick(&[false, false, true]),
+                        plant: PLANTS[(oi + pi + ei) % PLANTS.len()],
                         sample: None,
                     };
                     check::<f32>(&case);
@@ -355,7 +403,7 @@ fn every_level_mode_and_regime_matches_reference() {
                     shape,
                     alpha_beta: rot.pick(&ALPHA_BETAS),
                     pads: (rot.pick(&[0, 3]), rot.pick(&[0, 5]), rot.pick(&[0, 2])),
-                    nan: rot.pick(&[false, false, true]),
+                    plant: rot.pick(&PLANTS),
                     sample: None,
                 };
                 check::<f32>(&case);
@@ -384,7 +432,7 @@ fn every_level_mode_and_regime_matches_reference() {
                     shape,
                     alpha_beta: (1.0, 0.0),
                     pads: (0, 0, 0),
-                    nan: false,
+                    plant: Plant::None,
                     sample: Some(400),
                 });
             }

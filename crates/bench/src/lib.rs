@@ -12,9 +12,9 @@
 //! Every binary accepts `--reps N` (timing repetitions; paper uses 10),
 //! `--full` (paper-scale problem sizes; defaults are scaled for a small
 //! host) and `--out DIR` (CSV output directory, default `results/`).
-//! Built with `--features capture`, `--telemetry` additionally records
-//! the dispatch decisions of every GEMM in the run and writes a
-//! `<figure>.telemetry.json` snapshot next to the CSVs.
+//! `--telemetry` additionally records the dispatch decisions of every
+//! GEMM in the run and writes a `<figure>.telemetry.json` snapshot next
+//! to the CSVs.
 
 #![deny(missing_docs)]
 

@@ -3,41 +3,28 @@
 //! figure's CSV.
 //!
 //! The switches are runtime calls into `shalom-trace`, so every binary
-//! calls both entry points unconditionally; whether the core crate's
-//! capture sites are compiled in is this crate's `capture` feature, and
-//! without it [`begin`] degrades to a one-line warning and [`finish`]
-//! to a no-op.
+//! calls both entry points unconditionally; without `--telemetry` both
+//! are no-ops.
 
 use crate::BenchArgs;
 use shalom_trace::Sink;
-
-/// Whether `--telemetry` was passed *and* there are capture sites to
-/// hear from.
-fn capturing(args: &BenchArgs) -> bool {
-    args.telemetry && cfg!(feature = "capture")
-}
 
 /// Starts capture if `--telemetry` was passed. Call once, after arg
 /// parsing and before the first measured GEMM. With the `perf-hooks`
 /// feature this also opens the hardware counters (silently skipped if
 /// the kernel refuses, e.g. under a restrictive `perf_event_paranoid`).
 pub fn begin(args: &BenchArgs) {
-    if capturing(args) {
+    if args.telemetry {
         shalom_trace::reset();
         shalom_trace::enable(Sink::Records);
         shalom_trace::perf::start();
-    } else if args.telemetry {
-        eprintln!(
-            "warning: --telemetry ignored; rebuild with `--features capture` \
-             (optionally `capture,perf-hooks`)"
-        );
     }
 }
 
 /// Stops capture and writes `<out>/<figure>.telemetry.json` plus a
 /// console summary. Call once, after the last measured GEMM.
 pub fn finish(args: &BenchArgs, figure: &str) {
-    if !capturing(args) {
+    if !args.telemetry {
         return;
     }
     shalom_trace::disable(Sink::Records);
@@ -62,7 +49,6 @@ mod tests {
         finish(&args, "figX");
     }
 
-    #[cfg(feature = "capture")]
     #[test]
     fn snapshot_written_with_flag() {
         let dir = std::env::temp_dir().join("shalom_bench_tel_test");

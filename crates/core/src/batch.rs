@@ -64,38 +64,73 @@ pub fn gemm_batch_beta<T: GemmElem>(
     beta: T,
     items: &mut [BatchItem<'_, T>],
 ) {
-    let item_dims = |it: &BatchItem<'_, T>| {
-        let k = match op_a {
-            Op::NoTrans => it.a.cols(),
-            Op::Trans => it.a.rows(),
-        };
-        (it.c.rows(), it.c.cols(), k)
-    };
     // Validate everything up front so a worker never panics mid-batch.
     for it in items.iter() {
-        let (m, n, k) = item_dims(it);
+        let (m, n, k) = item_dims(op_a, it);
         reference::check_dims(op_a, op_b, m, n, k, &it.a, &it.b);
     }
+    // The batch's one read of the capture state word picks the item
+    // loop's instantiation.
+    if capture::on() {
+        return run_items_captured(cfg, op_a, op_b, alpha, beta, items);
+    }
+    run_items::<T, false>(cfg, op_a, op_b, alpha, beta, items);
+}
+
+/// `(m, n, k)` of one batch member.
+fn item_dims<T: GemmElem>(op_a: Op, it: &BatchItem<'_, T>) -> (usize, usize, usize) {
+    let k = match op_a {
+        Op::NoTrans => it.a.cols(),
+        Op::Trans => it.a.rows(),
+    };
+    (it.c.rows(), it.c.cols(), k)
+}
+
+/// [`run_items`] with a sink on. Outlined and cold, so the capture-off
+/// path carries none of it.
+#[cold]
+#[inline(never)]
+fn run_items_captured<T: GemmElem>(
+    cfg: &GemmConfig,
+    op_a: Op,
+    op_b: Op,
+    alpha: T,
+    beta: T,
+    items: &mut [BatchItem<'_, T>],
+) {
+    run_items::<T, true>(cfg, op_a, op_b, alpha, beta, items);
+}
+
+/// The item loop of a validated batch, one instantiation per capture
+/// state. With `CAPTURE` the batch is one `Batch` region (and one tick of
+/// the batch counters) and every member a `BatchItem` region whose serial
+/// record reads `Batch`; without it there is no capture code.
+fn run_items<T: GemmElem, const CAPTURE: bool>(
+    cfg: &GemmConfig,
+    op_a: Op,
+    op_b: Op,
+    alpha: T,
+    beta: T,
+    items: &mut [BatchItem<'_, T>],
+) {
     let t = cfg.resolved_threads().max(1).min(items.len().max(1));
-    // One span for the whole batch (and one tick of the batch counters);
-    // each item opens its own BatchItem span inside `run_one` below.
-    let batch_tok = capture::batch_begin(items.len());
+    let batch_tok = CAPTURE.then(|| capture::batch_begin(items.len()));
     let serial_cfg = GemmConfig { threads: 1, ..*cfg };
     // Batched small GEMM is usually shape-uniform (the CP2K / strided
     // convention): build ONE plan handle for the whole batch instead of
     // one per item. A ragged batch builds a handle per item.
     let shared: Option<GemmPlan<T>> = items.first().and_then(|first| {
-        let (m, n, k) = item_dims(first);
+        let dims = item_dims(op_a, first);
         items
             .iter()
-            .all(|it| item_dims(it) == (m, n, k))
-            .then(|| GemmPlan::new(&serial_cfg, op_a, op_b, m, n, k))
+            .all(|it| item_dims(op_a, it) == dims)
+            .then(|| GemmPlan::new(&serial_cfg, op_a, op_b, dims.0, dims.1, dims.2))
     });
     let run_one = |it: &mut BatchItem<'_, T>, ws: &mut Workspace| {
-        let (m, n, k) = item_dims(it);
+        let (m, n, k) = item_dims(op_a, it);
         // Also tags the thread, so the item's serial record reads
         // `Batch` even on the caller's thread.
-        let item_tok = capture::batch_item_begin(m, n, k);
+        let item_tok = CAPTURE.then(|| capture::batch_item_begin(m, n, k));
         let own;
         let plan = match &shared {
             Some(plan) => plan,
@@ -108,7 +143,7 @@ pub fn gemm_batch_beta<T: GemmElem>(
         // their full footprints and check_dims validated every shape above
         // against the dimensions the plan was built for.
         unsafe {
-            gemm_serial(
+            gemm_serial::<T, CAPTURE>(
                 plan,
                 alpha,
                 it.a.as_ptr(),
@@ -121,7 +156,9 @@ pub fn gemm_batch_beta<T: GemmElem>(
                 ws,
             )
         };
-        capture::batch_item_end(item_tok);
+        if let Some(tok) = item_tok {
+            capture::batch_item_end(tok);
+        }
     };
     if t <= 1 || pool::in_pool_context() {
         // A nested batch (issued from inside a pool task) also lands
@@ -132,28 +169,29 @@ pub fn gemm_batch_beta<T: GemmElem>(
                 run_one(it, ws);
             }
         });
-        capture::end(batch_tok);
-        return;
+    } else {
+        // Dynamic queue: the pool hands out item indices one `fetch_add`
+        // at a time, so a ragged batch never strands a worker behind a
+        // statically assigned heavy chunk.
+        let n_items = items.len();
+        let base = SendPtr(items.as_mut_ptr());
+        let job = |idx: usize, ws: &mut Workspace| {
+            // Whole-struct rebind so the closure captures the Sync
+            // wrapper, not its raw-pointer field (disjoint capture).
+            #[allow(clippy::redundant_locals)]
+            let base = base;
+            // SAFETY: SHALOM-D-POOL — the pool's shared counter hands
+            // each index in `0..n_items` to exactly one claimant, so
+            // this exclusive reborrow of item `idx` never aliases
+            // (SHALOM-D-SEND for the base pointer crossing threads).
+            let it = unsafe { &mut *base.0.add(idx) };
+            run_one(it, ws);
+        };
+        pool::run(t, n_items, &job);
     }
-    // Dynamic queue: the pool hands out item indices one `fetch_add` at a
-    // time, so a ragged batch never strands a worker behind a statically
-    // assigned heavy chunk.
-    let n_items = items.len();
-    let base = SendPtr(items.as_mut_ptr());
-    let job = |idx: usize, ws: &mut Workspace| {
-        // Whole-struct rebind so the closure captures the Sync
-        // wrapper, not its raw-pointer field (disjoint capture).
-        #[allow(clippy::redundant_locals)]
-        let base = base;
-        // SAFETY: SHALOM-D-POOL — the pool's shared counter hands
-        // each index in `0..n_items` to exactly one claimant, so
-        // this exclusive reborrow of item `idx` never aliases
-        // (SHALOM-D-SEND for the base pointer crossing threads).
-        let it = unsafe { &mut *base.0.add(idx) };
-        run_one(it, ws);
-    };
-    pool::run(t, n_items, &job);
-    capture::end(batch_tok);
+    if let Some(tok) = batch_tok {
+        capture::end(tok);
+    }
 }
 
 /// Strided batch over contiguous storage: `count` problems of identical

@@ -1,520 +1,391 @@
-//! The capture layer's one door into this crate (the `capture` cargo
-//! feature), and the only file here that knows whether capture is
-//! compiled in. (Which sinks a phase feeds is `shalom-trace`'s
+//! The capture layer's one door into this crate. Capture is compiled
+//! into every build and stays off until a sink is switched on at
+//! runtime. (Which sinks a phase feeds is `shalom-trace`'s
 //! `Phase::feeds_records`.)
 //!
-//! With the feature this module re-exports the [`shalom_trace`] API —
-//! the two runtime switches ([`enable`]`(`[`Sink::Records`]`)`,
+//! This module re-exports the [`shalom_trace`] API — the two runtime
+//! switches ([`enable`]`(`[`Sink::Records`]`)`,
 //! [`enable`]`(`[`Sink::Spans`]`)`), [`record_snapshot`],
 //! [`span_snapshot`], Chrome-trace export — so users need no separate
-//! dependency, and hosts the glue that turns the driver's decisions
-//! into [`DecisionRecord`]s and spans.
+//! dependency, and hosts the glue that turns the driver's decisions into
+//! [`DecisionRecord`]s and spans.
 //!
 //! Every instrumented region in `driver.rs`, `plan.rs`, `pool.rs`,
 //! `parallel.rs`, `batch.rs` and `autotune.rs` is one begin/end pair on
-//! the `pub(crate)` functions below, called unconditionally. With the
-//! feature, one pair yields the span *and* feeds the per-call
-//! aggregates (`plan_ns`, `pack_ns`, dispatch latency, fork-join
-//! overhead, slowest worker) from the same two clock reads; compiled in
-//! but switched off, a pair costs one relaxed load. Without the
-//! feature the same functions are empty `#[inline(always)]` bodies over
-//! zero-sized tokens, so the default build's call path carries nothing.
+//! the `pub(crate)` functions below. One pair yields the span *and*
+//! feeds the per-call aggregates (`plan_ns`, `pack_ns`, dispatch
+//! latency, fork-join overhead, slowest worker) from the same two clock
+//! reads.
+//!
+//! The off path is free by construction, not by `#[cfg]`. An entry point
+//! reads the state word once ([`on`]): `GemmPlan::new` where a handle is
+//! built, `gemm_parallel` and `gemm_batch*` where one runs. With both
+//! sinks off the call runs the instantiation of the serial walk, the §6
+//! tile job or the batch item loop whose `const CAPTURE: bool` is
+//! `false`: it holds no capture code at all. With a sink on it takes a
+//! `#[cold]` call into the `CAPTURE = true` instance, whose sites are
+//! runtime-gated and write the records and spans below. The pool's
+//! per-fork-join sites (dispatch, queue wait, barrier, park) keep a
+//! runtime gate of their own.
 
-#[cfg(feature = "capture")]
 pub use shalom_trace::*;
 
-pub(crate) use imp::*;
+use crate::config::{classify, EdgeSchedule, ShapeClass};
+use crate::driver::BPlan;
+use crate::plan::{GemmPlan, PlanSource};
+use shalom_kernels::FamilyElem;
+use shalom_matrix::Op;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-#[cfg(feature = "capture")]
-mod imp {
-    use crate::config::{classify, EdgeSchedule, ShapeClass};
-    use crate::driver::BPlan;
-    use crate::plan::{GemmPlan, PlanSource};
-    use shalom_kernels::FamilyElem;
-    use shalom_matrix::Op;
-    use shalom_trace::{
-        add_pack_ns, add_plan_ns, enabled, record, record_batch, record_dispatch, record_fork_join,
-        set_path, span_end_src, src, take_pack_ns, take_plan_ns, DecisionRecord, EdgeTag, PathTag,
-        Phase, PlanSourceTag, PlanTag, ShapeClassTag, Sink,
+// The plain begin/end pair is `shalom-trace`'s own: `begin(phase, aux)
+// -> Span` opens a region (`Span::inert()` while capture is off), `end`
+// closes one that feeds no aggregate — phases that do
+// (`Phase::feeds_records`) close with their own `*_end` below — `shape`
+// packs the payload of shape-carrying phases, and `pause` keeps the
+// autotuner's probe GEMMs out of both sinks. Everything else is used
+// through the glob above, so nothing here shadows a public re-export.
+pub(crate) use shalom_trace::{
+    pause_guard as pause, shape_key as shape, span_end as end, span_start as begin,
+    SpanToken as Span,
+};
+
+/// Whether either sink is capturing: an entry point's one `Relaxed` load
+/// of the state word (`SHALOM-O-CAPTURE-STATE`), which picks the
+/// instantiation it runs.
+#[inline]
+pub(crate) fn on() -> bool {
+    enabled(Sink::Both)
+}
+
+/// Closes a region; the elapsed time if the record sink wants it.
+#[inline]
+fn close(tok: Span, src_code: u8) -> Option<u64> {
+    let records = tok.records();
+    let ns = span_end_src(tok, src_code);
+    records.then_some(ns)
+}
+
+/// Closes a `PackA`/`PackB` region into the call's `pack_ns`.
+#[inline]
+pub(crate) fn pack_end(tok: Span) {
+    if let Some(ns) = close(tok, src::NONE) {
+        add_pack_ns(ns);
+    }
+}
+
+/// Closes a `PlanLookup` region, stamped with the outcome, into the
+/// call's `plan_ns`.
+#[inline]
+pub(crate) fn plan_end(tok: Span, source: PlanSource) {
+    if let Some(ns) = close(tok, src_code(source)) {
+        add_plan_ns(ns);
+    }
+}
+
+/// Closes a `Dispatch` region (pool publish + wake) into the
+/// dispatch-latency counter.
+#[inline]
+pub(crate) fn dispatch_end(tok: Span) {
+    if let Some(ns) = close(tok, src::NONE) {
+        record_dispatch(ns);
+    }
+}
+
+/// An open `Serial` or `Parallel` region. The [`DecisionRecord`] it
+/// closes into echoes the plan handle the call ran, so the end sites
+/// pass the handle again and nothing is copied here.
+pub(crate) struct Call {
+    tok: Span,
+    /// Plan-resolution time this thread spent since its last call:
+    /// the `GemmPlan::new` that built the handle this call runs (zero
+    /// for every later run of a held handle).
+    plan_ns: u64,
+    /// Slowest worker tile so far (threaded calls only).
+    slowest_ns: AtomicU64,
+}
+
+impl Call {
+    /// Opens the `Serial` region of a `gemm_serial` call or the
+    /// `Parallel` region of a `gemm_parallel` call.
+    #[inline]
+    pub(crate) fn begin<T: FamilyElem>(phase: Phase, plan: &GemmPlan<T>) -> Self {
+        let tok = begin(phase, shape(plan.m, plan.n, plan.k));
+        let mut plan_ns = 0;
+        if tok.records() {
+            // Drain pack time carried over from aborted calls.
+            let _ = take_pack_ns();
+            plan_ns = take_plan_ns();
+        }
+        Call {
+            tok,
+            plan_ns,
+            slowest_ns: AtomicU64::new(0),
+        }
+    }
+
+    /// `Copy` handle a threaded call's tile closure captures.
+    pub(crate) fn workers(&self) -> Workers<'_> {
+        Workers(&self.slowest_ns)
+    }
+
+    /// Closes the region stamped with the plan's source; when the
+    /// record sink wants it, the record with the fields every path
+    /// reports the same way filled in from the handle.
+    fn finish<T: FamilyElem>(&self, plan: &GemmPlan<T>) -> Option<DecisionRecord> {
+        let total_ns = close(self.tok, src_code(plan.source))?;
+        let elem_bytes = core::mem::size_of::<T>();
+        Some(DecisionRecord {
+            m: plan.m,
+            n: plan.n,
+            k: plan.k,
+            op_a: op_char(plan.op_a),
+            op_b: op_char(plan.op_b),
+            elem_bits: (elem_bytes * 8) as u8,
+            class: class_tag(classify(
+                plan.m,
+                plan.n,
+                plan.k,
+                elem_bytes,
+                &plan.cfg.cache,
+            )),
+            plan: plan_tag(plan.b_plan, plan.op_b),
+            edge: edge_tag_of(plan.edge),
+            plan_source: plan_source_tag(plan.source),
+            plan_ns: self.plan_ns,
+            mr: plan.ks.mr as u8,
+            nr: plan.ks.nr as u8,
+            total_ns,
+            ..DecisionRecord::default() // seq is assigned at submission
+        })
+    }
+}
+
+/// Closes a `Serial` region with the executed plan's source and
+/// submits the call's [`DecisionRecord`].
+pub(crate) fn serial_end<T: FamilyElem>(call: Call, plan: &GemmPlan<T>, workspace_bytes: usize) {
+    let Some(base) = call.finish(plan) else {
+        return;
     };
-    use std::sync::atomic::{AtomicU64, Ordering};
+    record(DecisionRecord {
+        path: PathTag::Serial, // thread tag applied on submit
+        tm: 1,
+        tn: 1,
+        threads: 1,
+        workspace_bytes,
+        pack_ns: take_pack_ns(),
+        ..base
+    });
+}
 
-    // The plain begin/end pair is `shalom-trace`'s own: `begin(phase,
-    // aux) -> Span` opens a region (`Span::inert()` while capture is off),
-    // `end` closes one that feeds no aggregate — phases that do
-    // (`Phase::feeds_records`) close with their own `*_end` below —
-    // `shape` packs the payload of shape-carrying phases, and `pause`
-    // keeps the autotuner's probe GEMMs out of both sinks.
-    pub(crate) use shalom_trace::{
-        pause_guard as pause, shape_key as shape, span_end as end, span_start as begin,
-        SpanToken as Span,
-    };
+/// Worker-side handle onto an open threaded [`Call`].
+#[derive(Clone, Copy)]
+pub(crate) struct Workers<'a>(&'a AtomicU64);
 
-    /// Closes a region; the elapsed time if the record sink wants it.
-    #[inline]
-    fn close(tok: Span, src_code: u8) -> Option<u64> {
-        let records = tok.records();
-        let ns = span_end_src(tok, src_code);
-        records.then_some(ns)
-    }
+/// One worker tile or batch member, open: its region plus the
+/// dispatch-path tag its serial record carries.
+pub(crate) struct Tagged {
+    tok: Span,
+    _path: PathScope,
+}
 
-    /// Closes a `PackA`/`PackB` region into the call's `pack_ns`.
-    #[inline]
-    pub(crate) fn pack_end(tok: Span) {
-        if let Some(ns) = close(tok, src::NONE) {
-            add_pack_ns(ns);
-        }
-    }
-
-    /// Closes a `PlanLookup` region, stamped with the outcome, into the
-    /// call's `plan_ns`.
-    #[inline]
-    pub(crate) fn plan_end(tok: Span, source: PlanSource) {
-        if let Some(ns) = close(tok, src_code(source)) {
-            add_plan_ns(ns);
-        }
-    }
-
-    /// Closes a `Dispatch` region (pool publish + wake) into the
-    /// dispatch-latency counter.
-    #[inline]
-    pub(crate) fn dispatch_end(tok: Span) {
-        if let Some(ns) = close(tok, src::NONE) {
-            record_dispatch(ns);
-        }
-    }
-
-    /// An open `Serial` or `Parallel` region. The [`DecisionRecord`] it
-    /// closes into echoes the plan handle the call ran, so the end sites
-    /// pass the handle again and nothing is copied here.
-    pub(crate) struct Call {
-        tok: Span,
-        /// Plan-resolution time this thread spent since its last call:
-        /// the `GemmPlan::new` that built the handle this call runs (zero
-        /// for every later run of a held handle).
-        plan_ns: u64,
-        /// Slowest worker tile so far (threaded calls only).
-        slowest_ns: AtomicU64,
-    }
-
-    impl Call {
-        /// Opens the `Serial` region of a `gemm_serial` call or the
-        /// `Parallel` region of a `gemm_parallel` call.
-        #[inline]
-        pub(crate) fn begin<T: FamilyElem>(phase: Phase, plan: &GemmPlan<T>) -> Self {
-            let tok = begin(phase, shape(plan.m, plan.n, plan.k));
-            let mut plan_ns = 0;
-            if tok.records() {
-                // Drain pack time carried over from aborted calls.
-                let _ = take_pack_ns();
-                plan_ns = take_plan_ns();
-            }
-            Call {
-                tok,
-                plan_ns,
-                slowest_ns: AtomicU64::new(0),
-            }
-        }
-
-        /// `Copy` handle a threaded call's tile closure captures.
-        pub(crate) fn workers(&self) -> Workers<'_> {
-            Workers(&self.slowest_ns)
-        }
-
-        /// Closes the region stamped with the plan's source; when the
-        /// record sink wants it, the record with the fields every path
-        /// reports the same way filled in from the handle.
-        fn finish<T: FamilyElem>(&self, plan: &GemmPlan<T>) -> Option<DecisionRecord> {
-            let total_ns = close(self.tok, src_code(plan.source))?;
-            let elem_bytes = core::mem::size_of::<T>();
-            Some(DecisionRecord {
-                m: plan.m,
-                n: plan.n,
-                k: plan.k,
-                op_a: op_char(plan.op_a),
-                op_b: op_char(plan.op_b),
-                elem_bits: (elem_bytes * 8) as u8,
-                class: class_tag(classify(
-                    plan.m,
-                    plan.n,
-                    plan.k,
-                    elem_bytes,
-                    &plan.cfg.cache,
-                )),
-                plan: plan_tag(plan.b_plan, plan.op_b),
-                edge: edge_tag_of(plan.edge),
-                plan_source: plan_source_tag(plan.source),
-                plan_ns: self.plan_ns,
-                mr: plan.ks.mr as u8,
-                nr: plan.ks.nr as u8,
-                total_ns,
-                ..DecisionRecord::default() // seq is assigned at submission
-            })
-        }
-    }
-
-    /// Closes a `Serial` region with the executed plan's source and
-    /// submits the call's [`DecisionRecord`].
-    #[inline]
-    pub(crate) fn serial_end<T: FamilyElem>(
-        call: Call,
-        plan: &GemmPlan<T>,
-        workspace_bytes: usize,
-    ) {
-        if !call.tok.is_inert() {
-            serial_finish(call, plan, workspace_bytes);
-        }
-    }
-
-    /// Outlined (`#[cold]`) so the capture-off hot path of `gemm_serial`
-    /// stays one load + branch with no record-building code inlined.
-    #[cold]
-    #[inline(never)]
-    fn serial_finish<T: FamilyElem>(call: Call, plan: &GemmPlan<T>, workspace_bytes: usize) {
-        let Some(base) = call.finish(plan) else {
-            return;
-        };
-        record(DecisionRecord {
-            path: PathTag::Serial, // thread tag applied on submit
-            tm: 1,
-            tn: 1,
-            threads: 1,
-            workspace_bytes,
-            pack_ns: take_pack_ns(),
-            ..base
-        });
-    }
-
-    /// Worker-side handle onto an open threaded [`Call`].
-    #[derive(Clone, Copy)]
-    pub(crate) struct Workers<'a>(&'a AtomicU64);
-
-    /// One worker tile or batch member, open: its region plus the
-    /// dispatch-path tag its serial record carries.
-    pub(crate) struct Tagged {
-        tok: Span,
-        _path: PathScope,
-    }
-
-    impl Workers<'_> {
-        /// Opens the `Task` region of tile `task` and tags the thread so
-        /// the tile's serial record reads `ParallelWorker`.
-        pub(crate) fn begin(self, task: usize) -> Tagged {
-            Tagged {
-                _path: PathScope::enter(PathTag::ParallelWorker),
-                tok: begin(Phase::Task, task as u64),
-            }
-        }
-
-        /// Closes the tile's region into the call's slowest-worker time.
-        pub(crate) fn end(self, worker: Tagged) {
-            if let Some(ns) = close(worker.tok, src::NONE) {
-                // Relaxed: a statistic, read after the join.
-                self.0.fetch_max(ns, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Closes a `Parallel` region with the plan's source, counts the
-    /// fork-join with its overhead (parent wall time minus slowest
-    /// worker) and submits the parent [`DecisionRecord`]: the §4 regime
-    /// of the *full* problem shape (each worker reports its sub-block's
-    /// own) and the §6 grid.
-    pub(crate) fn parallel_end<T: FamilyElem>(call: Call, plan: &GemmPlan<T>) {
-        let Some(base) = call.finish(plan) else {
-            return;
-        };
-        let slowest_ns = call.slowest_ns.load(Ordering::Relaxed);
-        record_fork_join(base.total_ns.saturating_sub(slowest_ns));
-        record(DecisionRecord {
-            path: PathTag::Parallel,
-            tm: plan.tm as u16,
-            tn: plan.tn as u16,
-            threads: plan.threads as u16,
-            // workspace_bytes and pack_ns stay 0 (per-worker; reported by
-            // the worker records).
-            ..base
-        });
-    }
-
-    /// Counts one batch call of `items` problems and opens its `Batch`
-    /// span; close it with [`end`].
-    pub(crate) fn batch_begin(items: usize) -> Span {
-        if items > 0 && enabled(Sink::Records) {
-            record_batch(items);
-        }
-        begin(Phase::Batch, items as u64)
-    }
-
-    /// Opens the `BatchItem` span of one member and tags the thread so
-    /// its serial record reads `Batch`.
-    #[inline]
-    pub(crate) fn batch_item_begin(m: usize, n: usize, k: usize) -> Tagged {
+impl Workers<'_> {
+    /// Opens the `Task` region of tile `task` and tags the thread so
+    /// the tile's serial record reads `ParallelWorker`.
+    pub(crate) fn begin(self, task: usize) -> Tagged {
         Tagged {
-            _path: PathScope::enter(PathTag::Batch),
-            tok: begin(Phase::BatchItem, shape(m, n, k)),
+            _path: PathScope::enter(PathTag::ParallelWorker),
+            tok: begin(Phase::Task, task as u64),
         }
     }
 
-    /// Closes a member's span and restores the thread's path tag.
-    #[inline]
-    pub(crate) fn batch_item_end(item: Tagged) {
-        end(item.tok);
-    }
-
-    /// RAII dispatch-path tag for the serial records a worker or batch
-    /// member emits. Restores the previous tag on drop — also on unwind —
-    /// because these can run on the caller's thread, which outlives the
-    /// call.
-    struct PathScope {
-        prev: PathTag,
-    }
-
-    impl PathScope {
-        #[inline]
-        fn enter(path: PathTag) -> Self {
-            PathScope {
-                prev: set_path(path),
-            }
-        }
-    }
-
-    impl Drop for PathScope {
-        fn drop(&mut self) {
-            set_path(self.prev);
-        }
-    }
-
-    fn class_tag(class: ShapeClass) -> ShapeClassTag {
-        match class {
-            ShapeClass::Small => ShapeClassTag::Small,
-            ShapeClass::Irregular => ShapeClassTag::Irregular,
-            ShapeClass::Regular => ShapeClassTag::Regular,
-        }
-    }
-
-    fn edge_tag_of(edge: EdgeSchedule) -> EdgeTag {
-        match edge {
-            EdgeSchedule::Pipelined => EdgeTag::Pipelined,
-            EdgeSchedule::Batched => EdgeTag::Batched,
-        }
-    }
-
-    fn plan_source_tag(source: PlanSource) -> PlanSourceTag {
-        match source {
-            PlanSource::Computed => PlanSourceTag::Computed,
-            PlanSource::Profile => PlanSourceTag::Profile,
-        }
-    }
-
-    fn src_code(source: PlanSource) -> u8 {
-        match source {
-            PlanSource::Computed => src::COMPUTED,
-            PlanSource::Profile => src::PROFILE,
-        }
-    }
-
-    /// Record tag for a resolved B-plan. NT-mode `Direct` reports
-    /// `SequentialPack` because `nt_block` transpose-packs it anyway
-    /// (`Never` only disables the *fused* variant there).
-    fn plan_tag(b_plan: BPlan, op_b: Op) -> PlanTag {
-        match b_plan {
-            BPlan::Direct if op_b == Op::Trans => PlanTag::SequentialPack,
-            BPlan::Direct => PlanTag::NoPack,
-            BPlan::Fused => PlanTag::FusedPack,
-            BPlan::FusedLookahead => PlanTag::Lookahead,
-            BPlan::Sequential => PlanTag::SequentialPack,
-        }
-    }
-
-    /// `Op` -> the BLAS character stored in records.
-    fn op_char(op: Op) -> u8 {
-        match op {
-            Op::NoTrans => b'N',
-            Op::Trans => b'T',
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use crate::cache::CacheParams;
-        use shalom_trace::{current_path, disable};
-
-        #[test]
-        fn tag_conversions_line_up() {
-            let cache = CacheParams {
-                l1: 32 * 1024,
-                l2: 2 * 1024 * 1024,
-                l3: 0,
-            };
-            assert_eq!(
-                class_tag(classify(64, 64, 64, 4, &cache)),
-                ShapeClassTag::Small
-            );
-            assert_eq!(
-                class_tag(classify(64, 50176, 64, 4, &cache)),
-                ShapeClassTag::Irregular
-            );
-            assert_eq!(
-                class_tag(classify(4096, 4096, 4096, 4, &cache)),
-                ShapeClassTag::Regular
-            );
-            assert_eq!(op_char(Op::NoTrans), b'N');
-            assert_eq!(op_char(Op::Trans), b'T');
-            assert_eq!(plan_tag(BPlan::Direct, Op::Trans), PlanTag::SequentialPack);
-            assert_eq!(plan_tag(BPlan::Direct, Op::NoTrans), PlanTag::NoPack);
-        }
-
-        #[test]
-        fn src_codes_line_up() {
-            assert_eq!(src::as_str(src_code(PlanSource::Computed)), "computed");
-            assert_eq!(src::as_str(src_code(PlanSource::Profile)), "profile");
-        }
-
-        #[test]
-        fn path_scope_restores() {
-            let base = set_path(PathTag::Serial);
-            {
-                let _s = PathScope::enter(PathTag::Batch);
-                assert_eq!(current_path(), PathTag::Batch);
-                {
-                    let _inner = PathScope::enter(PathTag::ParallelWorker);
-                    assert_eq!(current_path(), PathTag::ParallelWorker);
-                }
-                assert_eq!(current_path(), PathTag::Batch);
-            }
-            assert_eq!(current_path(), PathTag::Serial);
-            set_path(base);
-        }
-
-        #[test]
-        fn pack_region_noop_when_disabled() {
-            // Runtime-disabled: the token is inert and no ns accumulate.
-            disable(Sink::Both);
-            let tok = begin(Phase::PackB, 0);
-            assert!(tok.is_inert());
-            pack_end(tok);
-            assert_eq!(take_pack_ns(), 0);
+    /// Closes the tile's region into the call's slowest-worker time.
+    pub(crate) fn end(self, worker: Tagged) {
+        if let Some(ns) = close(worker.tok, src::NONE) {
+            // Relaxed: a statistic, read after the join.
+            self.0.fetch_max(ns, Ordering::Relaxed);
         }
     }
 }
 
-#[cfg(not(feature = "capture"))]
-mod imp {
-    use crate::plan::{GemmPlan, PlanSource};
-    use shalom_kernels::FamilyElem;
-    pub(crate) use shalom_trace::Phase;
+/// Closes a `Parallel` region with the plan's source, counts the
+/// fork-join with its overhead (parent wall time minus slowest
+/// worker) and submits the parent [`DecisionRecord`]: the §4 regime
+/// of the *full* problem shape (each worker reports its sub-block's
+/// own) and the §6 grid.
+pub(crate) fn parallel_end<T: FamilyElem>(call: Call, plan: &GemmPlan<T>) {
+    let Some(base) = call.finish(plan) else {
+        return;
+    };
+    let slowest_ns = call.slowest_ns.load(Ordering::Relaxed);
+    record_fork_join(base.total_ns.saturating_sub(slowest_ns));
+    record(DecisionRecord {
+        path: PathTag::Parallel,
+        tm: plan.tm as u16,
+        tn: plan.tn as u16,
+        threads: plan.threads as u16,
+        // workspace_bytes and pack_ns stay 0 (per-worker; reported by
+        // the worker records).
+        ..base
+    });
+}
 
-    #[derive(Clone, Copy)]
-    pub(crate) struct Span;
+/// Counts one batch call of `items` problems and opens its `Batch`
+/// span; close it with [`end`].
+pub(crate) fn batch_begin(items: usize) -> Span {
+    if items > 0 && enabled(Sink::Records) {
+        record_batch(items);
+    }
+    begin(Phase::Batch, items as u64)
+}
 
-    impl Span {
-        #[inline(always)]
-        pub(crate) const fn inert() -> Span {
-            Span
+/// Opens the `BatchItem` span of one member and tags the thread so
+/// its serial record reads `Batch`.
+#[inline]
+pub(crate) fn batch_item_begin(m: usize, n: usize, k: usize) -> Tagged {
+    Tagged {
+        _path: PathScope::enter(PathTag::Batch),
+        tok: begin(Phase::BatchItem, shape(m, n, k)),
+    }
+}
+
+/// Closes a member's span and restores the thread's path tag.
+#[inline]
+pub(crate) fn batch_item_end(item: Tagged) {
+    end(item.tok);
+}
+
+/// RAII dispatch-path tag for the serial records a worker or batch
+/// member emits. Restores the previous tag on drop — also on unwind —
+/// because these can run on the caller's thread, which outlives the
+/// call.
+struct PathScope {
+    prev: PathTag,
+}
+
+impl PathScope {
+    #[inline]
+    fn enter(path: PathTag) -> Self {
+        PathScope {
+            prev: set_path(path),
         }
+    }
+}
 
-        #[inline(always)]
-        pub(crate) fn is_inert(&self) -> bool {
-            true
+impl Drop for PathScope {
+    fn drop(&mut self) {
+        set_path(self.prev);
+    }
+}
+
+fn class_tag(class: ShapeClass) -> ShapeClassTag {
+    match class {
+        ShapeClass::Small => ShapeClassTag::Small,
+        ShapeClass::Irregular => ShapeClassTag::Irregular,
+        ShapeClass::Regular => ShapeClassTag::Regular,
+    }
+}
+
+fn edge_tag_of(edge: EdgeSchedule) -> EdgeTag {
+    match edge {
+        EdgeSchedule::Pipelined => EdgeTag::Pipelined,
+        EdgeSchedule::Batched => EdgeTag::Batched,
+    }
+}
+
+fn plan_source_tag(source: PlanSource) -> PlanSourceTag {
+    match source {
+        PlanSource::Computed => PlanSourceTag::Computed,
+        PlanSource::Profile => PlanSourceTag::Profile,
+    }
+}
+
+fn src_code(source: PlanSource) -> u8 {
+    match source {
+        PlanSource::Computed => src::COMPUTED,
+        PlanSource::Profile => src::PROFILE,
+    }
+}
+
+/// Record tag for a resolved B-plan. NT-mode `Direct` reports
+/// `SequentialPack` because `nt_block` transpose-packs it anyway
+/// (`Never` only disables the *fused* variant there).
+fn plan_tag(b_plan: BPlan, op_b: Op) -> PlanTag {
+    match b_plan {
+        BPlan::Direct if op_b == Op::Trans => PlanTag::SequentialPack,
+        BPlan::Direct => PlanTag::NoPack,
+        BPlan::Fused => PlanTag::FusedPack,
+        BPlan::FusedLookahead => PlanTag::Lookahead,
+        BPlan::Sequential => PlanTag::SequentialPack,
+    }
+}
+
+/// `Op` -> the BLAS character stored in records.
+fn op_char(op: Op) -> u8 {
+    match op {
+        Op::NoTrans => b'N',
+        Op::Trans => b'T',
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cache::CacheParams;
+
+    #[test]
+    fn tag_conversions_line_up() {
+        let cache = CacheParams {
+            l1: 32 * 1024,
+            l2: 2 * 1024 * 1024,
+            l3: 0,
+        };
+        assert_eq!(
+            class_tag(classify(64, 64, 64, 4, &cache)),
+            ShapeClassTag::Small
+        );
+        assert_eq!(
+            class_tag(classify(64, 50176, 64, 4, &cache)),
+            ShapeClassTag::Irregular
+        );
+        assert_eq!(
+            class_tag(classify(4096, 4096, 4096, 4, &cache)),
+            ShapeClassTag::Regular
+        );
+        assert_eq!(op_char(Op::NoTrans), b'N');
+        assert_eq!(op_char(Op::Trans), b'T');
+        assert_eq!(plan_tag(BPlan::Direct, Op::Trans), PlanTag::SequentialPack);
+        assert_eq!(plan_tag(BPlan::Direct, Op::NoTrans), PlanTag::NoPack);
+    }
+
+    #[test]
+    fn src_codes_line_up() {
+        assert_eq!(src::as_str(src_code(PlanSource::Computed)), "computed");
+        assert_eq!(src::as_str(src_code(PlanSource::Profile)), "profile");
+    }
+
+    #[test]
+    fn path_scope_restores() {
+        let base = set_path(PathTag::Serial);
+        {
+            let _s = PathScope::enter(PathTag::Batch);
+            assert_eq!(current_path(), PathTag::Batch);
+            {
+                let _inner = PathScope::enter(PathTag::ParallelWorker);
+                assert_eq!(current_path(), PathTag::ParallelWorker);
+            }
+            assert_eq!(current_path(), PathTag::Batch);
         }
+        assert_eq!(current_path(), PathTag::Serial);
+        set_path(base);
     }
 
-    #[inline(always)]
-    pub(crate) fn begin(_phase: Phase, _aux: u64) -> Span {
-        Span
-    }
-
-    #[inline(always)]
-    pub(crate) fn end(_tok: Span) {}
-
-    #[inline(always)]
-    pub(crate) fn shape(_m: usize, _n: usize, _k: usize) -> u64 {
-        0
-    }
-
-    #[inline(always)]
-    pub(crate) fn pack_end(_tok: Span) {}
-
-    #[inline(always)]
-    pub(crate) fn plan_end(_tok: Span, _source: PlanSource) {}
-
-    #[inline(always)]
-    pub(crate) fn dispatch_end(_tok: Span) {}
-
-    pub(crate) struct Pause;
-
-    #[inline(always)]
-    pub(crate) fn pause() -> Pause {
-        Pause
-    }
-
-    pub(crate) struct Call;
-
-    impl Call {
-        #[inline(always)]
-        pub(crate) fn begin<T: FamilyElem>(_phase: Phase, _plan: &GemmPlan<T>) -> Call {
-            Call
-        }
-
-        #[inline(always)]
-        pub(crate) fn workers(&self) -> Workers {
-            Workers
-        }
-    }
-
-    #[inline(always)]
-    pub(crate) fn serial_end<T: FamilyElem>(
-        _call: Call,
-        _plan: &GemmPlan<T>,
-        _workspace_bytes: usize,
-    ) {
-    }
-
-    #[derive(Clone, Copy)]
-    pub(crate) struct Workers;
-
-    pub(crate) struct Tagged;
-
-    impl Workers {
-        #[inline(always)]
-        pub(crate) fn begin(self, _task: usize) -> Tagged {
-            Tagged
-        }
-
-        #[inline(always)]
-        pub(crate) fn end(self, _worker: Tagged) {}
-    }
-
-    #[inline(always)]
-    pub(crate) fn parallel_end<T: FamilyElem>(_call: Call, _plan: &GemmPlan<T>) {}
-
-    #[inline(always)]
-    pub(crate) fn batch_begin(_items: usize) -> Span {
-        Span
-    }
-
-    #[inline(always)]
-    pub(crate) fn batch_item_begin(_m: usize, _n: usize, _k: usize) -> Tagged {
-        Tagged
-    }
-
-    #[inline(always)]
-    pub(crate) fn batch_item_end(_item: Tagged) {}
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use core::mem::size_of;
-
-        #[test]
-        fn every_token_is_zero_sized() {
-            assert_eq!(size_of::<Span>(), 0);
-            assert_eq!(size_of::<Pause>(), 0);
-            assert_eq!(size_of::<Call>(), 0);
-            assert_eq!(size_of::<Workers>(), 0);
-            assert_eq!(size_of::<Tagged>(), 0);
-        }
+    #[test]
+    fn pack_region_noop_when_disabled() {
+        // Runtime-disabled: the token is inert and no ns accumulate.
+        disable(Sink::Both);
+        let tok = begin(Phase::PackB, 0);
+        assert!(tok.is_inert());
+        pack_end(tok);
+        assert_eq!(take_pack_ns(), 0);
     }
 }

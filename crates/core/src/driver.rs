@@ -139,14 +139,19 @@ impl Workspace {
     }
 }
 
-/// Runs a sequential-pack region as one capture region of the named
-/// phase (`PackA` / `PackB`): the span, and the call's `pack_ns`.
+/// Runs a sequential-pack region. In the walk's `CAPTURE` instance it
+/// is one capture region of the named phase (`PackA` / `PackB`): the
+/// span, and the call's `pack_ns`; in the other it is the bare body.
 macro_rules! pack_timed {
-    ($phase:ident, $body:expr) => {{
-        let __pack_tok = capture::begin(capture::Phase::$phase, 0);
-        let __r = $body;
-        capture::pack_end(__pack_tok);
-        __r
+    ($capture:expr, $phase:ident, $body:expr) => {{
+        if $capture {
+            let __pack_tok = capture::begin(capture::Phase::$phase, 0);
+            let __r = $body;
+            capture::pack_end(__pack_tok);
+            __r
+        } else {
+            $body
+        }
     }};
 }
 
@@ -228,13 +233,19 @@ pub(crate) fn resolve_nt_plan<T>(cfg: &GemmConfig, ks: &FamilyKernels<T>) -> BPl
 /// exactly as `plan` says: its ops and shape, kernel set, edge entry, §4
 /// B-plan, §5.5 blocking and workspace demand.
 ///
+/// One instantiation per capture state, chosen by the caller. With
+/// `CAPTURE` the call is one `Serial` region, closed into its decision
+/// record with the executed tile and the plan's source; each block is a
+/// `Compute` region and each sequential pack a `PackA`/`PackB` one, all
+/// runtime-gated on the state word. Without it there is no capture code.
+///
 /// # Safety
 /// For the plan's `(op_a, op_b, m, n, k)`:
 /// * `a` valid for reads of the stored A (`m x k` for N, `k x m` for T) at
 ///   stride `lda`; likewise `b` (`k x n` / `n x k`) at `ldb`;
 /// * `c` valid for reads/writes of `m x n` at stride `ldc`;
 /// * `c` does not alias `a` or `b`.
-pub(crate) unsafe fn gemm_serial<T: FamilyElem>(
+pub(crate) unsafe fn gemm_serial<T: FamilyElem, const CAPTURE: bool>(
     plan: &GemmPlan<T>,
     alpha: T,
     a: *const T,
@@ -254,9 +265,7 @@ pub(crate) unsafe fn gemm_serial<T: FamilyElem>(
         scale_c(m, n, beta, c, ldc);
         return;
     }
-    // One capture region covers the whole serial dispatch; it closes below
-    // with the executed tile and the plan's source.
-    let call = capture::Call::begin(capture::Phase::Serial, plan);
+    let call = CAPTURE.then(|| capture::Call::begin(capture::Phase::Serial, plan));
     let (ks, edge, bs, b_plan) = (plan.ks, plan.edge_fn, plan.bs, plan.b_plan);
     let (bc_ptr, at_ptr) = ws.ensure::<T>(plan.bc_elems, plan.at_elems);
     // `Bc` is two panels (the t = 1 lookahead's double buffer).
@@ -282,6 +291,7 @@ pub(crate) unsafe fn gemm_serial<T: FamilyElem>(
                     Op::NoTrans => (a.add(ii * lda + kk), lda),
                     Op::Trans => {
                         pack_timed!(
+                            CAPTURE,
                             PackA,
                             (ks.pack_transpose)(
                                 a.add(kk * lda + ii),
@@ -297,10 +307,11 @@ pub(crate) unsafe fn gemm_serial<T: FamilyElem>(
                     }
                 };
                 let c_blk = c.add(ii * ldc + jj);
-                let compute_tok =
-                    capture::begin(capture::Phase::Compute, capture::shape(mcur, ncur, kcur));
+                let compute_tok = CAPTURE.then(|| {
+                    capture::begin(capture::Phase::Compute, capture::shape(mcur, ncur, kcur))
+                });
                 match op_b {
-                    Op::NoTrans => nn_block(
+                    Op::NoTrans => nn_block::<T, CAPTURE>(
                         ks,
                         edge,
                         b_plan,
@@ -318,7 +329,7 @@ pub(crate) unsafe fn gemm_serial<T: FamilyElem>(
                         bc_ptr,
                         bc_panel,
                     ),
-                    Op::Trans => nt_block(
+                    Op::Trans => nt_block::<T, CAPTURE>(
                         ks,
                         edge,
                         b_plan,
@@ -336,7 +347,9 @@ pub(crate) unsafe fn gemm_serial<T: FamilyElem>(
                         bc_ptr,
                     ),
                 }
-                capture::end(compute_tok);
+                if let Some(tok) = compute_tok {
+                    capture::end(tok);
+                }
                 kk += kcur;
             }
             ii += mcur;
@@ -345,7 +358,9 @@ pub(crate) unsafe fn gemm_serial<T: FamilyElem>(
     }
     // ALLOC-FREE: end
 
-    capture::serial_end(call, plan, ws.capacity_bytes());
+    if let Some(call) = call {
+        capture::serial_end(call, plan, ws.capacity_bytes());
+    }
 }
 
 /// `C = beta * C` over an `m x n` block.
@@ -450,7 +465,7 @@ unsafe fn sweep_rows<T: FamilyElem>(
 /// kcur * nr` elements each (the double buffer for the t = 1 lookahead).
 #[allow(clippy::too_many_arguments)]
 // ALLOC-FREE
-unsafe fn nn_block<T: FamilyElem>(
+unsafe fn nn_block<T: FamilyElem, const CAPTURE: bool>(
     ks: &FamilyKernels<T>,
     edge: EdgeFn<T>,
     plan: BPlan,
@@ -522,7 +537,11 @@ unsafe fn nn_block<T: FamilyElem>(
             // Sequential — and the fused plans on a block shorter than
             // the `mr`-row tile their kernels ride on.
             _ => {
-                pack_timed!(PackB, pack_copy(b_panel, ldb, kcur, nr, cur_buf, nr));
+                pack_timed!(
+                    CAPTURE,
+                    PackB,
+                    pack_copy(b_panel, ldb, kcur, nr, cur_buf, nr)
+                );
                 have_packed = false;
                 (0, cur_buf, nr)
             }
@@ -567,7 +586,7 @@ unsafe fn nn_block<T: FamilyElem>(
 /// packed panel.
 #[allow(clippy::too_many_arguments)]
 // ALLOC-FREE
-unsafe fn nt_block<T: FamilyElem>(
+unsafe fn nt_block<T: FamilyElem, const CAPTURE: bool>(
     ks: &FamilyKernels<T>,
     edge: EdgeFn<T>,
     plan: BPlan,
@@ -604,6 +623,7 @@ unsafe fn nt_block<T: FamilyElem>(
             // then compute every row from the packed buffer.
             _ => {
                 pack_timed!(
+                    CAPTURE,
                     PackB,
                     (ks.pack_transpose)(b_panel, ldb, ncols, kcur, bc, nr, nr - ncols)
                 );
@@ -735,7 +755,7 @@ mod tests {
         let plan = GemmPlan::<T>::new(cfg, op_a, op_b, m, n, k);
         // SAFETY: operands are owned Matrix buffers shaped for (op, m, n, k).
         unsafe {
-            gemm_serial(
+            gemm_serial::<_, false>(
                 &plan,
                 alpha,
                 a.as_slice().as_ptr(),
@@ -922,7 +942,7 @@ mod tests {
             let plan = GemmPlan::<f32>::new(&s.cfg, N, N, m, n, 6);
             // SAFETY: a (m x 6), b (6 x n) and c (m x n) are owned matrices.
             unsafe {
-                gemm_serial(
+                gemm_serial::<_, false>(
                     &plan,
                     1.0,
                     a.as_slice().as_ptr(),
@@ -957,7 +977,7 @@ mod tests {
             let plan = GemmPlan::<f32>::new(&s.cfg, N, N, m, n, 11);
             // SAFETY: matrices allocated with oversized leading dimensions.
             unsafe {
-                gemm_serial(
+                gemm_serial::<_, false>(
                     &plan,
                     1.0,
                     a.as_slice().as_ptr(),

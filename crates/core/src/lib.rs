@@ -37,16 +37,18 @@
 //!
 //! # Observability
 //!
-//! With the off-by-default `capture` cargo feature, the `capture`
-//! module exposes the one capture layer (`shalom-trace`) with its two
-//! runtime switches: per-call dispatch decision records (shape class,
-//! packing plan, tile, thread grid) with sharded counters, latency
-//! histograms and JSON snapshots; and span-level timelines of the same
-//! pipeline (plan resolution, pack-A/B, per-block compute, pool
-//! dispatch/queue/barrier/park, batch items) in per-thread lock-free
-//! buffers, with per-phase breakdowns and Chrome-trace/Perfetto
-//! export. The `perf-hooks` feature adds Linux hardware counters.
-//! Without the feature, every capture site compiles to nothing.
+//! The [`capture`] module exposes the one capture layer (`shalom-trace`),
+//! compiled into every build, with its two runtime switches: per-call
+//! dispatch decision records (shape class, packing plan, tile, thread
+//! grid) with sharded counters, latency histograms and JSON snapshots;
+//! and span-level timelines of the same pipeline (plan resolution,
+//! pack-A/B, per-block compute, pool dispatch/queue/barrier/park, batch
+//! items) in per-thread lock-free buffers, with per-phase breakdowns and
+//! Chrome-trace/Perfetto export. Both are off until switched on. With
+//! both off, a call reads the capture state word once where its plan
+//! handle is built and once where the handle runs, then runs a driver
+//! instantiation that holds no capture code. The `perf-hooks` feature
+//! adds Linux hardware counters.
 
 #![deny(missing_docs)]
 #![allow(clippy::too_many_arguments)]
@@ -57,17 +59,13 @@ pub mod autotune;
 pub mod batch;
 pub mod cache;
 pub mod capi;
-#[cfg(feature = "capture")]
 pub mod capture;
-#[cfg(not(feature = "capture"))]
-mod capture;
 pub mod config;
 mod driver;
 pub mod error;
 mod parallel;
 pub mod plan;
 pub mod pool;
-pub mod sync;
 
 pub use api::{dgemm, dgemm_raw, gemm, gemm_with, sgemm, sgemm_raw, GemmElem};
 pub use autotune::{autotune, Candidate, TuneReport};

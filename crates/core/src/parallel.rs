@@ -120,6 +120,10 @@ unsafe impl<T> Sync for SendConstPtr<T> {}
 /// has one call slot, and a small GEMM inside a batch must not try to
 /// split itself anyway (§7.4).
 ///
+/// The run's one read of the capture state word picks the instantiation:
+/// with both sinks off, [`run`]'s capture-free one; with a sink on, the
+/// capturing one behind a cold call.
+///
 /// # Safety
 /// As [`gemm_serial`].
 pub(crate) unsafe fn gemm_parallel<T: FamilyElem>(
@@ -133,17 +137,62 @@ pub(crate) unsafe fn gemm_parallel<T: FamilyElem>(
     c: *mut T,
     ldc: usize,
 ) {
+    if capture::on() {
+        return gemm_parallel_captured(plan, alpha, a, lda, b, ldb, beta, c, ldc);
+    }
+    run::<T, false>(plan, alpha, a, lda, b, ldb, beta, c, ldc);
+}
+
+/// [`gemm_parallel`] with a sink on. Outlined and cold, so the
+/// capture-off path carries none of it.
+///
+/// # Safety
+/// As [`gemm_serial`].
+#[cold]
+#[inline(never)]
+unsafe fn gemm_parallel_captured<T: FamilyElem>(
+    plan: &GemmPlan<T>,
+    alpha: T,
+    a: *const T,
+    lda: usize,
+    b: *const T,
+    ldb: usize,
+    beta: T,
+    c: *mut T,
+    ldc: usize,
+) {
+    run::<T, true>(plan, alpha, a, lda, b, ldb, beta, c, ldc);
+}
+
+/// The run of a handle, one instantiation per capture state. With
+/// `CAPTURE`, one capture region covers the whole threaded call
+/// (dispatch, tiles, join) and each tile is a worker region under it, so
+/// the parent record can report fork-join overhead (wall time minus the
+/// slowest tile); the pool separately captures its dispatch (publish +
+/// wake) latency. Without it there is no capture code.
+///
+/// # Safety
+/// As [`gemm_serial`].
+unsafe fn run<T: FamilyElem, const CAPTURE: bool>(
+    plan: &GemmPlan<T>,
+    alpha: T,
+    a: *const T,
+    lda: usize,
+    b: *const T,
+    ldb: usize,
+    beta: T,
+    c: *mut T,
+    ldc: usize,
+) {
     let (m, n) = (plan.m, plan.n);
     if plan.threads == 1 || m == 0 || n == 0 || pool::in_pool_context() {
-        with_workspace(|ws| gemm_serial(plan, alpha, a, lda, b, ldb, beta, c, ldc, ws));
+        with_workspace(|ws| {
+            gemm_serial::<T, CAPTURE>(plan, alpha, a, lda, b, ldb, beta, c, ldc, ws)
+        });
         return;
     }
-    // One capture region covers the whole threaded call (dispatch, tiles,
-    // join); each tile is a worker region under it, so the parent record
-    // can report fork-join overhead (wall time minus the slowest tile).
-    // The pool separately captures its dispatch (publish + wake) latency.
-    let call = capture::Call::begin(capture::Phase::Parallel, plan);
-    let workers = call.workers();
+    let call = CAPTURE.then(|| capture::Call::begin(capture::Phase::Parallel, plan));
+    let workers = call.as_ref().map(capture::Call::workers);
     // The tile of the set the *whole* problem resolved to is the
     // partition quantum.
     let (tm, tn, mr, nr) = (plan.tm, plan.tn, plan.ks.mr, plan.ks.nr);
@@ -163,7 +212,7 @@ pub(crate) unsafe fn gemm_parallel<T: FamilyElem>(
         // would otherwise capture the raw-pointer *fields*, which are
         // not Sync, and the closure could not cross the pool.
         let (ap, bp, cp) = (ap, bp, cp);
-        let worker = workers.begin(idx);
+        let worker = workers.map(|w| (w, w.begin(idx)));
         // Reconstruct the sub-block operand pointers. Stored-A row
         // offset depends on op: N indexes rows by i, T by k.
         let a_off = match plan.op_a {
@@ -179,7 +228,7 @@ pub(crate) unsafe fn gemm_parallel<T: FamilyElem>(
         // the views validated by the caller; sub-blocks are disjoint in C
         // (SHALOM-D-SEND).
         unsafe {
-            gemm_serial(
+            gemm_serial::<T, CAPTURE>(
                 &plan.for_block(rl, cl),
                 alpha,
                 ap.0.add(a_off),
@@ -192,11 +241,15 @@ pub(crate) unsafe fn gemm_parallel<T: FamilyElem>(
                 ws,
             )
         };
-        workers.end(worker);
+        if let Some((w, tagged)) = worker {
+            w.end(tagged);
+        }
     };
     pool::run(plan.threads, tm * tn, &job);
 
-    capture::parallel_end(call, plan);
+    if let Some(call) = call {
+        capture::parallel_end(call, plan);
+    }
 }
 
 #[cfg(test)]

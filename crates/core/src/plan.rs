@@ -389,27 +389,20 @@ impl<'a, T: FamilyElem> Signature<'a, T> {
     /// The resolution every handle is built by: the override under this
     /// signature's key if one is installed, otherwise the computed plan.
     /// While the table is empty — no override anywhere in the process —
-    /// it is not consulted: no key, no fingerprint, no lock. Being the
-    /// single funnel, this is also the capture region that times plan
-    /// resolution into the span timeline and the next call's `plan_ns`,
-    /// stamped with the outcome.
+    /// it is not consulted: no key, no fingerprint, no lock. Inlined into
+    /// both builds of a handle, so each constructs it in place.
+    #[inline(always)]
     fn resolve(&self) -> GemmPlan<T> {
-        let tok = capture::begin(
-            capture::Phase::PlanLookup,
-            capture::shape(self.m, self.n, self.k),
-        );
         let table = overrides();
         let installed = if table.is_empty() {
             None
         } else {
             table.get(&self.key())
         };
-        let plan = match installed {
+        match installed {
             Some(stored) => self.decode(&stored),
             None => self.compute(),
-        };
-        capture::plan_end(tok, plan.source);
-        plan
+        }
     }
 }
 
@@ -457,8 +450,25 @@ impl<T: FamilyElem> GemmPlan<T> {
     /// under `cfg`: the installed override for the signature, or else the
     /// computed plan. See the type's docs for the snapshot semantics.
     pub fn new(cfg: &GemmConfig, op_a: Op, op_b: Op, m: usize, n: usize, k: usize) -> Self {
-        let threads = cfg.resolved_threads();
-        Signature::of(cfg, op_a, op_b, m, n, k, threads).resolve()
+        // The build's one read of the capture state word.
+        if capture::on() {
+            return Self::new_captured(cfg, op_a, op_b, m, n, k);
+        }
+        Signature::of(cfg, op_a, op_b, m, n, k, cfg.resolved_threads()).resolve()
+    }
+
+    /// [`Self::new`] with a sink on: resolution is one `PlanLookup` region,
+    /// timed into the span timeline and the next call's `plan_ns` and
+    /// stamped with the outcome. Outlined and cold, so the capture-off
+    /// build carries none of it.
+    #[cold]
+    #[inline(never)]
+    fn new_captured(cfg: &GemmConfig, op_a: Op, op_b: Op, m: usize, n: usize, k: usize) -> Self {
+        let sig = Signature::of(cfg, op_a, op_b, m, n, k, cfg.resolved_threads());
+        let tok = capture::begin(capture::Phase::PlanLookup, capture::shape(m, n, k));
+        let plan = sig.resolve();
+        capture::plan_end(tok, plan.source);
+        plan
     }
 
     /// The handle for one `rl x cl` tile of this plan's §6 grid, derived
@@ -608,8 +618,8 @@ pub fn plan_cache_clear() {
     overrides().clear();
 }
 
-/// Override-table statistics (always on, independent of the `capture`
-/// feature): lookups that found an override, lookups that did not, and
+/// Override-table statistics (always on, independent of the capture
+/// switches): lookups that found an override, lookups that did not, and
 /// residency. Calls made while the table is empty look nothing up and
 /// count as neither.
 pub fn plan_cache_stats() -> CacheStats {

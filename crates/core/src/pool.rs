@@ -46,9 +46,9 @@
 
 use crate::capture;
 use crate::driver::{with_workspace, Workspace};
-use crate::sync::{AtomicUsize, Ordering};
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 
 /// The shape every pool job takes: called once per claimed task index

@@ -4,7 +4,6 @@
 //!
 //! Capture state is process-global, so every test here serializes on
 //! one mutex and resets the sinks before acting.
-#![cfg(feature = "capture")]
 #![recursion_limit = "256"]
 
 use proptest::prelude::*;

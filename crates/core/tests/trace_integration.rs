@@ -4,7 +4,6 @@
 //!
 //! Tracer state is process-global, so every test serializes on one
 //! mutex and resets the lanes before acting.
-#![cfg(feature = "capture")]
 
 use shalom_core::capture::{self, Phase, Sink};
 use shalom_core::{gemm_batch, gemm_with, BatchItem, GemmConfig, Op, PackingPolicy};

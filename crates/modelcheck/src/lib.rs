@@ -19,8 +19,6 @@
 //!   (seqlock ring, pool epoch publish, trace-lane publish, plan-override
 //!   table), each with seeded mutations reintroducing the bug class
 //!   its annotations guard against.
-//! * [`shim`] — instrumented `std::sync::atomic` stand-ins behind the
-//!   `shalom_core::sync` facade (core's `modelcheck` feature).
 //!
 //! # Why mutations, not weak memory
 //!
@@ -39,6 +37,5 @@
 
 pub mod explorer;
 pub mod models;
-pub mod shim;
 
 pub use explorer::{explore, Options, Report, Step, System, Violation};

@@ -17,7 +17,7 @@ use crate::request::{GemmRequest, ServiceElem};
 use crate::stats::ServiceStats;
 use shalom_core::{request_plan_key, GemmConfig, Op};
 use shalom_plans::PlanKey;
-use shalom_trace::{enabled, now_ns, shape_key, span_end, span_start, Phase, Sink};
+use shalom_trace::{now_ns, shape_key, span_end, span_start, Phase};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
@@ -300,16 +300,10 @@ fn enqueue_validated<T: ServiceElem>(
         shared.work.notify_one();
     }
     shared.stats.on_submit(depth);
-    if enabled(Sink::Records) {
-        shalom_trace::record_service_submit(depth);
-    }
     Ok(())
 }
 
 #[cold]
 fn reject(shared: &Shared) {
     shared.stats.on_reject();
-    if enabled(Sink::Records) {
-        shalom_trace::record_service_reject();
-    }
 }

@@ -14,7 +14,7 @@ use crate::request::ServiceElem;
 use crate::stats::FlushReason;
 use shalom_core::{gemm_batch_beta, BatchItem};
 use shalom_matrix::{MatMut, MatRef};
-use shalom_trace::{enabled, now_ns, span_end, span_record, span_start, Phase, Sink};
+use shalom_trace::{now_ns, span_end, span_record, span_start, Phase};
 use std::sync::PoisonError;
 use std::time::Duration;
 
@@ -170,9 +170,6 @@ fn flush_chunk(shared: &Shared, bucket: &Bucket, chunk: &[QueuedItem], reason: F
     // Counters first, completions second: a waiter woken by its cell
     // must already see this flush in `stats()`.
     shared.stats.on_flush(reason, completed, expired);
-    if enabled(Sink::Records) {
-        shalom_trace::record_service_flush(completed, expired);
-    }
     // Publish every member, then wake. A waiter woken mid-publication
     // reaps the few members done so far, resubmits and sleeps on the
     // next one; where it shares this thread's CPU that is two context

@@ -1,10 +1,21 @@
-//! Always-on service counters (independent of the capture layer's
-//! `Sink::Records` runtime switch, which additionally feeds the global
-//! record shards when on — see the call sites in `queue.rs` /
-//! `scheduler.rs`).
+//! Always-on service counters, one block per [`crate::Service`]: the
+//! service's only traffic counts (the capture layer records its spans,
+//! not its counts).
 
-use shalom_trace::{svc_occ_bucket, SVC_OCC_BUCKETS};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Number of flush-occupancy histogram buckets (powers of two: 1, 2–3,
+/// 4–7, ..., 128+).
+const OCC_BUCKETS: usize = 8;
+
+/// Histogram bucket index for a flush of `occupancy` completed items.
+fn occ_bucket(occupancy: usize) -> usize {
+    if occupancy <= 1 {
+        0
+    } else {
+        (usize::BITS - 1 - occupancy.leading_zeros()).min(OCC_BUCKETS as u32 - 1) as usize
+    }
+}
 
 /// Why the scheduler flushed a bucket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +54,7 @@ pub(crate) struct ServiceStats {
     queue_depth_peak: AtomicU64,
     occupancy_peak: AtomicU64,
     flush_reasons: [AtomicU64; 4],
-    occupancy: [AtomicU64; SVC_OCC_BUCKETS],
+    occupancy: [AtomicU64; OCC_BUCKETS],
 }
 
 impl ServiceStats {
@@ -78,7 +89,7 @@ impl ServiceStats {
             self.occupancy_peak
                 // ORDERING(SHALOM-O-SVC-STATS): Relaxed, reporting only.
                 .fetch_max(completed as u64, Ordering::Relaxed);
-            if let Some(slot) = self.occupancy.get(svc_occ_bucket(completed)) {
+            if let Some(slot) = self.occupancy.get(occ_bucket(completed)) {
                 // ORDERING(SHALOM-O-SVC-STATS): Relaxed, reporting only.
                 slot.fetch_add(1, Ordering::Relaxed);
             }
@@ -88,7 +99,7 @@ impl ServiceStats {
     pub(crate) fn snapshot(&self) -> ServiceStatsSnapshot {
         // ORDERING(SHALOM-O-SVC-STATS): Relaxed reads, reporting only.
         let r = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let mut occupancy = [0u64; SVC_OCC_BUCKETS];
+        let mut occupancy = [0u64; OCC_BUCKETS];
         for (dst, src) in occupancy.iter_mut().zip(self.occupancy.iter()) {
             *dst = r(src);
         }
@@ -138,9 +149,9 @@ pub struct ServiceStatsSnapshot {
     pub flush_deadline: u64,
     /// Flushes triggered by shutdown drain.
     pub flush_drain: u64,
-    /// log2 histogram of flush occupancy, bucketed like
-    /// [`shalom_trace::SVC_OCC_LABELS`].
-    pub occupancy: [u64; SVC_OCC_BUCKETS],
+    /// log2 histogram of flush occupancy: bucket `i` counts flushes
+    /// that ran `2^i ..= 2^(i+1) - 1` items, the last one 128 or more.
+    pub occupancy: [u64; OCC_BUCKETS],
 }
 
 impl ServiceStatsSnapshot {
@@ -177,7 +188,21 @@ mod tests {
         assert_eq!(snap.occupancy_peak, 2);
         assert_eq!(snap.flush_full, 1);
         assert_eq!(snap.flush_deadline, 1);
-        assert_eq!(snap.occupancy[svc_occ_bucket(2)], 1);
+        assert_eq!(snap.occupancy[occ_bucket(2)], 1);
         assert!((snap.mean_occupancy() - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn occupancy_buckets_are_log2() {
+        assert_eq!(occ_bucket(0), 0);
+        assert_eq!(occ_bucket(1), 0);
+        assert_eq!(occ_bucket(2), 1);
+        assert_eq!(occ_bucket(3), 1);
+        assert_eq!(occ_bucket(4), 2);
+        assert_eq!(occ_bucket(7), 2);
+        assert_eq!(occ_bucket(64), 6);
+        assert_eq!(occ_bucket(127), 6);
+        assert_eq!(occ_bucket(128), 7);
+        assert_eq!(occ_bucket(1 << 20), 7);
     }
 }

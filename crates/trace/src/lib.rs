@@ -24,13 +24,14 @@
 //!
 //! ## Cost model
 //!
-//! Both sinks are **off by default at runtime**, and the core crate
-//! compiles every capture site out unless its `capture` cargo feature
-//! is on. Compiled in but off, a site is one relaxed load of the state
-//! word and a branch. Switched on, a region ([`span_start`]) serves both
-//! sinks from the same two clock reads (`cntvct_el0` / `rdtsc`): the span
-//! is one 32-byte write into a pre-allocated per-thread buffer, and the
-//! elapsed time [`span_end`] returns feeds the record-side aggregates.
+//! Both sinks are **off by default at runtime**. Off, a site is one
+//! relaxed load of the state word and a branch; the core crate reads the
+//! word once per plan-handle build and once per run, and with both sinks
+//! off runs a driver instantiation with no sites in it. Switched on, a
+//! region ([`span_start`]) serves both sinks from the same two clock
+//! reads (`cntvct_el0` / `rdtsc`): the span is one 32-byte write into a
+//! pre-allocated per-thread buffer, and the elapsed time [`span_end`]
+//! returns feeds the record-side aggregates.
 //! No locks, no allocation, no syscalls on either path. Lane buffers
 //! are fixed capacity ([`SPANS_PER_LANE`]); overflow *drops* spans and
 //! counts the drops rather than growing or blocking.
@@ -76,10 +77,9 @@ pub use clock::now_ns;
 pub use perf::PerfSample;
 pub use records::{
     add_pack_ns, add_plan_ns, current_path, record, record_batch, record_dispatch,
-    record_fork_join, record_service_flush, record_service_reject, record_service_submit,
-    record_snapshot, set_path, svc_occ_bucket, take_pack_ns, take_plan_ns, CounterTotals,
+    record_fork_join, record_snapshot, set_path, take_pack_ns, take_plan_ns, CounterTotals,
     DecisionRecord, EdgeTag, Histogram, PathTag, PlanSourceTag, PlanTag, ShapeClassTag,
-    TelemetrySnapshot, HIST_BUCKETS, RING_CAPACITY, SHARD_COUNT, SVC_OCC_BUCKETS, SVC_OCC_LABELS,
+    TelemetrySnapshot, HIST_BUCKETS, RING_CAPACITY, SHARD_COUNT,
 };
 pub use snapshot::{LaneSnapshot, LaneStat, PhaseStat, TraceReport, TraceSnapshot};
 
@@ -437,10 +437,11 @@ fn active() -> u32 {
 }
 
 /// Whether `sink` is capturing (enabled and not paused); for
-/// [`Sink::Both`], whether both are.
+/// [`Sink::Both`], whether either is — the one-load test of whether
+/// capture is on at all.
 #[inline]
 pub fn enabled(sink: Sink) -> bool {
-    active() & sink as u32 == sink as u32
+    active() & sink as u32 != 0
 }
 
 /// Suspend both sinks while the guard lives, without toggling the user
@@ -742,28 +743,29 @@ mod tests {
         let _l = state_lock();
         disable(Sink::Both);
         assert!(!enabled(Sink::Records) && !enabled(Sink::Spans));
+        assert!(!enabled(Sink::Both));
         enable(Sink::Records);
-        assert!(enabled(Sink::Records));
-        assert!(!enabled(Sink::Spans) && !enabled(Sink::Both));
+        assert!(enabled(Sink::Records) && enabled(Sink::Both));
+        assert!(!enabled(Sink::Spans));
         enable(Sink::Spans);
         assert!(enabled(Sink::Both));
         {
             // One pause silences both sinks; pauses nest.
             let _g1 = pause_guard();
-            assert!(!enabled(Sink::Records) && !enabled(Sink::Spans));
+            assert!(!enabled(Sink::Both));
             let _g2 = pause_guard();
             assert!(!enabled(Sink::Records) && !enabled(Sink::Spans));
         }
         assert!(enabled(Sink::Both));
         disable(Sink::Records);
-        assert!(enabled(Sink::Spans) && !enabled(Sink::Records));
+        assert!(enabled(Sink::Spans) && !enabled(Sink::Records) && enabled(Sink::Both));
         disable(Sink::Spans);
         // Pausing while disabled stays disabled after the guard drops.
         {
             let _g = pause_guard();
             assert!(!enabled(Sink::Records) && !enabled(Sink::Spans));
         }
-        assert!(!enabled(Sink::Records) && !enabled(Sink::Spans));
+        assert!(!enabled(Sink::Records) && !enabled(Sink::Spans) && !enabled(Sink::Both));
     }
 
     #[test]

@@ -11,25 +11,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// counts of the paper's test machines.
 pub const SHARD_COUNT: usize = 16;
 
-/// Number of batch-occupancy histogram buckets (powers of two:
-/// 1, 2–3, 4–7, ..., 128+).
-pub const SVC_OCC_BUCKETS: usize = 8;
-
-/// Stable labels for the occupancy buckets, used in JSON snapshots.
-pub const SVC_OCC_LABELS: [&str; SVC_OCC_BUCKETS] = [
-    "1", "2-3", "4-7", "8-15", "16-31", "32-63", "64-127", "128+",
-];
-
-/// Histogram bucket index for a flush of `occupancy` completed items.
-#[inline]
-pub fn svc_occ_bucket(occupancy: usize) -> usize {
-    if occupancy <= 1 {
-        0
-    } else {
-        (usize::BITS - 1 - occupancy.leading_zeros()).min(SVC_OCC_BUCKETS as u32 - 1) as usize
-    }
-}
-
 /// One shard of counters, padded to avoid false sharing with its
 /// neighbours in the static array.
 #[repr(align(128))]
@@ -70,22 +51,6 @@ pub struct Shard {
     /// Spans dropped on lane overflow (or by laneless threads) — the
     /// signal that the fixed lane capacity was too small for the run.
     pub trace_spans_dropped: AtomicU64,
-    /// GEMM requests admitted into a `shalom-service` queue.
-    pub svc_submitted: AtomicU64,
-    /// Service requests completed by a batch flush.
-    pub svc_completed: AtomicU64,
-    /// Service submissions rejected by queue-full backpressure.
-    pub svc_rejected: AtomicU64,
-    /// Service requests that expired (deadline passed before their
-    /// bucket flushed) and completed without running.
-    pub svc_expired: AtomicU64,
-    /// Scheduler batch flushes (one `gemm_batch` call each).
-    pub svc_batches: AtomicU64,
-    /// High-water mark of total queued service requests.
-    pub svc_queue_depth_peak: AtomicU64,
-    /// Batch-occupancy histogram: completed-item count per flush,
-    /// power-of-two buckets (see [`svc_occ_bucket`]).
-    pub svc_occupancy: [AtomicU64; SVC_OCC_BUCKETS],
 }
 
 impl Shard {
@@ -126,15 +91,6 @@ impl Shard {
         self.dispatch_ns.store(0, Ordering::Relaxed);
         self.trace_spans_recorded.store(0, Ordering::Relaxed);
         self.trace_spans_dropped.store(0, Ordering::Relaxed);
-        self.svc_submitted.store(0, Ordering::Relaxed);
-        self.svc_completed.store(0, Ordering::Relaxed);
-        self.svc_rejected.store(0, Ordering::Relaxed);
-        self.svc_expired.store(0, Ordering::Relaxed);
-        self.svc_batches.store(0, Ordering::Relaxed);
-        self.svc_queue_depth_peak.store(0, Ordering::Relaxed);
-        for c in &self.svc_occupancy {
-            c.store(0, Ordering::Relaxed);
-        }
     }
 }
 
@@ -197,44 +153,6 @@ impl ShardedCounters {
         shard.dispatch_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Count one service submission admitted at queue depth `depth`.
-    #[inline]
-    // ORDERING(SHALOM-O-TEL-COUNTER): Relaxed stats adds, reporting only.
-    pub fn observe_service_submit(&self, depth: u64) {
-        let shard = self.local();
-        shard.svc_submitted.fetch_add(1, Ordering::Relaxed);
-        shard
-            .svc_queue_depth_peak
-            .fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// Count one service submission rejected by backpressure.
-    #[inline]
-    // ORDERING(SHALOM-O-TEL-COUNTER): Relaxed stats adds, reporting only.
-    pub fn observe_service_reject(&self) {
-        self.local().svc_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one service batch flush: `completed` requests ran,
-    /// `expired` completed with a deadline error without running.
-    #[inline]
-    // ORDERING(SHALOM-O-TEL-COUNTER): Relaxed stats adds, reporting only.
-    pub fn observe_service_flush(&self, completed: usize, expired: usize) {
-        let shard = self.local();
-        shard.svc_batches.fetch_add(1, Ordering::Relaxed);
-        if completed != 0 {
-            shard
-                .svc_completed
-                .fetch_add(completed as u64, Ordering::Relaxed);
-            shard.svc_occupancy[svc_occ_bucket(completed)].fetch_add(1, Ordering::Relaxed);
-        }
-        if expired != 0 {
-            shard
-                .svc_expired
-                .fetch_add(expired as u64, Ordering::Relaxed);
-        }
-    }
-
     /// Count spans accepted/dropped by the `shalom-trace` lane buffers.
     #[inline]
     // ORDERING(SHALOM-O-TEL-COUNTER): Relaxed stats adds, reporting only.
@@ -281,17 +199,6 @@ impl ShardedCounters {
             t.dispatch_ns += s.dispatch_ns.load(Ordering::Relaxed);
             t.trace_spans_recorded += s.trace_spans_recorded.load(Ordering::Relaxed);
             t.trace_spans_dropped += s.trace_spans_dropped.load(Ordering::Relaxed);
-            t.svc_submitted += s.svc_submitted.load(Ordering::Relaxed);
-            t.svc_completed += s.svc_completed.load(Ordering::Relaxed);
-            t.svc_rejected += s.svc_rejected.load(Ordering::Relaxed);
-            t.svc_expired += s.svc_expired.load(Ordering::Relaxed);
-            t.svc_batches += s.svc_batches.load(Ordering::Relaxed);
-            t.svc_queue_depth_peak = t
-                .svc_queue_depth_peak
-                .max(s.svc_queue_depth_peak.load(Ordering::Relaxed));
-            for (dst, src) in t.svc_occupancy.iter_mut().zip(&s.svc_occupancy) {
-                *dst += src.load(Ordering::Relaxed);
-            }
         }
         t
     }
@@ -328,13 +235,6 @@ pub struct CounterTotals {
     pub dispatch_ns: u64,
     pub trace_spans_recorded: u64,
     pub trace_spans_dropped: u64,
-    pub svc_submitted: u64,
-    pub svc_completed: u64,
-    pub svc_rejected: u64,
-    pub svc_expired: u64,
-    pub svc_batches: u64,
-    pub svc_queue_depth_peak: u64,
-    pub svc_occupancy: [u64; SVC_OCC_BUCKETS],
 }
 
 impl CounterTotals {
@@ -359,10 +259,7 @@ impl CounterTotals {
                 "\"batch_calls\":{},\"batch_items\":{},",
                 "\"workspace_peak_bytes\":{},",
                 "\"dispatches\":{},\"dispatch_ns\":{},",
-                "\"trace_spans_recorded\":{},\"trace_spans_dropped\":{},",
-                "\"svc_submitted\":{},\"svc_completed\":{},",
-                "\"svc_rejected\":{},\"svc_expired\":{},\"svc_batches\":{},",
-                "\"svc_queue_depth_peak\":{},\"svc_occupancy\":{{{}}}}}"
+                "\"trace_spans_recorded\":{},\"trace_spans_dropped\":{}}}"
             ),
             self.calls,
             named(&class_names, &self.by_class),
@@ -379,13 +276,6 @@ impl CounterTotals {
             self.dispatch_ns,
             self.trace_spans_recorded,
             self.trace_spans_dropped,
-            self.svc_submitted,
-            self.svc_completed,
-            self.svc_rejected,
-            self.svc_expired,
-            self.svc_batches,
-            self.svc_queue_depth_peak,
-            named(&SVC_OCC_LABELS, &self.svc_occupancy),
         )
     }
 }
@@ -464,59 +354,6 @@ mod tests {
         }
         counters.clear();
         assert_eq!(counters.totals(), CounterTotals::default());
-    }
-
-    #[test]
-    fn service_counters_and_occupancy_histogram() {
-        let counters = ShardedCounters::new();
-        counters.observe_service_submit(3);
-        counters.observe_service_submit(17);
-        counters.observe_service_submit(5);
-        counters.observe_service_reject();
-        counters.observe_service_flush(1, 0);
-        counters.observe_service_flush(2, 1);
-        counters.observe_service_flush(200, 0);
-        counters.observe_service_flush(0, 4); // all-expired flush: no occupancy sample
-        let t = counters.totals();
-        assert_eq!(t.svc_submitted, 3);
-        assert_eq!(t.svc_rejected, 1);
-        assert_eq!(t.svc_completed, 203);
-        assert_eq!(t.svc_expired, 5);
-        assert_eq!(t.svc_batches, 4);
-        assert_eq!(t.svc_queue_depth_peak, 17);
-        assert_eq!(t.svc_occupancy[svc_occ_bucket(1)], 1);
-        assert_eq!(t.svc_occupancy[svc_occ_bucket(2)], 1);
-        assert_eq!(t.svc_occupancy[SVC_OCC_BUCKETS - 1], 1);
-        assert_eq!(t.svc_occupancy.iter().sum::<u64>(), 3);
-        let j = t.to_json();
-        for needle in [
-            "\"svc_submitted\":3",
-            "\"svc_completed\":203",
-            "\"svc_rejected\":1",
-            "\"svc_expired\":5",
-            "\"svc_batches\":4",
-            "\"svc_queue_depth_peak\":17",
-            "\"svc_occupancy\":{\"1\":1,\"2-3\":1,",
-            "\"128+\":1}",
-        ] {
-            assert!(j.contains(needle), "{j} missing {needle}");
-        }
-        counters.clear();
-        assert_eq!(counters.totals(), CounterTotals::default());
-    }
-
-    #[test]
-    fn occupancy_buckets_are_log2() {
-        assert_eq!(svc_occ_bucket(0), 0);
-        assert_eq!(svc_occ_bucket(1), 0);
-        assert_eq!(svc_occ_bucket(2), 1);
-        assert_eq!(svc_occ_bucket(3), 1);
-        assert_eq!(svc_occ_bucket(4), 2);
-        assert_eq!(svc_occ_bucket(7), 2);
-        assert_eq!(svc_occ_bucket(64), 6);
-        assert_eq!(svc_occ_bucket(127), 6);
-        assert_eq!(svc_occ_bucket(128), 7);
-        assert_eq!(svc_occ_bucket(1 << 20), 7);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! (shape class, packing plan, tile, thread grid, plan source, pack and
 //! total nanoseconds) fanned out to thread-sharded counters, per-class
 //! latency histograms and a wait-free ring of recent records, plus the
-//! aggregate counters the fork-join, batch, plan-cache and service
-//! layers feed directly.
+//! aggregate counters the fork-join, dispatch and batch layers feed
+//! directly. (The service counts its own traffic, per instance, in
+//! `shalom-service`'s `stats`.)
 //!
 //! Nothing here checks the capture state word: callers gate on
 //! [`crate::enabled`]`(`[`crate::Sink::Records`]`)` (or on a region
@@ -17,7 +18,7 @@ mod record;
 mod ring;
 mod snapshot;
 
-pub use counters::{svc_occ_bucket, CounterTotals, SHARD_COUNT, SVC_OCC_BUCKETS, SVC_OCC_LABELS};
+pub use counters::{CounterTotals, SHARD_COUNT};
 pub use hist::{Histogram, HIST_BUCKETS};
 pub use record::{DecisionRecord, EdgeTag, PathTag, PlanSourceTag, PlanTag, ShapeClassTag};
 pub use ring::RING_CAPACITY;
@@ -138,29 +139,6 @@ pub fn record_dispatch(ns: u64) {
 #[inline]
 pub(crate) fn record_trace_spans(recorded: u64, dropped: u64) {
     global().counters.observe_trace_spans(recorded, dropped);
-}
-
-/// Count one `shalom-service` submission admitted with `depth` total
-/// requests queued (including this one); tracks the queue-depth
-/// high-water mark.
-#[inline]
-pub fn record_service_submit(depth: u64) {
-    global().counters.observe_service_submit(depth);
-}
-
-/// Count one `shalom-service` submission rejected by queue-full
-/// backpressure.
-#[inline]
-pub fn record_service_reject() {
-    global().counters.observe_service_reject();
-}
-
-/// Count one `shalom-service` batch flush: `completed` requests ran
-/// through `gemm_batch`, `expired` completed with a deadline error
-/// without running. Feeds the batch-occupancy histogram.
-#[inline]
-pub fn record_service_flush(completed: usize, expired: usize) {
-    global().counters.observe_service_flush(completed, expired);
 }
 
 /// Capture a point-in-time [`TelemetrySnapshot`].

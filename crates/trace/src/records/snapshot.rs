@@ -105,18 +105,6 @@ impl TelemetrySnapshot {
                 t.trace_spans_recorded, t.trace_spans_dropped,
             ));
         }
-        if t.svc_submitted + t.svc_rejected > 0 {
-            lines.push(format!(
-                "  service: {} submitted, {} completed / {} expired in {} batches \
-                 ({} rejected), queue depth peak {}",
-                t.svc_submitted,
-                t.svc_completed,
-                t.svc_expired,
-                t.svc_batches,
-                t.svc_rejected,
-                t.svc_queue_depth_peak,
-            ));
-        }
         for c in ShapeClassTag::ALL {
             let h = &self.histograms[c.index()];
             if let Some(p50) = h.quantile_ns(0.5) {

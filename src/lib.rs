@@ -56,7 +56,6 @@ pub use shalom_matrix::{MatMut, MatRef, Matrix};
 
 /// Capture layer — decision records, counters, histograms and
 /// snapshots, plus span timelines (per-worker phase spans, breakdowns,
-/// Chrome-trace export), each behind its own runtime switch; present
-/// only with the `capture` cargo feature.
-#[cfg(feature = "capture")]
+/// Chrome-trace export), each behind its own runtime switch and off
+/// until switched on.
 pub use shalom_core::capture;

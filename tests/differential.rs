@@ -13,9 +13,9 @@
 //! override that encodes the computed plan == the computed plan, a held
 //! `GemmPlan` handle's `run` == `gemm_with` (before and after the override
 //! table changes under it, and from four threads at once), capture on ==
-//! off, `Auto` == `Force` of the requested set at every shape and mode,
-//! and on the wide sets every mode == the NN call on explicitly transposed
-//! operands.
+//! off (direct calls, uniform and ragged batches), `Auto` == `Force` of
+//! the requested set at every shape and mode, and on the wide sets every
+//! mode == the NN call on explicitly transposed operands.
 //! Plus the handle's bookkeeping contract: how many override-table reads
 //! each entry point makes — none at all while nothing is installed. This
 //! is the fast slice that rides in tier-1; the per-crate suites and the
@@ -992,11 +992,41 @@ fn each_entry_point_makes_the_planned_number_of_lookups() {
     plan_cache_clear();
 }
 
-#[cfg(feature = "capture")]
+/// `gemm_batch_beta` over one item per shape, every C as bits.
+fn batch_bits(cfg: &GemmConfig, ops: (Op, Op), shapes: &[(usize, usize, usize)]) -> Vec<u64> {
+    let problems: Vec<_> = shapes.iter().map(|&s| operands::<f32>(ops, s)).collect();
+    let mut outs: Vec<Matrix<f32>> = problems.iter().map(|p| p.2.clone()).collect();
+    let mut items: Vec<_> = problems
+        .iter()
+        .zip(&mut outs)
+        .map(|((a, b, _), c)| BatchItem {
+            a: a.as_ref(),
+            b: b.as_ref(),
+            c: c.as_mut(),
+        })
+        .collect();
+    gemm_batch_beta(cfg, ops.0, ops.1, -1.5, 0.5, &mut items);
+    drop(items);
+    outs.iter()
+        .flat_map(|c| c.as_slice().iter().map(|x| x.to_bits() as u64))
+        .collect()
+}
+
 #[test]
 fn capture_on_is_bitwise_off() {
     let _shared = share_plan_cache();
     use libshalom::capture::{self, Sink};
+    // Capture picks its instantiation once per call and once per batch:
+    // a direct call (serial and threaded), a uniform batch (one shared
+    // handle) and a ragged one (a handle per item) each run the capturing
+    // instance and the capture-free one to the same bits.
+    let ragged = [
+        (5, 5, 5),
+        (13, 5, 13),
+        (1, 9, 4),
+        (26, 26, 13),
+        (23, 23, 23),
+    ];
     for isa in levels() {
         for ops in OPS {
             for threads in [1, 3] {
@@ -1005,12 +1035,21 @@ fn capture_on_is_bitwise_off() {
                     ..at(isa, TINY_CACHE)
                 };
                 let (a, b, c0) = operands::<f32>(ops, (33, 70, 40));
-                capture::disable(Sink::Both);
-                let off = run_bits(&cfg, ops, &a, &b, &c0);
-                capture::enable(Sink::Both);
-                let on = run_bits(&cfg, ops, &a, &b, &c0);
-                capture::disable(Sink::Both);
-                assert!(on == off, "{isa:?} {ops:?} at {threads} threads");
+                let runs: [(&str, &dyn Fn() -> Vec<u64>); 3] = [
+                    ("call", &|| run_bits(&cfg, ops, &a, &b, &c0)),
+                    ("uniform batch", &|| {
+                        batch_bits(&cfg, ops, &[(13, 5, 13); 6])
+                    }),
+                    ("ragged batch", &|| batch_bits(&cfg, ops, &ragged)),
+                ];
+                for (what, run) in runs {
+                    capture::disable(Sink::Both);
+                    let off = run();
+                    capture::enable(Sink::Both);
+                    let on = run();
+                    capture::disable(Sink::Both);
+                    assert!(on == off, "{what}: {isa:?} {ops:?} at {threads} threads");
+                }
             }
         }
     }

@@ -61,35 +61,38 @@ fn source_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
     }
 }
 
-/// Capture is one cargo feature that one file of the core crate knows
-/// about: the retired `telemetry`/`trace` features are checked nowhere,
-/// and in `crates/core/src` only `capture.rs` (the two halves) and
-/// `lib.rs` (the module's visibility) mention `capture`.
+/// Capture is compiled into every build: no cargo feature gates it. No
+/// manifest declares or forwards a `capture` feature, and no source file
+/// checks it or the retired `telemetry`/`trace` features it replaced.
 #[test]
-fn capture_is_one_feature_known_to_one_module() {
+fn capture_is_compiled_into_every_build() {
     let root = repo_root();
     let mut files = vec![root.join("Cargo.toml")];
     for dir in ["crates", "src", "tests"] {
         source_files(&root.join(dir), &mut files);
     }
     let this_file = root.join("tests/static_analysis.rs");
-    let core_src = root.join("crates/core/src");
     for path in files.iter().filter(|p| **p != this_file) {
         let text = std::fs::read_to_string(path).expect("readable source file");
-        for retired in ["feature = \"telemetry\"", "feature = \"trace\""] {
+        for retired in [
+            "feature = \"capture\"",
+            "feature = \"telemetry\"",
+            "feature = \"trace\"",
+        ] {
             assert!(
                 !text.contains(retired),
                 "{} checks the retired `{retired}`",
                 path.display()
             );
         }
-        let knows_capture = path.ends_with("capture.rs") || path.ends_with("lib.rs");
-        if path.starts_with(&core_src) && !knows_capture {
-            assert!(
-                !text.contains("feature = \"capture\""),
-                "{} checks the capture feature; only capture.rs may",
-                path.display()
-            );
+        if path.extension().and_then(|e| e.to_str()) == Some("toml") {
+            for line in text.lines().map(str::trim_start) {
+                assert!(
+                    !line.starts_with("capture =") && !line.contains("capture\""),
+                    "{} declares or forwards a capture feature: {line}",
+                    path.display()
+                );
+            }
         }
     }
 }

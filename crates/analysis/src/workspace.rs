@@ -45,21 +45,19 @@ impl AnalysisConfig {
             scan_roots: vec![
                 p("crates/core/src"),
                 p("crates/kernels/src"),
-                p("crates/plans/src"),
                 p("crates/service/src"),
                 p("crates/trace/src"),
             ],
             atomic_paths: vec![
                 p("crates/core/src/pool.rs"),
                 p("crates/core/src/plan.rs"),
-                p("crates/plans/src/cache.rs"),
+                p("crates/core/src/plan"),
                 p("crates/service/src"),
                 p("crates/trace/src"),
             ],
             crate_dirs: vec![
                 p("crates/core"),
                 p("crates/kernels"),
-                p("crates/plans"),
                 p("crates/service"),
                 p("crates/trace"),
                 p("crates/contracts"),

@@ -155,7 +155,13 @@ mod tests {
         // either way, and the test failed on that under `--release`.
         let p32 = host_peak_gflops::<f32>();
         let p64 = host_peak_gflops::<f64>();
-        assert!(p32 > 0.1, "f32 peak {p32}");
-        assert!(p64 > 0.05, "f64 peak {p64}");
+        assert!(p32.is_finite() && p32 > 0.0, "f32 peak {p32}");
+        assert!(p64.is_finite() && p64 > 0.0, "f64 peak {p64}");
+        // The floors hold for optimized code; an unoptimized scalar build
+        // measures near them.
+        if !cfg!(debug_assertions) {
+            assert!(p32 > 0.1, "f32 peak {p32}");
+            assert!(p64 > 0.05, "f64 peak {p64}");
+        }
     }
 }

@@ -82,19 +82,17 @@ pub struct LintConfig {
 }
 
 impl LintConfig {
-    /// The shipped configuration: `crates/kernels` (src and tests),
-    /// `crates/core/src`, and `crates/plans` (src and tests), tags from
-    /// the registry. `crates/plans` is outside `ptr_arith_allowed`, so
-    /// the lint enforces its no-raw-pointer-arithmetic rule there (the
-    /// crate also carries `#![forbid(unsafe_code)]`).
+    /// The shipped configuration: `crates/kernels` (src and tests) and
+    /// `crates/core/src`, tags from the registry. Only the driver files
+    /// of `crates/core/src` are inside `ptr_arith_allowed`; the lint
+    /// enforces the no-raw-pointer-arithmetic rule on the rest, the plan
+    /// layer and its override table among them.
     pub fn repo_default() -> Self {
         Self {
             roots: vec![
                 PathBuf::from("crates/kernels/src"),
                 PathBuf::from("crates/kernels/tests"),
                 PathBuf::from("crates/core/src"),
-                PathBuf::from("crates/plans/src"),
-                PathBuf::from("crates/plans/tests"),
             ],
             tags: crate::registry::known_tags(),
         }

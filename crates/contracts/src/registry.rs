@@ -65,8 +65,8 @@ pub const DRIVER_TAGS: &[&str] = &[
     // job pointer is dereferenced only while the publisher blocks in
     // `run`, which waits for every active worker before returning.
     "SHALOM-D-POOL",
-    // Plan-cache subsystem (crates/plans + core/plan.rs): encoded plans
-    // are range-validated on every decode path, so a stale or
+    // Plan layer and override table (core/plan.rs, core/plan/): stored
+    // plans are range-validated on every decode path, so a stale or
     // profile-loaded entry can change strategy but never form an
     // out-of-contract kernel call.
     "SHALOM-D-PLAN",
@@ -292,18 +292,6 @@ fn shipped_tiles() -> Vec<(&'static str, TileConstraints, usize, usize)> {
             NR_F32,
         ),
         ("main f64 (7x6, j=2)", TileConstraints::armv8(2), MR, NR_F64),
-        (
-            "wide f32 (9x16, j=8)",
-            TileConstraints::sve(256, 32),
-            shalom_kernels::tile::WIDE_MR_F32,
-            shalom_kernels::tile::WIDE_NR_F32,
-        ),
-        (
-            "wide f64 (7x12, j=4)",
-            TileConstraints::sve(256, 64),
-            shalom_kernels::tile::WIDE_MR_F64,
-            shalom_kernels::tile::WIDE_NR_F64,
-        ),
         // Runtime-dispatched x86 kernel families (16 YMM / 32 ZMM files,
         // 1 register reserved, mirroring the registration-time asserts in
         // `shalom_kernels::family`).

@@ -29,8 +29,8 @@ use crate::api::{dgemm_raw, sgemm_raw};
 use crate::batch::gemm_batch_strided;
 use crate::config::GemmConfig;
 use crate::error::{footprint, span};
+use crate::plan::ProfileError;
 use shalom_matrix::Op;
-use shalom_plans::ProfileError;
 use std::ffi::CStr;
 use std::os::raw::c_char;
 
@@ -628,7 +628,7 @@ mod tests {
             &path,
             format!(
                 "{{\"version\":{},\"isa\":\"{}\",\"entries\":[\n]}}",
-                shalom_plans::PROFILE_VERSION,
+                crate::plan::PROFILE_VERSION,
                 other
             ),
         )
@@ -644,10 +644,10 @@ mod tests {
         let resident = crate::plan::plan_cache_stats().entries;
         let key = crate::plan::request_plan_key::<f32>(&base, Op::NoTrans, Op::NoTrans, 24, 24, 24);
         let plan = crate::plan::describe_plan::<f32>(&base, Op::NoTrans, Op::NoTrans, 24, 24, 24);
-        let too_many: Vec<_> = (0..=shalom_plans::MAX_OVERRIDES as u64)
-            .map(|i| (shalom_plans::PlanKey { m: 1 + i, ..key }, plan.plan))
+        let too_many: Vec<_> = (0..=crate::plan::MAX_OVERRIDES as u64)
+            .map(|i| (crate::plan::PlanKey { m: 1 + i, ..key }, plan.plan))
             .collect();
-        std::fs::write(&path, shalom_plans::profile::to_json(&too_many, host)).unwrap();
+        std::fs::write(&path, crate::plan::profile::to_json(&too_many, host)).unwrap();
         // SAFETY: `c_path` is a valid NUL-terminated string.
         assert_eq!(
             unsafe { shalom_profile_load(c_path.as_ptr()) },

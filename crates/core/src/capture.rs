@@ -30,11 +30,9 @@
 
 pub use shalom_trace::*;
 
-use crate::config::{classify, EdgeSchedule, ShapeClass};
-use crate::driver::BPlan;
-use crate::plan::{GemmPlan, PlanSource};
+use crate::config::classify;
+use crate::plan::GemmPlan;
 use shalom_kernels::FamilyElem;
-use shalom_matrix::Op;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 // The plain begin/end pair is `shalom-trace`'s own: `begin(phase, aux)
@@ -57,18 +55,22 @@ pub(crate) fn on() -> bool {
     enabled(Sink::Both)
 }
 
-/// Closes a region; the elapsed time if the record sink wants it.
+/// Closes a region, stamped with `source` if it resolved or ran a plan;
+/// the elapsed time if the record sink wants it.
 #[inline]
-fn close(tok: Span, src_code: u8) -> Option<u64> {
+fn close(tok: Span, source: Option<PlanSource>) -> Option<u64> {
     let records = tok.records();
-    let ns = span_end_src(tok, src_code);
+    let ns = match source {
+        Some(source) => span_end_src(tok, source),
+        None => end(tok),
+    };
     records.then_some(ns)
 }
 
 /// Closes a `PackA`/`PackB` region into the call's `pack_ns`.
 #[inline]
 pub(crate) fn pack_end(tok: Span) {
-    if let Some(ns) = close(tok, src::NONE) {
+    if let Some(ns) = close(tok, None) {
         add_pack_ns(ns);
     }
 }
@@ -77,7 +79,7 @@ pub(crate) fn pack_end(tok: Span) {
 /// call's `plan_ns`.
 #[inline]
 pub(crate) fn plan_end(tok: Span, source: PlanSource) {
-    if let Some(ns) = close(tok, src_code(source)) {
+    if let Some(ns) = close(tok, Some(source)) {
         add_plan_ns(ns);
     }
 }
@@ -86,7 +88,7 @@ pub(crate) fn plan_end(tok: Span, source: PlanSource) {
 /// dispatch-latency counter.
 #[inline]
 pub(crate) fn dispatch_end(tok: Span) {
-    if let Some(ns) = close(tok, src::NONE) {
+    if let Some(ns) = close(tok, None) {
         record_dispatch(ns);
     }
 }
@@ -132,25 +134,19 @@ impl Call {
     /// record sink wants it, the record with the fields every path
     /// reports the same way filled in from the handle.
     fn finish<T: FamilyElem>(&self, plan: &GemmPlan<T>) -> Option<DecisionRecord> {
-        let total_ns = close(self.tok, src_code(plan.source))?;
+        let total_ns = close(self.tok, Some(plan.source))?;
         let elem_bytes = core::mem::size_of::<T>();
         Some(DecisionRecord {
             m: plan.m,
             n: plan.n,
             k: plan.k,
-            op_a: op_char(plan.op_a),
-            op_b: op_char(plan.op_b),
+            op_a: plan.op_a.letter() as u8,
+            op_b: plan.op_b.letter() as u8,
             elem_bits: (elem_bytes * 8) as u8,
-            class: class_tag(classify(
-                plan.m,
-                plan.n,
-                plan.k,
-                elem_bytes,
-                &plan.cfg.cache,
-            )),
-            plan: plan_tag(plan.b_plan, plan.op_b),
-            edge: edge_tag_of(plan.edge),
-            plan_source: plan_source_tag(plan.source),
+            class: classify(plan.m, plan.n, plan.k, elem_bytes, &plan.cfg.cache),
+            plan: plan.b_plan,
+            edge: plan.edge,
+            plan_source: plan.source,
             plan_ns: self.plan_ns,
             mr: plan.ks.mr as u8,
             nr: plan.ks.nr as u8,
@@ -200,7 +196,7 @@ impl Workers<'_> {
 
     /// Closes the tile's region into the call's slowest-worker time.
     pub(crate) fn end(self, worker: Tagged) {
-        if let Some(ns) = close(worker.tok, src::NONE) {
+        if let Some(ns) = close(worker.tok, None) {
             // Relaxed: a statistic, read after the join.
             self.0.fetch_max(ns, Ordering::Relaxed);
         }
@@ -277,91 +273,9 @@ impl Drop for PathScope {
     }
 }
 
-fn class_tag(class: ShapeClass) -> ShapeClassTag {
-    match class {
-        ShapeClass::Small => ShapeClassTag::Small,
-        ShapeClass::Irregular => ShapeClassTag::Irregular,
-        ShapeClass::Regular => ShapeClassTag::Regular,
-    }
-}
-
-fn edge_tag_of(edge: EdgeSchedule) -> EdgeTag {
-    match edge {
-        EdgeSchedule::Pipelined => EdgeTag::Pipelined,
-        EdgeSchedule::Batched => EdgeTag::Batched,
-    }
-}
-
-fn plan_source_tag(source: PlanSource) -> PlanSourceTag {
-    match source {
-        PlanSource::Computed => PlanSourceTag::Computed,
-        PlanSource::Profile => PlanSourceTag::Profile,
-    }
-}
-
-fn src_code(source: PlanSource) -> u8 {
-    match source {
-        PlanSource::Computed => src::COMPUTED,
-        PlanSource::Profile => src::PROFILE,
-    }
-}
-
-/// Record tag for a resolved B-plan. NT-mode `Direct` reports
-/// `SequentialPack` because `nt_block` transpose-packs it anyway
-/// (`Never` only disables the *fused* variant there).
-fn plan_tag(b_plan: BPlan, op_b: Op) -> PlanTag {
-    match b_plan {
-        BPlan::Direct if op_b == Op::Trans => PlanTag::SequentialPack,
-        BPlan::Direct => PlanTag::NoPack,
-        BPlan::Fused => PlanTag::FusedPack,
-        BPlan::FusedLookahead => PlanTag::Lookahead,
-        BPlan::Sequential => PlanTag::SequentialPack,
-    }
-}
-
-/// `Op` -> the BLAS character stored in records.
-fn op_char(op: Op) -> u8 {
-    match op {
-        Op::NoTrans => b'N',
-        Op::Trans => b'T',
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheParams;
-
-    #[test]
-    fn tag_conversions_line_up() {
-        let cache = CacheParams {
-            l1: 32 * 1024,
-            l2: 2 * 1024 * 1024,
-            l3: 0,
-        };
-        assert_eq!(
-            class_tag(classify(64, 64, 64, 4, &cache)),
-            ShapeClassTag::Small
-        );
-        assert_eq!(
-            class_tag(classify(64, 50176, 64, 4, &cache)),
-            ShapeClassTag::Irregular
-        );
-        assert_eq!(
-            class_tag(classify(4096, 4096, 4096, 4, &cache)),
-            ShapeClassTag::Regular
-        );
-        assert_eq!(op_char(Op::NoTrans), b'N');
-        assert_eq!(op_char(Op::Trans), b'T');
-        assert_eq!(plan_tag(BPlan::Direct, Op::Trans), PlanTag::SequentialPack);
-        assert_eq!(plan_tag(BPlan::Direct, Op::NoTrans), PlanTag::NoPack);
-    }
-
-    #[test]
-    fn src_codes_line_up() {
-        assert_eq!(src::as_str(src_code(PlanSource::Computed)), "computed");
-        assert_eq!(src::as_str(src_code(PlanSource::Profile)), "profile");
-    }
 
     #[test]
     fn path_scope_restores() {

@@ -3,6 +3,9 @@
 
 use crate::cache::CacheParams;
 use shalom_simd::caps::{self, Isa};
+// The §5.4 schedule and the §2.1 classes are dispatch decisions every
+// layer shares; they are defined once, in `shalom_trace::decision`.
+pub use shalom_trace::{EdgeSchedule, ShapeClass};
 
 /// Which vector ISA level the dispatch layer should select for this
 /// call's kernels.
@@ -30,27 +33,6 @@ impl IsaPolicy {
         match self {
             IsaPolicy::Auto => 255,
             IsaPolicy::Force(isa) => u64::from(isa.code()),
-        }
-    }
-}
-
-/// Which edge-case micro-kernel schedule to use (§5.4, Figure 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum EdgeSchedule {
-    /// Software-pipelined loads between FMAs (Figure 6b — LibShalom).
-    #[default]
-    Pipelined,
-    /// Batched loads before the FMA burst (Figure 6a — the OpenBLAS
-    /// schedule; kept for the Figure 13 ablation).
-    Batched,
-}
-
-impl EdgeSchedule {
-    /// Stable lowercase label (CLI values, reports, telemetry).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EdgeSchedule::Pipelined => "pipelined",
-            EdgeSchedule::Batched => "batched",
         }
     }
 }
@@ -83,29 +65,6 @@ impl PackingPolicy {
             PackingPolicy::AlwaysFused => "fused",
             PackingPolicy::AlwaysSequential => "sequential",
             PackingPolicy::Never => "never",
-        }
-    }
-}
-
-/// Workload shape classes from §2.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShapeClass {
-    /// All of `M`, `N` similar and the working set LLC-resident.
-    Small,
-    /// One of `M` / `N` much smaller than the other (tall-and-skinny);
-    /// the paper's `t = 1` lookahead packing applies.
-    Irregular,
-    /// Large and regular — the classical libraries' home turf.
-    Regular,
-}
-
-impl ShapeClass {
-    /// Stable lowercase label (CLI values, reports, telemetry).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ShapeClass::Small => "small",
-            ShapeClass::Irregular => "irregular",
-            ShapeClass::Regular => "regular",
         }
     }
 }

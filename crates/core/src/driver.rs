@@ -46,6 +46,7 @@ use shalom_kernels::nt_pack::NT_ROWS;
 use shalom_kernels::pack::pack_copy;
 use shalom_kernels::{FamilyElem, FamilyKernels};
 use shalom_matrix::{Op, Scalar};
+use shalom_trace::BPlan;
 
 /// Calls between decay-policy evaluations on a [`Workspace`].
 const DECAY_WINDOW: u32 = 64;
@@ -174,19 +175,6 @@ pub(crate) fn with_workspace<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
         Ok(mut ws) => f(&mut ws),
         Err(_) => f(&mut Workspace::new()),
     })
-}
-
-/// How the driver will treat B for this call (resolved §4 decision).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BPlan {
-    /// Read B in place (NN with `size(B) <= L1`).
-    Direct,
-    /// Fused pack, `t = 0` (small shapes).
-    Fused,
-    /// Fused pack with `t = 1` lookahead (irregular shapes).
-    FusedLookahead,
-    /// Sequential pack-then-compute (ablation / classical behaviour).
-    Sequential,
 }
 
 pub(crate) fn resolve_nn_plan(

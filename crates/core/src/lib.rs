@@ -31,9 +31,11 @@
 //! | [`batch`] | §7.4 | batched independent small GEMMs across cores |
 //! | [`capi`] | §3.3 | `extern "C"` CBLAS-style entry points |
 //! | [`autotune`] | §10 | empirical parameter search (the paper's future work) |
-//! | [`plan`] | §3.1, §10 | the per-call plan handle ([`GemmPlan`]), computed dispatch plans, persistent autotune profiles that override them |
+//! | [`plan`] | §3.1, §10 | the per-call plan handle ([`GemmPlan`]), computed dispatch plans, the override table and the persistent autotune profiles that fill it |
 //!
-//! The micro-kernels themselves live in `shalom-kernels`.
+//! The micro-kernels themselves live in `shalom-kernels`. The dispatch
+//! decisions ([`ShapeClass`], [`BPlan`], [`EdgeSchedule`], [`PlanSource`])
+//! are defined once, in `shalom_trace::decision`, and re-exported here.
 //!
 //! # Observability
 //!
@@ -76,11 +78,10 @@ pub use error::{try_gemm_with, GemmError};
 pub use parallel::{partition_threads, quantized_chunk};
 pub use plan::{
     describe_plan, install_tuned, load_profile, plan_cache_clear, plan_cache_stats,
-    request_plan_key, save_profile, GemmPlan, PlanDescription, PlanSource,
+    request_plan_key, save_profile, CacheStats as PlanCacheStats, GemmPlan, PlanDescription,
+    PlanKey, PlanSource, ProfileError, ResolvedPlan, PROFILE_VERSION,
 };
 pub use pool::prewarm;
 pub use shalom_matrix::Op;
-pub use shalom_plans::{
-    CacheStats as PlanCacheStats, PlanKey, ProfileError, ResolvedPlan, PROFILE_VERSION,
-};
 pub use shalom_simd::{base_isa, best_isa as host_isa, Isa};
+pub use shalom_trace::BPlan;

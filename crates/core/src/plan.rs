@@ -10,8 +10,8 @@
 //! blocking, §6 thread grid, edge schedule, workspace demand) is
 //! resolved, and it resolves it by computing it, every call: that is a
 //! few comparisons and divisions, cheaper than any table hit (DESIGN
-//! §10.4). The one table is the process-global
-//! [`shalom_plans::PlanCache`] of *overrides* — [`install_tuned`],
+//! §10.4). The one table is the process-global [`PlanCache`] of
+//! *overrides* — [`install_tuned`],
 //! [`load_profile`], `SHALOM_PROFILE` — consulted only while it is
 //! non-empty: a process that installs nothing builds no key and takes no
 //! lock.
@@ -34,37 +34,23 @@
 use crate::api::GemmElem;
 use crate::cache::BlockSizes;
 use crate::capture;
-use crate::config::{classify, EdgeSchedule, GemmConfig, ShapeClass};
-use crate::driver::{resolve_nn_plan, resolve_nt_plan, BPlan};
+use crate::config::{classify, EdgeSchedule, GemmConfig};
+use crate::driver::{resolve_nn_plan, resolve_nt_plan};
 use crate::parallel::partition_threads;
 use shalom_kernels::family::EdgeFn;
 use shalom_kernels::{family_for, kernels_for, FamilyElem, FamilyKernels};
 use shalom_matrix::Op;
-use shalom_plans::{profile, CacheStats, PlanCache, PlanKey, ProfileError, ResolvedPlan};
 use shalom_simd::caps::{self, Isa};
+use shalom_trace::BPlan;
 use std::path::Path;
 use std::sync::OnceLock;
 
-/// Where the plan used by a call came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanSource {
-    /// Computed from the signature — what every call does unless an
-    /// override is installed under its key.
-    #[default]
-    Computed,
-    /// Served from an installed override (autotune / loaded profile).
-    Profile,
-}
+mod overrides;
+pub mod profile;
 
-impl PlanSource {
-    /// Stable lowercase label (reports, telemetry).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PlanSource::Computed => "computed",
-            PlanSource::Profile => "profile",
-        }
-    }
-}
+pub use overrides::{CacheStats, PlanCache, PlanKey, ResolvedPlan, MAX_OVERRIDES};
+pub use profile::{ProfileError, PROFILE_VERSION};
+pub use shalom_trace::PlanSource;
 
 /// Everything one GEMM call needs decided, resolved once for a
 /// `(config, ops, m, n, k)` signature: the effective ISA and its kernel
@@ -130,7 +116,7 @@ pub struct GemmPlan<T: FamilyElem> {
 pub struct PlanDescription {
     /// Where the plan came from on this lookup.
     pub source: PlanSource,
-    /// The encoded plan itself.
+    /// The plan itself.
     pub plan: ResolvedPlan,
 }
 
@@ -142,7 +128,7 @@ fn load_into(table: &PlanCache, path: &Path) -> Result<usize, ProfileError> {
             "{} entries do not fit the override table ({} resident, at most {})",
             entries.len(),
             table.stats().entries,
-            shalom_plans::MAX_OVERRIDES
+            MAX_OVERRIDES
         )));
     }
     Ok(entries.len())
@@ -161,54 +147,6 @@ fn overrides() -> &'static PlanCache {
         }
         table
     })
-}
-
-fn op_byte(op: Op) -> u8 {
-    match op {
-        Op::NoTrans => b'N',
-        Op::Trans => b'T',
-    }
-}
-
-fn class_code(class: ShapeClass) -> u8 {
-    match class {
-        ShapeClass::Small => 0,
-        ShapeClass::Irregular => 1,
-        ShapeClass::Regular => 2,
-    }
-}
-
-fn bplan_code(plan: BPlan) -> u8 {
-    match plan {
-        BPlan::Direct => 0,
-        BPlan::Fused => 1,
-        BPlan::FusedLookahead => 2,
-        BPlan::Sequential => 3,
-    }
-}
-
-fn decode_bplan(code: u8) -> BPlan {
-    match code {
-        0 => BPlan::Direct,
-        1 => BPlan::Fused,
-        2 => BPlan::FusedLookahead,
-        _ => BPlan::Sequential,
-    }
-}
-
-fn edge_code(edge: EdgeSchedule) -> u8 {
-    match edge {
-        EdgeSchedule::Pipelined => 0,
-        EdgeSchedule::Batched => 1,
-    }
-}
-
-fn decode_edge(code: u8) -> EdgeSchedule {
-    if code == 1 {
-        EdgeSchedule::Batched
-    } else {
-        EdgeSchedule::Pipelined
-    }
 }
 
 /// The ISA level this call dispatches to and its kernel set: a pure
@@ -288,9 +226,9 @@ impl<'a, T: FamilyElem> Signature<'a, T> {
     fn key(&self) -> PlanKey {
         PlanKey {
             elem_bits: (core::mem::size_of::<T>() * 8) as u8,
-            isa: self.isa.code(),
-            op_a: op_byte(self.op_a),
-            op_b: op_byte(self.op_b),
+            isa: self.isa,
+            op_a: self.op_a,
+            op_b: self.op_b,
             m: self.m as u64,
             n: self.n as u64,
             k: self.k as u64,
@@ -348,7 +286,7 @@ impl<'a, T: FamilyElem> Signature<'a, T> {
         self.plan(b_plan, self.cfg.edge, bs, grid, PlanSource::Computed)
     }
 
-    /// Rebuilds the handle from an installed override's encoded plan.
+    /// Rebuilds the handle from an installed override's stored plan.
     /// The effective ISA is never stored: it is a pure function of the
     /// same inputs as the key, so an entry can only ever be served at the
     /// width it was keyed under.
@@ -366,10 +304,12 @@ impl<'a, T: FamilyElem> Signature<'a, T> {
             (tm, tn) if tm * tn == self.threads => (tm, tn),
             _ => partition_threads(self.threads, self.m, self.n),
         };
-        // A stored fused NT regime on a set without the inner-product
-        // panel (a stale or hostile profile entry) decodes to the
-        // transpose-pack regime the set runs.
-        let b_plan = match decode_bplan(plan.b_plan) {
+        // A stored NT regime the set would not run as stored decodes to
+        // the transpose-pack it does run: `Direct` (`nt_block` packs B
+        // anyway), and a fused regime on a set without the inner-product
+        // panel (a stale or hostile profile entry).
+        let b_plan = match plan.b_plan {
+            BPlan::Direct if self.op_b == Op::Trans => BPlan::Sequential,
             BPlan::Fused | BPlan::FusedLookahead
                 if self.op_b == Op::Trans && self.ks.nt_pack.is_none() =>
             {
@@ -377,13 +317,7 @@ impl<'a, T: FamilyElem> Signature<'a, T> {
             }
             stored => stored,
         };
-        self.plan(
-            b_plan,
-            decode_edge(plan.edge),
-            bs,
-            grid,
-            PlanSource::Profile,
-        )
+        self.plan(b_plan, plan.edge, bs, grid, PlanSource::Profile)
     }
 
     /// The resolution every handle is built by: the override under this
@@ -499,22 +433,16 @@ impl<T: FamilyElem> GemmPlan<T> {
         self.isa
     }
 
-    /// The plan in its encoded (override-table, profile-file) form, with where
+    /// The plan in its stored (override-table, profile-file) form, with where
     /// it came from when the handle was built.
     pub fn describe(&self) -> PlanDescription {
         let elem_bytes = core::mem::size_of::<T>();
         PlanDescription {
             source: self.source,
             plan: ResolvedPlan {
-                class: class_code(classify(
-                    self.m,
-                    self.n,
-                    self.k,
-                    elem_bytes,
-                    &self.cfg.cache,
-                )),
-                b_plan: bplan_code(self.b_plan),
-                edge: edge_code(self.edge),
+                class: classify(self.m, self.n, self.k, elem_bytes, &self.cfg.cache),
+                b_plan: self.b_plan,
+                edge: self.edge,
                 kc: self.bs.kc as u32,
                 mc: self.bs.mc as u32,
                 nc: self.bs.nc as u32,
@@ -629,7 +557,7 @@ pub fn plan_cache_stats() -> CacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{IsaPolicy, PackingPolicy};
+    use crate::config::{IsaPolicy, PackingPolicy, ShapeClass};
     use shalom_kernels::registered_families;
 
     fn cfg() -> GemmConfig {
@@ -654,7 +582,37 @@ mod tests {
     const N: Op = Op::NoTrans;
     const T: Op = Op::Trans;
 
-    /// The from-scratch plan of a signature, encoded.
+    /// The `i`-th of a family of distinct override-table keys.
+    pub(super) fn key(i: u64) -> PlanKey {
+        PlanKey {
+            elem_bits: 32,
+            isa: Isa::Sse128,
+            op_a: Op::NoTrans,
+            op_b: Op::NoTrans,
+            m: 8 + i,
+            n: 8 + i,
+            k: 8 + i,
+            threads: 1,
+            config_fp: 0x5ca1_ab1e,
+        }
+    }
+
+    /// An override-table entry that is a function of `i`.
+    pub(super) fn plan(i: u64) -> ResolvedPlan {
+        ResolvedPlan {
+            class: ShapeClass::Small,
+            b_plan: BPlan::ALL[(i % 4) as usize],
+            edge: EdgeSchedule::Pipelined,
+            kc: 256,
+            mc: 84,
+            nc: 3072,
+            tm: 1,
+            tn: 1,
+            workspace_bytes: 1024 + i,
+        }
+    }
+
+    /// The from-scratch plan of a signature, in stored form.
     fn compute_resolved<E: FamilyElem>(
         cfg: &GemmConfig,
         op_a: Op,
@@ -712,7 +670,7 @@ mod tests {
 
     #[test]
     fn encoded_plan_decodes_to_the_computed_handle_at_every_set() {
-        // Encode then decode is the identity on everything a run reads —
+        // Describe then decode is the identity on everything a run reads —
         // an override of the computed plan is the computed plan, in
         // miniature — the decisions are the driver-level resolutions, and
         // the workspace is one formula.
@@ -786,22 +744,25 @@ mod tests {
         assert_eq!(p.bc_elems, 2 * p.ks.nr);
         // A fused NT regime (a profile saved before the wide sets lost
         // their inner-product panel, or a hostile one) never reaches a
-        // missing panel: it decodes to the regime the set computes, at
-        // every registered set, NT and TT, both element types.
+        // missing panel, and NT `Direct` (which `nt_block` transpose-packs
+        // anyway): each decodes to the regime the set runs, and the handle
+        // describes what it runs, at every registered set, NT and TT, both
+        // element types.
         fn nt<E: FamilyElem>(c: &GemmConfig, op_a: Op) {
             let sig = Signature::<E>::of(c, op_a, T, 8, 8, 8, 1);
             let computed = sig.compute();
-            for stored in [BPlan::Fused, BPlan::FusedLookahead] {
+            for stored in [BPlan::Direct, BPlan::Fused, BPlan::FusedLookahead] {
                 let mut rp = computed.describe().plan;
-                rp.b_plan = bplan_code(stored);
+                rp.b_plan = stored;
                 let p = sig.decode(&rp);
-                match sig.ks.nt_pack {
-                    Some(_) => assert_eq!(p.b_plan, stored),
-                    None => {
-                        assert_eq!(p.b_plan, BPlan::Sequential, "{:?}", c.isa);
-                        assert_eq!(p.b_plan, computed.b_plan);
-                        assert_eq!(p.describe().plan, computed.describe().plan);
-                    }
+                let runs = match (stored, sig.ks.nt_pack) {
+                    (BPlan::Direct, _) | (_, None) => BPlan::Sequential,
+                    (fused, Some(_)) => fused,
+                };
+                assert_eq!(p.b_plan, runs, "{:?} stored {stored:?}", c.isa);
+                assert_eq!(p.describe().plan.b_plan, runs);
+                if runs == computed.b_plan {
+                    assert_eq!(p.describe().plan, computed.describe().plan);
                 }
             }
         }
@@ -894,7 +855,7 @@ mod tests {
                     let p = GemmPlan::<E>::new(c, op_a, op_b, m, n, 9);
                     assert!(p.isa() == want.0 && core::ptr::eq(p.ks, want.1));
                     let key = key_for::<E>(c, op_a, op_b, (m, n, 9), 1);
-                    assert_eq!(key.isa, want.0.code());
+                    assert_eq!(key.isa, want.0);
                 }
             }
         }
@@ -929,17 +890,17 @@ mod tests {
         // The policies already fingerprint apart; on a wide host the keys
         // additionally differ in the effective-ISA field itself.
         assert_ne!(k_auto, k_base);
-        assert_eq!(k_base.isa, caps::base_isa().code());
+        assert_eq!(k_base.isa, caps::base_isa());
         assert!(k_auto.validate().is_ok() && k_base.validate().is_ok());
         // The public key is the serial one, table untouched.
         assert_eq!(request_plan_key::<f32>(&auto, N, N, 64, 64, 64), k_auto);
         if let Some(fam) = shalom_kernels::selected_wide_family() {
-            assert_eq!(k_auto.isa, fam.isa.code());
+            assert_eq!(k_auto.isa, fam.isa);
             let rp = compute_resolved::<f32>(&auto, N, N, (64, 64, 64), 1);
             rp.validate().unwrap();
             // Same §4 decision as the 128-bit pin, blocking in the
             // family's register tile.
-            assert_eq!(rp.b_plan, bplan_code(resolve_nn_plan(&auto, 64, 64, 64, 4)));
+            assert_eq!(rp.b_plan, resolve_nn_plan(&auto, 64, 64, 64, 4));
             let ks = &fam.k_f32;
             let bs = BlockSizes::derive(&auto.cache, 4, ks.mr, ks.nr, ks.lanes);
             assert_eq!(

@@ -293,7 +293,7 @@ fn a_full_table_refuses_instead_of_dropping_overrides() {
     let _g = state_lock();
     let cfg = fixed_config();
     let path = tmp_path("full");
-    let bound = shalom_plans::MAX_OVERRIDES;
+    let bound = shalom_core::plan::MAX_OVERRIDES;
     let install = |m| install_tuned::<f32>(&cfg, &cfg, Op::NoTrans, Op::NoTrans, m, 8, 8);
     let source = |m| describe_plan::<f32>(&cfg, Op::NoTrans, Op::NoTrans, m, 8, 8).source;
     plan_cache_clear();

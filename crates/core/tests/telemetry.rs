@@ -7,10 +7,10 @@
 #![recursion_limit = "256"]
 
 use proptest::prelude::*;
-use shalom_core::capture::{self, DecisionRecord, PathTag, PlanTag, ShapeClassTag, Sink};
+use shalom_core::capture::{self, DecisionRecord, PathTag, Sink};
 use shalom_core::{
-    gemm_batch, gemm_with, BatchItem, CacheParams, GemmConfig, GemmElem, IsaPolicy, Op,
-    PackingPolicy,
+    gemm_batch, gemm_with, BPlan, BatchItem, CacheParams, GemmConfig, GemmElem, IsaPolicy, Op,
+    PackingPolicy, PlanSource, ResolvedPlan, ShapeClass,
 };
 use shalom_matrix::Matrix;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -95,8 +95,8 @@ fn nn_no_pack_path() {
     // 64x64x64 f32: size(B) = 16 KiB <= L1 -> read B in place (§4.1).
     let recs = trace_gemm(&fixed_config(), Op::NoTrans, Op::NoTrans, 64, 64, 64);
     let r = sole_record(&recs, 64, 64, 64);
-    assert_eq!(r.plan, PlanTag::NoPack);
-    assert_eq!(r.class, ShapeClassTag::Small);
+    assert_eq!(r.plan, BPlan::Direct);
+    assert_eq!(r.class, ShapeClass::Small);
     assert_eq!(r.path, PathTag::Serial);
     assert_eq!((r.tm, r.tn), (1, 1));
     assert_eq!(r.pack_ns, 0, "no-pack path must record no pack span");
@@ -109,8 +109,8 @@ fn nn_fused_path() {
     // 200x200x200: size(B) = 160 KiB > L1, shape small -> fused t=0 pack.
     let recs = trace_gemm(&fixed_config(), Op::NoTrans, Op::NoTrans, 200, 200, 200);
     let r = sole_record(&recs, 200, 200, 200);
-    assert_eq!(r.plan, PlanTag::FusedPack);
-    assert_eq!(r.class, ShapeClassTag::Small);
+    assert_eq!(r.plan, BPlan::Fused);
+    assert_eq!(r.class, ShapeClass::Small);
     assert!(r.workspace_bytes > 0, "fused pack needs a Bc workspace");
 }
 
@@ -121,8 +121,8 @@ fn nn_lookahead_path() {
     // irregular -> fused pack with t=1 lookahead (§4.2).
     let recs = trace_gemm(&fixed_config(), Op::NoTrans, Op::NoTrans, 64, 2048, 64);
     let r = sole_record(&recs, 64, 2048, 64);
-    assert_eq!(r.plan, PlanTag::Lookahead);
-    assert_eq!(r.class, ShapeClassTag::Irregular);
+    assert_eq!(r.plan, BPlan::FusedLookahead);
+    assert_eq!(r.class, ShapeClass::Irregular);
 }
 
 #[test]
@@ -139,13 +139,13 @@ fn nt_path_packs_b() {
     };
     let recs = trace_gemm(&base, Op::NoTrans, Op::Trans, 64, 64, 64);
     let r = sole_record(&recs, 64, 64, 64);
-    assert_eq!(r.plan, PlanTag::FusedPack);
+    assert_eq!(r.plan, BPlan::Fused);
     assert_eq!((r.op_a, r.op_b), (b'N', b'T'));
     assert_eq!(r.pack_ns, 0, "fused NT pack is not a separable span");
     if shalom_kernels::selected_wide_family().is_some() {
         let recs = trace_gemm(&fixed_config(), Op::NoTrans, Op::Trans, 64, 64, 64);
         let r = sole_record(&recs, 64, 64, 64);
-        assert_eq!(r.plan, PlanTag::SequentialPack);
+        assert_eq!(r.plan, BPlan::Sequential);
         assert_eq!((r.mr, r.nr), dispatched_f32_tile());
         assert!(r.pack_ns > 0, "a wide NT call must time its transpose-pack");
     }
@@ -158,7 +158,7 @@ fn nt_path_packs_b() {
     };
     let recs = trace_gemm(&cfg, Op::NoTrans, Op::Trans, 64, 64, 64);
     let r = sole_record(&recs, 64, 64, 64);
-    assert_eq!(r.plan, PlanTag::SequentialPack);
+    assert_eq!(r.plan, BPlan::Sequential);
     assert!(r.pack_ns > 0, "sequential NT must time the transpose-pack");
 }
 
@@ -169,7 +169,7 @@ fn tn_path_packs_a() {
     // transpose-packed, which shows up as a nonzero pack span.
     let recs = trace_gemm(&fixed_config(), Op::Trans, Op::NoTrans, 64, 64, 64);
     let r = sole_record(&recs, 64, 64, 64);
-    assert_eq!(r.plan, PlanTag::NoPack);
+    assert_eq!(r.plan, BPlan::Direct);
     assert_eq!((r.op_a, r.op_b), (b'T', b'N'));
     assert!(r.pack_ns > 0, "TN must spend time transpose-packing A");
 }
@@ -185,7 +185,8 @@ fn auto_sub_tile_calls_record_the_requested_set() {
     let _g = state_lock();
     // Below one wide register tile every mode still dispatches the host's
     // widest set (masked partial vectors, a transpose-packed `Bᵀ`), and a
-    // `describe_plan` of the signature reports the regime the driver ran.
+    // `describe_plan` of the signature reports the regime the driver ran —
+    // computed, and served from an override that stores NT `Direct`.
     let cfg = GemmConfig::with_threads(1);
     let (nn, nt) = ((Op::NoTrans, Op::NoTrans), (Op::NoTrans, Op::Trans));
     let recs = trace_gemm_of::<f64>(&cfg, nn.0, nn.1, 5, 5, 5);
@@ -200,15 +201,50 @@ fn auto_sub_tile_calls_record_the_requested_set() {
     let r = sole_record(&recs, 8, 8, 8);
     assert_eq!((r.mr, r.nr), dispatched_f32_tile(), "8x8x8 f32 NT");
     let wide = shalom_kernels::selected_wide_family().is_some();
-    let (tag, code) = if wide {
-        (PlanTag::SequentialPack, 3)
+    let regime = if wide {
+        BPlan::Sequential
     } else {
-        (PlanTag::FusedPack, 1)
+        BPlan::Fused
     };
-    assert_eq!(r.plan, tag, "8x8x8 f32 NT regime");
+    assert_eq!(r.plan, regime, "8x8x8 f32 NT regime");
     assert_eq!(r.pack_ns > 0, wide, "8x8x8 f32 NT pack span");
-    let described = shalom_core::describe_plan::<f32>(&cfg, nt.0, nt.1, 8, 8, 8);
-    assert_eq!(described.plan.b_plan, code, "describe_plan == executed");
+    let describe = || shalom_core::describe_plan::<f32>(&cfg, nt.0, nt.1, 8, 8, 8);
+    let described = describe();
+    assert_eq!(described.plan.b_plan, r.plan, "describe_plan == executed");
+
+    // NT `Direct` is not a regime `nt_block` has: it transpose-packs B
+    // whatever the plan says. An override storing it runs, records and
+    // describes the sequential transpose-pack.
+    let key = shalom_core::request_plan_key::<f32>(&cfg, nt.0, nt.1, 8, 8, 8);
+    let stored = ResolvedPlan {
+        b_plan: BPlan::Direct,
+        ..described.plan
+    };
+    let path = std::env::temp_dir().join(format!(
+        "shalom_telemetry_nt_direct_{}.json",
+        std::process::id()
+    ));
+    let text =
+        shalom_core::plan::profile::to_json(&[(key, stored)], shalom_core::host_isa().label());
+    std::fs::write(&path, text).unwrap();
+    shalom_core::plan_cache_clear();
+    assert_eq!(shalom_core::load_profile(&path), Ok(1));
+    let recs = trace_gemm(&cfg, nt.0, nt.1, 8, 8, 8);
+    let r = sole_record(&recs, 8, 8, 8);
+    let described = describe();
+    shalom_core::plan_cache_clear();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(
+        (r.plan_source, described.source),
+        (PlanSource::Profile, PlanSource::Profile)
+    );
+    assert_eq!(
+        r.plan,
+        BPlan::Sequential,
+        "stored NT Direct runs the transpose-pack"
+    );
+    assert!(r.pack_ns > 0, "and times it");
+    assert_eq!(described.plan.b_plan, r.plan, "describe_plan == executed");
 }
 
 #[test]
@@ -236,17 +272,17 @@ fn auto_t_modes_run_the_dispatched_tile_with_pack_and_compute_spans() {
     assert_eq!((r.mr, r.nr), dispatched_f32_tile());
     if shalom_kernels::selected_wide_family().is_some() {
         // A wide set transpose-packs each B panel inside a `PackB` span.
-        assert_eq!(r.plan, PlanTag::SequentialPack);
+        assert_eq!(r.plan, BPlan::Sequential);
         assert!(r.pack_ns > 0);
         assert!(has(capture::Phase::PackB));
     } else {
-        assert_eq!(r.plan, PlanTag::FusedPack, "Algorithm 3 at its own width");
+        assert_eq!(r.plan, BPlan::Fused, "Algorithm 3 at its own width");
     }
     assert!(has(capture::Phase::Compute));
     // TN adds the separable transpose-pack of A.
     let (r, has) = spans_of(Op::Trans, Op::NoTrans);
     assert_eq!((r.mr, r.nr), dispatched_f32_tile());
-    assert_ne!(r.plan, PlanTag::SequentialPack);
+    assert_ne!(r.plan, BPlan::Sequential);
     assert!(r.pack_ns > 0);
     assert!(has(capture::Phase::PackA) && has(capture::Phase::Compute));
 }
@@ -335,14 +371,14 @@ fn plan_source_shows_up_in_records() {
     };
 
     // Every call computes its plan — the second as much as the first.
-    assert_eq!(source(), capture::PlanSourceTag::Computed);
-    assert_eq!(source(), capture::PlanSourceTag::Computed);
+    assert_eq!(source(), PlanSource::Computed);
+    assert_eq!(source(), PlanSource::Computed);
 
     // An installed autotune override reports as Profile, until cleared.
     shalom_core::install_tuned::<f32>(&cfg, &cfg, Op::NoTrans, Op::NoTrans, m, n, k);
-    assert_eq!(source(), capture::PlanSourceTag::Profile);
+    assert_eq!(source(), PlanSource::Profile);
     shalom_core::plan_cache_clear();
-    assert_eq!(source(), capture::PlanSourceTag::Computed);
+    assert_eq!(source(), PlanSource::Computed);
 }
 
 proptest! {

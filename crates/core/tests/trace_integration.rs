@@ -6,7 +6,7 @@
 //! mutex and resets the lanes before acting.
 
 use shalom_core::capture::{self, Phase, Sink};
-use shalom_core::{gemm_batch, gemm_with, BatchItem, GemmConfig, Op, PackingPolicy};
+use shalom_core::{gemm_batch, gemm_with, BatchItem, GemmConfig, Op, PackingPolicy, PlanSource};
 use shalom_matrix::Matrix;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -179,9 +179,9 @@ fn one_region_feeds_both_sinks() {
     // the top level — and both carry the source the record reports.
     assert_eq!((serial[0].depth, lookup[0].depth), (0, 0));
     assert!(lookup[0].t1_ns <= serial[0].t0_ns);
-    assert_eq!(rec.plan_source, capture::PlanSourceTag::Computed);
-    assert_eq!(serial[0].src, capture::src::COMPUTED);
-    assert_eq!(lookup[0].src, capture::src::COMPUTED);
+    assert_eq!(rec.plan_source, PlanSource::Computed);
+    assert_eq!(serial[0].plan_source(), Some(PlanSource::Computed));
+    assert_eq!(lookup[0].plan_source(), Some(PlanSource::Computed));
 }
 
 #[test]

@@ -15,8 +15,7 @@ use crate::completion::{lock_ignore_poison, CompletionCell, ScopeState};
 use crate::error::ServiceError;
 use crate::request::{GemmRequest, ServiceElem};
 use crate::stats::ServiceStats;
-use shalom_core::{request_plan_key, GemmConfig, Op};
-use shalom_plans::PlanKey;
+use shalom_core::{request_plan_key, GemmConfig, Op, PlanKey};
 use shalom_trace::{now_ns, shape_key, span_end, span_start, Phase};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};

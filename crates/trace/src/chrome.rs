@@ -5,7 +5,7 @@
 //! (`"ph":"X"`) per span with microsecond timestamps, plus thread-name
 //! metadata events so each lane renders as a labeled track.
 
-use crate::{src, TraceSnapshot};
+use crate::TraceSnapshot;
 
 /// Serializes a snapshot as a Chrome trace-event JSON document.
 ///
@@ -46,8 +46,8 @@ pub fn chrome_trace_json(snap: &TraceSnapshot) -> String {
             } else if s.aux != 0 {
                 args.push_str(&format!(",\"aux\":{}", s.aux));
             }
-            if s.src != src::NONE {
-                args.push_str(&format!(",\"plan_source\":\"{}\"", src::as_str(s.src)));
+            if let Some(source) = s.plan_source() {
+                args.push_str(&format!(",\"plan_source\":\"{}\"", source.as_str()));
             }
             events.push(format!(
                 "{{\"name\":\"{}\",\"cat\":\"shalom\",\"ph\":\"X\",\"ts\":{},\
@@ -102,7 +102,7 @@ mod tests {
                             1000,
                             2500,
                             crate::shape_key(64, 64, 64),
-                            crate::src::PROFILE,
+                            crate::PlanSource::Profile.code(),
                         ),
                     ],
                     dropped: 0,

@@ -18,9 +18,10 @@
 //!   `chrome://tracing` / Perfetto get the raw timeline via
 //!   [`chrome_trace_json`].
 //!
-//! The crate also carries the workspace's one JSON reader/writer
-//! ([`json`]) and the one span clock ([`now_ns`]), and has no
-//! dependencies.
+//! The crate also carries the dispatch-decision vocabulary every layer
+//! shares ([`decision`]: shape class, packing regime, edge schedule,
+//! plan source), the workspace's one JSON reader/writer ([`json`]) and
+//! the one span clock ([`now_ns`]), and has no dependencies.
 //!
 //! ## Cost model
 //!
@@ -67,6 +68,7 @@
 
 pub mod chrome;
 mod clock;
+pub mod decision;
 pub mod json;
 pub mod perf;
 mod records;
@@ -74,12 +76,13 @@ mod snapshot;
 
 pub use chrome::chrome_trace_json;
 pub use clock::now_ns;
+pub use decision::{BPlan, EdgeSchedule, PlanSource, ShapeClass};
 pub use perf::PerfSample;
 pub use records::{
     add_pack_ns, add_plan_ns, current_path, record, record_batch, record_dispatch,
     record_fork_join, record_snapshot, set_path, take_pack_ns, take_plan_ns, CounterTotals,
-    DecisionRecord, EdgeTag, Histogram, PathTag, PlanSourceTag, PlanTag, ShapeClassTag,
-    TelemetrySnapshot, HIST_BUCKETS, RING_CAPACITY, SHARD_COUNT,
+    DecisionRecord, Histogram, PathTag, TelemetrySnapshot, HIST_BUCKETS, RING_CAPACITY,
+    SHARD_COUNT,
 };
 pub use snapshot::{LaneSnapshot, LaneStat, PhaseStat, TraceReport, TraceSnapshot};
 
@@ -253,25 +256,6 @@ impl Phase {
     }
 }
 
-/// Plan-source codes carried in [`SpanRecord::src`].
-pub mod src {
-    /// No plan source recorded (most phases).
-    pub const NONE: u8 = 0;
-    /// Plan computed from the call's signature.
-    pub const COMPUTED: u8 = 1;
-    /// Plan served from an installed override (autotune / profile).
-    pub const PROFILE: u8 = 2;
-
-    /// Stable name for a source code.
-    pub fn as_str(code: u8) -> &'static str {
-        match code {
-            COMPUTED => "computed",
-            PROFILE => "profile",
-            _ => "none",
-        }
-    }
-}
-
 /// Packs a GEMM shape into one `u64` aux word: 21 bits per dimension
 /// (values clamp at `2^21 - 1 = 2097151`, far above the paper's sizes).
 #[inline]
@@ -304,7 +288,8 @@ pub struct SpanRecord {
     pub aux: u64,
     /// [`Phase`] discriminant (`Phase::from_code` decodes).
     pub phase: u8,
-    /// [`src`] plan-source code; `src::NONE` for most phases.
+    /// [`PlanSource::code`] of the plan the span resolved or ran; 0
+    /// (no source) for most phases.
     pub src: u8,
     /// Nesting depth at start on the recording thread (0 = top level).
     pub depth: u8,
@@ -321,6 +306,12 @@ impl SpanRecord {
     #[inline]
     pub fn phase(&self) -> Phase {
         Phase::from_code(self.phase)
+    }
+
+    /// Decoded plan source; `None` for spans that carry none.
+    #[inline]
+    pub fn plan_source(&self) -> Option<PlanSource> {
+        PlanSource::from_code(self.src)
     }
 }
 
@@ -594,12 +585,17 @@ fn begin_span(phase: Phase, aux: u64, sinks: u8) -> SpanToken {
 /// enable/disable races never leave half-open nesting.
 #[inline]
 pub fn span_end(tok: SpanToken) -> u64 {
-    span_end_src(tok, src::NONE)
+    close_span(tok, 0)
 }
 
-/// [`span_end`], stamping a [`src`] plan-source code on the record.
+/// [`span_end`], stamping the plan's [`PlanSource`] on the record.
 #[inline]
-pub fn span_end_src(tok: SpanToken, src_code: u8) -> u64 {
+pub fn span_end_src(tok: SpanToken, source: PlanSource) -> u64 {
+    close_span(tok, source.code())
+}
+
+#[inline]
+fn close_span(tok: SpanToken, src_code: u8) -> u64 {
     if tok.t0 == 0 {
         return 0;
     }
@@ -648,7 +644,7 @@ fn record_closed(phase: Phase, t0_ns: u64, t1_ns: u64, aux: u64) {
         t1_ns: t1_ns.max(t0),
         aux,
         phase: phase as u8,
-        src: src::NONE,
+        src: 0,
         depth: DEPTH.with(|d| d.get()),
     });
 }
@@ -829,7 +825,7 @@ mod tests {
         let outer = span_start(Phase::Serial, shape_key(4, 5, 6));
         let inner = span_start(Phase::PackA, 0);
         span_end(inner);
-        span_end_src(outer, src::PROFILE);
+        span_end_src(outer, PlanSource::Profile);
         disable(Sink::Spans);
         let snap = span_snapshot();
         assert_eq!(snap.total_spans(), 2);
@@ -839,7 +835,8 @@ mod tests {
         assert_eq!(lane.spans[0].depth, 1);
         assert_eq!(lane.spans[1].phase(), Phase::Serial);
         assert_eq!(lane.spans[1].depth, 0);
-        assert_eq!(lane.spans[1].src, src::PROFILE);
+        assert_eq!(lane.spans[1].plan_source(), Some(PlanSource::Profile));
+        assert_eq!(lane.spans[0].plan_source(), None);
         assert_eq!(shape_from_key(lane.spans[1].aux), (4, 5, 6));
         assert!(lane.spans[1].t0_ns <= lane.spans[0].t0_ns);
         assert!(lane.spans[1].t1_ns >= lane.spans[0].t1_ns);
@@ -909,8 +906,6 @@ mod tests {
         }
         assert_eq!(Phase::from_code(200), Phase::Serial);
         assert!(Phase::Park.is_wait() && !Phase::Compute.is_wait());
-        assert_eq!(src::as_str(src::PROFILE), "profile");
-        assert_eq!(src::as_str(99), "none");
     }
 
     #[test]

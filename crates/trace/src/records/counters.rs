@@ -4,7 +4,8 @@
 //! and updates it with relaxed atomics, so concurrent GEMM workers never
 //! contend on a shared line; totals are summed at snapshot time.
 
-use super::record::{DecisionRecord, PathTag, PlanTag, ShapeClassTag};
+use super::record::{DecisionRecord, PathTag};
+use crate::decision::{BPlan, ShapeClass};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Number of counter shards. Power of two, comfortably above the core
@@ -18,10 +19,10 @@ pub const SHARD_COUNT: usize = 16;
 pub struct Shard {
     /// Decision records submitted through this shard.
     pub calls: AtomicU64,
-    /// Calls by [`ShapeClassTag::index`].
-    pub by_class: [AtomicU64; 3],
-    /// Calls by [`PlanTag::index`].
-    pub by_plan: [AtomicU64; 4],
+    /// Calls by [`ShapeClass::index`].
+    pub by_class: [AtomicU64; ShapeClass::ALL.len()],
+    /// Calls by [`BPlan::index`].
+    pub by_plan: [AtomicU64; BPlan::ALL.len()],
     /// Calls by [`PathTag::index`].
     pub by_path: [AtomicU64; 4],
     /// Total sequential-pack nanoseconds.
@@ -221,8 +222,8 @@ impl Default for ShardedCounters {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CounterTotals {
     pub calls: u64,
-    pub by_class: [u64; 3],
-    pub by_plan: [u64; 4],
+    pub by_class: [u64; ShapeClass::ALL.len()],
+    pub by_plan: [u64; BPlan::ALL.len()],
     pub by_path: [u64; 4],
     pub pack_ns: u64,
     pub total_ns: u64,
@@ -248,9 +249,9 @@ impl CounterTotals {
                 .collect::<Vec<_>>()
                 .join(",")
         };
-        let class_names: Vec<&str> = ShapeClassTag::ALL.iter().map(|c| c.as_str()).collect();
-        let plan_names: Vec<&str> = PlanTag::ALL.iter().map(|p| p.as_str()).collect();
-        let path_names: Vec<&str> = PathTag::ALL.iter().map(|p| p.as_str()).collect();
+        let class_names = ShapeClass::ALL.map(ShapeClass::as_str);
+        let plan_names = BPlan::ALL.map(BPlan::as_str);
+        let path_names = PathTag::ALL.map(PathTag::as_str);
         format!(
             concat!(
                 "{{\"calls\":{},\"by_class\":{{{}}},\"by_plan\":{{{}}},",
@@ -283,7 +284,6 @@ impl CounterTotals {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::records::record::{PathTag, PlanTag, ShapeClassTag};
 
     #[test]
     fn observe_sums_across_threads() {
@@ -296,8 +296,8 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..per {
                         counters.observe(&DecisionRecord {
-                            class: ShapeClassTag::Irregular,
-                            plan: PlanTag::Lookahead,
+                            class: ShapeClass::Irregular,
+                            plan: BPlan::FusedLookahead,
                             path: PathTag::ParallelWorker,
                             pack_ns: 2,
                             total_ns: 5,
@@ -311,8 +311,8 @@ mod tests {
         let t = counters.totals();
         let n = (threads * per) as u64;
         assert_eq!(t.calls, n);
-        assert_eq!(t.by_class[ShapeClassTag::Irregular.index()], n);
-        assert_eq!(t.by_plan[PlanTag::Lookahead.index()], n);
+        assert_eq!(t.by_class[ShapeClass::Irregular.index()], n);
+        assert_eq!(t.by_plan[BPlan::FusedLookahead.index()], n);
         assert_eq!(t.by_path[PathTag::ParallelWorker.index()], n);
         assert_eq!(t.pack_ns, 2 * n);
         assert_eq!(t.total_ns, 5 * n);

@@ -1,6 +1,6 @@
 //! Log2-bucketed latency histograms, one per shape class.
 
-use super::record::ShapeClassTag;
+use crate::decision::ShapeClass;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of log2 buckets: bucket `i` holds samples with
@@ -15,9 +15,9 @@ fn bucket_of(ns: u64) -> usize {
     ((63 - ns.leading_zeros()) as usize).min(HIST_BUCKETS - 1)
 }
 
-/// Atomic histogram bank: one histogram per [`ShapeClassTag`].
+/// Atomic histogram bank: one histogram per [`ShapeClass`].
 pub struct ClassHistograms {
-    buckets: [[AtomicU64; HIST_BUCKETS]; 3],
+    buckets: [[AtomicU64; HIST_BUCKETS]; ShapeClass::ALL.len()],
 }
 
 impl ClassHistograms {
@@ -30,14 +30,14 @@ impl ClassHistograms {
     /// Record one dispatch wall time for `class`.
     #[inline]
     // ORDERING(SHALOM-O-HIST): Relaxed bucket add; snapshots tolerate skew.
-    pub fn observe(&self, class: ShapeClassTag, total_ns: u64) {
+    pub fn observe(&self, class: ShapeClass, total_ns: u64) {
         self.buckets[class.index()][bucket_of(total_ns)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Plain-integer copy, indexed by [`ShapeClassTag::index`].
+    /// Plain-integer copy, indexed by [`ShapeClass::index`].
     // ORDERING(SHALOM-O-HIST): Relaxed reads — a racy cross-bucket snapshot is
     // the documented contract.
-    pub fn snapshot(&self) -> [Histogram; 3] {
+    pub fn snapshot(&self) -> [Histogram; ShapeClass::ALL.len()] {
         std::array::from_fn(|c| Histogram {
             buckets: std::array::from_fn(|b| self.buckets[c][b].load(Ordering::Relaxed)),
         })
@@ -126,16 +126,16 @@ mod tests {
     fn observe_and_quantile() {
         let h = ClassHistograms::new();
         for ns in [100u64, 200, 400, 800, 100_000] {
-            h.observe(ShapeClassTag::Small, ns);
+            h.observe(ShapeClass::Small, ns);
         }
         let snap = h.snapshot();
-        let small = &snap[ShapeClassTag::Small.index()];
+        let small = &snap[ShapeClass::Small.index()];
         assert_eq!(small.count(), 5);
-        assert_eq!(snap[ShapeClassTag::Regular.index()].count(), 0);
+        assert_eq!(snap[ShapeClass::Regular.index()].count(), 0);
         // Median sample is 400 ns -> bucket floor 256.
         assert_eq!(small.quantile_ns(0.5), Some(256));
         assert_eq!(small.quantile_ns(1.0), Some(65_536));
-        assert_eq!(snap[ShapeClassTag::Regular.index()].quantile_ns(0.5), None);
+        assert_eq!(snap[ShapeClass::Regular.index()].quantile_ns(0.5), None);
         let j = small.to_json();
         assert!(j.contains("\"64\":1"), "{j}");
         assert!(j.contains("\"65536\":1"), "{j}");

@@ -20,7 +20,7 @@ mod snapshot;
 
 pub use counters::{CounterTotals, SHARD_COUNT};
 pub use hist::{Histogram, HIST_BUCKETS};
-pub use record::{DecisionRecord, EdgeTag, PathTag, PlanSourceTag, PlanTag, ShapeClassTag};
+pub use record::{DecisionRecord, PathTag};
 pub use ring::RING_CAPACITY;
 pub use snapshot::TelemetrySnapshot;
 
@@ -165,6 +165,7 @@ pub(crate) fn reset() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decision::{BPlan, ShapeClass};
     use crate::tests::state_lock;
 
     #[test]
@@ -175,17 +176,17 @@ mod tests {
             m: 64,
             n: 50176,
             k: 64,
-            class: ShapeClassTag::Irregular,
-            plan: PlanTag::Lookahead,
+            class: ShapeClass::Irregular,
+            plan: BPlan::FusedLookahead,
             total_ns: 5_000,
             workspace_bytes: 1 << 16,
             ..Default::default()
         });
         let snap = record_snapshot();
         assert_eq!(snap.totals.calls, 1);
-        assert_eq!(snap.totals.by_class[ShapeClassTag::Irregular.index()], 1);
+        assert_eq!(snap.totals.by_class[ShapeClass::Irregular.index()], 1);
         assert_eq!(snap.totals.workspace_peak_bytes, 1 << 16);
-        assert_eq!(snap.histograms[ShapeClassTag::Irregular.index()].count(), 1);
+        assert_eq!(snap.histograms[ShapeClass::Irregular.index()].count(), 1);
         assert_eq!(snap.recent.len(), 1);
         assert_eq!(snap.recent[0].n, 50176);
         reset();

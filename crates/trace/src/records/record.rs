@@ -1,121 +1,7 @@
 //! The per-call decision record: everything the §4/§5/§6 dispatch
 //! pipeline decided about one GEMM, in one flat `Copy` struct.
 
-/// Workload shape class (mirror of `shalom_core::ShapeClass`, redefined
-/// here so this crate sits below the core crate in the
-/// dependency graph).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShapeClassTag {
-    /// M, N similar and LLC-resident.
-    #[default]
-    Small,
-    /// One of M / N much larger than the other (tall-and-skinny).
-    Irregular,
-    /// Large and regular.
-    Regular,
-}
-
-impl ShapeClassTag {
-    /// Stable label used in JSON output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ShapeClassTag::Small => "small",
-            ShapeClassTag::Irregular => "irregular",
-            ShapeClassTag::Regular => "regular",
-        }
-    }
-
-    /// Dense index for counter arrays.
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// All variants, in `index` order.
-    pub const ALL: [ShapeClassTag; 3] = [
-        ShapeClassTag::Small,
-        ShapeClassTag::Irregular,
-        ShapeClassTag::Regular,
-    ];
-}
-
-/// The resolved §4 B-handling plan (kernel variant actually dispatched).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanTag {
-    /// B read in place (`size(B) <= L1`, §4.2 regime 1).
-    #[default]
-    NoPack,
-    /// Fused pack, `t = 0` (§4.2 regime 2 / NT Algorithm 3).
-    FusedPack,
-    /// Fused pack with `t = 1` lookahead double-buffering (§4.2 regime 3).
-    Lookahead,
-    /// Separate sequential pack phase (ablation / classical behaviour).
-    SequentialPack,
-}
-
-impl PlanTag {
-    /// Stable label used in JSON output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PlanTag::NoPack => "no-pack",
-            PlanTag::FusedPack => "fused-pack",
-            PlanTag::Lookahead => "fused-lookahead",
-            PlanTag::SequentialPack => "sequential-pack",
-        }
-    }
-
-    /// Dense index for counter arrays.
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// All variants, in `index` order.
-    pub const ALL: [PlanTag; 4] = [
-        PlanTag::NoPack,
-        PlanTag::FusedPack,
-        PlanTag::Lookahead,
-        PlanTag::SequentialPack,
-    ];
-}
-
-/// Edge micro-kernel schedule (§5.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EdgeTag {
-    /// Software-pipelined loads (Figure 6b).
-    #[default]
-    Pipelined,
-    /// Batched loads (Figure 6a).
-    Batched,
-}
-
-impl EdgeTag {
-    /// Stable label used in JSON output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EdgeTag::Pipelined => "pipelined",
-            EdgeTag::Batched => "batched",
-        }
-    }
-}
-
-/// Where the dispatch plan for a call came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanSourceTag {
-    /// Computed from the call's signature.
-    #[default]
-    Computed,
-    /// Served from an installed autotune profile override.
-    Profile,
-}
-
-impl PlanSourceTag {
-    /// Stable label used in JSON output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PlanSourceTag::Computed => "computed",
-            PlanSourceTag::Profile => "profile",
-        }
-    }
-}
+use crate::decision::{BPlan, EdgeSchedule, PlanSource, ShapeClass};
 
 /// Which dispatch layer emitted the record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -174,13 +60,13 @@ pub struct DecisionRecord {
     /// Element width: 32 (f32) or 64 (f64).
     pub elem_bits: u8,
     /// §2.1 shape class the classifier assigned.
-    pub class: ShapeClassTag,
-    /// §4 packing plan the driver resolved.
-    pub plan: PlanTag,
+    pub class: ShapeClass,
+    /// §4 packing plan the driver executed.
+    pub plan: BPlan,
     /// §5.4 edge-kernel schedule in effect.
-    pub edge: EdgeTag,
-    /// Where the dispatch plan came from (cache hit / miss / profile).
-    pub plan_source: PlanSourceTag,
+    pub edge: EdgeSchedule,
+    /// Where the dispatch plan came from (computed or an override).
+    pub plan_source: PlanSource,
     /// Nanoseconds spent resolving the plan (lookup or recompute).
     pub plan_ns: u64,
     /// Which dispatch layer this record describes.
@@ -261,12 +147,6 @@ mod tests {
 
     #[test]
     fn indices_are_dense_and_ordered() {
-        for (i, c) in ShapeClassTag::ALL.iter().enumerate() {
-            assert_eq!(c.index(), i);
-        }
-        for (i, p) in PlanTag::ALL.iter().enumerate() {
-            assert_eq!(p.index(), i);
-        }
         for (i, p) in PathTag::ALL.iter().enumerate() {
             assert_eq!(p.index(), i);
         }
@@ -282,10 +162,10 @@ mod tests {
             op_a: b'N',
             op_b: b'T',
             elem_bits: 32,
-            class: ShapeClassTag::Irregular,
-            plan: PlanTag::Lookahead,
-            edge: EdgeTag::Pipelined,
-            plan_source: PlanSourceTag::Profile,
+            class: ShapeClass::Irregular,
+            plan: BPlan::FusedLookahead,
+            edge: EdgeSchedule::Pipelined,
+            plan_source: PlanSource::Profile,
             plan_ns: 120,
             path: PathTag::Parallel,
             mr: 7,

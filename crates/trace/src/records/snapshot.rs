@@ -2,7 +2,8 @@
 
 use super::counters::CounterTotals;
 use super::hist::Histogram;
-use super::record::{DecisionRecord, ShapeClassTag};
+use super::record::DecisionRecord;
+use crate::decision::ShapeClass;
 use crate::perf::PerfSample;
 
 /// Consistent-enough copy of the telemetry state: aggregate counters,
@@ -17,8 +18,8 @@ use crate::perf::PerfSample;
 pub struct TelemetrySnapshot {
     /// Summed shard counters.
     pub totals: CounterTotals,
-    /// Latency histograms indexed by [`ShapeClassTag::index`].
-    pub histograms: [Histogram; 3],
+    /// Latency histograms indexed by [`ShapeClass::index`].
+    pub histograms: [Histogram; ShapeClass::ALL.len()],
     /// Recent decision records, oldest first (ring-buffer capped).
     pub recent: Vec<DecisionRecord>,
     /// Records lost to ring-writer contention.
@@ -29,7 +30,7 @@ pub struct TelemetrySnapshot {
 
 impl TelemetrySnapshot {
     /// Records among `recent` with the given shape class.
-    pub fn recent_for_class(&self, class: ShapeClassTag) -> Vec<&DecisionRecord> {
+    pub fn recent_for_class(&self, class: ShapeClass) -> Vec<&DecisionRecord> {
         self.recent.iter().filter(|r| r.class == class).collect()
     }
 
@@ -39,7 +40,7 @@ impl TelemetrySnapshot {
     /// `{"totals":{...},"histograms":{"small":{...},...},
     ///   "perf":{...}|null,"dropped_records":N,"recent":[...]}`
     pub fn to_json(&self) -> String {
-        let hists = ShapeClassTag::ALL
+        let hists = ShapeClass::ALL
             .iter()
             .map(|c| {
                 format!(
@@ -105,7 +106,7 @@ impl TelemetrySnapshot {
                 t.trace_spans_recorded, t.trace_spans_dropped,
             ));
         }
-        for c in ShapeClassTag::ALL {
+        for c in ShapeClass::ALL {
             let h = &self.histograms[c.index()];
             if let Some(p50) = h.quantile_ns(0.5) {
                 lines.push(format!(
@@ -131,16 +132,16 @@ impl TelemetrySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decision::BPlan;
     use crate::records::hist::HIST_BUCKETS;
-    use crate::records::record::PlanTag;
 
     fn snap() -> TelemetrySnapshot {
         let mut totals = CounterTotals {
             calls: 2,
             ..Default::default()
         };
-        totals.by_class[ShapeClassTag::Irregular.index()] = 2;
-        totals.by_plan[PlanTag::Lookahead.index()] = 2;
+        totals.by_class[ShapeClass::Irregular.index()] = 2;
+        totals.by_plan[BPlan::FusedLookahead.index()] = 2;
         let mut h = Histogram {
             buckets: [0; HIST_BUCKETS],
         };
@@ -157,8 +158,8 @@ mod tests {
                 },
             ],
             recent: vec![DecisionRecord {
-                class: ShapeClassTag::Irregular,
-                plan: PlanTag::Lookahead,
+                class: ShapeClass::Irregular,
+                plan: BPlan::FusedLookahead,
                 ..Default::default()
             }],
             dropped_records: 0,
@@ -184,8 +185,8 @@ mod tests {
     #[test]
     fn class_filter_and_summary() {
         let s = snap();
-        assert_eq!(s.recent_for_class(ShapeClassTag::Irregular).len(), 1);
-        assert_eq!(s.recent_for_class(ShapeClassTag::Small).len(), 0);
+        assert_eq!(s.recent_for_class(ShapeClass::Irregular).len(), 1);
+        assert_eq!(s.recent_for_class(ShapeClass::Small).len(), 0);
         let text = s.summary();
         assert!(text.contains("2 calls"), "{text}");
         assert!(text.contains("irregular: 2 calls"), "{text}");

@@ -73,12 +73,12 @@ fn concurrent_writers_stay_well_nested() {
                     let outer =
                         trace::span_start(trace::Phase::Serial, trace::shape_key(w + 1, r + 1, 8));
                     let lookup = trace::span_start(trace::Phase::PlanLookup, 0);
-                    trace::span_end_src(lookup, trace::src::PROFILE);
+                    trace::span_end_src(lookup, trace::PlanSource::Profile);
                     let pack = trace::span_start(trace::Phase::PackB, 0);
                     let compute = trace::span_start(trace::Phase::Compute, 0);
                     trace::span_end(compute);
                     trace::span_end(pack);
-                    trace::span_end_src(outer, trace::src::COMPUTED);
+                    trace::span_end_src(outer, trace::PlanSource::Computed);
                     std::hint::spin_loop();
                 }
             });

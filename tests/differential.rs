@@ -4,7 +4,7 @@
 //! forces several `jj/ii/kk` blocks, on shapes at the tile boundaries of
 //! *every* registered kernel set plus the repo benchmark's own cells, with
 //! the three `(alpha, beta)` classes, oversized leading dimensions and a
-//! NaN, a +Inf or a +Inf/−Inf pair planted in A.
+//! NaN, a +Inf, a +Inf/−Inf pair or a row of subnormals planted in A.
 //!
 //! Two kinds of assertion: within `gemm_tolerance(k, 1.0)` of `reference`
 //! (the benchmark's factor) everywhere, and **bitwise** where the library
@@ -184,7 +184,7 @@ fn operand<T: GemmElem>(rows: usize, cols: usize, pad: usize, seed: u64) -> Matr
     m
 }
 
-/// A non-finite value planted in op(A)'s row `m / 2`.
+/// A special value planted in op(A)'s row `m / 2`.
 #[derive(Clone, Copy, PartialEq, Debug)]
 enum Plant {
     None,
@@ -192,9 +192,17 @@ enum Plant {
     PosInf,
     /// +Inf and −Inf in the same row, meeting equal op(B) rows: NaN.
     InfPair,
+    /// The whole row subnormal in `T`: every product in it is too.
+    Subnormal,
 }
 
-const PLANTS: [Plant; 4] = [Plant::None, Plant::Nan, Plant::PosInf, Plant::InfPair];
+const PLANTS: [Plant; 5] = [
+    Plant::None,
+    Plant::Nan,
+    Plant::PosInf,
+    Plant::InfPair,
+    Plant::Subnormal,
+];
 
 struct Case {
     cfg: GemmConfig,
@@ -243,6 +251,18 @@ fn check<T: GemmElem>(case: &Case) {
                         Op::NoTrans => b.set(q, j, b.at(p, j)),
                         Op::Trans => b.set(j, q, b.at(j, p)),
                     }
+                }
+            }
+            Plant::Subnormal => {
+                // Small multiples of an eighth of `T`'s least normal value:
+                // exact subnormals of either sign.
+                let least_normal = if std::mem::size_of::<T>() == 4 {
+                    f64::from(f32::MIN_POSITIVE)
+                } else {
+                    f64::MIN_POSITIVE
+                };
+                for p in 0..k {
+                    plant_a(p, least_normal / 8.0 * [1.0, -2.0, 3.0][p % 3]);
                 }
             }
         }
@@ -294,7 +314,8 @@ fn check<T: GemmElem>(case: &Case) {
             c0.at(i, j).to_f64()
         };
         let want = case.alpha_beta.0 * acc + case.alpha_beta.1 * old;
-        if plant_row == Some(i) {
+        let subnormal_row = plant_row == Some(i) && case.plant == Plant::Subnormal;
+        if plant_row == Some(i) && !subnormal_row {
             // The planted row is non-finite, and NaN wherever the oracle
             // says so: always for a NaN, and for the pair when k >= 2.
             assert!(
@@ -321,6 +342,16 @@ fn check<T: GemmElem>(case: &Case) {
             "{}: C[{i},{j}] = {got}, reference {want}, tol {tol}",
             ctx()
         );
+        // Subnormal operands are arithmetic, not zeros: with no `beta * C`
+        // term the row is its subnormal-scale products, and a flush to
+        // zero shows.
+        if subnormal_row && case.alpha_beta.1 == 0.0 {
+            assert!(
+                got != 0.0 || want == 0.0,
+                "{}: C[{i},{j}] = 0 flushes the subnormal row (oracle {want})",
+                ctx()
+            );
+        }
     };
     match case.sample {
         None => (0..m).for_each(|i| (0..n).for_each(|j| check_entry(i, j))),

@@ -63,7 +63,9 @@ pub const DRIVER_TAGS: &[&str] = &[
     "SHALOM-D-VIEW",
     // Persistent-pool job publication in pool.rs: the lifetime-erased
     // job pointer is dereferenced only while the publisher blocks in
-    // `run`, which waits for every active worker before returning.
+    // `publish`, which waits for every active worker before returning;
+    // each task index is claimed once, so batch.rs's chunks (disjoint
+    // item ranges) are reborrowed by one claimant each.
     "SHALOM-D-POOL",
     // Plan layer and override table (core/plan.rs, core/plan/): stored
     // plans are range-validated on every decode path, so a stale or

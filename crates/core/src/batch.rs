@@ -8,11 +8,16 @@
 //! block-sparse pattern and the `libxsmm_gemm_batch` use case.
 //!
 //! [`gemm_batch`] runs `C_i = alpha * op(A_i) * op(B_i) + beta * C_i`
-//! over a set of independent problems. On the pool the items form a
-//! *dynamic* work queue — every worker claims the next index with one
-//! `fetch_add` — so ragged batches (mixed shapes) are balanced by
-//! construction; each worker reuses its pool-owned workspace across the
-//! problems it claims.
+//! over a set of independent problems. On the pool the batch is cut into
+//! contiguous *chunks* of `g` items that form a dynamic work queue — a
+//! participant claims the next chunk with one `fetch_add` and runs its
+//! items back to back on its pool-owned workspace. A 5x5x5 f64 item is
+//! ~60 ns, so claiming items one at a time bounced the counter's cache
+//! line (and the lines neighbouring C tiles share) between cores on every
+//! item; chunks pay that once per `g` items. The grain leaves about
+//! [`CLAIMS_PER_THREAD`] claims per participant, so a ragged batch (mixed
+//! shapes) still balances: no one is stranded behind more than a small
+//! share of the work.
 
 use crate::capture;
 use crate::config::GemmConfig;
@@ -21,6 +26,18 @@ use crate::parallel::SendPtr;
 use crate::plan::GemmPlan;
 use crate::{pool, GemmElem};
 use shalom_matrix::{reference, MatMut, MatRef, Op};
+
+/// Claims each participant of a pooled batch makes on average: enough
+/// that a ragged tail rebalances, few enough that a claim's `fetch_add`
+/// is paid once per many items.
+const CLAIMS_PER_THREAD: usize = 8;
+
+/// Items per claim of an `n`-item batch on `threads` participants. Keeps
+/// at least `min(n, threads)` claims, so a batch of `threads` items still
+/// goes to the pool.
+fn chunk_grain(n: usize, threads: usize) -> usize {
+    (n / (threads * CLAIMS_PER_THREAD)).max(1)
+}
 
 /// One problem of a batch: borrowed operand views and the output view.
 pub struct BatchItem<'a, T> {
@@ -35,9 +52,10 @@ pub struct BatchItem<'a, T> {
 /// Runs a batch of independent GEMMs, all sharing `(op_a, op_b, alpha,
 /// beta)` (the BLAS "group" convention). Problems may differ in shape.
 ///
-/// With `cfg.threads == 1` the batch runs serially; otherwise the items
-/// are a dynamic queue drained by the pool's workers (each *item* stays
-/// single-threaded — the §7.4 discipline for small GEMM).
+/// With `cfg.threads == 1` the batch runs serially; otherwise contiguous
+/// chunks of items are a dynamic queue drained by the pool's workers
+/// (each *item* stays single-threaded — the §7.4 discipline for small
+/// GEMM).
 ///
 /// # Panics
 /// If any item's stored dimensions are inconsistent with its `C` and the
@@ -126,68 +144,69 @@ fn run_items<T: GemmElem, const CAPTURE: bool>(
             .all(|it| item_dims(op_a, it) == dims)
             .then(|| GemmPlan::new(&serial_cfg, op_a, op_b, dims.0, dims.1, dims.2))
     });
-    let run_one = |it: &mut BatchItem<'_, T>, ws: &mut Workspace| {
-        let (m, n, k) = item_dims(op_a, it);
-        // Also tags the thread, so the item's serial record reads
-        // `Batch` even on the caller's thread.
-        let item_tok = CAPTURE.then(|| capture::batch_item_begin(m, n, k));
-        let own;
-        let plan = match &shared {
-            Some(plan) => plan,
-            None => {
-                own = GemmPlan::new(&serial_cfg, op_a, op_b, m, n, k);
-                &own
+    // The serial path and every pooled chunk run this loop over a slice.
+    let run_slice = |items: &mut [BatchItem<'_, T>], ws: &mut Workspace| {
+        for it in items {
+            let (m, n, k) = item_dims(op_a, it);
+            // Also tags the thread, so the item's serial record reads
+            // `Batch` even on the caller's thread.
+            let item_tok = CAPTURE.then(|| capture::batch_item_begin(m, n, k));
+            let own;
+            let plan = match &shared {
+                Some(plan) => plan,
+                None => {
+                    own = GemmPlan::new(&serial_cfg, op_a, op_b, m, n, k);
+                    &own
+                }
+            };
+            // SAFETY: SHALOM-D-DRIVER — each item's MatRef/MatMut views
+            // cover their full footprints and check_dims validated every
+            // shape above against the dimensions the plan was built for.
+            unsafe {
+                gemm_serial::<T, CAPTURE>(
+                    plan,
+                    alpha,
+                    it.a.as_ptr(),
+                    it.a.ld(),
+                    it.b.as_ptr(),
+                    it.b.ld(),
+                    beta,
+                    it.c.as_mut_ptr(),
+                    it.c.ld(),
+                    ws,
+                )
+            };
+            if let Some(tok) = item_tok {
+                capture::batch_item_end(tok);
             }
-        };
-        // SAFETY: SHALOM-D-DRIVER — each item's MatRef/MatMut views cover
-        // their full footprints and check_dims validated every shape above
-        // against the dimensions the plan was built for.
-        unsafe {
-            gemm_serial::<T, CAPTURE>(
-                plan,
-                alpha,
-                it.a.as_ptr(),
-                it.a.ld(),
-                it.b.as_ptr(),
-                it.b.ld(),
-                beta,
-                it.c.as_mut_ptr(),
-                it.c.ld(),
-                ws,
-            )
-        };
-        if let Some(tok) = item_tok {
-            capture::batch_item_end(tok);
         }
     };
     if t <= 1 || pool::in_pool_context() {
         // A nested batch (issued from inside a pool task) also lands
         // here: republishing would deadlock on the pool's single call
         // slot.
-        with_workspace(|ws| {
-            for it in items.iter_mut() {
-                run_one(it, ws);
-            }
-        });
+        with_workspace(|ws| run_slice(items, ws));
     } else {
-        // Dynamic queue: the pool hands out item indices one `fetch_add`
-        // at a time, so a ragged batch never strands a worker behind a
-        // statically assigned heavy chunk.
+        // Dynamic queue of contiguous chunks: chunk `c` is items
+        // `[c * grain, min((c + 1) * grain, n))`, one `fetch_add` each.
         let n_items = items.len();
+        let grain = chunk_grain(n_items, t);
         let base = SendPtr(items.as_mut_ptr());
-        let job = |idx: usize, ws: &mut Workspace| {
+        let job = |c: usize, ws: &mut Workspace| {
             // Whole-struct rebind so the closure captures the Sync
             // wrapper, not its raw-pointer field (disjoint capture).
             #[allow(clippy::redundant_locals)]
             let base = base;
-            // SAFETY: SHALOM-D-POOL — the pool's shared counter hands
-            // each index in `0..n_items` to exactly one claimant, so
-            // this exclusive reborrow of item `idx` never aliases
-            // (SHALOM-D-SEND for the base pointer crossing threads).
-            let it = unsafe { &mut *base.0.add(idx) };
-            run_one(it, ws);
+            let lo = c * grain;
+            let len = grain.min(n_items - lo);
+            // SAFETY: SHALOM-D-POOL — the pool hands each chunk index to
+            // exactly one claimant and chunks are disjoint ranges inside
+            // `items`, so this exclusive reborrow of one chunk never
+            // aliases another (SHALOM-D-SEND: the base crosses threads).
+            let chunk = unsafe { std::slice::from_raw_parts_mut(base.0.add(lo), len) };
+            run_slice(chunk, ws);
         };
-        pool::run(t, n_items, &job);
+        pool::run(t, n_items.div_ceil(grain), &job);
     }
     if let Some(tok) = batch_tok {
         capture::end(tok);
@@ -316,6 +335,30 @@ mod tests {
         run_and_check(&GemmConfig::with_threads(3), 12, |i| {
             [(5, 5, 5), (13, 5, 13), (1, 9, 4), (26, 26, 13)][i % 4]
         });
+    }
+
+    #[test]
+    fn ragged_batch_in_multi_item_chunks() {
+        // 61 items at 3 threads: a grain of 2, so every claim but the
+        // last runs two items of different shapes back to back.
+        assert_eq!(chunk_grain(61, 3), 2);
+        run_and_check(&GemmConfig::with_threads(3), 61, |i| {
+            [(5, 5, 5), (13, 5, 13), (1, 9, 4), (26, 26, 13), (8, 3, 6)][i % 5]
+        });
+    }
+
+    #[test]
+    fn grain_keeps_a_claim_per_participant() {
+        for threads in 2..=8 {
+            for n in 1..=2048 {
+                let g = chunk_grain(n, threads);
+                assert!(
+                    n.div_ceil(g) >= n.min(threads),
+                    "n={n} threads={threads} grain={g}"
+                );
+            }
+        }
+        assert_eq!(chunk_grain(4096, 2), 256);
     }
 
     #[test]

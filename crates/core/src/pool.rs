@@ -14,8 +14,10 @@
 //!   bug the thread-local-only design had, since a scope-spawned thread's
 //!   thread-local dies with it.
 //! * **Dynamic load balance.** Tasks are claimed with one `fetch_add`
-//!   each, so ragged batches (§7.4 CP2K/DBCSR-style mixed shapes) are
-//!   balanced by construction, unlike static contiguous chunks.
+//!   each, so ragged work is balanced by construction, unlike a static
+//!   split. A task is whatever the caller makes it: one §6 tile, or one
+//!   contiguous chunk of a §7.4 batch's items (`batch.rs` sizes the
+//!   chunks so the claim cost is paid once per many small items).
 //!
 //! ## Wake protocol
 //!
@@ -25,15 +27,18 @@
 //! flight, (b) resets the task counter and bumps the epoch, (c) sets
 //! `active` to the worker count and stores the job pointer, (d) notifies
 //! `work_cv`, then participates in the drain itself. Every alive worker
-//! joins every epoch (even if only to find the counter exhausted) and
-//! decrements `active`; the publisher returns when `active == 0`, which
-//! is what makes the lifetime erasure of the job pointer sound. Pool
-//! resizing happens at publish time: growth spawns workers lazily,
-//! shrink bumps an anonymous `retire` count that any waking worker may
-//! consume by exiting *instead of* joining. Retirement is deliberately
-//! not tied to worker identity: exits happen lazily on wake, so an
-//! id-based rule would let the alive set drift out of sync with the
-//! participant arithmetic (`active`) and deadlock the publisher.
+//! joins every epoch (even if only to find the counter exhausted),
+//! reserves the call's workspace size, drains, and decrements `active`;
+//! the publisher returns when `active == 0`, which is what makes the
+//! lifetime erasure of the job pointer sound. Completion therefore
+//! depends only on the workers that exist, never on the participant
+//! count the caller asked for. Pool resizing happens at publish time:
+//! growth spawns workers lazily, shrink bumps an anonymous `retire`
+//! count that any waking worker may consume by exiting *instead of*
+//! joining. Retirement is deliberately not tied to worker identity:
+//! exits happen lazily on wake, so an id-based rule would let the alive
+//! set drift out of sync with the participant arithmetic (`active`) and
+//! deadlock the publisher.
 //!
 //! Calls from *inside* a pool worker (nested GEMM) must not republish —
 //! that would deadlock on the single call slot. [`in_pool_context`]
@@ -59,7 +64,7 @@ type Job = dyn Fn(usize, &mut Workspace) + Sync;
 #[derive(Clone, Copy)]
 struct JobPtr(*const Job);
 // SAFETY: SHALOM-D-POOL — the pointer crosses threads only inside a
-// published call, and `run` does not return (or unwind) until every
+// published call, and `publish` does not return (or unwind) until every
 // worker counted in `active` has finished dereferencing it.
 unsafe impl Send for JobPtr {}
 
@@ -68,6 +73,9 @@ unsafe impl Send for JobPtr {}
 struct CallSlot {
     job: JobPtr,
     tasks: usize,
+    /// Scratch bytes every participant reserves in its workspace on
+    /// joining ([`prewarm`]'s request; 0 for a plain call).
+    reserve: usize,
     epoch: u64,
 }
 
@@ -101,21 +109,28 @@ struct Pool {
     next_task: AtomicUsize,
 }
 
+impl Pool {
+    fn new() -> Pool {
+        Pool {
+            state: Mutex::new(PoolState {
+                epoch: 0,
+                call: None,
+                retire: 0,
+                spawned: 0,
+                active: 0,
+                panicked: false,
+            }),
+            work_cv: Condvar::new(),
+            done_cv: Condvar::new(),
+            next_task: AtomicUsize::new(0),
+        }
+    }
+}
+
+/// The process-lifetime pool every GEMM entry point publishes to.
 fn pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| Pool {
-        state: Mutex::new(PoolState {
-            epoch: 0,
-            call: None,
-            retire: 0,
-            spawned: 0,
-            active: 0,
-            panicked: false,
-        }),
-        work_cv: Condvar::new(),
-        done_cv: Condvar::new(),
-        next_task: AtomicUsize::new(0),
-    })
+    POOL.get_or_init(Pool::new)
 }
 
 thread_local! {
@@ -160,10 +175,9 @@ fn lock_state(p: &'static Pool) -> std::sync::MutexGuard<'static, PoolState> {
     }
 }
 
-fn worker_main() {
+fn worker_main(p: &'static Pool) {
     IN_POOL.with(|f| f.set(true));
     let mut ws = Workspace::new();
-    let p = pool();
     let mut seen_epoch = 0u64;
     loop {
         let call = {
@@ -201,9 +215,10 @@ fn worker_main() {
         seen_epoch = call.epoch;
         let res = catch_unwind(AssertUnwindSafe(|| {
             // SAFETY: SHALOM-D-POOL — the publisher keeps the closure
-            // alive (blocked in `run`) until this worker decrements
+            // alive (blocked in `publish`) until this worker decrements
             // `active` below, so the erased borrow is still live here.
             let job = unsafe { &*call.job.0 };
+            ws.reserve_bytes(call.reserve);
             drain(p, job, call.tasks, &mut ws);
         }));
         let mut st = lock_state(p);
@@ -245,6 +260,16 @@ fn drain(p: &Pool, job: &(dyn Fn(usize, &mut Workspace) + Sync), tasks: usize, w
 /// Propagates a panic from the job (on this thread via `resume_unwind`;
 /// worker panics surface as a new panic after the call completes).
 pub(crate) fn run(threads: usize, tasks: usize, job: &(dyn Fn(usize, &mut Workspace) + Sync)) {
+    run_on(pool(), threads, tasks, job);
+}
+
+/// [`run`] on the pool `p`.
+fn run_on(
+    p: &'static Pool,
+    threads: usize,
+    tasks: usize,
+    job: &(dyn Fn(usize, &mut Workspace) + Sync),
+) {
     if threads <= 1 || tasks <= 1 || in_pool_context() {
         with_workspace(|ws| {
             for i in 0..tasks {
@@ -253,17 +278,29 @@ pub(crate) fn run(threads: usize, tasks: usize, job: &(dyn Fn(usize, &mut Worksp
         });
         return;
     }
+    publish(p, threads, tasks, 0, job);
+}
+
+/// Publishes `job(0..tasks)` on `p` to `threads - 1` workers, drains it
+/// alongside them and waits for every worker to detach. Every
+/// participant first reserves `reserve` workspace bytes.
+fn publish(
+    p: &'static Pool,
+    threads: usize,
+    tasks: usize,
+    reserve: usize,
+    job: &(dyn Fn(usize, &mut Workspace) + Sync),
+) {
     // The dispatch region covers slot claim + publish + wake — the
     // latency paid before this thread starts computing (any queue wait
     // shows up nested inside it); aux carries the task count.
     let dispatch_tok = capture::begin(capture::Phase::Dispatch, tasks as u64);
 
-    let p = pool();
     let desired = threads - 1;
     // SAFETY: SHALOM-D-POOL — `job` outlives this function body, and the
     // completion wait below guarantees no worker holds the erased
     // reference past the `active == 0` transition, which happens before
-    // `run` returns or unwinds.
+    // `publish` returns or unwinds.
     let job_ptr = JobPtr(unsafe {
         std::mem::transmute::<*const (dyn Fn(usize, &mut Workspace) + Sync + '_), *const Job>(job)
     });
@@ -292,17 +329,10 @@ pub(crate) fn run(threads: usize, tasks: usize, job: &(dyn Fn(usize, &mut Worksp
             st.retire -= cancel;
             need -= cancel;
             for _ in 0..need {
-                static NEXT_NAME: AtomicUsize = AtomicUsize::new(0);
-                // ORDERING(SHALOM-O-POOL-NAME): Relaxed unique-id tick for the
-                // thread name; nothing is published through it.
-                let name = NEXT_NAME.fetch_add(1, Ordering::Relaxed);
-                let spawn = std::thread::Builder::new()
-                    .name(format!("shalom-pool-{name}"))
-                    .spawn(worker_main);
-                match spawn {
-                    Ok(_) => st.spawned += 1,
-                    Err(_) => break, // proceed with fewer workers
+                if !spawn_worker(p) {
+                    break; // proceed with fewer workers
                 }
+                st.spawned += 1;
             }
         } else {
             st.retire += alive - desired;
@@ -317,6 +347,7 @@ pub(crate) fn run(threads: usize, tasks: usize, job: &(dyn Fn(usize, &mut Worksp
         st.call = Some(CallSlot {
             job: job_ptr,
             tasks,
+            reserve,
             epoch,
         });
     }
@@ -328,7 +359,10 @@ pub(crate) fn run(threads: usize, tasks: usize, job: &(dyn Fn(usize, &mut Worksp
     // must wait for them even while unwinding.
     let caller_res = catch_unwind(AssertUnwindSafe(|| {
         let _guard = InPoolGuard::enter();
-        with_workspace(|ws| drain(p, job, tasks, ws));
+        with_workspace(|ws| {
+            ws.reserve_bytes(reserve);
+            drain(p, job, tasks, ws);
+        });
     }));
 
     let worker_panicked;
@@ -367,27 +401,61 @@ pub(crate) fn run(threads: usize, tasks: usize, job: &(dyn Fn(usize, &mut Worksp
 /// bytes each, so the steady-state parallel path performs no heap
 /// allocation at all (the §3.1 amortization argument, made testable).
 ///
-/// A barrier with `tasks == threads` forces each participant — the
-/// calling thread included — to claim exactly one task, so every worker
-/// is guaranteed to have grown its owned workspace when this returns.
-/// Idempotent; cheap when the pool is already warm.
+/// Publishes a call with no tasks whose slot carries the size. Every
+/// participant reserves the slot's size on joining — the caller as it
+/// starts its drain, each worker as it wakes — and every alive worker
+/// joins every call, so all of them have grown their workspaces, in
+/// parallel, when this returns; also when a spawn failed and the pool
+/// came up short of `threads`. Idempotent; cheap when the pool is
+/// already warm.
 pub fn prewarm(threads: usize, workspace_bytes: usize) {
+    prewarm_on(pool(), threads, workspace_bytes);
+}
+
+/// [`prewarm`] on the pool `p`.
+fn prewarm_on(p: &'static Pool, threads: usize, workspace_bytes: usize) {
     if threads <= 1 || in_pool_context() {
         with_workspace(|ws| ws.reserve_bytes(workspace_bytes));
         return;
     }
-    let barrier = std::sync::Barrier::new(threads);
-    let job = move |_i: usize, ws: &mut Workspace| {
-        ws.reserve_bytes(workspace_bytes);
-        barrier.wait();
-    };
-    run(threads, threads, &job);
+    publish(p, threads, 0, workspace_bytes, &|_, _| {});
+}
+
+/// Starts one worker thread serving `p`; false if the OS refused.
+fn spawn_worker(p: &'static Pool) -> bool {
+    #[cfg(test)]
+    if !tests::spawn_allowed() {
+        return false;
+    }
+    static NEXT_NAME: AtomicUsize = AtomicUsize::new(0);
+    // ORDERING(SHALOM-O-POOL-NAME): Relaxed unique-id tick for the
+    // thread name; nothing is published through it.
+    let name = NEXT_NAME.fetch_add(1, Ordering::Relaxed);
+    std::thread::Builder::new()
+        .name(format!("shalom-pool-{name}"))
+        .spawn(move || worker_main(p))
+        .is_ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    thread_local! {
+        /// Worker spawns this thread's publishes may still make before
+        /// `spawn_worker` reports an OS refusal.
+        static SPAWN_BUDGET: Cell<usize> = const { Cell::new(usize::MAX) };
+    }
+
+    /// Consumes one unit of this thread's spawn budget, if any is left.
+    pub(super) fn spawn_allowed() -> bool {
+        SPAWN_BUDGET.with(|b| {
+            let left = b.get();
+            b.set(left.saturating_sub(1));
+            left > 0
+        })
+    }
 
     #[test]
     fn runs_every_task_exactly_once() {
@@ -514,6 +582,33 @@ mod tests {
         prewarm(4, 1 << 16);
         // The caller's thread-local workspace was part of the warm set.
         with_workspace(|ws| assert!(ws.capacity_bytes() >= 2 * (1 << 16)));
+    }
+
+    #[test]
+    fn prewarm_and_run_complete_on_a_short_pool() {
+        // A private pool whose publisher may spawn one worker: prewarm
+        // asks for four participants and gets two. Run on a helper
+        // thread, so a hang fails the test instead of wedging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let p: &'static Pool = Box::leak(Box::new(Pool::new()));
+            SPAWN_BUDGET.with(|b| b.set(1));
+            prewarm_on(p, 4, 1 << 12);
+            let spawned = lock_state(p).spawned;
+            let hits: Vec<AtomicU64> = (0..9).map(|_| AtomicU64::new(0)).collect();
+            let job = |i: usize, _ws: &mut Workspace| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            };
+            run_on(p, 4, hits.len(), &job);
+            let counts: Vec<u64> = hits.iter().map(|h| h.load(Ordering::Relaxed)).collect();
+            let _ = tx.send((spawned, counts));
+        });
+        let (spawned, counts) = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("prewarm or run on a short pool did not return");
+        helper.join().expect("the publisher thread panicked");
+        assert_eq!(spawned, 1);
+        assert!(counts.iter().all(|&c| c == 1), "{counts:?}");
     }
 
     #[test]

@@ -4,10 +4,13 @@
 //! The leader locks the pool mutex, writes the call slot (the job
 //! payload), bumps the epoch, then unlocks and notifies. Parked
 //! workers wake when the epoch moves past the one they last served,
-//! read the job *under the mutex*, then drain tasks from a **Relaxed**
-//! shared counter — safe only because the mutex already ordered the
-//! job publish before any counter traffic. Finally each worker retires
-//! under the lock and the last one wakes the leader.
+//! read the job *under the mutex*, reserve the workspace size the slot
+//! carries (the payload `prewarm` publishes), then drain tasks from a
+//! **Relaxed** shared counter — safe only because the mutex already
+//! ordered the job publish before any counter traffic. Finally each
+//! worker retires under the lock and the last one wakes the leader.
+//! Completion waits on the workers alone, so a call with no tasks at all
+//! (a `prewarm`) completes exactly like one with many.
 //!
 //! Safety properties:
 //!
@@ -16,6 +19,7 @@
 //!   mutex provides);
 //! * every task index is claimed exactly once (the Relaxed counter's
 //!   only obligation — atomicity of `fetch_add`);
+//! * every worker reserved the current call's size before it retired;
 //! * the park/unpark handshake is deadlock-free (condvars are modeled
 //!   as enabledness, so a lost wakeup shows up as a deadlock).
 //!
@@ -25,6 +29,12 @@
 //! permits), and workers check the epoch without taking the lock. The
 //! explorer finds the schedule where a worker runs the *previous*
 //! call's job payload — a stale read.
+//!
+//! The seeded mutation [`Mutation::BarrierPrewarm`] is `prewarm` as it
+//! was: every task waits at a barrier sized to the task count, which it
+//! set to the *requested* participant count. With fewer workers than
+//! that (a failed spawn) each claims one task and waits for arrivals
+//! that never come — the explorer reports the deadlock.
 
 use crate::explorer::System;
 
@@ -37,6 +47,9 @@ pub enum Mutation {
     /// the epoch before the job write lands, and workers spot the new
     /// epoch without locking.
     UnsyncedPublish,
+    /// Every task waits at a barrier of `tasks` arrivals, with `tasks`
+    /// set to a participant count the pool may not have.
+    BarrierPrewarm,
 }
 
 const L_DONE: u8 = 9;
@@ -47,6 +60,9 @@ struct Worker {
     pc: u8,
     seen_epoch: u8,
     job: u8,
+    /// The slot payload this worker reserved its workspace for (0: not
+    /// yet).
+    reserved: u8,
 }
 
 /// The model: a leader (tid 0) publishing one call of `tasks` task
@@ -65,6 +81,8 @@ pub struct PoolEpoch {
     tasks: u8,
     /// Which task indices have been executed (and by how many claims).
     executed: Vec<u8>,
+    /// Tasks that reached the barrier ([`Mutation::BarrierPrewarm`]).
+    arrived: u8,
     /// Workers retired from the current call.
     retired: u8,
     leader: u8,
@@ -86,6 +104,7 @@ impl PoolEpoch {
             next_task: 0,
             tasks,
             executed: vec![0; tasks as usize],
+            arrived: 0,
             retired: 0,
             leader: 0,
             workers: vec![
@@ -93,6 +112,7 @@ impl PoolEpoch {
                     pc: 0,
                     seen_epoch: 0,
                     job: 0,
+                    reserved: 0,
                 };
                 workers
             ],
@@ -173,7 +193,7 @@ impl PoolEpoch {
             0 => match self.mutation {
                 // wait(work_cv) until the epoch moves, then re-acquire
                 // the mutex: one combined wake-holding-lock action.
-                Mutation::None => {
+                Mutation::None | Mutation::BarrierPrewarm => {
                     if self.epoch > w.seen_epoch && self.lock.is_none() {
                         vec!["W: wake with lock (epoch moved)"]
                     } else {
@@ -190,15 +210,23 @@ impl PoolEpoch {
                 }
             },
             1 => vec!["W: read call slot, unlock"],
-            2 => vec!["W: fetch_add(next_task, Relaxed)"],
-            3 => {
+            2 => vec!["W: reserve the slot's workspace size"],
+            3 => vec!["W: fetch_add(next_task, Relaxed)"],
+            4 => {
                 if self.lock.is_none() {
                     vec!["W: lock for retire"]
                 } else {
                     vec![]
                 }
             }
-            4 => vec!["W: retired += 1, unlock + notify(done_cv)"],
+            5 => vec!["W: retired += 1, unlock + notify(done_cv)"],
+            6 => {
+                if self.arrived as usize == self.executed.len() {
+                    vec!["W: leave barrier (all tasks arrived)"]
+                } else {
+                    vec![]
+                }
+            }
             _ => vec![],
         }
     }
@@ -210,7 +238,7 @@ impl PoolEpoch {
         let pc = self.workers[idx].pc;
         match (pc, action) {
             (0, _) => {
-                if self.mutation == Mutation::None {
+                if self.mutation != Mutation::UnsyncedPublish {
                     self.lock = Some(tid);
                 }
                 self.workers[idx].pc = 1;
@@ -219,12 +247,22 @@ impl PoolEpoch {
                 let w = &mut self.workers[idx];
                 w.job = job;
                 w.seen_epoch = epoch;
-                if self.mutation == Mutation::None {
+                if self.mutation != Mutation::UnsyncedPublish {
                     self.lock = None;
                 }
                 self.workers[idx].pc = 2;
             }
             (2, _) => {
+                let w = &mut self.workers[idx];
+                // Reserving *uses* the payload the slot carries, so a
+                // stale slot read shows here even in a call with no tasks.
+                if w.job != w.seen_epoch {
+                    self.stale = Some((w.job, w.seen_epoch));
+                }
+                w.reserved = w.job;
+                w.pc = 3;
+            }
+            (3, _) => {
                 let i = self.next_task;
                 self.next_task += 1;
                 if (i as usize) < self.executed.len() {
@@ -235,18 +273,25 @@ impl PoolEpoch {
                     if w.job != w.seen_epoch {
                         self.stale = Some((w.job, w.seen_epoch));
                     }
+                    if self.mutation == Mutation::BarrierPrewarm {
+                        self.arrived += 1;
+                        self.workers[idx].pc = 6;
+                    }
                 } else {
-                    self.workers[idx].pc = 3;
+                    self.workers[idx].pc = 4;
                 }
             }
-            (3, _) => {
-                self.lock = Some(tid);
-                self.workers[idx].pc = 4;
-            }
             (4, _) => {
+                self.lock = Some(tid);
+                self.workers[idx].pc = 5;
+            }
+            (5, _) => {
                 self.retired += 1;
                 self.lock = None;
                 self.workers[idx].pc = W_DONE;
+            }
+            (6, _) => {
+                self.workers[idx].pc = 3;
             }
             _ => unreachable!("worker stepped while done"),
         }
@@ -292,6 +337,15 @@ impl System for PoolEpoch {
             if n > 1 {
                 return Err(format!("task {i} claimed {n} times"));
             }
+        }
+        if let Some(w) = self
+            .workers
+            .iter()
+            .position(|w| w.pc == W_DONE && w.reserved != self.epoch)
+        {
+            return Err(format!(
+                "worker {w} retired without reserving the call's size"
+            ));
         }
         let all_done = self.leader == L_DONE && self.workers.iter().all(|w| w.pc == W_DONE);
         if all_done {

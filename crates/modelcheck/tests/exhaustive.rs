@@ -127,6 +127,39 @@ fn pool_epoch_correct_three_threads_exhaustive_and_deadlock_free() {
     assert!(r.distinct_states > 40, "{r:?}");
 }
 
+/// A call with no tasks — what `prewarm` publishes — completes on the
+/// workers alone, each having reserved the slot's size.
+#[test]
+fn pool_epoch_taskless_call_completes() {
+    must_pass(
+        PoolEpoch::new(2, 0, pool_epoch::Mutation::None),
+        "pool 2 workers, no tasks",
+    );
+}
+
+/// `prewarm` as it was: a barrier sized to the requested participants,
+/// here one more than the pool has. The workers that exist each take a
+/// task and wait at the barrier; nobody takes the rest.
+#[test]
+fn pool_epoch_barrier_prewarm_on_a_short_pool_deadlocks() {
+    let v = match explore(
+        PoolEpoch::new(1, 2, pool_epoch::Mutation::BarrierPrewarm),
+        &Options::default(),
+    ) {
+        Ok(r) => panic!("short-pool barrier went undetected ({r:?})"),
+        Err(v) => v,
+    };
+    match &v {
+        Violation::Deadlock { trace } => assert!(!trace.is_empty(), "empty counterexample"),
+        other => panic!("expected deadlock, got {other:?}\n{}", v.render()),
+    }
+    assert!(
+        v.trace().iter().any(|s| s.label.contains("fetch_add")),
+        "counterexample does not claim a task:\n{}",
+        v.render()
+    );
+}
+
 /// The epoch publish stripped of its mutex edge: a worker can wake on
 /// the new epoch and read the *previous* call's job payload.
 #[test]

@@ -687,6 +687,55 @@ fn batch_is_bitwise_direct_at_every_level() {
             one::<f64>(IsaPolicy::Auto, *ops, shape);
         }
     }
+    // The chunk mapping. A pooled batch of `n` items claims contiguous
+    // chunks of `max(1, n / (8 T))`, so the lengths straddle its first two
+    // grain steps (`16 T`, `24 T`), sit around `T`, and include the 4096
+    // items `batch_cp2k` runs; uniform and ragged, at `T` in {2, 3}. With
+    // beta = 0.5 a skipped or doubled item changes its bits.
+    const RAGGED: [(usize, usize, usize); 4] = [(5, 5, 5), (13, 5, 13), (1, 9, 4), (8, 3, 6)];
+    let nn = (Op::NoTrans, Op::NoTrans);
+    for isa in levels() {
+        let serial = at(isa, CacheParams::detect());
+        let problems: Vec<_> = RAGGED
+            .iter()
+            .map(|&shape| {
+                let (a, b, c0) = operands::<f64>(nn, shape);
+                let direct = run_bits(&serial, nn, &a, &b, &c0);
+                (a, b, c0, direct)
+            })
+            .collect();
+        for t in [2, 3] {
+            let cfg = GemmConfig {
+                threads: t,
+                ..serial
+            };
+            let steps = [16 * t - 1, 16 * t, 16 * t + 1, 24 * t - 1, 24 * t];
+            for n in [1, t - 1, t, t + 1, 4096].into_iter().chain(steps) {
+                for ragged in [false, true] {
+                    let pick = |i: usize| if ragged { i % RAGGED.len() } else { 0 };
+                    let mut outs: Vec<_> = (0..n).map(|i| problems[pick(i)].2.clone()).collect();
+                    let mut items: Vec<_> = outs
+                        .iter_mut()
+                        .enumerate()
+                        .map(|(i, c)| BatchItem {
+                            a: problems[pick(i)].0.as_ref(),
+                            b: problems[pick(i)].1.as_ref(),
+                            c: c.as_mut(),
+                        })
+                        .collect();
+                    gemm_batch_beta(&cfg, nn.0, nn.1, -1.5, 0.5, &mut items);
+                    drop(items);
+                    for (i, out) in outs.iter().enumerate() {
+                        let bits: Vec<u64> = out.as_slice().iter().map(|x| x.to_bits()).collect();
+                        assert!(
+                            bits == problems[pick(i)].3,
+                            "{isa:?} item {i} of {n} (ragged {ragged}) at {t} threads"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -9,14 +9,12 @@
 //!
 //! 1. **atomics** — every `Ordering::` site in the audited concurrency
 //!    files must carry a registered `// ORDERING(SHALOM-O-…):`
-//!    justification; pattern rules flag Relaxed stores racing Acquire
-//!    loads and seqlock halves missing their fence/publish events.
+//!    justification; a pattern rule flags Relaxed stores racing
+//!    Acquire loads.
 //! 2. **protocols** — resolves each atomic call to the *object* it
 //!    touches (receiver-path walk: `self.field`, statics, index and
 //!    call projections), groups sites per object, and checks protocol
-//!    shape: Release writes need an Acquire consumer, seqlock and
-//!    plain-publish tags cannot share one word, seqlock sides must
-//!    pair (with their fence and Release publish), and Relaxed-only
+//!    shape: Release writes need an Acquire consumer, and Relaxed-only
 //!    objects need counter-class justifications.
 //! 3. **panics** — files opting in via `//! shalom-analysis:
 //!    deny(panic)` may not `unwrap`/`expect`/`panic!`/index outside

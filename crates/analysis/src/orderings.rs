@@ -6,22 +6,11 @@
 //! registry also records per-tag facts the pattern rules consume:
 //! whether a `Relaxed` store under this tag is allowed to coexist with
 //! `Acquire` loads of the same atomic (an external happens-before edge
-//! exists), whether the tag names one side of a seqlock protocol, the
-//! tag's *class* (what kind of happens-before argument it makes — the
-//! `protocols` pass groups sites per atomic object and checks that an
-//! object's tags tell one coherent story), and which executable
-//! `shalom-modelcheck` model verifies the protocol the tag belongs to.
-
-/// Which side of a seqlock protocol a tag belongs to, if any.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Protocol {
-    /// Writer side: odd-marking CAS/store, volatile writes, then a
-    /// `Release` publish of the even sequence.
-    SeqlockWriter,
-    /// Reader side: `Acquire` sequence load, volatile reads, an
-    /// `Acquire` fence, then the validation re-load.
-    SeqlockReader,
-}
+//! exists), the tag's *class* (what kind of happens-before argument it
+//! makes — the `protocols` pass groups sites per atomic object and
+//! checks that an object's tags tell one coherent story), and which
+//! executable `shalom-modelcheck` model verifies the protocol the tag
+//! belongs to.
 
 /// The shape of the happens-before argument a tag makes. The
 /// `protocols` pass checks that every tag attached to one atomic
@@ -47,16 +36,13 @@ pub enum TagClass {
     /// must use `Release` (or `AcqRel`) and some site must consume it
     /// with `Acquire`/`SeqCst`.
     Publish,
-    /// One side of a seqlock; [`OrderingTag::protocol`] says which.
-    Seqlock,
 }
 
 impl TagClass {
     /// Whether an object whose sites are all `Relaxed` is fully
     /// justified by a tag of this class (the `relaxed-only-object`
-    /// protocol rule). `Publish` and `Seqlock` arguments *require*
-    /// non-relaxed events, so they can never justify a relaxed-only
-    /// object.
+    /// protocol rule). A `Publish` argument *requires* non-relaxed
+    /// events, so it can never justify a relaxed-only object.
     pub fn relaxed_only_ok(self) -> bool {
         matches!(
             self,
@@ -72,7 +58,6 @@ impl TagClass {
             TagClass::Guarded => "guarded",
             TagClass::Quiescent => "quiescent",
             TagClass::Publish => "publish",
-            TagClass::Seqlock => "seqlock",
         }
     }
 }
@@ -89,10 +74,6 @@ pub struct OrderingTag {
     /// elsewhere in the file (ordering is provided externally — a
     /// mutex, quiescence, or a fence).
     pub relaxed_publish_ok: bool,
-    /// Seqlock protocol side this tag names, if any. Functions that
-    /// contain a protocol-tagged site are checked for the full event
-    /// sequence of that side.
-    pub protocol: Option<Protocol>,
     /// The class of happens-before argument this tag makes; the
     /// `protocols` pass enforces per-object class coherence.
     pub class: TagClass,
@@ -110,7 +91,6 @@ pub const ORDERING_TAGS: &[OrderingTag] = &[
         id: "SHALOM-O-POOL-TASK",
         summary: "pool task cursor: Relaxed RMW/reset; the epoch mutex+condvar publish the batch",
         relaxed_publish_ok: true,
-        protocol: None,
         class: TagClass::Guarded,
         model: Some("pool-epoch"),
     },
@@ -118,7 +98,6 @@ pub const ORDERING_TAGS: &[OrderingTag] = &[
         id: "SHALOM-O-POOL-NAME",
         summary: "pool name counter: Relaxed unique-id tick, no data published",
         relaxed_publish_ok: false,
-        protocol: None,
         class: TagClass::Counter,
         model: None,
     },
@@ -127,7 +106,6 @@ pub const ORDERING_TAGS: &[OrderingTag] = &[
         summary: "override-table occupancy hint: Relaxed, stored under the table's write lock; \
                   stale reads only skip the table (the call computes its plan)",
         relaxed_publish_ok: true,
-        protocol: None,
         class: TagClass::Gate,
         model: Some("plan-shard"),
     },
@@ -136,17 +114,15 @@ pub const ORDERING_TAGS: &[OrderingTag] = &[
         summary:
             "override-table hit/miss counters: Relaxed monotonic stats, read for reporting only",
         relaxed_publish_ok: true,
-        protocol: None,
         class: TagClass::Counter,
         model: Some("plan-shard"),
     },
     OrderingTag {
         id: "SHALOM-O-CAPTURE-STATE",
         summary: "capture state word: Relaxed sink-enable/pause bits only gate capture; records \
-                  are published by the ring seqlock and sharded counters, the lane arena by \
-                  OnceLock init, span data by each lane's Release len store",
+                  are published by the ring's shard locks and sharded counters, the lane arena \
+                  by OnceLock init, span data by each lane's Release len store",
         relaxed_publish_ok: false,
-        protocol: None,
         class: TagClass::Gate,
         model: None,
     },
@@ -154,7 +130,6 @@ pub const ORDERING_TAGS: &[OrderingTag] = &[
         id: "SHALOM-O-TEL-COUNTER",
         summary: "telemetry counters: Relaxed per-shard adds; totals are a racy snapshot by design",
         relaxed_publish_ok: true,
-        protocol: None,
         class: TagClass::Counter,
         model: None,
     },
@@ -162,41 +137,20 @@ pub const ORDERING_TAGS: &[OrderingTag] = &[
         id: "SHALOM-O-TEL-SHARD-IDX",
         summary: "shard round-robin cursor: Relaxed tick, only distributes contention",
         relaxed_publish_ok: false,
-        protocol: None,
         class: TagClass::Counter,
         model: None,
     },
     OrderingTag {
         id: "SHALOM-O-RING-TICKET",
-        summary: "ring head ticket: Relaxed fetch_add; slot seqlock orders the payload",
+        summary: "ring ticket: Relaxed fetch_add numbers records; the shard mutex orders them",
         relaxed_publish_ok: true,
-        protocol: None,
         class: TagClass::Counter,
-        model: Some("seqlock"),
-    },
-    OrderingTag {
-        id: "SHALOM-O-RING-SEQ-WRITER",
-        summary:
-            "seqlock writer: Acquire CAS marks odd, Release store publishes even after payload",
-        relaxed_publish_ok: false,
-        protocol: Some(Protocol::SeqlockWriter),
-        class: TagClass::Seqlock,
-        model: Some("seqlock"),
-    },
-    OrderingTag {
-        id: "SHALOM-O-RING-SEQ-READER",
-        summary: "seqlock reader: Acquire seq load, volatile read, Acquire fence, validate re-load",
-        relaxed_publish_ok: false,
-        protocol: Some(Protocol::SeqlockReader),
-        class: TagClass::Seqlock,
-        model: Some("seqlock"),
+        model: None,
     },
     OrderingTag {
         id: "SHALOM-O-RING-RESET",
-        summary:
-            "ring clear: Relaxed wipe valid only under external quiescence (&mut or test setup)",
+        summary: "ring clear: Relaxed ticket/drop-count wipe valid only under external quiescence",
         relaxed_publish_ok: true,
-        protocol: None,
         class: TagClass::Quiescent,
         model: None,
     },
@@ -204,7 +158,6 @@ pub const ORDERING_TAGS: &[OrderingTag] = &[
         id: "SHALOM-O-HIST",
         summary: "histogram buckets: Relaxed adds; snapshots tolerate cross-bucket skew",
         relaxed_publish_ok: true,
-        protocol: None,
         class: TagClass::Counter,
         model: None,
     },
@@ -212,7 +165,6 @@ pub const ORDERING_TAGS: &[OrderingTag] = &[
         id: "SHALOM-O-PERF-FD",
         summary: "perf fd slot: AcqRel CAS publishes the opened fd; Acquire load observes it",
         relaxed_publish_ok: false,
-        protocol: None,
         class: TagClass::Publish,
         model: None,
     },
@@ -220,7 +172,6 @@ pub const ORDERING_TAGS: &[OrderingTag] = &[
         id: "SHALOM-O-TRACE-LANE-IDX",
         summary: "lane assignment counter: Relaxed fetch_add hands out unique indices only",
         relaxed_publish_ok: false,
-        protocol: None,
         class: TagClass::Counter,
         model: None,
     },
@@ -229,7 +180,6 @@ pub const ORDERING_TAGS: &[OrderingTag] = &[
         summary:
             "single-writer lane: Release len store publishes the slot; Acquire load in snapshot",
         relaxed_publish_ok: false,
-        protocol: None,
         class: TagClass::Publish,
         model: Some("trace-lane"),
     },
@@ -238,7 +188,6 @@ pub const ORDERING_TAGS: &[OrderingTag] = &[
         summary:
             "lane reset: Relaxed wipe valid only under external quiescence (disable/test setup)",
         relaxed_publish_ok: true,
-        protocol: None,
         class: TagClass::Quiescent,
         model: None,
     },
@@ -246,7 +195,6 @@ pub const ORDERING_TAGS: &[OrderingTag] = &[
         id: "SHALOM-O-TRACE-DROP",
         summary: "overflow drop counters: Relaxed monotonic stats, read for reporting only",
         relaxed_publish_ok: true,
-        protocol: None,
         class: TagClass::Counter,
         model: None,
     },
@@ -255,7 +203,6 @@ pub const ORDERING_TAGS: &[OrderingTag] = &[
         summary: "completion state: Release store under the cell mutex publishes the output \
                   matrix; waiters Acquire-load and recheck under the same mutex before sleeping",
         relaxed_publish_ok: false,
-        protocol: None,
         class: TagClass::Publish,
         model: Some("service-queue"),
     },
@@ -264,7 +211,6 @@ pub const ORDERING_TAGS: &[OrderingTag] = &[
         summary: "completion timestamp: Relaxed stamp sequenced before the state Release on the \
                   scheduler thread; readers only look after Acquiring the state",
         relaxed_publish_ok: true,
-        protocol: None,
         class: TagClass::Guarded,
         model: Some("service-queue"),
     },
@@ -273,7 +219,6 @@ pub const ORDERING_TAGS: &[OrderingTag] = &[
         summary: "scope pending count: Relaxed add under the queue mutex before the item is \
                   reachable; Release sub after cell publish pairs with the Acquire in wait_zero",
         relaxed_publish_ok: true,
-        protocol: None,
         class: TagClass::Publish,
         model: Some("service-queue"),
     },
@@ -281,7 +226,6 @@ pub const ORDERING_TAGS: &[OrderingTag] = &[
         id: "SHALOM-O-SVC-STATS",
         summary: "service counters: Relaxed monotone adds/maxes, read for reporting only",
         relaxed_publish_ok: true,
-        protocol: None,
         class: TagClass::Counter,
         model: None,
     },
@@ -325,35 +269,13 @@ mod tests {
     fn find_works() {
         assert!(find("SHALOM-O-POOL-TASK").is_some());
         assert!(find("SHALOM-O-NOPE").is_none());
-        assert_eq!(
-            find("SHALOM-O-RING-SEQ-READER").unwrap().protocol,
-            Some(Protocol::SeqlockReader)
-        );
     }
 
     #[test]
-    fn protocol_tags_have_seqlock_class_and_vice_versa() {
-        for t in ORDERING_TAGS {
-            assert_eq!(
-                t.protocol.is_some(),
-                t.class == TagClass::Seqlock,
-                "tag {} protocol/class mismatch",
-                t.id
-            );
-        }
-    }
-
-    #[test]
-    fn referenced_models_are_the_five_protocols() {
+    fn referenced_models_are_the_four_protocols() {
         assert_eq!(
             referenced_models(),
-            vec![
-                "plan-shard",
-                "pool-epoch",
-                "seqlock",
-                "service-queue",
-                "trace-lane"
-            ]
+            vec!["plan-shard", "pool-epoch", "service-queue", "trace-lane"]
         );
     }
 
@@ -362,7 +284,6 @@ mod tests {
         assert!(TagClass::Counter.relaxed_only_ok());
         assert!(TagClass::Quiescent.relaxed_only_ok());
         assert!(!TagClass::Publish.relaxed_only_ok());
-        assert!(!TagClass::Seqlock.relaxed_only_ok());
         assert_eq!(TagClass::Gate.as_str(), "gate");
     }
 }

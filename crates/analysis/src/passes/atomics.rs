@@ -6,25 +6,17 @@
 //! function-level tag in the header block above the enclosing `fn`
 //! (which covers every site in that body).
 //!
-//! On top of tag presence, two pattern rules check the shapes that
-//! actually go wrong in this workspace:
-//!
-//! * **relaxed-publish** — an atomic that is `Acquire`-loaded somewhere
-//!   in the file but `Relaxed`-stored elsewhere is a publication bug
-//!   unless the store's tag declares `relaxed_publish_ok` (ordering
-//!   provided by a mutex, quiescence, or a fence).
-//! * **seqlock protocols** — a function holding a
-//!   `SeqlockReader`/`SeqlockWriter` tag must contain that side's full
-//!   event sequence; in particular the reader needs an `Acquire` fence
-//!   *between* its volatile data read and the validating sequence
-//!   re-load (an `Acquire` load only orders later accesses, so without
-//!   the fence a torn read can pass validation).
+//! On top of tag presence, the **relaxed-publish** pattern rule flags an
+//! atomic that is `Acquire`-loaded somewhere in the file but
+//! `Relaxed`-stored elsewhere: a publication bug unless the store's tag
+//! declares `relaxed_publish_ok` (ordering provided by a mutex,
+//! quiescence, or a fence).
 
 use std::collections::{HashMap, HashSet};
 
-use crate::orderings::{self, Protocol};
+use crate::orderings;
 use crate::passes::CodeTokens;
-use crate::source::{FnRegion, OrderingAnnotation, SourceFile};
+use crate::source::{OrderingAnnotation, SourceFile};
 use crate::Finding;
 
 const PASS: &str = "atomics";
@@ -67,7 +59,6 @@ pub fn run(file: &SourceFile) -> Vec<Finding> {
 
     let calls = atomic_calls(&code);
     relaxed_publish(file, &calls, &mut out);
-    seqlock_protocols(file, &mut out);
     out
 }
 
@@ -286,100 +277,6 @@ fn relaxed_publish(file: &SourceFile, calls: &[AtomicCall], out: &mut Vec<Findin
     }
 }
 
-/// Per-function seqlock protocol checks, driven by protocol-bearing
-/// tags found in that function.
-fn seqlock_protocols(file: &SourceFile, out: &mut Vec<Finding>) {
-    let mut checked: HashSet<(usize, Protocol)> = HashSet::new();
-    for a in &file.ordering_annotations {
-        let Some(tag) = orderings::find(&a.tag) else {
-            continue;
-        };
-        let Some(side) = tag.protocol else { continue };
-        let Some(f) = file
-            .fns
-            .iter()
-            .filter(|f| a.line >= f.header_line && f.body_end.is_some_and(|e| a.line <= e))
-            .max_by_key(|f| f.decl_line)
-        else {
-            continue;
-        };
-        if !checked.insert((f.decl_line, side)) {
-            continue;
-        }
-        if let Some(missing) = check_protocol(file, f, side) {
-            let rule = match side {
-                Protocol::SeqlockReader => "seqlock-reader-protocol",
-                Protocol::SeqlockWriter => "seqlock-writer-protocol",
-            };
-            out.push(Finding::new(PASS, rule, &file.label, f.decl_line, missing));
-        }
-    }
-}
-
-/// Verifies the ordered event sequence for one protocol side within a
-/// function body. Returns a message naming the first missing event.
-fn check_protocol(file: &SourceFile, f: &FnRegion, side: Protocol) -> Option<String> {
-    let (Some(start), Some(end)) = (f.body_start, f.body_end) else {
-        return Some("seqlock tag on a bodiless fn".to_string());
-    };
-    let line_has = |l: usize, pat: &str| file.code.get(l - 1).is_some_and(|c| c.contains(pat));
-    let find_from = |from: usize, pred: &dyn Fn(usize) -> bool| -> Option<usize> {
-        (from..=end).find(|&l| pred(l))
-    };
-    match side {
-        Protocol::SeqlockReader => {
-            let l1 = find_from(start, &|l| line_has(l, ".load(") && line_has(l, "Acquire"))?;
-            let Some(rv) = find_from(l1, &|l| line_has(l, "read_volatile")) else {
-                return Some(
-                    "seqlock reader: no `read_volatile` after the Acquire sequence load".into(),
-                );
-            };
-            let Some(fe) = find_from(rv + 1, &|l| line_has(l, "fence") && line_has(l, "Acquire"))
-            else {
-                return Some(
-                    "seqlock reader: missing `fence(Ordering::Acquire)` between the volatile \
-                     data read and the validating sequence re-load (an Acquire load only orders \
-                     later accesses — a torn read can pass validation without the fence)"
-                        .into(),
-                );
-            };
-            if find_from(fe + 1, &|l| line_has(l, ".load(")).is_none() {
-                return Some(
-                    "seqlock reader: no validating sequence re-load after the Acquire fence".into(),
-                );
-            }
-            None
-        }
-        Protocol::SeqlockWriter => {
-            let Some(mark) = find_from(start, &|l| {
-                line_has(l, "compare_exchange") || line_has(l, "fetch_or")
-            }) else {
-                return Some(
-                    "seqlock writer: no odd-marking `compare_exchange`/`fetch_or` on the sequence"
-                        .into(),
-                );
-            };
-            let Some(wv) = find_from(mark + 1, &|l| line_has(l, "write_volatile")) else {
-                return Some(
-                    "seqlock writer: no `write_volatile` after the odd-marking CAS".into(),
-                );
-            };
-            if find_from(wv + 1, &|l| {
-                line_has(l, ".store(") && line_has(l, "Release")
-            })
-            .is_none()
-            {
-                return Some(
-                    "seqlock writer: payload writes are not followed by a `Release` store of the \
-                     even sequence — readers may observe the new sequence without the payload"
-                        .into(),
-                );
-            }
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,60 +368,5 @@ fn f(v: &AtomicUsize) {
 ";
         let f = run_on(src);
         assert!(!f.iter().any(|x| x.rule == "relaxed-publish"), "{f:?}");
-    }
-
-    #[test]
-    fn seqlock_reader_missing_fence_is_flagged() {
-        let src = "\
-// ORDERING(SHALOM-O-RING-SEQ-READER): seqlock reader side.
-fn recent(s: &Slot) -> bool {
-    let s1 = s.seq.load(Ordering::Acquire);
-    let v = unsafe { core::ptr::read_volatile(s.data.get()) };
-    s.seq.load(Ordering::Acquire) == s1
-}
-";
-        let f = run_on(src);
-        assert!(
-            f.iter().any(|x| x.rule == "seqlock-reader-protocol"),
-            "{f:?}"
-        );
-    }
-
-    #[test]
-    fn seqlock_reader_with_fence_passes() {
-        let src = "\
-// ORDERING(SHALOM-O-RING-SEQ-READER): seqlock reader side.
-fn recent(s: &Slot) -> bool {
-    let s1 = s.seq.load(Ordering::Acquire);
-    let v = unsafe { core::ptr::read_volatile(s.data.get()) };
-    std::sync::atomic::fence(Ordering::Acquire);
-    s.seq.load(Ordering::Relaxed) == s1
-}
-";
-        let f = run_on(src);
-        assert!(
-            !f.iter().any(|x| x.rule == "seqlock-reader-protocol"),
-            "{f:?}"
-        );
-    }
-
-    #[test]
-    fn seqlock_writer_missing_release_is_flagged() {
-        let src = "\
-// ORDERING(SHALOM-O-RING-SEQ-WRITER): seqlock writer side.
-fn push(s: &Slot) {
-    let s0 = s.seq.load(Ordering::Relaxed);
-    if s.seq.compare_exchange(s0, s0 | 1, Ordering::Acquire, Ordering::Relaxed).is_err() {
-        return;
-    }
-    unsafe { core::ptr::write_volatile(s.data.get(), 1u64) };
-    s.seq.store(s0.wrapping_add(2), Ordering::Relaxed);
-}
-";
-        let f = run_on(src);
-        assert!(
-            f.iter().any(|x| x.rule == "seqlock-writer-protocol"),
-            "{f:?}"
-        );
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The atomics pass checks each *site* in isolation: the tag exists,
 //! the justification is non-empty, the local pattern is sane. This pass
-//! takes the whole-protocol view the PR 5 seqlock bug showed is needed:
-//! it resolves every atomic call to the *atomic object* it touches (a
+//! takes the whole-protocol view: it resolves every atomic call to the
+//! *atomic object* it touches (a
 //! struct field, a static, or a getter's return slot) by walking the
 //! receiver path backwards through the token stream — `self.head`,
 //! `slot.seq`, `self.buckets[c][b]`, `enabled_flag()` — then groups the
@@ -13,29 +13,19 @@
 //! * **unpaired-release** — an object with a `Release`/`AcqRel` write
 //!   but no `Acquire`/`SeqCst` consumer in the file publishes to
 //!   nobody; either the consumer is missing or the Release is wasted.
-//! * **mixed-protocol** — one object carrying both a seqlock-side tag
-//!   and a plain-publish tag is claiming to follow two publication
-//!   protocols at once; one of the claims is wrong.
 //! * **relaxed-only-object** — an object whose every operation is
 //!   `Relaxed` can only be justified by counter/gate/guarded/quiescent
-//!   class tags; a publish- or seqlock-class tag on it promises an edge
-//!   no operation provides.
-//! * **seqlock-unpaired-side** — a seqlock needs both its writer and
-//!   reader sides on the same word; one side alone cannot be audited
-//!   as a pair (and usually means the other side reads unprotected).
-//! * **seqlock-reader-fence / seqlock-writer-publish** — the fence and
-//!   publish events the two sides pair through must exist: readers
-//!   need an `Acquire` fence in the file, writers a `Release` store of
-//!   the sequence word.
+//!   class tags; a publish-class tag on it promises an edge no
+//!   operation provides.
 //!
-//! Objects are grouped per file and by final path segment: all four
-//! protocols in this workspace live inside a single file, and the
+//! Objects are grouped per file and by final path segment: every
+//! atomic protocol in this workspace lives inside a single file, and the
 //! audited modules do not reuse a field name for two different atomics.
 
 use std::collections::BTreeMap;
 
 use crate::lexer::{self, TokenKind};
-use crate::orderings::{self, OrderingTag, Protocol, TagClass};
+use crate::orderings::{self, OrderingTag};
 use crate::passes::{atomics, CodeTokens};
 use crate::source::SourceFile;
 use crate::Finding;
@@ -111,22 +101,15 @@ pub fn run(file: &SourceFile) -> Vec<Finding> {
         objects.entry(&s.object).or_default().push(s);
     }
 
-    let file_has_acquire_fence = has_acquire_fence(file);
     let mut out = Vec::new();
     for (object, sites) in &objects {
-        check_object(file, object, sites, file_has_acquire_fence, &mut out);
+        check_object(file, object, sites, &mut out);
     }
     out
 }
 
 /// Applies every per-object rule.
-fn check_object(
-    file: &SourceFile,
-    object: &str,
-    sites: &[&Site],
-    file_has_acquire_fence: bool,
-    out: &mut Vec<Finding>,
-) {
+fn check_object(file: &SourceFile, object: &str, sites: &[&Site], out: &mut Vec<Finding>) {
     let first_line = sites.iter().map(|s| s.line).min().unwrap_or(0);
     let tags = object_tags(file, sites);
 
@@ -145,24 +128,6 @@ fn check_object(
                 ),
             ));
         }
-    }
-
-    // mixed-protocol: a seqlock word cannot double as a plain-publish word.
-    let seqlock_tag = tags.iter().find(|t| t.class == TagClass::Seqlock);
-    let publish_tag = tags.iter().find(|t| t.class == TagClass::Publish);
-    if let (Some(sl), Some(pb)) = (seqlock_tag, publish_tag) {
-        out.push(Finding::new(
-            PASS,
-            "mixed-protocol",
-            &file.label,
-            first_line,
-            format!(
-                "`{object}` mixes the seqlock-protocol tag `{}` with the plain-publish tag \
-                 `{}` — one atomic object cannot follow two publication protocols; split the \
-                 object or fix the tags",
-                sl.id, pb.id
-            ),
-        ));
     }
 
     // relaxed-only-object: every op Relaxed ⇒ only relaxed-story tags.
@@ -186,61 +151,6 @@ fn check_object(
                 ),
             ));
         }
-    }
-
-    // Seqlock pairing rules.
-    let has_writer = tags
-        .iter()
-        .any(|t| t.protocol == Some(Protocol::SeqlockWriter));
-    let has_reader = tags
-        .iter()
-        .any(|t| t.protocol == Some(Protocol::SeqlockReader));
-    if has_writer != has_reader {
-        let (present, missing) = if has_writer {
-            ("writer", "reader")
-        } else {
-            ("reader", "writer")
-        };
-        out.push(Finding::new(
-            PASS,
-            "seqlock-unpaired-side",
-            &file.label,
-            first_line,
-            format!(
-                "`{object}` carries only the seqlock {present}-side tag — the {missing} side \
-                 is missing (or operates untagged), so the protocol cannot be audited as a pair"
-            ),
-        ));
-    }
-    if has_reader && !file_has_acquire_fence {
-        out.push(Finding::new(
-            PASS,
-            "seqlock-reader-fence",
-            &file.label,
-            first_line,
-            format!(
-                "`{object}` has a seqlock reader but this file contains no \
-                 `fence(Ordering::Acquire)` — the validating re-load cannot order the volatile \
-                 payload read without it, so a torn read can pass validation"
-            ),
-        ));
-    }
-    if has_writer
-        && !sites
-            .iter()
-            .any(|s| s.method == "store" && s.has_ordering(&["Release", "SeqCst"]))
-    {
-        out.push(Finding::new(
-            PASS,
-            "seqlock-writer-publish",
-            &file.label,
-            first_line,
-            format!(
-                "`{object}` has a seqlock writer but no `Release` store of the sequence word — \
-                 readers can observe the even sequence without the payload writes it is \
-                 supposed to publish"
-            ),
-        ));
     }
 }
 
@@ -272,18 +182,6 @@ fn object_tags(file: &SourceFile, sites: &[&Site]) -> Vec<&'static OrderingTag> 
         }
     }
     tags
-}
-
-/// Whether the file contains a non-test `fence(Ordering::Acquire)` (or
-/// `SeqCst`) call.
-fn has_acquire_fence(file: &SourceFile) -> bool {
-    file.code.iter().enumerate().any(|(i, line)| {
-        let l = i + 1;
-        !file.is_test_line(l)
-            && !file.in_macro_rules(l)
-            && line.contains("fence(")
-            && (line.contains("Acquire") || line.contains("SeqCst"))
-    })
 }
 
 /// Extracts every atomic call with a path-resolved receiver.
@@ -478,47 +376,6 @@ fn f(v: &AtomicI64) {
     }
 
     #[test]
-    fn mixed_protocol_is_flagged() {
-        let src = "\
-fn f(v: &AtomicU64) {
-    // ORDERING(SHALOM-O-RING-SEQ-WRITER): claims the seqlock writer side.
-    v.fetch_or(1, Ordering::Acquire);
-    // ORDERING(SHALOM-O-TRACE-PUBLISH): same word argued as plain publish.
-    v.store(2, Ordering::Release);
-    // ORDERING(SHALOM-O-TRACE-PUBLISH): consume.
-    let _ = v.load(Ordering::Acquire);
-}
-";
-        let f = run_on(src);
-        assert!(f.iter().any(|x| x.rule == "mixed-protocol"), "{f:?}");
-    }
-
-    #[test]
-    fn seqlock_plus_quiescent_reset_is_clean() {
-        let src = "\
-fn write(v: &AtomicU64) {
-    // ORDERING(SHALOM-O-RING-SEQ-WRITER): odd mark.
-    let _ = v.compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed);
-    // ORDERING(SHALOM-O-RING-SEQ-WRITER): even publish.
-    v.store(2, Ordering::Release);
-}
-fn read(v: &AtomicU64) -> bool {
-    // ORDERING(SHALOM-O-RING-SEQ-READER): seq load.
-    let s1 = v.load(Ordering::Acquire);
-    std::sync::atomic::fence(Ordering::Acquire);
-    // ORDERING(SHALOM-O-RING-SEQ-READER): validate.
-    v.load(Ordering::Relaxed) == s1
-}
-fn reset(v: &AtomicU64) {
-    // ORDERING(SHALOM-O-RING-RESET): quiescent wipe.
-    v.store(0, Ordering::Relaxed);
-}
-";
-        let f = run_on(src);
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
     fn relaxed_only_object_under_publish_tag_is_flagged() {
         let src = "\
 // ORDERING(SHALOM-O-PERF-FD): claims publish, provides only Relaxed.
@@ -539,36 +396,6 @@ fn f(v: &AtomicUsize) {
 }
 ";
         assert!(run_on(src).is_empty());
-    }
-
-    #[test]
-    fn seqlock_reader_without_writer_or_fence() {
-        let src = "\
-fn read(v: &AtomicU64) -> bool {
-    // ORDERING(SHALOM-O-RING-SEQ-READER): seq load.
-    let s1 = v.load(Ordering::Acquire);
-    // ORDERING(SHALOM-O-RING-SEQ-READER): validate.
-    v.load(Ordering::Relaxed) == s1
-}
-";
-        let f = run_on(src);
-        let rules: Vec<_> = f.iter().map(|x| x.rule).collect();
-        assert!(rules.contains(&"seqlock-unpaired-side"), "{f:?}");
-        assert!(rules.contains(&"seqlock-reader-fence"), "{f:?}");
-    }
-
-    #[test]
-    fn seqlock_writer_without_release_store() {
-        let src = "\
-fn write(v: &AtomicU64) {
-    // ORDERING(SHALOM-O-RING-SEQ-WRITER): odd mark, never published.
-    let _ = v.fetch_or(1, Ordering::Acquire);
-}
-";
-        let f = run_on(src);
-        let rules: Vec<_> = f.iter().map(|x| x.rule).collect();
-        assert!(rules.contains(&"seqlock-writer-publish"), "{f:?}");
-        assert!(rules.contains(&"seqlock-unpaired-side"), "{f:?}");
     }
 
     #[test]

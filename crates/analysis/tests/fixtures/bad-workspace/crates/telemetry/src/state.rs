@@ -1,11 +1,10 @@
 //! Fixture: protocol-shape violations for the per-object audit — an
-//! unpaired Release publish, an object mixing seqlock and plain-publish
-//! tags, and a Relaxed-only object under a publish-class tag.
+//! unpaired Release publish and a Relaxed-only object under a
+//! publish-class tag.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static PUBLISHED: AtomicU64 = AtomicU64::new(0);
-static MIXED: AtomicU64 = AtomicU64::new(0);
 static LAZY: AtomicU64 = AtomicU64::new(0);
 
 pub fn publish(v: u64) {
@@ -16,13 +15,6 @@ pub fn publish(v: u64) {
 pub fn peek() -> u64 {
     // ORDERING(SHALOM-O-TRACE-PUBLISH): the reader never upgrades to Acquire.
     PUBLISHED.load(Ordering::Relaxed)
-}
-
-pub fn mark() {
-    // ORDERING(SHALOM-O-RING-SEQ-WRITER): claims the seqlock writer side.
-    MIXED.fetch_or(1, Ordering::Acquire);
-    // ORDERING(SHALOM-O-TRACE-PUBLISH): same word also argued as plain publish.
-    MIXED.swap(2, Ordering::AcqRel);
 }
 
 pub fn lazy_bump() -> u64 {

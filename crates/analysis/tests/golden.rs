@@ -60,14 +60,8 @@ fn every_pass_and_seeded_rule_fires_on_the_fixture() {
         ("atomics", "unknown-ordering-tag"),
         ("atomics", "empty-justification"),
         ("atomics", "relaxed-publish"),
-        ("atomics", "seqlock-reader-protocol"),
-        ("atomics", "seqlock-writer-protocol"),
         ("protocols", "unpaired-release"),
-        ("protocols", "mixed-protocol"),
         ("protocols", "relaxed-only-object"),
-        ("protocols", "seqlock-unpaired-side"),
-        ("protocols", "seqlock-reader-fence"),
-        ("protocols", "seqlock-writer-publish"),
         ("panics", "unwrap"),
         ("panics", "panic-macro"),
         ("panics", "index"),

@@ -23,7 +23,7 @@
 //!   is finished is a deadlock (which covers lost-wakeup bugs).
 //! * **Weak memory as extra actions.** The explorer itself is
 //!   sequentially consistent. A weakened ordering (a Release store
-//!   downgraded to Relaxed, a dropped Acquire fence) is modeled by the
+//!   downgraded to Relaxed) is modeled by the
 //!   *mutated* system offering the reordered step as an additional
 //!   nondeterministic action — the exact transformation the weaker
 //!   ordering permits. The checker then searches for a schedule where

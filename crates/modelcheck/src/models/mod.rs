@@ -1,4 +1,4 @@
-//! Executable models of the runtime's five lock-free protocols.
+//! Executable models of the runtime's four cross-thread protocols.
 //!
 //! Each model extracts one protocol from the shipped code into a
 //! finite-state [`crate::explorer::System`], keeping the event order
@@ -14,7 +14,6 @@
 
 pub mod plan_shard;
 pub mod pool_epoch;
-pub mod seqlock;
 pub mod service_queue;
 pub mod trace_lane;
 
@@ -22,10 +21,4 @@ pub mod trace_lane;
 /// `model:` fields of the `shalom-analysis` ordering-tag registry
 /// (`orderings::referenced_models()` pins the same list from the
 /// other side).
-pub const MODEL_NAMES: &[&str] = &[
-    "plan-shard",
-    "pool-epoch",
-    "seqlock",
-    "service-queue",
-    "trace-lane",
-];
+pub const MODEL_NAMES: &[&str] = &["plan-shard", "pool-epoch", "service-queue", "trace-lane"];

@@ -9,7 +9,6 @@
 
 use shalom_modelcheck::models::plan_shard::{self, PlanShard};
 use shalom_modelcheck::models::pool_epoch::{self, PoolEpoch};
-use shalom_modelcheck::models::seqlock::{self, Seqlock};
 use shalom_modelcheck::models::service_queue::{self, ServiceQueue};
 use shalom_modelcheck::models::trace_lane::{self, TraceLane};
 use shalom_modelcheck::models::MODEL_NAMES;
@@ -47,61 +46,6 @@ fn must_fail<S: shalom_modelcheck::System>(sys: S, what: &str, needle: &str) -> 
             v
         }
     }
-}
-
-// --- seqlock: SHALOM-O-RING-SEQ-* -----------------------------------
-
-#[test]
-fn seqlock_correct_two_threads_exhaustive() {
-    let r = must_pass(
-        Seqlock::new(1, 2, 3, seqlock::Mutation::None),
-        "seqlock 1w+1r",
-    );
-    // Two full writer rounds against a 3-attempt reader: a few hundred
-    // distinct states, every one checked.
-    assert!(r.distinct_states > 100, "{r:?}");
-}
-
-#[test]
-fn seqlock_correct_three_threads_exhaustive() {
-    must_pass(
-        Seqlock::new(2, 2, 2, seqlock::Mutation::None),
-        "seqlock 1w+2r",
-    );
-}
-
-/// The PR 5 regression: reader's Acquire fence dropped. The deferred
-/// `data[1]` read sinks past validation and tears across a writer
-/// round.
-#[test]
-fn seqlock_missing_acquire_fence_is_detected() {
-    let v = must_fail(
-        Seqlock::new(1, 2, 3, seqlock::Mutation::SkipReaderFence),
-        "seqlock missing fence",
-        "torn read",
-    );
-    // The counterexample must actually use the mutated step.
-    assert!(
-        v.trace().iter().any(|s| s.label.contains("fence dropped")),
-        "counterexample does not exercise the dropped fence:\n{}",
-        v.render()
-    );
-}
-
-/// The writer's even-sequence store downgraded Release -> Relaxed: the
-/// publish drifts ahead of the payload writes.
-#[test]
-fn seqlock_relaxed_publish_is_detected() {
-    let v = must_fail(
-        Seqlock::new(1, 1, 2, seqlock::Mutation::RelaxedPublish),
-        "seqlock relaxed publish",
-        "torn read",
-    );
-    assert!(
-        v.trace().iter().any(|s| s.label.contains("EARLY")),
-        "counterexample does not exercise the early publish:\n{}",
-        v.render()
-    );
 }
 
 // --- pool epoch publish: SHALOM-O-POOL-TASK -------------------------
@@ -276,18 +220,12 @@ fn service_queue_store_outside_lock_loses_the_wakeup() {
 // --- registry contract ----------------------------------------------
 
 /// The model list the analysis-side ordering registry points at:
-/// sorted, deduplicated, and exactly these five.
+/// sorted, deduplicated, and exactly these four.
 #[test]
 fn model_names_are_the_published_contract() {
     assert_eq!(
         MODEL_NAMES,
-        &[
-            "plan-shard",
-            "pool-epoch",
-            "seqlock",
-            "service-queue",
-            "trace-lane"
-        ]
+        &["plan-shard", "pool-epoch", "service-queue", "trace-lane"]
     );
     let mut sorted = MODEL_NAMES.to_vec();
     sorted.sort_unstable();

@@ -23,12 +23,15 @@
 //!   parallelism to keep this low).
 
 use crate::machines::{MachineModel, Precision};
+use shalom_core::partition_threads;
 
 /// How a strategy partitions C across `t` threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionScheme {
-    /// The §6 rule: `Tn = ceil(sqrt(T*N/M))` rounded up to a divisor of
-    /// `T`, block edges quantized to the register tile.
+    /// The §6 rule as the library runs it
+    /// ([`shalom_core::partition_threads`]: of the two divisors of `T`
+    /// bracketing `sqrt(T*N/M)`, the one with the better Eq. 3 CMR),
+    /// block edges quantized to the register tile.
     ShapeAware,
     /// Split N only, unquantized (OpenBLAS/ARMPL class).
     NSplit,
@@ -230,31 +233,6 @@ pub struct Prediction {
     pub grid: (usize, usize),
 }
 
-/// Paper §6 partition: smallest divisor of `t` at or above
-/// `sqrt(t*n/m)`.
-fn shape_aware_grid(t: usize, m: usize, n: usize) -> (usize, usize) {
-    if t <= 1 {
-        return (1, 1);
-    }
-    let tn_star = ((t as f64 * n as f64 / m.max(1) as f64).sqrt()).ceil() as usize;
-    let tn_star = tn_star.clamp(1, t);
-    let mut tn = t;
-    let mut d = 1;
-    while d * d <= t {
-        if t.is_multiple_of(d) {
-            if d >= tn_star && d < tn {
-                tn = d;
-            }
-            let q = t / d;
-            if q >= tn_star && q < tn {
-                tn = q;
-            }
-        }
-        d += 1;
-    }
-    (t / tn, tn)
-}
-
 /// Where the modelled time goes — the term-by-term breakdown behind a
 /// [`Prediction`], for explaining *why* a strategy wins or loses.
 #[derive(Debug, Clone, Copy)]
@@ -323,7 +301,7 @@ pub fn predict_detailed(
 
     // --- Thread grid and the largest (slowest) sub-block. ---
     let (tm, tn) = match strategy.partition {
-        PartitionScheme::ShapeAware => shape_aware_grid(t, m, n),
+        PartitionScheme::ShapeAware => partition_threads(t, m, n),
         PartitionScheme::NSplit => (1, t),
         PartitionScheme::SquareGrid => {
             let tm = (t as f64).sqrt().floor().max(1.0) as usize;
@@ -452,9 +430,37 @@ mod tests {
         MachineModel::phytium2000()
     }
 
+    /// The modelled §6 grid is the one the library runs, keeping the
+    /// paper's worked example (T = 64, 2048x256 -> 16 x 4).
     #[test]
-    fn shape_aware_grid_matches_paper_example() {
-        assert_eq!(shape_aware_grid(64, 2048, 256), (16, 4));
+    fn shape_aware_grid_is_the_library_partition() {
+        let machine = MachineModel {
+            cores: 128,
+            ..phy()
+        };
+        let shalom = StrategyModel::libshalom();
+        assert_eq!(shalom.partition, PartitionScheme::ShapeAware);
+        let grid = |t, m, n| predict(&machine, &shalom, Precision::F32, m, n, 256, t).grid;
+        assert_eq!(grid(64, 2048, 256), (16, 4));
+        for t in [1, 2, 4, 7, 8, 12, 16, 24, 32, 48, 64, 96, 128] {
+            for (m, n) in [
+                (3136, 256),
+                (200, 300),
+                (150, 100),
+                (64, 50176),
+                (32, 10240),
+                (5, 5),
+                (23, 23),
+                (4096, 32),
+                (256, 2048),
+            ] {
+                assert_eq!(
+                    grid(t, m, n),
+                    partition_threads(t, m, n),
+                    "T = {t}, {m}x{n}"
+                );
+            }
+        }
     }
 
     #[test]

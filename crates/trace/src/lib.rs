@@ -6,8 +6,8 @@
 //! * **decision records** ([`Sink::Records`]) — *per-call aggregates*:
 //!   one [`DecisionRecord`] per dispatch (shape class, packing plan,
 //!   tile, thread grid, plan source, pack/plan/total nanoseconds) into
-//!   sharded counters, per-class latency histograms and a wait-free
-//!   ring of recent records ([`record_snapshot`]); optional Linux
+//!   sharded counters, per-class latency histograms and a ring of
+//!   recent records that never waits ([`record_snapshot`]); optional Linux
 //!   `perf_event` hardware counters behind the `perf-hooks` feature;
 //! * **spans** ([`Sink::Spans`]) — a *timeline*: one [`SpanRecord`] per
 //!   phase instance (plan lookup, pack-A, pack-B, per-block compute,
@@ -62,7 +62,9 @@
 //! [`span_snapshot`] reads `len` with `Acquire` and then the first `len`
 //! records — the classic single-producer publish. Threads beyond
 //! [`MAX_LANES`] record nothing and count their spans as dropped. The
-//! record ring is a per-slot seqlock (see `records/ring.rs`).
+//! record ring keeps one mutex-guarded buffer per counter shard; a push
+//! only `try_lock`s its own shard and drops the record if that fails
+//! (see `records/ring.rs`).
 //!
 //! shalom-analysis: deny(panic)
 
@@ -394,8 +396,8 @@ thread_local! {
 /// region, so the capture paths never allocate or calibrate. Gathered
 /// data is kept; call [`reset`] for a clean slate.
 // ORDERING(SHALOM-O-CAPTURE-STATE): Relaxed bit set — the word only gates
-// whether capture happens; records are published by the ring seqlock and
-// the sharded counters, span data via lane `len`.
+// whether capture happens; records are published by the ring's shard locks
+// and the sharded counters, span data via lane `len`.
 pub fn enable(sink: Sink) {
     let _ = now_ns();
     records::init();

@@ -95,6 +95,21 @@ impl Shard {
     }
 }
 
+/// This thread's shard index, below [`SHARD_COUNT`]: threads are striped
+/// round-robin on first use. The record ring uses the same index, so a
+/// thread's counters and its recent records live in the same shard.
+#[inline]
+pub fn shard_index() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        // ORDERING(SHALOM-O-TEL-SHARD-IDX): Relaxed tick only spreads threads
+        // over shards; no data hangs off the index.
+        static SHARD_IDX: usize =
+            NEXT.fetch_add(1, Ordering::Relaxed) & (SHARD_COUNT - 1);
+    }
+    SHARD_IDX.with(|i| *i)
+}
+
 pub struct ShardedCounters {
     shards: Vec<Shard>,
 }
@@ -106,17 +121,10 @@ impl ShardedCounters {
         }
     }
 
-    /// This thread's shard. Threads are striped round-robin on first use.
+    /// This thread's shard.
     #[inline]
     pub fn local(&self) -> &Shard {
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        thread_local! {
-            // ORDERING(SHALOM-O-TEL-SHARD-IDX): Relaxed tick only spreads threads
-            // over shards; no data hangs off the index.
-            static SHARD_IDX: usize =
-                NEXT.fetch_add(1, Ordering::Relaxed) & (SHARD_COUNT - 1);
-        }
-        &self.shards[SHARD_IDX.with(|i| *i)]
+        &self.shards[shard_index()]
     }
 
     /// Fold one decision record into this thread's shard.

@@ -1,7 +1,7 @@
 //! The decision-record sink: one [`DecisionRecord`] per dispatch
 //! (shape class, packing plan, tile, thread grid, plan source, pack and
 //! total nanoseconds) fanned out to thread-sharded counters, per-class
-//! latency histograms and a wait-free ring of recent records, plus the
+//! latency histograms and a ring of recent records, plus the
 //! aggregate counters the fork-join, dispatch and batch layers feed
 //! directly. (The service counts its own traffic, per instance, in
 //! `shalom-service`'s `stats`.)
@@ -9,8 +9,10 @@
 //! Nothing here checks the capture state word: callers gate on
 //! [`crate::enabled`]`(`[`crate::Sink::Records`]`)` (or on a region
 //! token's [`crate::SpanToken::records`]) first. When the sink is on,
-//! the hot path touches only sharded atomics and a ring-slot claim: no
-//! locks, no allocation, no syscalls.
+//! the hot path touches sharded atomics and one `try_lock` of its own
+//! shard's record buffer: it never waits (a contended push is dropped and
+//! counted), allocates nothing (the buffers are sized in [`init`]) and
+//! makes no syscall.
 
 mod counters;
 mod hist;
@@ -46,7 +48,7 @@ fn global() -> &'static Global {
 }
 
 /// Allocates the sink outside any measured region (called by
-/// [`crate::enable`]).
+/// [`crate::enable`]), the ring's full-capacity shard buffers included.
 pub(crate) fn init() {
     let _ = global();
 }

@@ -1,60 +1,66 @@
-//! Lock-free ring buffer of recent [`DecisionRecord`]s.
+//! The last [`RING_CAPACITY`] [`DecisionRecord`]s, in one locked buffer
+//! per counter shard.
 //!
-//! Writers never block and never spin: each record claims the next slot
-//! with one `fetch_add`, then publishes through a per-slot sequence word
-//! (seqlock style). If a writer catches a slot another writer is still
-//! filling — only possible after a full lap by a concurrent producer —
-//! the record is dropped and counted, keeping the GEMM hot path wait-free.
+//! A push numbers its record with one `Relaxed` `fetch_add` ticket, then
+//! `try_lock`s the buffer of its thread's shard (the round-robin striping
+//! the counters use). That lock is contended only while a snapshot copies
+//! the shard, or when more than [`SHARD_COUNT`] recording threads share
+//! it; a contended push is dropped and counted instead of waited for, so
+//! a GEMM call never blocks on the sink. Every buffer is allocated at its
+//! full capacity up front, so a push never allocates: the record sink
+//! reserves `SHARD_COUNT * RING_CAPACITY * size_of::<DecisionRecord>()`
+//! bytes (1.25 MiB at the 80-byte record), paged in as the buffers fill.
+//! A snapshot locks one shard at a time and merges the buffers by `seq`.
 
+use super::counters::{shard_index, SHARD_COUNT};
 use super::record::DecisionRecord;
-use std::cell::UnsafeCell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 
-/// Number of recent records retained. Power of two so the slot index is
-/// a mask, sized to hold a whole bench sweep of dispatch decisions.
+/// Number of recent records retained, sized to hold a whole bench sweep
+/// of dispatch decisions. Each shard keeps its newest this many, so the
+/// merged window is the newest this many overall.
 pub const RING_CAPACITY: usize = 1024;
 
-struct Slot {
-    /// Even: stable (value = 2 * laps). Odd: a writer is mid-publish.
-    seq: AtomicU64,
-    data: UnsafeCell<DecisionRecord>,
-}
+/// One shard's records, oldest first. Padded so two shards' lock words
+/// never share a cache line.
+#[repr(align(128))]
+struct Buffer(Mutex<VecDeque<DecisionRecord>>);
 
-// Safety: `data` is only written between a successful odd-CAS and the
-// even release store; readers validate the sequence word around a
-// volatile copy and discard torn reads.
-unsafe impl Sync for Slot {}
+impl Buffer {
+    /// Takes the lock even if a holder panicked: records are `Copy` and
+    /// pushed whole, so a poisoned buffer is still coherent.
+    fn lock(&self) -> MutexGuard<'_, VecDeque<DecisionRecord>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
 
 pub struct Ring {
     head: AtomicU64,
     dropped: AtomicU64,
-    slots: Vec<Slot>,
+    shards: Vec<Buffer>,
 }
 
 impl Ring {
     pub fn new() -> Self {
-        let mut slots = Vec::with_capacity(RING_CAPACITY);
-        for _ in 0..RING_CAPACITY {
-            slots.push(Slot {
-                seq: AtomicU64::new(0),
-                data: UnsafeCell::new(DecisionRecord::default()),
-            });
-        }
         Ring {
             head: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
-            slots,
+            shards: (0..SHARD_COUNT)
+                .map(|_| Buffer(Mutex::new(VecDeque::with_capacity(RING_CAPACITY))))
+                .collect(),
         }
     }
 
     /// Total records ever pushed (not capped by capacity).
     #[cfg(test)]
-    // ORDERING(SHALOM-O-RING-TICKET): monotonic ticket snapshot; the payload is ordered per slot.
+    // ORDERING(SHALOM-O-RING-TICKET): monotonic ticket snapshot; the shard locks order the records.
     pub fn total_pushed(&self) -> u64 {
         self.head.load(Ordering::Relaxed)
     }
 
-    /// Records dropped due to writer contention on a lapped slot.
+    /// Records dropped because their shard's lock was held.
     // ORDERING(SHALOM-O-TEL-COUNTER): racy stats snapshot by design.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
@@ -62,87 +68,48 @@ impl Ring {
 
     /// Store one record, returning its global sequence number.
     pub fn push(&self, mut rec: DecisionRecord) -> u64 {
-        // ORDERING(SHALOM-O-RING-TICKET): Relaxed fetch_add only claims a unique
-        // slot index; the per-slot seqlock below orders the payload itself.
+        // ORDERING(SHALOM-O-RING-TICKET): Relaxed fetch_add only numbers the
+        // record; the shard lock below orders the record itself.
         let ticket = self.head.fetch_add(1, Ordering::Relaxed);
         rec.seq = ticket;
-        let slot = &self.slots[ticket as usize & (RING_CAPACITY - 1)];
-        // ORDERING(SHALOM-O-RING-SEQ-WRITER): Relaxed peek is fine — the CAS
-        // below re-validates the value before any write happens.
-        let seq = slot.seq.load(Ordering::Relaxed);
-        if seq & 1 == 1 {
-            // A lapped writer is mid-publish; losing one stale record
-            // beats waiting on the hot path.
-            // ORDERING(SHALOM-O-TEL-COUNTER): racy drop count, reporting only.
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return ticket;
+        let mut buf = match self.shards[shard_index()].0.try_lock() {
+            Ok(buf) => buf,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => {
+                // A snapshot (or a thread sharing the shard) holds the
+                // lock; losing one record beats waiting on the hot path.
+                // ORDERING(SHALOM-O-TEL-COUNTER): racy drop count, reporting only.
+                self.dropped.fetch_add(1, Ordering::Relaxed);
+                return ticket;
+            }
+        };
+        if buf.len() == RING_CAPACITY {
+            buf.pop_front();
         }
-        // ORDERING(SHALOM-O-RING-SEQ-WRITER): Acquire CAS wins the slot and marks
-        // it odd before the payload store; failure needs no ordering (we give up).
-        if slot
-            .seq
-            .compare_exchange(seq, seq | 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            // ORDERING(SHALOM-O-TEL-COUNTER): racy drop count, reporting only.
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return ticket;
-        }
-        unsafe { std::ptr::write_volatile(slot.data.get(), rec) };
-        // ORDERING(SHALOM-O-RING-SEQ-WRITER): Release publishes the even sequence
-        // after the payload write; a reader that sees it also sees the payload.
-        slot.seq.store((seq | 1).wrapping_add(1), Ordering::Release);
+        buf.push_back(rec);
         ticket
     }
 
-    /// Snapshot of the retained records, oldest first. Slots that are
-    /// being rewritten while we read are skipped rather than torn.
+    /// Snapshot of the newest [`RING_CAPACITY`] records, oldest first.
     pub fn recent(&self) -> Vec<DecisionRecord> {
-        // ORDERING(SHALOM-O-RING-TICKET): ticket snapshot only bounds the scan;
-        // each slot's seqlock decides whether its payload is readable.
-        let head = self.head.load(Ordering::Acquire);
-        let len = (head as usize).min(RING_CAPACITY);
-        let start = head as usize - len;
-        let mut out = Vec::with_capacity(len);
-        for ticket in start..head as usize {
-            let slot = &self.slots[ticket & (RING_CAPACITY - 1)];
-            for _attempt in 0..4 {
-                // ORDERING(SHALOM-O-RING-SEQ-READER): Acquire pairs with the
-                // writer's Release publish; an odd value means mid-write.
-                let s1 = slot.seq.load(Ordering::Acquire);
-                if s1 & 1 == 1 {
-                    continue;
-                }
-                let rec = unsafe { std::ptr::read_volatile(slot.data.get()) };
-                // ORDERING(SHALOM-O-RING-SEQ-READER): the fence orders the volatile
-                // payload read *before* the validating re-load — an Acquire load
-                // only orders later accesses, so without the fence a torn read
-                // could still pass validation. The re-load itself can be Relaxed.
-                std::sync::atomic::fence(Ordering::Acquire);
-                if slot.seq.load(Ordering::Relaxed) == s1 {
-                    // The slot may hold a newer lap than `ticket`; the
-                    // record's own `seq` says which call it describes.
-                    out.push(rec);
-                    break;
-                }
-            }
+        let mut out = Vec::new();
+        for shard in &self.shards {
+            out.extend(shard.lock().iter().copied());
         }
-        out.sort_by_key(|r| r.seq);
-        out.dedup_by_key(|r| r.seq);
+        out.sort_unstable_by_key(|r| r.seq);
+        out.drain(..out.len().saturating_sub(RING_CAPACITY));
         out
     }
 
     /// Forget all retained records and counts.
-    // ORDERING(SHALOM-O-RING-RESET): Relaxed wipe is only sound between
-    // measurement phases, with no concurrent writers or readers.
+    // ORDERING(SHALOM-O-RING-RESET): Relaxed wipe of the ticket and drop
+    // counts is only sound between measurement phases, with no concurrent
+    // writers.
     pub fn clear(&self) {
-        // Not atomic with respect to concurrent writers; callers reset
-        // between measurement phases, not during them.
         self.head.store(0, Ordering::Relaxed);
         self.dropped.store(0, Ordering::Relaxed);
-        for slot in &self.slots {
-            slot.seq.store(0, Ordering::Relaxed);
-            unsafe { std::ptr::write_volatile(slot.data.get(), DecisionRecord::default()) };
+        for shard in &self.shards {
+            shard.lock().clear();
         }
     }
 }
@@ -219,13 +186,9 @@ mod tests {
         assert_eq!(ring.total_pushed(), (threads * per) as u64);
     }
 
-    /// Regression test for the seqlock reader fence: readers running
-    /// *concurrently* with writers must never surface a torn record.
-    /// Before `recent()` gained its `fence(Acquire)` between the
-    /// volatile payload read and the validating sequence re-load, a
-    /// read could be torn yet still validate (the re-load, being an
-    /// Acquire, did not order the *prior* payload read). Run under
-    /// ThreadSanitizer in CI to catch any reintroduced race.
+    /// Readers running *concurrently* with writers must never surface a
+    /// torn record. Run under ThreadSanitizer in CI, with no
+    /// suppression, to catch any race between a push and a snapshot.
     #[test]
     fn concurrent_reads_never_tear() {
         let ring = std::sync::Arc::new(Ring::new());
@@ -250,8 +213,7 @@ mod tests {
                 scope.spawn(move || {
                     while ring.total_pushed() < (writers * per) as u64 {
                         for r in ring.recent() {
-                            // Freshly initialized slots legitimately read
-                            // as all-zero defaults; anything else must
+                            // Every writer's record (m != 0) must
                             // satisfy the writer's invariant.
                             if r.m != 0 {
                                 assert_eq!(r.k, r.m * 1_000_000 + r.n, "torn record: {r:?}");

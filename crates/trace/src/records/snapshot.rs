@@ -22,7 +22,10 @@ pub struct TelemetrySnapshot {
     pub histograms: [Histogram; ShapeClass::ALL.len()],
     /// Recent decision records, oldest first (ring-buffer capped).
     pub recent: Vec<DecisionRecord>,
-    /// Records lost to ring-writer contention.
+    /// Records the ring dropped because their shard's lock was held: by
+    /// a snapshot copying that shard, or by another recording thread
+    /// striped onto the same shard (only past [`crate::SHARD_COUNT`]
+    /// threads).
     pub dropped_records: u64,
     /// Process-wide hardware counters since `perf::start`, if captured.
     pub perf: Option<PerfSample>,

@@ -1,45 +1,112 @@
-//! Prints the kernel-set table this host registers and a quick GFLOPS
-//! sanity figure for each set's f32 main kernel.
+//! Times every full-tile slot of each kernel set this host registers, f32
+//! and f64, at `KC = 256` on L1-resident panels: `kernel`, `fused_pack`
+//! without and with the look-ahead copy, `streamed` (copying a panel as
+//! deep as its own) and both edge schedules at `m = mr`, `n = nr`. Each
+//! figure is the best of five rounds of 20k calls, in GFLOPS.
+//!
+//! `cargo run --release -p shalom-kernels --example family_probe`
 
-use shalom_kernels::registered_families;
+use shalom_kernels::main_kernel::{PackAhead, StreamCopy};
+use shalom_kernels::{registered_families, FamilyElem, FamilyKernels};
+use std::hint::black_box;
 use std::time::Instant;
 
-fn main() {
-    let kc = 256;
-    let reps = 200_000;
-    for fam in registered_families() {
-        let ks = &fam.k_f32;
-        let a = vec![1.0f32; ks.mr * kc];
-        let b = vec![1.0f32; kc * ks.nr];
-        let mut c = vec![0.0f32; ks.mr * ks.nr];
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            // SAFETY: a/b/c are sized to the set's tile at tight strides,
-            // and the registry only hands out sets this host can execute.
-            unsafe {
-                (ks.kernel)(
-                    kc,
-                    1.0,
-                    a.as_ptr(),
-                    kc,
-                    b.as_ptr(),
-                    ks.nr,
-                    0.0,
-                    c.as_mut_ptr(),
-                    ks.nr,
-                );
+const KC: usize = 256;
+const CALLS: usize = 20_000;
+const ROUNDS: usize = 5;
+const SLOTS: [&str; 6] = [
+    "kernel",
+    "fused",
+    "fused+ahead",
+    "streamed",
+    "edge_batched",
+    "edge_pipelined",
+];
+
+/// Best-of-`ROUNDS` GFLOPS of `call`, which does `flops` of work.
+fn best_gflops(flops: usize, mut call: impl FnMut()) -> f64 {
+    (0..ROUNDS)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..CALLS {
+                call();
             }
-            std::hint::black_box(&c);
-        }
-        let dt = t0.elapsed().as_secs_f64();
-        let gflops = (2 * ks.mr * ks.nr * kc * reps) as f64 / dt / 1e9;
-        println!(
-            "{:<7} f32 {:>2}x{:<2} (f64 {}x{}): main kernel {gflops:.1} GFLOPS",
-            fam.isa.label(),
-            ks.mr,
-            ks.nr,
-            fam.k_f64.mr,
-            fam.k_f64.nr,
-        );
+            (flops * CALLS) as f64 / t0.elapsed().as_secs_f64() / 1e9
+        })
+        .fold(0.0, f64::max)
+}
+
+fn probe_set<T: FamilyElem>(ks: &FamilyKernels<T>) -> [f64; SLOTS.len()] {
+    // Opaque, so no call below can be resolved at compile time.
+    let ks = black_box(ks);
+    let (mr, nr) = (ks.mr, ks.nr);
+    let gen = |seed: usize, len: usize| -> Vec<T> {
+        (0..len)
+            .map(|i| T::from_f64(((i * 31 + seed * 17) % 23) as f64 / 23.0 - 0.5))
+            .collect()
+    };
+    // B holds two panels side by side: the tile's own and the look-ahead's.
+    let ldb = 2 * nr;
+    let (a, b, packed) = (gen(1, mr * KC), gen(2, KC * ldb), gen(3, KC * nr));
+    let (mut c, mut bc, mut next) = (gen(4, mr * nr), gen(5, KC * nr), gen(6, KC * nr));
+    let (ap, bp, pp) = (a.as_ptr(), b.as_ptr(), packed.as_ptr());
+    let (cp, bcp, np) = (c.as_mut_ptr(), bc.as_mut_ptr(), next.as_mut_ptr());
+    let ahead = PackAhead {
+        src: b[nr..].as_ptr(),
+        dst: np,
+    };
+    let stream = StreamCopy {
+        src: b[nr..].as_ptr(),
+        src_ld: ldb,
+        dst: np,
+        rows: KC,
+    };
+    let (one, zero) = (T::ONE, T::ZERO);
+    let flops = 2 * mr * nr * KC;
+    // SAFETY (every call below): a is mr x KC at stride KC; b is KC x 2nr
+    // at stride 2nr, so its second panel is the look-ahead/stream source;
+    // packed, bc and next are KC x nr; c is the mr x nr tile. The registry
+    // only hands out sets this host can execute.
+    [
+        best_gflops(flops, || unsafe {
+            (ks.kernel)(KC, one, ap, KC, bp, ldb, zero, cp, nr)
+        }),
+        best_gflops(flops, || unsafe {
+            (ks.fused_pack)(KC, one, ap, KC, bp, ldb, zero, cp, nr, bcp, None)
+        }),
+        best_gflops(flops, || unsafe {
+            (ks.fused_pack)(KC, one, ap, KC, bp, ldb, zero, cp, nr, bcp, Some(ahead))
+        }),
+        best_gflops(flops, || unsafe {
+            (ks.streamed)(KC, one, ap, KC, pp, zero, cp, nr, Some(stream))
+        }),
+        best_gflops(flops, || unsafe {
+            (ks.edge_batched)(mr, nr, KC, one, ap, KC, bp, ldb, zero, cp, nr)
+        }),
+        best_gflops(flops, || unsafe {
+            (ks.edge_pipelined)(mr, nr, KC, one, ap, KC, bp, ldb, zero, cp, nr)
+        }),
+    ]
+}
+
+fn row<T: FamilyElem>(set: &str, dtype: &str, ks: &FamilyKernels<T>) {
+    let tile = format!("{}x{}", ks.mr, ks.nr);
+    print!("{set:<8} {dtype:<4} {tile:<6}");
+    for (g, slot) in probe_set(ks).iter().zip(SLOTS) {
+        print!(" {g:>w$.1}", w = slot.len().max(6));
+    }
+    println!();
+}
+
+fn main() {
+    println!("full-tile GFLOPS at KC = {KC}, best of {ROUNDS} x {CALLS} calls");
+    print!("{:<8} {:<4} {:<6}", "set", "type", "tile");
+    for slot in SLOTS {
+        print!(" {slot:>6}");
+    }
+    println!();
+    for fam in registered_families() {
+        row(fam.isa.label(), "f32", &fam.k_f32);
+        row(fam.isa.label(), "f64", &fam.k_f64);
     }
 }

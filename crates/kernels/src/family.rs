@@ -27,6 +27,10 @@
 //! | AVX2+FMA (256-bit) | 16 YMM, 1 reserved | 7 × 8 | 4 × 8 |
 //! | AVX-512F (512-bit) | 32 ZMM, 1 reserved | 15 × 16 | 9 × 16 |
 //!
+//! **FMA form.** The base set's main kernels multiply by a lane of a loaded
+//! A vector (the paper's `fmla v, v, v.s[i]`); the wide sets broadcast each
+//! `A[i, k]` and issue a plain FMA, as their edge kernels always have.
+//!
 //! **Rounding contract.** Within a wide set every kernel — main,
 //! fused-pack, streamed, edge with its remainder rows *and* columns —
 //! rounds a C element identically: one fused multiply-add chain over the
@@ -717,7 +721,7 @@ mod tests {
     fn check_set<T: Fused>(label: &str, ks: &FamilyKernels<T>) {
         let (mr, nr, lanes) = (ks.mr, ks.nr, ks.lanes);
         let abs = [(1.0, 0.0), (1.0, 1.0), (-1.5, 0.5)];
-        for kc in [0usize, 1, 2, lanes - 1, lanes + 1, 33] {
+        for kc in [0usize, 1, 2, lanes - 1, lanes, lanes + 1, 2 * lanes, 33] {
             let a = gen::<T>(1, mr * kc);
             // Two panels side by side: the tile's own and the look-ahead's.
             let ldb = 2 * nr;
@@ -765,20 +769,36 @@ mod tests {
                         }
                     }
                 }
-                let mut next = vec![T::ZERO; kc * nr];
-                let stream = Some(StreamCopy {
-                    src: b[nr.min(b.len())..].as_ptr(),
-                    src_ld: ldb,
-                    dst: next.as_mut_ptr(),
-                    rows: kc,
-                });
-                // SAFETY: as above, B read from the packed panel at stride nr.
-                let streamed = |al, be, c, ldc| unsafe {
-                    (ks.streamed)(kc, al, a.as_ptr(), kc, packed.as_ptr(), be, c, ldc, stream)
-                };
-                check_tile(label, (mr, nr, kc), ab, &a, &packed, nr, streamed);
-                for (x, got) in next.iter().enumerate() {
-                    assert!(got.bits() == b[x / nr * ldb + nr + x % nr].bits());
+                // The copy as deep as the panel, absent, shallower (the
+                // short copy) and deeper (the drain after the FMA loop).
+                let sentinel = T::from_f64(-77.0);
+                for rows in [kc, 0, kc / 2, kc + lanes] {
+                    let src = gen::<T>(4, rows * ldb);
+                    let mut next = vec![sentinel; (kc + lanes) * nr];
+                    let stream = Some(StreamCopy {
+                        src: src.as_ptr(),
+                        src_ld: ldb,
+                        dst: next.as_mut_ptr(),
+                        rows,
+                    });
+                    // SAFETY: as above, B read from the packed panel at
+                    // stride nr; the copy reads `rows` rows of src and
+                    // writes `rows * nr` of next, which holds kc + lanes rows.
+                    let streamed = |al, be, c, ldc| unsafe {
+                        (ks.streamed)(kc, al, a.as_ptr(), kc, packed.as_ptr(), be, c, ldc, stream)
+                    };
+                    check_tile(label, (mr, nr, kc), ab, &a, &packed, nr, streamed);
+                    for (x, got) in next.iter().enumerate() {
+                        let want = if x < rows * nr {
+                            src[x / nr * ldb + x % nr]
+                        } else {
+                            sentinel
+                        };
+                        assert!(
+                            got.bits() == want.bits(),
+                            "{label} streamed rows = {rows}: next[{x}]"
+                        );
+                    }
                 }
             }
             // The edge lattice: remainder rows and remainder columns.

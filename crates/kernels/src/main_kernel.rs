@@ -6,11 +6,16 @@
 //! dimension, or from the packed `Bc` buffer with leading dimension `NR`;
 //! the kernel body is the same, only the stride differs).
 //!
-//! Per iteration group of `j = LANES` k-steps the kernel issues:
-//! `MR` vector loads of A (each covering `j` consecutive k-elements of one
-//! row), `j * NR/j` vector loads of B, and `j * MR * NR/j` lane-indexed
-//! FMAs — matching the operation counts behind the paper's CMR formula
-//! (Eq. 2).
+//! How A enters the FMA follows the ISA ([`Vector::WIDE`]). On the 128-bit
+//! set each iteration group of `j = LANES` k-steps issues `MR` vector loads
+//! of A (each covering `j` consecutive k-elements of one row), `j * NR/j`
+//! vector loads of B, and `j * MR * NR/j` lane-indexed FMAs — the paper's
+//! `fmla v, v, v.s[i]`, matching the operation counts behind its CMR
+//! formula (Eq. 2). x86 has no FMA-by-element, so the wide sets take every
+//! k as one broadcast step: `NR/j` vector loads of B, then per row one
+//! broadcast of `A[i, k]` and `NR/j` FMAs. The 128-bit set's k tail runs
+//! the same step. Both forms round each C element identically: one fused
+//! chain over k in increasing order.
 //!
 //! The *fused-pack* variant additionally streams every loaded B row into
 //! `Bc` (and optionally the **next** panel's rows, the paper's `t = 1`
@@ -99,8 +104,9 @@ pub unsafe fn main_kernel_shape<V: Vector, const MR_: usize, const NRV_: usize>(
     }
     let mut acc = [[V::zero(); NRV_]; MR_];
     let mut k = 0usize;
-    // Full j-wide iteration groups: vector loads of A rows.
-    while k + V::LANES <= kc {
+    // 128-bit: full j-wide iteration groups, vector loads of A rows and
+    // the lane-indexed FMA.
+    while !V::WIDE && k + V::LANES <= kc {
         let mut av = [V::zero(); MR_];
         for (i, slot) in av.iter_mut().enumerate() {
             *slot = V::load(a.add(i * lda + k));
@@ -122,7 +128,7 @@ pub unsafe fn main_kernel_shape<V: Vector, const MR_: usize, const NRV_: usize>(
         }
         k += V::LANES;
     }
-    // k tail: scalar broadcast of A elements.
+    // The broadcast step: every k on the wide sets, the k tail otherwise.
     while k < kc {
         let brow = b.add(k * ldb);
         let mut bv = [V::zero(); NRV_];
@@ -228,7 +234,8 @@ pub unsafe fn main_kernel_fused_pack<V: Vector, const MR_: usize, const NRV_: us
     }
     let mut acc = [[V::zero(); NRV_]; MR_];
     let mut k = 0usize;
-    while k + V::LANES <= kc {
+    // 128-bit: lane-indexed groups, as in `main_kernel_shape`.
+    while !V::WIDE && k + V::LANES <= kc {
         let mut av = [V::zero(); MR_];
         for (i, slot) in av.iter_mut().enumerate() {
             *slot = V::load(a.add(i * lda + k));
@@ -266,18 +273,24 @@ pub unsafe fn main_kernel_fused_pack<V: Vector, const MR_: usize, const NRV_: us
         }
         k += V::LANES;
     }
+    // The broadcast step (every k on the wide sets, the k tail otherwise),
+    // with the same Figure 4 steps ① and ② between its FMA groups.
     while k < kc {
         let brow = b.add(k * ldb);
         let bcrow = bc.add(k * nr);
         let mut bv = [V::zero(); NRV_];
         for (t, slot) in bv.iter_mut().enumerate() {
             *slot = V::load(brow.add(t * V::LANES));
-            (*slot).store(bcrow.add(t * V::LANES));
         }
         for i in 0..MR_ {
             let s = V::splat(*a.add(i * lda + k));
             for t in 0..NRV_ {
                 acc[i][t] = acc[i][t].fma(bv[t], s);
+            }
+            if i == MR_ / 2 {
+                for (t, v) in bv.iter().enumerate() {
+                    v.store(bcrow.add(t * V::LANES));
+                }
             }
         }
         if let Some(PackAhead { src, dst }) = ahead {
@@ -349,7 +362,8 @@ pub unsafe fn main_kernel_streamed<V: Vector, const MR_: usize, const NRV_: usiz
     }
     let mut acc = [[V::zero(); NRV_]; MR_];
     let mut k = 0usize;
-    while k + V::LANES <= kc {
+    // 128-bit: lane-indexed groups, as in `main_kernel_shape`.
+    while !V::WIDE && k + V::LANES <= kc {
         let mut av = [V::zero(); MR_];
         for (i, slot) in av.iter_mut().enumerate() {
             *slot = V::load(a.add(i * lda + k));
@@ -382,6 +396,8 @@ pub unsafe fn main_kernel_streamed<V: Vector, const MR_: usize, const NRV_: usiz
         }
         k += V::LANES;
     }
+    // The broadcast step (every k on the wide sets, the k tail otherwise),
+    // its copy row again between FMA groups.
     while k < kc {
         let brow = bc_packed.add(k * nr);
         let mut bv = [V::zero(); NRV_];
@@ -393,13 +409,15 @@ pub unsafe fn main_kernel_streamed<V: Vector, const MR_: usize, const NRV_: usiz
             for t in 0..NRV_ {
                 acc[i][t] = acc[i][t].fma(bv[t], s);
             }
-        }
-        if let Some(s) = stream {
-            if k < s.rows {
-                let srow = s.src.add(k * s.src_ld);
-                let drow = s.dst.add(k * nr);
-                for t in 0..NRV_ {
-                    V::load(srow.add(t * V::LANES)).store(drow.add(t * V::LANES));
+            if i == MR_ / 2 {
+                if let Some(s) = stream {
+                    if k < s.rows {
+                        let srow = s.src.add(k * s.src_ld);
+                        let drow = s.dst.add(k * nr);
+                        for t in 0..NRV_ {
+                            V::load(srow.add(t * V::LANES)).store(drow.add(t * V::LANES));
+                        }
+                    }
                 }
             }
         }

@@ -37,6 +37,10 @@ pub trait Vector: Copy + Send + Sync + 'static {
     /// contract by sending remainder columns through
     /// [`Vector::load_partial`]/[`Vector::store_partial`] lanes; the
     /// 128-bit types keep the scalar column tail (plain `x * b + acc`).
+    /// It also picks how A enters the main kernels' FMA: x86 has no
+    /// FMA-by-element, so the wide types broadcast each `A[i, k]`
+    /// ([`Vector::splat`] then [`Vector::fma`]), while the 128-bit types
+    /// keep the paper's lane-indexed [`Vector::fma_lane_dyn`].
     const WIDE: bool = false;
 
     /// All-zero vector.
@@ -89,8 +93,14 @@ pub trait Vector: Copy + Send + Sync + 'static {
     /// Lane-wise `self + a * b`.
     fn fma(self, a: Self, b: Self) -> Self;
 
-    /// `self + a * b[lane]` (the ARMv8 lane-indexed `fmla`).
-    fn fma_lane_dyn(self, a: Self, b: Self, lane: usize) -> Self;
+    /// `self + a * b[lane]`: the ARMv8 lane-indexed `fmla`, which the
+    /// 128-bit types implement. The default broadcasts the lane, rounding
+    /// exactly as [`Vector::fma`] with a splat; the main kernels never
+    /// reach it on the wide types (see [`Vector::WIDE`]).
+    #[inline(always)]
+    fn fma_lane_dyn(self, a: Self, b: Self, lane: usize) -> Self {
+        self.fma(a, Self::splat(b.extract_dyn(lane)))
+    }
 
     /// Extracts lane `lane`.
     fn extract_dyn(self, lane: usize) -> Self::Elem;
@@ -280,10 +290,6 @@ impl Vector for F32x8 {
         F32x8::fma(self, a, b)
     }
     #[inline(always)]
-    fn fma_lane_dyn(self, a: Self, b: Self, lane: usize) -> Self {
-        F32x8::fma_lane_dyn(self, a, b, lane)
-    }
-    #[inline(always)]
     fn extract_dyn(self, lane: usize) -> f32 {
         // PANIC-OK: kernel contract — callers pass lane < Self::LANES
         // (debug-asserted at the kernel entry points).
@@ -350,10 +356,6 @@ impl Vector for F64x4 {
     #[inline(always)]
     fn fma(self, a: Self, b: Self) -> Self {
         F64x4::fma(self, a, b)
-    }
-    #[inline(always)]
-    fn fma_lane_dyn(self, a: Self, b: Self, lane: usize) -> Self {
-        F64x4::fma_lane_dyn(self, a, b, lane)
     }
     #[inline(always)]
     fn extract_dyn(self, lane: usize) -> f64 {
@@ -424,10 +426,6 @@ impl Vector for F32x16 {
         F32x16::fma(self, a, b)
     }
     #[inline(always)]
-    fn fma_lane_dyn(self, a: Self, b: Self, lane: usize) -> Self {
-        F32x16::fma_lane_dyn(self, a, b, lane)
-    }
-    #[inline(always)]
     fn extract_dyn(self, lane: usize) -> f32 {
         // PANIC-OK: kernel contract — callers pass lane < Self::LANES
         // (debug-asserted at the kernel entry points).
@@ -494,10 +492,6 @@ impl Vector for F64x8 {
     #[inline(always)]
     fn fma(self, a: Self, b: Self) -> Self {
         F64x8::fma(self, a, b)
-    }
-    #[inline(always)]
-    fn fma_lane_dyn(self, a: Self, b: Self, lane: usize) -> Self {
-        F64x8::fma_lane_dyn(self, a, b, lane)
     }
     #[inline(always)]
     fn extract_dyn(self, lane: usize) -> f64 {

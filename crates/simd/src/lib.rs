@@ -12,7 +12,10 @@
 //! * **x86_64** — SSE2 (`__m128` / `__m128d`); the lane-indexed FMA is a
 //!   lane-splat shuffle followed by `_mm_fmadd_ps` when the build enables
 //!   the `fma` target feature (the workspace `.cargo/config.toml` passes
-//!   `-C target-cpu=native`), or an unfused multiply-add otherwise.
+//!   `-C target-cpu=native`), or an unfused multiply-add otherwise. The
+//!   wide x86 types ([`wide`], [`wide512`]) have no lane-indexed FMA: x86
+//!   has no FMA-by-element, so the kernels built on them broadcast each A
+//!   element and issue a plain FMA instead of paying a shuffle per FMA.
 //! * **aarch64** — native NEON intrinsics (`vfmaq_laneq_f32`, …), i.e. the
 //!   instructions the paper's hand-written assembly uses.
 //! * **scalar** — plain arrays; always available, also used as the reference

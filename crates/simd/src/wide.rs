@@ -5,7 +5,9 @@
 //! and length of vector registers" (SVE on A64FX/ARMv9, wider x86
 //! vectors). These types provide the 256-bit operation set: [`F32x8`]
 //! (`j = 8`) and [`F64x4`] (`j = 4`), with the same operations as the
-//! 128-bit types so the generic kernels instantiate unchanged.
+//! 128-bit types so the generic kernels instantiate unchanged — except the
+//! lane-indexed FMA: x86 has no FMA-by-element, so the kernels broadcast
+//! A elements into a plain [`F32x8::fma`] instead.
 //!
 //! # Runtime dispatch contract (`SHALOM-V-SIMD`)
 //!
@@ -91,15 +93,6 @@ mod x86 {
         transmute(_mm256_fmadd_ps(transmute(a), transmute(b), transmute(acc)))
     }
 
-    /// `acc + a * b[lane]` — the lane-indexed FMA (`fmla .s[lane]`
-    /// analogue): broadcast via `vpermps`, then one fused multiply-add.
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn fmadd_lane_ps(acc: [f32; 8], a: [f32; 8], b: [f32; 8], lane: usize) -> [f32; 8] {
-        let s = _mm256_permutevar8x32_ps(transmute(b), _mm256_set1_epi32(lane as i32));
-        transmute(_mm256_fmadd_ps(transmute(a), s, transmute(acc)))
-    }
-
     #[inline]
     #[target_feature(enable = "avx")]
     pub unsafe fn add_pd(a: [f64; 4], b: [f64; 4]) -> [f64; 4] {
@@ -116,21 +109,6 @@ mod x86 {
     #[target_feature(enable = "avx", enable = "fma")]
     pub unsafe fn fmadd_pd(acc: [f64; 4], a: [f64; 4], b: [f64; 4]) -> [f64; 4] {
         transmute(_mm256_fmadd_pd(transmute(a), transmute(b), transmute(acc)))
-    }
-
-    /// `acc + a * b[lane]` for `f64`: `vpermpd` needs a const selector,
-    /// so dispatch the four lane values to monomorphic broadcasts.
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn fmadd_lane_pd(acc: [f64; 4], a: [f64; 4], b: [f64; 4], lane: usize) -> [f64; 4] {
-        let bv: __m256d = transmute(b);
-        let s = match lane & 3 {
-            0 => _mm256_permute4x64_pd::<0x00>(bv),
-            1 => _mm256_permute4x64_pd::<0x55>(bv),
-            2 => _mm256_permute4x64_pd::<0xAA>(bv),
-            _ => _mm256_permute4x64_pd::<0xFF>(bv),
-        };
-        transmute(_mm256_fmadd_pd(transmute(a), s, transmute(acc)))
     }
 
     /// Lane mask selecting the first `n` of eight 32-bit lanes.
@@ -364,22 +342,6 @@ impl F32x8 {
         }
     }
 
-    /// `self + a * b[lane]` with a runtime lane index — always fused.
-    #[inline(always)]
-    pub fn fma_lane_dyn(self, a: Self, b: Self, lane: usize) -> Self {
-        avx_block! {
-            debug_assert!(crate::caps::detect().avx2_fma);
-            // SAFETY: SHALOM-V-SIMD — see module contract.
-            return Self(unsafe { x86::fmadd_lane_ps(self.0, a.0, b.0, lane) });
-        }
-        scalar_block! {
-            let s = b.0[lane];
-            let mut r = self.0;
-            for i in 0..8 { r[i] = a.0[i].mul_add(s, r[i]); }
-            Self(r)
-        }
-    }
-
     /// Horizontal sum in a fixed pairwise order (identical on all paths).
     #[inline(always)]
     pub fn reduce_sum(self) -> f32 {
@@ -542,22 +504,6 @@ impl F64x4 {
         }
     }
 
-    /// `self + a * b[lane]` with a runtime lane index — always fused.
-    #[inline(always)]
-    pub fn fma_lane_dyn(self, a: Self, b: Self, lane: usize) -> Self {
-        avx_block! {
-            debug_assert!(crate::caps::detect().avx2_fma);
-            // SAFETY: SHALOM-V-SIMD — see module contract.
-            return Self(unsafe { x86::fmadd_lane_pd(self.0, a.0, b.0, lane) });
-        }
-        scalar_block! {
-            let s = b.0[lane];
-            let mut r = self.0;
-            for i in 0..4 { r[i] = a.0[i].mul_add(s, r[i]); }
-            Self(r)
-        }
-    }
-
     /// Horizontal sum in a fixed pairwise order (identical on all paths).
     #[inline(always)]
     pub fn reduce_sum(self) -> f64 {
@@ -630,7 +576,7 @@ mod tests {
     }
 
     #[test]
-    fn f32x8_fma_and_lane() {
+    fn f32x8_fma() {
         if !runtime_ok() {
             return;
         }
@@ -638,10 +584,6 @@ mod tests {
         let b = F32x8::from_array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
         let r = F32x8::zero().fma(a, b);
         assert_eq!(r.to_array()[4], 10.0);
-        for lane in 0..8 {
-            let r = F32x8::zero().fma_lane_dyn(a, b, lane);
-            assert_eq!(r.to_array()[0], 2.0 * (lane + 1) as f32);
-        }
     }
 
     #[test]
@@ -653,10 +595,6 @@ mod tests {
         let v = unsafe { F64x4::load(a.as_ptr()) };
         assert_eq!(v.to_array(), a);
         assert_eq!(v.reduce_sum(), 10.0);
-        for lane in 0..4 {
-            let r = F64x4::zero().fma_lane_dyn(F64x4::splat(3.0), v, lane);
-            assert_eq!(r.to_array()[2], 3.0 * (lane + 1) as f64);
-        }
     }
 
     #[test]
@@ -702,15 +640,6 @@ mod tests {
                     "lane {i} not exactly fused"
                 );
             }
-            for lane in 0..8 {
-                let got = F32x8::from_array(cf)
-                    .fma_lane_dyn(F32x8::from_array(af), F32x8::from_array(bf), lane)
-                    .to_array();
-                for i in 0..8 {
-                    let want = af[i].mul_add(bf[lane], cf[i]);
-                    assert_eq!(got[i].to_bits(), want.to_bits());
-                }
-            }
             let ad: [f64; 4] = core::array::from_fn(|_| next());
             let bd: [f64; 4] = core::array::from_fn(|_| next());
             let cd: [f64; 4] = core::array::from_fn(|_| next());
@@ -724,15 +653,6 @@ mod tests {
                     want.to_bits(),
                     "lane {i} not exactly fused"
                 );
-            }
-            for lane in 0..4 {
-                let got = F64x4::from_array(cd)
-                    .fma_lane_dyn(F64x4::from_array(ad), F64x4::from_array(bd), lane)
-                    .to_array();
-                for i in 0..4 {
-                    let want = ad[i].mul_add(bd[lane], cd[i]);
-                    assert_eq!(got[i].to_bits(), want.to_bits());
-                }
             }
         }
     }

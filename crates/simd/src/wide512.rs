@@ -11,8 +11,7 @@
 //! whose execution is justified by the [`crate::caps`] probe
 //! (`SAFETY: SHALOM-V-SIMD`), and always-fused multiply-adds (`vfmadd` /
 //! exactly-rounded [`f32::mul_add`]) so `force-scalar` and native builds
-//! agree bitwise. Lane-indexed FMA broadcasts with `vpermps`/`vpermpd`
-//! (`_mm512_permutexvar_*`), both AVX-512F.
+//! agree bitwise. Like the 256-bit types they have no lane-indexed FMA.
 #![allow(clippy::needless_return)] // the `return` inside the cfg-gated arm selects the backend
 
 /// 512-bit vector of sixteen `f32` lanes, stored as a plain array.
@@ -63,19 +62,6 @@ mod x86 {
         transmute(_mm512_fmadd_ps(transmute(a), transmute(b), transmute(acc)))
     }
 
-    /// `acc + a * b[lane]`: broadcast via `vpermps`, one fused multiply-add.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn fmadd_lane_ps(
-        acc: [f32; 16],
-        a: [f32; 16],
-        b: [f32; 16],
-        lane: usize,
-    ) -> [f32; 16] {
-        let s = _mm512_permutexvar_ps(_mm512_set1_epi32(lane as i32), transmute(b));
-        transmute(_mm512_fmadd_ps(transmute(a), s, transmute(acc)))
-    }
-
     #[inline]
     #[target_feature(enable = "avx512f")]
     pub unsafe fn add_pd(a: [f64; 8], b: [f64; 8]) -> [f64; 8] {
@@ -92,14 +78,6 @@ mod x86 {
     #[target_feature(enable = "avx512f")]
     pub unsafe fn fmadd_pd(acc: [f64; 8], a: [f64; 8], b: [f64; 8]) -> [f64; 8] {
         transmute(_mm512_fmadd_pd(transmute(a), transmute(b), transmute(acc)))
-    }
-
-    /// `acc + a * b[lane]`: broadcast via `vpermpd`, one fused multiply-add.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn fmadd_lane_pd(acc: [f64; 8], a: [f64; 8], b: [f64; 8], lane: usize) -> [f64; 8] {
-        let s = _mm512_permutexvar_pd(_mm512_set1_epi64(lane as i64), transmute(b));
-        transmute(_mm512_fmadd_pd(transmute(a), s, transmute(acc)))
     }
 
     /// Masked load of the first `n` lanes (`vmovups {k}{z}`); masked-out
@@ -327,22 +305,6 @@ impl F32x16 {
         }
     }
 
-    /// `self + a * b[lane]` with a runtime lane index — always fused.
-    #[inline(always)]
-    pub fn fma_lane_dyn(self, a: Self, b: Self, lane: usize) -> Self {
-        avx512_block! {
-            debug_assert!(crate::caps::detect().avx512f);
-            // SAFETY: SHALOM-V-SIMD — see wide module contract.
-            return Self(unsafe { x86::fmadd_lane_ps(self.0, a.0, b.0, lane) });
-        }
-        scalar_block! {
-            let s = b.0[lane];
-            let mut r = self.0;
-            for i in 0..16 { r[i] = a.0[i].mul_add(s, r[i]); }
-            Self(r)
-        }
-    }
-
     /// Horizontal sum in a fixed pairwise order (identical on all paths).
     #[inline(always)]
     pub fn reduce_sum(self) -> f32 {
@@ -506,22 +468,6 @@ impl F64x8 {
         }
     }
 
-    /// `self + a * b[lane]` with a runtime lane index — always fused.
-    #[inline(always)]
-    pub fn fma_lane_dyn(self, a: Self, b: Self, lane: usize) -> Self {
-        avx512_block! {
-            debug_assert!(crate::caps::detect().avx512f);
-            // SAFETY: SHALOM-V-SIMD — see wide module contract.
-            return Self(unsafe { x86::fmadd_lane_pd(self.0, a.0, b.0, lane) });
-        }
-        scalar_block! {
-            let s = b.0[lane];
-            let mut r = self.0;
-            for i in 0..8 { r[i] = a.0[i].mul_add(s, r[i]); }
-            Self(r)
-        }
-    }
-
     /// Horizontal sum in a fixed pairwise order (identical on all paths).
     #[inline(always)]
     pub fn reduce_sum(self) -> f64 {
@@ -594,20 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn f32x16_lane_fma() {
-        if !runtime_ok() {
-            return;
-        }
-        let a = F32x16::splat(2.0);
-        let b = F32x16::from_array(core::array::from_fn(|i| (i + 1) as f32));
-        for lane in 0..16 {
-            let r = F32x16::zero().fma_lane_dyn(a, b, lane);
-            assert_eq!(r.to_array()[0], 2.0 * (lane + 1) as f32);
-            assert_eq!(r.to_array()[15], 2.0 * (lane + 1) as f32);
-        }
-    }
-
-    #[test]
     fn f64x8_roundtrip_and_ops() {
         if !runtime_ok() {
             return;
@@ -616,10 +548,6 @@ mod tests {
         let v = unsafe { F64x8::load(a.as_ptr()) };
         assert_eq!(v.to_array(), a);
         assert_eq!(v.reduce_sum(), 36.0);
-        for lane in 0..8 {
-            let r = F64x8::zero().fma_lane_dyn(F64x8::splat(3.0), v, lane);
-            assert_eq!(r.to_array()[2], 3.0 * (lane + 1) as f64);
-        }
     }
 
     /// Rounding contract at 512 bits: bitwise identical to scalar `mul_add`.
@@ -648,13 +576,11 @@ mod tests {
             let ad: [f64; 8] = core::array::from_fn(|_| next());
             let bd: [f64; 8] = core::array::from_fn(|_| next());
             let cd: [f64; 8] = core::array::from_fn(|_| next());
-            for lane in 0..8 {
-                let got = F64x8::from_array(cd)
-                    .fma_lane_dyn(F64x8::from_array(ad), F64x8::from_array(bd), lane)
-                    .to_array();
-                for i in 0..8 {
-                    assert_eq!(got[i].to_bits(), ad[i].mul_add(bd[lane], cd[i]).to_bits());
-                }
+            let got = F64x8::from_array(cd)
+                .fma(F64x8::from_array(ad), F64x8::from_array(bd))
+                .to_array();
+            for i in 0..8 {
+                assert_eq!(got[i].to_bits(), ad[i].mul_add(bd[i], cd[i]).to_bits());
             }
         }
     }

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use shalom_simd::scalar::{ScalarF32x4, ScalarF64x2};
-use shalom_simd::{F32x4, F32x8, F64x2, F64x4};
+use shalom_simd::{F32x4, F32x8, F64x2};
 
 fn finite_f32() -> impl Strategy<Value = f32> {
     (-1e6f32..1e6).prop_filter("finite", |x| x.is_finite())
@@ -87,23 +87,6 @@ proptest! {
             for i in 0..4 {
                 prop_assert_eq!(wide[half * 4 + i], narrow[i]);
             }
-        }
-    }
-
-    #[test]
-    fn f64x4_lane_fma(c in prop::array::uniform4(finite_f64()),
-                      a in prop::array::uniform4(finite_f64()),
-                      b in prop::array::uniform4(finite_f64()),
-                      lane in 0usize..4) {
-        let vc = unsafe { F64x4::load(c.as_ptr()) };
-        let va = unsafe { F64x4::load(a.as_ptr()) };
-        let vb = unsafe { F64x4::load(b.as_ptr()) };
-        let got = vc.fma_lane_dyn(va, vb, lane).to_array();
-        for i in 0..4 {
-            let exact = c[i] + a[i] * b[lane];
-            let err = (got[i] - exact).abs();
-            let ulp = exact.abs().max(1e-300) * f64::EPSILON * 4.0 + 1e-300;
-            prop_assert!(err <= ulp);
         }
     }
 

@@ -68,12 +68,12 @@ pub enum SpecShape {
 /// One operand's declared footprint.
 #[derive(Debug, Clone)]
 pub struct SpecOperand {
-    /// Operand name as bound at the kernel (`a`, `bc`, `stream_src`…).
+    /// Operand name as bound at the kernel (`a`, `bc`, `copy_src`…).
     pub name: String,
     /// Access mode.
     pub access: SpecAccess,
     /// When present, the operand only exists if this parameter
-    /// resolves non-zero (`ahead`, `stream_rows`).
+    /// resolves non-zero (`pack`, `copy`).
     pub when: Option<String>,
     /// The footprint shape.
     pub shape: SpecShape,

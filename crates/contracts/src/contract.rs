@@ -179,8 +179,7 @@ pub struct KernelParams {
     pub lanes: usize,
     /// Row stride of `a` / the pack source.
     pub lda: usize,
-    /// Row stride of `b` (also the lookahead source stride in the fused
-    /// kernel) / the pack destination.
+    /// Row stride of `b` / the pack destination.
     pub ldb: usize,
     /// Row stride of `c`.
     pub ldc: usize,
@@ -189,13 +188,14 @@ pub struct KernelParams {
     pub nr: usize,
     /// First packed column the NT scatter kernel touches.
     pub jcol: usize,
-    /// Whether the fused NN kernel also copies the next panel (`t = 1`
-    /// lookahead).
-    pub ahead: bool,
-    /// Rows moved by the streamed kernel's interleaved panel copy.
-    pub stream_rows: usize,
-    /// Row stride of the streamed copy's source.
-    pub stream_ld: usize,
+    /// Whether the full-tile kernel also stores every B row it reads to
+    /// the packed panel (Figure 4 step ①).
+    pub pack: bool,
+    /// Whether the full-tile kernel also copies the next panel (Figure 4
+    /// step ②, the `t = 1` look-ahead).
+    pub copy: bool,
+    /// Row stride of that copy's source.
+    pub copy_ld: usize,
     /// Sliver height `mr` of the Goto A-pack.
     pub mr_sliver: usize,
     /// Zero-padded columns the transposing pack writes after each

@@ -20,7 +20,7 @@ use crate::contract::KernelParams;
 use crate::registry::{find, KernelId};
 use crate::shadow::{ContractElem, ShadowOperand};
 use shalom_kernels::family::{NtPackFn, PackTransposeFn};
-use shalom_kernels::main_kernel::{PackAhead, StreamCopy};
+use shalom_kernels::main_kernel::PanelCopy;
 use shalom_kernels::nt_pack::{nt_pack_kernel, NT_BCOLS, NT_ROWS};
 use shalom_kernels::pack::{pack_a_slivers_goto, pack_b_slivers_goto, pack_copy, pack_transpose};
 use shalom_kernels::{
@@ -148,18 +148,23 @@ fn expect_bits<T: ContractElem>(ctx: &str, what: String, got: T, want: T, out: &
     }
 }
 
-/// Checks a kernel set's full-tile main kernel (`main_kernel_shape` at
-/// the set's tile, through its dispatched entry point) at one parameter
-/// point.
+/// Checks a kernel set's full-tile body through its dispatched entry
+/// points at one parameter point: the `kernel` slot when `handling` is
+/// `None`, else `kernel_pack` with `Some((pack, copy))`. B is read at a
+/// padded stride (`pad = 0` is the packed-panel layout); `pack` must
+/// store exactly the rows read to `bc`, `copy` must move the next panel
+/// (at its own stride) to its destination.
 fn check_main<T: ContractElem + FamilyElem>(
     label: &str,
     ks: &FamilyKernels<T>,
     kc: usize,
     pad: usize,
+    handling: Option<(bool, bool)>,
     (alpha, beta): (f64, f64),
     rep: &mut Report,
 ) {
     let (m, n) = (ks.mr, ks.nr);
+    let (pack, copy) = handling.unwrap_or_default();
     let p = KernelParams {
         m,
         n,
@@ -168,35 +173,70 @@ fn check_main<T: ContractElem + FamilyElem>(
         lda: kc + pad,
         ldb: n + pad,
         ldc: n + pad,
+        pack,
+        copy,
+        copy_ld: n + pad + 1,
         ..Default::default()
     };
     let contract = find(KernelId::MainKernel);
-    let ctx = format!("{label} main {m}x{n} kc={kc} pad={pad} alpha={alpha} beta={beta}");
+    let slot = match handling {
+        None => "kernel".to_string(),
+        Some(_) => format!("kernel_pack pack={pack} copy={copy}"),
+    };
+    let ctx = format!("{label} {slot} {m}x{n} kc={kc} pad={pad} alpha={alpha} beta={beta}");
     let seed = rep.next_seed();
     let a = ShadowOperand::<T>::new(&contract.operand(&p, "a"), seed);
     let b = ShadowOperand::<T>::new(&contract.operand(&p, "b"), seed ^ 0xB);
     let mut c = ShadowOperand::<T>::new(&contract.operand(&p, "c"), seed ^ 0xC);
+    let mut bc = pack.then(|| ShadowOperand::<T>::new(&contract.operand(&p, "bc"), seed ^ 0xD));
+    let mut copy_ops = copy.then(|| {
+        (
+            ShadowOperand::<T>::new(&contract.operand(&p, "copy_src"), seed ^ 0xE),
+            ShadowOperand::<T>::new(&contract.operand(&p, "copy_dst"), seed ^ 0xF),
+        )
+    });
     let c_init = matrix_from(&c, m, n, p.ldc);
     let (al, be) = (T::from_f64(alpha), T::from_f64(beta));
+    let bc_ptr = bc.as_mut().map(ShadowOperand::ptr);
+    let req = copy_ops.as_mut().map(|(src, dst)| PanelCopy {
+        src: src.const_ptr(),
+        src_ld: p.copy_ld,
+        dst: dst.ptr(),
+    });
+    let (ap, bp, cp) = (a.const_ptr(), b.const_ptr(), c.ptr());
     // SAFETY: operands are sized from the SHALOM-K-MAIN contract footprint
     // (that sizing being sufficient is exactly what this harness checks);
     // `ks` came from the registry, so its ISA probe passed.
     unsafe {
-        (ks.kernel)(
-            kc,
-            al,
-            a.const_ptr(),
-            p.lda,
-            b.const_ptr(),
-            p.ldb,
-            be,
-            c.ptr(),
-            p.ldc,
-        );
+        match handling {
+            None => (ks.kernel)(kc, al, ap, p.lda, bp, p.ldb, be, cp, p.ldc),
+            Some(_) => (ks.kernel_pack)(kc, al, ap, p.lda, bp, p.ldb, be, cp, p.ldc, bc_ptr, req),
+        }
     }
     a.check(&ctx, &mut rep.violations);
     b.check(&ctx, &mut rep.violations);
     c.check(&ctx, &mut rep.violations);
+    for k in 0..kc {
+        for j in 0..n {
+            if let Some(bc) = &bc {
+                let (got, want) = (bc.elem(k * n + j), b.elem(k * p.ldb + j));
+                expect_bits(&ctx, format!("bc[{k},{j}]"), got, want, &mut rep.violations);
+            }
+            if let Some((src, dst)) = &copy_ops {
+                let (got, want) = (dst.elem(k * n + j), src.elem(k * p.copy_ld + j));
+                expect_bits(
+                    &ctx,
+                    format!("copy_dst[{k},{j}]"),
+                    got,
+                    want,
+                    &mut rep.violations,
+                );
+            }
+        }
+    }
+    for op in bc.iter().chain(copy_ops.iter().flat_map(|(s, d)| [s, d])) {
+        op.check(&ctx, &mut rep.violations);
+    }
     let am = matrix_from(&a, m, kc, p.lda);
     let bm = matrix_from(&b, kc, n, p.ldb);
     let mut want = c_init;
@@ -210,216 +250,6 @@ fn check_main<T: ContractElem + FamilyElem>(
         want.as_mut(),
     );
     let got = matrix_from(&c, m, n, p.ldc);
-    compare_tile(
-        &ctx,
-        &got,
-        &want,
-        gemm_tolerance::<T>(kc, 4.0),
-        &mut rep.violations,
-    );
-    rep.cases += 1;
-}
-
-fn check_fused<T: ContractElem + FamilyElem>(
-    label: &str,
-    ks: &FamilyKernels<T>,
-    kc: usize,
-    pad: usize,
-    ahead: bool,
-    (alpha, beta): (f64, f64),
-    rep: &mut Report,
-) {
-    let (mr, nr) = (ks.mr, ks.nr);
-    let p = KernelParams {
-        m: mr,
-        n: nr,
-        kc,
-        lanes: ks.lanes,
-        lda: kc + pad,
-        ldb: nr + pad,
-        ldc: nr + pad,
-        nr,
-        ahead,
-        ..Default::default()
-    };
-    let contract = find(KernelId::MainKernelFusedPack);
-    let ctx = format!("{label} fused kc={kc} pad={pad} ahead={ahead} alpha={alpha} beta={beta}");
-    let seed = rep.next_seed();
-    let a = ShadowOperand::<T>::new(&contract.operand(&p, "a"), seed);
-    let b = ShadowOperand::<T>::new(&contract.operand(&p, "b"), seed ^ 0xB);
-    let mut c = ShadowOperand::<T>::new(&contract.operand(&p, "c"), seed ^ 0xC);
-    let mut bc = ShadowOperand::<T>::new(&contract.operand(&p, "bc"), seed ^ 0xD);
-    let mut lookahead = ahead.then(|| {
-        (
-            ShadowOperand::<T>::new(&contract.operand(&p, "ahead_src"), seed ^ 0xE),
-            ShadowOperand::<T>::new(&contract.operand(&p, "ahead_dst"), seed ^ 0xF),
-        )
-    });
-    let c_init = matrix_from(&c, mr, nr, p.ldc);
-    let (al, be) = (T::from_f64(alpha), T::from_f64(beta));
-    let req = lookahead.as_mut().map(|(src, dst)| PackAhead {
-        src: src.const_ptr(),
-        dst: dst.ptr(),
-    });
-    // SAFETY: operands are sized from the SHALOM-K-FUSED contract
-    // footprint, which this harness verifies; `ks` is registry-probed.
-    unsafe {
-        (ks.fused_pack)(
-            kc,
-            al,
-            a.const_ptr(),
-            p.lda,
-            b.const_ptr(),
-            p.ldb,
-            be,
-            c.ptr(),
-            p.ldc,
-            bc.ptr(),
-            req,
-        );
-    }
-    a.check(&ctx, &mut rep.violations);
-    b.check(&ctx, &mut rep.violations);
-    c.check(&ctx, &mut rep.violations);
-    bc.check(&ctx, &mut rep.violations);
-    if let Some((src, dst)) = &lookahead {
-        src.check(&ctx, &mut rep.violations);
-        dst.check(&ctx, &mut rep.violations);
-        for k in 0..kc {
-            for j in 0..nr {
-                expect_bits(
-                    &ctx,
-                    format!("ahead_dst[{k},{j}]"),
-                    dst.elem(k * nr + j),
-                    src.elem(k * p.ldb + j),
-                    &mut rep.violations,
-                );
-            }
-        }
-    }
-    for k in 0..kc {
-        for j in 0..nr {
-            expect_bits(
-                &ctx,
-                format!("bc[{k},{j}]"),
-                bc.elem(k * nr + j),
-                b.elem(k * p.ldb + j),
-                &mut rep.violations,
-            );
-        }
-    }
-    let am = matrix_from(&a, mr, kc, p.lda);
-    let bm = matrix_from(&b, kc, nr, p.ldb);
-    let mut want = c_init;
-    reference::gemm(
-        Op::NoTrans,
-        Op::NoTrans,
-        al,
-        am.as_ref(),
-        bm.as_ref(),
-        be,
-        want.as_mut(),
-    );
-    let got = matrix_from(&c, mr, nr, p.ldc);
-    compare_tile(
-        &ctx,
-        &got,
-        &want,
-        gemm_tolerance::<T>(kc, 4.0),
-        &mut rep.violations,
-    );
-    rep.cases += 1;
-}
-
-fn check_streamed<T: ContractElem + FamilyElem>(
-    label: &str,
-    ks: &FamilyKernels<T>,
-    kc: usize,
-    pad: usize,
-    stream_rows: usize,
-    (alpha, beta): (f64, f64),
-    rep: &mut Report,
-) {
-    let (mr, nr) = (ks.mr, ks.nr);
-    let p = KernelParams {
-        m: mr,
-        n: nr,
-        kc,
-        lanes: ks.lanes,
-        lda: kc + pad,
-        ldc: nr + pad,
-        nr,
-        stream_rows,
-        stream_ld: nr + pad,
-        ..Default::default()
-    };
-    let contract = find(KernelId::MainKernelStreamed);
-    let ctx =
-        format!("{label} streamed kc={kc} pad={pad} rows={stream_rows} alpha={alpha} beta={beta}");
-    let seed = rep.next_seed();
-    let a = ShadowOperand::<T>::new(&contract.operand(&p, "a"), seed);
-    let bp = ShadowOperand::<T>::new(&contract.operand(&p, "bc_packed"), seed ^ 0xB);
-    let mut c = ShadowOperand::<T>::new(&contract.operand(&p, "c"), seed ^ 0xC);
-    let mut stream_ops = (stream_rows > 0).then(|| {
-        (
-            ShadowOperand::<T>::new(&contract.operand(&p, "stream_src"), seed ^ 0xE),
-            ShadowOperand::<T>::new(&contract.operand(&p, "stream_dst"), seed ^ 0xF),
-        )
-    });
-    let c_init = matrix_from(&c, mr, nr, p.ldc);
-    let (al, be) = (T::from_f64(alpha), T::from_f64(beta));
-    let req = stream_ops.as_mut().map(|(src, dst)| StreamCopy {
-        src: src.const_ptr(),
-        src_ld: p.stream_ld,
-        dst: dst.ptr(),
-        rows: stream_rows,
-    });
-    // SAFETY: operands are sized from the SHALOM-K-STREAM contract
-    // footprint, which this harness verifies; `ks` is registry-probed.
-    unsafe {
-        (ks.streamed)(
-            kc,
-            al,
-            a.const_ptr(),
-            p.lda,
-            bp.const_ptr(),
-            be,
-            c.ptr(),
-            p.ldc,
-            req,
-        );
-    }
-    a.check(&ctx, &mut rep.violations);
-    bp.check(&ctx, &mut rep.violations);
-    c.check(&ctx, &mut rep.violations);
-    if let Some((src, dst)) = &stream_ops {
-        src.check(&ctx, &mut rep.violations);
-        dst.check(&ctx, &mut rep.violations);
-        for r in 0..stream_rows {
-            for j in 0..nr {
-                expect_bits(
-                    &ctx,
-                    format!("stream_dst[{r},{j}]"),
-                    dst.elem(r * nr + j),
-                    src.elem(r * p.stream_ld + j),
-                    &mut rep.violations,
-                );
-            }
-        }
-    }
-    let am = matrix_from(&a, mr, kc, p.lda);
-    let bm = matrix_from(&bp, kc, nr, nr);
-    let mut want = c_init;
-    reference::gemm(
-        Op::NoTrans,
-        Op::NoTrans,
-        al,
-        am.as_ref(),
-        bm.as_ref(),
-        be,
-        want.as_mut(),
-    );
-    let got = matrix_from(&c, mr, nr, p.ldc);
     compare_tile(
         &ctx,
         &got,
@@ -467,7 +297,7 @@ fn check_edge<T: ContractElem + FamilyElem>(
     let mut c = ShadowOperand::<T>::new(&contract.operand(&p, "c"), seed ^ 0xC);
     let c_init = matrix_from(&c, m, n, p.ldc);
     let (al, be) = (T::from_f64(alpha), T::from_f64(beta));
-    // SAFETY: operands are sized from the SHALOM-K-EDGE-* contract
+    // SAFETY: operands are sized from the SHALOM-K-EDGE contract
     // footprint, which this harness verifies; `ks` is registry-probed.
     unsafe {
         f(
@@ -903,8 +733,8 @@ fn check_pack_b_goto<T: ContractElem>(
 }
 
 /// The per-set part of the sweep: every entry point of one kernel set at
-/// its own tile — main, fused-pack with and without look-ahead, streamed
-/// (copy shallower/equal/deeper than `kc` and absent), the full edge
+/// its own tile — `kernel`, `kernel_pack` under all four B handlings
+/// (none, pack, copy, pack + copy), the full edge
 /// lattice `m ∈ 1..=mr × n ∈ 1..=nr` under both schedules, the NT pack
 /// panel over `m ∈ 1..=7 × npanel ∈ 1..=nr` where the set has one, and
 /// the transposing pack around the set's `lanes x lanes` tile, plain and
@@ -918,12 +748,14 @@ fn sweep_set<T: ContractElem + FamilyElem>(
     for &kc in &cfg.ks {
         for &pad in &cfg.pads {
             for &ab in &cfg.alpha_betas {
-                check_main(label, ks, kc, pad, ab, rep);
-                for ahead in [false, true] {
-                    check_fused(label, ks, kc, pad, ahead, ab, rep);
-                }
-                for rows in [0, kc / 2, kc, kc + 3] {
-                    check_streamed(label, ks, kc, pad, rows, ab, rep);
+                for handling in [
+                    None,
+                    Some((false, false)),
+                    Some((true, false)),
+                    Some((false, true)),
+                    Some((true, true)),
+                ] {
+                    check_main(label, ks, kc, pad, handling, ab, rep);
                 }
             }
             for m in 1..=ks.mr {
@@ -1047,9 +879,25 @@ mod tests {
     fn single_point_checks_pass() {
         let mut rep = Report::default();
         let base = registered_families().next().expect("the 128-bit family");
-        check_main("f32", &base.k_f32, 7, 2, (1.0, 1.0), &mut rep);
-        check_fused("f64", &base.k_f64, 5, 1, true, (2.0, 0.5), &mut rep);
-        check_streamed("f32", &base.k_f32, 4, 0, 7, (1.0, 1.0), &mut rep);
+        check_main("f32", &base.k_f32, 7, 2, None, (1.0, 1.0), &mut rep);
+        check_main(
+            "f64",
+            &base.k_f64,
+            5,
+            1,
+            Some((true, true)),
+            (2.0, 0.5),
+            &mut rep,
+        );
+        check_main(
+            "f32",
+            &base.k_f32,
+            4,
+            0,
+            Some((false, true)),
+            (1.0, 1.0),
+            &mut rep,
+        );
         check_edge("f64", &base.k_f64, true, 3, 5, 6, 2, (1.5, -0.5), &mut rep);
         check_nt_kernel::<F32x4>(5, 2, 9, 4, 1, (1.0, 1.0), &mut rep);
         let nt_pack = base.k_f64.nt_pack.expect("the 128-bit set has the panel");

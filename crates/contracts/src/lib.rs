@@ -8,7 +8,7 @@
 //! subsystem has three legs:
 //!
 //! * [`registry`] — the contract declarations themselves, one per entry
-//!   point (main 7×12/7×6 kernels, the fused and streamed NN variants,
+//!   point (the full-tile body with its optional B pack and panel copy,
 //!   both edge schedules, the NT scatter-pack kernels, and every plain
 //!   packer), plus static audits that cross-check the contracts against
 //!   the §5.2 register-tile solver and the §4 packing plan (a declared

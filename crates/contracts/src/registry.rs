@@ -18,13 +18,10 @@ use shalom_kernels::{MR, NR_F32, NR_F64, NR_VECS};
 /// Identifies one audited micro-kernel entry point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelId {
-    /// `main_kernel` / `main_kernel_shape` (every kernel set's main
-    /// entry point is `main_kernel_shape` at that set's tile).
+    /// `tile_kernel` — the full-tile body behind every kernel set's
+    /// `kernel` and `kernel_pack` slots (`main_kernel` /
+    /// `main_kernel_shape` are its no-pack, no-copy instantiation).
     MainKernel,
-    /// `main_kernel_fused_pack` — NN compute with interleaved B pack.
-    MainKernelFusedPack,
-    /// `main_kernel_streamed` — packed-B compute with interleaved copy.
-    MainKernelStreamed,
     /// `edge_kernel_pipelined` — §5.4 Figure 6b schedule.
     EdgePipelined,
     /// `edge_kernel_batched` — §5.4 Figure 6a schedule.
@@ -97,12 +94,8 @@ fn main_footprint(p: &KernelParams) -> Vec<OperandFootprint> {
     crate::symspec::footprint("SHALOM-K-MAIN", p)
 }
 
-fn fused_footprint(p: &KernelParams) -> Vec<OperandFootprint> {
-    crate::symspec::footprint("SHALOM-K-FUSED", p)
-}
-
-fn streamed_footprint(p: &KernelParams) -> Vec<OperandFootprint> {
-    crate::symspec::footprint("SHALOM-K-STREAM", p)
+fn edge_footprint(p: &KernelParams) -> Vec<OperandFootprint> {
+    crate::symspec::footprint("SHALOM-K-EDGE", p)
 }
 
 fn nt_kernel_footprint(p: &KernelParams) -> Vec<OperandFootprint> {
@@ -135,17 +128,9 @@ pub fn registry() -> Vec<KernelContract> {
         KernelContract {
             id: KernelId::MainKernel,
             tag: "SHALOM-K-MAIN",
-            entry: "shalom_kernels::main_kernel::main_kernel_shape",
-            summary: "outer-product mr x nr tile update, unpacked A rows",
-            align_elem_bytes: core::mem::align_of::<f32>(),
-            no_alias: &[("c", "a"), ("c", "b")],
-            footprint: main_footprint,
-        },
-        KernelContract {
-            id: KernelId::MainKernelFusedPack,
-            tag: "SHALOM-K-FUSED",
-            entry: "shalom_kernels::main_kernel::main_kernel_fused_pack",
-            summary: "NN main kernel with interleaved B pack and t=1 lookahead",
+            entry: "shalom_kernels::main_kernel::tile_kernel",
+            summary: "outer-product mr x nr tile update, unpacked A rows, \
+                      optional interleaved B pack and t=1 panel copy",
             align_elem_bytes: core::mem::align_of::<f32>(),
             no_alias: &[
                 ("c", "a"),
@@ -153,42 +138,31 @@ pub fn registry() -> Vec<KernelContract> {
                 ("bc", "a"),
                 ("bc", "b"),
                 ("bc", "c"),
-                ("ahead_dst", "ahead_src"),
-                ("ahead_dst", "bc"),
+                ("copy_dst", "copy_src"),
+                ("copy_dst", "b"),
+                ("copy_dst", "bc"),
             ],
-            footprint: fused_footprint,
+            footprint: main_footprint,
         },
-        KernelContract {
-            id: KernelId::MainKernelStreamed,
-            tag: "SHALOM-K-STREAM",
-            entry: "shalom_kernels::main_kernel::main_kernel_streamed",
-            summary: "main kernel on packed Bc with interleaved panel copy",
-            align_elem_bytes: core::mem::align_of::<f32>(),
-            no_alias: &[
-                ("c", "a"),
-                ("c", "bc_packed"),
-                ("stream_dst", "stream_src"),
-                ("stream_dst", "bc_packed"),
-            ],
-            footprint: streamed_footprint,
-        },
+        // Both schedules share one body and so one contract; each keeps
+        // its id so the harness checks both.
         KernelContract {
             id: KernelId::EdgePipelined,
-            tag: "SHALOM-K-EDGE-PIPE",
+            tag: "SHALOM-K-EDGE",
             entry: "shalom_kernels::edge::edge_kernel_pipelined",
             summary: "edge-lattice tile update, Figure 6b pipelined schedule",
             align_elem_bytes: core::mem::align_of::<f32>(),
             no_alias: &[("c", "a"), ("c", "b")],
-            footprint: main_footprint,
+            footprint: edge_footprint,
         },
         KernelContract {
             id: KernelId::EdgeBatched,
-            tag: "SHALOM-K-EDGE-BATCH",
+            tag: "SHALOM-K-EDGE",
             entry: "shalom_kernels::edge::edge_kernel_batched",
             summary: "edge-lattice tile update, Figure 6a batched schedule",
             align_elem_bytes: core::mem::align_of::<f32>(),
             no_alias: &[("c", "a"), ("c", "b")],
-            footprint: main_footprint,
+            footprint: edge_footprint,
         },
         KernelContract {
             id: KernelId::NtPackKernel,
@@ -395,18 +369,19 @@ fn shape_regs(mr: usize, nr: usize, c: &TileConstraints) -> usize {
 }
 
 /// Cross-check against the §4 packing plan: the packed-B extents the
-/// fused/streamed/NT contracts declare must fit the driver's per-panel
+/// full-tile and NT contracts declare must fit the driver's per-panel
 /// `Bc` budget. `gemm_serial` allocates `2 * kc * nr` elements (a double
 /// buffer of `kc x nr` panels, enabling the `t = 1` lookahead) and hands
 /// each kernel one half, so every declared packed write must fit inside
-/// one `kc * nr` half, and lookahead destinations must fit the other.
+/// one `kc * nr` half, the copy's destination must fit the other, and a
+/// packed panel read back at stride `nr` must fit one half.
 pub fn audit_pack_plan() -> Vec<String> {
     let mut out = Vec::new();
+    let main = find(KernelId::MainKernel);
     for lanes in [4usize, 2] {
         let nr = NR_VECS * lanes;
         for kc in [0usize, 1, 7, 64, 256] {
             let half = kc * nr;
-            let fused = find(KernelId::MainKernelFusedPack);
             let p = KernelParams {
                 m: MR,
                 n: nr,
@@ -416,34 +391,24 @@ pub fn audit_pack_plan() -> Vec<String> {
                 ldb: 2 * nr,
                 ldc: nr,
                 nr,
-                ahead: true,
+                pack: true,
+                copy: true,
+                copy_ld: 2 * nr,
                 ..Default::default()
             };
-            for name in ["bc", "ahead_dst"] {
-                let ext = fused.operand(&p, name).extent();
+            for name in ["bc", "copy_dst"] {
+                let ext = main.operand(&p, name).extent();
                 if ext > half {
                     out.push(format!(
-                        "fused {name} extent {ext} exceeds Bc half {half} (kc={kc}, nr={nr})"
+                        "main {name} extent {ext} exceeds Bc half {half} (kc={kc}, nr={nr})"
                     ));
                 }
             }
-            let streamed = find(KernelId::MainKernelStreamed);
-            let sp = KernelParams {
-                m: MR,
-                n: nr,
-                kc,
-                lanes,
-                lda: kc,
-                ldc: nr,
-                nr,
-                stream_rows: kc,
-                stream_ld: 2 * nr,
-                ..Default::default()
-            };
-            let read_ext = streamed.operand(&sp, "bc_packed").extent();
+            let read_ext = main.operand(&KernelParams { ldb: nr, ..p }, "b").extent();
             if read_ext > half {
                 out.push(format!(
-                    "streamed bc_packed extent {read_ext} exceeds Bc half {half} (kc={kc})"
+                    "main b extent {read_ext} read from a packed panel exceeds Bc half {half} \
+                     (kc={kc})"
                 ));
             }
             let panel = find(KernelId::NtPackPanel);
@@ -485,9 +450,9 @@ pub fn representative_params(id: KernelId) -> KernelParams {
         ldc: 13,
         nr: NR_F32,
         jcol: 2,
-        ahead: true,
-        stream_rows: 6,
-        stream_ld: 17,
+        pack: true,
+        copy: true,
+        copy_ld: 17,
         mr_sliver: 4,
         zpad: 5,
     };
@@ -504,9 +469,10 @@ pub fn representative_params(id: KernelId) -> KernelParams {
     p
 }
 
-/// Structural sanity of the registry itself: ids and tags unique, every
-/// `no_alias` pair names declared operands, spans of a single operand
-/// never overlap, and read extents stay within the strides' envelope.
+/// Structural sanity of the registry itself: ids unique, a tag shared by
+/// two entries (two schedules of one body) declaring the same footprint,
+/// every `no_alias` pair naming declared operands, and spans of a single
+/// operand never overlapping.
 pub fn audit_registry() -> Vec<String> {
     let mut out = Vec::new();
     let regs = registry();
@@ -516,7 +482,18 @@ pub fn audit_registry() -> Vec<String> {
                 out.push(format!("duplicate contract id {:?}", a.id));
             }
             if a.tag == b.tag {
-                out.push(format!("duplicate contract tag {}", a.tag));
+                let shape = |c: &KernelContract| {
+                    let fps = c.footprint(&representative_params(c.id));
+                    fps.iter()
+                        .map(|f| (f.name, f.spans.clone()))
+                        .collect::<Vec<_>>()
+                };
+                if shape(a) != shape(b) {
+                    out.push(format!(
+                        "contract tag {} is shared by {:?} and {:?} with different footprints",
+                        a.tag, a.id, b.id
+                    ));
+                }
             }
         }
     }
@@ -556,7 +533,7 @@ mod tests {
     #[test]
     fn every_id_is_registered_once() {
         assert!(audit_registry().is_empty());
-        assert_eq!(registry().len(), 11);
+        assert_eq!(registry().len(), 9);
     }
 
     #[test]

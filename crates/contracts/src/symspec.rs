@@ -130,9 +130,9 @@ fn resolve(name: &str, p: &KernelParams, lets: &[(String, usize)]) -> Option<usi
         "ldc" => p.ldc,
         "nr" => p.nr,
         "jcol" => p.jcol,
-        "ahead" => p.ahead as usize,
-        "stream_rows" => p.stream_rows,
-        "stream_ld" => p.stream_ld,
+        "pack" => p.pack as usize,
+        "copy" => p.copy as usize,
+        "copy_ld" => p.copy_ld,
         "mr_sliver" => p.mr_sliver,
         "zpad" => p.zpad,
         _ => return None,
@@ -191,15 +191,24 @@ mod tests {
             lda: 5,
             ldb: 9,
             ldc: 8,
-            nr: 8,
-            ahead: false,
+            copy_ld: 11,
             ..Default::default()
         };
-        let fp = footprint("SHALOM-K-FUSED", &p);
-        assert!(fp.iter().all(|f| !f.name.starts_with("ahead")));
-        let fp = footprint("SHALOM-K-FUSED", &KernelParams { ahead: true, ..p });
-        assert!(fp.iter().any(|f| f.name == "ahead_src"));
-        assert!(fp.iter().any(|f| f.name == "ahead_dst"));
+        let names = |p: &KernelParams| -> Vec<&str> {
+            footprint("SHALOM-K-MAIN", p)
+                .iter()
+                .map(|f| f.name)
+                .collect()
+        };
+        assert_eq!(names(&p), ["a", "b", "c"]);
+        assert_eq!(
+            names(&KernelParams { pack: true, ..p }),
+            ["a", "b", "c", "bc"]
+        );
+        assert_eq!(
+            names(&KernelParams { copy: true, ..p }),
+            ["a", "b", "c", "copy_src", "copy_dst"]
+        );
     }
 
     #[test]

@@ -20,15 +20,16 @@
 //! Every argument is untrusted: before anything is dereferenced the GEMM
 //! entry points reject — with `-1`, writing nothing — a bad transpose
 //! code, a leading dimension shorter than its row (BLAS `xerbla` parity),
-//! an operand whose footprint overflows the address space, and a null
-//! pointer to a non-empty operand. The checks use checked arithmetic and
+//! an operand whose footprint overflows the address space, a null pointer
+//! to a non-empty operand, and an output C that overlaps A or B (the
+//! check `try_gemm_with` makes). The checks use checked arithmetic and
 //! run outside `catch_unwind`, so they can neither wrap in a release build
 //! nor abort a debug one.
 
 use crate::api::{dgemm_raw, sgemm_raw};
 use crate::batch::gemm_batch_strided;
 use crate::config::GemmConfig;
-use crate::error::{footprint, span};
+use crate::error::{disjoint_output, footprint, span};
 use crate::plan::ProfileError;
 use shalom_matrix::Op;
 use std::ffi::CStr;
@@ -198,7 +199,8 @@ fn operands_present(operands: [(bool, Option<usize>); 3]) -> bool {
         .all(|(null, elems)| elems.is_some_and(|e| e == 0 || !null))
 }
 
-/// Whether the raw operands of one GEMM are safe to hand to the driver.
+/// Whether the raw operands of one GEMM are safe to hand to the driver:
+/// present, with representable footprints, and C aliasing neither input.
 fn gemm_args_ok<T>(
     op_a: Op,
     op_b: Op,
@@ -212,7 +214,12 @@ fn gemm_args_ok<T>(
         (a.is_null(), footprint::<T>(ar, ac, lda)),
         (b.is_null(), footprint::<T>(br, bc, ldb)),
         (c.is_null(), footprint::<T>(m, n, ldc)),
-    ])
+    ]) && disjoint_output(
+        ("A", a, ar, ac, lda),
+        ("B", b, br, bc, ldb),
+        ("C", c.cast_const(), m, n, ldc),
+    )
+    .is_ok()
 }
 
 /// Row-major single-precision GEMM,
@@ -220,15 +227,15 @@ fn gemm_args_ok<T>(
 ///
 /// Returns 0 on success, -1 on invalid arguments (bad transpose code, a
 /// leading dimension shorter than its row on a multi-row operand, a
-/// footprint beyond the address space, or a null pointer to a non-empty
-/// operand) — in which case `C` is not written. Never unwinds across the
-/// FFI boundary.
+/// footprint beyond the address space, a null pointer to a non-empty
+/// operand, or a `c` whose footprint overlaps `a`'s or `b`'s) — in which
+/// case `C` is not written. Never unwinds across the FFI boundary.
 ///
 /// # Safety
 /// Pointers must satisfy the usual BLAS contracts: `a` readable as the
 /// stored op-A (`m x k` rows for NoTrans, `k x m` for Trans) with leading
 /// dimension `lda`; likewise `b`; `c` readable and writable as `m x n`
-/// with leading dimension `ldc`, and not aliasing `a`/`b`.
+/// with leading dimension `ldc`. A `c` aliasing `a`/`b` is rejected.
 #[no_mangle]
 pub unsafe extern "C" fn shalom_sgemm(
     trans_a: i32,
@@ -721,13 +728,17 @@ mod tests {
         LdaOverflow,
         /// The footprint fits `usize` but not an allocation.
         LdcBeyondIsize,
+        /// A read from C's own memory.
+        AliasA,
+        /// B read from C's own memory, one row in (a partial overlap).
+        AliasB,
     }
 
     fn hostile() -> impl Strategy<Value = Hostile> {
         let bad_code = (-1000i32..1000).prop_filter("a valid CBLAS code", |c| {
             *c != SHALOM_NO_TRANS && *c != SHALOM_TRANS
         });
-        (0usize..11, bad_code).prop_map(|(kind, code)| match kind {
+        (0usize..13, bad_code).prop_map(|(kind, code)| match kind {
             0 => Hostile::TransA(code),
             1 => Hostile::TransB(code),
             2 => Hostile::NullA,
@@ -738,7 +749,9 @@ mod tests {
             7 => Hostile::ShortLdb,
             8 => Hostile::ShortLdc,
             9 => Hostile::LdaOverflow,
-            _ => Hostile::LdcBeyondIsize,
+            10 => Hostile::LdcBeyondIsize,
+            11 => Hostile::AliasA,
+            _ => Hostile::AliasB,
         })
     }
 
@@ -768,7 +781,10 @@ mod tests {
         let [(ar, ac), (br, bc)] = stored_dims(op_a, op_b, m, n, k);
         let a = Matrix::<T>::random(ar, ac, 1);
         let b = Matrix::<T>::random(br, bc, 2);
-        let mut c = Matrix::<T>::random(m, n, 3);
+        // C's stride leaves room in its allocation for an A or B (at most
+        // 6 x 6) planted on top of it, so an aliased call that were let
+        // through would still stay in bounds.
+        let mut c = Matrix::<T>::random_with_ld(m, n, 16, 3);
         let before = c.clone();
         let code = |op| match op {
             Op::NoTrans => SHALOM_NO_TRANS,
@@ -799,6 +815,8 @@ mod tests {
             Some(Hostile::ShortLdc) => ldc = n - 1,
             Some(Hostile::LdaOverflow) => lda = usize::MAX / 2 + 1,
             Some(Hostile::LdcBeyondIsize) => ldc = isize::MAX as usize / core::mem::size_of::<T>(),
+            Some(Hostile::AliasA) => ap = cp.cast_const(),
+            Some(Hostile::AliasB) => bp = cp.cast_const().wrapping_add(ldc),
         }
         // SAFETY: with `h == None` the operands are owned matrices of the
         // stated shapes; every planted argument must be rejected before any

@@ -3,12 +3,13 @@
 //!
 //! This is the only blocked GEMM walk in the library. It is written
 //! against a *kernel set* (`shalom_kernels::FamilyKernels`: the register
-//! tile plus the main, fused-pack, streamed, edge, transposing-pack and —
-//! on the 128-bit set — NT-pack entry points of one ISA level), which the
-//! call's [`GemmPlan`] carries along with every other decision — so the
-//! 128-bit tiles and both AVX families are instantiations of the same
-//! code, every mode, packing regime, edge schedule and capture span
-//! applies at every vector width, and nothing here looks anything up.
+//! tile plus the full-tile kernel with and without Figure 4's B handling,
+//! the edge, transposing-pack and — on the 128-bit set — NT-pack entry
+//! points of one ISA level), which the call's [`GemmPlan`] carries along
+//! with every other decision — so the 128-bit tiles and both AVX families
+//! are instantiations of the same code, every mode, packing regime, edge
+//! schedule and capture span applies at every vector width, and nothing
+//! here looks anything up.
 //!
 //! One function per B-handling mode:
 //!
@@ -41,7 +42,7 @@ use crate::capture;
 use crate::config::{classify, GemmConfig, PackingPolicy, ShapeClass};
 use crate::plan::GemmPlan;
 use shalom_kernels::family::EdgeFn;
-use shalom_kernels::main_kernel::{PackAhead, StreamCopy};
+use shalom_kernels::main_kernel::PanelCopy;
 use shalom_kernels::nt_pack::NT_ROWS;
 use shalom_kernels::pack::pack_copy;
 use shalom_kernels::{FamilyElem, FamilyKernels};
@@ -385,8 +386,8 @@ unsafe fn scale_c<T: Scalar>(m: usize, n: usize, beta: T, c: *mut T, ldc: usize)
 /// `0..mcur` x `kcur` at stride `lda`, `bsrc` covers `kcur` rows of
 /// `ncols` elements at stride `ldb`, and `c_panel` covers `mcur` rows
 /// of `ncols` elements at stride `ldc`, with `ncols <= nr`. The edge
-/// kernels' contracts (SHALOM-K-EDGE-PIPE / SHALOM-K-EDGE-BATCH) hold
-/// for every remainder it is handed: `m <= mr`, `n <= nr`.
+/// kernels' contract (SHALOM-K-EDGE) holds for every remainder it is
+/// handed: `m <= mr`, `n <= nr`.
 #[allow(clippy::too_many_arguments)]
 // ALLOC-FREE
 unsafe fn sweep_rows<T: FamilyElem>(
@@ -489,37 +490,28 @@ unsafe fn nn_block<T: FamilyElem, const CAPTURE: bool>(
         // plan's first pass (if any) has run.
         let (i0, bsrc, ld_src): (usize, *const T, usize) = match plan {
             BPlan::Direct => (0, b_panel, ldb),
-            BPlan::Fused if mcur >= mr => {
-                (ks.fused_pack)(
-                    kcur, alpha, a_blk, lda, b_panel, ldb, beta_eff, c_panel, ldc, cur_buf, None,
-                );
-                (mr, cur_buf, nr)
-            }
-            BPlan::FusedLookahead if mcur >= mr => {
-                if !have_packed {
-                    let ahead = next_full.then_some(PackAhead {
-                        src: b_panel.add(nr),
-                        dst: next_buf,
-                    });
-                    have_packed = ahead.is_some();
-                    (ks.fused_pack)(
-                        kcur, alpha, a_blk, lda, b_panel, ldb, beta_eff, c_panel, ldc, cur_buf,
-                        ahead,
-                    );
+            // The fused plans' first pass: the panel packs itself, or —
+            // under the look-ahead, once its predecessor copied it — is
+            // read packed; the look-ahead also copies the next panel.
+            BPlan::Fused | BPlan::FusedLookahead if mcur >= mr => {
+                let copy = (plan == BPlan::FusedLookahead && next_full).then_some(PanelCopy {
+                    src: b_panel.add(nr),
+                    src_ld: ldb,
+                    dst: next_buf,
+                });
+                let (b_in, ld_in, pack) = if have_packed {
+                    (cur_buf as *const T, nr, None)
                 } else {
-                    let stream = next_full.then_some(StreamCopy {
-                        src: b_panel.add(nr),
-                        src_ld: ldb,
-                        dst: next_buf,
-                        rows: kcur,
-                    });
-                    have_packed = stream.is_some();
-                    (ks.streamed)(
-                        kcur, alpha, a_blk, lda, cur_buf, beta_eff, c_panel, ldc, stream,
-                    );
-                }
+                    (b_panel, ldb, Some(cur_buf))
+                };
+                (ks.kernel_pack)(
+                    kcur, alpha, a_blk, lda, b_in, ld_in, beta_eff, c_panel, ldc, pack, copy,
+                );
+                have_packed = copy.is_some();
                 let packed = cur_buf;
-                core::mem::swap(&mut cur_buf, &mut next_buf);
+                if have_packed {
+                    core::mem::swap(&mut cur_buf, &mut next_buf);
+                }
                 (mr, packed, nr)
             }
             // Sequential — and the fused plans on a block shorter than
@@ -799,8 +791,8 @@ mod tests {
     #[test]
     fn nn_lookahead_path_irregular() {
         // Irregular shape (n >> m) with small L1 triggers FusedLookahead:
-        // the fused-pack kernel with look-ahead on panel 0, the streamed
-        // kernel on the rest, at every set's tile.
+        // panel 0 packs itself and copies panel 1, every later panel reads
+        // its packed copy and copies the next, at every set's tile.
         on_every_set(|s, run| {
             let m = 2 * s.mr + 2;
             assert_eq!(

@@ -106,14 +106,14 @@ pub(crate) fn footprint<T>(rows: usize, cols: usize, ld: usize) -> Option<usize>
     span::<T>(rows, cols, ld)
 }
 
+/// One operand view as the aliasing check sees it: name (`"A"`, `"B"`,
+/// `"C"`), pointer, rows, cols and leading dimension.
+pub(crate) type View<T> = (&'static str, *const T, usize, usize, usize);
+
 /// Byte range `[start, end)` covered by a view: `Ok(None)` when it holds
 /// no elements, `Err` when its footprint does not fit the address space.
 fn view_range<T>(
-    operand: &'static str,
-    ptr: *const T,
-    rows: usize,
-    cols: usize,
-    ld: usize,
+    (operand, ptr, rows, cols, ld): View<T>,
 ) -> Result<Option<(usize, usize)>, GemmError> {
     let start = ptr as usize;
     // `span` bounds the element count by `isize::MAX / size_of::<T>()`,
@@ -122,6 +122,26 @@ fn view_range<T>(
         .and_then(|elems| start.checked_add(elems * core::mem::size_of::<T>()))
         .ok_or(GemmError::FootprintOverflow { operand })?;
     Ok((end > start).then_some((start, end)))
+}
+
+/// The aliasing rule, the kernels writing C while streaming A and B:
+/// rejects views whose byte range runs past the end of the address space
+/// ([`GemmError::FootprintOverflow`]) and an output `c` overlapping input
+/// `a` or `b` ([`GemmError::OverlappingViews`]). Views without elements
+/// overlap nothing. The one overlap check: [`validate`] and the C ABI
+/// both call it.
+pub(crate) fn disjoint_output<T>(a: View<T>, b: View<T>, c: View<T>) -> Result<(), GemmError> {
+    let (ra, rb) = (view_range(a)?, view_range(b)?);
+    if let Some((c0, c1)) = view_range(c)? {
+        for ((operand, ..), range) in [(a, ra), (b, rb)] {
+            if let Some((x0, x1)) = range {
+                if c0 < x1 && x0 < c1 {
+                    return Err(GemmError::OverlappingViews { operand });
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Validates the operand shapes for `C = alpha*op(A)*op(B) + beta*C`,
@@ -165,29 +185,19 @@ pub fn validate<T: GemmElem>(
     }
     // Stride sanity: `ld < cols` makes rows overlap (ld == 0 collapses
     // the whole view onto one row). Single-row views never use ld. Then
-    // each view's byte range, in checked arithmetic.
-    let mut ranges = [None; 3];
-    for (range, (operand, ptr, rows, cols, ld)) in ranges.iter_mut().zip([
+    // each view's byte range, in checked arithmetic, and the aliasing.
+    let views = [
         ("A", a.as_ptr(), a.rows(), a.cols(), a.ld()),
         ("B", b.as_ptr(), b.rows(), b.cols(), b.ld()),
         ("C", c.as_ptr(), c.rows(), c.cols(), c.ld()),
-    ]) {
+    ];
+    for (operand, _, rows, cols, ld) in views {
         if rows > 1 && ld < cols {
             return Err(GemmError::StrideTooSmall { operand, ld, cols });
         }
-        *range = view_range(operand, ptr, rows, cols, ld)?;
     }
-    // Aliasing: the kernels write C while streaming A and B.
-    if let [ra, rb, Some((c0, c1))] = ranges {
-        for (operand, range) in [("A", ra), ("B", rb)] {
-            if let Some((x0, x1)) = range {
-                if c0 < x1 && x0 < c1 {
-                    return Err(GemmError::OverlappingViews { operand });
-                }
-            }
-        }
-    }
-    Ok(())
+    let [va, vb, vc] = views;
+    disjoint_output(va, vb, vc)
 }
 
 /// Fallible [`gemm_with`]: returns `Err` instead of panicking (shape

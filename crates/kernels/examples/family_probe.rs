@@ -1,12 +1,14 @@
 //! Times every full-tile slot of each kernel set this host registers, f32
-//! and f64, at `KC = 256` on L1-resident panels: `kernel`, `fused_pack`
-//! without and with the look-ahead copy, `streamed` (copying a panel as
-//! deep as its own) and both edge schedules at `m = mr`, `n = nr`. Each
-//! figure is the best of five rounds of 20k calls, in GFLOPS.
+//! and f64, at `KC = 256` on L1-resident panels: `kernel`, then
+//! `kernel_pack` packing the panel it reads (`fused`), packing it and
+//! copying the next one (`fused+ahead`), and reading a packed panel while
+//! copying the next one (`streamed`), then both edge schedules at
+//! `m = mr`, `n = nr`. Each figure is the best of five rounds of 20k
+//! calls, in GFLOPS.
 //!
 //! `cargo run --release -p shalom-kernels --example family_probe`
 
-use shalom_kernels::main_kernel::{PackAhead, StreamCopy};
+use shalom_kernels::main_kernel::PanelCopy;
 use shalom_kernels::{registered_families, FamilyElem, FamilyKernels};
 use std::hint::black_box;
 use std::time::Instant;
@@ -51,20 +53,15 @@ fn probe_set<T: FamilyElem>(ks: &FamilyKernels<T>) -> [f64; SLOTS.len()] {
     let (mut c, mut bc, mut next) = (gen(4, mr * nr), gen(5, KC * nr), gen(6, KC * nr));
     let (ap, bp, pp) = (a.as_ptr(), b.as_ptr(), packed.as_ptr());
     let (cp, bcp, np) = (c.as_mut_ptr(), bc.as_mut_ptr(), next.as_mut_ptr());
-    let ahead = PackAhead {
-        src: b[nr..].as_ptr(),
-        dst: np,
-    };
-    let stream = StreamCopy {
+    let copy = PanelCopy {
         src: b[nr..].as_ptr(),
         src_ld: ldb,
         dst: np,
-        rows: KC,
     };
     let (one, zero) = (T::ONE, T::ZERO);
     let flops = 2 * mr * nr * KC;
     // SAFETY (every call below): a is mr x KC at stride KC; b is KC x 2nr
-    // at stride 2nr, so its second panel is the look-ahead/stream source;
+    // at stride 2nr, so its second panel is the copy source;
     // packed, bc and next are KC x nr; c is the mr x nr tile. The registry
     // only hands out sets this host can execute.
     [
@@ -72,13 +69,25 @@ fn probe_set<T: FamilyElem>(ks: &FamilyKernels<T>) -> [f64; SLOTS.len()] {
             (ks.kernel)(KC, one, ap, KC, bp, ldb, zero, cp, nr)
         }),
         best_gflops(flops, || unsafe {
-            (ks.fused_pack)(KC, one, ap, KC, bp, ldb, zero, cp, nr, bcp, None)
+            (ks.kernel_pack)(KC, one, ap, KC, bp, ldb, zero, cp, nr, Some(bcp), None)
         }),
         best_gflops(flops, || unsafe {
-            (ks.fused_pack)(KC, one, ap, KC, bp, ldb, zero, cp, nr, bcp, Some(ahead))
+            (ks.kernel_pack)(
+                KC,
+                one,
+                ap,
+                KC,
+                bp,
+                ldb,
+                zero,
+                cp,
+                nr,
+                Some(bcp),
+                Some(copy),
+            )
         }),
         best_gflops(flops, || unsafe {
-            (ks.streamed)(KC, one, ap, KC, pp, zero, cp, nr, Some(stream))
+            (ks.kernel_pack)(KC, one, ap, KC, pp, nr, zero, cp, nr, None, Some(copy))
         }),
         best_gflops(flops, || unsafe {
             (ks.edge_batched)(mr, nr, KC, one, ap, KC, bp, ldb, zero, cp, nr)

@@ -66,7 +66,7 @@ pub(crate) fn split_cols<V: Vector>(n: usize) -> (usize, usize) {
 // PANIC-OK(index): accumulator arrays are [_; M]/[_; NV]/[_; NS] indexed by loop
 // counters bounded by those const generics.
 // ALLOC-FREE
-// CONTRACT(SHALOM-K-EDGE-PIPE, SHALOM-K-EDGE-BATCH: m = M, n = NV * V::LANES + ns)
+// CONTRACT(SHALOM-K-EDGE: m = M, n = NV * V::LANES + ns)
 pub(crate) unsafe fn edge_body<V: Vector, const M: usize, const NV: usize, const PIPE: bool>(
     ns: usize,
     kc: usize,
@@ -249,15 +249,53 @@ macro_rules! edge_dispatch {
 }
 pub(crate) use edge_dispatch;
 
-/// Edge kernel with the software-pipelined schedule of Figure 6b (the
-/// LibShalom strategy) at the 128-bit `7 x 3`-vector tile. Dispatches to
-/// the exact-size monomorphized body.
+/// The 128-bit edge kernel at the `7 x 3`-vector tile, schedule chosen by
+/// `PIPE`: dispatches to the exact-size monomorphized body.
 ///
 /// # Safety
 /// * `a` valid for `m` rows x `kc` cols at stride `lda`;
 /// * `b` valid for `kc` rows x `n` cols at stride `ldb`;
 /// * `c` valid for `m` rows x `n` cols read/write at stride `ldc`;
 /// * `1 <= m <= 7`, `1 <= n <= NR_VECS * LANES`, no aliasing with `c`.
+#[inline(always)]
+pub unsafe fn edge_kernel<V: Vector, const PIPE: bool>(
+    m: usize,
+    n: usize,
+    kc: usize,
+    alpha: V::Elem,
+    a: *const V::Elem,
+    lda: usize,
+    b: *const V::Elem,
+    ldb: usize,
+    beta: V::Elem,
+    c: *mut V::Elem,
+    ldc: usize,
+) {
+    // Contract SHALOM-K-EDGE preconditions.
+    debug_assert!((1..=MR).contains(&m) && n >= 1 && n <= NR_VECS * V::LANES);
+    debug_assert!(!c.is_null() && (m <= 1 || ldc >= n));
+    if kc > 0 {
+        debug_assert!(!a.is_null() && !b.is_null());
+        debug_assert!(m <= 1 || lda >= kc);
+        debug_assert!(kc <= 1 || ldb >= n);
+    }
+    let (nv, ns) = split_cols::<V>(n);
+    edge_dispatch!(
+        V,
+        PIPE,
+        [1 2 3 4 5 6 7],
+        [0 1 2 3],
+        m,
+        nv,
+        (ns, kc, alpha, a, lda, b, ldb, beta, c, ldc)
+    )
+}
+
+/// [`edge_kernel`] with the software-pipelined schedule of Figure 6b (the
+/// LibShalom strategy).
+///
+/// # Safety
+/// As [`edge_kernel`].
 #[inline]
 pub unsafe fn edge_kernel_pipelined<V: Vector>(
     m: usize,
@@ -272,32 +310,15 @@ pub unsafe fn edge_kernel_pipelined<V: Vector>(
     c: *mut V::Elem,
     ldc: usize,
 ) {
-    // Contract SHALOM-K-EDGE-PIPE preconditions.
-    debug_assert!((1..=MR).contains(&m) && n >= 1 && n <= NR_VECS * V::LANES);
-    debug_assert!(!c.is_null() && (m <= 1 || ldc >= n));
-    if kc > 0 {
-        debug_assert!(!a.is_null() && !b.is_null());
-        debug_assert!(m <= 1 || lda >= kc);
-        debug_assert!(kc <= 1 || ldb >= n);
-    }
-    let (nv, ns) = split_cols::<V>(n);
-    edge_dispatch!(
-        V,
-        true,
-        [1 2 3 4 5 6 7],
-        [0 1 2 3],
-        m,
-        nv,
-        (ns, kc, alpha, a, lda, b, ldb, beta, c, ldc)
-    )
+    debug_assert!((1..=MR).contains(&m) && (1..=NR_VECS * V::LANES).contains(&n));
+    edge_kernel::<V, true>(m, n, kc, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
-/// Edge kernel with the batched schedule of Figure 6a (the OpenBLAS
-/// strategy the paper criticizes) at the 128-bit tile. Dispatches to the
-/// exact-size monomorphized body.
+/// [`edge_kernel`] with the batched schedule of Figure 6a (the OpenBLAS
+/// strategy the paper criticizes).
 ///
 /// # Safety
-/// As [`edge_kernel_pipelined`].
+/// As [`edge_kernel`].
 #[inline]
 pub unsafe fn edge_kernel_batched<V: Vector>(
     m: usize,
@@ -312,24 +333,8 @@ pub unsafe fn edge_kernel_batched<V: Vector>(
     c: *mut V::Elem,
     ldc: usize,
 ) {
-    // Contract SHALOM-K-EDGE-BATCH preconditions.
-    debug_assert!((1..=MR).contains(&m) && n >= 1 && n <= NR_VECS * V::LANES);
-    debug_assert!(!c.is_null() && (m <= 1 || ldc >= n));
-    if kc > 0 {
-        debug_assert!(!a.is_null() && !b.is_null());
-        debug_assert!(m <= 1 || lda >= kc);
-        debug_assert!(kc <= 1 || ldb >= n);
-    }
-    let (nv, ns) = split_cols::<V>(n);
-    edge_dispatch!(
-        V,
-        false,
-        [1 2 3 4 5 6 7],
-        [0 1 2 3],
-        m,
-        nv,
-        (ns, kc, alpha, a, lda, b, ldb, beta, c, ldc)
-    )
+    debug_assert!((1..=MR).contains(&m) && (1..=NR_VECS * V::LANES).contains(&n));
+    edge_kernel::<V, false>(m, n, kc, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
 #[cfg(test)]

@@ -3,13 +3,14 @@
 //!
 //! A *kernel set* ([`FamilyKernels`]) is everything the `jj → ii → kk`
 //! block walk needs from one register tile at one element type: the tile
-//! `(mr, nr, lanes)`, the full-tile main kernel, the fused-pack kernel
-//! (with its optional `t = 1` look-ahead), the streamed kernel, the edge
-//! kernel in both Figure 6 schedules, the transposing pack, and — on the
-//! 128-bit set only — the NT pack panel. A *family* ([`KernelFamily`]) is
-//! the f32 and f64 sets of one ISA level. Every entry point is a
-//! monomorphic `unsafe fn` emitted by one macro ([`kernel_set!`]) that
-//! wraps the const-generic bodies of [`crate::main_kernel`],
+//! `(mr, nr, lanes)`, the full-tile kernel as two slots over one body —
+//! `kernel` (plain) and `kernel_pack` (packing the panel it reads and/or
+//! copying the next one, Figure 4) — the edge kernel in both Figure 6
+//! schedules, the transposing pack, and — on the 128-bit set only — the
+//! NT pack panel. A *family* ([`KernelFamily`]) is the f32 and f64 sets of
+//! one ISA level. Every entry point is a monomorphic `unsafe fn` emitted
+//! by one macro ([`kernel_set!`]) that wraps the const-generic bodies of
+//! [`crate::main_kernel`],
 //! [`crate::edge`], [`crate::pack`] and [`crate::nt_pack`] — all
 //! `#[inline(always)]` — in that level's `#[target_feature]`, so a default
 //! build emits real 256/512-bit FMA and shuffles with no global
@@ -31,8 +32,8 @@
 //! A vector (the paper's `fmla v, v, v.s[i]`); the wide sets broadcast each
 //! `A[i, k]` and issue a plain FMA, as their edge kernels always have.
 //!
-//! **Rounding contract.** Within a wide set every kernel — main,
-//! fused-pack, streamed, edge with its remainder rows *and* columns —
+//! **Rounding contract.** Within a wide set every kernel — the full-tile
+//! body under any B handling, edge with its remainder rows *and* columns —
 //! rounds a C element identically: one fused multiply-add chain over the
 //! `kc` block in increasing `k`, then the `writeback_row` epilogue
 //! (`acc * alpha`, or `acc * alpha + c * beta`). A transposed operand is
@@ -43,7 +44,7 @@
 //! its NT pack panel keeps its inner-product rounding on the first
 //! [`crate::nt_pack::NT_ROWS`] rows of a fused panel.
 
-use crate::main_kernel::{PackAhead, StreamCopy};
+use crate::main_kernel::PanelCopy;
 #[cfg(any(test, all(target_arch = "x86_64", not(feature = "force-scalar"))))]
 use crate::tile::{solve_tile, TileConstraints};
 use shalom_matrix::Scalar;
@@ -80,9 +81,11 @@ pub const AVX512_NR_F64: usize = 16;
 pub type FamilyKernelFn<T> =
     unsafe fn(usize, T, *const T, usize, *const T, usize, T, *mut T, usize);
 
-/// [`crate::main_kernel::main_kernel_fused_pack`] at the set's tile:
-/// `(kc, alpha, a, lda, b, ldb, beta, c, ldc, bc, ahead)`.
-pub type FusedPackFn<T> = unsafe fn(
+/// [`crate::main_kernel::tile_kernel`] at the set's tile with its B
+/// handling chosen per call: `(kc, alpha, a, lda, b, ldb, beta, c, ldc,
+/// bc, copy)`. `Some(bc)` packs every B row read into `bc`; `copy` moves
+/// the next panel. With `None, None` it is bitwise [`FamilyKernelFn`].
+pub type KernelPackFn<T> = unsafe fn(
     usize,
     T,
     *const T,
@@ -92,14 +95,9 @@ pub type FusedPackFn<T> = unsafe fn(
     T,
     *mut T,
     usize,
-    *mut T,
-    Option<PackAhead<T>>,
+    Option<*mut T>,
+    Option<PanelCopy<T>>,
 );
-
-/// [`crate::main_kernel::main_kernel_streamed`] at the set's tile:
-/// `(kc, alpha, a, lda, bc_packed, beta, c, ldc, stream)`.
-pub type StreamedFn<T> =
-    unsafe fn(usize, T, *const T, usize, *const T, T, *mut T, usize, Option<StreamCopy<T>>);
 
 /// An edge kernel for any `1 <= m <= mr`, `1 <= n <= nr`:
 /// `(m, n, kc, alpha, a, lda, b, ldb, beta, c, ldc)`.
@@ -139,11 +137,9 @@ pub struct FamilyKernels<T> {
     pub lanes: usize,
     /// The `mr x nr` main micro-kernel.
     pub kernel: FamilyKernelFn<T>,
-    /// Main kernel that packs the B panel it reads (§5.3), optionally
-    /// streaming the next panel ahead (`t = 1`).
-    pub fused_pack: FusedPackFn<T>,
-    /// Main kernel on a packed panel with an interleaved panel copy.
-    pub streamed: StreamedFn<T>,
+    /// The same body with Figure 4's B handling: packing the panel it
+    /// reads (§5.3) and/or copying the next panel ahead (`t = 1`).
+    pub kernel_pack: KernelPackFn<T>,
     /// Edge kernel, Figure 6b schedule.
     pub edge_pipelined: EdgeFn<T>,
     /// Edge kernel, Figure 6a schedule.
@@ -210,11 +206,9 @@ macro_rules! kernel_set {
     ($(#[$isa:meta])* $name:ident: $T:ty, $V:ty, $MR:literal x $NRV:literal,
      rows $rows:tt, vecs $vecs:tt $(, $nt_pack:ident)?) => {
         pub(crate) mod $name {
-            use super::{FamilyKernels, PackAhead, StreamCopy};
+            use super::{FamilyKernels, PanelCopy};
             use crate::edge::{edge_dispatch, split_cols};
-            use crate::main_kernel::{
-                main_kernel_fused_pack, main_kernel_shape, main_kernel_streamed,
-            };
+            use crate::main_kernel::{main_kernel_shape, tile_kernel};
             #[allow(unused_imports)]
             use crate::nt_pack::nt_pack_panel;
             use crate::pack::pack_transpose_tiled;
@@ -246,8 +240,39 @@ macro_rules! kernel_set {
 
             $(#[$isa])*
             /// # Safety
-            /// SHALOM-K-FUSED at this tile; the set's ISA probe passed.
-            pub unsafe fn fused_pack(
+            /// SHALOM-K-MAIN (with `pack`/`copy`) at this tile; the set's
+            /// ISA probe passed.
+            pub unsafe fn kernel_pack(
+                kc: usize,
+                alpha: $T,
+                a: *const $T,
+                lda: usize,
+                b: *const $T,
+                ldb: usize,
+                beta: $T,
+                c: *mut $T,
+                ldc: usize,
+                bc: Option<*mut $T>,
+                copy: Option<PanelCopy<$T>>,
+            ) {
+                let no_bc = core::ptr::null_mut();
+                match bc {
+                    Some(bc) => pack_arm::<true>(kc, alpha, a, lda, b, ldb, beta, c, ldc, bc, copy),
+                    None => pack_arm::<false>(kc, alpha, a, lda, b, ldb, beta, c, ldc, no_bc, copy),
+                }
+            }
+
+            // One out-of-line function per `PACK` monomorph: inlined side
+            // by side into `kernel_pack`, the two bodies' loops shared
+            // blocks and the packing slot read 3-12 % slower in
+            // `examples/family_probe.rs` (128-bit and AVX-512 f32 sets on
+            // an AVX-512 x86-64 host).
+            $(#[$isa])*
+            /// # Safety
+            /// SHALOM-K-MAIN (with `pack`/`copy`) at this tile; the set's
+            /// ISA probe passed.
+            #[inline(never)]
+            unsafe fn pack_arm<const PACK: bool>(
                 kc: usize,
                 alpha: $T,
                 a: *const $T,
@@ -258,34 +283,13 @@ macro_rules! kernel_set {
                 c: *mut $T,
                 ldc: usize,
                 bc: *mut $T,
-                ahead: Option<PackAhead<$T>>,
+                copy: Option<PanelCopy<$T>>,
             ) {
-                main_kernel_fused_pack::<$V, $MR, $NRV>(
-                    kc, alpha, a, lda, b, ldb, beta, c, ldc, bc, ahead,
-                )
-            }
-
-            $(#[$isa])*
-            /// # Safety
-            /// SHALOM-K-STREAM at this tile; the set's ISA probe passed.
-            pub unsafe fn streamed(
-                kc: usize,
-                alpha: $T,
-                a: *const $T,
-                lda: usize,
-                bc_packed: *const $T,
-                beta: $T,
-                c: *mut $T,
-                ldc: usize,
-                stream: Option<StreamCopy<$T>>,
-            ) {
-                main_kernel_streamed::<$V, $MR, $NRV>(
-                    kc, alpha, a, lda, bc_packed, beta, c, ldc, stream,
-                )
+                tile_kernel::<$V, $MR, $NRV, PACK>(kc, alpha, a, lda, b, ldb, beta, c, ldc, bc, copy)
             }
 
             /// # Safety
-            /// SHALOM-K-EDGE-PIPE / SHALOM-K-EDGE-BATCH at this tile.
+            /// SHALOM-K-EDGE at this tile.
             #[inline(always)]
             unsafe fn edge<const PIPE: bool>(
                 m: usize,
@@ -315,7 +319,7 @@ macro_rules! kernel_set {
 
             $(#[$isa])*
             /// # Safety
-            /// SHALOM-K-EDGE-PIPE at this tile; the set's ISA probe passed.
+            /// SHALOM-K-EDGE at this tile; the set's ISA probe passed.
             pub unsafe fn edge_pipelined(
                 m: usize,
                 n: usize,
@@ -334,7 +338,7 @@ macro_rules! kernel_set {
 
             $(#[$isa])*
             /// # Safety
-            /// SHALOM-K-EDGE-BATCH at this tile; the set's ISA probe passed.
+            /// SHALOM-K-EDGE at this tile; the set's ISA probe passed.
             pub unsafe fn edge_batched(
                 m: usize,
                 n: usize,
@@ -397,8 +401,7 @@ macro_rules! kernel_set {
                 nr: NR,
                 lanes: <$V as Vector>::LANES,
                 kernel: main,
-                fused_pack,
-                streamed,
+                kernel_pack,
                 edge_pipelined,
                 edge_batched,
                 nt_pack: kernel_set!(@nt_slot $($nt_pack)?),
@@ -419,7 +422,7 @@ kernel_set!(base_f64: f64, F64x2, 7 x 3, rows [1 2 3 4 5 6 7], vecs [0 1 2 3], n
 /// emulation under `force-scalar` and off x86.
 #[cfg(any(test, all(target_arch = "x86_64", not(feature = "force-scalar"))))]
 pub(crate) mod wide_sets {
-    use super::{FamilyKernels, PackAhead, StreamCopy};
+    use super::{FamilyKernels, PanelCopy};
 
     kernel_set!(
         #[cfg_attr(
@@ -551,6 +554,7 @@ pub fn registered_families() -> impl Iterator<Item = &'static KernelFamily> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Vector;
     use shalom_matrix::gemm_tolerance;
 
     /// Satellite guard in test form: the wired constants equal the solver
@@ -663,7 +667,7 @@ mod tests {
     /// Running the same check against the native kernels here and against
     /// the scalar-emulated kernels in a `force-scalar` build proves the
     /// two builds bitwise-identical transitively: both must equal this
-    /// model, so they equal each other.
+    /// model, so they equal each other. Returns C as `run` left it.
     fn check_tile<T: Fused>(
         what: &str,
         (m, n, kc): (usize, usize, usize),
@@ -672,7 +676,7 @@ mod tests {
         b: &[T],
         ldb: usize,
         run: impl FnOnce(T, T, *mut T, usize),
-    ) {
+    ) -> Vec<T> {
         let (alpha, beta) = (T::from_f64(alpha), T::from_f64(beta));
         let ldc = n + LD_PAD;
         let sentinel = T::from_f64(-77.0);
@@ -713,11 +717,13 @@ mod tests {
                 );
             }
         }
+        c
     }
 
     /// Every NN entry point of one kernel set against the bitwise model:
-    /// main, fused-pack (with and without look-ahead) and streamed at the
-    /// full tile, both edge schedules over every `m <= mr`, `n <= nr`.
+    /// `kernel` and `kernel_pack` under all four B handlings (none, pack,
+    /// copy, pack + copy) at the full tile, both edge schedules over every
+    /// `m <= mr`, `n <= nr`.
     fn check_set<T: Fused>(label: &str, ks: &FamilyKernels<T>) {
         let (mr, nr, lanes) = (ks.mr, ks.nr, ks.lanes);
         let abs = [(1.0, 0.0), (1.0, 1.0), (-1.5, 0.5)];
@@ -731,72 +737,57 @@ mod tests {
                 // Operands of every call below: a is mr x kc at stride kc,
                 // b is kc x 2nr at stride 2nr (`packed` its first panel at
                 // stride nr), c is the m x n tile at stride n + LD_PAD,
-                // bc/ahead are kc x nr; the caller checked `can_run`.
+                // bc/next are kc x nr; the caller checked `can_run`.
                 // SAFETY: full tile of the operands described above.
                 let main = |al, be, c, ldc| unsafe {
                     (ks.kernel)(kc, al, a.as_ptr(), kc, b.as_ptr(), ldb, be, c, ldc)
                 };
-                check_tile(label, (mr, nr, kc), ab, &a, &b, ldb, main);
-                for with_ahead in [false, true] {
-                    let mut bc = vec![T::ZERO; kc * nr];
-                    let mut next = vec![T::ZERO; kc * nr];
-                    let ahead = with_ahead.then(|| PackAhead {
+                let plain = check_tile(label, (mr, nr, kc), ab, &a, &b, ldb, main);
+                let sentinel = T::from_f64(-77.0);
+                for (pack, copy) in [(false, false), (true, false), (false, true), (true, true)] {
+                    let what = format!("{label} pack={pack} copy={copy}");
+                    // Packing reads the source panel; otherwise B is the
+                    // packed panel at stride nr, as the look-ahead's steady
+                    // state reads it.
+                    let (bsrc, ld): (&[T], usize) = if pack { (&b, ldb) } else { (&packed, nr) };
+                    let mut bc = vec![sentinel; kc * nr];
+                    let mut next = vec![sentinel; kc * nr];
+                    let bc_ptr = pack.then_some(bc.as_mut_ptr());
+                    let req = copy.then(|| PanelCopy {
                         src: b[nr.min(b.len())..].as_ptr(),
+                        src_ld: ldb,
                         dst: next.as_mut_ptr(),
                     });
-                    let bc_ptr = bc.as_mut_ptr();
-                    // SAFETY: as above, plus the kc x nr bc/look-ahead panels.
-                    let fused = |al, be, c, ldc| unsafe {
-                        (ks.fused_pack)(
+                    // SAFETY: as above, plus the kc x nr bc/next panels.
+                    let run = |al, be, c, ldc| unsafe {
+                        (ks.kernel_pack)(
                             kc,
                             al,
                             a.as_ptr(),
                             kc,
-                            b.as_ptr(),
-                            ldb,
+                            bsrc.as_ptr(),
+                            ld,
                             be,
                             c,
                             ldc,
                             bc_ptr,
-                            ahead,
+                            req,
                         )
                     };
-                    check_tile(label, (mr, nr, kc), ab, &a, &b, ldb, fused);
-                    assert!(bc.iter().zip(&packed).all(|(x, y)| x.bits() == y.bits()));
-                    if with_ahead {
-                        for (x, got) in next.iter().enumerate() {
-                            assert!(got.bits() == b[x / nr * ldb + nr + x % nr].bits());
-                        }
+                    let got = check_tile(&what, (mr, nr, kc), ab, &a, bsrc, ld, run);
+                    // With neither packing nor copy it is the `kernel`
+                    // slot, bit for bit (`packed` holds the same B values).
+                    if !pack && !copy {
+                        let same = got.iter().zip(&plain).all(|(x, y)| x.bits() == y.bits());
+                        assert!(same, "{label}: kernel_pack(None, None) differs from kernel");
                     }
-                }
-                // The copy as deep as the panel, absent, shallower (the
-                // short copy) and deeper (the drain after the FMA loop).
-                let sentinel = T::from_f64(-77.0);
-                for rows in [kc, 0, kc / 2, kc + lanes] {
-                    let src = gen::<T>(4, rows * ldb);
-                    let mut next = vec![sentinel; (kc + lanes) * nr];
-                    let stream = Some(StreamCopy {
-                        src: src.as_ptr(),
-                        src_ld: ldb,
-                        dst: next.as_mut_ptr(),
-                        rows,
-                    });
-                    // SAFETY: as above, B read from the packed panel at
-                    // stride nr; the copy reads `rows` rows of src and
-                    // writes `rows * nr` of next, which holds kc + lanes rows.
-                    let streamed = |al, be, c, ldc| unsafe {
-                        (ks.streamed)(kc, al, a.as_ptr(), kc, packed.as_ptr(), be, c, ldc, stream)
-                    };
-                    check_tile(label, (mr, nr, kc), ab, &a, &packed, nr, streamed);
-                    for (x, got) in next.iter().enumerate() {
-                        let want = if x < rows * nr {
-                            src[x / nr * ldb + x % nr]
-                        } else {
-                            sentinel
-                        };
+                    for x in 0..kc * nr {
+                        let panel = |p: usize| b[x / nr * ldb + p * nr + x % nr];
+                        let want_bc = if pack { panel(0) } else { sentinel };
+                        let want_next = if copy { panel(1) } else { sentinel };
                         assert!(
-                            got.bits() == want.bits(),
-                            "{label} streamed rows = {rows}: next[{x}]"
+                            bc[x].bits() == want_bc.bits() && next[x].bits() == want_next.bits(),
+                            "{what}: packed panels differ at element {x}"
                         );
                     }
                 }
@@ -830,64 +821,100 @@ mod tests {
         }
     }
 
+    /// A full-tile call given its C tile, packed-panel buffer and copy.
+    type PackCall<'a, T> = dyn Fn(*mut T, *mut T, Option<PanelCopy<T>>) + 'a;
+
     /// The 128-bit set's entry points are the generic 7x12 / 7x6 kernels,
     /// bit for bit: registering the base tiles as a family changed how
-    /// they are reached, not what they compute.
-    #[test]
-    fn base_set_is_the_generic_128_bit_kernels() {
+    /// they are reached, not what they compute. Covers `kernel`, all four
+    /// `kernel_pack` B handlings (C, packed panel and copied panel) and
+    /// both edge schedules over the whole lattice.
+    fn check_base<V: Vector>(ks: &FamilyKernels<V::Elem>)
+    where
+        V::Elem: Fused,
+    {
         use crate::edge::{edge_kernel_batched, edge_kernel_pipelined};
-        use shalom_simd::F32x4;
-        let ks = &BASE.k_f32;
-        let kc = 9;
-        let a = gen::<f32>(1, ks.mr * kc);
-        let b = gen::<f32>(2, kc * ks.nr);
-        for m in 1..=ks.mr {
-            for n in 1..=ks.nr {
-                for (table, generic) in [
-                    (
-                        ks.edge_pipelined,
-                        edge_kernel_pipelined::<F32x4> as EdgeFn<f32>,
-                    ),
-                    (ks.edge_batched, edge_kernel_batched::<F32x4> as EdgeFn<f32>),
-                ] {
-                    let mut got = gen::<f32>(3, m * n);
-                    let mut want = got.clone();
-                    // SAFETY: a is mr x kc, b is kc x nr at stride nr, both C
-                    // buffers are m x n at stride n.
-                    unsafe {
-                        table(
-                            m,
-                            n,
-                            kc,
-                            1.5,
-                            a.as_ptr(),
-                            kc,
-                            b.as_ptr(),
-                            ks.nr,
-                            0.5,
-                            got.as_mut_ptr(),
-                            n,
-                        );
-                        generic(
-                            m,
-                            n,
-                            kc,
-                            1.5,
-                            a.as_ptr(),
-                            kc,
-                            b.as_ptr(),
-                            ks.nr,
-                            0.5,
-                            want.as_mut_ptr(),
-                            n,
-                        );
-                    }
-                    assert!(got
-                        .iter()
-                        .zip(&want)
-                        .all(|(x, y)| x.to_bits() == y.to_bits()));
-                }
+        use crate::main_kernel::{main_kernel, tile_kernel};
+        use crate::{MR, NR_VECS};
+        let (mr, nr, kc) = (ks.mr, ks.nr, 9);
+        assert_eq!((mr, nr), (MR, NR_VECS * V::LANES));
+        // B holds two panels side by side: the tile's own and the next one.
+        let ldb = 2 * nr;
+        let (a, b) = (gen::<V::Elem>(1, mr * kc), gen::<V::Elem>(2, kc * ldb));
+        let (al, be) = (V::Elem::from_f64(1.5), V::Elem::from_f64(0.5));
+        let same =
+            |x: &[V::Elem], y: &[V::Elem]| x.iter().zip(y).all(|(p, q)| p.bits() == q.bits());
+        let (ap, bp) = (a.as_ptr(), b.as_ptr());
+        // The seeded C tile of `len` elements after `f` updated it.
+        let tile = |len: usize, f: &dyn Fn(*mut V::Elem)| {
+            let mut c = gen::<V::Elem>(3, len);
+            f(c.as_mut_ptr());
+            c
+        };
+        for m in 1..=mr {
+            for n in 1..=nr {
+                // SAFETY: a is mr x kc at stride kc, b is kc x 2nr at stride
+                // 2nr, C is the m x n tile at stride n.
+                let run = |f: EdgeFn<V::Elem>| {
+                    tile(m * n, &|c| unsafe {
+                        f(m, n, kc, al, ap, kc, bp, ldb, be, c, n)
+                    })
+                };
+                assert!(
+                    same(&run(ks.edge_pipelined), &run(edge_kernel_pipelined::<V>)),
+                    "pipe {m}x{n}"
+                );
+                assert!(
+                    same(&run(ks.edge_batched), &run(edge_kernel_batched::<V>)),
+                    "batch {m}x{n}"
+                );
             }
         }
+        // SAFETY: as above, C being the mr x nr tile at stride nr.
+        let main = |f: FamilyKernelFn<V::Elem>| {
+            tile(mr * nr, &|c| unsafe {
+                f(kc, al, ap, kc, bp, ldb, be, c, nr)
+            })
+        };
+        assert!(same(&main(ks.kernel), &main(main_kernel::<V>)), "kernel");
+        for (pack, copy) in [(false, false), (true, false), (false, true), (true, true)] {
+            // C and the panel buffer (the packed panel, then the copied
+            // one, kc x nr each) after `f` ran with them.
+            let run = |f: &PackCall<'_, V::Elem>| {
+                let mut panels = vec![V::Elem::ZERO; 2 * kc * nr];
+                let bc = panels.as_mut_ptr();
+                let req = copy.then(|| PanelCopy {
+                    src: b[nr..].as_ptr(),
+                    src_ld: ldb,
+                    dst: bc.wrapping_add(kc * nr),
+                });
+                (tile(mr * nr, &|c| f(c, bc, req)), panels)
+            };
+            // SAFETY: as above, plus the two kc x nr panels.
+            let table = run(&|c, bc, req| unsafe {
+                (ks.kernel_pack)(kc, al, ap, kc, bp, ldb, be, c, nr, pack.then_some(bc), req)
+            });
+            // SAFETY: as above.
+            let generic = run(&|c, bc, req| unsafe {
+                if pack {
+                    tile_kernel::<V, MR, NR_VECS, true>(kc, al, ap, kc, bp, ldb, be, c, nr, bc, req)
+                } else {
+                    tile_kernel::<V, MR, NR_VECS, false>(
+                        kc, al, ap, kc, bp, ldb, be, c, nr, bc, req,
+                    )
+                }
+            });
+            assert!(
+                same(&table.0, &generic.0) && same(&table.1, &generic.1),
+                "kernel_pack pack={pack} copy={copy}"
+            );
+        }
+    }
+
+    #[test]
+    fn base_set_is_the_generic_128_bit_kernels() {
+        use shalom_simd::{F32x4, F64x2};
+        check_base::<F32x4>(&BASE.k_f32);
+        check_base::<F64x2>(&BASE.k_f64);
     }
 }

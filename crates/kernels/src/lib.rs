@@ -12,8 +12,9 @@
 //!   Algorithm 2, reading A *unpacked* straight from the source matrix
 //!   (rows are contiguous in NN mode, so packing A is wasted motion — §4.1),
 //!   and B either unpacked (small B) or from the linear buffer `Bc`.
-//!   A fused variant streams B into `Bc` *while* computing, hiding the
-//!   packing loads/stores behind the FMA stream (§4.2, §5.3).
+//!   The same body can store B into `Bc` — and copy the next panel —
+//!   *while* computing, hiding the packing loads/stores behind the FMA
+//!   stream (§4.2, §5.3).
 //! * [`nt_pack`] — the inner-product (vector-vector FMA) packing kernel of
 //!   Algorithm 3 for the NT mode: computes a 7×3 block of C while
 //!   scattering the B rows it loaded into `Bc`'s nr-contiguous layout.

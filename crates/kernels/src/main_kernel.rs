@@ -1,10 +1,10 @@
-//! The main (outer-product) micro-kernel — paper Algorithm 2 and Figure 3.
+//! The full-tile micro-kernel — paper Algorithm 2 and Figure 3, with the
+//! fused packing of §5.3 / Figure 4 as a schedule of the same body.
 //!
 //! Updates an `MR x NR` tile of C with the product of an `MR x kc` sliver
 //! of A (read *unpacked*, rows contiguous — the §4.1 insight) and a
-//! `kc x NR` sliver of B (read either unpacked with the source leading
-//! dimension, or from the packed `Bc` buffer with leading dimension `NR`;
-//! the kernel body is the same, only the stride differs).
+//! `kc x NR` sliver of B read at `(b, ldb)`: the unpacked source panel,
+//! or the packed `Bc` buffer at stride `NR`. Only the stride differs.
 //!
 //! How A enters the FMA follows the ISA ([`Vector::WIDE`]). On the 128-bit
 //! set each iteration group of `j = LANES` k-steps issues `MR` vector loads
@@ -17,11 +17,14 @@
 //! the same step. Both forms round each C element identically: one fused
 //! chain over k in increasing order.
 //!
-//! The *fused-pack* variant additionally streams every loaded B row into
-//! `Bc` (and optionally the **next** panel's rows, the paper's `t = 1`
-//! lookahead for irregular shapes, §5.3.2 / Figure 4 steps ① and ②),
-//! interleaving those stores between the FMAs so the out-of-order core can
-//! hide them — the paper's central packing-overlap idea.
+//! Packing rides on that chain rather than being a second kernel. With
+//! `PACK` set, every loaded B row is also stored to `Bc` (Figure 4 step ①);
+//! a [`PanelCopy`] moves the **next** panel's rows into its own `Bc`
+//! region (step ②, the paper's `t = 1` look-ahead for irregular shapes,
+//! §5.3.2). Both stores sit between the FMA groups of the k-step that
+//! loaded the row, so the out-of-order core hides them behind the FMA
+//! stream — the paper's central packing-overlap idea. Neither touches an
+//! accumulator, so every B-handling rounds a C element identically.
 //!
 //! shalom-analysis: deny(panic)
 
@@ -56,16 +59,29 @@ unsafe fn writeback_row<V: Vector>(
     }
 }
 
-/// Outer-product micro-kernel with a compile-time tile shape
-/// (`MR_` rows x `NRV_` vectors of `V::LANES` columns).
+/// The next `nr`-column B panel, copied into its `Bc` region while the
+/// kernel computes with the current one (Figure 4 step ②): `kc` rows of
+/// `nr` elements move from `src` (stride `src_ld`) to `dst` (stride `nr`).
+#[derive(Debug, Clone, Copy)]
+pub struct PanelCopy<T> {
+    /// The next panel's column 0 in the unpacked B.
+    pub src: *const T,
+    /// Source row stride.
+    pub src_ld: usize,
+    /// The next panel's `Bc` region.
+    pub dst: *mut T,
+}
+
+/// The one full-tile kernel body (`MR_` rows x `NRV_` vectors of
+/// `V::LANES` columns): computes `C[0..MR_, 0..NRV_*LANES] = alpha *
+/// A_sliver * B_sliver + beta * C`, where `A_sliver` is `MR_ x kc` at `a`
+/// with row stride `lda` and `B_sliver` is `kc x (NRV_*LANES)` at `b` with
+/// row stride `ldb`. With `PACK`, each B row is also stored to `bc` at
+/// stride `nr = NRV_*LANES`; `copy` moves the next panel's `kc` rows.
 ///
-/// Computes `C[0..MR_, 0..NRV_*LANES] = alpha * A_sliver * B_sliver +
-/// beta * C` where `A_sliver` is `MR_ x kc` at `a` with row stride `lda`
-/// and `B_sliver` is `kc x (NRV_*LANES)` at `b` with row stride `ldb`.
-///
-/// The default LibShalom tile is [`MR`]`=7` x [`NR_VECS`]`=3` (see
-/// [`main_kernel`]); other shapes exist for the baseline libraries and the
-/// tile-size ablation.
+/// After a `PACK` call, rows `mr..mc` of the C block can be updated by
+/// the same body reading `bc` with `ldb = nr`, the cache- and TLB-friendly
+/// access the packing exists to provide.
 ///
 /// # Safety
 /// * `a` valid for reads of `MR_` rows of `kc` elements at stride `lda`;
@@ -73,7 +89,11 @@ unsafe fn writeback_row<V: Vector>(
 ///   `ldb`;
 /// * `c` valid for reads/writes of `MR_` rows of `NRV_*LANES` elements at
 ///   stride `ldc`;
-/// * no aliasing between `c` and the inputs.
+/// * with `PACK`, `bc` valid for writes of `kc * nr` elements (unused
+///   otherwise);
+/// * `copy` (if set): `src` valid for reads of `kc` rows of `nr` elements
+///   at stride `src_ld`, `dst` for `kc * nr` element writes;
+/// * no written operand (`c`, `bc`, `copy.dst`) aliases another operand.
 // `inline(always)` is load-bearing: the `family` module wraps this body in
 // `#[target_feature(enable = "avx2,fma")]`-style dispatch shims, and the body
 // only compiles to wide FMA if it inlines into those shims.
@@ -81,8 +101,8 @@ unsafe fn writeback_row<V: Vector>(
 // PANIC-OK(index): acc/av/bv arrays sized by MR_/NRV_, indexed by loop counters
 // bounded by the same const generics.
 // ALLOC-FREE
-// CONTRACT(SHALOM-K-MAIN: m = MR_, n = NRV_ * V::LANES)
-pub unsafe fn main_kernel_shape<V: Vector, const MR_: usize, const NRV_: usize>(
+// CONTRACT(SHALOM-K-MAIN: m = MR_, n = NRV_ * V::LANES, copy_src = src, copy_dst = dst, copy_ld = src_ld)
+pub unsafe fn tile_kernel<V: Vector, const MR_: usize, const NRV_: usize, const PACK: bool>(
     kc: usize,
     alpha: V::Elem,
     a: *const V::Elem,
@@ -92,15 +112,21 @@ pub unsafe fn main_kernel_shape<V: Vector, const MR_: usize, const NRV_: usize>(
     beta: V::Elem,
     c: *mut V::Elem,
     ldc: usize,
+    bc: *mut V::Elem,
+    copy: Option<PanelCopy<V::Elem>>,
 ) {
+    let nr = NRV_ * V::LANES;
     // Contract SHALOM-K-MAIN preconditions (registry cross-checked; the
     // full footprint is validated by the shadow-memory harness).
     debug_assert!(!c.is_null());
-    debug_assert!(MR_ <= 1 || ldc >= NRV_ * V::LANES);
+    debug_assert!(MR_ <= 1 || ldc >= nr);
     if kc > 0 {
-        debug_assert!(!a.is_null() && !b.is_null());
+        debug_assert!(!a.is_null() && !b.is_null() && (!PACK || !bc.is_null()));
         debug_assert!(MR_ <= 1 || lda >= kc);
-        debug_assert!(kc <= 1 || ldb >= NRV_ * V::LANES);
+        debug_assert!(kc <= 1 || ldb >= nr);
+        if let Some(p) = copy {
+            debug_assert!(!p.src.is_null() && !p.dst.is_null() && (kc <= 1 || p.src_ld >= nr));
+        }
     }
     let mut acc = [[V::zero(); NRV_]; MR_];
     let mut k = 0usize;
@@ -115,7 +141,8 @@ pub unsafe fn main_kernel_shape<V: Vector, const MR_: usize, const NRV_: usize>(
         // next A group while this one is being consumed.
         prefetch_read(a.add(k + V::LANES));
         for lane in 0..V::LANES {
-            let brow = b.add((k + lane) * ldb);
+            let kk = k + lane;
+            let brow = b.add(kk * ldb);
             let mut bv = [V::zero(); NRV_];
             for (t, slot) in bv.iter_mut().enumerate() {
                 *slot = V::load(brow.add(t * V::LANES));
@@ -124,11 +151,28 @@ pub unsafe fn main_kernel_shape<V: Vector, const MR_: usize, const NRV_: usize>(
                 for t in 0..NRV_ {
                     acc[i][t] = acc[i][t].fma_lane_dyn(bv[t], av[i], lane);
                 }
+                // Step ①: the row being consumed goes to Bc, between the
+                // FMA groups of this lane.
+                if PACK && i == MR_ / 2 {
+                    let bcrow = bc.add(kk * nr);
+                    for (t, v) in bv.iter().enumerate() {
+                        v.store(bcrow.add(t * V::LANES));
+                    }
+                }
+            }
+            // Step ②: the next panel's row, after this lane's FMAs.
+            if let Some(PanelCopy { src, src_ld, dst }) = copy {
+                let srow = src.add(kk * src_ld);
+                let drow = dst.add(kk * nr);
+                for t in 0..NRV_ {
+                    V::load(srow.add(t * V::LANES)).store(drow.add(t * V::LANES));
+                }
             }
         }
         k += V::LANES;
     }
-    // The broadcast step: every k on the wide sets, the k tail otherwise.
+    // The broadcast step: every k on the wide sets, the k tail otherwise,
+    // with the same steps ① and ② between its FMA groups.
     while k < kc {
         let brow = b.add(k * ldb);
         let mut bv = [V::zero(); NRV_];
@@ -140,6 +184,19 @@ pub unsafe fn main_kernel_shape<V: Vector, const MR_: usize, const NRV_: usize>(
             for t in 0..NRV_ {
                 acc[i][t] = acc[i][t].fma(bv[t], s);
             }
+            if PACK && i == MR_ / 2 {
+                let bcrow = bc.add(k * nr);
+                for (t, v) in bv.iter().enumerate() {
+                    v.store(bcrow.add(t * V::LANES));
+                }
+            }
+        }
+        if let Some(PanelCopy { src, src_ld, dst }) = copy {
+            let srow = src.add(k * src_ld);
+            let drow = dst.add(k * nr);
+            for t in 0..NRV_ {
+                V::load(srow.add(t * V::LANES)).store(drow.add(t * V::LANES));
+            }
         }
         k += 1;
     }
@@ -148,8 +205,32 @@ pub unsafe fn main_kernel_shape<V: Vector, const MR_: usize, const NRV_: usize>(
     }
 }
 
+/// [`tile_kernel`] with no packing and no copy: the plain outer-product
+/// update at a compile-time tile shape. The default LibShalom tile is
+/// [`MR`]`=7` x [`NR_VECS`]`=3` (see [`main_kernel`]); other shapes exist
+/// for the baseline libraries and the tile-size ablation.
+///
+/// # Safety
+/// As [`tile_kernel`] without `bc` and `copy`.
+#[inline(always)]
+pub unsafe fn main_kernel_shape<V: Vector, const MR_: usize, const NRV_: usize>(
+    kc: usize,
+    alpha: V::Elem,
+    a: *const V::Elem,
+    lda: usize,
+    b: *const V::Elem,
+    ldb: usize,
+    beta: V::Elem,
+    c: *mut V::Elem,
+    ldc: usize,
+) {
+    debug_assert!(!c.is_null() && (MR_ <= 1 || ldc >= NRV_ * V::LANES));
+    let no_bc = core::ptr::null_mut();
+    tile_kernel::<V, MR_, NRV_, false>(kc, alpha, a, lda, b, ldb, beta, c, ldc, no_bc, None)
+}
+
 /// The LibShalom main micro-kernel at the analytic tile (7 x 12 for FP32,
-/// 7 x 6 for FP64). See [`main_kernel_shape`] for semantics and safety.
+/// 7 x 6 for FP64). See [`tile_kernel`] for semantics and safety.
 ///
 /// # Safety
 /// As [`main_kernel_shape`] with `MR_ = 7`, `NRV_ = 3`.
@@ -167,279 +248,6 @@ pub unsafe fn main_kernel<V: Vector>(
 ) {
     debug_assert!(!c.is_null() && ldc >= NR_VECS * V::LANES);
     main_kernel_shape::<V, MR, NR_VECS>(kc, alpha, a, lda, b, ldb, beta, c, ldc)
-}
-
-/// Lookahead request for the fused-pack kernel: copy the *next* `nr`-column
-/// panel of B into a second `Bc` region while computing with the current
-/// one (the paper's `t = 1` setting for irregular-shaped GEMM, Figure 4
-/// step ②).
-#[derive(Debug, Clone, Copy)]
-pub struct PackAhead<T> {
-    /// Source: next panel's column 0 within the same B rows (stride `ldb`).
-    pub src: *const T,
-    /// Destination: the next panel's `Bc` region (stride `nr`).
-    pub dst: *mut T,
-}
-
-/// Fused compute-and-pack micro-kernel for the NN mode (paper Algorithm 1
-/// lines 6–8): identical computation to [`main_kernel`] on an *unpacked*
-/// B (stride `ldb`), but every loaded B row chunk is also stored to the
-/// linear buffer `bc` (row stride `nr = NRV*LANES`), and — when `ahead` is
-/// set — the next panel's rows are copied too, all interleaved between the
-/// FMA stream.
-///
-/// After this kernel runs, rows `mr..mc` of the C block can be updated by
-/// the main kernel reading `bc` with `ldb = nr`, which is the cache- and
-/// TLB-friendly access the packing exists to provide.
-///
-/// Rounds every C element exactly as [`main_kernel_shape`] does (the same
-/// FMA chain over `kc`, then [`writeback_row`]), so within a kernel set
-/// the first `mr` rows of a panel are indistinguishable from the rest.
-///
-/// # Safety
-/// As [`main_kernel_shape`], plus: `bc` valid for writes of `kc * NR`
-/// elements; `ahead.src` (if set) valid for reads of `kc` rows of `NR`
-/// elements at stride `ldb`, and `ahead.dst` for `kc * NR` element
-/// writes. `bc` must not alias the inputs.
-// `inline(always)`: inlines into the per-ISA `#[target_feature]` entry
-// points of `family`, like `main_kernel_shape`.
-#[inline(always)]
-// PANIC-OK(index): register arrays sized by MR_/NRV_, indexed by loops bounded
-// by those constants.
-// ALLOC-FREE
-// CONTRACT(SHALOM-K-FUSED: m = MR_, n = NRV_ * V::LANES, ahead_src = src, ahead_dst = dst)
-pub unsafe fn main_kernel_fused_pack<V: Vector, const MR_: usize, const NRV_: usize>(
-    kc: usize,
-    alpha: V::Elem,
-    a: *const V::Elem,
-    lda: usize,
-    b: *const V::Elem,
-    ldb: usize,
-    beta: V::Elem,
-    c: *mut V::Elem,
-    ldc: usize,
-    bc: *mut V::Elem,
-    ahead: Option<PackAhead<V::Elem>>,
-) {
-    let nr = NRV_ * V::LANES;
-    // Contract SHALOM-K-FUSED preconditions.
-    debug_assert!(!c.is_null() && ldc >= nr);
-    if kc > 0 {
-        debug_assert!(!a.is_null() && !b.is_null() && !bc.is_null());
-        debug_assert!(MR_ <= 1 || lda >= kc);
-        debug_assert!(kc <= 1 || ldb >= nr);
-    }
-    if let Some(p) = ahead {
-        debug_assert!(kc == 0 || (!p.src.is_null() && !p.dst.is_null()));
-    }
-    let mut acc = [[V::zero(); NRV_]; MR_];
-    let mut k = 0usize;
-    // 128-bit: lane-indexed groups, as in `main_kernel_shape`.
-    while !V::WIDE && k + V::LANES <= kc {
-        let mut av = [V::zero(); MR_];
-        for (i, slot) in av.iter_mut().enumerate() {
-            *slot = V::load(a.add(i * lda + k));
-        }
-        for lane in 0..V::LANES {
-            let kk = k + lane;
-            let brow = b.add(kk * ldb);
-            let bcrow = bc.add(kk * nr);
-            let mut bv = [V::zero(); NRV_];
-            for (t, slot) in bv.iter_mut().enumerate() {
-                *slot = V::load(brow.add(t * V::LANES));
-            }
-            // Figure 4 step ①: the row we are consuming goes to Bc, the
-            // store issued between the FMAs of this lane so the OoO core
-            // overlaps it with computation.
-            for i in 0..MR_ {
-                for t in 0..NRV_ {
-                    acc[i][t] = acc[i][t].fma_lane_dyn(bv[t], av[i], lane);
-                }
-                if i == MR_ / 2 {
-                    for (t, v) in bv.iter().enumerate() {
-                        v.store(bcrow.add(t * V::LANES));
-                    }
-                }
-            }
-            // Figure 4 step ② (t = 1 lookahead): stream the next panel's
-            // row through, again between FMA groups.
-            if let Some(PackAhead { src, dst }) = ahead {
-                let srow = src.add(kk * ldb);
-                let drow = dst.add(kk * nr);
-                for t in 0..NRV_ {
-                    V::load(srow.add(t * V::LANES)).store(drow.add(t * V::LANES));
-                }
-            }
-        }
-        k += V::LANES;
-    }
-    // The broadcast step (every k on the wide sets, the k tail otherwise),
-    // with the same Figure 4 steps ① and ② between its FMA groups.
-    while k < kc {
-        let brow = b.add(k * ldb);
-        let bcrow = bc.add(k * nr);
-        let mut bv = [V::zero(); NRV_];
-        for (t, slot) in bv.iter_mut().enumerate() {
-            *slot = V::load(brow.add(t * V::LANES));
-        }
-        for i in 0..MR_ {
-            let s = V::splat(*a.add(i * lda + k));
-            for t in 0..NRV_ {
-                acc[i][t] = acc[i][t].fma(bv[t], s);
-            }
-            if i == MR_ / 2 {
-                for (t, v) in bv.iter().enumerate() {
-                    v.store(bcrow.add(t * V::LANES));
-                }
-            }
-        }
-        if let Some(PackAhead { src, dst }) = ahead {
-            let srow = src.add(k * ldb);
-            let drow = dst.add(k * nr);
-            for t in 0..NRV_ {
-                V::load(srow.add(t * V::LANES)).store(drow.add(t * V::LANES));
-            }
-        }
-        k += 1;
-    }
-    for (i, row) in acc.iter().enumerate() {
-        writeback_row::<V>(row, NRV_, alpha, beta, c.add(i * ldc));
-    }
-}
-
-/// A panel-copy request streamed through [`main_kernel_streamed`]: `rows`
-/// rows of `nr` elements are moved from `src` (stride `src_ld`) to `dst`
-/// (stride `nr`), the moves interleaved with the kernel's FMA groups.
-#[derive(Debug, Clone, Copy)]
-pub struct StreamCopy<T> {
-    /// Copy source (the next unpacked B panel).
-    pub src: *const T,
-    /// Source row stride.
-    pub src_ld: usize,
-    /// Copy destination (the next `Bc` region, stride `nr`).
-    pub dst: *mut T,
-    /// Number of rows to move (the next panel's `kc`).
-    pub rows: usize,
-}
-
-/// Main micro-kernel reading an already-packed `Bc` panel (stride `nr`),
-/// with an optional interleaved panel copy — the steady state of the
-/// paper's `t = 1` lookahead for irregular-shaped GEMM (§5.3.2): iteration
-/// `t` computes from the panel packed during iteration `t-1` while packing
-/// the panel iteration `t+1` will use.
-///
-/// Rounds every C element exactly as [`main_kernel_shape`] does.
-///
-/// # Safety
-/// As [`main_kernel_shape`] with `ldb = NR`; additionally `stream.src` (if
-/// set) valid for `rows` rows of `NR` elements at stride `src_ld` and
-/// `stream.dst` for `rows * NR` writes, not aliasing anything else.
-#[inline(always)]
-// PANIC-OK(index): register arrays sized by MR_/NRV_, indexed by loops bounded
-// by those constants.
-// ALLOC-FREE
-// CONTRACT(SHALOM-K-STREAM: m = MR_, n = NRV_ * V::LANES, stream_src = s.src, stream_dst = s.dst, stream_rows = s.rows, stream_ld = s.src_ld)
-pub unsafe fn main_kernel_streamed<V: Vector, const MR_: usize, const NRV_: usize>(
-    kc: usize,
-    alpha: V::Elem,
-    a: *const V::Elem,
-    lda: usize,
-    bc_packed: *const V::Elem,
-    beta: V::Elem,
-    c: *mut V::Elem,
-    ldc: usize,
-    stream: Option<StreamCopy<V::Elem>>,
-) {
-    let nr = NRV_ * V::LANES;
-    // Contract SHALOM-K-STREAM preconditions.
-    debug_assert!(!c.is_null() && ldc >= nr);
-    if kc > 0 {
-        debug_assert!(!a.is_null() && !bc_packed.is_null() && (MR_ <= 1 || lda >= kc));
-    }
-    if let Some(s) = stream {
-        debug_assert!(s.rows == 0 || (!s.src.is_null() && !s.dst.is_null()));
-        debug_assert!(s.rows <= 1 || s.src_ld >= nr);
-    }
-    let mut acc = [[V::zero(); NRV_]; MR_];
-    let mut k = 0usize;
-    // 128-bit: lane-indexed groups, as in `main_kernel_shape`.
-    while !V::WIDE && k + V::LANES <= kc {
-        let mut av = [V::zero(); MR_];
-        for (i, slot) in av.iter_mut().enumerate() {
-            *slot = V::load(a.add(i * lda + k));
-        }
-        for lane in 0..V::LANES {
-            let kk = k + lane;
-            let brow = bc_packed.add(kk * nr);
-            let mut bv = [V::zero(); NRV_];
-            for (t, slot) in bv.iter_mut().enumerate() {
-                *slot = V::load(brow.add(t * V::LANES));
-            }
-            for i in 0..MR_ {
-                for t in 0..NRV_ {
-                    acc[i][t] = acc[i][t].fma_lane_dyn(bv[t], av[i], lane);
-                }
-                // The copy traffic rides between FMA groups, exactly like
-                // the fused pack's Bc stores.
-                if i == MR_ / 2 {
-                    if let Some(s) = stream {
-                        if kk < s.rows {
-                            let srow = s.src.add(kk * s.src_ld);
-                            let drow = s.dst.add(kk * nr);
-                            for t in 0..NRV_ {
-                                V::load(srow.add(t * V::LANES)).store(drow.add(t * V::LANES));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        k += V::LANES;
-    }
-    // The broadcast step (every k on the wide sets, the k tail otherwise),
-    // its copy row again between FMA groups.
-    while k < kc {
-        let brow = bc_packed.add(k * nr);
-        let mut bv = [V::zero(); NRV_];
-        for (t, slot) in bv.iter_mut().enumerate() {
-            *slot = V::load(brow.add(t * V::LANES));
-        }
-        for i in 0..MR_ {
-            let s = V::splat(*a.add(i * lda + k));
-            for t in 0..NRV_ {
-                acc[i][t] = acc[i][t].fma(bv[t], s);
-            }
-            if i == MR_ / 2 {
-                if let Some(s) = stream {
-                    if k < s.rows {
-                        let srow = s.src.add(k * s.src_ld);
-                        let drow = s.dst.add(k * nr);
-                        for t in 0..NRV_ {
-                            V::load(srow.add(t * V::LANES)).store(drow.add(t * V::LANES));
-                        }
-                    }
-                }
-            }
-        }
-        k += 1;
-    }
-    // Drain any copy rows beyond kc (the next panel can be deeper when the
-    // caller's kk tiling differs; in the driver `rows == kc`, but the
-    // kernel stays correct regardless).
-    if let Some(s) = stream {
-        let mut r = kc;
-        while r < s.rows {
-            let srow = s.src.add(r * s.src_ld);
-            let drow = s.dst.add(r * nr);
-            for t in 0..NRV_ {
-                V::load(srow.add(t * V::LANES)).store(drow.add(t * V::LANES));
-            }
-            r += 1;
-        }
-    }
-    for (i, row) in acc.iter().enumerate() {
-        writeback_row::<V>(row, NRV_, alpha, beta, c.add(i * ldc));
-    }
 }
 
 #[cfg(test)]
@@ -623,11 +431,16 @@ mod tests {
         run_shape::<F64x2, 4, 1>(10);
     }
 
-    fn run_fused<V: Vector>(kc: usize, ahead: bool) {
+    /// `tile_kernel` with the given B handling: reads B from the source
+    /// panel (or, with neither `pack` nor `copy`, from an already packed
+    /// panel at stride `nr`), checks the tile, the packed panel and the
+    /// copied next panel.
+    fn run_pack<V: Vector>(kc: usize, pack: bool, copy: bool) {
         let nr = NR_VECS * V::LANES;
-        let src_cols = if ahead { 2 * nr } else { nr };
         let a = Matrix::<V::Elem>::random(MR, kc, 21);
-        let b = Matrix::<V::Elem>::random(kc, src_cols, 22);
+        // Two panels side by side (the tile's own and the next one), at a
+        // padded stride.
+        let b = Matrix::<V::Elem>::random_with_ld(kc, 2 * nr, 2 * nr + 3, 22);
         let mut c = Matrix::<V::Elem>::random(MR, nr, 23);
         let mut want = c.clone();
         reference::gemm(
@@ -639,139 +452,85 @@ mod tests {
             V::Elem::ONE,
             want.as_mut(),
         );
-        let mut bc = vec![V::Elem::ZERO; 2 * kc * nr];
+        let mut bc = vec![V::Elem::from_f64(-1.0); 2 * kc * nr];
         let (bc_cur, bc_next) = bc.split_at_mut(kc * nr);
-        // SAFETY: b has 2*nr columns when ahead is set, so column nr
-        // starts the second panel; bc halves are kc*nr each; all owned.
-        let ahead_req = ahead.then(|| PackAhead {
+        // SAFETY: b has 2*nr columns, so column nr starts the next panel;
+        // both bc halves are kc*nr; all buffers are owned.
+        let req = copy.then(|| PanelCopy {
             src: unsafe { b.as_slice().as_ptr().add(nr) },
+            src_ld: b.ld(),
             dst: bc_next.as_mut_ptr(),
         });
-        // SAFETY: operands owned and sized to the fused-pack footprint.
+        // SAFETY: operands owned and sized to the SHALOM-K-MAIN footprint.
         unsafe {
-            main_kernel_fused_pack::<V, MR, NR_VECS>(
-                kc,
-                V::Elem::ONE,
+            let (ap, bp, cp) = (
                 a.as_slice().as_ptr(),
-                a.ld(),
                 b.as_slice().as_ptr(),
-                b.ld(),
-                V::Elem::ONE,
                 c.as_mut().as_mut_ptr(),
-                c.ld(),
-                bc_cur.as_mut_ptr(),
-                ahead_req,
             );
+            if pack {
+                let bcp = bc_cur.as_mut_ptr();
+                tile_kernel::<V, MR, NR_VECS, true>(
+                    kc,
+                    V::Elem::ONE,
+                    ap,
+                    a.ld(),
+                    bp,
+                    b.ld(),
+                    V::Elem::ONE,
+                    cp,
+                    c.ld(),
+                    bcp,
+                    req,
+                );
+            } else {
+                tile_kernel::<V, MR, NR_VECS, false>(
+                    kc,
+                    V::Elem::ONE,
+                    ap,
+                    a.ld(),
+                    bp,
+                    b.ld(),
+                    V::Elem::ONE,
+                    cp,
+                    c.ld(),
+                    core::ptr::null_mut(),
+                    req,
+                );
+            }
         }
-        // Computation correct:
         assert_close(
             c.as_ref(),
             want.as_ref(),
             gemm_tolerance::<V::Elem>(kc, 1.0),
         );
-        // Current panel packed correctly (kc x nr, stride nr):
         let packed = MatRef::from_slice(bc_cur, kc, nr, nr);
+        let next = MatRef::from_slice(bc_next, kc, nr, nr);
         for k in 0..kc {
             for j in 0..nr {
-                assert_eq!(packed.at(k, j), b.at(k, j), "bc mismatch at ({k},{j})");
-            }
-        }
-        if ahead {
-            let packed_next = MatRef::from_slice(bc_next, kc, nr, nr);
-            for k in 0..kc {
-                for j in 0..nr {
-                    assert_eq!(
-                        packed_next.at(k, j),
-                        b.at(k, nr + j),
-                        "bc_next mismatch at ({k},{j})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fused_pack_computes_and_packs_f32() {
-        run_fused::<F32x4>(16, false);
-        run_fused::<F32x4>(16, true);
-    }
-
-    #[test]
-    fn fused_pack_computes_and_packs_f64() {
-        run_fused::<F64x2>(16, false);
-        run_fused::<F64x2>(16, true);
-    }
-
-    #[test]
-    fn fused_pack_k_tails() {
-        for kc in 1..=6 {
-            run_fused::<F32x4>(kc, true);
-            run_fused::<F64x2>(kc, true);
-        }
-    }
-
-    fn run_streamed<V: Vector>(kc: usize, copy_rows: usize) {
-        let nr = NR_VECS * V::LANES;
-        let a = Matrix::<V::Elem>::random(MR, kc, 51);
-        let bc = Matrix::<V::Elem>::random(kc, nr, 52); // already-packed panel
-        let next = Matrix::<V::Elem>::random(copy_rows.max(1), nr + 3, 53); // strided source
-        let mut c = Matrix::<V::Elem>::random(MR, nr, 54);
-        let mut want = c.clone();
-        reference::gemm(
-            Op::NoTrans,
-            Op::NoTrans,
-            V::Elem::ONE,
-            a.as_ref(),
-            bc.as_ref(),
-            V::Elem::ONE,
-            want.as_mut(),
-        );
-        let mut dst = vec![V::Elem::from_f64(-1.0); copy_rows.max(1) * nr];
-        let stream = (copy_rows > 0).then_some(StreamCopy {
-            src: next.as_slice().as_ptr(),
-            src_ld: next.ld(),
-            dst: dst.as_mut_ptr(),
-            rows: copy_rows,
-        });
-        // SAFETY: packed panel, stream source, and dst are owned buffers
-        // sized to the streamed kernel's footprint.
-        unsafe {
-            main_kernel_streamed::<V, MR, NR_VECS>(
-                kc,
-                V::Elem::ONE,
-                a.as_slice().as_ptr(),
-                a.ld(),
-                bc.as_slice().as_ptr(),
-                V::Elem::ONE,
-                c.as_mut().as_mut_ptr(),
-                c.ld(),
-                stream,
-            );
-        }
-        assert_close(
-            c.as_ref(),
-            want.as_ref(),
-            gemm_tolerance::<V::Elem>(kc, 1.0),
-        );
-        for r in 0..copy_rows {
-            for j in 0..nr {
-                assert_eq!(dst[r * nr + j], next.at(r, j), "stream copy ({r},{j})");
+                let want_bc = if pack {
+                    b.at(k, j)
+                } else {
+                    V::Elem::from_f64(-1.0)
+                };
+                assert_eq!(packed.at(k, j), want_bc, "bc at ({k},{j})");
+                let want_next = if copy {
+                    b.at(k, nr + j)
+                } else {
+                    V::Elem::from_f64(-1.0)
+                };
+                assert_eq!(next.at(k, j), want_next, "next panel at ({k},{j})");
             }
         }
     }
 
     #[test]
-    fn streamed_computes_and_copies() {
-        run_streamed::<F32x4>(16, 16);
-        run_streamed::<F64x2>(16, 16);
-    }
-
-    #[test]
-    fn streamed_copy_row_mismatch_and_none() {
-        // Copy deeper than kc (drain path), shallower, and absent.
-        run_streamed::<F32x4>(5, 9);
-        run_streamed::<F32x4>(9, 5);
-        run_streamed::<F32x4>(7, 0);
-        run_streamed::<F64x2>(3, 8);
+    fn every_b_handling_computes_packs_and_copies() {
+        for kc in [1, 2, 3, 5, 6, 16] {
+            for (pack, copy) in [(false, false), (true, false), (false, true), (true, true)] {
+                run_pack::<F32x4>(kc, pack, copy);
+                run_pack::<F64x2>(kc, pack, copy);
+            }
+        }
     }
 }

@@ -518,11 +518,13 @@ fn fn_regions(tokens: &[Token], src: &str, lines: &[String]) -> Vec<FnRegion> {
         if !named {
             continue;
         }
-        // Body: first `{` before a `;` at signature level.
+        // Body: first `{` before a `;` at signature level (a `;` inside
+        // brackets is an array type's, as in `-> [f32; 8]`).
         let mut j = i + 1;
         let mut body = None;
         let mut angle = 0i64;
         let mut paren = 0i64;
+        let mut bracket = 0i64;
         while j < code.len() {
             let t = code[j];
             if t.kind == TokenKind::Punct {
@@ -531,11 +533,13 @@ fn fn_regions(tokens: &[Token], src: &str, lines: &[String]) -> Vec<FnRegion> {
                     b'>' => angle -= 1,
                     b'(' => paren += 1,
                     b')' => paren -= 1,
-                    b'{' if angle <= 0 && paren == 0 => {
+                    b'[' => bracket += 1,
+                    b']' => bracket -= 1,
+                    b'{' if angle <= 0 && paren == 0 && bracket == 0 => {
                         body = Some(j);
                         break;
                     }
-                    b';' if angle <= 0 && paren == 0 => break,
+                    b';' if angle <= 0 && paren == 0 && bracket == 0 => break,
                     _ => {}
                 }
             }
@@ -692,6 +696,15 @@ fn two();
         assert_eq!(f.fns[0].body_end, Some(5));
         assert!(f.fns[0].body_contains(4));
         assert_eq!(f.fns[1].body_start, None);
+    }
+
+    #[test]
+    fn an_array_return_type_does_not_end_the_signature() {
+        let src = "fn t(rows: [[f32; 4]; 4]) -> [f32; 4] {\n    rows[0]\n}\n";
+        let f = SourceFile::parse("crates/x/src/a.rs", src);
+        assert_eq!(f.fns[0].body_start, Some(1));
+        assert_eq!(f.fns[0].body_end, Some(3));
+        assert!(f.fns[0].body_contains(2));
     }
 
     #[test]

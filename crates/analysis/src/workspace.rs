@@ -46,6 +46,7 @@ impl AnalysisConfig {
                 p("crates/core/src"),
                 p("crates/kernels/src"),
                 p("crates/service/src"),
+                p("crates/simd/src"),
                 p("crates/trace/src"),
             ],
             atomic_paths: vec![
@@ -59,6 +60,7 @@ impl AnalysisConfig {
                 p("crates/core"),
                 p("crates/kernels"),
                 p("crates/service"),
+                p("crates/simd"),
                 p("crates/trace"),
                 p("crates/contracts"),
                 p("crates/analysis"),

@@ -21,7 +21,7 @@
 use crate::GemmImpl;
 use shalom_core::{BlockSizes, CacheParams, GemmElem};
 use shalom_kernels::pack::{pack_a_slivers_goto, pack_b_slivers_goto, pack_transpose};
-use shalom_kernels::Vector;
+use shalom_kernels::{FamilyElem, Vector};
 use shalom_matrix::{MatMut, MatRef, Op, Scalar};
 
 /// Register-tile presets (rows x 128-bit vectors per row).
@@ -199,7 +199,9 @@ unsafe fn goto_serial<V: Vector>(
     beta: V::Elem,
     c: *mut V::Elem,
     ldc: usize,
-) {
+) where
+    V::Elem: FamilyElem,
+{
     if m == 0 || n == 0 {
         return;
     }

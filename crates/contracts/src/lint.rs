@@ -93,6 +93,7 @@ impl LintConfig {
                 PathBuf::from("crates/kernels/src"),
                 PathBuf::from("crates/kernels/tests"),
                 PathBuf::from("crates/core/src"),
+                PathBuf::from("crates/simd/src"),
             ],
             tags: crate::registry::known_tags(),
         }

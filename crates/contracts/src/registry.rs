@@ -69,8 +69,10 @@ pub const DRIVER_TAGS: &[&str] = &[
     // profile-loaded entry can change strategy but never form an
     // out-of-contract kernel call.
     "SHALOM-D-PLAN",
-    // Vector trait load/store forwarding (vector.rs): bounds inherited
-    // from the calling kernel's contract.
+    // The `Vector` implementations in crates/simd: load/store bounds are
+    // inherited from the calling kernel's contract; wide intrinsics run
+    // only after the caps probe admits their ISA; SSE2/NEON are part of
+    // the x86_64/aarch64 baselines.
     "SHALOM-V-SIMD",
 ];
 

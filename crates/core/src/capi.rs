@@ -340,10 +340,12 @@ pub unsafe extern "C" fn shalom_dgemm(
 /// problem `i` uses `a + i*stride_a`, `b + i*stride_b`,
 /// `c + i*stride_c`. Returns 0 on success, -1 on invalid arguments (as
 /// [`shalom_sgemm`], plus `stride_c` smaller than one `m x n` output when
-/// `count > 1`, or strides that carry the batch beyond the address space).
+/// `count > 1`, strides that carry the batch beyond the address space, or
+/// a C batch span overlapping A's or B's).
 ///
 /// # Safety
-/// As [`shalom_sgemm`], per problem; the `c` regions must be disjoint.
+/// As [`shalom_sgemm`], per problem; the `c` regions must be disjoint. A
+/// C batch span aliasing the A or B batch span is rejected.
 #[no_mangle]
 pub unsafe extern "C" fn shalom_sgemm_batch_strided(
     trans_a: i32,
@@ -384,6 +386,17 @@ pub unsafe extern "C" fn shalom_sgemm_batch_strided(
         (b.is_null(), span::<f32>(count, fb, stride_b)),
         (c.is_null(), span::<f32>(count, fc, stride_c)),
     ]) {
+        return -1;
+    }
+    // The whole C batch span, gaps included, must miss A's and B's: the
+    // view API's conservative rule for one strided operand.
+    if disjoint_output(
+        ("A", a, count, fa, stride_a),
+        ("B", b, count, fb, stride_b),
+        ("C", c.cast_const(), count, fc, stride_c),
+    )
+    .is_err()
+    {
         return -1;
     }
     if fc == 0 {
@@ -952,6 +965,18 @@ mod tests {
                     run(ap, m * k, bp, k * n, &mut c, m * n, usize::MAX / 2, m),
                     c,
                 )
+            }),
+            // One shared A or B (stride 0) planted inside C's allocation,
+            // so a call let through would still stay in bounds.
+            ("AliasA: A read from C's memory", {
+                let mut c = fresh();
+                let cp = c.as_ptr();
+                (run(cp, 0, bp, k * n, &mut c, m * n, count, m), c)
+            }),
+            ("AliasB: B read from C's memory, one element in", {
+                let mut c = fresh();
+                let cp = c.as_ptr().wrapping_add(1);
+                (run(ap, m * k, cp, 0, &mut c, m * n, count, m), c)
             }),
         ]
         .map(|(what, (rc, c))| (what, rc, c))

@@ -163,8 +163,8 @@ pub struct KernelFamily {
 }
 
 /// Selects the per-element-type half of a [`KernelFamily`]. Implemented
-/// for `f32`/`f64`; a supertrait of [`crate::Vector`]'s `Elem` so generic
-/// drivers reach the family table without cascading `where` clauses.
+/// for `f32`/`f64`; generic code that reaches the family table states
+/// this bound on its element type.
 pub trait FamilyElem: Scalar {
     /// This element type's kernels in `fam`.
     fn kernels(fam: &KernelFamily) -> &FamilyKernels<Self>

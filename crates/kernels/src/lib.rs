@@ -28,7 +28,8 @@
 //!
 //! All kernels are generic over the [`Vector`] lane type so one body serves
 //! FP32 and FP64, mirroring the paper's "equally applied to other kernel
-//! modes and FP64 GEMMs" (§5.1).
+//! modes and FP64 GEMMs" (§5.1). The trait is `shalom_simd`'s, re-exported
+//! here; each vector type implements it once, in that crate.
 //!
 //! shalom-analysis: deny(panic)
 
@@ -42,14 +43,13 @@ pub mod main_kernel;
 pub mod nt_pack;
 pub mod pack;
 pub mod tile;
-mod vector;
 
 pub use family::{
     family_for, kernels_for, registered_families, selected_wide_family, FamilyElem, FamilyKernels,
     KernelFamily,
 };
+pub use shalom_simd::Vector;
 pub use tile::{cmr, solve_tile, TileConstraints, TileShape};
-pub use vector::Vector;
 
 /// Register-tile rows for both precisions (paper §5.2.3: `mr = 7`).
 pub const MR: usize = 7;

@@ -17,9 +17,9 @@
 //! shalom-analysis: deny(panic)
 
 use crate::family::{kernels_for, FamilyElem};
-use crate::vector::MAX_LANES;
 use crate::Vector;
 use shalom_matrix::Scalar;
+use shalom_simd::MAX_LANES;
 
 /// Bytes per cache line on every target the kernels run on.
 const CACHE_LINE: usize = 64;

@@ -1,4 +1,5 @@
-//! Portable 128-bit SIMD substrate modelling the ARMv8 NEON register file.
+//! Portable SIMD substrate modelling the ARMv8 NEON register file, and the
+//! one vector trait the micro-kernels are written against.
 //!
 //! LibShalom's micro-kernels are written against the ARMv8 AdvSIMD (NEON)
 //! model: 32 logical vector registers, each 128 bits wide, holding `j = 4`
@@ -6,21 +7,29 @@
 //! multiply-add (`fmla vd.4s, vn.4s, vm.s[lane]`) used to form the
 //! outer-product update at the heart of the GEMM micro-kernel (paper §5).
 //!
-//! This crate provides exactly that operation set as two value types,
-//! [`F32x4`] and [`F64x2`], with three backends selected at compile time:
+//! [`Vector`] is that operation set. Each operation is defined once per
+//! type, as that type's `Vector` method: the two 128-bit types, [`F32x4`]
+//! and [`F64x2`], implement it directly with three backends selected at
+//! compile time:
 //!
 //! * **x86_64** — SSE2 (`__m128` / `__m128d`); the lane-indexed FMA is a
 //!   lane-splat shuffle followed by `_mm_fmadd_ps` when the build enables
-//!   the `fma` target feature (the workspace `.cargo/config.toml` passes
-//!   `-C target-cpu=native`), or an unfused multiply-add otherwise. The
-//!   wide x86 types ([`wide`], [`wide512`]) have no lane-indexed FMA: x86
-//!   has no FMA-by-element, so the kernels built on them broadcast each A
-//!   element and issue a plain FMA instead of paying a shuffle per FMA.
+//!   the `fma` target feature (e.g. `RUSTFLAGS="-C target-cpu=native"`),
+//!   or an unfused multiply-add otherwise — a default build's, as
+//!   [`fma_is_fused`] reports. The wide x86 types ([`wide`], [`wide512`])
+//!   have no lane-indexed FMA: x86 has no FMA-by-element, so the kernels
+//!   built on them broadcast each A element and issue a plain FMA instead
+//!   of paying a shuffle per FMA.
 //! * **aarch64** — native NEON intrinsics (`vfmaq_laneq_f32`, …), i.e. the
 //!   instructions the paper's hand-written assembly uses.
 //! * **scalar** — plain arrays; always available, also used as the reference
 //!   implementation in this crate's tests, and forced by the `force-scalar`
 //!   feature.
+//!
+//! The four runtime-dispatched wide types ([`F32x8`], [`F64x4`],
+//! [`F32x16`], [`F64x8`]) share one implementation body, so retiling or
+//! changing a wide operation edits one place (paper §5.5: the same
+//! kernels "with a revised mr and nr").
 //!
 //! The substitution from the paper's hardware is behaviour-preserving for
 //! the analytic models: the register-tile solver (paper Eq. 1–2, implemented
@@ -36,12 +45,15 @@ pub mod caps;
 mod f32x4;
 mod f64x2;
 pub mod scalar;
+mod vector;
 pub mod wide;
 pub mod wide512;
+mod wide_body;
 
 pub use caps::{base_isa, best_isa, Isa};
 pub use f32x4::F32x4;
 pub use f64x2::F64x2;
+pub use vector::{Vector, MAX_LANES};
 pub use wide::{F32x8, F64x4};
 pub use wide512::{F32x16, F64x8};
 
@@ -178,40 +190,10 @@ mod tests {
         assert_eq!(F64x2::LANES * 64, VECTOR_BITS);
     }
 
-    /// Every type's transpose moves lane `c` of row `r` to lane `r` of row
-    /// `c` and alters no bit: each element is a distinct NaN payload.
-    #[test]
-    fn transposes_permute_lanes_bit_for_bit() {
-        macro_rules! check {
-            ($V:ty, $E:ty, $B:ty, $N:literal, $nan:expr) => {{
-                let rows: [[$E; $N]; $N] = core::array::from_fn(|r| {
-                    core::array::from_fn(|c| <$E>::from_bits($nan | (1 + r * $N + c) as $B))
-                });
-                let out = <$V>::transpose(rows.map(<$V>::from_array)).map(<$V>::to_array);
-                for r in 0..$N {
-                    for c in 0..$N {
-                        assert_eq!(out[c][r].to_bits(), rows[r][c].to_bits(), "({r}, {c})");
-                    }
-                }
-            }};
-        }
-        check!(F32x4, f32, u32, 4, 0x7FC0_0000);
-        check!(F64x2, f64, u64, 2, 0x7FF8_0000_0000_0000);
-        let caps = caps::detect();
-        let native = cfg!(all(target_arch = "x86_64", not(feature = "force-scalar")));
-        if !native || caps.avx2_fma {
-            check!(F32x8, f32, u32, 8, 0x7FC0_0000);
-            check!(F64x4, f64, u64, 4, 0x7FF8_0000_0000_0000);
-        }
-        if !native || caps.avx512f {
-            check!(F32x16, f32, u32, 16, 0x7FC0_0000);
-            check!(F64x8, f64, u64, 8, 0x7FF8_0000_0000_0000);
-        }
-    }
-
     #[test]
     fn prefetch_does_not_crash() {
         let data = [0f32; 64];
+        // SAFETY: `data` is a live array; a prefetch reads nothing.
         unsafe { prefetch_read(data.as_ptr()) };
     }
 }

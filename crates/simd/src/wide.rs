@@ -4,10 +4,14 @@
 //! with a revised mr and nr computed according to the available number
 //! and length of vector registers" (SVE on A64FX/ARMv9, wider x86
 //! vectors). These types provide the 256-bit operation set: [`F32x8`]
-//! (`j = 8`) and [`F64x4`] (`j = 4`), with the same operations as the
-//! 128-bit types so the generic kernels instantiate unchanged — except the
-//! lane-indexed FMA: x86 has no FMA-by-element, so the kernels broadcast
-//! A elements into a plain [`F32x8::fma`] instead.
+//! (`j = 8`) and [`F64x4`] (`j = 4`), the same [`Vector`](crate::Vector)
+//! trait as the 128-bit types so the generic kernels instantiate
+//! unchanged — except the lane-indexed FMA: x86 has no FMA-by-element, so
+//! the kernels broadcast A elements into a plain
+//! [`Vector::fma`](crate::Vector::fma) instead.
+//! Both types, and the 512-bit ones in [`crate::wide512`], are emitted by
+//! one shared body (`crate::wide_body`); this module holds their AVX2
+//! intrinsics.
 //!
 //! # Runtime dispatch contract (`SHALOM-V-SIMD`)
 //!
@@ -20,9 +24,9 @@
 //! The inner functions are only *sound to execute* on a host with
 //! AVX2+FMA; the dispatch layer ([`crate::caps`]) probes the CPU before
 //! any kernel family built on these types is selected, and that probe is
-//! the safety argument for every `SAFETY: SHALOM-V-SIMD` comment below.
-//! Code that bypasses the dispatch layer must check
-//! [`crate::caps::detect`] itself (the tests here do).
+//! the safety argument for every `SAFETY: SHALOM-V-SIMD` comment in the
+//! shared body. Code that bypasses the dispatch layer must check
+//! [`crate::caps::detect`] itself (the tests do).
 //!
 //! # Rounding contract
 //!
@@ -31,34 +35,28 @@
 //! fallback (aarch64 polyfill, `force-scalar`, other arches) it is
 //! [`f32::mul_add`]/[`f64::mul_add`], which IEEE 754 defines as exactly
 //! rounded — bitwise identical to the hardware instruction. Horizontal
-//! reduction ([`F32x8::reduce_sum`]) extracts to an array and sums in a
-//! fixed pairwise order on every path. Consequently a `force-scalar`
-//! build and a native build produce **bitwise identical** results through
-//! the wide kernels; this differs from the 128-bit path, whose fusion
-//! follows the build's `fma` target feature (see
+//! reduction ([`Vector::reduce_sum`](crate::Vector::reduce_sum)) sums the
+//! lane array in a fixed pairwise order on every path. Consequently a
+//! `force-scalar` build and a native build produce **bitwise identical**
+//! results through the wide kernels; this differs from the 128-bit path,
+//! whose fusion follows the build's `fma` target feature (see
 //! [`crate::fma_is_fused`]).
-#![allow(clippy::needless_return)] // the `return` inside the cfg-gated arm selects the backend
+//!
+//! shalom-analysis: deny(panic)
 
-/// 256-bit vector of eight `f32` lanes, stored as a plain array.
-#[derive(Clone, Copy)]
-pub struct F32x8([f32; 8]);
+use crate::wide_body::wide_vector;
+use crate::{F32x4, F64x2};
 
-/// 256-bit vector of four `f64` lanes, stored as a plain array.
-#[derive(Clone, Copy)]
-pub struct F64x4([f64; 4]);
-
-macro_rules! scalar_block {
-    ($($t:tt)*) => {
-        #[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
-        { $($t)* }
-    };
+wide_vector! {
+    /// 256-bit vector of eight `f32` lanes, stored as a plain array.
+    F32x8([f32; 8]), half F32x4, probe avx2_fma,
+    x86::{add_ps, mul_ps, fmadd_ps, maskload_ps, maskstore_ps, transpose_ps}
 }
 
-macro_rules! avx_block {
-    ($($t:tt)*) => {
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-        { $($t)* }
-    };
+wide_vector! {
+    /// 256-bit vector of four `f64` lanes, stored as a plain array.
+    F64x4([f64; 4]), half F64x2, probe avx2_fma,
+    x86::{add_pd, mul_pd, fmadd_pd, maskload_pd, maskstore_pd, transpose_pd}
 }
 
 /// AVX2+FMA backends. Array parameters/returns keep the ABI
@@ -75,36 +73,42 @@ mod x86 {
     use core::arch::x86_64::*;
     use core::mem::transmute;
 
+    // SAFETY: SHALOM-V-SIMD — the host passed the AVX2+FMA caps probe.
     #[inline]
     #[target_feature(enable = "avx")]
     pub unsafe fn add_ps(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
         transmute(_mm256_add_ps(transmute(a), transmute(b)))
     }
 
+    // SAFETY: SHALOM-V-SIMD — the host passed the AVX2+FMA caps probe.
     #[inline]
     #[target_feature(enable = "avx")]
     pub unsafe fn mul_ps(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
         transmute(_mm256_mul_ps(transmute(a), transmute(b)))
     }
 
+    // SAFETY: SHALOM-V-SIMD — the host passed the AVX2+FMA caps probe.
     #[inline]
     #[target_feature(enable = "avx", enable = "fma")]
     pub unsafe fn fmadd_ps(acc: [f32; 8], a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
         transmute(_mm256_fmadd_ps(transmute(a), transmute(b), transmute(acc)))
     }
 
+    // SAFETY: SHALOM-V-SIMD — the host passed the AVX2+FMA caps probe.
     #[inline]
     #[target_feature(enable = "avx")]
     pub unsafe fn add_pd(a: [f64; 4], b: [f64; 4]) -> [f64; 4] {
         transmute(_mm256_add_pd(transmute(a), transmute(b)))
     }
 
+    // SAFETY: SHALOM-V-SIMD — the host passed the AVX2+FMA caps probe.
     #[inline]
     #[target_feature(enable = "avx")]
     pub unsafe fn mul_pd(a: [f64; 4], b: [f64; 4]) -> [f64; 4] {
         transmute(_mm256_mul_pd(transmute(a), transmute(b)))
     }
 
+    // SAFETY: SHALOM-V-SIMD — the host passed the AVX2+FMA caps probe.
     #[inline]
     #[target_feature(enable = "avx", enable = "fma")]
     pub unsafe fn fmadd_pd(acc: [f64; 4], a: [f64; 4], b: [f64; 4]) -> [f64; 4] {
@@ -112,6 +116,7 @@ mod x86 {
     }
 
     /// Lane mask selecting the first `n` of eight 32-bit lanes.
+    // SAFETY: SHALOM-V-SIMD — the host passed the AVX2+FMA caps probe.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn mask_ps(n: usize) -> __m256i {
@@ -123,6 +128,7 @@ mod x86 {
 
     /// Masked load of the first `n` lanes (`vmaskmovps`); masked-out
     /// lanes read as zero and are never touched in memory.
+    // SAFETY: SHALOM-V-SIMD — the host passed the AVX2+FMA caps probe; `ptr` covers `n` elements.
     #[inline]
     #[target_feature(enable = "avx2")]
     pub unsafe fn maskload_ps(ptr: *const f32, n: usize) -> [f32; 8] {
@@ -130,6 +136,7 @@ mod x86 {
     }
 
     /// Masked store of the first `n` lanes.
+    // SAFETY: SHALOM-V-SIMD — the host passed the AVX2+FMA caps probe; `ptr` covers `n` elements.
     #[inline]
     #[target_feature(enable = "avx2")]
     pub unsafe fn maskstore_ps(ptr: *mut f32, n: usize, v: [f32; 8]) {
@@ -137,6 +144,7 @@ mod x86 {
     }
 
     /// Lane mask selecting the first `n` of four 64-bit lanes.
+    // SAFETY: SHALOM-V-SIMD — the host passed the AVX2+FMA caps probe.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn mask_pd(n: usize) -> __m256i {
@@ -144,6 +152,7 @@ mod x86 {
     }
 
     /// Masked load of the first `n` lanes (`vmaskmovpd`).
+    // SAFETY: SHALOM-V-SIMD — the host passed the AVX2+FMA caps probe; `ptr` covers `n` elements.
     #[inline]
     #[target_feature(enable = "avx2")]
     pub unsafe fn maskload_pd(ptr: *const f64, n: usize) -> [f64; 4] {
@@ -151,6 +160,7 @@ mod x86 {
     }
 
     /// Masked store of the first `n` lanes.
+    // SAFETY: SHALOM-V-SIMD — the host passed the AVX2+FMA caps probe; `ptr` covers `n` elements.
     #[inline]
     #[target_feature(enable = "avx2")]
     pub unsafe fn maskstore_pd(ptr: *mut f64, n: usize, v: [f64; 4]) {
@@ -159,6 +169,8 @@ mod x86 {
 
     /// 8x8 `f32` transpose: `out[c][r] = rows[r][c]` — unpack pairs,
     /// shuffle quads, then swap the 128-bit halves (24 shuffles, AVX only).
+    // PANIC-OK(index): constant indices into the eight-row array.
+    // SAFETY: SHALOM-V-SIMD — the host passed the AVX2+FMA caps probe.
     #[inline]
     #[target_feature(enable = "avx")]
     pub unsafe fn transpose_ps(rows: [[f32; 8]; 8]) -> [[f32; 8]; 8] {
@@ -192,6 +204,8 @@ mod x86 {
     }
 
     /// 4x4 `f64` transpose: unpack pairs, then swap the 128-bit halves.
+    // PANIC-OK(index): constant indices into the four-row array.
+    // SAFETY: SHALOM-V-SIMD — the host passed the AVX2+FMA caps probe.
     #[inline]
     #[target_feature(enable = "avx")]
     pub unsafe fn transpose_pd(rows: [[f64; 4]; 4]) -> [[f64; 4]; 4] {
@@ -206,486 +220,5 @@ mod x86 {
             _mm256_permute2f128_pd::<0x31>(t0, t2),
             _mm256_permute2f128_pd::<0x31>(t1, t3),
         ])
-    }
-}
-
-impl F32x8 {
-    /// Number of lanes (`j = 8`).
-    pub const LANES: usize = 8;
-
-    /// All-zero vector.
-    #[inline(always)]
-    pub fn zero() -> Self {
-        Self([0.0; 8])
-    }
-
-    /// Builds a vector from an array of lanes.
-    #[inline(always)]
-    pub const fn from_array(v: [f32; 8]) -> Self {
-        Self(v)
-    }
-
-    /// Broadcasts `x` to all lanes.
-    #[inline(always)]
-    pub fn splat(x: f32) -> Self {
-        Self([x; 8])
-    }
-
-    /// Unaligned load of 8 consecutive `f32`s.
-    ///
-    /// # Safety
-    /// `ptr` valid for reading 32 bytes.
-    #[inline(always)]
-    pub unsafe fn load(ptr: *const f32) -> Self {
-        Self(core::ptr::read_unaligned(ptr as *const [f32; 8]))
-    }
-
-    /// Unaligned store of all lanes.
-    ///
-    /// # Safety
-    /// `ptr` valid for writing 32 bytes.
-    #[inline(always)]
-    pub unsafe fn store(self, ptr: *mut f32) {
-        core::ptr::write_unaligned(ptr as *mut [f32; 8], self.0)
-    }
-
-    /// Loads the first `n <= 8` lanes from `ptr` and zeroes the rest;
-    /// memory past `ptr + n` is never read.
-    ///
-    /// # Safety
-    /// `ptr` valid for reading `n` elements.
-    #[inline(always)]
-    pub unsafe fn load_partial(ptr: *const f32, n: usize) -> Self {
-        debug_assert!(n <= 8);
-        avx_block! {
-            debug_assert!(crate::caps::detect().avx2_fma);
-            // SAFETY: SHALOM-V-SIMD — see module contract; the mask keeps
-            // the access inside the caller's `n` elements.
-            return Self(x86::maskload_ps(ptr, n));
-        }
-        scalar_block! {
-            let mut r = [0.0; 8];
-            r[..n].copy_from_slice(core::slice::from_raw_parts(ptr, n));
-            Self(r)
-        }
-    }
-
-    /// Stores the first `n <= 8` lanes to `ptr`; memory past
-    /// `ptr + n` is never written.
-    ///
-    /// # Safety
-    /// `ptr` valid for writing `n` elements.
-    #[inline(always)]
-    pub unsafe fn store_partial(self, ptr: *mut f32, n: usize) {
-        debug_assert!(n <= 8);
-        avx_block! {
-            debug_assert!(crate::caps::detect().avx2_fma);
-            // SAFETY: SHALOM-V-SIMD — see module contract; the mask keeps
-            // the access inside the caller's `n` elements.
-            x86::maskstore_ps(ptr, n, self.0);
-            return;
-        }
-        scalar_block! {
-            core::slice::from_raw_parts_mut(ptr, n).copy_from_slice(&self.0[..n]);
-        }
-    }
-
-    /// Extracts all lanes.
-    #[inline(always)]
-    pub fn to_array(self) -> [f32; 8] {
-        self.0
-    }
-
-    /// Lane-wise addition.
-    #[inline(always)]
-    pub fn add(self, o: Self) -> Self {
-        avx_block! {
-            debug_assert!(crate::caps::detect().avx2_fma);
-            // SAFETY: SHALOM-V-SIMD — 256-bit ops run only after the
-            // dispatch probe confirms AVX2+FMA (module contract).
-            return Self(unsafe { x86::add_ps(self.0, o.0) });
-        }
-        scalar_block! {
-            let mut r = self.0;
-            for i in 0..8 { r[i] += o.0[i]; }
-            Self(r)
-        }
-    }
-
-    /// Lane-wise multiplication.
-    #[inline(always)]
-    pub fn mul(self, o: Self) -> Self {
-        avx_block! {
-            debug_assert!(crate::caps::detect().avx2_fma);
-            // SAFETY: SHALOM-V-SIMD — see module contract.
-            return Self(unsafe { x86::mul_ps(self.0, o.0) });
-        }
-        scalar_block! {
-            let mut r = self.0;
-            for i in 0..8 { r[i] *= o.0[i]; }
-            Self(r)
-        }
-    }
-
-    /// `self + a * b` per lane — always fused (one rounding per lane).
-    #[inline(always)]
-    pub fn fma(self, a: Self, b: Self) -> Self {
-        avx_block! {
-            debug_assert!(crate::caps::detect().avx2_fma);
-            // SAFETY: SHALOM-V-SIMD — see module contract.
-            return Self(unsafe { x86::fmadd_ps(self.0, a.0, b.0) });
-        }
-        scalar_block! {
-            let mut r = self.0;
-            for i in 0..8 { r[i] = a.0[i].mul_add(b.0[i], r[i]); }
-            Self(r)
-        }
-    }
-
-    /// Horizontal sum in a fixed pairwise order (identical on all paths).
-    #[inline(always)]
-    pub fn reduce_sum(self) -> f32 {
-        let v = self.0;
-        ((v[0] + v[4]) + (v[1] + v[5])) + ((v[2] + v[6]) + (v[3] + v[7]))
-    }
-
-    /// Multiplies all lanes by `s`.
-    #[inline(always)]
-    pub fn scale(self, s: f32) -> Self {
-        self.mul(Self::splat(s))
-    }
-
-    /// Transposes a 8x8 tile held as 8 row vectors: lane `r` of
-    /// `out[c]` is lane `c` of `rows[r]`. A pure lane permutation — no
-    /// bit of any element changes.
-    #[inline(always)]
-    pub fn transpose(rows: [Self; 8]) -> [Self; 8] {
-        let rows = rows.map(|v| v.0);
-        avx_block! {
-            debug_assert!(crate::caps::detect().avx2_fma);
-            // SAFETY: SHALOM-V-SIMD — see module contract.
-            return unsafe { x86::transpose_ps(rows) }.map(Self);
-        }
-        scalar_block! {
-            crate::transpose_arrays(rows).map(Self)
-        }
-    }
-}
-
-impl F64x4 {
-    /// Number of lanes (`j = 4`).
-    pub const LANES: usize = 4;
-
-    /// All-zero vector.
-    #[inline(always)]
-    pub fn zero() -> Self {
-        Self([0.0; 4])
-    }
-
-    /// Builds a vector from an array of lanes.
-    #[inline(always)]
-    pub const fn from_array(v: [f64; 4]) -> Self {
-        Self(v)
-    }
-
-    /// Broadcasts `x` to all lanes.
-    #[inline(always)]
-    pub fn splat(x: f64) -> Self {
-        Self([x; 4])
-    }
-
-    /// Unaligned load of 4 consecutive `f64`s.
-    ///
-    /// # Safety
-    /// `ptr` valid for reading 32 bytes.
-    #[inline(always)]
-    pub unsafe fn load(ptr: *const f64) -> Self {
-        Self(core::ptr::read_unaligned(ptr as *const [f64; 4]))
-    }
-
-    /// Unaligned store of all lanes.
-    ///
-    /// # Safety
-    /// `ptr` valid for writing 32 bytes.
-    #[inline(always)]
-    pub unsafe fn store(self, ptr: *mut f64) {
-        core::ptr::write_unaligned(ptr as *mut [f64; 4], self.0)
-    }
-
-    /// Loads the first `n <= 4` lanes from `ptr` and zeroes the rest;
-    /// memory past `ptr + n` is never read.
-    ///
-    /// # Safety
-    /// `ptr` valid for reading `n` elements.
-    #[inline(always)]
-    pub unsafe fn load_partial(ptr: *const f64, n: usize) -> Self {
-        debug_assert!(n <= 4);
-        avx_block! {
-            debug_assert!(crate::caps::detect().avx2_fma);
-            // SAFETY: SHALOM-V-SIMD — see module contract; the mask keeps
-            // the access inside the caller's `n` elements.
-            return Self(x86::maskload_pd(ptr, n));
-        }
-        scalar_block! {
-            let mut r = [0.0; 4];
-            r[..n].copy_from_slice(core::slice::from_raw_parts(ptr, n));
-            Self(r)
-        }
-    }
-
-    /// Stores the first `n <= 4` lanes to `ptr`; memory past
-    /// `ptr + n` is never written.
-    ///
-    /// # Safety
-    /// `ptr` valid for writing `n` elements.
-    #[inline(always)]
-    pub unsafe fn store_partial(self, ptr: *mut f64, n: usize) {
-        debug_assert!(n <= 4);
-        avx_block! {
-            debug_assert!(crate::caps::detect().avx2_fma);
-            // SAFETY: SHALOM-V-SIMD — see module contract; the mask keeps
-            // the access inside the caller's `n` elements.
-            x86::maskstore_pd(ptr, n, self.0);
-            return;
-        }
-        scalar_block! {
-            core::slice::from_raw_parts_mut(ptr, n).copy_from_slice(&self.0[..n]);
-        }
-    }
-
-    /// Extracts all lanes.
-    #[inline(always)]
-    pub fn to_array(self) -> [f64; 4] {
-        self.0
-    }
-
-    /// Lane-wise addition.
-    #[inline(always)]
-    pub fn add(self, o: Self) -> Self {
-        avx_block! {
-            debug_assert!(crate::caps::detect().avx2_fma);
-            // SAFETY: SHALOM-V-SIMD — see module contract.
-            return Self(unsafe { x86::add_pd(self.0, o.0) });
-        }
-        scalar_block! {
-            let mut r = self.0;
-            for i in 0..4 { r[i] += o.0[i]; }
-            Self(r)
-        }
-    }
-
-    /// Lane-wise multiplication.
-    #[inline(always)]
-    pub fn mul(self, o: Self) -> Self {
-        avx_block! {
-            debug_assert!(crate::caps::detect().avx2_fma);
-            // SAFETY: SHALOM-V-SIMD — see module contract.
-            return Self(unsafe { x86::mul_pd(self.0, o.0) });
-        }
-        scalar_block! {
-            let mut r = self.0;
-            for i in 0..4 { r[i] *= o.0[i]; }
-            Self(r)
-        }
-    }
-
-    /// `self + a * b` per lane — always fused (one rounding per lane).
-    #[inline(always)]
-    pub fn fma(self, a: Self, b: Self) -> Self {
-        avx_block! {
-            debug_assert!(crate::caps::detect().avx2_fma);
-            // SAFETY: SHALOM-V-SIMD — see module contract.
-            return Self(unsafe { x86::fmadd_pd(self.0, a.0, b.0) });
-        }
-        scalar_block! {
-            let mut r = self.0;
-            for i in 0..4 { r[i] = a.0[i].mul_add(b.0[i], r[i]); }
-            Self(r)
-        }
-    }
-
-    /// Horizontal sum in a fixed pairwise order (identical on all paths).
-    #[inline(always)]
-    pub fn reduce_sum(self) -> f64 {
-        let v = self.0;
-        (v[0] + v[2]) + (v[1] + v[3])
-    }
-
-    /// Multiplies all lanes by `s`.
-    #[inline(always)]
-    pub fn scale(self, s: f64) -> Self {
-        self.mul(Self::splat(s))
-    }
-
-    /// Transposes a 4x4 tile held as 4 row vectors: lane `r` of
-    /// `out[c]` is lane `c` of `rows[r]`. A pure lane permutation — no
-    /// bit of any element changes.
-    #[inline(always)]
-    pub fn transpose(rows: [Self; 4]) -> [Self; 4] {
-        let rows = rows.map(|v| v.0);
-        avx_block! {
-            debug_assert!(crate::caps::detect().avx2_fma);
-            // SAFETY: SHALOM-V-SIMD — see module contract.
-            return unsafe { x86::transpose_pd(rows) }.map(Self);
-        }
-        scalar_block! {
-            crate::transpose_arrays(rows).map(Self)
-        }
-    }
-}
-
-impl core::fmt::Debug for F32x8 {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "F32x8({:?})", self.to_array())
-    }
-}
-
-impl core::fmt::Debug for F64x4 {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "F64x4({:?})", self.to_array())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// True when this host may execute the wide ops (always, except an
-    /// x86_64 build running on hardware without AVX2+FMA).
-    pub(crate) fn runtime_ok() -> bool {
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-        {
-            return crate::caps::detect().avx2_fma;
-        }
-        #[allow(unreachable_code)]
-        true
-    }
-
-    #[test]
-    fn f32x8_roundtrip_and_ops() {
-        if !runtime_ok() {
-            return;
-        }
-        let a = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
-        let v = unsafe { F32x8::load(a.as_ptr()) };
-        assert_eq!(v.to_array(), a);
-        assert_eq!(F32x8::splat(2.0).mul(v).to_array()[7], 16.0);
-        assert_eq!(v.add(v).to_array()[0], 2.0);
-        assert_eq!(v.reduce_sum(), 36.0);
-        assert_eq!(v.scale(0.5).to_array()[3], 2.0);
-    }
-
-    #[test]
-    fn f32x8_fma() {
-        if !runtime_ok() {
-            return;
-        }
-        let a = F32x8::splat(2.0);
-        let b = F32x8::from_array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
-        let r = F32x8::zero().fma(a, b);
-        assert_eq!(r.to_array()[4], 10.0);
-    }
-
-    #[test]
-    fn f64x4_roundtrip_and_ops() {
-        if !runtime_ok() {
-            return;
-        }
-        let a = [1.0f64, 2.0, 3.0, 4.0];
-        let v = unsafe { F64x4::load(a.as_ptr()) };
-        assert_eq!(v.to_array(), a);
-        assert_eq!(v.reduce_sum(), 10.0);
-    }
-
-    #[test]
-    fn unaligned_access() {
-        let buf = [0f32, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0];
-        let v = unsafe { F32x8::load(buf.as_ptr().add(1)) };
-        assert_eq!(v.to_array()[0], 1.0);
-        let mut out = [0f32; 10];
-        unsafe { v.store(out.as_mut_ptr().add(2)) };
-        assert_eq!(out[2], 1.0);
-        assert_eq!(out[9], 8.0);
-    }
-
-    /// The rounding contract: every wide op is bitwise identical to the
-    /// scalar `mul_add` model, so `force-scalar` and native builds agree
-    /// bit-for-bit through the wide kernels.
-    #[test]
-    fn fused_ops_match_scalar_mul_add_model_bitwise() {
-        if !runtime_ok() {
-            return;
-        }
-        // Awkward values: subnormal-adjacent, sign-mixed, non-dyadic.
-        let mut x = 0x2545F491u32;
-        let mut next = || {
-            // xorshift32; map to a wide exponent range.
-            x ^= x << 13;
-            x ^= x >> 17;
-            x ^= x << 5;
-            ((x as f64 / u32::MAX as f64) - 0.5) * 3.0e3
-        };
-        for _ in 0..64 {
-            let af: [f32; 8] = core::array::from_fn(|_| next() as f32);
-            let bf: [f32; 8] = core::array::from_fn(|_| next() as f32);
-            let cf: [f32; 8] = core::array::from_fn(|_| next() as f32);
-            let got = F32x8::from_array(cf)
-                .fma(F32x8::from_array(af), F32x8::from_array(bf))
-                .to_array();
-            for i in 0..8 {
-                let want = af[i].mul_add(bf[i], cf[i]);
-                assert_eq!(
-                    got[i].to_bits(),
-                    want.to_bits(),
-                    "lane {i} not exactly fused"
-                );
-            }
-            let ad: [f64; 4] = core::array::from_fn(|_| next());
-            let bd: [f64; 4] = core::array::from_fn(|_| next());
-            let cd: [f64; 4] = core::array::from_fn(|_| next());
-            let got = F64x4::from_array(cd)
-                .fma(F64x4::from_array(ad), F64x4::from_array(bd))
-                .to_array();
-            for i in 0..4 {
-                let want = ad[i].mul_add(bd[i], cd[i]);
-                assert_eq!(
-                    got[i].to_bits(),
-                    want.to_bits(),
-                    "lane {i} not exactly fused"
-                );
-            }
-        }
-    }
-
-    /// Partial loads zero the masked lanes and read nothing past `n`;
-    /// partial stores write exactly `n` elements (the buffers are sized
-    /// to `n`, so Miri/ASan-style overreach would be out of bounds).
-    #[test]
-    fn partial_load_store_touch_exactly_n_lanes() {
-        if !runtime_ok() {
-            return;
-        }
-        for n in 0..=8 {
-            let src: Vec<f32> = (0..n).map(|i| i as f32 + 1.0).collect();
-            let v = unsafe { F32x8::load_partial(src.as_ptr(), n) }.to_array();
-            for (i, x) in v.iter().enumerate() {
-                assert_eq!(*x, if i < n { i as f32 + 1.0 } else { 0.0 });
-            }
-            let mut out = vec![-1.0f32; n + 2];
-            unsafe { F32x8::splat(7.0).store_partial(out.as_mut_ptr().add(1), n) };
-            assert_eq!((out[0], out[n + 1]), (-1.0, -1.0));
-            assert!(out[1..=n].iter().all(|&x| x == 7.0));
-        }
-        for n in 0..=4 {
-            let src: Vec<f64> = (0..n).map(|i| i as f64 + 1.0).collect();
-            let v = unsafe { F64x4::load_partial(src.as_ptr(), n) }.to_array();
-            for (i, x) in v.iter().enumerate() {
-                assert_eq!(*x, if i < n { i as f64 + 1.0 } else { 0.0 });
-            }
-            let mut out = vec![-1.0f64; n + 2];
-            unsafe { F64x4::splat(7.0).store_partial(out.as_mut_ptr().add(1), n) };
-            assert_eq!((out[0], out[n + 1]), (-1.0, -1.0));
-            assert!(out[1..=n].iter().all(|&x| x == 7.0));
-        }
     }
 }

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use shalom_simd::scalar::{ScalarF32x4, ScalarF64x2};
-use shalom_simd::{F32x4, F32x8, F64x2};
+use shalom_simd::{F32x4, F32x8, F64x2, Vector};
 
 fn finite_f32() -> impl Strategy<Value = f32> {
     (-1e6f32..1e6).prop_filter("finite", |x| x.is_finite())

@@ -1,8 +1,8 @@
 //! The six workspace passes plus the token-walking helpers they share.
 //!
 //! Each pass is a function from an analyzed [`SourceFile`] (plus any
-//! pass-specific context) to a list of [`Finding`]s. The workspace
-//! layer decides which files each pass sees; passes themselves only
+//! pass-specific context) to a list of [`Finding`](crate::Finding)s. The
+//! workspace layer decides which files each pass sees; passes themselves only
 //! look at the file handed to them, which keeps them trivially testable
 //! against string fixtures.
 

@@ -3,7 +3,7 @@
 //!
 //! The spec is the single source of truth for per-operand kernel
 //! footprints: `shalom-contracts` embeds it with `include_str!` and
-//! evaluates it numerically to build the [`OperandFootprint`] tables
+//! evaluates it numerically to build the `OperandFootprint` tables
 //! the NaN-poison harness allocates from, while the `bounds` pass reads
 //! the same file symbolically and proves every extracted pointer offset
 //! contained in the declared spans for *all* parameter values.
@@ -26,8 +26,6 @@
 //! `a + b - 1 - q*b >= 0` (valid whenever `b >= 1`, which a `require`
 //! line must establish); numerically they evaluate as
 //! `a.div_ceil(b.max(1))`.
-//!
-//! [`OperandFootprint`]: https://docs.rs/ — see `shalom-contracts`.
 
 use crate::sym::SymExpr;
 

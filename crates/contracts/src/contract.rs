@@ -112,7 +112,8 @@ impl OperandFootprint {
     }
 
     /// Total declared elements (sum of span lengths; spans never overlap
-    /// in the shipped contracts, which [`crate::registry`] audits).
+    /// in the shipped contracts, which [`registry`](mod@crate::registry)
+    /// audits).
     pub fn declared_elems(&self) -> usize {
         self.spans.iter().map(|s| s.len).sum()
     }

@@ -796,7 +796,7 @@ fn sweep_set<T: ContractElem + FamilyElem>(
 ///
 /// Covers every registered kernel set — the 128-bit tiles always, the
 /// AVX2 and AVX-512 sets on hosts that pass their probe — through the
-/// same dispatched entry points the driver calls ([`sweep_set`]), plus
+/// same dispatched entry points the driver calls (`sweep_set`), plus
 /// the NT scatter kernel over every `(m, bcols, jcol)` corner and all four
 /// plain packers including empty blocks.
 pub fn run_conformance(cfg: &HarnessConfig) -> Report {

@@ -7,8 +7,8 @@
 //! pure function of the call parameters `(mr, nr, kc, strides, …)`. The
 //! subsystem has three legs:
 //!
-//! * [`registry`] — the contract declarations themselves, one per entry
-//!   point (the full-tile body with its optional B pack and panel copy,
+//! * [`registry`](mod@registry) — the contract declarations themselves, one
+//!   per entry point (the full-tile body with its optional B pack and panel copy,
 //!   both edge schedules, the NT scatter-pack kernels, and every plain
 //!   packer), plus static audits that cross-check the contracts against
 //!   the §5.2 register-tile solver and the §4 packing plan (a declared

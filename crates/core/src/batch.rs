@@ -15,7 +15,7 @@
 //! ~60 ns, so claiming items one at a time bounced the counter's cache
 //! line (and the lines neighbouring C tiles share) between cores on every
 //! item; chunks pay that once per `g` items. The grain leaves about
-//! [`CLAIMS_PER_THREAD`] claims per participant, so a ragged batch (mixed
+//! `CLAIMS_PER_THREAD` claims per participant, so a ragged batch (mixed
 //! shapes) still balances: no one is stranded behind more than a small
 //! share of the work.
 

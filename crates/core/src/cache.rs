@@ -120,7 +120,7 @@ impl CacheParams {
         self
     }
 
-    /// Stable 64-bit fingerprint of the hierarchy ([`fnv1a_u64`] over the
+    /// Stable 64-bit fingerprint of the hierarchy (`fnv1a_u64` over the
     /// level capacities). Any size change changes the fingerprint; the
     /// value is identical across processes for equal hierarchies, so it
     /// can participate in persisted plan-profile keys.

@@ -18,7 +18,7 @@
 //! reads.
 //!
 //! The off path is free by construction, not by `#[cfg]`. An entry point
-//! reads the state word once ([`on`]): `GemmPlan::new` where a handle is
+//! reads the state word once (`on`): `GemmPlan::new` where a handle is
 //! built, `gemm_parallel` and `gemm_batch*` where one runs. With both
 //! sinks off the call runs the instantiation of the serial walk, the §6
 //! tile job or the batch item loop whose `const CAPTURE: bool` is

@@ -30,7 +30,7 @@
 //! | [`api`] | §3.3 | `sgemm`/`dgemm`, raw BLAS-style entry points |
 //! | [`batch`] | §7.4 | batched independent small GEMMs across cores |
 //! | [`capi`] | §3.3 | `extern "C"` CBLAS-style entry points |
-//! | [`autotune`] | §10 | empirical parameter search (the paper's future work) |
+//! | [`autotune`](mod@autotune) | §10 | empirical parameter search (the paper's future work) |
 //! | [`plan`] | §3.1, §10 | the per-call plan handle ([`GemmPlan`]), computed dispatch plans, the override table and the persistent autotune profiles that fill it |
 //!
 //! The micro-kernels themselves live in `shalom-kernels`. The dispatch
@@ -77,7 +77,7 @@ pub use config::{classify, EdgeSchedule, GemmConfig, IsaPolicy, PackingPolicy, S
 pub use error::{try_gemm_with, GemmError};
 pub use parallel::{partition_threads, quantized_chunk};
 pub use plan::{
-    describe_plan, install_tuned, load_profile, plan_cache_clear, plan_cache_stats,
+    describe_plan, install_tuned, load_profile, plan_cache_clear, plan_cache_stats, register_tile,
     request_plan_key, save_profile, CacheStats as PlanCacheStats, GemmPlan, PlanDescription,
     PlanKey, PlanSource, ProfileError, ResolvedPlan, PROFILE_VERSION,
 };

@@ -165,6 +165,17 @@ pub(crate) fn effective_isa<T: FamilyElem>(cfg: &GemmConfig) -> (Isa, &'static F
     (base, kernels_for::<T>(base))
 }
 
+/// The register tile `(mr, nr)` of the kernel set every handle built
+/// under `cfg` dispatches to, for any element type `T`, shape and mode:
+/// the set is a function of the configuration alone, resolved the way a
+/// handle's signature resolves it. A caller that splits a GEMM into
+/// column blocks of a multiple of `nr` keeps every full tile of the whole
+/// problem a full tile of its block. Consults no table.
+pub fn register_tile<T: FamilyElem>(cfg: &GemmConfig) -> (usize, usize) {
+    let ks = Signature::<T>::of(cfg, Op::NoTrans, Op::NoTrans, 0, 0, 0, 1).ks;
+    (ks.mr, ks.nr)
+}
+
 /// The ISA-aware override key a *serial* dispatch of this signature
 /// resolves under — the bucketing key for coalescing independent
 /// requests into one `gemm_batch` call (`shalom-service`). The §7.4
@@ -470,7 +481,7 @@ pub fn describe_plan<T: GemmElem>(
 
 /// Installs the plan a *tuned* configuration resolves to as an override
 /// for the signature keyed by the *base* configuration — the bridge from
-/// [`crate::autotune`] to the table: tune once, then every handle the
+/// [`crate::autotune()`] to the table: tune once, then every handle the
 /// application builds with its ordinary `base` config carries the tuned
 /// packing/blocking decision.
 ///
@@ -854,6 +865,7 @@ mod tests {
                 for (op_a, op_b) in [(N, N), (N, T), (T, N), (T, T)] {
                     let p = GemmPlan::<E>::new(c, op_a, op_b, m, n, 9);
                     assert!(p.isa() == want.0 && core::ptr::eq(p.ks, want.1));
+                    assert_eq!(register_tile::<E>(c), (p.ks.mr, p.ks.nr));
                     let key = key_for::<E>(c, op_a, op_b, (m, n, 9), 1);
                     assert_eq!(key.isa, want.0);
                 }

@@ -8,7 +8,7 @@
 //! a job, the workers wake, drain a shared atomic task counter, and park
 //! again. Two properties matter for GEMM:
 //!
-//! * **Workspace reuse.** Every worker *owns* a [`Workspace`] that
+//! * **Workspace reuse.** Every worker *owns* a `Workspace` that
 //!   survives across calls, so the `Bc`/`At` scratch is heap-allocated
 //!   once (or by [`prewarm`]) instead of per call — the workspace-reuse
 //!   bug the thread-local-only design had, since a scope-spawned thread's
@@ -41,7 +41,7 @@
 //! deadlock the publisher.
 //!
 //! Calls from *inside* a pool worker (nested GEMM) must not republish —
-//! that would deadlock on the single call slot. [`in_pool_context`]
+//! that would deadlock on the single call slot. `in_pool_context`
 //! flags pool threads (and the publisher while it participates); callers
 //! fall back to their serial paths.
 //!

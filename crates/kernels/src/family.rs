@@ -9,7 +9,7 @@
 //! schedules, the transposing pack, and — on the 128-bit set only — the
 //! NT pack panel. A *family* ([`KernelFamily`]) is the f32 and f64 sets of
 //! one ISA level. Every entry point is a monomorphic `unsafe fn` emitted
-//! by one macro ([`kernel_set!`]) that wraps the const-generic bodies of
+//! by one macro (`kernel_set!`) that wraps the const-generic bodies of
 //! [`crate::main_kernel`],
 //! [`crate::edge`], [`crate::pack`] and [`crate::nt_pack`] — all
 //! `#[inline(always)]` — in that level's `#[target_feature]`, so a default

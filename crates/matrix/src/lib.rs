@@ -9,11 +9,14 @@
 //!   cheap to sub-slice; the GEMM drivers and micro-kernels consume these.
 //! * [`Op`] — the per-operand transpose flag that composes into the four
 //!   GEMM modes NN/NT/TN/TT.
-//! * [`reference`] — a naive triple-loop GEMM with `f64` accumulation,
+//! * [`reference`](mod@reference) — a naive triple-loop GEMM with `f64` accumulation,
 //!   the correctness oracle for every optimized path in the workspace.
-//! * [`compare`] — numeric comparison helpers with GEMM-aware tolerances.
-//! * [`im2col`] — the convolution-to-GEMM lowering used by the VGG
-//!   workloads (paper §7.2, §8.6).
+//! * [`assert_close`], [`gemm_tolerance`], [`max_abs_diff`] and
+//!   [`max_rel_diff`] — numeric comparison helpers with GEMM-aware
+//!   tolerances.
+//! * [`im2col`] and [`im2col_into`] — the convolution-to-GEMM lowering,
+//!   whole or one block of columns at a time, used by the VGG workloads
+//!   (paper §7.2, §8.6).
 
 #![deny(missing_docs)]
 
@@ -25,7 +28,7 @@ mod scalar;
 mod view;
 
 pub use compare::{assert_close, gemm_tolerance, max_abs_diff, max_rel_diff};
-pub use im2col::{im2col, ConvShape};
+pub use im2col::{im2col, im2col_into, ConvShape};
 pub use matrix::Matrix;
 pub use scalar::Scalar;
 pub use view::{MatMut, MatRef};

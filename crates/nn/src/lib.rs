@@ -8,38 +8,61 @@
 //!
 //! * [`Conv2d`] — a stride-1 2-D convolution with symmetric zero padding,
 //!   weights stored as the `c_out x (c_in*kh*kw)` filter matrix;
-//! * [`Conv2d::forward`] — single image: `im2col` + one irregular GEMM;
-//! * [`Conv2d::forward_batch`] — a mini-batch: one lowering per image and
-//!   the GEMMs dispatched through `shalom_core::gemm_batch` (each GEMM
-//!   is itself internally parallelizable; the batch path follows the
-//!   §7.4 discipline of parallelism across independent problems);
+//! * [`Conv2d::forward`] — single image: the output pixels in column
+//!   blocks, each lowered into one reused `K x nb` buffer sized to half
+//!   of L2 and multiplied while it is still there (§3.3, §4: the reused
+//!   operand stays in cache). The whole im2col matrix is never built;
+//! * [`Conv2d::forward_batch`] — a mini-batch: one whole-matrix lowering
+//!   per image and the GEMMs dispatched through `shalom_core::gemm_batch`
+//!   (each GEMM is itself internally parallelizable; the batch path
+//!   follows the §7.4 discipline of parallelism across independent
+//!   problems);
 //! * [`Conv2d::forward_batch_via`] — the same mini-batch routed through
 //!   a running [`shalom_service::Service`], for serving paths where
 //!   layers from concurrent model instances should coalesce;
 //! * [`conv2d_direct`] — the nested-loop oracle used by the tests.
+//!
+//! All three `forward*` paths compute bitwise the same output: a block
+//! boundary is a multiple of the kernel set's tile width, so every
+//! output element is the same dot product in the same order. A layer
+//! configured for `T > 1` threads runs each block of `forward` on the
+//! pool, one fork-join per block.
 
 #![deny(missing_docs)]
 
-use shalom_core::{gemm_batch_beta, BatchItem, GemmConfig, GemmElem, GemmPlan, Op};
-use shalom_matrix::{im2col, ConvShape, MatMut, Matrix, Scalar};
+use shalom_core::{gemm_batch_beta, register_tile, BatchItem, GemmConfig, GemmElem, GemmPlan, Op};
+use shalom_matrix::{im2col, im2col_into, ConvShape, MatMut, MatRef, Matrix, Scalar};
 use shalom_service::{GemmRequest, Service, ServiceElem, ServiceError};
 
 /// A stride-1 2-D convolution layer with im2col + GEMM execution.
 ///
-/// The layer's single-image GEMM signature is fixed at construction, so
-/// [`Conv2d::new`] resolves its [`GemmPlan`] once and [`Conv2d::forward`]
-/// only runs it (no plan resolution per image). The handle is a
-/// snapshot: a profile override installed or cleared after the layer is
-/// built does not change what `forward` executes — any
-/// plan computes the same convolution; rebuild the layer to pick up a new
-/// override.
+/// [`Conv2d::forward`] splits the `N = h_out*w_out` output pixels into
+/// blocks of `nb` columns: the widest multiple of the tile width `nr`
+/// whose lowered `K x nb` block fits in half of `cfg.cache.l2`, at least
+/// `nr` and at most `N`. A layer whose whole lowered matrix fits is one
+/// block. When `nb` does not divide `N`, the `N % nb` leftover columns
+/// are a tail block, or join the last full block when the two still fit
+/// that budget. The block GEMMs have fixed signatures, so
+/// [`Conv2d::new`] resolves one [`GemmPlan`] for the `nb`-column block
+/// and one for the tail; `forward` only runs them (no plan resolution
+/// per image). The handles are a snapshot: a profile override installed
+/// or cleared after the layer is built does not change what `forward`
+/// executes — any plan computes the same convolution; rebuild the layer
+/// to pick up a new override.
 pub struct Conv2d<T: GemmElem> {
     shape: ConvShape,
     /// Filter matrix, `c_out x (c_in*kh*kw)` row-major.
     weights: Matrix<T>,
     cfg: GemmConfig,
-    /// The `forward` GEMM, planned once.
-    plan: GemmPlan<T>,
+    /// Output columns per `forward` block.
+    nb: usize,
+    /// Output columns of the last block when it is not `nb` wide, else 0.
+    tail_cols: usize,
+    /// The GEMM of one `nb`-column block, planned once.
+    block: GemmPlan<T>,
+    /// The GEMM of the `tail_cols`-column last block; `block` when there
+    /// is none.
+    tail: GemmPlan<T>,
 }
 
 impl<T: GemmElem> Conv2d<T> {
@@ -52,11 +75,20 @@ impl<T: GemmElem> Conv2d<T> {
         let (m, n, k) = shape.gemm_dims();
         assert_eq!(weights.rows(), m, "filter rows must equal c_out");
         assert_eq!(weights.cols(), k, "filter cols must equal c_in*kh*kw");
+        let (nb, tail_cols) = block_cols::<T>(&cfg, n, k);
+        let block = GemmPlan::new(&cfg, Op::NoTrans, Op::NoTrans, m, nb, k);
+        let tail = match tail_cols {
+            0 => block,
+            cols => GemmPlan::new(&cfg, Op::NoTrans, Op::NoTrans, m, cols, k),
+        };
         Self {
             shape,
             weights,
             cfg,
-            plan: GemmPlan::new(&cfg, Op::NoTrans, Op::NoTrans, m, n, k),
+            nb,
+            tail_cols,
+            block,
+            tail,
         }
     }
 
@@ -75,19 +107,32 @@ impl<T: GemmElem> Conv2d<T> {
     /// row one channel, row-major spatial order). Returns the output as
     /// `c_out x (h_out*w_out)`.
     ///
+    /// Each block of output columns is lowered into one reused buffer
+    /// and multiplied into its columns of the output; bitwise equal to
+    /// [`Conv2d::forward_batch`] on the same image.
+    ///
     /// # Panics
     /// If the input shape is wrong.
     pub fn forward(&self, input: &Matrix<T>) -> Matrix<T> {
-        let (m, n, _) = self.shape.gemm_dims();
-        let lowered = im2col(&self.shape, input);
+        let (m, n, k) = self.shape.gemm_dims();
         let mut out = Matrix::zeros(m, n);
-        self.plan.run(
-            T::ONE,
-            self.weights.as_ref(),
-            lowered.as_ref(),
-            T::ZERO,
-            out.as_mut(),
-        );
+        let mut out_view = out.as_mut();
+        let mut lowered = Vec::with_capacity(k * self.nb.max(self.tail_cols));
+        let full = n - self.tail_cols;
+        let blocks = (0..full)
+            .step_by(self.nb)
+            .map(|j0| (j0, self.nb, &self.block));
+        let tail = (self.tail_cols > 0).then_some((full, self.tail_cols, &self.tail));
+        for (j0, cols, plan) in blocks.chain(tail) {
+            im2col_into(&self.shape, input, j0..j0 + cols, &mut lowered);
+            plan.run(
+                T::ONE,
+                self.weights.as_ref(),
+                MatRef::from_slice(&lowered, k, cols, cols),
+                T::ZERO,
+                out_view.submatrix_mut(0, j0, m, cols),
+            );
+        }
         out
     }
 
@@ -162,6 +207,25 @@ impl<T: GemmElem> Conv2d<T> {
     }
 }
 
+/// The column blocking of [`Conv2d::forward`] for an `n`-pixel, depth-`k`
+/// layer under `cfg`, as `(nb, tail)`. `nb` is the widest multiple of the
+/// tile width `nr` with `k * nb * size_of::<T>() <= cfg.cache.l2 / 2`, at
+/// least `nr` and at most `n` (and at least 1, so an empty output still
+/// has a block width). `tail` is the width of the last block when that is
+/// not `nb`, else 0: the `n % nb` leftover columns, joined to the last
+/// full block when the two still fit the budget. Every block streams the
+/// whole filter matrix, so one block fewer is one pass over the filters
+/// fewer — a 4608-deep layer's filters do not fit in L2.
+fn block_cols<T: GemmElem>(cfg: &GemmConfig, n: usize, k: usize) -> (usize, usize) {
+    let (_, nr) = register_tile::<T>(cfg);
+    let fit = cfg.cache.l2 / 2 / (k.max(1) * core::mem::size_of::<T>());
+    let nb = (fit / nr * nr).max(nr).min(n).max(1);
+    match n % nb {
+        rest if rest > 0 && nb + rest <= fit => (nb, nb + rest),
+        rest => (nb, rest),
+    }
+}
+
 /// Direct (nested-loop) convolution oracle; output `c_out x (h_out*w_out)`.
 ///
 /// # Panics
@@ -207,6 +271,7 @@ pub fn conv2d_direct<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shalom_core::IsaPolicy;
     use shalom_matrix::{assert_close, gemm_tolerance, max_abs_diff};
 
     fn small_shape() -> ConvShape {
@@ -269,6 +334,105 @@ mod tests {
                 "batch and single paths must agree bitwise"
             );
         }
+    }
+
+    /// `threads` workers on `isa`'s kernel set and an L2 whose half holds
+    /// `extra` more columns than one tile width of the lowered `k`-deep
+    /// matrix, so `forward` runs blocks of `nr` columns.
+    fn blocked_cfg<T: GemmElem>(
+        threads: usize,
+        isa: IsaPolicy,
+        k: usize,
+        extra: usize,
+    ) -> GemmConfig {
+        let mut cfg = GemmConfig {
+            isa,
+            ..GemmConfig::with_threads(threads)
+        };
+        let (_, nr) = register_tile::<T>(&cfg);
+        cfg.cache.l2 = 2 * k * core::mem::size_of::<T>() * (nr + extra);
+        cfg
+    }
+
+    fn blocked_forward_matches_batch_and_direct<T: GemmElem>() {
+        // N = 13 * 14 = 182: three or more blocks of any tile width up
+        // to 48, and leftover columns: a tail block when the budget is
+        // one tile width, joined to the last block when it has room.
+        let shape = ConvShape {
+            c_in: 3,
+            c_out: 7,
+            h: 13,
+            w: 14,
+            kh: 3,
+            kw: 3,
+            pad: 1,
+        };
+        let (_, n, k) = shape.gemm_dims();
+        let input = Matrix::<T>::random(shape.c_in, shape.h * shape.w, 8);
+        let sets = [IsaPolicy::Auto, IsaPolicy::Force(shalom_core::base_isa())];
+        let runs = [1, 2]
+            .into_iter()
+            .flat_map(|t| sets.map(|i| (t, i)))
+            .flat_map(|(t, i)| [false, true].map(|join| (t, i, join)));
+        for (threads, isa, join) in runs {
+            let nr = register_tile::<T>(&GemmConfig {
+                isa,
+                ..GemmConfig::default()
+            })
+            .1;
+            assert!(n / nr >= 3 && n % nr != 0, "nr {nr}");
+            let extra = if join { n % nr } else { 0 };
+            let layer = Conv2d::<T>::random(shape, blocked_cfg::<T>(threads, isa, k, extra), 9);
+            let tail = if join { nr + n % nr } else { n % nr };
+            assert_eq!((layer.nb, layer.tail_cols), (nr, tail));
+            let got = layer.forward(&input);
+            let whole = layer.forward_batch(core::slice::from_ref(&input));
+            assert!(
+                got.as_slice() == whole[0].as_slice(),
+                "blocked forward differs from the whole-matrix GEMM at T = {threads}, {isa:?}, \
+                 tail joined {join}"
+            );
+            let want = conv2d_direct(&shape, &input, &layer.weights);
+            assert_close(got.as_ref(), want.as_ref(), gemm_tolerance::<T>(k, 4.0));
+        }
+    }
+
+    #[test]
+    fn blocked_forward_matches_batch_and_direct_f32() {
+        blocked_forward_matches_batch_and_direct::<f32>();
+    }
+
+    #[test]
+    fn blocked_forward_matches_batch_and_direct_f64() {
+        blocked_forward_matches_batch_and_direct::<f64>();
+    }
+
+    #[test]
+    fn blocks_are_the_widest_tile_multiple_in_half_of_l2() {
+        let cfg = GemmConfig::with_threads(1);
+        let (_, nr) = register_tile::<f32>(&cfg);
+        let at = |l2: usize, n: usize, k: usize| {
+            let cfg = GemmConfig {
+                cache: shalom_core::CacheParams { l2, ..cfg.cache },
+                ..cfg
+            };
+            block_cols::<f32>(&cfg, n, k)
+        };
+        // Half of L2 holds 3.5 tile widths of a 100-deep block: 3 fit,
+        // and a leftover tile width does not join the last block.
+        let l2 = 2 * 100 * 4 * nr * 7 / 2;
+        assert_eq!(at(l2, 1000 * nr, 100), (3 * nr, nr));
+        // Two leftover columns still fit beside a full block: one block
+        // of 3 tile widths and 2 columns instead of a 2-column tail.
+        assert_eq!(at(l2, 15 * nr + 2, 100), (3 * nr, 3 * nr + 2));
+        // A lowered matrix that fits is one block, whatever its width.
+        assert_eq!(at(1 << 30, 7 * nr + 3, 100), (7 * nr + 3, 0));
+        // Too deep for one tile width in half of L2: still one tile.
+        assert_eq!(at(1024, 10 * nr, 100_000), (nr, 0));
+        assert_eq!(at(1024, 10 * nr + 1, 100_000), (nr, 1));
+        // Narrower than one tile: the whole output.
+        assert_eq!(at(1024, nr - 1, 100_000), (nr - 1, 0));
+        assert_eq!(at(1024, 0, 0), (1, 0));
     }
 
     #[test]

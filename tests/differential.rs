@@ -22,7 +22,8 @@
 //! shadow harness go deeper on each axis.
 
 use libshalom::core::{
-    gemm_batch_beta, install_tuned, plan_cache_clear, plan_cache_stats, IsaPolicy, PlanSource,
+    gemm_batch_beta, install_tuned, plan_cache_clear, plan_cache_stats, register_tile, IsaPolicy,
+    PlanSource,
 };
 use libshalom::kernels::registered_families;
 use libshalom::matrix::{gemm_tolerance, ConvShape, Matrix};
@@ -1004,12 +1005,25 @@ fn each_entry_point_makes_the_planned_number_of_lookups() {
     let image = Matrix::<f32>::random(conv.c_in, conv.h * conv.w, 6);
     let held = GemmPlan::<f64>::new(&serial, nn.0, nn.1, 13, 13, 13);
     let layer = Conv2d::<f32>::random(conv, two, 5);
+    // An L2 whose half holds the lowered 27-deep matrix of one tile
+    // width: `forward` runs blocks of `nr` columns and a tail block
+    // (81 pixels is no multiple of a tile width), two handles.
+    let (_, nr) = register_tile::<f32>(&two);
+    assert_ne!(81 % nr, 0);
+    let blocked = GemmConfig {
+        cache: CacheParams {
+            l2: 2 * 27 * 4 * nr,
+            ..two.cache
+        },
+        ..two
+    };
+    let blocked_layer = Conv2d::<f32>::random(conv, blocked, 5);
     let service = Service::start(ServiceConfig::default());
     // Each entry point, with the table reads it makes when the table has
     // something in it: one per handle built, none per tile, per item of a
     // uniform batch, per run of a held handle or per image of a layer.
     let ragged = [(13, 13, 13), (5, 5, 5), (23, 23, 23), (13, 5, 13)];
-    let entry_points: [(&str, u64, &dyn Fn()); 9] = [
+    let entry_points: [(&str, u64, &dyn Fn()); 11] = [
         ("serial gemm_with", 1, &|| {
             drop(run_bits(&serial, nn, &a64, &b64, &c64))
         }),
@@ -1032,6 +1046,12 @@ fn each_entry_point_makes_the_planned_number_of_lookups() {
             drop(Conv2d::<f32>::random(conv, two, 5))
         }),
         ("Conv2d::forward", 0, &|| drop(layer.forward(&image))),
+        ("blocked Conv2d::new", 2, &|| {
+            drop(Conv2d::<f32>::random(conv, blocked, 5))
+        }),
+        ("blocked Conv2d::forward", 0, &|| {
+            drop(blocked_layer.forward(&image))
+        }),
         ("service request", 1, &|| {
             let mut c = c64.clone();
             let req = GemmRequest::new(

@@ -66,12 +66,12 @@ pub enum SpecShape {
 /// One operand's declared footprint.
 #[derive(Debug, Clone)]
 pub struct SpecOperand {
-    /// Operand name as bound at the kernel (`a`, `bc`, `copy_src`…).
+    /// Operand name as bound at the kernel (`a`, `bc`, `c`…).
     pub name: String,
     /// Access mode.
     pub access: SpecAccess,
     /// When present, the operand only exists if this parameter
-    /// resolves non-zero (`pack`, `copy`).
+    /// resolves non-zero (`pack`).
     pub when: Option<String>,
     /// The footprint shape.
     pub shape: SpecShape,

@@ -9,8 +9,9 @@
 //! * **+edge-case optimization** — the LibShalom driver with the
 //!   pipelined edge kernels but packing still sequential
 //!   (`PackingPolicy::AlwaysSequential`);
-//! * **+packing optimization** — full LibShalom (fused compute+pack,
-//!   `t = 1` lookahead for irregular shapes).
+//! * **+packing optimization** — full LibShalom (the pack fused into the
+//!   first row-block's kernel sweep, `t = 0`; the paper's `t = 1`
+//!   look-ahead is not built, see EXPERIMENTS.md).
 //!
 //! Reported as speedup over the baseline, matching the paper's bars.
 

@@ -192,11 +192,6 @@ pub struct KernelParams {
     /// Whether the full-tile kernel also stores every B row it reads to
     /// the packed panel (Figure 4 step ①).
     pub pack: bool,
-    /// Whether the full-tile kernel also copies the next panel (Figure 4
-    /// step ②, the `t = 1` look-ahead).
-    pub copy: bool,
-    /// Row stride of that copy's source.
-    pub copy_ld: usize,
     /// Sliver height `mr` of the Goto A-pack.
     pub mr_sliver: usize,
     /// Zero-padded columns the transposing pack writes after each

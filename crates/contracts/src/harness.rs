@@ -20,7 +20,6 @@ use crate::contract::KernelParams;
 use crate::registry::{find, KernelId};
 use crate::shadow::{ContractElem, ShadowOperand};
 use shalom_kernels::family::{NtPackFn, PackTransposeFn};
-use shalom_kernels::main_kernel::PanelCopy;
 use shalom_kernels::nt_pack::{nt_pack_kernel, NT_BCOLS, NT_ROWS};
 use shalom_kernels::pack::{pack_a_slivers_goto, pack_b_slivers_goto, pack_copy, pack_transpose};
 use shalom_kernels::{
@@ -149,22 +148,20 @@ fn expect_bits<T: ContractElem>(ctx: &str, what: String, got: T, want: T, out: &
 }
 
 /// Checks a kernel set's full-tile body through its dispatched entry
-/// points at one parameter point: the `kernel` slot when `handling` is
-/// `None`, else `kernel_pack` with `Some((pack, copy))`. B is read at a
-/// padded stride (`pad = 0` is the packed-panel layout); `pack` must
-/// store exactly the rows read to `bc`, `copy` must move the next panel
-/// (at its own stride) to its destination.
+/// points at one parameter point: the `kernel` slot, or with `pack` the
+/// `kernel_pack` slot. B is read at a padded stride (`pad = 0` is the
+/// packed-panel layout); `kernel_pack` must store exactly the rows read
+/// to `bc`.
 fn check_main<T: ContractElem + FamilyElem>(
     label: &str,
     ks: &FamilyKernels<T>,
     kc: usize,
     pad: usize,
-    handling: Option<(bool, bool)>,
+    pack: bool,
     (alpha, beta): (f64, f64),
     rep: &mut Report,
 ) {
     let (m, n) = (ks.mr, ks.nr);
-    let (pack, copy) = handling.unwrap_or_default();
     let p = KernelParams {
         m,
         n,
@@ -174,68 +171,39 @@ fn check_main<T: ContractElem + FamilyElem>(
         ldb: n + pad,
         ldc: n + pad,
         pack,
-        copy,
-        copy_ld: n + pad + 1,
         ..Default::default()
     };
     let contract = find(KernelId::MainKernel);
-    let slot = match handling {
-        None => "kernel".to_string(),
-        Some(_) => format!("kernel_pack pack={pack} copy={copy}"),
-    };
+    let slot = if pack { "kernel_pack" } else { "kernel" };
     let ctx = format!("{label} {slot} {m}x{n} kc={kc} pad={pad} alpha={alpha} beta={beta}");
     let seed = rep.next_seed();
     let a = ShadowOperand::<T>::new(&contract.operand(&p, "a"), seed);
     let b = ShadowOperand::<T>::new(&contract.operand(&p, "b"), seed ^ 0xB);
     let mut c = ShadowOperand::<T>::new(&contract.operand(&p, "c"), seed ^ 0xC);
     let mut bc = pack.then(|| ShadowOperand::<T>::new(&contract.operand(&p, "bc"), seed ^ 0xD));
-    let mut copy_ops = copy.then(|| {
-        (
-            ShadowOperand::<T>::new(&contract.operand(&p, "copy_src"), seed ^ 0xE),
-            ShadowOperand::<T>::new(&contract.operand(&p, "copy_dst"), seed ^ 0xF),
-        )
-    });
     let c_init = matrix_from(&c, m, n, p.ldc);
     let (al, be) = (T::from_f64(alpha), T::from_f64(beta));
-    let bc_ptr = bc.as_mut().map(ShadowOperand::ptr);
-    let req = copy_ops.as_mut().map(|(src, dst)| PanelCopy {
-        src: src.const_ptr(),
-        src_ld: p.copy_ld,
-        dst: dst.ptr(),
-    });
     let (ap, bp, cp) = (a.const_ptr(), b.const_ptr(), c.ptr());
     // SAFETY: operands are sized from the SHALOM-K-MAIN contract footprint
     // (that sizing being sufficient is exactly what this harness checks);
     // `ks` came from the registry, so its ISA probe passed.
     unsafe {
-        match handling {
+        match bc.as_mut() {
             None => (ks.kernel)(kc, al, ap, p.lda, bp, p.ldb, be, cp, p.ldc),
-            Some(_) => (ks.kernel_pack)(kc, al, ap, p.lda, bp, p.ldb, be, cp, p.ldc, bc_ptr, req),
+            Some(bc) => (ks.kernel_pack)(kc, al, ap, p.lda, bp, p.ldb, be, cp, p.ldc, bc.ptr()),
         }
     }
     a.check(&ctx, &mut rep.violations);
     b.check(&ctx, &mut rep.violations);
     c.check(&ctx, &mut rep.violations);
-    for k in 0..kc {
-        for j in 0..n {
-            if let Some(bc) = &bc {
+    if let Some(bc) = &bc {
+        for k in 0..kc {
+            for j in 0..n {
                 let (got, want) = (bc.elem(k * n + j), b.elem(k * p.ldb + j));
                 expect_bits(&ctx, format!("bc[{k},{j}]"), got, want, &mut rep.violations);
             }
-            if let Some((src, dst)) = &copy_ops {
-                let (got, want) = (dst.elem(k * n + j), src.elem(k * p.copy_ld + j));
-                expect_bits(
-                    &ctx,
-                    format!("copy_dst[{k},{j}]"),
-                    got,
-                    want,
-                    &mut rep.violations,
-                );
-            }
         }
-    }
-    for op in bc.iter().chain(copy_ops.iter().flat_map(|(s, d)| [s, d])) {
-        op.check(&ctx, &mut rep.violations);
+        bc.check(&ctx, &mut rep.violations);
     }
     let am = matrix_from(&a, m, kc, p.lda);
     let bm = matrix_from(&b, kc, n, p.ldb);
@@ -733,8 +701,7 @@ fn check_pack_b_goto<T: ContractElem>(
 }
 
 /// The per-set part of the sweep: every entry point of one kernel set at
-/// its own tile — `kernel`, `kernel_pack` under all four B handlings
-/// (none, pack, copy, pack + copy), the full edge
+/// its own tile — `kernel`, `kernel_pack`, the full edge
 /// lattice `m ∈ 1..=mr × n ∈ 1..=nr` under both schedules, the NT pack
 /// panel over `m ∈ 1..=7 × npanel ∈ 1..=nr` where the set has one, and
 /// the transposing pack around the set's `lanes x lanes` tile, plain and
@@ -748,14 +715,8 @@ fn sweep_set<T: ContractElem + FamilyElem>(
     for &kc in &cfg.ks {
         for &pad in &cfg.pads {
             for &ab in &cfg.alpha_betas {
-                for handling in [
-                    None,
-                    Some((false, false)),
-                    Some((true, false)),
-                    Some((false, true)),
-                    Some((true, true)),
-                ] {
-                    check_main(label, ks, kc, pad, handling, ab, rep);
+                for pack in [false, true] {
+                    check_main(label, ks, kc, pad, pack, ab, rep);
                 }
             }
             for m in 1..=ks.mr {
@@ -879,25 +840,9 @@ mod tests {
     fn single_point_checks_pass() {
         let mut rep = Report::default();
         let base = registered_families().next().expect("the 128-bit family");
-        check_main("f32", &base.k_f32, 7, 2, None, (1.0, 1.0), &mut rep);
-        check_main(
-            "f64",
-            &base.k_f64,
-            5,
-            1,
-            Some((true, true)),
-            (2.0, 0.5),
-            &mut rep,
-        );
-        check_main(
-            "f32",
-            &base.k_f32,
-            4,
-            0,
-            Some((false, true)),
-            (1.0, 1.0),
-            &mut rep,
-        );
+        check_main("f32", &base.k_f32, 7, 2, false, (1.0, 1.0), &mut rep);
+        check_main("f64", &base.k_f64, 5, 1, true, (2.0, 0.5), &mut rep);
+        check_main("f32", &base.k_f32, 4, 0, true, (1.0, 1.0), &mut rep);
         check_edge("f64", &base.k_f64, true, 3, 5, 6, 2, (1.5, -0.5), &mut rep);
         check_nt_kernel::<F32x4>(5, 2, 9, 4, 1, (1.0, 1.0), &mut rep);
         let nt_pack = base.k_f64.nt_pack.expect("the 128-bit set has the panel");

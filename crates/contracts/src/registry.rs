@@ -20,7 +20,7 @@ use shalom_kernels::{MR, NR_F32, NR_F64, NR_VECS};
 pub enum KernelId {
     /// `tile_kernel` — the full-tile body behind every kernel set's
     /// `kernel` and `kernel_pack` slots (`main_kernel` /
-    /// `main_kernel_shape` are its no-pack, no-copy instantiation).
+    /// `main_kernel_shape` are its no-pack instantiation).
     MainKernel,
     /// `edge_kernel_pipelined` — §5.4 Figure 6b schedule.
     EdgePipelined,
@@ -132,7 +132,7 @@ pub fn registry() -> Vec<KernelContract> {
             tag: "SHALOM-K-MAIN",
             entry: "shalom_kernels::main_kernel::tile_kernel",
             summary: "outer-product mr x nr tile update, unpacked A rows, \
-                      optional interleaved B pack and t=1 panel copy",
+                      optional interleaved B pack",
             align_elem_bytes: core::mem::align_of::<f32>(),
             no_alias: &[
                 ("c", "a"),
@@ -140,9 +140,6 @@ pub fn registry() -> Vec<KernelContract> {
                 ("bc", "a"),
                 ("bc", "b"),
                 ("bc", "c"),
-                ("copy_dst", "copy_src"),
-                ("copy_dst", "b"),
-                ("copy_dst", "bc"),
             ],
             footprint: main_footprint,
         },
@@ -371,19 +368,17 @@ fn shape_regs(mr: usize, nr: usize, c: &TileConstraints) -> usize {
 }
 
 /// Cross-check against the §4 packing plan: the packed-B extents the
-/// full-tile and NT contracts declare must fit the driver's per-panel
-/// `Bc` budget. `gemm_serial` allocates `2 * kc * nr` elements (a double
-/// buffer of `kc x nr` panels, enabling the `t = 1` lookahead) and hands
-/// each kernel one half, so every declared packed write must fit inside
-/// one `kc * nr` half, the copy's destination must fit the other, and a
-/// packed panel read back at stride `nr` must fit one half.
+/// full-tile and NT contracts declare must fit the driver's `Bc` budget.
+/// `gemm_serial` allocates one `kc x nr` panel, so every declared packed
+/// write must fit inside `kc * nr` elements, and a packed panel read back
+/// at stride `nr` must fit it too.
 pub fn audit_pack_plan() -> Vec<String> {
     let mut out = Vec::new();
     let main = find(KernelId::MainKernel);
     for lanes in [4usize, 2] {
         let nr = NR_VECS * lanes;
         for kc in [0usize, 1, 7, 64, 256] {
-            let half = kc * nr;
+            let panel = kc * nr;
             let p = KernelParams {
                 m: MR,
                 n: nr,
@@ -394,26 +389,22 @@ pub fn audit_pack_plan() -> Vec<String> {
                 ldc: nr,
                 nr,
                 pack: true,
-                copy: true,
-                copy_ld: 2 * nr,
                 ..Default::default()
             };
-            for name in ["bc", "copy_dst"] {
-                let ext = main.operand(&p, name).extent();
-                if ext > half {
-                    out.push(format!(
-                        "main {name} extent {ext} exceeds Bc half {half} (kc={kc}, nr={nr})"
-                    ));
-                }
-            }
-            let read_ext = main.operand(&KernelParams { ldb: nr, ..p }, "b").extent();
-            if read_ext > half {
+            let ext = main.operand(&p, "bc").extent();
+            if ext > panel {
                 out.push(format!(
-                    "main b extent {read_ext} read from a packed panel exceeds Bc half {half} \
-                     (kc={kc})"
+                    "main bc extent {ext} exceeds the Bc panel {panel} (kc={kc}, nr={nr})"
                 ));
             }
-            let panel = find(KernelId::NtPackPanel);
+            let read_ext = main.operand(&KernelParams { ldb: nr, ..p }, "b").extent();
+            if read_ext > panel {
+                out.push(format!(
+                    "main b extent {read_ext} read from a packed panel exceeds the Bc panel \
+                     {panel} (kc={kc})"
+                ));
+            }
+            let nt_panel = find(KernelId::NtPackPanel);
             let np = KernelParams {
                 m: MR,
                 n: nr,
@@ -425,10 +416,10 @@ pub fn audit_pack_plan() -> Vec<String> {
                 nr,
                 ..Default::default()
             };
-            let bc_ext = panel.operand(&np, "bc").extent();
-            if bc_ext != half {
+            let bc_ext = nt_panel.operand(&np, "bc").extent();
+            if bc_ext != panel {
                 out.push(format!(
-                    "nt panel bc extent {bc_ext} != full panel {half} (kc={kc}, nr={nr}): \
+                    "nt panel bc extent {bc_ext} != full panel {panel} (kc={kc}, nr={nr}): \
                      downstream main-kernel reads of the panel would see undefined columns"
                 ));
             }
@@ -453,8 +444,6 @@ pub fn representative_params(id: KernelId) -> KernelParams {
         nr: NR_F32,
         jcol: 2,
         pack: true,
-        copy: true,
-        copy_ld: 17,
         mr_sliver: 4,
         zpad: 5,
     };

@@ -131,8 +131,6 @@ fn resolve(name: &str, p: &KernelParams, lets: &[(String, usize)]) -> Option<usi
         "nr" => p.nr,
         "jcol" => p.jcol,
         "pack" => p.pack as usize,
-        "copy" => p.copy as usize,
-        "copy_ld" => p.copy_ld,
         "mr_sliver" => p.mr_sliver,
         "zpad" => p.zpad,
         _ => return None,
@@ -191,7 +189,6 @@ mod tests {
             lda: 5,
             ldb: 9,
             ldc: 8,
-            copy_ld: 11,
             ..Default::default()
         };
         let names = |p: &KernelParams| -> Vec<&str> {
@@ -204,10 +201,6 @@ mod tests {
         assert_eq!(
             names(&KernelParams { pack: true, ..p }),
             ["a", "b", "c", "bc"]
-        );
-        assert_eq!(
-            names(&KernelParams { copy: true, ..p }),
-            ["a", "b", "c", "copy_src", "copy_dst"]
         );
     }
 

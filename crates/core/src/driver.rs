@@ -18,12 +18,13 @@
 //!   set's tiled, lane-transposing pack — after which the problem looks
 //!   like NN/NT with a contiguous A block — the paper's "apply the NT/NN
 //!   strategy to matrix A" (§4.3).
-//! * NN-mode B handling implements the three §4.2 regimes: **no packing**
-//!   when `size(B) <= L1`; **fused pack** (`t = 0`) where the first `mr`
-//!   rows of each C panel are computed by the fused kernel that packs `Bc`
-//!   as a side effect; and the **`t = 1` lookahead** for irregular shapes,
-//!   double-buffering `Bc` so iteration `t` computes from the panel packed
-//!   during iteration `t-1` while streaming panel `t+1` in.
+//! * NN-mode B handling runs two of the §4.2 regimes: **no packing**
+//!   when `size(B) <= L1`, and otherwise the **fused pack** (`t = 0`),
+//!   where the first `mr` rows of each C panel are computed by the
+//!   kernel that packs `Bc` as a side effect and the rest read `Bc`. The
+//!   paper's `t = 1` look-ahead, which also copies the next panel, ran
+//!   level with it on every benchmark workload that used it
+//!   (EXPERIMENTS.md), so it is not built.
 //! * NT-mode B handling always packs (the transposed operand cannot be
 //!   vector-loaded along N). A set with the inner-product panel (the
 //!   128-bit one: Algorithm 3 at the width it was derived for) fuses the
@@ -39,10 +40,9 @@
 //! static-analysis passes (`crates/analysis`) enforce both.
 
 use crate::capture;
-use crate::config::{classify, GemmConfig, PackingPolicy, ShapeClass};
+use crate::config::{GemmConfig, PackingPolicy};
 use crate::plan::GemmPlan;
 use shalom_kernels::family::EdgeFn;
-use shalom_kernels::main_kernel::PanelCopy;
 use shalom_kernels::nt_pack::NT_ROWS;
 use shalom_kernels::pack::pack_copy;
 use shalom_kernels::{FamilyElem, FamilyKernels};
@@ -55,7 +55,7 @@ const DECAY_WINDOW: u32 = 64;
 /// the window's high-water demand.
 const DECAY_FACTOR: usize = 4;
 
-/// Reusable per-thread scratch: the double-buffered `Bc` panel and the
+/// Reusable per-thread scratch: the packed `Bc` panel and the
 /// transpose-packed A block for T modes. Backed by `u64` storage (8-byte
 /// aligned, sufficient for `f32`/`f64`) so one instance serves both
 /// precisions — a tiny GEMM must not pay a heap allocation per call.
@@ -178,34 +178,14 @@ pub(crate) fn with_workspace<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
     })
 }
 
-pub(crate) fn resolve_nn_plan(
-    cfg: &GemmConfig,
-    m: usize,
-    n: usize,
-    k: usize,
-    elem_bytes: usize,
-) -> BPlan {
-    let b_bytes = k * n * elem_bytes;
-    let shape = classify(m, n, k, elem_bytes, &cfg.cache);
+/// The §4.2 NN regime of a `k x n` B: read in place when it fits L1,
+/// else packed by the fused kernel, unless the policy pins a regime.
+pub(crate) fn resolve_nn_plan(cfg: &GemmConfig, n: usize, k: usize, elem_bytes: usize) -> BPlan {
     match cfg.packing {
         PackingPolicy::Never => BPlan::Direct,
         PackingPolicy::AlwaysSequential => BPlan::Sequential,
-        PackingPolicy::AlwaysFused => {
-            if shape == ShapeClass::Irregular {
-                BPlan::FusedLookahead
-            } else {
-                BPlan::Fused
-            }
-        }
-        PackingPolicy::Auto => {
-            if b_bytes <= cfg.cache.l1 {
-                BPlan::Direct
-            } else if shape == ShapeClass::Irregular {
-                BPlan::FusedLookahead
-            } else {
-                BPlan::Fused
-            }
-        }
+        PackingPolicy::Auto if k * n * elem_bytes <= cfg.cache.l1 => BPlan::Direct,
+        PackingPolicy::Auto | PackingPolicy::AlwaysFused => BPlan::Fused,
     }
 }
 
@@ -257,8 +237,6 @@ pub(crate) unsafe fn gemm_serial<T: FamilyElem, const CAPTURE: bool>(
     let call = CAPTURE.then(|| capture::Call::begin(capture::Phase::Serial, plan));
     let (ks, edge, bs, b_plan) = (plan.ks, plan.edge_fn, plan.bs, plan.b_plan);
     let (bc_ptr, at_ptr) = ws.ensure::<T>(plan.bc_elems, plan.at_elems);
-    // `Bc` is two panels (the t = 1 lookahead's double buffer).
-    let bc_panel = plan.bc_elems / 2;
 
     // ALLOC-FREE: begin — after `ensure` above, the whole block walk runs
     // out of reused workspace; a stray allocation here is a per-call cost
@@ -316,7 +294,6 @@ pub(crate) unsafe fn gemm_serial<T: FamilyElem, const CAPTURE: bool>(
                         c_blk,
                         ldc,
                         bc_ptr,
-                        bc_panel,
                     ),
                     Op::Trans => nt_block::<T, CAPTURE>(
                         ks,
@@ -450,8 +427,7 @@ unsafe fn sweep_rows<T: FamilyElem>(
 /// Inherits the SHALOM-D-DRIVER block contract: `a_blk` covers
 /// `mcur x kcur` at stride `lda`, `b_blk` covers `kcur x ncur` at
 /// stride `ldb`, `c_blk` covers `mcur x ncur` at stride `ldc`, and
-/// `bc` points to workspace for two packed panels of `bc_panel >=
-/// kcur * nr` elements each (the double buffer for the t = 1 lookahead).
+/// `bc` points to workspace for one `kcur x nr` packed panel.
 #[allow(clippy::too_many_arguments)]
 // ALLOC-FREE
 unsafe fn nn_block<T: FamilyElem, const CAPTURE: bool>(
@@ -470,60 +446,31 @@ unsafe fn nn_block<T: FamilyElem, const CAPTURE: bool>(
     c_blk: *mut T,
     ldc: usize,
     bc: *mut T,
-    bc_panel: usize,
 ) {
     let (mr, nr) = (ks.mr, ks.nr);
     let full_panels = ncur / nr;
-    // Double buffer as a swapped pointer pair (no `[]` indexing on the
-    // hot path): `cur_buf` feeds this iteration's compute, `next_buf`
-    // receives the panel streamed ahead for the next one.
-    let mut cur_buf = bc;
-    let mut next_buf = bc.add(bc_panel);
-    let mut have_packed = false;
 
     for p in 0..full_panels {
         let j = p * nr;
         let b_panel = b_blk.add(j);
         let c_panel = c_blk.add(j);
-        let next_full = p + 1 < full_panels;
         // Where rows `i0..mcur` of this panel read B from, after the
         // plan's first pass (if any) has run.
         let (i0, bsrc, ld_src): (usize, *const T, usize) = match plan {
             BPlan::Direct => (0, b_panel, ldb),
-            // The fused plans' first pass: the panel packs itself, or —
-            // under the look-ahead, once its predecessor copied it — is
-            // read packed; the look-ahead also copies the next panel.
-            BPlan::Fused | BPlan::FusedLookahead if mcur >= mr => {
-                let copy = (plan == BPlan::FusedLookahead && next_full).then_some(PanelCopy {
-                    src: b_panel.add(nr),
-                    src_ld: ldb,
-                    dst: next_buf,
-                });
-                let (b_in, ld_in, pack) = if have_packed {
-                    (cur_buf as *const T, nr, None)
-                } else {
-                    (b_panel, ldb, Some(cur_buf))
-                };
+            // The fused plan's first pass: the panel's first `mr` rows
+            // pack it.
+            BPlan::Fused if mcur >= mr => {
                 (ks.kernel_pack)(
-                    kcur, alpha, a_blk, lda, b_in, ld_in, beta_eff, c_panel, ldc, pack, copy,
+                    kcur, alpha, a_blk, lda, b_panel, ldb, beta_eff, c_panel, ldc, bc,
                 );
-                have_packed = copy.is_some();
-                let packed = cur_buf;
-                if have_packed {
-                    core::mem::swap(&mut cur_buf, &mut next_buf);
-                }
-                (mr, packed, nr)
+                (mr, bc, nr)
             }
-            // Sequential — and the fused plans on a block shorter than
-            // the `mr`-row tile their kernels ride on.
+            // Sequential — and the fused plan on a block shorter than
+            // the `mr`-row tile its kernel rides on.
             _ => {
-                pack_timed!(
-                    CAPTURE,
-                    PackB,
-                    pack_copy(b_panel, ldb, kcur, nr, cur_buf, nr)
-                );
-                have_packed = false;
-                (0, cur_buf, nr)
+                pack_timed!(CAPTURE, PackB, pack_copy(b_panel, ldb, kcur, nr, bc, nr));
+                (0, bc, nr)
             }
         };
         sweep_rows(
@@ -591,7 +538,7 @@ unsafe fn nt_block<T: FamilyElem, const CAPTURE: bool>(
         let c_panel = c_blk.add(j);
         // Rows the pack pass already computed.
         let m0 = match (plan, ks.nt_pack) {
-            (BPlan::Fused | BPlan::FusedLookahead, Some(nt_pack)) => {
+            (BPlan::Fused, Some(nt_pack)) => {
                 let m0 = NT_ROWS.min(mcur);
                 nt_pack(
                     m0, ncols, kcur, nr, alpha, a_blk, lda, b_panel, ldb, beta_eff, c_panel, ldc,
@@ -620,7 +567,7 @@ unsafe fn nt_block<T: FamilyElem, const CAPTURE: bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{EdgeSchedule, IsaPolicy};
+    use crate::config::{classify, EdgeSchedule, IsaPolicy, ShapeClass};
     use shalom_kernels::registered_families;
     use shalom_matrix::{assert_close, gemm_tolerance, reference, Matrix};
 
@@ -790,15 +737,16 @@ mod tests {
 
     #[test]
     fn nn_lookahead_path_irregular() {
-        // Irregular shape (n >> m) with small L1 triggers FusedLookahead:
-        // panel 0 packs itself and copies panel 1, every later panel reads
-        // its packed copy and copies the next, at every set's tile.
+        // An irregular shape (n >> m) with a small L1 — the shape the
+        // retired `t = 1` look-ahead served — runs `Fused`: every one of
+        // its many panels packs itself, at every set's tile.
         on_every_set(|s, run| {
             let m = 2 * s.mr + 2;
             assert_eq!(
-                resolve_nn_plan(&s.cfg, m, 2048, 64, 4),
-                BPlan::FusedLookahead
+                classify(m, 2048, 64, 4, &s.cfg.cache),
+                ShapeClass::Irregular
             );
+            assert_eq!(resolve_nn_plan(&s.cfg, 2048, 64, 4), BPlan::Fused);
             run(&s.cfg, N, N, m, 2048, 64, 1.0, 1.0);
         });
     }
@@ -886,22 +834,19 @@ mod tests {
         // pack-copy + edge-kernel fallback inside the fused branch.
         on_every_set(|s, run| {
             let m = s.mr - 2;
-            assert_eq!(resolve_nn_plan(&s.cfg, m, 40, 40, 4), BPlan::Fused);
+            assert_eq!(resolve_nn_plan(&s.cfg, 40, 40, 4), BPlan::Fused);
             run(&s.cfg, N, N, m, 40, 40, 1.0, 1.0);
         });
     }
 
     #[test]
     fn lookahead_plan_with_fewer_rows_than_mr() {
-        // Irregular shape and m < mr: the double-buffered t=1 path must
-        // fall back per panel without corrupting its buffer rotation —
-        // also when only the last `ii` block is short.
+        // Irregular shape and m < mr: the fused plan falls back to the
+        // sequential pack per panel — also when only the last `ii` block
+        // is short, after full blocks packed the same panels fused.
         on_every_set(|s, run| {
             let m = s.mr - 2;
-            assert_eq!(
-                resolve_nn_plan(&s.cfg, m, 2048, 48, 4),
-                BPlan::FusedLookahead
-            );
+            assert_eq!(resolve_nn_plan(&s.cfg, 2048, 48, 4), BPlan::Fused);
             run(&s.cfg, N, N, m, 2048, 48, 1.0, 1.0);
             let bs = GemmPlan::<f32>::new(&s.cfg, N, N, 4096, 2048, 48).bs;
             run(&s.cfg, N, N, bs.mc + m, 2048, 48, 1.0, 1.0);

@@ -290,7 +290,7 @@ impl<'a, T: FamilyElem> Signature<'a, T> {
     /// supplies the tile the blocking and the workspace are measured in.
     fn compute(&self) -> GemmPlan<T> {
         let ks = self.ks;
-        let b_plan = resolve_b_plan(self.cfg, ks, self.op_b, self.m, self.n, self.k);
+        let b_plan = resolve_b_plan(self.cfg, ks, self.op_b, self.n, self.k);
         let elem_bytes = core::mem::size_of::<T>();
         let bs = BlockSizes::derive(&self.cfg.cache, elem_bytes, ks.mr, ks.nr, ks.lanes);
         let grid = partition_threads(self.threads, self.m, self.n);
@@ -321,9 +321,7 @@ impl<'a, T: FamilyElem> Signature<'a, T> {
         // panel (a stale or hostile profile entry).
         let b_plan = match plan.b_plan {
             BPlan::Direct if self.op_b == Op::Trans => BPlan::Sequential,
-            BPlan::Fused | BPlan::FusedLookahead
-                if self.op_b == Op::Trans && self.ks.nt_pack.is_none() =>
-            {
+            BPlan::Fused if self.op_b == Op::Trans && self.ks.nt_pack.is_none() => {
                 BPlan::Sequential
             }
             stored => stored,
@@ -351,25 +349,24 @@ impl<'a, T: FamilyElem> Signature<'a, T> {
     }
 }
 
-/// The §4 B-handling regime of an `m x n x k` problem (or sub-block)
+/// The §4 B-handling regime of a problem (or sub-block) with a `k x n` B
 /// under `cfg`: the pure resolution a handle makes for the whole problem
 /// and a threaded parent repeats per tile.
 fn resolve_b_plan<T>(
     cfg: &GemmConfig,
     ks: &FamilyKernels<T>,
     op_b: Op,
-    m: usize,
     n: usize,
     k: usize,
 ) -> BPlan {
     match op_b {
-        Op::NoTrans => resolve_nn_plan(cfg, m, n, k, core::mem::size_of::<T>()),
+        Op::NoTrans => resolve_nn_plan(cfg, n, k, core::mem::size_of::<T>()),
         Op::Trans => resolve_nt_plan(cfg, ks),
     }
 }
 
 /// `(Bc, At)` element counts the serial driver needs for an `m`-row,
-/// `k`-deep block: the double-buffered `kc x nr` B panel plus, in the T
+/// `k`-deep block: the one `kc x nr` packed B panel plus, in the T
 /// modes, the transpose-packed `mc x kc` A block. Sized by the *actual*
 /// problem, not the cache-blocking ceilings: a 5x5x5 GEMM must not pay
 /// for a megabyte of zeroed Bc/Ac.
@@ -387,7 +384,7 @@ fn workspace_elems<T>(
     } else {
         0
     };
-    (2 * kc_eff * ks.nr, at_elems)
+    (kc_eff * ks.nr, at_elems)
 }
 
 impl<T: FamilyElem> GemmPlan<T> {
@@ -423,7 +420,7 @@ impl<T: FamilyElem> GemmPlan<T> {
     /// bitwise equal to serial ones — and the §4 regime re-resolved for
     /// the sub-block by the same pure function the parent's was.
     pub(crate) fn for_block(&self, rl: usize, cl: usize) -> Self {
-        let b_plan = resolve_b_plan(&self.cfg, self.ks, self.op_b, rl, cl, self.k);
+        let b_plan = resolve_b_plan(&self.cfg, self.ks, self.op_b, cl, self.k);
         let (bc_elems, at_elems) = workspace_elems(&self.bs, self.ks, self.op_a, rl, self.k);
         GemmPlan {
             m: rl,
@@ -612,7 +609,7 @@ mod tests {
     pub(super) fn plan(i: u64) -> ResolvedPlan {
         ResolvedPlan {
             class: ShapeClass::Small,
-            b_plan: BPlan::ALL[(i % 4) as usize],
+            b_plan: BPlan::ALL[i as usize % BPlan::ALL.len()],
             edge: EdgeSchedule::Pipelined,
             kc: 256,
             mc: 84,
@@ -703,7 +700,7 @@ mod tests {
                         assert!(core::ptr::eq(computed.ks, ks));
                         assert_eq!(computed.isa(), fam.isa);
                         let want = match op_b {
-                            Op::NoTrans => resolve_nn_plan(&c, m, n, k, 8),
+                            Op::NoTrans => resolve_nn_plan(&c, n, k, 8),
                             Op::Trans => resolve_nt_plan(&c, ks),
                         };
                         assert_eq!(computed.b_plan, want);
@@ -726,12 +723,9 @@ mod tests {
                         };
                         assert_eq!(
                             (computed.bc_elems, computed.at_elems),
-                            (2 * kc_eff * ks.nr, at_elems)
+                            (kc_eff * ks.nr, at_elems)
                         );
-                        assert_eq!(
-                            rp.workspace_bytes,
-                            ((2 * kc_eff * ks.nr + at_elems) * 8) as u64
-                        );
+                        assert_eq!(rp.workspace_bytes, ((kc_eff * ks.nr + at_elems) * 8) as u64);
                     }
                 }
             }
@@ -752,7 +746,7 @@ mod tests {
         assert_eq!((p.tm, p.tn), partition_threads(4, 64, 64));
         // The workspace follows the blocking that will run, never the
         // profile's own (informational) byte count.
-        assert_eq!(p.bc_elems, 2 * p.ks.nr);
+        assert_eq!(p.bc_elems, p.ks.nr);
         // A fused NT regime (a profile saved before the wide sets lost
         // their inner-product panel, or a hostile one) never reaches a
         // missing panel, and NT `Direct` (which `nt_block` transpose-packs
@@ -762,7 +756,7 @@ mod tests {
         fn nt<E: FamilyElem>(c: &GemmConfig, op_a: Op) {
             let sig = Signature::<E>::of(c, op_a, T, 8, 8, 8, 1);
             let computed = sig.compute();
-            for stored in [BPlan::Direct, BPlan::Fused, BPlan::FusedLookahead] {
+            for stored in [BPlan::Direct, BPlan::Fused] {
                 let mut rp = computed.describe().plan;
                 rp.b_plan = stored;
                 let p = sig.decode(&rp);
@@ -912,7 +906,7 @@ mod tests {
             rp.validate().unwrap();
             // Same §4 decision as the 128-bit pin, blocking in the
             // family's register tile.
-            assert_eq!(rp.b_plan, resolve_nn_plan(&auto, 64, 64, 64, 4));
+            assert_eq!(rp.b_plan, resolve_nn_plan(&auto, 64, 64, 4));
             let ks = &fam.k_f32;
             let bs = BlockSizes::derive(&auto.cache, 4, ks.mr, ks.nr, ks.lanes);
             assert_eq!(

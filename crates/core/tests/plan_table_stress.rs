@@ -38,7 +38,7 @@ fn key(i: u64) -> PlanKey {
 fn plan(i: u64) -> ResolvedPlan {
     ResolvedPlan {
         class: ShapeClass::ALL[(i % 3) as usize],
-        b_plan: BPlan::ALL[(i % 4) as usize],
+        b_plan: BPlan::ALL[i as usize % BPlan::ALL.len()],
         edge: EdgeSchedule::ALL[(i % 2) as usize],
         kc: 32 + (i % 480) as u32,
         mc: 7 + (i % 1000) as u32,

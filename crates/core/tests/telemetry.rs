@@ -118,10 +118,11 @@ fn nn_fused_path() {
 fn nn_lookahead_path() {
     let _g = state_lock();
     // 64x2048x64: B too big for L1 and N/M = 32 >= 8 with N >= 1024 ->
-    // irregular -> fused pack with t=1 lookahead (§4.2).
+    // irregular, the shape §4.2's `t = 1` look-ahead was for. It runs
+    // the fused t=0 pack, and the record still says irregular.
     let recs = trace_gemm(&fixed_config(), Op::NoTrans, Op::NoTrans, 64, 2048, 64);
     let r = sole_record(&recs, 64, 2048, 64);
-    assert_eq!(r.plan, BPlan::FusedLookahead);
+    assert_eq!(r.plan, BPlan::Fused);
     assert_eq!(r.class, ShapeClass::Irregular);
 }
 

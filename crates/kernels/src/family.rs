@@ -4,8 +4,8 @@
 //! A *kernel set* ([`FamilyKernels`]) is everything the `jj → ii → kk`
 //! block walk needs from one register tile at one element type: the tile
 //! `(mr, nr, lanes)`, the full-tile kernel as two slots over one body —
-//! `kernel` (plain) and `kernel_pack` (packing the panel it reads and/or
-//! copying the next one, Figure 4) — the edge kernel in both Figure 6
+//! `kernel` (plain) and `kernel_pack` (also packing the panel it reads,
+//! Figure 4 step ①) — the edge kernel in both Figure 6
 //! schedules, the transposing pack, and — on the 128-bit set only — the
 //! NT pack panel. A *family* ([`KernelFamily`]) is the f32 and f64 sets of
 //! one ISA level. Every entry point is a monomorphic `unsafe fn` emitted
@@ -44,7 +44,6 @@
 //! its NT pack panel keeps its inner-product rounding on the first
 //! [`crate::nt_pack::NT_ROWS`] rows of a fused panel.
 
-use crate::main_kernel::PanelCopy;
 #[cfg(any(test, all(target_arch = "x86_64", not(feature = "force-scalar"))))]
 use crate::tile::{solve_tile, TileConstraints};
 use shalom_matrix::Scalar;
@@ -81,23 +80,11 @@ pub const AVX512_NR_F64: usize = 16;
 pub type FamilyKernelFn<T> =
     unsafe fn(usize, T, *const T, usize, *const T, usize, T, *mut T, usize);
 
-/// [`crate::main_kernel::tile_kernel`] at the set's tile with its B
-/// handling chosen per call: `(kc, alpha, a, lda, b, ldb, beta, c, ldc,
-/// bc, copy)`. `Some(bc)` packs every B row read into `bc`; `copy` moves
-/// the next panel. With `None, None` it is bitwise [`FamilyKernelFn`].
-pub type KernelPackFn<T> = unsafe fn(
-    usize,
-    T,
-    *const T,
-    usize,
-    *const T,
-    usize,
-    T,
-    *mut T,
-    usize,
-    Option<*mut T>,
-    Option<PanelCopy<T>>,
-);
+/// [`crate::main_kernel::tile_kernel`] at the set's tile, packing every
+/// B row it reads into `bc` at stride `nr`: `(kc, alpha, a, lda, b, ldb,
+/// beta, c, ldc, bc)`. Its C is bitwise [`FamilyKernelFn`]'s.
+pub type KernelPackFn<T> =
+    unsafe fn(usize, T, *const T, usize, *const T, usize, T, *mut T, usize, *mut T);
 
 /// An edge kernel for any `1 <= m <= mr`, `1 <= n <= nr`:
 /// `(m, n, kc, alpha, a, lda, b, ldb, beta, c, ldc)`.
@@ -137,8 +124,7 @@ pub struct FamilyKernels<T> {
     pub lanes: usize,
     /// The `mr x nr` main micro-kernel.
     pub kernel: FamilyKernelFn<T>,
-    /// The same body with Figure 4's B handling: packing the panel it
-    /// reads (§5.3) and/or copying the next panel ahead (`t = 1`).
+    /// The same body packing the panel it reads (§5.3, Figure 4 step ①).
     pub kernel_pack: KernelPackFn<T>,
     /// Edge kernel, Figure 6b schedule.
     pub edge_pipelined: EdgeFn<T>,
@@ -206,7 +192,7 @@ macro_rules! kernel_set {
     ($(#[$isa:meta])* $name:ident: $T:ty, $V:ty, $MR:literal x $NRV:literal,
      rows $rows:tt, vecs $vecs:tt $(, $nt_pack:ident)?) => {
         pub(crate) mod $name {
-            use super::{FamilyKernels, PanelCopy};
+            use super::FamilyKernels;
             use crate::edge::{edge_dispatch, split_cols};
             use crate::main_kernel::{main_kernel_shape, tile_kernel};
             #[allow(unused_imports)]
@@ -240,8 +226,8 @@ macro_rules! kernel_set {
 
             $(#[$isa])*
             /// # Safety
-            /// SHALOM-K-MAIN (with `pack`/`copy`) at this tile; the set's
-            /// ISA probe passed.
+            /// SHALOM-K-MAIN (with `pack`) at this tile; the set's ISA
+            /// probe passed.
             pub unsafe fn kernel_pack(
                 kc: usize,
                 alpha: $T,
@@ -252,40 +238,9 @@ macro_rules! kernel_set {
                 beta: $T,
                 c: *mut $T,
                 ldc: usize,
-                bc: Option<*mut $T>,
-                copy: Option<PanelCopy<$T>>,
-            ) {
-                let no_bc = core::ptr::null_mut();
-                match bc {
-                    Some(bc) => pack_arm::<true>(kc, alpha, a, lda, b, ldb, beta, c, ldc, bc, copy),
-                    None => pack_arm::<false>(kc, alpha, a, lda, b, ldb, beta, c, ldc, no_bc, copy),
-                }
-            }
-
-            // One out-of-line function per `PACK` monomorph: inlined side
-            // by side into `kernel_pack`, the two bodies' loops shared
-            // blocks and the packing slot read 3-12 % slower in
-            // `examples/family_probe.rs` (128-bit and AVX-512 f32 sets on
-            // an AVX-512 x86-64 host).
-            $(#[$isa])*
-            /// # Safety
-            /// SHALOM-K-MAIN (with `pack`/`copy`) at this tile; the set's
-            /// ISA probe passed.
-            #[inline(never)]
-            unsafe fn pack_arm<const PACK: bool>(
-                kc: usize,
-                alpha: $T,
-                a: *const $T,
-                lda: usize,
-                b: *const $T,
-                ldb: usize,
-                beta: $T,
-                c: *mut $T,
-                ldc: usize,
                 bc: *mut $T,
-                copy: Option<PanelCopy<$T>>,
             ) {
-                tile_kernel::<$V, $MR, $NRV, PACK>(kc, alpha, a, lda, b, ldb, beta, c, ldc, bc, copy)
+                tile_kernel::<$V, $MR, $NRV, true>(kc, alpha, a, lda, b, ldb, beta, c, ldc, bc)
             }
 
             /// # Safety
@@ -422,7 +377,7 @@ kernel_set!(base_f64: f64, F64x2, 7 x 3, rows [1 2 3 4 5 6 7], vecs [0 1 2 3], n
 /// emulation under `force-scalar` and off x86.
 #[cfg(any(test, all(target_arch = "x86_64", not(feature = "force-scalar"))))]
 pub(crate) mod wide_sets {
-    use super::{FamilyKernels, PanelCopy};
+    use super::FamilyKernels;
 
     kernel_set!(
         #[cfg_attr(
@@ -721,76 +676,51 @@ mod tests {
     }
 
     /// Every NN entry point of one kernel set against the bitwise model:
-    /// `kernel` and `kernel_pack` under all four B handlings (none, pack,
-    /// copy, pack + copy) at the full tile, both edge schedules over every
-    /// `m <= mr`, `n <= nr`.
+    /// `kernel` on the source panel and on its packed copy, `kernel_pack`
+    /// (which must also store exactly the panel it read into a
+    /// sentinel-filled `bc`) at the full tile, both edge schedules over
+    /// every `m <= mr`, `n <= nr`.
     fn check_set<T: Fused>(label: &str, ks: &FamilyKernels<T>) {
         let (mr, nr, lanes) = (ks.mr, ks.nr, ks.lanes);
         let abs = [(1.0, 0.0), (1.0, 1.0), (-1.5, 0.5)];
         for kc in [0usize, 1, 2, lanes - 1, lanes, lanes + 1, 2 * lanes, 33] {
             let a = gen::<T>(1, mr * kc);
-            // Two panels side by side: the tile's own and the look-ahead's.
+            // Two panels side by side: the tile's own and a neighbour no
+            // call may read into `bc`.
             let ldb = 2 * nr;
             let b = gen::<T>(2, kc * ldb);
             let packed: Vec<T> = (0..kc * nr).map(|x| b[x / nr * ldb + x % nr]).collect();
+            let same = |x: &[T], y: &[T]| x.iter().zip(y).all(|(p, q)| p.bits() == q.bits());
             for ab in abs {
                 // Operands of every call below: a is mr x kc at stride kc,
                 // b is kc x 2nr at stride 2nr (`packed` its first panel at
                 // stride nr), c is the m x n tile at stride n + LD_PAD,
-                // bc/next are kc x nr; the caller checked `can_run`.
+                // bc is kc x nr; the caller checked `can_run`.
                 // SAFETY: full tile of the operands described above.
                 let main = |al, be, c, ldc| unsafe {
                     (ks.kernel)(kc, al, a.as_ptr(), kc, b.as_ptr(), ldb, be, c, ldc)
                 };
                 let plain = check_tile(label, (mr, nr, kc), ab, &a, &b, ldb, main);
+                // The rows after a fused panel's first `mr` read `bc` at
+                // stride nr: the same bits.
+                // SAFETY: as above.
+                let from_bc = |al, be, c, ldc| unsafe {
+                    (ks.kernel)(kc, al, a.as_ptr(), kc, packed.as_ptr(), nr, be, c, ldc)
+                };
+                let what = format!("{label} kernel from bc");
+                let got = check_tile(&what, (mr, nr, kc), ab, &a, &packed, nr, from_bc);
+                assert!(same(&got, &plain), "{what} differs from kernel");
                 let sentinel = T::from_f64(-77.0);
-                for (pack, copy) in [(false, false), (true, false), (false, true), (true, true)] {
-                    let what = format!("{label} pack={pack} copy={copy}");
-                    // Packing reads the source panel; otherwise B is the
-                    // packed panel at stride nr, as the look-ahead's steady
-                    // state reads it.
-                    let (bsrc, ld): (&[T], usize) = if pack { (&b, ldb) } else { (&packed, nr) };
-                    let mut bc = vec![sentinel; kc * nr];
-                    let mut next = vec![sentinel; kc * nr];
-                    let bc_ptr = pack.then_some(bc.as_mut_ptr());
-                    let req = copy.then(|| PanelCopy {
-                        src: b[nr.min(b.len())..].as_ptr(),
-                        src_ld: ldb,
-                        dst: next.as_mut_ptr(),
-                    });
-                    // SAFETY: as above, plus the kc x nr bc/next panels.
-                    let run = |al, be, c, ldc| unsafe {
-                        (ks.kernel_pack)(
-                            kc,
-                            al,
-                            a.as_ptr(),
-                            kc,
-                            bsrc.as_ptr(),
-                            ld,
-                            be,
-                            c,
-                            ldc,
-                            bc_ptr,
-                            req,
-                        )
-                    };
-                    let got = check_tile(&what, (mr, nr, kc), ab, &a, bsrc, ld, run);
-                    // With neither packing nor copy it is the `kernel`
-                    // slot, bit for bit (`packed` holds the same B values).
-                    if !pack && !copy {
-                        let same = got.iter().zip(&plain).all(|(x, y)| x.bits() == y.bits());
-                        assert!(same, "{label}: kernel_pack(None, None) differs from kernel");
-                    }
-                    for x in 0..kc * nr {
-                        let panel = |p: usize| b[x / nr * ldb + p * nr + x % nr];
-                        let want_bc = if pack { panel(0) } else { sentinel };
-                        let want_next = if copy { panel(1) } else { sentinel };
-                        assert!(
-                            bc[x].bits() == want_bc.bits() && next[x].bits() == want_next.bits(),
-                            "{what}: packed panels differ at element {x}"
-                        );
-                    }
-                }
+                let mut bc = vec![sentinel; kc * nr];
+                let bc_ptr = bc.as_mut_ptr();
+                // SAFETY: as above, plus the kc x nr bc panel.
+                let run = |al, be, c, ldc| unsafe {
+                    (ks.kernel_pack)(kc, al, a.as_ptr(), kc, b.as_ptr(), ldb, be, c, ldc, bc_ptr)
+                };
+                let what = format!("{label} kernel_pack");
+                let got = check_tile(&what, (mr, nr, kc), ab, &a, &b, ldb, run);
+                assert!(same(&got, &plain), "{what} differs from kernel");
+                assert!(same(&bc, &packed), "{what}: bc is not the panel read");
             }
             // The edge lattice: remainder rows and remainder columns.
             for m in 1..=mr {
@@ -821,14 +751,11 @@ mod tests {
         }
     }
 
-    /// A full-tile call given its C tile, packed-panel buffer and copy.
-    type PackCall<'a, T> = dyn Fn(*mut T, *mut T, Option<PanelCopy<T>>) + 'a;
-
     /// The 128-bit set's entry points are the generic 7x12 / 7x6 kernels,
     /// bit for bit: registering the base tiles as a family changed how
-    /// they are reached, not what they compute. Covers `kernel`, all four
-    /// `kernel_pack` B handlings (C, packed panel and copied panel) and
-    /// both edge schedules over the whole lattice.
+    /// they are reached, not what they compute. Covers `kernel`,
+    /// `kernel_pack` (C and the packed panel) and both edge schedules
+    /// over the whole lattice.
     fn check_base<V: Vector>(ks: &FamilyKernels<V::Elem>)
     where
         V::Elem: Fused,
@@ -877,38 +804,23 @@ mod tests {
             })
         };
         assert!(same(&main(ks.kernel), &main(main_kernel::<V>)), "kernel");
-        for (pack, copy) in [(false, false), (true, false), (false, true), (true, true)] {
-            // C and the panel buffer (the packed panel, then the copied
-            // one, kc x nr each) after `f` ran with them.
-            let run = |f: &PackCall<'_, V::Elem>| {
-                let mut panels = vec![V::Elem::ZERO; 2 * kc * nr];
-                let bc = panels.as_mut_ptr();
-                let req = copy.then(|| PanelCopy {
-                    src: b[nr..].as_ptr(),
-                    src_ld: ldb,
-                    dst: bc.wrapping_add(kc * nr),
-                });
-                (tile(mr * nr, &|c| f(c, bc, req)), panels)
-            };
-            // SAFETY: as above, plus the two kc x nr panels.
-            let table = run(&|c, bc, req| unsafe {
-                (ks.kernel_pack)(kc, al, ap, kc, bp, ldb, be, c, nr, pack.then_some(bc), req)
-            });
-            // SAFETY: as above.
-            let generic = run(&|c, bc, req| unsafe {
-                if pack {
-                    tile_kernel::<V, MR, NR_VECS, true>(kc, al, ap, kc, bp, ldb, be, c, nr, bc, req)
-                } else {
-                    tile_kernel::<V, MR, NR_VECS, false>(
-                        kc, al, ap, kc, bp, ldb, be, c, nr, bc, req,
-                    )
-                }
-            });
-            assert!(
-                same(&table.0, &generic.0) && same(&table.1, &generic.1),
-                "kernel_pack pack={pack} copy={copy}"
-            );
-        }
+        // C and the packed kc x nr panel after `f` ran with them.
+        let pack = |f: &dyn Fn(*mut V::Elem, *mut V::Elem)| {
+            let mut bc = vec![V::Elem::ZERO; kc * nr];
+            let bcp = bc.as_mut_ptr();
+            (tile(mr * nr, &|c| f(c, bcp)), bc)
+        };
+        // SAFETY: as above, plus the kc x nr panel.
+        let table =
+            pack(&|c, bc| unsafe { (ks.kernel_pack)(kc, al, ap, kc, bp, ldb, be, c, nr, bc) });
+        // SAFETY: as above.
+        let generic = pack(&|c, bc| unsafe {
+            tile_kernel::<V, MR, NR_VECS, true>(kc, al, ap, kc, bp, ldb, be, c, nr, bc)
+        });
+        assert!(
+            same(&table.0, &generic.0) && same(&table.1, &generic.1),
+            "kernel_pack"
+        );
     }
 
     #[test]

@@ -18,13 +18,13 @@
 //! chain over k in increasing order.
 //!
 //! Packing rides on that chain rather than being a second kernel. With
-//! `PACK` set, every loaded B row is also stored to `Bc` (Figure 4 step ①);
-//! a [`PanelCopy`] moves the **next** panel's rows into its own `Bc`
-//! region (step ②, the paper's `t = 1` look-ahead for irregular shapes,
-//! §5.3.2). Both stores sit between the FMA groups of the k-step that
-//! loaded the row, so the out-of-order core hides them behind the FMA
-//! stream — the paper's central packing-overlap idea. Neither touches an
-//! accumulator, so every B-handling rounds a C element identically.
+//! `PACK` set, every loaded B row is also stored to `Bc` (Figure 4 step ①)
+//! between the FMA groups of the k-step that loaded it, so the
+//! out-of-order core hides the store behind the FMA stream — the paper's
+//! central packing-overlap idea. The store touches no accumulator, so a
+//! packing call rounds a C element exactly as a plain one. Figure 4's
+//! step ② — copying the *next* panel too, the `t = 1` look-ahead of
+//! §5.3.2 — is not built: it ran level with `t = 0` (EXPERIMENTS.md).
 //!
 //! shalom-analysis: deny(panic)
 
@@ -59,25 +59,12 @@ unsafe fn writeback_row<V: Vector>(
     }
 }
 
-/// The next `nr`-column B panel, copied into its `Bc` region while the
-/// kernel computes with the current one (Figure 4 step ②): `kc` rows of
-/// `nr` elements move from `src` (stride `src_ld`) to `dst` (stride `nr`).
-#[derive(Debug, Clone, Copy)]
-pub struct PanelCopy<T> {
-    /// The next panel's column 0 in the unpacked B.
-    pub src: *const T,
-    /// Source row stride.
-    pub src_ld: usize,
-    /// The next panel's `Bc` region.
-    pub dst: *mut T,
-}
-
 /// The one full-tile kernel body (`MR_` rows x `NRV_` vectors of
 /// `V::LANES` columns): computes `C[0..MR_, 0..NRV_*LANES] = alpha *
 /// A_sliver * B_sliver + beta * C`, where `A_sliver` is `MR_ x kc` at `a`
 /// with row stride `lda` and `B_sliver` is `kc x (NRV_*LANES)` at `b` with
 /// row stride `ldb`. With `PACK`, each B row is also stored to `bc` at
-/// stride `nr = NRV_*LANES`; `copy` moves the next panel's `kc` rows.
+/// stride `nr = NRV_*LANES`.
 ///
 /// After a `PACK` call, rows `mr..mc` of the C block can be updated by
 /// the same body reading `bc` with `ldb = nr`, the cache- and TLB-friendly
@@ -91,9 +78,7 @@ pub struct PanelCopy<T> {
 ///   stride `ldc`;
 /// * with `PACK`, `bc` valid for writes of `kc * nr` elements (unused
 ///   otherwise);
-/// * `copy` (if set): `src` valid for reads of `kc` rows of `nr` elements
-///   at stride `src_ld`, `dst` for `kc * nr` element writes;
-/// * no written operand (`c`, `bc`, `copy.dst`) aliases another operand.
+/// * no written operand (`c`, `bc`) aliases another operand.
 // `inline(always)` is load-bearing: the `family` module wraps this body in
 // `#[target_feature(enable = "avx2,fma")]`-style dispatch shims, and the body
 // only compiles to wide FMA if it inlines into those shims.
@@ -101,7 +86,7 @@ pub struct PanelCopy<T> {
 // PANIC-OK(index): acc/av/bv arrays sized by MR_/NRV_, indexed by loop counters
 // bounded by the same const generics.
 // ALLOC-FREE
-// CONTRACT(SHALOM-K-MAIN: m = MR_, n = NRV_ * V::LANES, copy_src = src, copy_dst = dst, copy_ld = src_ld)
+// CONTRACT(SHALOM-K-MAIN: m = MR_, n = NRV_ * V::LANES)
 pub unsafe fn tile_kernel<V: Vector, const MR_: usize, const NRV_: usize, const PACK: bool>(
     kc: usize,
     alpha: V::Elem,
@@ -113,7 +98,6 @@ pub unsafe fn tile_kernel<V: Vector, const MR_: usize, const NRV_: usize, const 
     c: *mut V::Elem,
     ldc: usize,
     bc: *mut V::Elem,
-    copy: Option<PanelCopy<V::Elem>>,
 ) {
     let nr = NRV_ * V::LANES;
     // Contract SHALOM-K-MAIN preconditions (registry cross-checked; the
@@ -124,9 +108,6 @@ pub unsafe fn tile_kernel<V: Vector, const MR_: usize, const NRV_: usize, const 
         debug_assert!(!a.is_null() && !b.is_null() && (!PACK || !bc.is_null()));
         debug_assert!(MR_ <= 1 || lda >= kc);
         debug_assert!(kc <= 1 || ldb >= nr);
-        if let Some(p) = copy {
-            debug_assert!(!p.src.is_null() && !p.dst.is_null() && (kc <= 1 || p.src_ld >= nr));
-        }
     }
     let mut acc = [[V::zero(); NRV_]; MR_];
     let mut k = 0usize;
@@ -160,19 +141,11 @@ pub unsafe fn tile_kernel<V: Vector, const MR_: usize, const NRV_: usize, const 
                     }
                 }
             }
-            // Step ②: the next panel's row, after this lane's FMAs.
-            if let Some(PanelCopy { src, src_ld, dst }) = copy {
-                let srow = src.add(kk * src_ld);
-                let drow = dst.add(kk * nr);
-                for t in 0..NRV_ {
-                    V::load(srow.add(t * V::LANES)).store(drow.add(t * V::LANES));
-                }
-            }
         }
         k += V::LANES;
     }
     // The broadcast step: every k on the wide sets, the k tail otherwise,
-    // with the same steps ① and ② between its FMA groups.
+    // with the same step ① between its FMA groups.
     while k < kc {
         let brow = b.add(k * ldb);
         let mut bv = [V::zero(); NRV_];
@@ -191,13 +164,6 @@ pub unsafe fn tile_kernel<V: Vector, const MR_: usize, const NRV_: usize, const 
                 }
             }
         }
-        if let Some(PanelCopy { src, src_ld, dst }) = copy {
-            let srow = src.add(k * src_ld);
-            let drow = dst.add(k * nr);
-            for t in 0..NRV_ {
-                V::load(srow.add(t * V::LANES)).store(drow.add(t * V::LANES));
-            }
-        }
         k += 1;
     }
     for (i, row) in acc.iter().enumerate() {
@@ -205,13 +171,13 @@ pub unsafe fn tile_kernel<V: Vector, const MR_: usize, const NRV_: usize, const 
     }
 }
 
-/// [`tile_kernel`] with no packing and no copy: the plain outer-product
+/// [`tile_kernel`] without packing: the plain outer-product
 /// update at a compile-time tile shape. The default LibShalom tile is
 /// [`MR`]`=7` x [`NR_VECS`]`=3` (see [`main_kernel`]); other shapes exist
 /// for the baseline libraries and the tile-size ablation.
 ///
 /// # Safety
-/// As [`tile_kernel`] without `bc` and `copy`.
+/// As [`tile_kernel`] without `bc`.
 #[inline(always)]
 pub unsafe fn main_kernel_shape<V: Vector, const MR_: usize, const NRV_: usize>(
     kc: usize,
@@ -226,7 +192,7 @@ pub unsafe fn main_kernel_shape<V: Vector, const MR_: usize, const NRV_: usize>(
 ) {
     debug_assert!(!c.is_null() && (MR_ <= 1 || ldc >= NRV_ * V::LANES));
     let no_bc = core::ptr::null_mut();
-    tile_kernel::<V, MR_, NRV_, false>(kc, alpha, a, lda, b, ldb, beta, c, ldc, no_bc, None)
+    tile_kernel::<V, MR_, NRV_, false>(kc, alpha, a, lda, b, ldb, beta, c, ldc, no_bc)
 }
 
 /// The LibShalom main micro-kernel at the analytic tile (7 x 12 for FP32,
@@ -431,15 +397,13 @@ mod tests {
         run_shape::<F64x2, 4, 1>(10);
     }
 
-    /// `tile_kernel` with the given B handling: reads B from the source
-    /// panel (or, with neither `pack` nor `copy`, from an already packed
-    /// panel at stride `nr`), checks the tile, the packed panel and the
-    /// copied next panel.
-    fn run_pack<V: Vector>(kc: usize, pack: bool, copy: bool) {
+    /// `tile_kernel` with and without `PACK`, reading the tile's own
+    /// panel at a padded stride next to a second one it must not touch:
+    /// checks the tile, and that the sentinel-filled `bc` holds exactly
+    /// the panel read when packing and stays untouched otherwise.
+    fn run_pack<V: Vector>(kc: usize, pack: bool) {
         let nr = NR_VECS * V::LANES;
         let a = Matrix::<V::Elem>::random(MR, kc, 21);
-        // Two panels side by side (the tile's own and the next one), at a
-        // padded stride.
         let b = Matrix::<V::Elem>::random_with_ld(kc, 2 * nr, 2 * nr + 3, 22);
         let mut c = Matrix::<V::Elem>::random(MR, nr, 23);
         let mut want = c.clone();
@@ -452,24 +416,18 @@ mod tests {
             V::Elem::ONE,
             want.as_mut(),
         );
-        let mut bc = vec![V::Elem::from_f64(-1.0); 2 * kc * nr];
-        let (bc_cur, bc_next) = bc.split_at_mut(kc * nr);
-        // SAFETY: b has 2*nr columns, so column nr starts the next panel;
-        // both bc halves are kc*nr; all buffers are owned.
-        let req = copy.then(|| PanelCopy {
-            src: unsafe { b.as_slice().as_ptr().add(nr) },
-            src_ld: b.ld(),
-            dst: bc_next.as_mut_ptr(),
-        });
-        // SAFETY: operands owned and sized to the SHALOM-K-MAIN footprint.
+        let sentinel = V::Elem::from_f64(-1.0);
+        let mut bc = vec![sentinel; kc * nr];
+        // SAFETY: operands owned and sized to the SHALOM-K-MAIN footprint;
+        // bc is kc*nr.
         unsafe {
-            let (ap, bp, cp) = (
+            let (ap, bp, cp, bcp) = (
                 a.as_slice().as_ptr(),
                 b.as_slice().as_ptr(),
                 c.as_mut().as_mut_ptr(),
+                bc.as_mut_ptr(),
             );
             if pack {
-                let bcp = bc_cur.as_mut_ptr();
                 tile_kernel::<V, MR, NR_VECS, true>(
                     kc,
                     V::Elem::ONE,
@@ -481,7 +439,6 @@ mod tests {
                     cp,
                     c.ld(),
                     bcp,
-                    req,
                 );
             } else {
                 tile_kernel::<V, MR, NR_VECS, false>(
@@ -495,7 +452,6 @@ mod tests {
                     cp,
                     c.ld(),
                     core::ptr::null_mut(),
-                    req,
                 );
             }
         }
@@ -504,32 +460,21 @@ mod tests {
             want.as_ref(),
             gemm_tolerance::<V::Elem>(kc, 1.0),
         );
-        let packed = MatRef::from_slice(bc_cur, kc, nr, nr);
-        let next = MatRef::from_slice(bc_next, kc, nr, nr);
+        let packed = MatRef::from_slice(&bc, kc, nr, nr);
         for k in 0..kc {
             for j in 0..nr {
-                let want_bc = if pack {
-                    b.at(k, j)
-                } else {
-                    V::Elem::from_f64(-1.0)
-                };
+                let want_bc = if pack { b.at(k, j) } else { sentinel };
                 assert_eq!(packed.at(k, j), want_bc, "bc at ({k},{j})");
-                let want_next = if copy {
-                    b.at(k, nr + j)
-                } else {
-                    V::Elem::from_f64(-1.0)
-                };
-                assert_eq!(next.at(k, j), want_next, "next panel at ({k},{j})");
             }
         }
     }
 
     #[test]
-    fn every_b_handling_computes_packs_and_copies() {
+    fn every_b_handling_computes_and_packs() {
         for kc in [1, 2, 3, 5, 6, 16] {
-            for (pack, copy) in [(false, false), (true, false), (false, true), (true, true)] {
-                run_pack::<F32x4>(kc, pack, copy);
-                run_pack::<F64x2>(kc, pack, copy);
+            for pack in [false, true] {
+                run_pack::<F32x4>(kc, pack);
+                run_pack::<F64x2>(kc, pack);
             }
         }
     }

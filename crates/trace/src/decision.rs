@@ -6,7 +6,8 @@
 //! [`code`](BPlan::code)s, and the record sink counts and prints their
 //! [`as_str`](BPlan::as_str) labels. They live in this crate, the one
 //! every layer depends on, so no layer needs a spelling of its own.
-//! Codes and labels are wire formats: append variants, never renumber.
+//! Codes and labels are wire formats: append variants, never renumber,
+//! and never reuse a retired code.
 
 /// Workload shape class (§2.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -14,8 +15,7 @@ pub enum ShapeClass {
     /// All of `M`, `N` similar and the working set LLC-resident.
     #[default]
     Small,
-    /// One of `M` / `N` much smaller than the other (tall-and-skinny);
-    /// the paper's `t = 1` lookahead packing applies.
+    /// One of `M` / `N` much smaller than the other (tall-and-skinny).
     Irregular,
     /// Large and regular — the classical libraries' home turf.
     Regular,
@@ -27,10 +27,10 @@ pub enum BPlan {
     /// Read B in place (NN with `size(B) <= L1`, §4.2 regime 1).
     #[default]
     Direct,
-    /// Fused pack, `t = 0` (§4.2 regime 2 / NT Algorithm 3).
+    /// Fused pack, `t = 0` (§4.2 regime 2 / NT Algorithm 3). The paper's
+    /// `t = 1` look-ahead (code 2, retired) ran level with it and was
+    /// deleted; a stored 2 decodes as this.
     Fused,
-    /// Fused pack with `t = 1` lookahead double-buffering (§4.2 regime 3).
-    FusedLookahead,
     /// Sequential pack-then-compute (ablation / classical behaviour; the
     /// transpose-pack every NT call without a fused panel runs).
     Sequential,
@@ -59,10 +59,11 @@ pub enum PlanSource {
 }
 
 /// `ALL`, `index`, `as_str`, `code` and `from_code` for one decision
-/// enum: variants in declaration order with their labels, and the code
-/// of the first variant (codes are consecutive from there).
+/// enum: variants in declaration order with their codes and labels, then
+/// optionally the retired codes `from_code` still reads and what as.
 macro_rules! vocabulary {
-    ($ty:ident, first code $base:literal, $($variant:ident => $label:literal),+ $(,)?) => {
+    ($ty:ident, $($variant:ident = $code:literal => $label:literal),+
+     $(; retired $($old:literal => $now:ident),+)?) => {
         impl $ty {
             /// Every variant, in [`Self::index`] order.
             pub const ALL: [$ty; [$($ty::$variant),+].len()] = [$($ty::$variant),+];
@@ -83,12 +84,19 @@ macro_rules! vocabulary {
             /// Stable numeric code, as the wire formats store it.
             #[inline]
             pub fn code(self) -> u8 {
-                self as u8 + $base
+                match self {
+                    $($ty::$variant => $code),+
+                }
             }
 
-            /// Inverse of [`Self::code`]; `None` for a code no variant has.
+            /// Inverse of [`Self::code`], plus the retired codes; `None`
+            /// for a code no variant has or had.
             pub fn from_code(code: u8) -> Option<$ty> {
-                Self::ALL.into_iter().find(|v| v.code() == code)
+                match code {
+                    $($code => Some($ty::$variant),)+
+                    $($($old => Some($ty::$now),)+)?
+                    _ => None,
+                }
             }
         }
     };
@@ -96,15 +104,14 @@ macro_rules! vocabulary {
 
 // Profile files store the codes of the first three (`class`, `b_plan`,
 // `edge`); a span's 1-byte `src` stores the source's, with 0 for none.
-vocabulary!(ShapeClass, first code 0,
-    Small => "small", Irregular => "irregular", Regular => "regular");
-vocabulary!(BPlan, first code 0,
-    Direct => "no-pack",
-    Fused => "fused-pack",
-    FusedLookahead => "fused-lookahead",
-    Sequential => "sequential-pack");
-vocabulary!(EdgeSchedule, first code 0, Pipelined => "pipelined", Batched => "batched");
-vocabulary!(PlanSource, first code 1, Computed => "computed", Profile => "profile");
+vocabulary!(ShapeClass, Small = 0 => "small", Irregular = 1 => "irregular", Regular = 2 => "regular");
+vocabulary!(BPlan,
+    Direct = 0 => "no-pack",
+    Fused = 1 => "fused-pack",
+    Sequential = 3 => "sequential-pack";
+    retired 2 => Fused);
+vocabulary!(EdgeSchedule, Pipelined = 0 => "pipelined", Batched = 1 => "batched");
+vocabulary!(PlanSource, Computed = 1 => "computed", Profile = 2 => "profile");
 
 #[cfg(test)]
 mod tests {
@@ -119,7 +126,7 @@ mod tests {
         );
         assert_eq!(
             labels(&BPlan::ALL.map(BPlan::as_str)),
-            "no-pack,fused-pack,fused-lookahead,sequential-pack"
+            "no-pack,fused-pack,sequential-pack"
         );
         assert_eq!(
             labels(&EdgeSchedule::ALL.map(EdgeSchedule::as_str)),
@@ -130,7 +137,7 @@ mod tests {
             "computed,profile"
         );
         assert_eq!(ShapeClass::ALL.map(ShapeClass::code), [0, 1, 2]);
-        assert_eq!(BPlan::ALL.map(BPlan::code), [0, 1, 2, 3]);
+        assert_eq!(BPlan::ALL.map(BPlan::code), [0, 1, 3]);
         assert_eq!(EdgeSchedule::ALL.map(EdgeSchedule::code), [0, 1]);
         assert_eq!(PlanSource::ALL.map(PlanSource::code), [1, 2]);
         for (i, v) in BPlan::ALL.into_iter().enumerate() {
@@ -139,6 +146,8 @@ mod tests {
         }
         assert_eq!(ShapeClass::from_code(3), None);
         assert_eq!(BPlan::from_code(4), None);
+        // The retired `t = 1` look-ahead's code reads as `Fused`.
+        assert_eq!(BPlan::from_code(2), Some(BPlan::Fused));
         assert_eq!(EdgeSchedule::from_code(2), None);
         assert_eq!(PlanSource::from_code(0), None);
         assert_eq!(PlanSource::from_code(2), Some(PlanSource::Profile));

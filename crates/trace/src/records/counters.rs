@@ -305,7 +305,7 @@ mod tests {
                     for i in 0..per {
                         counters.observe(&DecisionRecord {
                             class: ShapeClass::Irregular,
-                            plan: BPlan::FusedLookahead,
+                            plan: BPlan::Fused,
                             path: PathTag::ParallelWorker,
                             pack_ns: 2,
                             total_ns: 5,
@@ -320,7 +320,7 @@ mod tests {
         let n = (threads * per) as u64;
         assert_eq!(t.calls, n);
         assert_eq!(t.by_class[ShapeClass::Irregular.index()], n);
-        assert_eq!(t.by_plan[BPlan::FusedLookahead.index()], n);
+        assert_eq!(t.by_plan[BPlan::Fused.index()], n);
         assert_eq!(t.by_path[PathTag::ParallelWorker.index()], n);
         assert_eq!(t.pack_ns, 2 * n);
         assert_eq!(t.total_ns, 5 * n);
@@ -374,7 +374,7 @@ mod tests {
             "\"small\":1",
             "\"irregular\":0",
             "\"no-pack\":1",
-            "\"fused-lookahead\":0",
+            "\"sequential-pack\":0",
             "\"serial\":1",
             "\"workspace_peak_bytes\":0",
         ] {

@@ -179,7 +179,7 @@ mod tests {
             n: 50176,
             k: 64,
             class: ShapeClass::Irregular,
-            plan: BPlan::FusedLookahead,
+            plan: BPlan::Fused,
             total_ns: 5_000,
             workspace_bytes: 1 << 16,
             ..Default::default()

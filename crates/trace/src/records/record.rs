@@ -163,7 +163,7 @@ mod tests {
             op_b: b'T',
             elem_bits: 32,
             class: ShapeClass::Irregular,
-            plan: BPlan::FusedLookahead,
+            plan: BPlan::Fused,
             edge: EdgeSchedule::Pipelined,
             plan_source: PlanSource::Profile,
             plan_ns: 120,
@@ -181,7 +181,7 @@ mod tests {
         for needle in [
             "\"op\":\"NT\"",
             "\"class\":\"irregular\"",
-            "\"plan\":\"fused-lookahead\"",
+            "\"plan\":\"fused-pack\"",
             "\"path\":\"parallel\"",
             "\"tn\":4",
             "\"elem\":\"f32\"",

@@ -92,12 +92,11 @@ impl TelemetrySnapshot {
             t.batch_items,
         )];
         lines.push(format!(
-            "  plans: {} no-pack / {} fused / {} lookahead / {} sequential; \
+            "  plans: {} no-pack / {} fused / {} sequential; \
              pack {} ns of {} ns total; workspace peak {} B; {} dropped",
             t.by_plan[0],
             t.by_plan[1],
             t.by_plan[2],
-            t.by_plan[3],
             t.pack_ns,
             t.total_ns,
             t.workspace_peak_bytes,
@@ -144,7 +143,7 @@ mod tests {
             ..Default::default()
         };
         totals.by_class[ShapeClass::Irregular.index()] = 2;
-        totals.by_plan[BPlan::FusedLookahead.index()] = 2;
+        totals.by_plan[BPlan::Fused.index()] = 2;
         let mut h = Histogram {
             buckets: [0; HIST_BUCKETS],
         };
@@ -162,7 +161,7 @@ mod tests {
             ],
             recent: vec![DecisionRecord {
                 class: ShapeClass::Irregular,
-                plan: BPlan::FusedLookahead,
+                plan: BPlan::Fused,
                 ..Default::default()
             }],
             dropped_records: 0,
@@ -179,7 +178,7 @@ mod tests {
             "\"irregular\":{\"1024\":2}",
             "\"perf\":null",
             "\"recent\":[{",
-            "\"plan\":\"fused-lookahead\"",
+            "\"plan\":\"fused-pack\"",
         ] {
             assert!(j.contains(needle), "{j} missing {needle}");
         }

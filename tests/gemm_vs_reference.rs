@@ -2,6 +2,7 @@
 //! a systematic grid of modes, precisions, shapes, scalars, strides,
 //! policies and thread counts.
 
+use libshalom::core::{describe_plan, BPlan, ShapeClass};
 use libshalom::matrix::{assert_close, gemm_tolerance, reference, Matrix};
 use libshalom::{gemm_with, EdgeSchedule, GemmConfig, GemmElem, Op, PackingPolicy};
 
@@ -102,9 +103,19 @@ fn threaded_grid() {
 
 #[test]
 fn irregular_shapes_hit_lookahead() {
-    // Shapes classified Irregular (hi >= 8*lo, hi >= 1024) take the
-    // double-buffered t=1 path when B exceeds L1.
+    // Shapes classified Irregular (hi >= 8*lo, hi >= 1024), which §4.2's
+    // `t = 1` look-ahead was for, take the fused pack when B exceeds L1.
     let cfg = GemmConfig::with_threads(1);
+    for (m, n, k) in [(16, 2048, 64), (2048, 16, 96)] {
+        let plan = describe_plan::<f32>(&cfg, Op::NoTrans, Op::NoTrans, m, n, k).plan;
+        assert_eq!(plan.class, ShapeClass::Irregular, "{m}x{n}x{k}");
+        let want = if k * n * 4 <= cfg.cache.l1 {
+            BPlan::Direct
+        } else {
+            BPlan::Fused
+        };
+        assert_eq!(plan.b_plan, want, "{m}x{n}x{k}");
+    }
     check::<f32>(&cfg, Op::NoTrans, Op::NoTrans, 16, 2048, 64, 1.0, 1.0, 0);
     check::<f32>(&cfg, Op::NoTrans, Op::Trans, 16, 2048, 64, 1.0, 1.0, 0);
     check::<f32>(&cfg, Op::NoTrans, Op::NoTrans, 2048, 16, 96, 1.0, 1.0, 0);

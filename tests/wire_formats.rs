@@ -13,19 +13,24 @@ use libshalom::capture::{
 };
 use libshalom::core::plan::profile;
 use libshalom::core::{
-    host_isa, load_profile, plan_cache_clear, save_profile, BPlan, EdgeSchedule, Isa, Op, PlanKey,
-    PlanSource, ResolvedPlan, ShapeClass, PROFILE_VERSION,
+    host_isa, install_tuned, load_profile, plan_cache_clear, save_profile, BPlan, EdgeSchedule,
+    GemmConfig, GemmPlan, Isa, Op, PackingPolicy, PlanDescription, PlanKey, PlanSource,
+    ResolvedPlan, ShapeClass, PROFILE_VERSION,
 };
+use std::path::Path;
+use std::sync::Mutex;
 
 /// A v2 profile saved under `avx512`: every class, regime and schedule
 /// code, every op pair, four ISA codes, and the extreme blocking values.
+/// (The retired regime code 2 loads but does not save back: see
+/// `the_retired_lookahead_code_loads_as_fused_and_saves_as_1`.)
 const PROFILE: &str = concat!(
     "{\"version\":2,\"isa\":\"avx512\",\"entries\":[\n",
     "{\"elem_bits\":32,\"isa\":1,\"op_a\":\"N\",\"op_b\":\"N\",\"m\":8,\"n\":8,\"k\":8,",
     "\"threads\":1,\"config_fp\":1234567890123,\"class\":0,\"b_plan\":0,\"edge\":0,",
     "\"kc\":256,\"mc\":84,\"nc\":3072,\"tm\":1,\"tn\":1,\"workspace_bytes\":8192},\n",
     "{\"elem_bits\":64,\"isa\":4,\"op_a\":\"T\",\"op_b\":\"N\",\"m\":64,\"n\":2048,\"k\":64,",
-    "\"threads\":4,\"config_fp\":18446744073709551615,\"class\":1,\"b_plan\":2,\"edge\":1,",
+    "\"threads\":4,\"config_fp\":18446744073709551615,\"class\":1,\"b_plan\":1,\"edge\":1,",
     "\"kc\":128,\"mc\":63,\"nc\":4096,\"tm\":1,\"tn\":4,\"workspace_bytes\":40960},\n",
     "{\"elem_bits\":32,\"isa\":3,\"op_a\":\"N\",\"op_b\":\"T\",\"m\":300,\"n\":300,\"k\":300,",
     "\"threads\":2,\"config_fp\":0,\"class\":2,\"b_plan\":3,\"edge\":0,",
@@ -78,7 +83,7 @@ fn profile_entries() -> Vec<(PlanKey, ResolvedPlan)> {
             key(64, Isa::Avx512W512, (T, N), (64, 2048, 64), 4, u64::MAX),
             plan(
                 ShapeClass::Irregular,
-                BPlan::FusedLookahead,
+                BPlan::Fused,
                 Batched,
                 (128, 63, 4096),
                 (1, 4),
@@ -120,8 +125,12 @@ fn a_v2_profile_decodes_and_reencodes_byte_for_byte() {
     assert_eq!(profile::to_json(&profile_entries(), "avx512"), PROFILE);
 }
 
+/// Serializes the tests that load into the process-wide override table.
+static TABLE: Mutex<()> = Mutex::new(());
+
 #[test]
 fn load_profile_then_save_profile_reproduces_the_file() {
+    let _table = TABLE.lock().unwrap_or_else(|e| e.into_inner());
     // Through the override table, on this host: the header must name the
     // ISA this host dispatches, and one entry keeps the table's iteration
     // order out of the comparison. No call in this binary matches it.
@@ -147,9 +156,61 @@ fn load_profile_then_save_profile_reproduces_the_file() {
     assert_eq!(written.unwrap(), doc);
 }
 
+/// Installs `cfg`'s own plan for NN `64x2048x64` f32 and returns the
+/// profile file saving it writes.
+fn saved_profile_of(cfg: &GemmConfig, path: &Path) -> String {
+    plan_cache_clear();
+    install_tuned::<f32>(cfg, cfg, Op::NoTrans, Op::NoTrans, 64, 2048, 64);
+    assert_eq!(save_profile(path), Ok(1));
+    std::fs::read_to_string(path).unwrap()
+}
+
+/// Loads `doc` into a cleared table and returns what the NN `64x2048x64`
+/// f32 handle under `cfg` then describes, and the file saving it writes.
+fn load_and_resave(cfg: &GemmConfig, doc: &str, path: &Path) -> (PlanDescription, String) {
+    plan_cache_clear();
+    std::fs::write(path, doc).unwrap();
+    assert_eq!(load_profile(path), Ok(1));
+    let described = GemmPlan::<f32>::new(cfg, Op::NoTrans, Op::NoTrans, 64, 2048, 64).describe();
+    assert_eq!(save_profile(path), Ok(1));
+    (described, std::fs::read_to_string(path).unwrap())
+}
+
+#[test]
+fn the_retired_lookahead_code_loads_as_fused_and_saves_as_1() {
+    let _table = TABLE.lock().unwrap_or_else(|e| e.into_inner());
+    let path = std::env::temp_dir().join(format!("shalom_wire_codes_{}.json", std::process::id()));
+    // An irregular NN call whose B exceeds L1 is the one `t = 1` (code 2)
+    // was saved for; this process computes `Fused` (code 1) for it.
+    let cfg = GemmConfig::with_threads(1);
+    let fused = saved_profile_of(&cfg, &path);
+    assert!(fused.contains("\"b_plan\":1,"), "{fused}");
+    let stale = fused.replace("\"b_plan\":1,", "\"b_plan\":2,");
+    let (described, resaved) = load_and_resave(&cfg, &stale, &path);
+    assert_eq!(described.source, PlanSource::Profile);
+    assert_eq!(described.plan.b_plan, BPlan::Fused);
+    assert_eq!(resaved, fused);
+    // `Sequential` keeps code 3 both ways, and 4 is still no regime.
+    let sequential = GemmConfig {
+        packing: PackingPolicy::AlwaysSequential,
+        ..cfg
+    };
+    let seq = saved_profile_of(&sequential, &path);
+    assert!(seq.contains("\"b_plan\":3,"), "{seq}");
+    let (described, resaved) = load_and_resave(&sequential, &seq, &path);
+    assert_eq!(described.source, PlanSource::Profile);
+    assert_eq!(described.plan.b_plan, BPlan::Sequential);
+    assert_eq!(resaved, seq);
+    plan_cache_clear();
+    std::fs::write(&path, seq.replace("\"b_plan\":3,", "\"b_plan\":4,")).unwrap();
+    assert!(load_profile(&path).is_err());
+    assert_eq!(save_profile(&path), Ok(0));
+    let _ = std::fs::remove_file(&path);
+}
+
 const RECORD: &str = concat!(
     "{\"seq\":7,\"m\":64,\"n\":50176,\"k\":64,\"op\":\"NT\",\"elem\":\"f32\",",
-    "\"class\":\"irregular\",\"plan\":\"fused-lookahead\",\"edge\":\"batched\",",
+    "\"class\":\"irregular\",\"plan\":\"fused-pack\",\"edge\":\"batched\",",
     "\"plan_source\":\"profile\",\"plan_ns\":120,\"path\":\"parallel\",\"mr\":7,\"nr\":12,",
     "\"tm\":1,\"tn\":4,\"threads\":4,\"workspace_bytes\":4096,\"pack_ns\":10,",
     "\"total_ns\":1000,\"gflops\":411041.792}"
@@ -165,7 +226,7 @@ fn record() -> DecisionRecord {
         op_b: b'T',
         elem_bits: 32,
         class: ShapeClass::Irregular,
-        plan: BPlan::FusedLookahead,
+        plan: BPlan::Fused,
         edge: EdgeSchedule::Batched,
         plan_source: PlanSource::Profile,
         plan_ns: 120,
@@ -193,7 +254,7 @@ fn decision_record_and_snapshot_json_are_unchanged() {
         totals: CounterTotals {
             calls: 3,
             by_class: [1, 1, 1],
-            by_plan: [1, 0, 1, 1],
+            by_plan: [1, 1, 1],
             by_path: [1, 1, 0, 1],
             pack_ns: 10,
             total_ns: 3000,
@@ -207,7 +268,7 @@ fn decision_record_and_snapshot_json_are_unchanged() {
     let want = [
         "{\"totals\":{\"calls\":3,",
         "\"by_class\":{\"small\":1,\"irregular\":1,\"regular\":1},",
-        "\"by_plan\":{\"no-pack\":1,\"fused-pack\":0,\"fused-lookahead\":1,\"sequential-pack\":1},",
+        "\"by_plan\":{\"no-pack\":1,\"fused-pack\":1,\"sequential-pack\":1},",
         "\"by_path\":{\"serial\":1,\"parallel\":1,\"parallel-worker\":0,\"batch\":1},",
         "\"pack_ns\":10,\"total_ns\":3000,\"fork_joins\":0,\"fork_join_overhead_ns\":0,",
         "\"batch_calls\":0,\"batch_items\":0,\"workspace_peak_bytes\":0,",

@@ -69,14 +69,6 @@ impl Token {
     pub fn is_comment(&self) -> bool {
         matches!(self.kind, TokenKind::LineComment | TokenKind::BlockComment)
     }
-
-    /// Whether this token is a string/char literal of any flavour.
-    pub fn is_literal_text(&self) -> bool {
-        matches!(
-            self.kind,
-            TokenKind::Str | TokenKind::RawStr | TokenKind::Char
-        )
-    }
 }
 
 /// Normalizes an identifier token's text: raw identifiers (`r#type`)

@@ -1,12 +1,14 @@
 //! The public GEMM API: safe, view-based entry points plus raw BLAS-style
 //! functions for C-flavoured callers.
 
+use crate::capture;
 use crate::config::GemmConfig;
-use crate::parallel::gemm_parallel;
+use crate::parallel::{gemm_filled, gemm_parallel};
 use crate::plan::GemmPlan;
 use shalom_kernels::{FamilyElem, Vector};
 use shalom_matrix::{reference, MatMut, MatRef, Op, Scalar};
 use shalom_simd::{F32x4, F64x2};
+use std::ops::Range;
 
 /// Element types LibShalom has kernels for: a row in every registered
 /// kernel set ([`FamilyElem`]), plus the 128-bit vector mapping the
@@ -59,6 +61,34 @@ impl<T: FamilyElem> GemmPlan<T> {
                 c.as_mut_ptr(),
                 c.ld(),
             );
+        }
+    }
+
+    /// Runs `C = alpha * op(A) * B + beta * C` for a handle planned with
+    /// `op_b` NoTrans, without the `k x n` B: `fill(cols, dst)` replaces
+    /// `dst` with the dense row-major `k x cols.len()` block of B's columns
+    /// `cols` (an im2col lowering, say). The handle cuts C once by its
+    /// thread grid, in one fork-join, and each tile fills and multiplies
+    /// its columns in blocks whose `k x nb` slice fits half of L2, `nb` a
+    /// multiple of the tile width: bitwise [`GemmPlan::run`] on the whole B.
+    ///
+    /// # Panics
+    /// If `op_b` is `Trans`, A or C is not stored in the planned shape, or
+    /// a fill leaves `dst` at a length other than `k * cols.len()`. A panic
+    /// in `fill` on a pool worker surfaces here.
+    pub fn run_filled(
+        &self,
+        alpha: T,
+        a: MatRef<'_, T>,
+        fill: &(dyn Fn(Range<usize>, &mut Vec<T>) + Sync),
+        beta: T,
+        c: MatMut<'_, T>,
+    ) {
+        // The run's one read of the capture state word picks the
+        // instantiation.
+        match capture::on() {
+            true => gemm_filled::<T, true>(self, alpha, a, fill, beta, c),
+            false => gemm_filled::<T, false>(self, alpha, a, fill, beta, c),
         }
     }
 }

@@ -22,6 +22,7 @@
 use crate::capture;
 use crate::config::GemmConfig;
 use crate::driver::{gemm_serial, with_workspace, Workspace};
+use crate::error::stored_dims;
 use crate::parallel::SendPtr;
 use crate::plan::GemmPlan;
 use crate::{pool, GemmElem};
@@ -240,14 +241,7 @@ pub unsafe fn gemm_batch_strided<T: GemmElem>(
     stride_c: usize,
     count: usize,
 ) {
-    let (ar, ac) = match op_a {
-        Op::NoTrans => (m, k),
-        Op::Trans => (k, m),
-    };
-    let (br, bc) = match op_b {
-        Op::NoTrans => (k, n),
-        Op::Trans => (n, k),
-    };
+    let [(ar, ac), (br, bc)] = stored_dims(op_a, op_b, m, n, k);
     let mut items: Vec<BatchItem<'_, T>> = (0..count)
         .map(|i| BatchItem {
             a: MatRef::from_raw_parts(a.add(i * stride_a), ar, ac, ac),

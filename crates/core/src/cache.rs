@@ -66,7 +66,6 @@ impl CacheParams {
         let Ok(entries) = std::fs::read_dir(base) else {
             return p;
         };
-        let mut found_l3 = false;
         for e in entries.flatten() {
             let dir = e.path();
             let read = |f: &str| std::fs::read_to_string(dir.join(f)).ok();
@@ -84,17 +83,12 @@ impl CacheParams {
             match level.trim() {
                 "1" => p.l1 = bytes,
                 "2" => p.l2 = bytes,
-                "3" => {
-                    p.l3 = bytes;
-                    found_l3 = true;
-                }
+                // Without an exposed index3 the fallback L3 stays rather
+                // than claiming none: such hosts still have DRAM-backed
+                // room for a large nc.
+                "3" => p.l3 = bytes,
                 _ => {}
             }
-        }
-        if !found_l3 {
-            // Keep the fallback L3 rather than claiming none: hosts
-            // without an exposed index3 still have DRAM-backed room for a
-            // large nc.
         }
         p.sanitized()
     }

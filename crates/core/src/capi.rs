@@ -26,11 +26,12 @@
 //! run outside `catch_unwind`, so they can neither wrap in a release build
 //! nor abort a debug one.
 
-use crate::api::{dgemm_raw, sgemm_raw};
+use crate::api::GemmElem;
 use crate::batch::gemm_batch_strided;
 use crate::config::GemmConfig;
-use crate::error::{disjoint_output, footprint, span};
-use crate::plan::ProfileError;
+use crate::error::{disjoint_output, footprint, span, stored_dims};
+use crate::parallel::gemm_parallel;
+use crate::plan::{GemmPlan, ProfileError};
 use shalom_matrix::Op;
 use std::ffi::CStr;
 use std::os::raw::c_char;
@@ -146,11 +147,7 @@ pub unsafe extern "C" fn shalom_profile_save(path: *const c_char) -> i64 {
 #[no_mangle]
 pub extern "C" fn shalom_plan_cache_clear() -> i32 {
     let r = std::panic::catch_unwind(crate::plan::plan_cache_clear);
-    if r.is_ok() {
-        SHALOM_OK
-    } else {
-        SHALOM_ERR_INVALID
-    }
+    r.map_or(SHALOM_ERR_INVALID, |()| SHALOM_OK)
 }
 
 /// Reports the instruction-set level this process dispatches wide
@@ -175,20 +172,6 @@ fn cfg_for(threads: usize) -> GemmConfig {
         threads,
         ..GemmConfig::default()
     }
-}
-
-/// The stored `(rows, cols)` of A and of B for `(op_a, op_b, m, n, k)`.
-fn stored_dims(op_a: Op, op_b: Op, m: usize, n: usize, k: usize) -> [(usize, usize); 2] {
-    [
-        match op_a {
-            Op::NoTrans => (m, k),
-            Op::Trans => (k, m),
-        },
-        match op_b {
-            Op::NoTrans => (k, n),
-            Op::Trans => (n, k),
-        },
-    ]
 }
 
 /// Whether every operand, given as `(pointer is null, footprint)`, has a
@@ -222,6 +205,35 @@ fn gemm_args_ok<T>(
     .is_ok()
 }
 
+/// The body of [`shalom_sgemm`] and [`shalom_dgemm`]: decode the ops,
+/// check the operands, then run the call behind `catch_unwind`.
+///
+/// # Safety
+/// As [`shalom_sgemm`].
+unsafe fn gemm_c<T: GemmElem>(
+    (trans_a, trans_b): (i32, i32),
+    (m, n, k): (usize, usize, usize),
+    (alpha, beta): (T, T),
+    (a, lda): (*const T, usize),
+    (b, ldb): (*const T, usize),
+    (c, ldc): (*mut T, usize),
+    threads: usize,
+) -> i32 {
+    let (Some(op_a), Some(op_b)) = (op_from(trans_a), op_from(trans_b)) else {
+        return -1;
+    };
+    if !gemm_args_ok(op_a, op_b, (m, n, k), (a, lda), (b, ldb), (c, ldc)) {
+        return -1;
+    }
+    let plan = || GemmPlan::<T>::new(&cfg_for(threads), op_a, op_b, m, n, k);
+    // SAFETY: SHALOM-D-FFI — `gemm_args_ok` checked every footprint and
+    // C's disjointness; the pointers' validity is the caller's contract.
+    let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
+        gemm_parallel(&plan(), alpha, a, lda, b, ldb, beta, c, ldc)
+    }));
+    ok.map_or(-1, |()| 0)
+}
+
 /// Row-major single-precision GEMM,
 /// `C = alpha * op(A) * op(B) + beta * C`.
 ///
@@ -253,35 +265,8 @@ pub unsafe extern "C" fn shalom_sgemm(
     ldc: usize,
     threads: usize,
 ) -> i32 {
-    let (Some(op_a), Some(op_b)) = (op_from(trans_a), op_from(trans_b)) else {
-        return -1;
-    };
-    if !gemm_args_ok(op_a, op_b, (m, n, k), (a, lda), (b, ldb), (c, ldc)) {
-        return -1;
-    }
-    let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        sgemm_raw(
-            &cfg_for(threads),
-            op_a,
-            op_b,
-            m,
-            n,
-            k,
-            alpha,
-            a,
-            lda,
-            b,
-            ldb,
-            beta,
-            c,
-            ldc,
-        )
-    }));
-    if ok.is_ok() {
-        0
-    } else {
-        -1
-    }
+    let (ops, dims, scalars) = ((trans_a, trans_b), (m, n, k), (alpha, beta));
+    gemm_c(ops, dims, scalars, (a, lda), (b, ldb), (c, ldc), threads)
 }
 
 /// Row-major double-precision GEMM; see [`shalom_sgemm`].
@@ -305,35 +290,8 @@ pub unsafe extern "C" fn shalom_dgemm(
     ldc: usize,
     threads: usize,
 ) -> i32 {
-    let (Some(op_a), Some(op_b)) = (op_from(trans_a), op_from(trans_b)) else {
-        return -1;
-    };
-    if !gemm_args_ok(op_a, op_b, (m, n, k), (a, lda), (b, ldb), (c, ldc)) {
-        return -1;
-    }
-    let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        dgemm_raw(
-            &cfg_for(threads),
-            op_a,
-            op_b,
-            m,
-            n,
-            k,
-            alpha,
-            a,
-            lda,
-            b,
-            ldb,
-            beta,
-            c,
-            ldc,
-        )
-    }));
-    if ok.is_ok() {
-        0
-    } else {
-        -1
-    }
+    let (ops, dims, scalars) = ((trans_a, trans_b), (m, n, k), (alpha, beta));
+    gemm_c(ops, dims, scalars, (a, lda), (b, ldb), (c, ldc), threads)
 }
 
 /// Strided batched single-precision GEMM (tight leading dimensions):
@@ -421,11 +379,7 @@ pub unsafe extern "C" fn shalom_sgemm_batch_strided(
             count,
         )
     }));
-    if ok.is_ok() {
-        0
-    } else {
-        -1
-    }
+    ok.map_or(-1, |()| 0)
 }
 
 #[cfg(test)]

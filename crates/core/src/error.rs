@@ -106,6 +106,20 @@ pub(crate) fn footprint<T>(rows: usize, cols: usize, ld: usize) -> Option<usize>
     span::<T>(rows, cols, ld)
 }
 
+/// The stored `(rows, cols)` of A and of B for `(op_a, op_b, m, n, k)`.
+pub(crate) fn stored_dims(op_a: Op, op_b: Op, m: usize, n: usize, k: usize) -> [(usize, usize); 2] {
+    [
+        match op_a {
+            Op::NoTrans => (m, k),
+            Op::Trans => (k, m),
+        },
+        match op_b {
+            Op::NoTrans => (k, n),
+            Op::Trans => (n, k),
+        },
+    ]
+}
+
 /// One operand view as the aliasing check sees it: name (`"A"`, `"B"`,
 /// `"C"`), pointer, rows, cols and leading dimension.
 pub(crate) type View<T> = (&'static str, *const T, usize, usize, usize);
@@ -155,33 +169,19 @@ pub fn validate<T: GemmElem>(
     b: &MatRef<'_, T>,
     c: &MatMut<'_, T>,
 ) -> Result<(), GemmError> {
-    let m = c.rows();
-    let n = c.cols();
+    let (m, n) = (c.rows(), c.cols());
     let k = match op_a {
         Op::NoTrans => a.cols(),
         Op::Trans => a.rows(),
     };
-    let need_a = match op_a {
-        Op::NoTrans => (m, k),
-        Op::Trans => (k, m),
-    };
-    if (a.rows(), a.cols()) != need_a {
-        return Err(GemmError::DimensionMismatch {
-            operand: "A",
-            got: (a.rows(), a.cols()),
-            need: need_a,
-        });
-    }
-    let need_b = match op_b {
-        Op::NoTrans => (k, n),
-        Op::Trans => (n, k),
-    };
-    if (b.rows(), b.cols()) != need_b {
-        return Err(GemmError::DimensionMismatch {
-            operand: "B",
-            got: (b.rows(), b.cols()),
-            need: need_b,
-        });
+    let [need_a, need_b] = stored_dims(op_a, op_b, m, n, k);
+    for (operand, got, need) in [
+        ("A", (a.rows(), a.cols()), need_a),
+        ("B", (b.rows(), b.cols()), need_b),
+    ] {
+        if got != need {
+            return Err(GemmError::DimensionMismatch { operand, got, need });
+        }
     }
     // Stride sanity: `ld < cols` makes rows overlap (ld == 0 collapses
     // the whole view onto one row). Single-row views never use ld. Then

@@ -77,7 +77,7 @@ pub use config::{classify, EdgeSchedule, GemmConfig, IsaPolicy, PackingPolicy, S
 pub use error::{try_gemm_with, GemmError};
 pub use parallel::{partition_threads, quantized_chunk};
 pub use plan::{
-    describe_plan, install_tuned, load_profile, plan_cache_clear, plan_cache_stats, register_tile,
+    describe_plan, install_tuned, load_profile, plan_cache_clear, plan_cache_stats,
     request_plan_key, save_profile, CacheStats as PlanCacheStats, GemmPlan, PlanDescription,
     PlanKey, PlanSource, ProfileError, ResolvedPlan, PROFILE_VERSION,
 };

@@ -19,10 +19,12 @@
 
 use crate::capture;
 use crate::driver::{gemm_serial, with_workspace, Workspace};
+use crate::error::stored_dims;
 use crate::plan::GemmPlan;
 use crate::pool;
 use shalom_kernels::FamilyElem;
-use shalom_matrix::Op;
+use shalom_matrix::{MatMut, MatRef, Op};
+use std::ops::Range;
 
 /// The thread grid for a `m x n` output with `t` workers: `(tm, tn)`
 /// with `tm * tn == t`.
@@ -252,6 +254,103 @@ unsafe fn run<T: FamilyElem, const CAPTURE: bool>(
     }
 }
 
+/// The column blocking of a filled run over `n` columns, as `(nb, tail)`.
+/// `nb` is the widest multiple of the tile width `nr` with
+/// `k * nb * size_of::<T>() <= cfg.cache.l2 / 2`, at least `nr` and at
+/// most `n` (and at least 1, so an empty range still has a block width).
+/// `tail` is the width of the last block when that is not `nb`, else 0:
+/// the `n % nb` leftover columns, joined to the last full block when the
+/// two still fit the budget. Every block streams the whole of A, so one
+/// block fewer is one pass over A fewer — a 4608-deep layer's filters do
+/// not fit in L2.
+fn column_blocks<T: FamilyElem>(plan: &GemmPlan<T>, n: usize) -> (usize, usize) {
+    let nr = plan.ks.nr;
+    let fit = plan.cfg.cache.l2 / 2 / (plan.k.max(1) * core::mem::size_of::<T>());
+    let nb = (fit / nr * nr).max(nr).min(n).max(1);
+    match n % nb {
+        rest if rest > 0 && nb + rest <= fit => (nb, nb + rest),
+        rest => (nb, rest),
+    }
+}
+
+/// [`GemmPlan::run_filled`], one instantiation per capture state: one
+/// fork-join over the handle's grid (one tile on the calling thread when
+/// serial or inside a pool task), recorded as [`run`] records it.
+pub(crate) fn gemm_filled<T: FamilyElem, const CAPTURE: bool>(
+    plan: &GemmPlan<T>,
+    alpha: T,
+    a: MatRef<'_, T>,
+    fill: &(dyn Fn(Range<usize>, &mut Vec<T>) + Sync),
+    beta: T,
+    mut c: MatMut<'_, T>,
+) {
+    let (m, n, k) = (plan.m, plan.n, plan.k);
+    let [stored_a, _] = stored_dims(plan.op_a, plan.op_b, m, n, k);
+    let stored = [(a.rows(), a.cols()), (c.rows(), c.cols())];
+    assert!(
+        plan.op_b == Op::NoTrans && stored == [stored_a, (m, n)],
+        "A and C stored {stored:?} incompatible with the planned filled {m}x{n}x{k}"
+    );
+    let (tm, tn) = match pool::in_pool_context() {
+        true => (1, 1),
+        false => (plan.tm, plan.tn),
+    };
+    let call =
+        (CAPTURE && tm * tn > 1).then(|| capture::Call::begin(capture::Phase::Parallel, plan));
+    let workers = call.as_ref().map(capture::Call::workers);
+    let (cp, ldc) = (SendPtr(c.as_mut_ptr()), c.ld());
+    let job = |idx: usize, ws: &mut Workspace| {
+        let (ri, rl) = quantized_chunk(m, tm, plan.ks.mr, idx / tn);
+        let (ci, cl) = quantized_chunk(n, tn, plan.ks.nr, idx % tn);
+        if rl == 0 || cl == 0 {
+            return;
+        }
+        let (cp, worker) = (cp, workers.map(|w| (w, w.begin(idx))));
+        let a_tile = match plan.op_a {
+            Op::NoTrans => a.submatrix(ri, 0, rl, k),
+            Op::Trans => a.submatrix(0, ri, k, rl),
+        };
+        let (nb, tail) = column_blocks(plan, cl);
+        let (mut j0, mut buf) = (ci, Vec::with_capacity(k * nb.max(tail)));
+        while j0 < ci + cl {
+            let w = if ci + cl - j0 == tail { tail } else { nb };
+            fill(j0..j0 + w, &mut buf);
+            let filled = buf.len();
+            assert!(
+                k.checked_mul(w) == Some(filled),
+                "a fill of {w} columns left {filled} elements, not {k} x {w}"
+            );
+            // SAFETY: SHALOM-D-DRIVER — `buf` holds the dense `k x w`
+            // block (checked above), the tile's A is a checked view, and
+            // the quantized chunks partition C, whose view was checked
+            // above, into disjoint tiles (SHALOM-D-SEND).
+            unsafe {
+                gemm_serial::<T, CAPTURE>(
+                    &plan.for_block(rl, w),
+                    alpha,
+                    a_tile.as_ptr(),
+                    a.ld(),
+                    buf.as_ptr(),
+                    w,
+                    beta,
+                    cp.0.add(ri * ldc + j0),
+                    ldc,
+                    ws,
+                )
+            };
+            j0 += w;
+        }
+        if let Some((w, tagged)) = worker {
+            w.end(tagged);
+        }
+    };
+    pool::run(plan.threads, tm * tn, &job);
+
+    if let Some(call) = call {
+        capture::parallel_end(call, plan);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,6 +445,54 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn blocks_are_the_widest_tile_multiple_in_half_of_l2() {
+        let cfg = crate::GemmConfig::with_threads(1);
+        let plan = |cfg: &crate::GemmConfig, n, k| {
+            GemmPlan::<f32>::new(cfg, Op::NoTrans, Op::NoTrans, 1, n, k)
+        };
+        let nr = plan(&cfg, 1, 1).ks.nr;
+        let at = |l2: usize, n: usize, k: usize| {
+            let cfg = crate::GemmConfig {
+                cache: crate::CacheParams { l2, ..cfg.cache },
+                ..cfg
+            };
+            column_blocks(&plan(&cfg, n, k), n)
+        };
+        // Half of L2 holds 3.5 tile widths of a 100-deep block: 3 fit,
+        // and a leftover tile width does not join the last block.
+        let l2 = 2 * 100 * 4 * nr * 7 / 2;
+        assert_eq!(at(l2, 1000 * nr, 100), (3 * nr, nr));
+        // Two leftover columns still fit beside a full block: one block
+        // of 3 tile widths and 2 columns instead of a 2-column tail.
+        assert_eq!(at(l2, 15 * nr + 2, 100), (3 * nr, 3 * nr + 2));
+        // A whole B that fits is one block, whatever its width.
+        assert_eq!(at(1 << 30, 7 * nr + 3, 100), (7 * nr + 3, 0));
+        // Too deep for one tile width in half of L2: still one tile.
+        assert_eq!(at(1024, 10 * nr, 100_000), (nr, 0));
+        assert_eq!(at(1024, 10 * nr + 1, 100_000), (nr, 1));
+        // Narrower than one tile: the whole range.
+        assert_eq!(at(1024, nr - 1, 100_000), (nr - 1, 0));
+        assert_eq!(at(1024, 0, 0), (1, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "a fill of 8 columns left 23 elements")]
+    fn a_short_fill_panics_before_its_block_is_read() {
+        let plan = GemmPlan::<f32>::new(
+            &crate::GemmConfig::with_threads(1),
+            Op::NoTrans,
+            Op::NoTrans,
+            4,
+            8,
+            3,
+        );
+        let a = shalom_matrix::Matrix::<f32>::zeros(4, 3);
+        let mut c = shalom_matrix::Matrix::<f32>::zeros(4, 8);
+        let short = |cols: Range<usize>, dst: &mut Vec<f32>| *dst = vec![0.0; 3 * cols.len() - 1];
+        plan.run_filled(1.0, a.as_ref(), &short, 0.0, c.as_mut());
     }
 
     #[test]

@@ -6,6 +6,9 @@
 
 use shalom_core::{gemm_batch, gemm_with, BatchItem, CacheParams, GemmConfig, GemmPlan, Op};
 use shalom_matrix::{max_abs_diff, Matrix};
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Barrier;
 
 /// Fixed cache geometry so plan resolution doesn't depend on the host.
 fn base_config(threads: usize) -> GemmConfig {
@@ -244,4 +247,41 @@ fn one_handle_run_concurrently_matches_serial() {
             );
         }
     }
+}
+
+/// A fill that panics on a pool worker panics the filled run on its
+/// caller, and the pool still runs the next threaded call bitwise like the
+/// serial one (ROADMAP "Hostile-input hardening": a panicking kernel in a
+/// pool worker).
+#[test]
+fn a_fill_panicking_on_a_worker_panics_the_caller_and_spares_the_pool() {
+    let (m, n, k) = (8, 256, 16);
+    let plan = GemmPlan::<f32>::new(&base_config(2), Op::NoTrans, Op::NoTrans, m, n, k);
+    let grid = plan.describe().plan;
+    assert_eq!((grid.tm, grid.tn), (1, 2), "a 2-tile grid");
+    let a = Matrix::<f32>::random(m, k, 1);
+    let b = Matrix::<f32>::random(k, n, 2);
+    let caller = std::thread::current().id();
+    // Each tile is one block at this L2, so each fills once: the barrier
+    // holds the caller's tile until a worker has taken the other one.
+    let both_tiles = Barrier::new(2);
+    let fill = |cols: Range<usize>, dst: &mut Vec<f32>| {
+        both_tiles.wait();
+        assert_eq!(std::thread::current().id(), caller, "a fill on a worker");
+        dst.clear();
+        for p in 0..k {
+            dst.extend(cols.clone().map(|j| b.at(p, j)));
+        }
+    };
+    let mut c = Matrix::<f32>::zeros(m, n);
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        plan.run_filled(1.0, a.as_ref(), &fill, 0.0, c.as_mut())
+    }));
+    assert!(run.is_err(), "the worker's panic reaches the caller");
+    let serial = run_f32(&base_config(1), 64, 2048, 64, 11);
+    let pooled = run_f32(&base_config(2), 64, 2048, 64, 11);
+    assert!(
+        pooled.as_slice() == serial.as_slice(),
+        "the pool after a panic"
+    );
 }

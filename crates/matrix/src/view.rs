@@ -115,16 +115,6 @@ impl<'a, T: Scalar> MatRef<'a, T> {
         *self.ptr.add(i * self.ld + j)
     }
 
-    /// Pointer to the start of row `i`.
-    ///
-    /// # Safety
-    /// `i < rows`.
-    #[inline(always)]
-    pub unsafe fn row_ptr(&self, i: usize) -> *const T {
-        debug_assert!(i < self.rows);
-        self.ptr.add(i * self.ld)
-    }
-
     /// Sub-view of `nrows x ncols` starting at `(i, j)`, sharing storage.
     ///
     /// # Panics
@@ -256,16 +246,6 @@ impl<'a, T: Scalar> MatMut<'a, T> {
             "index ({i},{j}) out of bounds"
         );
         unsafe { *self.ptr.add(i * self.ld + j) = v }
-    }
-
-    /// Pointer to the start of row `i`.
-    ///
-    /// # Safety
-    /// `i < rows`.
-    #[inline(always)]
-    pub unsafe fn row_ptr_mut(&mut self, i: usize) -> *mut T {
-        debug_assert!(i < self.rows);
-        self.ptr.add(i * self.ld)
     }
 
     /// Immutable view of the same data (reborrow).

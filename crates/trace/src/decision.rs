@@ -58,9 +58,11 @@ pub enum PlanSource {
     Profile,
 }
 
-/// `ALL`, `index`, `as_str`, `code` and `from_code` for one decision
-/// enum: variants in declaration order with their codes and labels, then
-/// optionally the retired codes `from_code` still reads and what as.
+/// `ALL`, `index`, `as_str`, `code` and `from_code` for one vocabulary
+/// enum (these four decisions, the span `Phase` and the record
+/// `PathTag`): variants in declaration order with their codes and
+/// labels, then optionally the retired codes `from_code` still reads and
+/// what as.
 macro_rules! vocabulary {
     ($ty:ident, $($variant:ident = $code:literal => $label:literal),+
      $(; retired $($old:literal => $now:ident),+)?) => {
@@ -101,6 +103,7 @@ macro_rules! vocabulary {
         }
     };
 }
+pub(crate) use vocabulary;
 
 // Profile files store the codes of the first three (`class`, `b_plan`,
 // `edge`); a span's 1-byte `src` stores the source's, with 0 for none.

@@ -142,81 +142,27 @@ pub enum Phase {
     BatchFlush = 15,
 }
 
+// Codes are the `repr(u8)` discriminants a span stores; labels are the
+// lane labels in exports.
+decision::vocabulary!(Phase,
+    Serial = 0 => "serial",
+    PlanLookup = 1 => "plan_lookup",
+    PackA = 2 => "pack_a",
+    PackB = 3 => "pack_b",
+    Compute = 4 => "compute",
+    Task = 5 => "task",
+    Parallel = 6 => "parallel",
+    Batch = 7 => "batch",
+    BatchItem = 8 => "batch_item",
+    Dispatch = 9 => "dispatch",
+    QueueWait = 10 => "queue_wait",
+    Barrier = 11 => "barrier",
+    Park = 12 => "park",
+    Enqueue = 13 => "enqueue",
+    Linger = 14 => "linger",
+    BatchFlush = 15 => "batch_flush");
+
 impl Phase {
-    /// Every phase, in `index` order.
-    pub const ALL: [Phase; 16] = [
-        Phase::Serial,
-        Phase::PlanLookup,
-        Phase::PackA,
-        Phase::PackB,
-        Phase::Compute,
-        Phase::Task,
-        Phase::Parallel,
-        Phase::Batch,
-        Phase::BatchItem,
-        Phase::Dispatch,
-        Phase::QueueWait,
-        Phase::Barrier,
-        Phase::Park,
-        Phase::Enqueue,
-        Phase::Linger,
-        Phase::BatchFlush,
-    ];
-
-    /// Number of phases (`ALL.len()`).
-    pub const COUNT: usize = 16;
-
-    /// Stable lowercase name used in reports and exports.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Phase::Serial => "serial",
-            Phase::PlanLookup => "plan_lookup",
-            Phase::PackA => "pack_a",
-            Phase::PackB => "pack_b",
-            Phase::Compute => "compute",
-            Phase::Task => "task",
-            Phase::Parallel => "parallel",
-            Phase::Batch => "batch",
-            Phase::BatchItem => "batch_item",
-            Phase::Dispatch => "dispatch",
-            Phase::QueueWait => "queue_wait",
-            Phase::Barrier => "barrier",
-            Phase::Park => "park",
-            Phase::Enqueue => "enqueue",
-            Phase::Linger => "linger",
-            Phase::BatchFlush => "batch_flush",
-        }
-    }
-
-    /// Dense index into `ALL`-shaped arrays.
-    #[inline]
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Inverse of the `repr(u8)` discriminant; unknown codes map to
-    /// `Serial` rather than failing (records are never trusted input).
-    pub fn from_code(code: u8) -> Phase {
-        match code {
-            1 => Phase::PlanLookup,
-            2 => Phase::PackA,
-            3 => Phase::PackB,
-            4 => Phase::Compute,
-            5 => Phase::Task,
-            6 => Phase::Parallel,
-            7 => Phase::Batch,
-            8 => Phase::BatchItem,
-            9 => Phase::Dispatch,
-            10 => Phase::QueueWait,
-            11 => Phase::Barrier,
-            12 => Phase::Park,
-            13 => Phase::Enqueue,
-            14 => Phase::Linger,
-            15 => Phase::BatchFlush,
-            _ => Phase::Serial,
-        }
-    }
-
     /// Whether this phase is idle waiting (counted against utilization)
     /// rather than work. A bucket's linger is queueing latency, not
     /// work, so it counts as waiting too.
@@ -288,7 +234,7 @@ pub struct SpanRecord {
     /// [`Phase::carries_shape`], a task index for `Task`, an item count
     /// for `Batch`, 0 otherwise.
     pub aux: u64,
-    /// [`Phase`] discriminant (`Phase::from_code` decodes).
+    /// [`Phase::code`] (`SpanRecord::phase` decodes).
     pub phase: u8,
     /// [`PlanSource::code`] of the plan the span resolved or ran; 0
     /// (no source) for most phases.
@@ -304,10 +250,11 @@ impl SpanRecord {
         self.t1_ns.saturating_sub(self.t0_ns)
     }
 
-    /// Decoded phase.
+    /// Decoded phase; an unknown code reads as `Serial` rather than
+    /// failing (records are never trusted input).
     #[inline]
     pub fn phase(&self) -> Phase {
-        Phase::from_code(self.phase)
+        Phase::from_code(self.phase).unwrap_or(Phase::Serial)
     }
 
     /// Decoded plan source; `None` for spans that carry none.
@@ -901,12 +848,19 @@ mod tests {
 
     #[test]
     fn phase_codes_round_trip() {
+        let decoded = |phase: u8| {
+            SpanRecord {
+                phase,
+                ..SpanRecord::default()
+            }
+            .phase()
+        };
         for p in Phase::ALL {
-            assert_eq!(Phase::from_code(p as u8), p);
+            assert_eq!((p.code(), decoded(p as u8)), (p as u8, p));
             assert_eq!(Phase::ALL[p.index()], p);
             assert!(!p.as_str().is_empty());
         }
-        assert_eq!(Phase::from_code(200), Phase::Serial);
+        assert_eq!(decoded(200), Phase::Serial);
         assert!(Phase::Park.is_wait() && !Phase::Compute.is_wait());
     }
 

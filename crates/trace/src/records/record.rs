@@ -17,30 +17,11 @@ pub enum PathTag {
     Batch,
 }
 
-impl PathTag {
-    /// Stable label used in JSON output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PathTag::Serial => "serial",
-            PathTag::Parallel => "parallel",
-            PathTag::ParallelWorker => "parallel-worker",
-            PathTag::Batch => "batch",
-        }
-    }
-
-    /// Dense index for counter arrays.
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// All variants, in `index` order.
-    pub const ALL: [PathTag; 4] = [
-        PathTag::Serial,
-        PathTag::Parallel,
-        PathTag::ParallelWorker,
-        PathTag::Batch,
-    ];
-}
+crate::decision::vocabulary!(PathTag,
+    Serial = 0 => "serial",
+    Parallel = 1 => "parallel",
+    ParallelWorker = 2 => "parallel-worker",
+    Batch = 3 => "batch");
 
 /// One GEMM dispatch decision, fully resolved.
 #[derive(Debug, Clone, Copy, Default)]

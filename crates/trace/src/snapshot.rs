@@ -61,7 +61,7 @@ pub struct LaneStat {
 #[derive(Debug, Clone)]
 pub struct TraceReport {
     /// Per-phase aggregates indexed by [`Phase::index`].
-    pub phases: [PhaseStat; Phase::COUNT],
+    pub phases: [PhaseStat; Phase::ALL.len()],
     /// Per-lane busy/wait accounting, ascending lane index.
     pub lanes: Vec<LaneStat>,
     /// Global wall span across all lanes (`max t1 - min t0`), ns.
@@ -90,7 +90,7 @@ impl TraceSnapshot {
 
     /// Aggregates the snapshot into a [`TraceReport`].
     pub fn report(&self) -> TraceReport {
-        let mut phases = [PhaseStat::default(); Phase::COUNT];
+        let mut phases = [PhaseStat::default(); Phase::ALL.len()];
         let mut lanes = Vec::with_capacity(self.lanes.len());
         let mut wall_min = u64::MAX;
         let mut wall_max = 0u64;
@@ -159,11 +159,6 @@ impl TraceSnapshot {
             total_spans: self.total_spans() as u64,
             dropped: self.total_dropped(),
         }
-    }
-
-    /// `report().render()` in one call.
-    pub fn render_report(&self) -> String {
-        self.report().render()
     }
 }
 

@@ -22,12 +22,11 @@
 //! shadow harness go deeper on each axis.
 
 use libshalom::core::{
-    gemm_batch_beta, install_tuned, plan_cache_clear, plan_cache_stats, register_tile, IsaPolicy,
-    PlanSource,
+    gemm_batch_beta, install_tuned, plan_cache_clear, plan_cache_stats, IsaPolicy, PlanSource,
 };
-use libshalom::kernels::registered_families;
-use libshalom::matrix::{gemm_tolerance, ConvShape, Matrix};
-use libshalom::nn::Conv2d;
+use libshalom::kernels::{kernels_for, registered_families};
+use libshalom::matrix::{assert_close, gemm_tolerance, ConvShape, Matrix};
+use libshalom::nn::{conv2d_direct, Conv2d};
 use libshalom::service::{GemmRequest, Service, ServiceConfig};
 use libshalom::simd::base_isa;
 use libshalom::{
@@ -958,6 +957,73 @@ fn one_handle_from_four_threads_is_bitwise_serial() {
     }
 }
 
+/// The tile width `nr` of the kernel set `cfg` dispatches `T` to.
+fn tile_width<T: GemmElem>(cfg: &GemmConfig) -> usize {
+    kernels_for::<T>(GemmPlan::<T>::new(cfg, Op::NoTrans, Op::NoTrans, 1, 1, 1).isa()).nr
+}
+
+#[test]
+fn blocked_conv_forward_is_bitwise_across_threads_and_the_batch_path() {
+    let _shared = share_plan_cache();
+    // A layer whose plan fills and multiplies several L2 column blocks:
+    // `forward` at two threads (the columns split once, each worker
+    // blocking its own) is bitwise `forward` at one, which is bitwise
+    // `forward_batch` (one whole-matrix GEMM), and both are within
+    // tolerance of the direct convolution.
+    fn one<T: GemmElem>(isa: IsaPolicy, join: bool) {
+        // N = 13 * 14 = 182: three or more blocks of any tile width up to
+        // 48, and leftover columns: a tail block when half of L2 holds
+        // one tile width of the lowered matrix, joined to the last block
+        // when it also holds the leftover.
+        let shape = ConvShape {
+            c_in: 3,
+            c_out: 7,
+            h: 13,
+            w: 14,
+            kh: 3,
+            kw: 3,
+            pad: 1,
+        };
+        let (m, n, k) = shape.gemm_dims();
+        let at_threads = |threads| GemmConfig {
+            isa,
+            ..GemmConfig::with_threads(threads)
+        };
+        let nr = tile_width::<T>(&at_threads(1));
+        assert!(n / nr >= 3 && n % nr != 0, "nr {nr}");
+        let extra = if join { n % nr } else { 0 };
+        let weights = Matrix::<T>::random(m, k, 9);
+        let layer = |threads| {
+            let mut cfg = at_threads(threads);
+            cfg.cache.l2 = 2 * k * std::mem::size_of::<T>() * (nr + extra);
+            Conv2d::new(shape, weights.clone(), cfg)
+        };
+        let input = Matrix::<T>::random(shape.c_in, shape.h * shape.w, 8);
+        let serial = layer(1).forward(&input);
+        let case = format!(
+            "{isa:?}, tail joined {join}, {} bits",
+            8 * std::mem::size_of::<T>()
+        );
+        assert!(
+            layer(2).forward(&input).as_slice() == serial.as_slice(),
+            "forward at 2 threads differs from 1 thread: {case}"
+        );
+        let whole = layer(1).forward_batch(std::slice::from_ref(&input));
+        assert!(
+            serial.as_slice() == whole[0].as_slice(),
+            "blocked forward differs from the whole-matrix GEMM: {case}"
+        );
+        let want = conv2d_direct(&shape, &input, &weights);
+        assert_close(serial.as_ref(), want.as_ref(), gemm_tolerance::<T>(k, 4.0));
+    }
+    for isa in [IsaPolicy::Auto, IsaPolicy::Force(base_isa())] {
+        for join in [false, true] {
+            one::<f32>(isa, join);
+            one::<f64>(isa, join);
+        }
+    }
+}
+
 #[test]
 #[should_panic(expected = "incompatible")]
 fn handle_run_with_mismatched_views_panics() {
@@ -1007,8 +1073,8 @@ fn each_entry_point_makes_the_planned_number_of_lookups() {
     let layer = Conv2d::<f32>::random(conv, two, 5);
     // An L2 whose half holds the lowered 27-deep matrix of one tile
     // width: `forward` runs blocks of `nr` columns and a tail block
-    // (81 pixels is no multiple of a tile width), two handles.
-    let (_, nr) = register_tile::<f32>(&two);
+    // (81 pixels is no multiple of a tile width), all under one handle.
+    let nr = tile_width::<f32>(&two);
     assert_ne!(81 % nr, 0);
     let blocked = GemmConfig {
         cache: CacheParams {
@@ -1046,7 +1112,7 @@ fn each_entry_point_makes_the_planned_number_of_lookups() {
             drop(Conv2d::<f32>::random(conv, two, 5))
         }),
         ("Conv2d::forward", 0, &|| drop(layer.forward(&image))),
-        ("blocked Conv2d::new", 2, &|| {
+        ("blocked Conv2d::new", 1, &|| {
             drop(Conv2d::<f32>::random(conv, blocked, 5))
         }),
         ("blocked Conv2d::forward", 0, &|| {
